@@ -6,36 +6,33 @@
 //! prediction; at the start of window `t+2` the cluster configuration is
 //! applied. The CPU starts in high-performance mode and uses the
 //! predictor matching whichever mode the telemetry was recorded in.
+//!
+//! The loop always runs behind the graceful-degradation ladder of
+//! [`crate::degrade`]. While every prediction is healthy, as without
+//! injected chaos on a sound deployment, the ladder stays at model-driven
+//! gating and each firmware decision applies exactly at `t+2`.
 
-use crate::degrade::{DegradeConfig, DegradeLevel, DegradeSummary, PredictionHealth, Watchdog};
+use crate::degrade::{DegradeLevel, DegradeSummary, PredictionHealth, Watchdog};
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::sla::Sla;
 use crate::train::{TrainedAdaptModel, HORIZON};
 use psca_cpu::{BackendChoice, CpuConfig, Mode, ModeSwitchFault};
 use psca_faults::{ActuationFault, ChaosSpec, FaultCounts, FaultInjector, PredictionFault};
 use psca_trace::{TraceSource, VecTrace};
-use psca_uc::image;
+use psca_uc::{image, FirmwareModel};
 
 /// Knobs modulating a closed-loop run beyond the mandatory inputs.
 ///
-/// `Default` is the healthy fast path: no fault injection, default
-/// degradation-ladder tuning, hardened bookkeeping off.
+/// `Default` is the healthy path: no fault injection on the paper's
+/// scaled-Skylake machine, simulated by the reference backend.
 #[derive(Debug, Clone, Default)]
 pub struct ClosedLoopOptions {
-    /// Chaos to inject on the loop. `None` (or an all-zero spec) keeps
-    /// the run on the fault-free fast path unless
-    /// [`hardened`](ClosedLoopOptions::hardened) forces the watchdog in.
-    pub faults: Option<ChaosSpec>,
-    /// Degradation-ladder tuning; consulted only on the hardened path.
-    pub degrade: DegradeConfig,
+    /// Chaos to inject on the loop. The all-zero default injects nothing.
+    pub faults: ChaosSpec,
     /// Core parameterization to simulate. `None` runs the paper's
     /// scaled-Skylake machine; fleet harnesses pass per-die skewed
     /// configs here so one loop models one physical die.
     pub cpu: Option<CpuConfig>,
-    /// Run the hardened engine (watchdog + degradation accounting) even
-    /// with no faults enabled. The accounting result stays bit-identical
-    /// to the fast path — a regression test enforces it.
-    pub hardened: bool,
     /// Simulation fidelity to drive the loop on. The default reference
     /// [`BackendChoice::CycleAccurate`] is bit-identical to the
     /// pre-backend code path; [`BackendChoice::Surrogate`] trades bounded
@@ -43,15 +40,13 @@ pub struct ClosedLoopOptions {
     pub backend: BackendChoice,
 }
 
-/// One closed-loop simulation, fully specified: the typed replacement for
-/// the old positional `run_closed_loop(model, warm, window, interval)` /
-/// `run_closed_loop_hardened(..)` entry points. The daemon, the CLI, and
-/// the experiment runners all build one of these.
+/// One closed-loop simulation, fully specified. The daemon, the CLI, the
+/// fleet and the experiment runners all build one of these.
 ///
 /// ```ignore
 /// let res = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts)
 ///     .with_faults(ChaosSpec::parse("uc_drop=0.05")?)
-///     .run_hardened();
+///     .run();
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClosedLoopRequest<'a> {
@@ -84,15 +79,9 @@ impl<'a> ClosedLoopRequest<'a> {
         }
     }
 
-    /// Injects `spec` chaos on the loop (implies the hardened engine).
+    /// Injects `spec` chaos on the loop.
     pub fn with_faults(mut self, spec: ChaosSpec) -> ClosedLoopRequest<'a> {
-        self.options.faults = Some(spec);
-        self
-    }
-
-    /// Overrides the degradation-ladder tuning.
-    pub fn with_degrade(mut self, cfg: DegradeConfig) -> ClosedLoopRequest<'a> {
-        self.options.degrade = cfg;
+        self.options.faults = spec;
         self
     }
 
@@ -102,67 +91,241 @@ impl<'a> ClosedLoopRequest<'a> {
         self
     }
 
-    /// Forces the hardened engine even without faults.
-    pub fn hardened(mut self) -> ClosedLoopRequest<'a> {
-        self.options.hardened = true;
-        self
-    }
-
     /// Drives the loop on `backend` instead of the reference simulator.
     pub fn with_backend(mut self, backend: BackendChoice) -> ClosedLoopRequest<'a> {
         self.options.backend = backend;
         self
     }
 
-    /// True when any configured fault rate is nonzero.
-    fn faults_enabled(&self) -> bool {
-        self.options
-            .faults
-            .as_ref()
-            .is_some_and(|s| s.any_enabled())
-    }
-
-    /// Runs the loop and returns the plain accounting.
+    /// Runs the loop.
     ///
-    /// Fault-free, non-hardened requests take the fast engine; anything
-    /// else runs hardened and discards the extra bookkeeping (use
-    /// [`run_hardened`](ClosedLoopRequest::run_hardened) to keep it).
+    /// Each window the injector may perturb telemetry rows, drop/delay/
+    /// corrupt the scheduled prediction, flip bits in the firmware image,
+    /// or lose the mode-switch request. A [`Watchdog`] classifies every
+    /// scheduled prediction's [`PredictionHealth`] and walks the ladder;
+    /// per tier the window is gated by the model, the last known-good
+    /// decision, the §3.1 guardrail heuristic, or pinned high-performance.
     pub fn run(&self) -> ClosedLoopResult {
-        if !self.options.hardened && !self.faults_enabled() {
-            return plain_loop(
-                self.model,
-                self.warm,
-                self.window,
-                self.interval_insts,
-                self.options.cpu.as_ref(),
-                self.options.backend,
-            );
-        }
-        self.run_hardened().result
-    }
+        let _span = psca_obs::SpanTimer::start("adapt.closed_loop");
+        let model = self.model;
+        let interval_insts = self.interval_insts;
+        let g = model.granularity;
+        let mut injector = FaultInjector::new(self.options.faults.clone());
+        let mut sim = self.options.backend.build(
+            self.options
+                .cpu
+                .clone()
+                .unwrap_or_else(CpuConfig::skylake_scaled),
+            interval_insts,
+        );
+        let mut warm_replay = self.warm.clone();
+        sim.warm_up(&mut warm_replay, self.warm.len() as u64);
+        let mut replay = self.window.clone();
 
-    /// Runs the hardened engine and returns the full accounting:
-    /// closed-loop result plus degradation, fault, and image bookkeeping.
-    pub fn run_hardened(&self) -> HardenedLoopResult {
-        let mut injector = match &self.options.faults {
-            Some(spec) => FaultInjector::new(spec.clone()),
-            None => FaultInjector::disabled(),
+        let mut predictions: Vec<Option<u8>> = Vec::new();
+        let mut modes = Vec::new();
+        // Scheduled decision per window, tagged with the health it arrived in.
+        let mut pending: Vec<Option<(bool, PredictionHealth)>> = Vec::new();
+        let mut energy = 0.0;
+        let mut cycles = 0u64;
+        let mut instructions = 0u64;
+        let mut low_windows = 0usize;
+        let mut watchdog = Watchdog::default();
+        // The heuristic fallback only gates from the heuristic-only tier,
+        // so it tracks state silently instead of reporting as a guardrail.
+        let mut heuristic = Guardrail::shadow(GuardrailConfig::default(), Sla::paper_default());
+        let mut heuristic_gate = false;
+        let mut last_good_gate = false;
+        let mut window_ipc = Vec::new();
+        let mut images_rejected = 0u64;
+        // Window scratch, reused across windows so the hot loop allocates
+        // only while the buffers first grow to the window size.
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(g);
+        let mut row_cycles: Vec<u64> = Vec::with_capacity(g);
+        // Metric handles resolved once, not per window.
+        let windows_ctr = psca_obs::counter("adapt.windows");
+        let gated_ctr = psca_obs::counter("adapt.windows_gated_low");
+        let gated_series = psca_obs::series_handle("adapt.window.gated");
+
+        let mut widx = 0usize;
+        'outer: loop {
+            injector.begin_window();
+            sim.apply_delayed_mode();
+            // Classify this window's scheduled decision and pick the gate
+            // the current ladder tier dictates. The first HORIZON windows
+            // carry no prediction by design and are not watchdog material.
+            let scheduled = pending.get(widx).copied().flatten();
+            let desired_gate: Option<bool> = if widx < HORIZON {
+                None
+            } else {
+                let health = match scheduled {
+                    Some((_, h)) => h,
+                    None => PredictionHealth::Missing,
+                };
+                let level = watchdog.observe(health);
+                if level == DegradeLevel::ModelDriven {
+                    if let Some((gate, PredictionHealth::Ok)) = scheduled {
+                        last_good_gate = gate;
+                    }
+                }
+                match level {
+                    DegradeLevel::ModelDriven => scheduled.map(|(gate, _)| gate),
+                    DegradeLevel::HoldLast => Some(last_good_gate),
+                    DegradeLevel::HeuristicOnly => Some(heuristic_gate),
+                    DegradeLevel::PinnedHighPerf => Some(false),
+                }
+            };
+            if let Some(gate) = desired_gate {
+                let desired = if gate { Mode::LowPower } else { Mode::HighPerf };
+                let fault = match injector.actuation_fault() {
+                    None => ModeSwitchFault::None,
+                    Some(ActuationFault::Lost) => ModeSwitchFault::Lost,
+                    Some(ActuationFault::DelayedOneWindow) => ModeSwitchFault::DelayedOneWindow,
+                };
+                sim.request_mode(desired, fault);
+            }
+            let window_mode = sim.mode();
+            // Trace-gated: renders each prediction window as its own span
+            // in the request's Perfetto tree. Never touches the simulation.
+            let win_ts = psca_obs::trace::enabled().then(psca_obs::trace::now_us);
+            // Run the window's base intervals, collecting telemetry rows.
+            row_cycles.clear();
+            let mut filled = 0usize;
+            let mut w_cycles = 0u64;
+            let mut w_insts = 0u64;
+            for _ in 0..g {
+                let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
+                    break 'outer;
+                };
+                energy += r.energy;
+                cycles += r.snapshot.cycles;
+                instructions += r.instructions;
+                w_cycles += r.snapshot.cycles;
+                w_insts += r.instructions;
+                if filled == rows.len() {
+                    rows.push(r.snapshot.as_slice().to_vec());
+                } else {
+                    rows[filled].clear();
+                    rows[filled].extend_from_slice(r.snapshot.as_slice());
+                }
+                filled += 1;
+                row_cycles.push(r.snapshot.cycles);
+            }
+            if filled < g {
+                break;
+            }
+            if let Some(ts) = win_ts {
+                let dur = psca_obs::trace::now_us().saturating_sub(ts);
+                psca_obs::trace::complete("sim.window", ts, dur);
+            }
+            modes.push(window_mode);
+            windows_ctr.inc();
+            if window_mode == Mode::LowPower {
+                low_windows += 1;
+                gated_ctr.inc();
+            }
+            gated_series.push(if window_mode == Mode::LowPower {
+                1.0
+            } else {
+                0.0
+            });
+            let ipc = w_insts as f64 / w_cycles.max(1) as f64;
+            window_ipc.push(ipc);
+            // Telemetry counter faults strike between the counters and the µC.
+            injector.perturb_telemetry(&mut rows);
+            let (feat, fw) = model.mode_parts(window_mode);
+            let (gate, mut health) = infer(fw, &feat.featurize(&rows, &row_cycles));
+            // µC prediction faults strike between inference and actuation.
+            let mut schedule = true;
+            let mut target = widx + HORIZON;
+            match injector.prediction_fault() {
+                None => {}
+                Some(PredictionFault::Dropped) => schedule = false,
+                Some(PredictionFault::LatencyOverrun) => {
+                    // The prediction misses its t+2 apply deadline and
+                    // lands a window late, already stale.
+                    target += 1;
+                    if health.is_healthy() {
+                        health = PredictionHealth::Stale;
+                    }
+                }
+                Some(PredictionFault::WeightCorruption) if health.is_healthy() => {
+                    health = PredictionHealth::NonFinite;
+                }
+                Some(PredictionFault::WeightCorruption) => {}
+            }
+            if schedule {
+                while pending.len() <= target {
+                    pending.push(None);
+                }
+                pending[target] = Some((gate, health));
+                while predictions.len() <= target {
+                    predictions.push(None);
+                }
+                predictions[target] = Some(gate as u8);
+            }
+            // Firmware-image bit flips: a reload from a corrupted image
+            // must be caught by the image checksum / weight validator.
+            if injector.image_fault() {
+                if let Ok(mut img) = image::encode(fw) {
+                    injector.corrupt_image(&mut img, 3);
+                    if image::decode(&img).is_err() {
+                        images_rejected += 1;
+                        psca_obs::counter("uc.image.rejected").inc();
+                    }
+                }
+            }
+            // Keep the heuristic fallback warm every window so it has a
+            // live IPC reference the moment the ladder needs it.
+            heuristic_gate = heuristic.vet(window_mode == Mode::LowPower, ipc, true);
+            if psca_obs::enabled(psca_obs::Level::Trace) {
+                psca_obs::emit(
+                    psca_obs::Level::Trace,
+                    "adapt.window.decision",
+                    &[
+                        ("window", widx.into()),
+                        ("mode", window_mode.to_string().into()),
+                        ("gate", gate.into()),
+                        ("level", watchdog.level().name().into()),
+                    ],
+                );
+            }
+            if psca_obs::trace::enabled() {
+                psca_obs::trace::instant(
+                    "adapt.window.decision",
+                    &[
+                        ("window", widx.into()),
+                        ("mode", window_mode.to_string().into()),
+                        ("gate", gate.into()),
+                        ("level", watchdog.level().name().into()),
+                    ],
+                );
+            }
+            widx += 1;
+        }
+        predictions.truncate(modes.len());
+        let low_power_residency = if modes.is_empty() {
+            0.0
+        } else {
+            low_windows as f64 / modes.len() as f64
         };
-        hardened_loop(
-            self.model,
-            self.warm,
-            self.window,
-            self.interval_insts,
-            self.options.cpu.as_ref(),
-            self.options.backend,
-            &mut injector,
-            self.options.degrade,
-        )
+        ClosedLoopResult {
+            predictions,
+            modes,
+            energy,
+            cycles,
+            instructions,
+            low_power_residency,
+            degrade: watchdog.summary(),
+            faults: *injector.counts(),
+            images_rejected,
+            window_ipc,
+        }
     }
 }
 
 /// Outcome of one closed-loop run over a trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClosedLoopResult {
     /// Per-prediction-window gating decision, indexed by the window it
     /// *applies to* (`None` for the first [`HORIZON`] windows).
@@ -177,6 +340,14 @@ pub struct ClosedLoopResult {
     pub instructions: u64,
     /// Fraction of windows spent in low-power mode.
     pub low_power_residency: f64,
+    /// Degradation-ladder residency and transitions.
+    pub degrade: DegradeSummary,
+    /// Faults actually injected, by class.
+    pub faults: FaultCounts,
+    /// Corrupted firmware images caught by the image checksum/validator.
+    pub images_rejected: u64,
+    /// Measured IPC of each completed prediction window.
+    pub window_ipc: Vec<f64>,
 }
 
 impl ClosedLoopResult {
@@ -206,391 +377,20 @@ impl ClosedLoopResult {
     }
 }
 
-/// The fault-free fast engine behind [`ClosedLoopRequest::run`].
-fn plain_loop(
-    model: &TrainedAdaptModel,
-    warm: &VecTrace,
-    window: &VecTrace,
-    interval_insts: u64,
-    cpu: Option<&CpuConfig>,
-    backend: BackendChoice,
-) -> ClosedLoopResult {
-    let _span = psca_obs::SpanTimer::start("adapt.closed_loop");
-    let g = model.granularity;
-    let mut sim = backend.build(
-        cpu.cloned().unwrap_or_else(CpuConfig::skylake_scaled),
-        interval_insts,
-    );
-    let mut warm_replay = warm.clone();
-    sim.warm_up(&mut warm_replay, warm.len() as u64);
-    let mut replay = window.clone();
-
-    let mut predictions: Vec<Option<u8>> = Vec::new();
-    let mut modes = Vec::new();
-    let mut pending: Vec<Option<Mode>> = Vec::new(); // indexed by window
-    let mut energy = 0.0;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut low_windows = 0usize;
-    // Window scratch, reused across windows so the hot loop allocates only
-    // while the buffers first grow to the window size.
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(g);
-    let mut row_cycles: Vec<u64> = Vec::with_capacity(g);
-    // Metric handles resolved once, not per window.
-    let windows_ctr = psca_obs::counter("adapt.windows");
-    let gated_ctr = psca_obs::counter("adapt.windows_gated_low");
-    let gated_series = psca_obs::series_handle("adapt.window.gated");
-
-    let mut widx = 0usize;
-    'outer: loop {
-        // Apply any scheduled configuration for this window.
-        if let Some(Some(mode)) = pending.get(widx) {
-            sim.set_mode(*mode);
-        }
-        let window_mode = sim.mode();
-        // Trace-gated: renders each prediction window as its own span in
-        // the request's Perfetto tree. Never touches the simulation.
-        let win_ts = psca_obs::trace::enabled().then(psca_obs::trace::now_us);
-        // Run the window's base intervals, collecting telemetry rows.
-        row_cycles.clear();
-        let mut filled = 0usize;
-        for _ in 0..g {
-            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
-                break 'outer;
-            };
-            energy += r.energy;
-            cycles += r.snapshot.cycles;
-            instructions += r.instructions;
-            if filled == rows.len() {
-                rows.push(r.snapshot.as_slice().to_vec());
-            } else {
-                rows[filled].clear();
-                rows[filled].extend_from_slice(r.snapshot.as_slice());
-            }
-            filled += 1;
-            row_cycles.push(r.snapshot.cycles);
-        }
-        if filled < g {
-            break;
-        }
-        if let Some(ts) = win_ts {
-            let dur = psca_obs::trace::now_us().saturating_sub(ts);
-            psca_obs::trace::complete("sim.window", ts, dur);
-        }
-        modes.push(window_mode);
-        windows_ctr.inc();
-        if window_mode == Mode::LowPower {
-            low_windows += 1;
-            gated_ctr.inc();
-        }
-        gated_series.push(if window_mode == Mode::LowPower {
-            1.0
-        } else {
-            0.0
-        });
-        // Counters from window t → configuration for window t+HORIZON.
-        let gate = model.predict(window_mode, &rows, &row_cycles);
-        if psca_obs::enabled(psca_obs::Level::Trace) {
-            psca_obs::emit(
-                psca_obs::Level::Trace,
-                "adapt.window.decision",
-                &[
-                    ("window", widx.into()),
-                    ("mode", window_mode.to_string().into()),
-                    ("gate", gate.into()),
-                ],
-            );
-        }
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "adapt.window.decision",
-                &[
-                    ("window", widx.into()),
-                    ("mode", window_mode.to_string().into()),
-                    ("gate", gate.into()),
-                ],
-            );
-        }
-        let target = widx + HORIZON;
-        while pending.len() <= target {
-            pending.push(None);
-        }
-        pending[target] = Some(if gate { Mode::LowPower } else { Mode::HighPerf });
-        while predictions.len() <= target {
-            predictions.push(None);
-        }
-        predictions[target] = Some(gate as u8);
-        widx += 1;
+/// Firmware inference with health classification instead of panics:
+/// non-finite features and firmware errors both mean the prediction
+/// cannot be trusted.
+fn infer(fw: &FirmwareModel, features: &[f64]) -> (bool, PredictionHealth) {
+    if features.iter().any(|v| !v.is_finite()) {
+        psca_obs::counter("adapt.features.non_finite").inc();
+        return (false, PredictionHealth::NonFinite);
     }
-    predictions.truncate(modes.len());
-    let low_power_residency = if modes.is_empty() {
-        0.0
-    } else {
-        low_windows as f64 / modes.len() as f64
-    };
-    ClosedLoopResult {
-        predictions,
-        modes,
-        energy,
-        cycles,
-        instructions,
-        low_power_residency,
-    }
-}
-
-/// Outcome of one hardened closed-loop run: the usual accounting plus
-/// degradation and fault bookkeeping.
-#[derive(Debug, Clone)]
-pub struct HardenedLoopResult {
-    /// The closed-loop accounting (bit-identical to
-    /// [`ClosedLoopRequest::run`] when the injector is disabled).
-    pub result: ClosedLoopResult,
-    /// Degradation-ladder residency and transitions.
-    pub degrade: DegradeSummary,
-    /// Faults actually injected, by class.
-    pub faults: FaultCounts,
-    /// Corrupted firmware images caught by the image checksum/validator.
-    pub images_rejected: u64,
-    /// Measured IPC of each completed prediction window.
-    pub window_ipc: Vec<f64>,
-}
-
-/// [`ClosedLoopRequest::run`] with fault injection and the
-/// graceful-degradation ladder of [`crate::degrade`].
-///
-/// Each window the injector may perturb telemetry rows, drop/delay/corrupt
-/// the scheduled prediction, flip bits in the firmware image, or lose the
-/// mode-switch request. A [`Watchdog`] classifies every scheduled
-/// prediction's [`PredictionHealth`] and walks the ladder; per tier the
-/// window is gated by the model, the last known-good decision, the §3.1
-/// guardrail heuristic, or pinned high-performance.
-///
-/// The watchdog engine behind [`ClosedLoopRequest::run_hardened`].
-///
-/// With a disabled injector the healthy path performs exactly the same
-/// simulator calls as [`ClosedLoopRequest::run`], so the result is
-/// bit-identical (a regression test enforces this).
-#[allow(clippy::too_many_arguments)]
-fn hardened_loop(
-    model: &TrainedAdaptModel,
-    warm: &VecTrace,
-    window: &VecTrace,
-    interval_insts: u64,
-    cpu: Option<&CpuConfig>,
-    backend: BackendChoice,
-    injector: &mut FaultInjector,
-    degrade_cfg: DegradeConfig,
-) -> HardenedLoopResult {
-    let _span = psca_obs::SpanTimer::start("adapt.closed_loop.hardened");
-    let g = model.granularity;
-    let mut sim = backend.build(
-        cpu.cloned().unwrap_or_else(CpuConfig::skylake_scaled),
-        interval_insts,
-    );
-    let mut warm_replay = warm.clone();
-    sim.warm_up(&mut warm_replay, warm.len() as u64);
-    let mut replay = window.clone();
-
-    let mut predictions: Vec<Option<u8>> = Vec::new();
-    let mut modes = Vec::new();
-    // Scheduled decision per window, tagged with the health it arrived in.
-    let mut pending: Vec<Option<(bool, PredictionHealth)>> = Vec::new();
-    let mut energy = 0.0;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut low_windows = 0usize;
-    let mut watchdog = Watchdog::new(degrade_cfg);
-    let mut heuristic = Guardrail::new(GuardrailConfig::default(), Sla::paper_default());
-    let mut heuristic_gate = false;
-    let mut last_good_gate = false;
-    let mut window_ipc = Vec::new();
-    let mut images_rejected = 0u64;
-    // Window scratch + metric handles, hoisted exactly as in
-    // [`plain_loop`].
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(g);
-    let mut row_cycles: Vec<u64> = Vec::with_capacity(g);
-    let windows_ctr = psca_obs::counter("adapt.windows");
-    let gated_ctr = psca_obs::counter("adapt.windows_gated_low");
-    let gated_series = psca_obs::series_handle("adapt.window.gated");
-
-    let mut widx = 0usize;
-    'outer: loop {
-        injector.begin_window();
-        sim.apply_delayed_mode();
-        // Classify this window's scheduled decision and pick the gate the
-        // current ladder tier dictates. The first HORIZON windows carry no
-        // prediction by design and are not watchdog material.
-        let scheduled = pending.get(widx).copied().flatten();
-        let desired_gate: Option<bool> = if widx < HORIZON {
-            None
-        } else {
-            let health = match scheduled {
-                Some((_, h)) => h,
-                None => PredictionHealth::Missing,
-            };
-            let level = watchdog.observe(health);
-            if level == DegradeLevel::ModelDriven {
-                if let Some((gate, PredictionHealth::Ok)) = scheduled {
-                    last_good_gate = gate;
-                }
-            }
-            match level {
-                DegradeLevel::ModelDriven => scheduled.map(|(gate, _)| gate),
-                DegradeLevel::HoldLast => Some(last_good_gate),
-                DegradeLevel::HeuristicOnly => Some(heuristic_gate),
-                DegradeLevel::PinnedHighPerf => Some(false),
-            }
-        };
-        if let Some(gate) = desired_gate {
-            let desired = if gate { Mode::LowPower } else { Mode::HighPerf };
-            let fault = match injector.actuation_fault() {
-                None => ModeSwitchFault::None,
-                Some(ActuationFault::Lost) => ModeSwitchFault::Lost,
-                Some(ActuationFault::DelayedOneWindow) => ModeSwitchFault::DelayedOneWindow,
-            };
-            sim.request_mode(desired, fault);
+    match fw.predict(features) {
+        Ok(gate) => (gate, PredictionHealth::Ok),
+        Err(_) => {
+            psca_obs::counter("adapt.firmware.errors").inc();
+            (false, PredictionHealth::FirmwareFault)
         }
-        let window_mode = sim.mode();
-        // Trace-gated per-window span, exactly as in [`plain_loop`].
-        let win_ts = psca_obs::trace::enabled().then(psca_obs::trace::now_us);
-        // Run the window's base intervals, collecting telemetry rows.
-        row_cycles.clear();
-        let mut filled = 0usize;
-        let mut w_cycles = 0u64;
-        let mut w_insts = 0u64;
-        for _ in 0..g {
-            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
-                break 'outer;
-            };
-            energy += r.energy;
-            cycles += r.snapshot.cycles;
-            instructions += r.instructions;
-            w_cycles += r.snapshot.cycles;
-            w_insts += r.instructions;
-            if filled == rows.len() {
-                rows.push(r.snapshot.as_slice().to_vec());
-            } else {
-                rows[filled].clear();
-                rows[filled].extend_from_slice(r.snapshot.as_slice());
-            }
-            filled += 1;
-            row_cycles.push(r.snapshot.cycles);
-        }
-        if filled < g {
-            break;
-        }
-        if let Some(ts) = win_ts {
-            let dur = psca_obs::trace::now_us().saturating_sub(ts);
-            psca_obs::trace::complete("sim.window", ts, dur);
-        }
-        modes.push(window_mode);
-        windows_ctr.inc();
-        if window_mode == Mode::LowPower {
-            low_windows += 1;
-            gated_ctr.inc();
-        }
-        gated_series.push(if window_mode == Mode::LowPower {
-            1.0
-        } else {
-            0.0
-        });
-        let ipc = w_insts as f64 / w_cycles.max(1) as f64;
-        window_ipc.push(ipc);
-        // Telemetry counter faults strike between the counters and the µC.
-        injector.perturb_telemetry(&mut rows);
-        // Firmware inference, with health classification instead of
-        // panics: non-finite features and firmware errors both mean the
-        // prediction cannot be trusted.
-        let (feat, fw) = model.mode_parts(window_mode);
-        let features = feat.featurize(&rows, &row_cycles);
-        let (gate, mut health) = if features.iter().any(|v| !v.is_finite()) {
-            psca_obs::counter("adapt.features.non_finite").inc();
-            (false, PredictionHealth::NonFinite)
-        } else {
-            match fw.predict(&features) {
-                Ok(gate) => (gate, PredictionHealth::Ok),
-                Err(_) => {
-                    psca_obs::counter("adapt.firmware.errors").inc();
-                    (false, PredictionHealth::FirmwareFault)
-                }
-            }
-        };
-        // µC prediction faults strike between inference and actuation.
-        let mut schedule = true;
-        let mut target = widx + HORIZON;
-        match injector.prediction_fault() {
-            None => {}
-            Some(PredictionFault::Dropped) => schedule = false,
-            Some(PredictionFault::LatencyOverrun) => {
-                // The prediction misses its t+2 apply deadline and lands a
-                // window late, already stale.
-                target += 1;
-                if health.is_healthy() {
-                    health = PredictionHealth::Stale;
-                }
-            }
-            Some(PredictionFault::WeightCorruption) if health.is_healthy() => {
-                health = PredictionHealth::NonFinite;
-            }
-            Some(PredictionFault::WeightCorruption) => {}
-        }
-        if schedule {
-            while pending.len() <= target {
-                pending.push(None);
-            }
-            pending[target] = Some((gate, health));
-            while predictions.len() <= target {
-                predictions.push(None);
-            }
-            predictions[target] = Some(gate as u8);
-        }
-        // Firmware-image bit flips: a reload from a corrupted image must
-        // be caught by the image checksum / weight validator.
-        if injector.image_fault() {
-            if let Ok(mut img) = image::encode(fw) {
-                injector.corrupt_image(&mut img, 3);
-                if image::decode(&img).is_err() {
-                    images_rejected += 1;
-                    psca_obs::counter("uc.image.rejected").inc();
-                }
-            }
-        }
-        // Keep the heuristic fallback warm every window so it has a live
-        // IPC reference the moment the ladder needs it.
-        heuristic_gate = heuristic.vet(window_mode == Mode::LowPower, ipc, true);
-        if psca_obs::enabled(psca_obs::Level::Trace) {
-            psca_obs::emit(
-                psca_obs::Level::Trace,
-                "adapt.window.decision",
-                &[
-                    ("window", widx.into()),
-                    ("mode", window_mode.to_string().into()),
-                    ("gate", gate.into()),
-                    ("level", watchdog.level().name().into()),
-                ],
-            );
-        }
-        widx += 1;
-    }
-    predictions.truncate(modes.len());
-    let low_power_residency = if modes.is_empty() {
-        0.0
-    } else {
-        low_windows as f64 / modes.len() as f64
-    };
-    HardenedLoopResult {
-        result: ClosedLoopResult {
-            predictions,
-            modes,
-            energy,
-            cycles,
-            instructions,
-            low_power_residency,
-        },
-        degrade: watchdog.summary(),
-        faults: *injector.counts(),
-        images_rejected,
-        window_ipc,
     }
 }
 
@@ -638,12 +438,8 @@ mod tests {
     #[test]
     fn ppw_is_zero_without_energy() {
         let mut res = ClosedLoopResult {
-            predictions: vec![],
-            modes: vec![],
-            energy: 0.0,
-            cycles: 0,
             instructions: 1_000,
-            low_power_residency: 0.0,
+            ..ClosedLoopResult::default()
         };
         assert_eq!(res.ppw(), 0.0, "zero energy must not yield ~1e308");
         res.energy = f64::NAN;
@@ -717,6 +513,39 @@ mod tests {
             "adaptive {} !> static {}",
             adaptive.ppw(),
             hi_ppw
+        );
+    }
+
+    #[test]
+    fn firmware_errors_degrade_instead_of_panicking() {
+        let (corpus, mut model, cfg) = corpus_and_model();
+        // CHARSTAR firmware reads 8 expert counters; Best RF's featurizer
+        // emits 12 PF counters, so every inference is a FirmwareError.
+        let foreign = zoo::train(ModelKind::Charstar, &corpus, &cfg);
+        let (feat, _) = model.mode_parts(Mode::HighPerf);
+        let mut gen = PhaseGenerator::new(Archetype::Balanced.center(), 99);
+        let (warm, window) = record_trace(&mut gen, 2_000, 48_000);
+        let g = model.granularity;
+        let rows = vec![vec![0.5; psca_telemetry::NUM_EVENTS]; g];
+        let features = feat.featurize(&rows, &vec![1_000; g]);
+        assert!(foreign.fw_hi.predict(&features).is_err());
+        assert_eq!(
+            infer(&foreign.fw_hi, &features),
+            (false, PredictionHealth::FirmwareFault)
+        );
+
+        model.fw_hi = foreign.fw_hi;
+        model.fw_lo = foreign.fw_lo;
+        let res = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts).run();
+        assert_eq!(res.modes.len(), 6);
+        assert!(res.degrade.worst >= DegradeLevel::HeuristicOnly);
+        assert_eq!(
+            res.predictions
+                .iter()
+                .flatten()
+                .filter(|p| **p != 0)
+                .count(),
+            0
         );
     }
 

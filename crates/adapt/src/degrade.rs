@@ -21,7 +21,7 @@
 //! immediately to the health class's target tier (a missing prediction
 //! *cannot* be applied, so at minimum the loop holds), a persistent
 //! unhealthy streak escalates one tier further, and
-//! [`DegradeConfig::probation`] consecutive clean windows step back down
+//! [`PROBATION`] consecutive clean windows step back down
 //! one tier at a time until model-driven gating is restored.
 
 /// Rung of the degradation ladder, ordered from fully healthy to fully
@@ -137,26 +137,14 @@ impl PredictionHealth {
     }
 }
 
-/// Watchdog tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeConfig {
-    /// Consecutive unhealthy windows *at* a tier before escalating one
-    /// rung beyond the health class's target tier.
-    pub escalate_after: usize,
-    /// Consecutive clean windows before stepping down one rung.
-    pub probation: usize,
-}
+/// Consecutive unhealthy windows *at* a tier before escalating one rung
+/// beyond the health class's target tier.
+pub const ESCALATE_AFTER: usize = 2;
 
-impl Default for DegradeConfig {
-    fn default() -> DegradeConfig {
-        DegradeConfig {
-            escalate_after: 2,
-            probation: 6,
-        }
-    }
-}
+/// Consecutive clean windows before stepping down one rung.
+pub const PROBATION: usize = 6;
 
-/// Per-run degradation accounting, reported by the hardened loop.
+/// Per-run degradation accounting, reported by the closed loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradeSummary {
     /// Windows spent at each ladder rank (indexed by [`DegradeLevel::rank`]).
@@ -185,10 +173,10 @@ impl DegradeSummary {
 }
 
 /// Prediction-health watchdog: one [`observe`](Watchdog::observe) call
-/// per prediction window drives the degradation ladder.
-#[derive(Debug, Clone)]
+/// per prediction window drives the degradation ladder. The default
+/// watchdog starts at [`DegradeLevel::ModelDriven`].
+#[derive(Debug, Clone, Default)]
 pub struct Watchdog {
-    cfg: DegradeConfig,
     level: DegradeLevel,
     clean_streak: usize,
     unhealthy_streak: usize,
@@ -196,17 +184,6 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Creates a watchdog starting at [`DegradeLevel::ModelDriven`].
-    pub fn new(cfg: DegradeConfig) -> Watchdog {
-        Watchdog {
-            cfg,
-            level: DegradeLevel::ModelDriven,
-            clean_streak: 0,
-            unhealthy_streak: 0,
-            summary: DegradeSummary::default(),
-        }
-    }
-
     /// The tier currently in force.
     pub fn level(&self) -> DegradeLevel {
         self.level
@@ -226,7 +203,7 @@ impl Watchdog {
         if health.is_healthy() {
             self.unhealthy_streak = 0;
             self.clean_streak += 1;
-            if self.level != DegradeLevel::ModelDriven && self.clean_streak >= self.cfg.probation {
+            if self.level != DegradeLevel::ModelDriven && self.clean_streak >= PROBATION {
                 let next = self.level.step_down();
                 self.transition(next, health);
                 self.clean_streak = 0;
@@ -248,7 +225,7 @@ impl Watchdog {
                 self.unhealthy_streak = 0;
             } else {
                 self.unhealthy_streak += 1;
-                if self.unhealthy_streak >= self.cfg.escalate_after {
+                if self.unhealthy_streak >= ESCALATE_AFTER {
                     let next = self.level.step_up();
                     if next != self.level {
                         self.transition(next, health);
@@ -304,7 +281,7 @@ mod tests {
     use super::*;
 
     fn watchdog() -> Watchdog {
-        Watchdog::new(DegradeConfig::default())
+        Watchdog::default()
     }
 
     #[test]
@@ -353,27 +330,25 @@ mod tests {
 
     #[test]
     fn probation_steps_down_one_tier_at_a_time() {
-        let cfg = DegradeConfig::default();
-        let mut w = Watchdog::new(cfg);
+        let mut w = watchdog();
         w.observe(PredictionHealth::NonFinite); // → HeuristicOnly
         let mut levels = Vec::new();
-        for _ in 0..2 * cfg.probation {
+        for _ in 0..2 * PROBATION {
             levels.push(w.observe(PredictionHealth::Ok));
         }
         // First probation period ends at HoldLast, second at ModelDriven.
-        assert_eq!(levels[cfg.probation - 1], DegradeLevel::HoldLast);
-        assert_eq!(levels[2 * cfg.probation - 1], DegradeLevel::ModelDriven);
+        assert_eq!(levels[PROBATION - 1], DegradeLevel::HoldLast);
+        assert_eq!(levels[2 * PROBATION - 1], DegradeLevel::ModelDriven);
         assert_eq!(w.summary().recoveries, 2);
     }
 
     #[test]
     fn intermittent_faults_reset_probation() {
-        let cfg = DegradeConfig::default();
-        let mut w = Watchdog::new(cfg);
+        let mut w = watchdog();
         w.observe(PredictionHealth::Missing); // → HoldLast
         for _ in 0..3 {
             // Never enough clean windows in a row to recover.
-            for _ in 0..cfg.probation - 1 {
+            for _ in 0..PROBATION - 1 {
                 w.observe(PredictionHealth::Ok);
             }
             assert_eq!(w.observe(PredictionHealth::Missing), DegradeLevel::HoldLast);

@@ -123,7 +123,7 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
         },
     );
 
-    // The (scale × archetype) grid: every hardened run carries its own
+    // The (scale × archetype) grid: every closed-loop run carries its own
     // fault-injector seed, so cells are order-independent. Results merge
     // per scale in archetype order, exactly as the serial loop did.
     struct GridCell {
@@ -153,29 +153,22 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
             point_spec.seed = spec.seed ^ (i as u64);
             let res = ClosedLoopRequest::new(&model, warm, window, cfg.interval_insts)
                 .with_faults(point_spec)
-                .run_hardened();
+                .run();
             let low = res
-                .result
                 .modes
                 .iter()
                 .filter(|m| **m == psca_cpu::Mode::LowPower)
                 .count();
             let mut violations = 0usize;
-            for ((mode, ipc), ref_ipc) in res
-                .result
-                .modes
-                .iter()
-                .zip(&res.window_ipc)
-                .zip(refs.iter())
-            {
+            for ((mode, ipc), ref_ipc) in res.modes.iter().zip(&res.window_ipc).zip(refs.iter()) {
                 if *mode == psca_cpu::Mode::LowPower && *ipc < sla.p_sla * ref_ipc {
                     violations += 1;
                 }
             }
             GridCell {
-                energy: res.result.energy,
-                instructions: res.result.instructions,
-                windows: res.result.modes.len(),
+                energy: res.energy,
+                instructions: res.instructions,
+                windows: res.modes.len(),
                 low,
                 violations,
                 degraded: res.degrade.degraded_fraction(),

@@ -61,6 +61,8 @@ pub struct Guardrail {
     /// *replaces* the IPC reference instead of EWMA-blending into it, so a
     /// probe after a phase change cannot leave a half-stale reference.
     refresh_pending: bool,
+    /// Whether trips and probes reach the metric registry and event log.
+    reporting: bool,
 }
 
 impl Guardrail {
@@ -76,6 +78,18 @@ impl Guardrail {
             trips: 0,
             probes: 0,
             refresh_pending: false,
+            reporting: true,
+        }
+    }
+
+    /// A guardrail that keeps the same state as [`Guardrail::new`] but
+    /// never counts or logs its trips and probes. The closed loop keeps
+    /// one as its heuristic fallback: it runs every window, yet gates only
+    /// when the degradation ladder hands it control.
+    pub fn shadow(cfg: GuardrailConfig, sla: Sla) -> Guardrail {
+        Guardrail {
+            reporting: false,
+            ..Guardrail::new(cfg, sla)
         }
     }
 
@@ -127,28 +141,7 @@ impl Guardrail {
                     self.trips += 1;
                     self.consecutive_breaches = 0;
                     self.cooldown_left = self.cfg.cooldown;
-                    psca_obs::counter("adapt.guardrail.trips").inc();
-                    psca_obs::series("adapt.guardrail.trips").push(self.trips as f64);
-                    psca_obs::emit(
-                        psca_obs::Level::Warn,
-                        "guardrail.trip",
-                        &[
-                            ("trips", self.trips.into()),
-                            ("ipc", ipc.into()),
-                            ("ref_ipc", ref_ipc.into()),
-                            ("cooldown", self.cfg.cooldown.into()),
-                        ],
-                    );
-                    if psca_obs::trace::enabled() {
-                        psca_obs::trace::instant(
-                            "guardrail.trip",
-                            &[
-                                ("trips", self.trips.into()),
-                                ("ipc", ipc.into()),
-                                ("ref_ipc", ref_ipc.into()),
-                            ],
-                        );
-                    }
+                    self.report_trip(ipc, ref_ipc);
                 }
             }
         } else {
@@ -177,15 +170,45 @@ impl Guardrail {
             self.consecutive_breaches = 0;
             self.refresh_pending = true;
             self.probes += 1;
-            psca_obs::counter("adapt.guardrail.probes").inc();
-            psca_obs::emit(
-                psca_obs::Level::Debug,
-                "guardrail.probe",
-                &[("probes", self.probes.into())],
-            );
+            if self.reporting {
+                psca_obs::counter("adapt.guardrail.probes").inc();
+                psca_obs::emit(
+                    psca_obs::Level::Debug,
+                    "guardrail.probe",
+                    &[("probes", self.probes.into())],
+                );
+            }
             return false;
         }
         wants_gate
+    }
+
+    fn report_trip(&self, ipc: f64, ref_ipc: f64) {
+        if !self.reporting {
+            return;
+        }
+        psca_obs::counter("adapt.guardrail.trips").inc();
+        psca_obs::series("adapt.guardrail.trips").push(self.trips as f64);
+        psca_obs::emit(
+            psca_obs::Level::Warn,
+            "guardrail.trip",
+            &[
+                ("trips", self.trips.into()),
+                ("ipc", ipc.into()),
+                ("ref_ipc", ref_ipc.into()),
+                ("cooldown", self.cfg.cooldown.into()),
+            ],
+        );
+        if psca_obs::trace::enabled() {
+            psca_obs::trace::instant(
+                "guardrail.trip",
+                &[
+                    ("trips", self.trips.into()),
+                    ("ipc", ipc.into()),
+                    ("ref_ipc", ref_ipc.into()),
+                ],
+            );
+        }
     }
 }
 

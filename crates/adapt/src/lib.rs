@@ -20,10 +20,9 @@
 //!   counter histograms, and the paper's Best MLP / Best RF (§7);
 //! - [`ClosedLoopRequest`] — the deployed system: telemetry interval →
 //!   firmware inference → cluster gating at `t+2`, with PPW/RSV scoring
-//!   against ground truth;
-//! - [`ClosedLoopRequest::run_hardened`] and [`degrade`] — the same loop
-//!   under injected telemetry/µC/actuation faults (`psca-faults`),
-//!   protected by a graceful-degradation ladder;
+//!   against ground truth, protected by the graceful-degradation ladder
+//!   of [`degrade`] under injected telemetry/µC/actuation faults
+//!   (`psca-faults`);
 //! - [`experiments`] — one driver per table and figure of the paper;
 //! - [`ExperimentConfig`] — the scaled experiment grid (quick vs. full).
 
@@ -44,9 +43,7 @@ mod sla;
 mod train;
 
 pub use config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
-pub use controller::{
-    record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult, HardenedLoopResult,
-};
+pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
 pub use paired::{collect_paired, collect_paired_with, CorpusTelemetry, TraceTelemetry};
 pub use psca_cpu::{BackendChoice, SimBackend};
 pub use sla::Sla;

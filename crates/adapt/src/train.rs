@@ -261,7 +261,7 @@ impl TrainedAdaptModel {
     /// # Panics
     /// Panics if the firmware rejects its own featurizer's output — that
     /// indicates a corrupted deployment, not a data problem. Fallible
-    /// callers (the hardened closed loop) use [`Self::try_predict`].
+    /// callers use [`Self::try_predict`].
     pub fn predict(&self, mode: Mode, rows: &[Vec<f64>], cycles: &[u64]) -> bool {
         self.try_predict(mode, rows, cycles)
             .expect("featurizer output matches firmware dimensionality")

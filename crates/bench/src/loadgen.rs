@@ -18,32 +18,18 @@
 //! BENCH_serve.json` persists it and `repro slo-check` turns it into a
 //! CI exit code via [`psca_obs::SloSpec::check_values`].
 
-use psca_obs::{Json, SloSpec, TraceCtx};
+use psca_obs::{Json, SloSpec, SplitMix64, TraceCtx};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// SplitMix64 step (the same generator family `psca_obs::ctx` uses).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A unit-interval sample from a seeded stream.
-fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The deterministic trace context attached to request `k` of a run
 /// seeded with `seed` (exposed so tests can predict the ids).
 pub fn request_ctx(seed: u64, k: u64) -> TraceCtx {
-    let mut state = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut rng = SplitMix64::new(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut word = || loop {
-        let v = splitmix64(&mut state);
+        let v = rng.next_u64();
         if v != 0 {
             break v;
         }
@@ -160,9 +146,9 @@ impl LoadgenSummary {
 
 /// Renders one predict request body for schedule slot `k`.
 fn request_body(cfg: &LoadgenConfig, k: u64) -> String {
-    let mut state = cfg.seed ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let mut rng = SplitMix64::new(cfg.seed ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93));
     let row: Vec<String> = (0..cfg.input_dim)
-        .map(|_| format!("{:.6}", unit(&mut state)))
+        .map(|_| format!("{:.6}", rng.next_f64()))
         .collect();
     format!(
         "{{\"model\":\"{}\",\"rows\":[[{}]]}}",

@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use psca_exec::Digest;
 use psca_ml::{Matrix, Ridge};
 use psca_telemetry::{CounterBank, Event};
 use psca_trace::{
@@ -939,19 +940,10 @@ const CALIB_WARM: u64 = 100_000;
 const CALIB_INTERVALS: u64 = 12;
 const RIDGE_LAMBDA: f64 = 0.02;
 
-fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h
-}
-
 /// Content key for the calibration cache: every config field that affects
 /// simulator behavior, plus the calibration granularity and version.
 fn model_key(cfg: &CpuConfig, cal_n: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = Digest::new();
     for v in [
         cfg.cluster_width as u64,
         cfg.num_clusters as u64,
@@ -986,9 +978,9 @@ fn model_key(cfg: &CpuConfig, cal_n: u64) -> u64 {
         cal_n,
         CALIB_VERSION,
     ] {
-        h = fnv1a_u64(h, v);
+        h.write_u64(v);
     }
-    h
+    h.finish()
 }
 
 fn model_cache() -> &'static Mutex<HashMap<u64, Arc<SurrogateModel>>> {

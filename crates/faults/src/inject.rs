@@ -1,7 +1,7 @@
 //! The deterministic fault injector.
 //!
 //! One [`FaultInjector`] owns a SplitMix64 stream seeded from its
-//! [`ChaosSpec`]; each window the hardened loop calls `begin_window` and
+//! [`ChaosSpec`]; each window the closed loop calls `begin_window` and
 //! then queries each fault surface. Draw order is fixed (telemetry
 //! classes in declaration order, then prediction, then image, then
 //! actuation), so a given `(spec, trace)` replays bit-identically
@@ -9,6 +9,7 @@
 
 use crate::spec::ChaosSpec;
 use psca_obs::FieldValue;
+pub use psca_obs::SplitMix64;
 
 /// A telemetry counter fault applied to one window's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,40 +98,6 @@ impl FaultCounts {
     }
 }
 
-/// SplitMix64: tiny, dependency-free, and statistically adequate for
-/// fault scheduling (same generator the vendored proptest uses for its
-/// deterministic per-test streams). Public so other deterministic
-/// harnesses (e.g. `psca-fleet`'s per-die skew derivation) draw from
-/// the exact same stream family without reimplementing the mixer.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A stream whose entire future is determined by `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in [0, 1).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform draw in `0..n` (`0` when `n == 0`).
-    pub fn next_below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
-}
-
 /// The seedable fault injector driving a chaos run.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -147,14 +114,14 @@ impl FaultInjector {
         let seed = spec.seed;
         FaultInjector {
             spec,
-            rng: SplitMix64(seed ^ 0x5CA1_AB1E_FA17_1337),
+            rng: SplitMix64::new(seed ^ 0x5CA1_AB1E_FA17_1337),
             window: 0,
             counts: FaultCounts::default(),
         }
     }
 
-    /// An injector that never injects anything. The hardened loop run
-    /// with a disabled injector is bit-identical to the plain loop.
+    /// An injector that never injects anything: the same injector the
+    /// closed loop builds from a default (all-zero) [`ChaosSpec`].
     pub fn disabled() -> FaultInjector {
         FaultInjector::new(ChaosSpec::default())
     }

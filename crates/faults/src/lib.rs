@@ -4,7 +4,7 @@
 //! loop. The paper's premise is post-silicon reality: shipped CPUs see
 //! noisy counters, late firmware predictions, flipped bits in pushed
 //! images, and lost actuation requests. This crate models those hazards
-//! so `adapt::ClosedLoopRequest::run_hardened` can demonstrate *graceful
+//! so `adapt::ClosedLoopRequest::run` can demonstrate *graceful
 //! degradation* instead of assuming a perfect substrate.
 //!
 //! Three fault surfaces, matching the loop's three stages
@@ -20,9 +20,8 @@
 //! Everything is driven by a [`ChaosSpec`] (see `docs/ROBUSTNESS.md` for
 //! the grammar) and a SplitMix64 stream seeded from the spec, so a given
 //! `(spec, trace)` pair replays bit-identically. A
-//! [`FaultInjector::disabled`] injector never perturbs anything, which is
-//! what makes the hardened loop's no-fault path provably identical to the
-//! plain closed loop.
+//! [`FaultInjector::disabled`] injector never perturbs anything, so a
+//! closed loop without chaos never leaves model-driven gating.
 //!
 //! Every injected fault increments a `faults.*` counter, extends the
 //! `faults.injected` time series, and (when tracing is on) drops a trace

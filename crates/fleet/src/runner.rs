@@ -279,33 +279,22 @@ impl FleetSetup {
             .with_cpu(prep.cpu.clone())
             .with_faults(prep.chaos.clone())
             .with_backend(self.cfg.backend)
-            .run_hardened();
+            .run();
         let sla = Sla::paper_default();
-        let low = res
-            .result
-            .modes
-            .iter()
-            .filter(|m| **m == Mode::LowPower)
-            .count();
+        let low = res.modes.iter().filter(|m| **m == Mode::LowPower).count();
         let mut violations = 0usize;
-        for ((mode, ipc), ref_ipc) in res
-            .result
-            .modes
-            .iter()
-            .zip(&res.window_ipc)
-            .zip(prep.refs.iter())
-        {
+        for ((mode, ipc), ref_ipc) in res.modes.iter().zip(&res.window_ipc).zip(prep.refs.iter()) {
             if *mode == Mode::LowPower && *ipc < sla.p_sla * ref_ipc {
                 violations += 1;
             }
         }
         psca_obs::counter("fleet.dies_run").inc();
         DieStats {
-            windows: res.result.modes.len(),
+            windows: res.modes.len(),
             low,
             violations,
-            energy: res.result.energy,
-            instructions: res.result.instructions,
+            energy: res.energy,
+            instructions: res.instructions,
             escalations: res.degrade.escalations,
             worst: res.degrade.worst.name(),
             faults: res.faults.total(),

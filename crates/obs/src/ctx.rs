@@ -32,30 +32,58 @@ pub struct TraceCtx {
     pub span_id: u64,
 }
 
-/// SplitMix64 step (same generator family the fault injector uses).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// SplitMix64: tiny, dependency-free, and statistically adequate for
+/// every deterministic stream in the workspace — trace ids here, fault
+/// scheduling (`psca_faults` re-exports it), per-die fleet skew, loadgen
+/// bodies, and the telemetry expansion's per-stream hashes.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// A stream whose entire future is determined by `seed`.
+    #[inline]
+    pub const fn new(seed: u64) -> SplitMix64 {
+        SplitMix64(seed)
+    }
+
+    /// Next raw 64-bit draw.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in [0, 1).
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform draw in `0..n` (`0` when `n == 0`).
+    #[inline]
+    pub fn next_below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n.max(1) as u64) as usize
+    }
 }
 
 /// Default id-stream seed: fixed, so a fresh process mints a
 /// deterministic id sequence (tests can still re-pin with [`seed_ids`]).
 const DEFAULT_ID_SEED: u64 = 0x5CA1_AB1E_0B5E_11E5;
 
-static ID_STATE: Mutex<u64> = Mutex::new(DEFAULT_ID_SEED);
+static ID_STATE: Mutex<SplitMix64> = Mutex::new(SplitMix64::new(DEFAULT_ID_SEED));
 
 /// Re-seeds the process-global id stream (tests; deterministic replay).
 pub fn seed_ids(seed: u64) {
-    *ID_STATE.lock().unwrap() = seed;
+    *ID_STATE.lock().unwrap() = SplitMix64::new(seed);
 }
 
 fn next_nonzero() -> u64 {
     let mut state = ID_STATE.lock().unwrap();
     loop {
-        let v = splitmix64(&mut state);
+        let v = state.next_u64();
         if v != 0 {
             return v;
         }

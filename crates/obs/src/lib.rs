@@ -63,7 +63,7 @@ pub mod span;
 pub mod timeseries;
 pub mod trace;
 
-pub use ctx::TraceCtx;
+pub use ctx::{SplitMix64, TraceCtx};
 pub use event::{
     clear_sinks, emit, enabled, flush, install_sink, set_level, ConsoleSink, EventRecord,
     EventSink, FieldValue, JsonlSink, Level,

@@ -297,7 +297,8 @@ pub struct ClosedLoopSpec {
     pub warm_insts: u64,
     /// Optional chaos on the simulated loop (psca-faults grammar).
     pub chaos: Option<ChaosSpec>,
-    /// Run the hardened engine even without chaos.
+    /// Echo the degradation block (ladder and fault counts) even without
+    /// chaos. The loop itself is the same either way.
     pub hardened: bool,
     /// Simulation fidelity override; `None` uses the server's configured
     /// default backend.

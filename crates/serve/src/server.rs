@@ -1032,37 +1032,32 @@ fn run_closed_loop_endpoint(
     if let Some(chaos) = &spec.chaos {
         request = request.with_faults(chaos.clone());
     }
+    let out = request.run();
     let mut fields: Vec<(&str, Json)> = vec![
         ("model", spec.model.as_str().into()),
         ("archetype", format!("{:?}", spec.archetype).into()),
         ("seed", spec.seed.into()),
         ("backend", backend.as_str().into()),
+        ("windows", (out.modes.len() as u64).into()),
+        ("instructions", out.instructions.into()),
+        ("cycles", out.cycles.into()),
+        ("energy", Json::Num(out.energy)),
+        ("ppw", Json::Num(out.ppw())),
+        ("low_power_residency", Json::Num(out.low_power_residency)),
     ];
-    let hardened = spec.hardened || spec.chaos.is_some();
-    let mut escalations = 0;
-    if hardened {
-        let out = request.hardened().run_hardened();
-        push_result_fields(&mut fields, &out.result);
-        fields.push((
-            "degraded_fraction",
-            Json::Num(out.degrade.degraded_fraction()),
-        ));
-        fields.push(("escalations", out.degrade.escalations.into()));
-        fields.push(("recoveries", out.degrade.recoveries.into()));
-        fields.push(("faults_injected", out.faults.total().into()));
-        fields.push(("images_rejected", out.images_rejected.into()));
-        escalations = out.degrade.escalations;
-    } else {
-        push_result_fields(&mut fields, &request.run());
+    // `hardened` only selects whether the degradation block is echoed;
+    // chaos implies it.
+    if spec.hardened || spec.chaos.is_some() {
+        fields.extend([
+            (
+                "degraded_fraction",
+                Json::Num(out.degrade.degraded_fraction()),
+            ),
+            ("escalations", out.degrade.escalations.into()),
+            ("recoveries", out.degrade.recoveries.into()),
+            ("faults_injected", out.faults.total().into()),
+            ("images_rejected", out.images_rejected.into()),
+        ]);
     }
-    Ok((Json::obj(fields).to_string(), escalations))
-}
-
-fn push_result_fields(fields: &mut Vec<(&str, Json)>, r: &psca_adapt::ClosedLoopResult) {
-    fields.push(("windows", (r.modes.len() as u64).into()));
-    fields.push(("instructions", r.instructions.into()));
-    fields.push(("cycles", r.cycles.into()));
-    fields.push(("energy", Json::Num(r.energy)));
-    fields.push(("ppw", Json::Num(r.ppw())));
-    fields.push(("low_power_residency", Json::Num(r.low_power_residency)));
+    Ok((Json::obj(fields).to_string(), out.degrade.escalations))
 }

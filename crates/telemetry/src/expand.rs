@@ -23,6 +23,7 @@
 //! index, interval index)` so datasets are bit-for-bit reproducible.
 
 use crate::event::{Event, NUM_EVENTS};
+use psca_obs::SplitMix64;
 
 /// Total number of telemetry streams available at design time (the paper's
 /// 936).
@@ -77,13 +78,11 @@ pub enum StreamSpec {
     },
 }
 
-/// Deterministic splitmix64 hash step.
+/// Deterministic splitmix64 hash step: the first draw of a stream seeded
+/// with `x`.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn splitmix64(x: u64) -> u64 {
+    SplitMix64::new(x).next_u64()
 }
 
 /// Uniform in `[0, 1)` from a hash.

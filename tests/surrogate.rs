@@ -10,6 +10,7 @@
 //!   collection, be bit-identical across sweep worker counts, and never
 //!   share sweep-cache cells with the reference fidelity.
 
+use psca::adapt::degrade::DegradeLevel;
 use psca::adapt::experiments::table3;
 use psca::adapt::{
     collect_paired, record_trace, ClosedLoopRequest, CorpusTelemetry, ExperimentConfig, ModelKind,
@@ -53,24 +54,20 @@ fn cycle_accurate_is_bit_identical_to_pre_refactor_outputs() {
     let mut gen = PhaseGenerator::new(Archetype::Balanced.center(), 99);
     let (warm, window) = record_trace(&mut gen, 2_000, 48_000);
 
-    let plain = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts).run();
-    assert_eq!(plain.energy.to_bits(), ENERGY_BITS);
-    assert_eq!(plain.cycles, CYCLES);
-    assert_eq!(plain.instructions, INSTS);
-    assert_eq!(plain.low_power_residency.to_bits(), RESIDENCY_BITS);
-    assert_eq!(plain.modes.len(), 6);
+    let res = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts).run();
+    assert_eq!(res.energy.to_bits(), ENERGY_BITS);
+    assert_eq!(res.cycles, CYCLES);
+    assert_eq!(res.instructions, INSTS);
+    assert_eq!(res.low_power_residency.to_bits(), RESIDENCY_BITS);
+    assert_eq!(res.modes.len(), 6);
     assert_eq!(
-        plain.modes.iter().filter(|m| **m == Mode::LowPower).count(),
+        res.modes.iter().filter(|m| **m == Mode::LowPower).count(),
         4
     );
-
-    let hard = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts)
-        .hardened()
-        .run_hardened();
-    assert_eq!(hard.result.energy.to_bits(), ENERGY_BITS);
-    assert_eq!(hard.result.cycles, CYCLES);
-    assert_eq!(hard.result.instructions, INSTS);
-    assert_eq!(hard.result.low_power_residency.to_bits(), RESIDENCY_BITS);
+    // Fault-free: the degradation ladder never leaves model-driven gating.
+    assert_eq!(res.faults.total(), 0);
+    assert_eq!(res.degrade.transitions, 0);
+    assert_eq!(res.degrade.worst, DegradeLevel::ModelDriven);
 }
 
 /// Per-archetype divergence gate: surrogate/reference IPC ratio over a
