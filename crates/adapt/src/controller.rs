@@ -16,7 +16,7 @@ use crate::degrade::{DegradeLevel, DegradeSummary, PredictionHealth, Watchdog};
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::sla::Sla;
 use crate::train::{TrainedAdaptModel, HORIZON};
-use psca_cpu::{BackendChoice, CpuConfig, Mode, ModeSwitchFault};
+use psca_cpu::{BackendChoice, ClusterSim, CpuConfig, Mode, ModeSwitchFault};
 use psca_faults::{ActuationFault, ChaosSpec, FaultCounts, FaultInjector, PredictionFault};
 use psca_trace::{TraceSource, VecTrace};
 use psca_uc::{image, FirmwareModel};
@@ -404,6 +404,37 @@ pub fn record_trace<S: TraceSource>(
     let warm = VecTrace::record(source, warmup_insts);
     let window = VecTrace::record(source, window_insts);
     (warm, window)
+}
+
+/// Per-window IPC of a static high-performance run of `window` on `cpu`,
+/// `g` intervals of `interval_insts` per window, after warming on `warm`:
+/// the SLA reference the chaos sweep and fleet dies score gated windows
+/// against.
+pub fn reference_ipc(
+    cpu: &CpuConfig,
+    warm: &VecTrace,
+    window: &VecTrace,
+    interval_insts: u64,
+    g: usize,
+) -> Vec<f64> {
+    let mut sim = ClusterSim::new(cpu.clone());
+    let mut warm_replay = warm.clone();
+    sim.warm_up(&mut warm_replay, warm.len() as u64);
+    let mut replay = window.clone();
+    let mut out = Vec::new();
+    'outer: loop {
+        let mut cycles = 0u64;
+        let mut insts = 0u64;
+        for _ in 0..g {
+            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
+                break 'outer;
+            };
+            cycles += r.snapshot.cycles;
+            insts += r.instructions;
+        }
+        out.push(insts as f64 / cycles.max(1) as f64);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -7,14 +7,13 @@
 //! (`docs/ROBUSTNESS.md`).
 
 use crate::config::ExperimentConfig;
-use crate::controller::{record_trace, ClosedLoopRequest};
+use crate::controller::{record_trace, reference_ipc, ClosedLoopRequest};
 use crate::degrade::DegradeLevel;
 use crate::sla::Sla;
 use crate::train::ModelKind;
 use crate::zoo;
-use psca_cpu::{ClusterSim, CpuConfig};
+use psca_cpu::CpuConfig;
 use psca_faults::ChaosSpec;
-use psca_trace::VecTrace;
 use psca_workloads::{Archetype, PhaseGenerator};
 
 /// One point of the chaos sweep: all archetypes at one fault-rate scale.
@@ -65,29 +64,6 @@ const ARCHETYPES: [Archetype; 4] = [
     Archetype::Balanced,
 ];
 
-/// Per-window IPC of a static high-performance run over the same trace:
-/// the SLA reference the chaos report scores gated windows against.
-fn reference_ipc(warm: &VecTrace, window: &VecTrace, interval_insts: u64, g: usize) -> Vec<f64> {
-    let mut sim = ClusterSim::new(CpuConfig::skylake_scaled());
-    let mut warm_replay = warm.clone();
-    sim.warm_up(&mut warm_replay, warm.len() as u64);
-    let mut replay = window.clone();
-    let mut out = Vec::new();
-    'outer: loop {
-        let mut cycles = 0u64;
-        let mut insts = 0u64;
-        for _ in 0..g {
-            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
-                break 'outer;
-            };
-            cycles += r.snapshot.cycles;
-            insts += r.instructions;
-        }
-        out.push(insts as f64 / cycles.max(1) as f64);
-    }
-    out
-}
-
 /// Runs the chaos sweep against `spec`.
 pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
     // Scope global metrics/series to this experiment (see ISSUE 2).
@@ -110,6 +86,7 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
 
     // Fixed per-archetype traces and their static hi-mode IPC reference.
     let sla = Sla::paper_default();
+    let cpu = CpuConfig::skylake_scaled();
     let runs = psca_exec::Sweep::new("chaos.reference").jobs(cfg.jobs).run(
         (0..ARCHETYPES.len()).collect(),
         |&i| {
@@ -118,7 +95,7 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
                 cfg.sub_seed("chaos") ^ (i as u64 + 101),
             );
             let (warm, window) = record_trace(&mut gen, 2_000, window_insts);
-            let refs = reference_ipc(&warm, &window, cfg.interval_insts, g);
+            let refs = reference_ipc(&cpu, &warm, &window, cfg.interval_insts, g);
             (warm, window, refs)
         },
     );

@@ -43,7 +43,9 @@ mod sla;
 mod train;
 
 pub use config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
-pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
+pub use controller::{
+    record_trace, reference_ipc, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult,
+};
 pub use paired::{collect_paired, collect_paired_with, CorpusTelemetry, TraceTelemetry};
 pub use psca_cpu::{BackendChoice, SimBackend};
 pub use sla::Sla;

@@ -15,10 +15,10 @@ use crate::rollout::{
 };
 use crate::skew::{DieSkew, SkewSpec};
 use psca_adapt::{
-    collect_paired, record_trace, zoo, ClosedLoopRequest, CorpusTelemetry, ExperimentConfig,
-    ModelKind, Sla, TrainedAdaptModel,
+    collect_paired, record_trace, reference_ipc, zoo, ClosedLoopRequest, CorpusTelemetry,
+    ExperimentConfig, ModelKind, Sla, TrainedAdaptModel,
 };
-use psca_cpu::{BackendChoice, ClusterSim, CpuConfig, Mode};
+use psca_cpu::{BackendChoice, CpuConfig, Mode};
 use psca_faults::ChaosSpec;
 use psca_obs::Json;
 use psca_trace::VecTrace;
@@ -124,36 +124,6 @@ impl DieStats {
     pub fn low_residency(&self) -> f64 {
         self.low as f64 / self.windows.max(1) as f64
     }
-}
-
-/// Per-window IPC of a static high-performance run of `window` on `cpu`:
-/// the SLA reference for one die (the chaos sweep's helper, generalized
-/// to a skewed machine).
-fn reference_ipc(
-    cpu: &CpuConfig,
-    warm: &VecTrace,
-    window: &VecTrace,
-    interval_insts: u64,
-    g: usize,
-) -> Vec<f64> {
-    let mut sim = ClusterSim::new(cpu.clone());
-    let mut warm_replay = warm.clone();
-    sim.warm_up(&mut warm_replay, warm.len() as u64);
-    let mut replay = window.clone();
-    let mut out = Vec::new();
-    'outer: loop {
-        let mut cycles = 0u64;
-        let mut insts = 0u64;
-        for _ in 0..g {
-            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
-                break 'outer;
-            };
-            cycles += r.snapshot.cycles;
-            insts += r.instructions;
-        }
-        out.push(insts as f64 / cycles.max(1) as f64);
-    }
-    out
 }
 
 /// A prepared fleet: trained model, baseline/candidate images, and one

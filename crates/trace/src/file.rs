@@ -14,13 +14,12 @@
 //! deltas keep traces small).
 
 use crate::instruction::Instruction;
-use crate::isa::{BranchInfo, MemRef, OpClass, Reg, NUM_ARCH_REGS};
+use crate::isa::{byte_reg, reg_byte, BranchInfo, MemRef, OpClass};
 use crate::source::TraceSource;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"PSTR";
 const VERSION: u8 = 1;
-const NO_REG: u8 = 0xFF;
 
 /// Errors raised while reading a trace file.
 #[derive(Debug)]
@@ -97,20 +96,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn reg_byte(r: Option<Reg>) -> u8 {
-    r.map_or(NO_REG, |r| r.index() as u8)
-}
-
-fn byte_reg(b: u8) -> Result<Option<Reg>, TraceFileError> {
-    if b == NO_REG {
-        Ok(None)
-    } else if (b as usize) < NUM_ARCH_REGS {
-        Ok(Some(Reg::from_index(b as usize)))
-    } else {
-        Err(TraceFileError::Corrupt("register index out of range"))
-    }
 }
 
 /// Writes `count` instructions from `source` to `out`; returns how many
@@ -207,8 +192,9 @@ impl<R: Read> TraceFileReader<R> {
         let op = *OpClass::ALL
             .get(head[0] as usize)
             .ok_or(TraceFileError::Corrupt("bad opcode"))?;
-        let dst = byte_reg(head[1])?;
-        let srcs = [byte_reg(head[2])?, byte_reg(head[3])?];
+        let reg = |b| byte_reg(b).ok_or(TraceFileError::Corrupt("register index out of range"));
+        let dst = reg(head[1])?;
+        let srcs = [reg(head[2])?, reg(head[3])?];
         let delta = unzigzag(read_varint(&mut self.reader)?);
         let pc = (self.last_pc as i64 + delta) as u64;
         self.last_pc = pc;
@@ -268,6 +254,7 @@ impl<R: Read> TraceSource for TraceFileReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::Reg;
     use crate::source::VecTrace;
 
     fn sample_insts() -> Vec<Instruction> {

@@ -194,6 +194,28 @@ impl fmt::Display for Reg {
     }
 }
 
+/// Register byte meaning "no register" in packed and on-disk records.
+pub(crate) const NO_REG: u8 = 0xFF;
+
+/// Encodes an optional register as one byte ([`NO_REG`] for none).
+#[inline]
+pub(crate) fn reg_byte(r: Option<Reg>) -> u8 {
+    r.map_or(NO_REG, |r| r.0)
+}
+
+/// Decodes a byte written by [`reg_byte`]; `None` if it names no
+/// register and is not [`NO_REG`].
+#[inline]
+pub(crate) fn byte_reg(b: u8) -> Option<Option<Reg>> {
+    if b == NO_REG {
+        Some(None)
+    } else if (b as usize) < NUM_ARCH_REGS {
+        Some(Some(Reg(b)))
+    } else {
+        None
+    }
+}
+
 /// A data-memory reference attached to a load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
@@ -290,6 +312,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn reg_fp_rejects_out_of_range() {
         let _ = Reg::fp(32);
+    }
+
+    #[test]
+    fn reg_byte_codec_roundtrips_and_rejects_out_of_range() {
+        assert_eq!(byte_reg(reg_byte(None)), Some(None));
+        for i in 0..NUM_ARCH_REGS {
+            let r = Some(Reg::from_index(i));
+            assert_eq!(byte_reg(reg_byte(r)), Some(r));
+        }
+        for b in NUM_ARCH_REGS as u8..NO_REG {
+            assert_eq!(byte_reg(b), None);
+        }
     }
 
     #[test]

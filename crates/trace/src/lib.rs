@@ -10,8 +10,9 @@
 //! - a compact ISA model ([`OpClass`], [`Reg`], [`MemRef`], [`BranchInfo`])
 //!   rich enough for a clustered out-of-order timing model;
 //! - the [`Instruction`] record that traces are made of;
-//! - streaming trace abstractions ([`TraceSource`], [`VecTrace`]) so that
-//!   multi-million-instruction traces never need to be materialized;
+//! - streaming trace abstractions ([`TraceSource`]) so that
+//!   multi-million-instruction traces never need to be materialized, and
+//!   [`VecTrace`], a packed, shared buffer for windows replayed many times;
 //! - [`SimPointSpec`] windows mirroring the paper's SimPoint methodology;
 //! - [`TraceStats`] summary statistics used by tests and the workload
 //!   synthesizer's self-checks.

@@ -73,8 +73,8 @@ mod tests {
         let (w, m) = sp.extract(&mut src);
         assert_eq!(w.len(), 30);
         assert_eq!(m.len(), 50);
-        assert_eq!(w.instructions()[0].pc, 0);
-        assert_eq!(m.instructions()[0].pc, 30);
+        assert_eq!(w.get(0).unwrap().pc, 0);
+        assert_eq!(m.get(0).unwrap().pc, 30);
     }
 
     #[test]

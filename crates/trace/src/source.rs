@@ -3,9 +3,13 @@
 //! Traces in the paper are multi-million-instruction recordings; the
 //! experiment grid replays thousands of them. [`TraceSource`] is a pull
 //! interface so that synthetic traces can be generated on the fly without
-//! ever being materialized in memory.
+//! ever being materialized in memory. Windows that are replayed more than
+//! once are recorded into a [`VecTrace`]: packed 24-byte records in shared
+//! storage, so each replay is an O(1) clone that owns only its cursor.
 
 use crate::instruction::Instruction;
+use crate::isa::{byte_reg, reg_byte, BranchInfo, MemRef, OpClass};
+use std::sync::Arc;
 
 /// A pull-based source of dynamic instructions.
 ///
@@ -94,43 +98,133 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     }
 }
 
-/// An in-memory trace backed by a `Vec<Instruction>`.
+/// An in-memory, replayable trace.
 ///
-/// Useful for tests and for recording short windows (e.g. SimPoints) for
-/// repeated replay during paired-mode dataset generation.
+/// Instructions are stored packed, 24 bytes each instead of the 56 of an
+/// [`Instruction`], in storage shared through [`Arc`]: a clone copies a
+/// refcount and a replay cursor, never the instructions. Every consumer
+/// that needs its own replay of a recorded SimPoint window (closed-loop
+/// runs, paired-mode dataset generation, fleet dies) just clones.
+/// [`TraceSource::skip`] is an O(1) cursor bump.
 #[derive(Debug, Clone, Default)]
 pub struct VecTrace {
-    insts: Vec<Instruction>,
+    records: Arc<[Packed]>,
+    /// Instructions carrying both a memory reference and a branch outcome
+    /// (ill-formed, but representable); their records index into this.
+    spills: Arc<[Instruction]>,
     pos: usize,
+}
+
+/// [`Packed::flags`] bits.
+const HAS_MEM: u8 = 1;
+const HAS_BRANCH: u8 = 1 << 1;
+const TAKEN: u8 = 1 << 2;
+const SPILLED: u8 = 1 << 3;
+
+/// One [`Instruction`] in 24 bytes.
+///
+/// `payload` is the memory address for memory ops, the branch target for
+/// branches, and the index into [`VecTrace::spills`] for spilled records.
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    pc: u64,
+    payload: u64,
+    op: u8,
+    dst: u8,
+    src0: u8,
+    src1: u8,
+    size: u8,
+    flags: u8,
+}
+
+impl Packed {
+    fn encode(inst: Instruction, spills: &mut Vec<Instruction>) -> Packed {
+        let mut p = Packed {
+            pc: inst.pc,
+            payload: 0,
+            op: inst.op.index() as u8,
+            dst: reg_byte(inst.dst),
+            src0: reg_byte(inst.srcs[0]),
+            src1: reg_byte(inst.srcs[1]),
+            size: 0,
+            flags: 0,
+        };
+        match (inst.mem, inst.branch) {
+            (None, None) => {}
+            (Some(m), None) => {
+                p.payload = m.addr;
+                p.size = m.size;
+                p.flags = HAS_MEM;
+            }
+            (None, Some(b)) => {
+                p.payload = b.target;
+                p.flags = HAS_BRANCH | if b.taken { TAKEN } else { 0 };
+            }
+            (Some(_), Some(_)) => {
+                p.payload = spills.len() as u64;
+                p.flags = SPILLED;
+                spills.push(inst);
+            }
+        }
+        p
+    }
+
+    #[inline]
+    fn decode(self, spills: &[Instruction]) -> Instruction {
+        if self.flags & SPILLED != 0 {
+            return spills[self.payload as usize];
+        }
+        // Register bytes come from `reg_byte`, so they always decode.
+        let reg = |b| byte_reg(b).flatten();
+        Instruction {
+            op: OpClass::ALL[self.op as usize],
+            dst: reg(self.dst),
+            srcs: [reg(self.src0), reg(self.src1)],
+            mem: (self.flags & HAS_MEM != 0).then_some(MemRef::new(self.payload, self.size)),
+            branch: (self.flags & HAS_BRANCH != 0)
+                .then_some(BranchInfo::new(self.flags & TAKEN != 0, self.payload)),
+            pc: self.pc,
+        }
+    }
 }
 
 impl VecTrace {
     /// Creates a trace over the given instructions.
     pub fn new(insts: Vec<Instruction>) -> VecTrace {
-        VecTrace { insts, pos: 0 }
+        VecTrace::pack(insts.len(), insts)
     }
 
     /// Records up to `n` instructions from `source` into a replayable trace.
     pub fn record<S: TraceSource>(source: &mut S, n: u64) -> VecTrace {
-        let mut insts = Vec::with_capacity(n.min(1 << 22) as usize);
-        for _ in 0..n {
-            match source.next_instruction() {
-                Some(i) => insts.push(i),
-                None => break,
-            }
+        let trace = VecTrace::pack(
+            n.min(1 << 22) as usize,
+            (0..n).map_while(|_| source.next_instruction()),
+        );
+        psca_obs::counter("trace.instructions_recorded").add(trace.len() as u64);
+        trace
+    }
+
+    fn pack(capacity: usize, insts: impl IntoIterator<Item = Instruction>) -> VecTrace {
+        let mut records = Vec::with_capacity(capacity);
+        let mut spills = Vec::new();
+        for inst in insts {
+            records.push(Packed::encode(inst, &mut spills));
         }
-        psca_obs::counter("trace.instructions_recorded").add(insts.len() as u64);
-        VecTrace::new(insts)
+        VecTrace {
+            records: records.into(),
+            spills: spills.into(),
+            pos: 0,
+        }
     }
 
     /// Number of instructions in the trace (independent of replay position).
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.records.len()
     }
 
     /// Whether the trace holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.records.is_empty()
     }
 
     /// Resets the replay cursor to the beginning.
@@ -138,15 +232,16 @@ impl VecTrace {
         self.pos = 0;
     }
 
-    /// Read-only view of the recorded instructions.
-    pub fn instructions(&self) -> &[Instruction] {
-        &self.insts
+    /// The `i`-th recorded instruction (independent of replay position).
+    pub fn get(&self, i: usize) -> Option<Instruction> {
+        self.records.get(i).map(|p| p.decode(&self.spills))
     }
 }
 
 impl TraceSource for VecTrace {
+    #[inline]
     fn next_instruction(&mut self) -> Option<Instruction> {
-        let inst = self.insts.get(self.pos).copied();
+        let inst = self.get(self.pos);
         if inst.is_some() {
             self.pos += 1;
         }
@@ -154,11 +249,11 @@ impl TraceSource for VecTrace {
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some((self.insts.len() - self.pos) as u64)
+        Some((self.records.len() - self.pos) as u64)
     }
 
     fn skip(&mut self, n: u64) -> u64 {
-        let left = (self.insts.len() - self.pos) as u64;
+        let left = (self.records.len() - self.pos) as u64;
         let skipped = n.min(left);
         self.pos += skipped as usize;
         skipped
@@ -235,7 +330,8 @@ impl<A: TraceSource, B: TraceSource> TraceSource for Chain<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::OpClass;
+    use crate::isa::{Reg, NUM_ARCH_REGS};
+    use proptest::prelude::*;
 
     fn nops(n: usize) -> Vec<Instruction> {
         (0..n)
@@ -321,5 +417,155 @@ mod tests {
         let mut b: Box<dyn TraceSource> = Box::new(VecTrace::new(nops(2)));
         assert!(b.next_instruction().is_some());
         assert_eq!(b.remaining_hint(), Some(1));
+    }
+
+    /// Every register operand, `None` included.
+    fn all_regs() -> impl Iterator<Item = Option<Reg>> {
+        (0..NUM_ARCH_REGS)
+            .map(|i| Some(Reg::from_index(i)))
+            .chain([None])
+    }
+
+    /// `shape`: 0 plain, 1 memory op, 2 branch, 3 both (spilled).
+    fn with_shape(
+        mut inst: Instruction,
+        shape: u8,
+        payload: u64,
+        size: u8,
+        taken: bool,
+    ) -> Instruction {
+        inst.mem = (shape & 1 != 0).then_some(MemRef::new(payload, size));
+        inst.branch = (shape & 2 != 0).then_some(BranchInfo::new(taken, payload ^ 0x5555));
+        inst
+    }
+
+    fn arb_reg() -> impl Strategy<Value = Option<Reg>> {
+        (0..=NUM_ARCH_REGS).prop_map(|i| (i < NUM_ARCH_REGS).then(|| Reg::from_index(i)))
+    }
+
+    fn arb_inst() -> impl Strategy<Value = Instruction> {
+        (
+            0..OpClass::ALL.len(),
+            (arb_reg(), arb_reg(), arb_reg()),
+            (0u8..4, any::<u64>(), any::<u8>(), any::<bool>()),
+            any::<u64>(),
+        )
+            .prop_map(|(op, (dst, s0, s1), (shape, payload, size, taken), pc)| {
+                let inst = Instruction {
+                    op: OpClass::ALL[op],
+                    dst,
+                    srcs: [s0, s1],
+                    mem: None,
+                    branch: None,
+                    pc,
+                };
+                with_shape(inst, shape, payload, size, taken)
+            })
+    }
+
+    fn replay(t: &mut VecTrace) -> Vec<Instruction> {
+        std::iter::from_fn(|| t.next_instruction()).collect()
+    }
+
+    #[test]
+    fn packed_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Packed>(), 24);
+    }
+
+    #[test]
+    fn every_op_register_and_payload_shape_roundtrips() {
+        let mut insts = Vec::new();
+        for (i, op) in OpClass::ALL.into_iter().enumerate() {
+            for (j, reg) in all_regs().enumerate() {
+                for shape in 0..4 {
+                    let inst = Instruction {
+                        op,
+                        dst: reg,
+                        srcs: [reg, all_regs().nth((j + 1) % 65).unwrap()],
+                        mem: None,
+                        branch: None,
+                        pc: u64::MAX - (i * 1000 + j) as u64,
+                    };
+                    insts.push(with_shape(
+                        inst,
+                        shape,
+                        u64::MAX - j as u64,
+                        j as u8,
+                        j % 2 == 0,
+                    ));
+                }
+            }
+        }
+        let mut t = VecTrace::new(insts.clone());
+        assert_eq!(t.len(), insts.len());
+        assert_eq!(
+            t.spills.len(),
+            insts.len() / 4,
+            "only mem+branch records spill"
+        );
+        for (i, inst) in insts.iter().enumerate() {
+            assert_eq!(t.get(i).as_ref(), Some(inst));
+        }
+        assert_eq!(t.get(insts.len()), None);
+        assert_eq!(replay(&mut t), insts);
+    }
+
+    #[test]
+    fn clones_share_storage_and_own_their_cursor() {
+        let mut a = VecTrace::new(nops(5));
+        a.skip(2);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.records, &b.records));
+        assert!(Arc::ptr_eq(&a.spills, &b.spills));
+        assert_eq!(b.next_instruction().unwrap().pc, 8);
+        assert_eq!(b.next_instruction().unwrap().pc, 12);
+        assert_eq!(
+            a.next_instruction().unwrap().pc,
+            8,
+            "original cursor unmoved"
+        );
+        b.rewind();
+        assert_eq!(a.remaining_hint(), Some(2));
+        assert_eq!(b.remaining_hint(), Some(5));
+    }
+
+    proptest! {
+        #[test]
+        fn vec_trace_replays_exactly_its_input(insts in prop::collection::vec(arb_inst(), 0..96)) {
+            let mut t = VecTrace::new(insts.clone());
+            prop_assert_eq!(t.len(), insts.len());
+            prop_assert_eq!(replay(&mut t), insts.clone());
+            prop_assert!(t.next_instruction().is_none());
+            let mut rec = VecTrace::record(&mut VecTrace::new(insts.clone()), insts.len() as u64 + 1);
+            prop_assert_eq!(replay(&mut rec), insts);
+        }
+
+        #[test]
+        fn cursor_matches_a_slice_index(
+            insts in prop::collection::vec(arb_inst(), 0..24),
+            ops in prop::collection::vec((0u8..3, 0u64..32), 0..48),
+        ) {
+            let mut t = VecTrace::new(insts.clone());
+            let mut pos = 0usize;
+            for (kind, n) in ops {
+                match kind {
+                    0 => {
+                        let skipped = t.skip(n);
+                        let expect = (n as usize).min(insts.len() - pos);
+                        prop_assert_eq!(skipped, expect as u64);
+                        pos += expect;
+                    }
+                    1 => {
+                        t.rewind();
+                        pos = 0;
+                    }
+                    _ => {
+                        prop_assert_eq!(t.next_instruction(), insts.get(pos).copied());
+                        pos = (pos + 1).min(insts.len());
+                    }
+                }
+                prop_assert_eq!(t.remaining_hint(), Some((insts.len() - pos) as u64));
+            }
+        }
     }
 }
