@@ -45,7 +45,7 @@ pub struct ClosedLoopOptions {
 ///
 /// ```ignore
 /// let res = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts)
-///     .with_faults(ChaosSpec::parse("uc_drop=0.05")?)
+///     .with_faults(ChaosSpec::parse("uc.drop=0.05")?)
 ///     .run();
 /// ```
 #[derive(Debug, Clone)]

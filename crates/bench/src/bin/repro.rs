@@ -241,20 +241,8 @@ fn serve_main(args: &[String]) -> ! {
             "--max-connections" => config.max_connections = parse_or_die(&value(), flag),
             "--read-timeout-ms" => config.read_timeout_ms = parse_or_die(&value(), flag),
             "--seed" => seed = parse_or_die(&value(), flag),
-            "--chaos" => match ChaosSpec::parse(&value()) {
-                Ok(spec) => config.chaos = Some(spec),
-                Err(e) => {
-                    eprintln!("[repro] bad --chaos spec: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "--slo" => match psca_obs::SloSpec::parse(&value()) {
-                Ok(spec) => config.slo = spec,
-                Err(e) => {
-                    eprintln!("[repro] bad --slo spec: {e}");
-                    std::process::exit(2);
-                }
-            },
+            "--chaos" => config.chaos = Some(spec_or_die(ChaosSpec::parse(&value()), flag)),
+            "--slo" => config.slo = spec_or_die(psca_obs::SloSpec::parse(&value()), flag),
             "--access-log" => config.access_log = Some(std::path::PathBuf::from(value())),
             "--backend" => backend_flag = Some(value()),
             "--models" => {
@@ -315,6 +303,14 @@ fn serve_main(args: &[String]) -> ! {
         );
     }
     std::process::exit(0)
+}
+
+/// Unwraps a parsed spec flag or exits with a usage error.
+fn spec_or_die<T>(parsed: Result<T, psca_obs::SpecError>, flag: &str) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("[repro] bad {flag} spec: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Parses a flag value or exits with a usage error.
@@ -418,16 +414,9 @@ fn slo_check_main(args: &[String]) -> ! {
         }
         i += 1;
     }
-    let spec = match psca_obs::SloSpec::parse(&slo) {
-        Ok(Some(spec)) => spec,
-        Ok(None) => {
-            eprintln!("[repro] slo-check: spec is 'off', trivially passing");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[repro] bad --slo spec: {e}");
-            std::process::exit(2);
-        }
+    let Some(spec) = spec_or_die(psca_obs::SloSpec::parse(&slo), "--slo") else {
+        eprintln!("[repro] slo-check: spec is 'off', trivially passing");
+        std::process::exit(0);
     };
     let text = std::fs::read_to_string(&bench).unwrap_or_else(|e| {
         eprintln!("[repro] slo-check: cannot read {}: {e}", bench.display());
@@ -551,13 +540,7 @@ fn experiments_main(args: &[String]) -> i32 {
     // Parse the chaos spec up front so a typo fails fast, before any
     // corpus simulation.
     let chaos_spec = match &cli.chaos {
-        Some(s) => match ChaosSpec::parse(s) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("[repro] bad --chaos spec: {e}");
-                std::process::exit(2);
-            }
-        },
+        Some(s) => spec_or_die(ChaosSpec::parse(s), "--chaos"),
         None => ChaosSpec::default_chaos(),
     };
     let mut cfg = if cli.quick {
@@ -960,27 +943,9 @@ fn fleet_main(args: &[String]) -> i32 {
             "--seed" => params.seed = parse_or_die(&value(), flag),
             "--windows" => params.windows = parse_or_die(&value(), flag),
             "--jobs" => jobs = parse_or_die(&value(), flag),
-            "--skew" => match SkewSpec::parse(&value()) {
-                Ok(spec) => params.skew = spec,
-                Err(e) => {
-                    eprintln!("[repro] bad --skew spec: {e}");
-                    return 2;
-                }
-            },
-            "--rollout" => match RolloutSpec::parse(&value()) {
-                Ok(spec) => params.rollout = spec,
-                Err(e) => {
-                    eprintln!("[repro] bad --rollout spec: {e}");
-                    return 2;
-                }
-            },
-            "--chaos" => match ChaosSpec::parse(&value()) {
-                Ok(spec) => params.chaos = Some(spec),
-                Err(e) => {
-                    eprintln!("[repro] bad --chaos spec: {e}");
-                    return 2;
-                }
-            },
+            "--skew" => params.skew = spec_or_die(SkewSpec::parse(&value()), flag),
+            "--rollout" => params.rollout = spec_or_die(RolloutSpec::parse(&value()), flag),
+            "--chaos" => params.chaos = Some(spec_or_die(ChaosSpec::parse(&value()), flag)),
             "--bad-image" => {
                 params.bad_image = true;
                 i -= 1;

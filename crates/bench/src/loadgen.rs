@@ -18,11 +18,12 @@
 //! BENCH_serve.json` persists it and `repro slo-check` turns it into a
 //! CI exit code via [`psca_obs::SloSpec::check_values`].
 
-use psca_obs::{Json, SloSpec, SplitMix64, TraceCtx};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use psca_obs::{http, Json, SloSpec, SplitMix64, TraceCtx};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Per-read and per-write deadline of every client request.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The deterministic trace context attached to request `k` of a run
 /// seeded with `seed` (exposed so tests can predict the ids).
@@ -157,41 +158,6 @@ fn request_body(cfg: &LoadgenConfig, k: u64) -> String {
     )
 }
 
-/// Sends one HTTP request (`Connection: close`) and returns the status.
-fn send_request(addr: &str, method: &str, path: &str, traceparent: &str, body: &str) -> u16 {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return 0;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\ntraceparent: {traceparent}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    if stream.write_all(head.as_bytes()).is_err() || stream.write_all(body.as_bytes()).is_err() {
-        return 0;
-    }
-    let mut response = Vec::new();
-    if stream.read_to_end(&mut response).is_err() || response.is_empty() {
-        return 0;
-    }
-    parse_status(&response)
-}
-
-/// Extracts the status code from an HTTP/1.1 response head.
-fn parse_status(response: &[u8]) -> u16 {
-    let line_end = response
-        .iter()
-        .position(|&b| b == b'\r')
-        .unwrap_or(response.len());
-    let line = String::from_utf8_lossy(&response[..line_end]);
-    line.split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Fetches `GET /v1/models` and returns `(first_model_slug, input_dim)`;
 /// used to auto-fill [`LoadgenConfig`] before a run.
 ///
@@ -199,23 +165,9 @@ fn parse_status(response: &[u8]) -> u16 {
 /// Returns a human-readable message when the daemon is unreachable or
 /// the document has no models.
 pub fn discover_model(addr: &str) -> Result<(String, usize), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let head = format!("GET /v1/models HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(head.as_bytes())
-        .map_err(|e| format!("write to {addr} failed: {e}"))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("read from {addr} failed: {e}"))?;
-    let text = String::from_utf8_lossy(&response);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .ok_or("malformed /v1/models response")?;
-    let doc = Json::parse(body).map_err(|e| format!("bad /v1/models JSON: {e}"))?;
+    let response = http::exchange(addr, "GET", "/v1/models", &[], "", CLIENT_TIMEOUT)
+        .map_err(|e| format!("GET /v1/models from {addr} failed: {e}"))?;
+    let doc = Json::parse(&response.body).map_err(|e| format!("bad /v1/models JSON: {e}"))?;
     let models = doc
         .get("models")
         .and_then(Json::as_arr)
@@ -256,13 +208,18 @@ pub fn run(cfg: &LoadgenConfig) -> LoadgenSummary {
                         std::thread::sleep(due - now);
                     }
                     let ctx = request_ctx(cfg.seed, k);
-                    let status = send_request(
+                    let status = http::exchange(
                         &cfg.addr,
                         "POST",
                         "/v1/predict",
-                        &ctx.to_traceparent(),
+                        &[
+                            ("Content-Type", "application/json"),
+                            ("traceparent", &ctx.to_traceparent()),
+                        ],
                         &request_body(cfg, k),
-                    );
+                        CLIENT_TIMEOUT,
+                    )
+                    .map_or(0, |r| r.status);
                     let latency_us = start
                         .elapsed()
                         .saturating_sub(due)
@@ -355,13 +312,6 @@ mod tests {
         assert_eq!(request_body(&cfg, 5), request_body(&cfg, 5));
         assert_ne!(request_body(&cfg, 5), request_body(&cfg, 6));
         assert!(request_body(&cfg, 0).contains("\"model\":\"best-rf\""));
-    }
-
-    #[test]
-    fn parse_status_reads_the_code() {
-        assert_eq!(parse_status(b"HTTP/1.1 200 OK\r\n\r\n"), 200);
-        assert_eq!(parse_status(b"HTTP/1.1 503 Service Unavailable\r\n"), 503);
-        assert_eq!(parse_status(b"garbage"), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The chaos-spec grammar: a comma-separated list of `key=value` pairs
-//! selecting per-class fault rates, the injection seed, and an optional
-//! burst cutoff.
+//! The chaos-spec grammar: `key=value` entries selecting per-class fault
+//! rates, the injection seed, and an optional burst cutoff. Tokenizing,
+//! presets and value readers are the shared rules of `psca_obs::spec`.
 //!
 //! ```text
 //! spec     := entry (',' entry)*
@@ -18,6 +18,7 @@
 //! Group shorthands set every rate in the group; later entries override
 //! earlier ones, so `all=0.02,uc.late=0.1` is a valid refinement.
 
+use psca_obs::spec::{self, Preset, SpecError};
 use std::fmt;
 
 /// Per-window fault probabilities plus injection seed. Parsed from the
@@ -98,144 +99,74 @@ impl ChaosSpec {
         }
     }
 
-    /// Parses the chaos-spec grammar. `"default"` / `""` yield
-    /// [`ChaosSpec::default_chaos`]; `"off"` yields all-zero rates.
-    pub fn parse(s: &str) -> Result<ChaosSpec, String> {
-        let s = s.trim();
-        if s.is_empty() || s == "default" {
-            return Ok(ChaosSpec::default_chaos());
-        }
-        if s == "off" {
-            return Ok(ChaosSpec::default());
-        }
-        let mut spec = ChaosSpec::default();
-        for entry in s.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("'{entry}': expected key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "seed" => {
-                    spec.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("'{entry}': seed must be a non-negative integer"))?;
-                }
-                "burst" => {
-                    spec.burst_windows =
-                        Some(value.parse::<u64>().map_err(|_| {
-                            format!("'{entry}': burst must be a non-negative integer")
-                        })?);
-                }
-                "max_rsv" => {
-                    spec.max_rsv = parse_rate(entry, value)?;
-                }
-                _ => {
-                    let rate = parse_rate(entry, value)?;
-                    match key {
-                        "telem.stuck" => spec.telem_stuck = rate,
-                        "telem.sat" => spec.telem_saturate = rate,
-                        "telem.drop" => spec.telem_drop = rate,
-                        "telem.drift" => spec.telem_drift = rate,
-                        "telem.nan" => spec.telem_nan = rate,
-                        "uc.drop" => spec.uc_drop = rate,
-                        "uc.late" => spec.uc_late = rate,
-                        "uc.nan" => spec.uc_nan = rate,
-                        "uc.bitflip" => spec.uc_bitflip = rate,
-                        "act.lost" => spec.act_lost = rate,
-                        "act.delay" => spec.act_delayed = rate,
-                        "telem" => {
-                            spec.telem_stuck = rate;
-                            spec.telem_saturate = rate;
-                            spec.telem_drop = rate;
-                            spec.telem_drift = rate;
-                            spec.telem_nan = rate;
+    /// Parses the chaos-spec grammar. The presets `"default"` / `""`
+    /// yield [`ChaosSpec::default_chaos`]; `"off"` yields all-zero rates.
+    pub fn parse(s: &str) -> Result<ChaosSpec, SpecError> {
+        match spec::preset(s) {
+            Some(Preset::Default) => Ok(ChaosSpec::default_chaos()),
+            Some(Preset::Off) => Ok(ChaosSpec::default()),
+            None => spec::apply_entries(s, ChaosSpec::default(), |spec, e| {
+                match e.key {
+                    "seed" => spec.seed = e.non_negative_int()?,
+                    "burst" => spec.burst_windows = Some(e.non_negative_int()?),
+                    "max_rsv" => spec.max_rsv = e.unit()?,
+                    key => {
+                        // A rate key, a group shorthand (its prefix before
+                        // '.'), or `all`.
+                        let rate = e.unit()?;
+                        let mut known = false;
+                        for (name, r) in spec.rates_mut() {
+                            if key == "all" || key == name || name.split('.').next() == Some(key) {
+                                *r = rate;
+                                known = true;
+                            }
                         }
-                        "uc" => {
-                            spec.uc_drop = rate;
-                            spec.uc_late = rate;
-                            spec.uc_nan = rate;
-                            spec.uc_bitflip = rate;
+                        if !known {
+                            return Err(e.unknown_key());
                         }
-                        "act" => {
-                            spec.act_lost = rate;
-                            spec.act_delayed = rate;
-                        }
-                        "all" => {
-                            spec.telem_stuck = rate;
-                            spec.telem_saturate = rate;
-                            spec.telem_drop = rate;
-                            spec.telem_drift = rate;
-                            spec.telem_nan = rate;
-                            spec.uc_drop = rate;
-                            spec.uc_late = rate;
-                            spec.uc_nan = rate;
-                            spec.uc_bitflip = rate;
-                            spec.act_lost = rate;
-                            spec.act_delayed = rate;
-                        }
-                        _ => return Err(format!("'{entry}': unknown key '{key}'")),
                     }
                 }
-            }
+                Ok(())
+            }),
         }
-        Ok(spec)
+    }
+
+    /// The per-class rates with their keys, in rendering order.
+    fn rates(&self) -> [(&'static str, f64); 11] {
+        self.clone().rates_mut().map(|(key, r)| (key, *r))
+    }
+
+    /// The per-class rates, mutably, with their keys.
+    fn rates_mut(&mut self) -> [(&'static str, &mut f64); 11] {
+        [
+            ("telem.stuck", &mut self.telem_stuck),
+            ("telem.sat", &mut self.telem_saturate),
+            ("telem.drop", &mut self.telem_drop),
+            ("telem.drift", &mut self.telem_drift),
+            ("telem.nan", &mut self.telem_nan),
+            ("uc.drop", &mut self.uc_drop),
+            ("uc.late", &mut self.uc_late),
+            ("uc.nan", &mut self.uc_nan),
+            ("uc.bitflip", &mut self.uc_bitflip),
+            ("act.lost", &mut self.act_lost),
+            ("act.delay", &mut self.act_delayed),
+        ]
     }
 
     /// Returns the spec with every rate multiplied by `factor`, clamped
     /// to `[0, 1]`. Used by the chaos sweep.
     pub fn scaled(&self, factor: f64) -> ChaosSpec {
-        let s = |r: f64| (r * factor).clamp(0.0, 1.0);
-        ChaosSpec {
-            seed: self.seed,
-            burst_windows: self.burst_windows,
-            max_rsv: self.max_rsv,
-            telem_stuck: s(self.telem_stuck),
-            telem_saturate: s(self.telem_saturate),
-            telem_drop: s(self.telem_drop),
-            telem_drift: s(self.telem_drift),
-            telem_nan: s(self.telem_nan),
-            uc_drop: s(self.uc_drop),
-            uc_late: s(self.uc_late),
-            uc_nan: s(self.uc_nan),
-            uc_bitflip: s(self.uc_bitflip),
-            act_lost: s(self.act_lost),
-            act_delayed: s(self.act_delayed),
+        let mut out = self.clone();
+        for (_, r) in out.rates_mut() {
+            *r = (*r * factor).clamp(0.0, 1.0);
         }
+        out
     }
 
     /// Whether any fault class has a non-zero rate.
     pub fn any_enabled(&self) -> bool {
-        [
-            self.telem_stuck,
-            self.telem_saturate,
-            self.telem_drop,
-            self.telem_drift,
-            self.telem_nan,
-            self.uc_drop,
-            self.uc_late,
-            self.uc_nan,
-            self.uc_bitflip,
-            self.act_lost,
-            self.act_delayed,
-        ]
-        .iter()
-        .any(|&r| r > 0.0)
+        self.rates().iter().any(|&(_, r)| r > 0.0)
     }
-}
-
-fn parse_rate(entry: &str, value: &str) -> Result<f64, String> {
-    let rate: f64 = value
-        .parse()
-        .map_err(|_| format!("'{entry}': rate must be a number"))?;
-    if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-        return Err(format!("'{entry}': rate must be in [0, 1]"));
-    }
-    Ok(rate)
 }
 
 impl fmt::Display for ChaosSpec {
@@ -244,19 +175,7 @@ impl fmt::Display for ChaosSpec {
         if let Some(b) = self.burst_windows {
             write!(f, ",burst={b}")?;
         }
-        for (key, rate) in [
-            ("telem.stuck", self.telem_stuck),
-            ("telem.sat", self.telem_saturate),
-            ("telem.drop", self.telem_drop),
-            ("telem.drift", self.telem_drift),
-            ("telem.nan", self.telem_nan),
-            ("uc.drop", self.uc_drop),
-            ("uc.late", self.uc_late),
-            ("uc.nan", self.uc_nan),
-            ("uc.bitflip", self.uc_bitflip),
-            ("act.lost", self.act_lost),
-            ("act.delay", self.act_delayed),
-        ] {
+        for (key, rate) in self.rates() {
             if rate > 0.0 {
                 write!(f, ",{key}={rate}")?;
             }

@@ -8,7 +8,8 @@
 //! verdicts by simulating the cohort (see `runner`); proptests drive the
 //! machine directly with synthetic verdicts to pin its invariants.
 //!
-//! Rollout-spec grammar, in the `ChaosSpec` key=value style:
+//! Rollout-spec grammar, tokenized by the shared rules of
+//! `psca_obs::spec`:
 //!
 //! ```text
 //! spec  := entry (',' entry)*
@@ -23,6 +24,7 @@
 //! `"default"` / `""` parse to the defaults above; `"off"` means no
 //! staged rollout (every die keeps the baseline image).
 
+use psca_obs::spec::{self, Preset, SpecError};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -84,59 +86,28 @@ impl Default for RolloutSpec {
 }
 
 impl RolloutSpec {
-    /// Parses the rollout-spec grammar. `"default"` / `""` yield the
-    /// defaults; `"off"` yields `None` (staged rollout disabled).
-    pub fn parse(s: &str) -> Result<Option<RolloutSpec>, String> {
-        let s = s.trim();
-        if s.is_empty() || s == "default" {
-            return Ok(Some(RolloutSpec::default()));
-        }
-        if s == "off" {
-            return Ok(None);
-        }
-        let mut spec = RolloutSpec::default();
-        for entry in s.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("'{entry}': expected key=value"))?;
-            let value = value.trim();
-            let int = |what: &str| -> Result<u64, String> {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("'{entry}': {what} must be a non-negative integer"))
-            };
-            match key.trim() {
-                "canary" => {
-                    spec.canary = int("canary")?.max(1) as usize;
+    /// Parses the rollout-spec grammar. The presets `"default"` / `""`
+    /// yield the defaults; `"off"` yields `None` (staged rollout
+    /// disabled). `canary` and `quarantine` are floored at 1.
+    pub fn parse(s: &str) -> Result<Option<RolloutSpec>, SpecError> {
+        match spec::preset(s) {
+            Some(Preset::Default) => Ok(Some(RolloutSpec::default())),
+            Some(Preset::Off) => Ok(None),
+            None => spec::apply_entries(s, RolloutSpec::default(), |spec, e| {
+                match e.key {
+                    "canary" => spec.canary = e.non_negative_int()?.max(1) as usize,
+                    "waves" => spec.waves = e.non_negative_int()? as usize,
+                    "rsv_floor" => spec.rsv_floor = e.unit()?,
+                    "ppw_floor" => spec.ppw_floor = e.unit()?,
+                    "max_esc" => spec.max_escalations = e.non_negative_int()?,
+                    "quarantine" => spec.quarantine_after = e.non_negative_int()?.max(1) as u32,
+                    _ => return Err(e.unknown_key()),
                 }
-                "waves" => {
-                    spec.waves = int("waves")? as usize;
-                }
-                "rsv_floor" => spec.rsv_floor = parse_unit(entry, value)?,
-                "ppw_floor" => spec.ppw_floor = parse_unit(entry, value)?,
-                "max_esc" => spec.max_escalations = int("max_esc")?,
-                "quarantine" => {
-                    spec.quarantine_after = int("quarantine")?.max(1) as u32;
-                }
-                key => return Err(format!("'{entry}': unknown key '{key}'")),
-            }
+                Ok(())
+            })
+            .map(Some),
         }
-        Ok(Some(spec))
     }
-}
-
-fn parse_unit(entry: &str, value: &str) -> Result<f64, String> {
-    let rate: f64 = value
-        .parse()
-        .map_err(|_| format!("'{entry}': value must be a number"))?;
-    if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-        return Err(format!("'{entry}': value must be in [0, 1]"));
-    }
-    Ok(rate)
 }
 
 impl fmt::Display for RolloutSpec {

@@ -18,11 +18,13 @@
 //! `cache`, `tlb`, and `switch` are relative half-widths: a value `m`
 //! draws each die's multiplier uniformly from `[1 - m, 1 + m]`. `noise`
 //! is an absolute per-window telemetry-drift probability floor merged
-//! into the die's chaos spec. `all` sets every key; later entries
-//! override earlier ones, as in `ChaosSpec`.
+//! into the die's chaos spec. `all` sets every key. Tokenizing, presets
+//! and the `[0, 1]` value reader are the shared rules of
+//! `psca_obs::spec`, so later entries override earlier ones.
 
 use psca_cpu::CpuConfig;
 use psca_faults::{ChaosSpec, SplitMix64};
+use psca_obs::spec::{self, Preset, SpecError};
 use std::fmt;
 
 /// Fleet-wide bounds on per-die variation. `Default` is an all-zero
@@ -54,70 +56,53 @@ impl SkewSpec {
         }
     }
 
-    /// Parses the skew-spec grammar. `"default"` / `""` yield
+    /// Parses the skew-spec grammar. The presets `"default"` / `""` yield
     /// [`SkewSpec::default_skew`]; `"off"` yields the all-zero spec.
-    pub fn parse(s: &str) -> Result<SkewSpec, String> {
-        let s = s.trim();
-        if s.is_empty() || s == "default" {
-            return Ok(SkewSpec::default_skew());
-        }
-        if s == "off" {
-            return Ok(SkewSpec::default());
-        }
-        let mut spec = SkewSpec::default();
-        for entry in s.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("'{entry}': expected key=value"))?;
-            let rate = parse_magnitude(entry, value.trim())?;
-            match key.trim() {
-                "cache" => spec.cache = rate,
-                "tlb" => spec.tlb = rate,
-                "switch" => spec.switch = rate,
-                "noise" => spec.noise = rate,
-                "all" => {
-                    spec.cache = rate;
-                    spec.tlb = rate;
-                    spec.switch = rate;
-                    spec.noise = rate;
+    pub fn parse(s: &str) -> Result<SkewSpec, SpecError> {
+        match spec::preset(s) {
+            Some(Preset::Default) => Ok(SkewSpec::default_skew()),
+            Some(Preset::Off) => Ok(SkewSpec::default()),
+            None => spec::apply_entries(s, SkewSpec::default(), |spec, e| {
+                let magnitude = e.unit()?;
+                let mut known = false;
+                for (axis, m) in spec.axes_mut() {
+                    if e.key == "all" || e.key == axis {
+                        *m = magnitude;
+                        known = true;
+                    }
                 }
-                key => return Err(format!("'{entry}': unknown key '{key}'")),
-            }
+                known.then_some(()).ok_or_else(|| e.unknown_key())
+            }),
         }
-        Ok(spec)
+    }
+
+    /// The per-axis magnitudes with their keys, in rendering order.
+    fn axes(mut self) -> [(&'static str, f64); 4] {
+        self.axes_mut().map(|(key, m)| (key, *m))
+    }
+
+    /// The per-axis magnitudes, mutably, with their keys.
+    fn axes_mut(&mut self) -> [(&'static str, &mut f64); 4] {
+        [
+            ("cache", &mut self.cache),
+            ("tlb", &mut self.tlb),
+            ("switch", &mut self.switch),
+            ("noise", &mut self.noise),
+        ]
     }
 
     /// Whether any axis has a non-zero magnitude.
     pub fn any_enabled(&self) -> bool {
-        self.cache > 0.0 || self.tlb > 0.0 || self.switch > 0.0 || self.noise > 0.0
+        self.axes().iter().any(|&(_, m)| m > 0.0)
     }
-}
-
-fn parse_magnitude(entry: &str, value: &str) -> Result<f64, String> {
-    let rate: f64 = value
-        .parse()
-        .map_err(|_| format!("'{entry}': magnitude must be a number"))?;
-    if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-        return Err(format!("'{entry}': magnitude must be in [0, 1]"));
-    }
-    Ok(rate)
 }
 
 impl fmt::Display for SkewSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut any = false;
-        for (key, rate) in [
-            ("cache", self.cache),
-            ("tlb", self.tlb),
-            ("switch", self.switch),
-            ("noise", self.noise),
-        ] {
-            if rate > 0.0 {
-                write!(f, "{}{key}={rate}", if any { "," } else { "" })?;
+        for (key, m) in self.axes() {
+            if m > 0.0 {
+                write!(f, "{}{key}={m}", if any { "," } else { "" })?;
                 any = true;
             }
         }

@@ -15,13 +15,17 @@
 //! series plus `_sum`/`_count`), and each time-series contributes its most
 //! recent value as a `<name>_last` gauge.
 //!
+//! Requests are framed by [`crate::http`]: any method but `GET` answers
+//! 405, and a malformed, oversized or stalled request answers 400, 413
+//! or 408 with the framing error as plain text.
+//!
 //! Opt-in via the `PSCA_METRICS_ADDR=<host:port>` environment variable
 //! (see [`serve_from_env`]) or a binary flag like `repro --serve-metrics`.
 //! Port `0` asks the OS for a free port; the bound address is printed to
 //! stderr and available from [`MetricsServer::local_addr`].
 
+use crate::http;
 use crate::metrics::{self, MetricsSnapshot};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -93,76 +97,35 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Content type of the Prometheus text exposition, for every `/metrics`.
+pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+const PLAIN_TEXT: &str = "text/plain; charset=utf-8";
+
+/// Largest request body the exporter reads (and ignores) before answering.
+const MAX_BODY_BYTES: usize = 8 * 1024;
+
 fn handle_connection(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; 2048];
-    let mut filled = 0usize;
-    // Read until the end of the request head (we ignore the body).
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                if buf[..filled].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..filled]);
-    let mut parts = head.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let path = path.split('?').next().unwrap_or(path);
-    if method != "GET" {
-        respond(
-            &mut stream,
-            405,
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-        );
-        return;
-    }
-    match path {
-        "/metrics" => {
-            let body = prometheus_text(&metrics::global().snapshot());
-            respond(
-                &mut stream,
+    let (status, content_type, body) = match http::read_request(&mut stream, MAX_BODY_BYTES) {
+        Err(e) => (e.status(), PLAIN_TEXT, format!("{e}\n")),
+        Ok(req) if req.method != "GET" => (405, PLAIN_TEXT, "method not allowed\n".to_string()),
+        Ok(req) => match req.path.as_str() {
+            "/metrics" => (
                 200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        "/healthz" => respond(&mut stream, 200, "text/plain; charset=utf-8", "ok\n"),
-        "/report" => match latest_report().lock().unwrap().clone() {
-            Some(json) => respond(&mut stream, 200, "application/json", &json),
-            None => respond(
-                &mut stream,
-                404,
-                "text/plain; charset=utf-8",
-                "no run report published yet\n",
+                METRICS_CONTENT_TYPE,
+                prometheus_text(&metrics::global().snapshot()),
             ),
+            "/healthz" => (200, PLAIN_TEXT, "ok\n".to_string()),
+            "/report" => match latest_report().lock().unwrap().clone() {
+                Some(json) => (200, "application/json", json),
+                None => (404, PLAIN_TEXT, "no run report published yet\n".to_string()),
+            },
+            _ => (404, PLAIN_TEXT, "not found\n".to_string()),
         },
-        _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
-    }
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Error",
     };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    let _ = http::write_response(&mut stream, status, content_type, &[], &body);
 }
 
 /// Maps a dot-separated metric name onto the Prometheus grammar:

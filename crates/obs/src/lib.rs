@@ -44,6 +44,9 @@
 //! - **Flight recorder** ([`recorder`]) — a bounded ring of recent
 //!   request records dumped as JSONL postmortems on failure.
 //!
+//! Two shared parsers serve every crate: [`http`], the one HTTP/1.1
+//! framing module, and [`spec`], the one `key=value` spec tokenizer.
+//!
 //! Naming conventions and the `PSCA_LOG` / `PSCA_TRACE` /
 //! `PSCA_METRICS_ADDR` contracts are documented in `docs/OBSERVABILITY.md`.
 
@@ -52,6 +55,7 @@
 pub mod ctx;
 pub mod event;
 pub mod exporter;
+pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod prof;
@@ -60,6 +64,7 @@ pub mod report;
 pub mod shard;
 pub mod slo;
 pub mod span;
+pub mod spec;
 pub mod timeseries;
 pub mod trace;
 
@@ -78,6 +83,7 @@ pub use recorder::{FlightRecorder, RequestRecord};
 pub use report::{PhaseStat, RunReport, SummaryValue};
 pub use slo::{SloEngine, SloSpec, SloStatus};
 pub use span::SpanTimer;
+pub use spec::SpecError;
 pub use timeseries::TimeSeries;
 
 use std::sync::Arc;

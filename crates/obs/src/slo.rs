@@ -1,7 +1,7 @@
 //! Declarative service-level objectives with burn-rate alerting.
 //!
-//! An [`SloSpec`] is parsed from the same comma-separated `key=value`
-//! grammar as `ChaosSpec` (`p99_us=250000,availability=0.999`) and names
+//! An [`SloSpec`] is parsed from the shared `key=value` spec grammar
+//! ([`crate::spec`]; `p99_us=250000,availability=0.999`) and names
 //! the targets a serving deployment promises: tail latency, availability,
 //! and a reservation-style floor (`rsv_floor`) on the closed loop's
 //! low-power residency. An [`SloEngine`] folds per-request observations
@@ -20,6 +20,7 @@
 //! its own start epoch.
 
 use crate::json::Json;
+use crate::spec::{self, Preset, SpecError, SpecErrorKind};
 
 /// Default p99 target: generous enough for CI machines (250 ms).
 const DEFAULT_P99_US: u64 = 250_000;
@@ -72,98 +73,41 @@ impl Default for SloSpec {
 }
 
 impl SloSpec {
-    /// Parses the `key=value[,key=value...]` grammar.
-    ///
-    /// Keys: `p99_us`, `availability`, `rsv_floor`, `window_s`,
-    /// `long_window_s`, `fast_burn`, `slow_burn`. The specials `""` and
-    /// `default` yield the default spec; `off` yields `None`.
-    pub fn parse(spec: &str) -> Result<Option<SloSpec>, String> {
-        let trimmed = spec.trim();
-        if trimmed.eq_ignore_ascii_case("off") {
-            return Ok(None);
-        }
-        let mut out = SloSpec::default();
-        if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("default") {
-            return Ok(Some(out));
-        }
-        for entry in trimmed.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("slo entry '{entry}' is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "p99_us" => {
-                    out.p99_latency_us = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("slo p99_us '{value}' is not an integer"))?;
-                    if out.p99_latency_us == 0 {
-                        return Err("slo p99_us must be positive".to_string());
+    /// Parses the SLO grammar ([`crate::spec`] rules): `p99_us`,
+    /// `window_s`, `long_window_s` (positive integers, `long_window_s >=
+    /// window_s`), `availability` (in `(0, 1)`), `rsv_floor` (in `[0, 1]`),
+    /// `fast_burn`, `slow_burn` (positive finite numbers). The presets `""`
+    /// and `default` yield the default spec; `off` yields `None`.
+    pub fn parse(s: &str) -> Result<Option<SloSpec>, SpecError> {
+        let out = match spec::preset(s) {
+            Some(Preset::Off) => return Ok(None),
+            Some(Preset::Default) => SloSpec::default(),
+            None => spec::apply_entries(s, SloSpec::default(), |out, e| {
+                match e.key {
+                    "p99_us" => out.p99_latency_us = e.positive_int()?,
+                    "availability" => {
+                        let v = e.unit()?;
+                        if v == 0.0 || v == 1.0 {
+                            return Err(
+                                e.error(SpecErrorKind::Rule("expected a number in (0, 1)".into()))
+                            );
+                        }
+                        out.availability = v;
                     }
+                    "rsv_floor" => out.rsv_floor = Some(e.unit()?),
+                    "window_s" => out.window_s = e.positive_int()?,
+                    "long_window_s" => out.long_window_s = e.positive_int()?,
+                    "fast_burn" => out.fast_burn = e.positive_finite()?,
+                    "slow_burn" => out.slow_burn = e.positive_finite()?,
+                    _ => return Err(e.unknown_key()),
                 }
-                "availability" => {
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("slo availability '{value}' is not a number"))?;
-                    if !(v > 0.0 && v < 1.0) {
-                        return Err(format!("slo availability {v} must be in (0, 1)"));
-                    }
-                    out.availability = v;
-                }
-                "rsv_floor" => {
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("slo rsv_floor '{value}' is not a number"))?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!("slo rsv_floor {v} must be in [0, 1]"));
-                    }
-                    out.rsv_floor = Some(v);
-                }
-                "window_s" => {
-                    out.window_s = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("slo window_s '{value}' is not an integer"))?;
-                    if out.window_s == 0 {
-                        return Err("slo window_s must be positive".to_string());
-                    }
-                }
-                "long_window_s" => {
-                    out.long_window_s = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("slo long_window_s '{value}' is not an integer"))?;
-                    if out.long_window_s == 0 {
-                        return Err("slo long_window_s must be positive".to_string());
-                    }
-                }
-                "fast_burn" => {
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("slo fast_burn '{value}' is not a number"))?;
-                    if v <= 0.0 {
-                        return Err("slo fast_burn must be positive".to_string());
-                    }
-                    out.fast_burn = v;
-                }
-                "slow_burn" => {
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("slo slow_burn '{value}' is not a number"))?;
-                    if v <= 0.0 {
-                        return Err("slo slow_burn must be positive".to_string());
-                    }
-                    out.slow_burn = v;
-                }
-                other => return Err(format!("unknown slo key '{other}'")),
-            }
-        }
+                Ok(())
+            })?,
+        };
         if out.long_window_s < out.window_s {
-            return Err(format!(
-                "slo long_window_s {} must be >= window_s {}",
-                out.long_window_s, out.window_s
+            return Err(SpecError::new(
+                format!("long_window_s={}", out.long_window_s),
+                SpecErrorKind::Rule(format!("must be >= window_s ({})", out.window_s)),
             ));
         }
         Ok(Some(out))
@@ -492,6 +436,28 @@ mod tests {
         assert!(SloSpec::parse("rsv_floor=2").is_err());
         assert!(SloSpec::parse("unknown_key=1").is_err());
         assert!(SloSpec::parse("window_s=60,long_window_s=10").is_err());
+    }
+
+    #[test]
+    fn burn_thresholds_must_be_finite() {
+        // A NaN threshold would make `rate >= threshold` always false:
+        // the alert could never fire.
+        for bad in ["nan", "NaN", "inf", "-inf", "0", "-1"] {
+            for key in ["fast_burn", "slow_burn"] {
+                let err = SloSpec::parse(&format!("{key}={bad}")).unwrap_err();
+                assert_eq!(err.kind, SpecErrorKind::PositiveFinite, "{key}={bad}");
+            }
+        }
+        assert_eq!(
+            SloSpec::parse("fast_burn=nan").unwrap_err().to_string(),
+            "'fast_burn=nan': expected a positive finite number"
+        );
+    }
+
+    #[test]
+    fn presets_ignore_case() {
+        assert_eq!(SloSpec::parse(" OFF ").unwrap(), None);
+        assert_eq!(SloSpec::parse("Default").unwrap(), Some(SloSpec::default()));
     }
 
     #[test]

@@ -285,3 +285,42 @@ fn metrics_server_serves_healthz_and_metrics_over_a_real_socket() {
 
     server.shutdown();
 }
+
+#[test]
+fn metrics_server_answers_framing_errors_and_non_get_methods() {
+    let server = MetricsServer::start("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = server.local_addr();
+    let send = |raw: &[u8]| -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+        stream.write_all(raw).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
+    };
+
+    // A POST is read in full, then refused.
+    let post = send(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi");
+    assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+
+    // A head past the 8 KiB cap is refused, not parsed from a prefix.
+    // Exactly one byte over, with no terminator, so the exporter has
+    // consumed every byte when it answers.
+    let mut head = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(psca_obs::http::MAX_HEAD_BYTES + 1, b'a');
+    let oversized = send(&head);
+    assert!(oversized.starts_with("HTTP/1.1 413"), "{oversized}");
+    assert!(
+        oversized.ends_with("request head too large\n"),
+        "{oversized}"
+    );
+
+    // A garbage request line is a 400.
+    let garbage = send(b"NONSENSE\r\n\r\n");
+    assert!(garbage.starts_with("HTTP/1.1 400"), "{garbage}");
+
+    // Query strings are ignored.
+    let health = send(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+
+    server.shutdown();
+}

@@ -31,87 +31,67 @@ pub struct ApiError {
 }
 
 impl ApiError {
-    /// 400: the body is not valid JSON or misses required members.
-    pub fn bad_request(message: impl Into<String>) -> ApiError {
+    fn new(status: u16, code: &'static str, message: impl Into<String>) -> ApiError {
         ApiError {
-            status: 400,
-            code: "bad_request",
+            status,
+            code,
             message: message.into(),
         }
+    }
+
+    /// 400: the body is not valid JSON or misses required members.
+    pub fn bad_request(message: impl Into<String>) -> ApiError {
+        ApiError::new(400, "bad_request", message)
     }
 
     /// 400: JSON syntax error, with the parser's offset detail.
     pub fn bad_json(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 400,
-            code: "bad_json",
-            message: message.into(),
-        }
+        ApiError::new(400, "bad_json", message)
     }
 
     /// 404: no such route or model.
     pub fn not_found(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 404,
-            code: "not_found",
-            message: message.into(),
-        }
+        ApiError::new(404, "not_found", message)
     }
 
     /// 405: the route exists but not for this method.
     pub fn method_not_allowed(method: &str, path: &str) -> ApiError {
-        ApiError {
-            status: 405,
-            code: "method_not_allowed",
-            message: format!("{method} not allowed on {path}"),
-        }
+        ApiError::new(
+            405,
+            "method_not_allowed",
+            format!("{method} not allowed on {path}"),
+        )
     }
 
     /// 408: the client stalled past the per-connection read deadline
     /// ([`ServeConfig::read_timeout_ms`](crate::ServeConfig::read_timeout_ms)).
     pub fn timeout(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 408,
-            code: "request_timeout",
-            message: message.into(),
-        }
+        ApiError::new(408, "request_timeout", message)
     }
 
     /// 413: the request exceeds a size limit.
     pub fn too_large(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 413,
-            code: "payload_too_large",
-            message: message.into(),
-        }
+        ApiError::new(413, "payload_too_large", message)
     }
 
     /// 422: well-formed JSON whose values violate model constraints.
     pub fn unprocessable(code: &'static str, message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 422,
-            code,
-            message: message.into(),
-        }
+        ApiError::new(422, code, message)
     }
 
     /// 429: the bounded request queue is full (backpressure).
     pub fn backpressure(capacity: usize) -> ApiError {
-        ApiError {
-            status: 429,
-            code: "queue_full",
-            message: format!("request queue at capacity ({capacity}); retry later"),
-        }
+        ApiError::new(
+            429,
+            "queue_full",
+            format!("request queue at capacity ({capacity}); retry later"),
+        )
     }
 
     /// 503: connection limit reached or chaos injected on the serving
     /// path.
     pub fn unavailable(code: &'static str, message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 503,
-            code,
-            message: message.into(),
-        }
+        ApiError::new(503, code, message)
     }
 
     /// The error document sent on the wire.

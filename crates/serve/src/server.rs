@@ -2,11 +2,11 @@
 //! queue, explicit backpressure, per-endpoint metrics, optional chaos on
 //! the serving path, and graceful drain-on-shutdown.
 //!
-//! The transport extends the single-threaded head-only reader of
-//! `psca_obs::exporter` with `Content-Length` body reads, a worker pool
-//! (accept thread pushes connections into a `Mutex<VecDeque>` guarded by
-//! condvars, workers pop), and the same std-only discipline: no external
-//! HTTP or threading dependency anywhere.
+//! Framing is `psca_obs::http`, shared with the metrics exporter; its
+//! errors map to typed 400/408/413 [`ApiError`]s. The daemon adds a
+//! worker pool (the accept thread pushes connections into a condvar-guarded
+//! `Mutex<VecDeque>`, workers pop) and answers a full queue or connection
+//! ceiling with 429/503 at accept time. All `std`, no dependencies.
 //!
 //! Every request is request-scoped observable: a
 //! [`psca_obs::TraceCtx`] is parsed from an inbound `traceparent` header
@@ -25,7 +25,7 @@
 //! with tracing or profiling on or off.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use psca_adapt::{record_trace, ClosedLoopRequest};
 use psca_faults::{ChaosSpec, FaultInjector, PredictionFault};
 use psca_obs::event::EventSink;
+use psca_obs::http::{self, FrameError, Request};
 use psca_obs::{
     EventRecord, FieldValue, Json, JsonlSink, Level, RequestRecord, SloEngine, SloSpec, TraceCtx,
 };
@@ -42,9 +43,6 @@ use psca_workloads::PhaseGenerator;
 
 use crate::api::{self, ApiError, ClosedLoopSpec, PredictRequest};
 use crate::registry::ModelRegistry;
-
-/// Upper bound on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Where flight-recorder postmortems are dumped.
 const POSTMORTEM_DIR: &str = "target/obs";
@@ -161,32 +159,21 @@ impl Shared {
     /// engine, flight recorder (with postmortem dumps on 5xx, an SLO
     /// alert's rising edge, or a degradation escalation), and the access
     /// log. Pure observability — called after the response is written.
-    #[allow(clippy::too_many_arguments)]
     fn finish_request(
         &self,
         outcome: &RequestOutcome,
-        endpoint: &str,
-        method: &str,
-        path: &str,
         trace_id: &str,
         latency_us: u64,
         queue_us: u64,
     ) {
         let now_ms = self.now_ms();
-        let status = outcome.status;
         // Probe/scrape endpoints stay out of the SLO and never trigger
         // postmortems: a failing readiness probe is the daemon *reporting*
         // unreadiness, not failing a request.
-        let probe = matches!(endpoint, "healthz" | "readyz" | "metrics");
-        if probe {
-            self.record_and_log(
-                outcome, endpoint, method, path, trace_id, latency_us, queue_us,
-            );
-            return;
-        }
-        if let Some(slo) = &self.slo {
+        let probe = matches!(outcome.endpoint, "healthz" | "readyz" | "metrics");
+        if let Some(slo) = self.slo.as_ref().filter(|_| !probe) {
             let mut engine = slo.lock().unwrap();
-            engine.observe(now_ms, latency_us, status >= 500);
+            engine.observe(now_ms, latency_us, outcome.status >= 500);
             let alerting = !engine.status(now_ms).ok();
             drop(engine);
             psca_obs::gauge("serve.slo.alerting").set(if alerting { 1.0 } else { 0.0 });
@@ -198,34 +185,11 @@ impl Shared {
                 self.slo_alerted.store(false, Ordering::SeqCst);
             }
         }
-        self.record_and_log(
-            outcome, endpoint, method, path, trace_id, latency_us, queue_us,
-        );
-        if status >= 500 {
-            self.dump_postmortem("http-5xx");
-        }
-        if outcome.escalations > 0 {
-            self.dump_postmortem("tier-escalation");
-        }
-    }
-
-    /// Flight-recorder push + access-log line for one finished request.
-    #[allow(clippy::too_many_arguments)]
-    fn record_and_log(
-        &self,
-        outcome: &RequestOutcome,
-        endpoint: &str,
-        method: &str,
-        path: &str,
-        trace_id: &str,
-        latency_us: u64,
-        queue_us: u64,
-    ) {
         psca_obs::recorder::global().push(RequestRecord {
             seq: 0,
             ts_ms: self.now_ms(),
             trace_id: trace_id.to_string(),
-            endpoint: endpoint.to_string(),
+            endpoint: outcome.endpoint.to_string(),
             status: outcome.status,
             latency_us,
             queue_us,
@@ -233,30 +197,28 @@ impl Shared {
             note: outcome.note.clone(),
         });
         if let Some(sink) = &self.access {
+            let text = |s: &str| FieldValue::Str(s.to_string());
             sink.write_event(&EventRecord {
                 level: Level::Info,
                 name: "serve.access".to_string(),
                 fields: vec![
-                    (
-                        "trace_id".to_string(),
-                        FieldValue::Str(trace_id.to_string()),
-                    ),
-                    ("method".to_string(), FieldValue::Str(method.to_string())),
-                    ("path".to_string(), FieldValue::Str(path.to_string())),
-                    (
-                        "endpoint".to_string(),
-                        FieldValue::Str(endpoint.to_string()),
-                    ),
-                    (
-                        "status".to_string(),
-                        FieldValue::U64(u64::from(outcome.status)),
-                    ),
+                    ("trace_id".to_string(), text(trace_id)),
+                    ("method".to_string(), text(&outcome.method)),
+                    ("path".to_string(), text(&outcome.path)),
+                    ("endpoint".to_string(), text(outcome.endpoint)),
+                    ("status".to_string(), FieldValue::U64(outcome.status.into())),
                     ("latency_us".to_string(), FieldValue::U64(latency_us)),
                     ("queue_us".to_string(), FieldValue::U64(queue_us)),
                 ],
                 ts_us: unix_ts_us(),
             });
             sink.flush();
+        }
+        if !probe && outcome.status >= 500 {
+            self.dump_postmortem("http-5xx");
+        }
+        if !probe && outcome.escalations > 0 {
+            self.dump_postmortem("tier-escalation");
         }
     }
 
@@ -460,13 +422,15 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     shared.config.max_connections
                 ),
             );
-            respond(&mut stream, e.status, "application/json", &e.to_json());
+            reject(&mut stream, &e);
             continue;
         }
         if depth >= shared.config.queue_capacity {
             psca_obs::counter("serve.rejected.backpressure").inc();
-            let e = ApiError::backpressure(shared.config.queue_capacity);
-            respond(&mut stream, e.status, "application/json", &e.to_json());
+            reject(
+                &mut stream,
+                &ApiError::backpressure(shared.config.queue_capacity),
+            );
             continue;
         }
         let mut q = shared.queue.lock().unwrap();
@@ -525,155 +489,20 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// One parsed HTTP request.
-struct HttpRequest {
-    method: String,
-    path: String,
-    accept_ndjson: bool,
-    /// Context parsed from an inbound W3C `traceparent` header, if any.
-    ctx: Option<TraceCtx>,
-    body: String,
+/// Answers a connection refused at accept time.
+fn reject(stream: &mut TcpStream, e: &ApiError) {
+    let _ = http::write_response(stream, e.status, "application/json", &[], &e.to_json());
 }
 
-/// True when a socket read failed because the deadline elapsed rather
-/// than because the peer misbehaved. Unix reports `WouldBlock`, Windows
-/// `TimedOut`, for an expired `set_read_timeout`.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads the head, then exactly `Content-Length` body bytes.
-///
-/// `read_timeout` is the per-read slow-client deadline
-/// ([`ServeConfig::read_timeout_ms`]); expiry surfaces as a typed `408`.
-fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-    read_timeout: Duration,
-) -> Result<HttpRequest, ApiError> {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let mut buf: Vec<u8> = Vec::with_capacity(2048);
-    let mut chunk = [0u8; 2048];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ApiError::too_large("request head too large"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ApiError::bad_request("connection closed mid-request")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                return Err(ApiError::timeout(
-                    "read deadline exceeded before request head",
-                ))
-            }
-            Err(_) => return Err(ApiError::bad_request("read failed")),
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_ascii_uppercase();
-    let path = parts.next().unwrap_or_default().to_string();
-    if method.is_empty() || path.is_empty() {
-        return Err(ApiError::bad_request("malformed request line"));
+/// The typed error for a request that could not be framed: status and
+/// message come from the framing error.
+fn frame_error(e: &FrameError) -> ApiError {
+    let message = e.to_string();
+    match e.status() {
+        408 => ApiError::timeout(message),
+        413 => ApiError::too_large(message),
+        _ => ApiError::bad_request(message),
     }
-    let mut content_length: Option<usize> = None;
-    let mut accept_ndjson = false;
-    let mut ctx = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        match name.to_ascii_lowercase().as_str() {
-            "content-length" => content_length = value.parse().ok(),
-            "accept" => accept_ndjson = value.contains("application/x-ndjson"),
-            // Malformed traceparent values are ignored (a fresh context
-            // is minted), matching W3C trace-context error handling.
-            "traceparent" => ctx = TraceCtx::parse_traceparent(value),
-            _ => {}
-        }
-    }
-    let body = if method == "POST" {
-        // A missing Content-Length means an empty body (fine for
-        // `/v1/shutdown`); body-bearing routes answer 411 themselves.
-        let len = content_length.unwrap_or(0);
-        if len > max_body {
-            return Err(ApiError::too_large(format!(
-                "body of {len} bytes exceeds the {max_body}-byte limit"
-            )));
-        }
-        let mut body = buf[head_end + 4..].to_vec();
-        while body.len() < len {
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err(ApiError::bad_request("connection closed mid-body")),
-                Ok(n) => body.extend_from_slice(&chunk[..n]),
-                Err(e) if is_timeout(&e) => {
-                    return Err(ApiError::timeout("read deadline exceeded mid-body"))
-                }
-                Err(_) => return Err(ApiError::bad_request("body read failed")),
-            }
-        }
-        body.truncate(len);
-        String::from_utf8(body).map_err(|_| ApiError::bad_request("body is not UTF-8"))?
-    } else {
-        String::new()
-    };
-    Ok(HttpRequest {
-        method,
-        path,
-        accept_ndjson,
-        ctx,
-        body,
-    })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    respond_traced(stream, status, content_type, body, None);
-}
-
-fn respond_traced(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    traceparent: Option<&str>,
-) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        411 => "Length Required",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
-    let trace_header = traceparent
-        .map(|tp| format!("traceparent: {tp}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{trace_header}Connection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
 }
 
 /// Per-request response writer: echoes the request's `traceparent` on
@@ -689,6 +518,10 @@ struct Responder<'a> {
 /// What one request came to, as recorded after the response is written.
 #[derive(Debug, Clone)]
 struct RequestOutcome {
+    /// Metric label of the route ([`endpoint_key`]).
+    endpoint: &'static str,
+    method: String,
+    path: String,
     status: u16,
     error_class: String,
     note: String,
@@ -700,6 +533,9 @@ struct RequestOutcome {
 impl Default for RequestOutcome {
     fn default() -> RequestOutcome {
         RequestOutcome {
+            endpoint: "other",
+            method: String::new(),
+            path: String::new(),
             // A connection that dies before any response is written
             // counts as a server-side failure.
             status: 500,
@@ -713,12 +549,12 @@ impl Default for RequestOutcome {
 impl Responder<'_> {
     fn send(&mut self, status: u16, content_type: &str, body: &str) {
         self.outcome.status = status;
-        respond_traced(
+        let _ = http::write_response(
             self.stream,
             status,
             content_type,
+            &[("traceparent", &self.traceparent)],
             body,
-            Some(&self.traceparent),
         );
     }
 
@@ -729,18 +565,18 @@ impl Responder<'_> {
 }
 
 /// Endpoint label for metric names.
-fn endpoint_key(method: &str, path: &str) -> &'static str {
-    match (method, path) {
-        (_, "/v1/predict") => "predict",
-        (_, "/v1/closed-loop") => "closed_loop",
-        (_, "/v1/models") => "models",
-        (_, "/v1/shutdown") => "shutdown",
-        (_, "/v1/slo") => "slo",
-        (_, "/v1/profile") => "profile",
-        (_, "/v1/debug/requests") => "debug_requests",
-        (_, "/metrics") => "metrics",
-        (_, "/healthz") => "healthz",
-        (_, "/readyz") => "readyz",
+fn endpoint_key(path: &str) -> &'static str {
+    match path {
+        "/v1/predict" => "predict",
+        "/v1/closed-loop" => "closed_loop",
+        "/v1/models" => "models",
+        "/v1/shutdown" => "shutdown",
+        "/v1/slo" => "slo",
+        "/v1/profile" => "profile",
+        "/v1/debug/requests" => "debug_requests",
+        "/metrics" => "metrics",
+        "/healthz" => "healthz",
+        "/readyz" => "readyz",
         _ => "other",
     }
 }
@@ -749,17 +585,24 @@ fn endpoint_key(method: &str, path: &str) -> &'static str {
 /// daemon shutdown.
 fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> bool {
     let started = Instant::now();
-    let parsed = read_request(
-        &mut stream,
-        shared.config.max_body_bytes,
-        Duration::from_millis(shared.config.read_timeout_ms.max(1)),
-    );
+    // The read deadline covers head and body: a stalled client gets a
+    // typed 408 instead of pinning the worker.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(
+        shared.config.read_timeout_ms.max(1),
+    )));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    let parsed = http::read_request(&mut stream, shared.config.max_body_bytes);
     // Adopt the inbound trace id (fresh span for the server hop) or mint
     // a new context at ingress. Attached for the rest of the handling,
     // so every span/instant recorded below carries the request's ids —
     // including fan-out through psca-exec and the sim.
     let ctx = match &parsed {
-        Ok(req) => req.ctx.map(|c| c.child()).unwrap_or_else(TraceCtx::mint),
+        // Malformed traceparent values are ignored (a fresh context is
+        // minted), matching W3C trace-context error handling.
+        Ok(req) => req
+            .header("traceparent")
+            .and_then(TraceCtx::parse_traceparent)
+            .map_or_else(TraceCtx::mint, |c| c.child()),
         Err(_) => TraceCtx::mint(),
     };
     let _ctx_guard = psca_obs::ctx::attach(ctx);
@@ -770,57 +613,45 @@ fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> b
     }
     psca_obs::histogram("serve.queue.wait_us").record(queue_us);
 
-    let (key, method, path, outcome, wants_shutdown) = {
+    let (outcome, wants_shutdown) = {
         let _span = psca_obs::SpanTimer::start("serve.request");
         let mut rsp = Responder {
             stream: &mut stream,
             traceparent: ctx.to_traceparent(),
             outcome: RequestOutcome::default(),
         };
-        match parsed {
+        let wants_shutdown = match parsed {
             Ok(req) => {
-                let key = endpoint_key(&req.method, &req.path);
+                let key = endpoint_key(&req.path);
                 psca_obs::counter(&format!("serve.{key}.requests")).inc();
-                let wants_shutdown = match route(&req, shared, &mut rsp) {
-                    Ok(wants_shutdown) => wants_shutdown,
-                    Err(e) => {
-                        psca_obs::counter(&format!("serve.{key}.errors")).inc();
-                        rsp.send_error(&e);
-                        false
-                    }
-                };
-                (
-                    key,
-                    req.method.clone(),
-                    req.path.clone(),
-                    rsp.outcome,
-                    wants_shutdown,
-                )
+                let routed = route(&req, shared, &mut rsp);
+                rsp.outcome.endpoint = key;
+                rsp.outcome.method = req.method;
+                rsp.outcome.path = req.path;
+                routed.unwrap_or_else(|e| {
+                    psca_obs::counter(&format!("serve.{key}.errors")).inc();
+                    rsp.send_error(&e);
+                    false
+                })
             }
             Err(e) => {
                 psca_obs::counter("serve.other.errors").inc();
-                rsp.send_error(&e);
-                ("other", String::new(), String::new(), rsp.outcome, false)
+                rsp.send_error(&frame_error(&e));
+                false
             }
-        }
+        };
+        (rsp.outcome, wants_shutdown)
     };
     let micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    psca_obs::histogram(&format!("serve.{key}.latency_us"))
-        .record_with_exemplar(micros, &ctx.trace_id_hex());
-    shared.finish_request(
-        &outcome,
-        key,
-        &method,
-        &path,
-        &ctx.trace_id_hex(),
-        micros,
-        queue_us,
-    );
+    let trace_id = ctx.trace_id_hex();
+    psca_obs::histogram(&format!("serve.{}.latency_us", outcome.endpoint))
+        .record_with_exemplar(micros, &trace_id);
+    shared.finish_request(&outcome, &trace_id, micros, queue_us);
     wants_shutdown
 }
 
 /// Dispatches a parsed request. `Ok(true)` means shut the daemon down.
-fn route(req: &HttpRequest, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool, ApiError> {
+fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool, ApiError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             // Liveness: the process is up and serving; says nothing about
@@ -857,7 +688,7 @@ fn route(req: &HttpRequest, shared: &Shared, rsp: &mut Responder<'_>) -> Result<
         }
         ("GET", "/metrics") => {
             let body = psca_obs::exporter::prometheus_text(&psca_obs::snapshot());
-            rsp.send(200, "text/plain; version=0.0.4", &body);
+            rsp.send(200, psca_obs::exporter::METRICS_CONTENT_TYPE, &body);
             Ok(false)
         }
         ("GET", "/v1/slo") => {
@@ -920,7 +751,10 @@ fn route(req: &HttpRequest, shared: &Shared, rsp: &mut Responder<'_>) -> Result<
             })?;
             parsed.check_dims(model)?;
             let scored = api::score_rows(model, parsed.mode, &parsed.rows, shared.jobs);
-            if req.accept_ndjson {
+            let ndjson = req
+                .header("accept")
+                .is_some_and(|a| a.contains("application/x-ndjson"));
+            if ndjson {
                 rsp.send(200, "application/x-ndjson", &api::predict_ndjson(&scored));
             } else {
                 rsp.send(
@@ -948,12 +782,7 @@ fn route(req: &HttpRequest, shared: &Shared, rsp: &mut Responder<'_>) -> Result<
             rsp.send(200, "application/json", &body);
             Ok(true)
         }
-        (
-            method,
-            path @ ("/healthz" | "/readyz" | "/metrics" | "/v1/models" | "/v1/slo" | "/v1/profile"
-            | "/v1/debug/requests"),
-        ) => Err(ApiError::method_not_allowed(method, path)),
-        (method, path @ ("/v1/predict" | "/v1/closed-loop" | "/v1/shutdown")) => {
+        (method, path) if endpoint_key(path) != "other" => {
             Err(ApiError::method_not_allowed(method, path))
         }
         (_, path) => Err(ApiError::not_found(format!("no route for {path}"))),
@@ -961,7 +790,7 @@ fn route(req: &HttpRequest, shared: &Shared, rsp: &mut Responder<'_>) -> Result<
 }
 
 /// Rejects body-bearing routes called without a body (411).
-fn require_body(req: &HttpRequest) -> Result<(), ApiError> {
+fn require_body(req: &Request) -> Result<(), ApiError> {
     if req.body.is_empty() {
         return Err(ApiError {
             status: 411,

@@ -1,0 +1,274 @@
+//! Property tests for the two shared parsers in `psca-obs`: the
+//! `key=value` spec tokenizer behind the chaos, skew, rollout and SLO
+//! grammars, and the HTTP/1.1 framing used by every server and client.
+
+use proptest::prelude::*;
+use psca::faults::ChaosSpec;
+use psca::fleet::{RolloutSpec, SkewSpec};
+use psca::obs::http::{self, FrameError, Response};
+use psca::obs::SloSpec;
+
+/// Every key of the four grammars, plus near misses.
+const KEYS: [&str; 29] = [
+    "seed",
+    "burst",
+    "max_rsv",
+    "telem",
+    "uc",
+    "act",
+    "all",
+    "telem.stuck",
+    "uc.drop",
+    "act.delay",
+    "cache",
+    "tlb",
+    "switch",
+    "noise",
+    "canary",
+    "waves",
+    "rsv_floor",
+    "ppw_floor",
+    "max_esc",
+    "quarantine",
+    "p99_us",
+    "availability",
+    "window_s",
+    "long_window_s",
+    "fast_burn",
+    "slow_burn",
+    "uc_drop",
+    "telem.",
+    "",
+];
+
+/// Values valid and invalid for each of the four readers.
+const VALUES: [&str; 16] = [
+    "0",
+    "1",
+    "0.5",
+    "0.125",
+    "7",
+    "600",
+    "-0",
+    "-1",
+    "nan",
+    "inf",
+    "1e400",
+    "18446744073709551616",
+    "4294967296",
+    "abc",
+    "",
+    " 0.25 ",
+];
+
+/// Whole-string and stray fragments.
+const STRAY: [&str; 8] = [" ", "default", "OFF", "Default", "é", "\u{0}", "=", "\t"];
+
+/// An arbitrary spec-like string: mostly `key=value` entries over every
+/// grammar's keys, some missing their `=`, some stray fragments.
+fn spec_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        (0u8..4, 0..KEYS.len(), 0..VALUES.len(), 0..STRAY.len()),
+        0..6,
+    )
+    .prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(shape, k, v, x)| match shape {
+                0 | 1 => format!("{}={}", KEYS[k], VALUES[v]),
+                2 => format!("{}{}", KEYS[k], VALUES[v]),
+                _ => STRAY[x].to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    })
+}
+
+/// Arbitrary bytes decoded lossily: shapes no fragment list anticipates.
+fn noise_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u8>(), 0..48)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// A rate that is zero half the time (so sparse renders are covered).
+fn rates(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec(0.0f64..1.0, n),
+        prop::collection::vec(any::<bool>(), n),
+    )
+        .prop_map(|(r, on)| {
+            r.into_iter()
+                .zip(on)
+                .map(|(r, on)| if on { r } else { 0.0 })
+                .collect()
+        })
+}
+
+/// A well-formed request whose bytes the framing fuzz mutates.
+const REQUEST: &[u8] = b"POST /v1/predict?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 11\r\n\
+traceparent: 00-0123456789abcdef0123456789abcdef-00000000000000ab-01\r\n\r\n{\"rows\":[]}";
+
+/// The framing contract: a request or a typed error, never a panic.
+fn check_frame(raw: &[u8], max_body: usize) {
+    match http::read_request(&mut &raw[..], max_body) {
+        Ok(req) => {
+            assert!(!req.path.contains('?'), "query kept: {}", req.path);
+            assert_eq!(req.method, req.method.to_ascii_uppercase());
+            assert!(req.body.len() <= max_body);
+            assert!(req.method == "POST" || req.body.is_empty());
+        }
+        Err(e) => {
+            assert!(matches!(e.status(), 400 | 408 | 413), "{e:?}");
+            assert!(
+                !matches!(e, FrameError::Timeout(_)),
+                "a slice cannot time out"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn spec_parsers_never_panic(s in spec_string(), t in noise_string()) {
+        for input in [s.as_str(), t.as_str()] {
+            for err in [
+                ChaosSpec::parse(input).err(),
+                SkewSpec::parse(input).err(),
+                RolloutSpec::parse(input).err(),
+                SloSpec::parse(input).err(),
+            ]
+            .into_iter()
+            .flatten()
+            {
+                let text = err.to_string();
+                prop_assert!(text.starts_with(&format!("'{}': ", err.entry)), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_chaos_and_skew_specs_render_back(s in spec_string()) {
+        // `max_rsv` is a harness bound, not a fault rate: `Display` leaves
+        // it out, so the re-parse keeps the default.
+        if let Ok(spec) = ChaosSpec::parse(&s) {
+            let back = ChaosSpec::parse(&spec.to_string()).unwrap();
+            prop_assert_eq!(ChaosSpec { max_rsv: spec.max_rsv, ..back }, spec);
+        }
+        if let Ok(spec) = SkewSpec::parse(&s) {
+            prop_assert_eq!(SkewSpec::parse(&spec.to_string()).unwrap(), spec);
+        }
+    }
+
+    #[test]
+    fn chaos_display_round_trips(
+        seed in any::<u64>(),
+        burst in (any::<bool>(), any::<u64>()),
+        r in rates(11),
+    ) {
+        let spec = ChaosSpec {
+            seed,
+            burst_windows: burst.0.then_some(burst.1),
+            telem_stuck: r[0],
+            telem_saturate: r[1],
+            telem_drop: r[2],
+            telem_drift: r[3],
+            telem_nan: r[4],
+            uc_drop: r[5],
+            uc_late: r[6],
+            uc_nan: r[7],
+            uc_bitflip: r[8],
+            act_lost: r[9],
+            act_delayed: r[10],
+            ..ChaosSpec::default()
+        };
+        prop_assert_eq!(ChaosSpec::parse(&spec.to_string()).unwrap(), spec);
+    }
+
+    #[test]
+    fn skew_display_round_trips(r in rates(4)) {
+        let spec = SkewSpec { cache: r[0], tlb: r[1], switch: r[2], noise: r[3] };
+        prop_assert_eq!(SkewSpec::parse(&spec.to_string()).unwrap(), spec);
+    }
+
+    #[test]
+    fn rollout_display_round_trips(
+        counts in (1usize..1_000, 0usize..100, any::<u64>(), 1u32..=u32::MAX),
+        floors in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let spec = RolloutSpec {
+            canary: counts.0,
+            waves: counts.1,
+            rsv_floor: floors.0,
+            ppw_floor: floors.1,
+            max_escalations: counts.2,
+            quarantine_after: counts.3,
+        };
+        prop_assert_eq!(RolloutSpec::parse(&spec.to_string()).unwrap(), Some(spec));
+    }
+
+    #[test]
+    fn slo_render_round_trips(
+        p99 in 1u64..=u64::MAX,
+        availability in 0.0f64..1.0,
+        floor in (any::<bool>(), 0.0f64..1.0),
+        windows in (1u64..100_000, 0u64..100_000),
+        burns in (0.001f64..1e6, 0.001f64..1e6),
+    ) {
+        let spec = SloSpec {
+            p99_latency_us: p99,
+            availability: if availability > 0.0 { availability } else { 0.5 },
+            rsv_floor: floor.0.then_some(floor.1),
+            window_s: windows.0,
+            long_window_s: windows.0 + windows.1,
+            fast_burn: burns.0,
+            slow_burn: burns.1,
+        };
+        prop_assert_eq!(SloSpec::parse(&spec.render()).unwrap(), Some(spec));
+    }
+
+    #[test]
+    fn framing_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        max_body in 0usize..64,
+    ) {
+        check_frame(&bytes, max_body);
+    }
+
+    #[test]
+    fn framing_never_panics_on_mutated_requests(
+        cut in 0usize..=REQUEST.len(),
+        flips in prop::collection::vec((0usize..REQUEST.len(), any::<u8>()), 0..4),
+        max_body in 0usize..32,
+    ) {
+        let mut raw = REQUEST[..cut].to_vec();
+        for (at, byte) in flips {
+            if at < raw.len() {
+                raw[at] = byte;
+            }
+        }
+        check_frame(&raw, max_body);
+    }
+
+    #[test]
+    fn responses_round_trip_through_parse_status(
+        status in 100u16..600,
+        body in spec_string(),
+        traced in any::<bool>(),
+    ) {
+        let extra: &[(&str, &str)] = if traced { &[("traceparent", "00-ab-cd-01")] } else { &[] };
+        let mut raw = Vec::new();
+        http::write_response(&mut raw, status, "application/json", extra, &body).unwrap();
+        prop_assert_eq!(http::parse_status(&raw), Some(status));
+        prop_assert_eq!(Response::parse(&raw), Some(Response { status, body }));
+    }
+}
+
+#[test]
+fn the_unmutated_request_frames() {
+    let req = http::read_request(&mut &REQUEST[..], 64).unwrap();
+    assert_eq!(req.path, "/v1/predict");
+    assert_eq!(req.body, "{\"rows\":[]}");
+    assert!(req.header("TRACEPARENT").is_some());
+}

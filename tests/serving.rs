@@ -196,6 +196,26 @@ fn protocol_round_trips_and_typed_errors() {
 }
 
 #[test]
+fn malformed_content_length_is_a_400_not_a_411() {
+    let daemon = start_daemon(rf_registry(11));
+    let addr = daemon.local_addr();
+    // An unparseable Content-Length is a framing error. It used to read
+    // as "absent", so /v1/predict answered a misleading 411.
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n")
+        .unwrap();
+    let r = read_response(&mut s);
+    assert_eq!(r.status, 400, "{}", r.body);
+    let doc = Json::parse(&r.body).expect("error body is JSON");
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+    // Query strings are ignored when routing.
+    let r = send(addr, "GET", "/healthz?probe=1", "");
+    assert_eq!(r.status, 200, "{}", r.body);
+    daemon.shutdown();
+}
+
+#[test]
 fn closed_loop_endpoint_runs_seeded_sims() {
     let daemon = start_daemon(rf_registry(13));
     let addr = daemon.local_addr();
