@@ -8,11 +8,13 @@
 //! 3. + PF-selected counters instead of expert counters (§6.2);
 //! 4. + screened 3-layer topology (§6.3).
 
+use super::screen::sweep_grouped;
 use crate::config::ExperimentConfig;
 use crate::counters::{CHARSTAR_COUNTERS, TABLE4_COUNTERS};
 use crate::experiments::eval::evaluate_model_on_corpus;
 use crate::paired::CorpusTelemetry;
 use crate::zoo::train_custom_mlp;
+use psca_telemetry::Event;
 
 /// One mitigation step.
 #[derive(Debug, Clone)]
@@ -34,95 +36,110 @@ pub struct Fig10 {
     pub steps: Vec<Fig10Step>,
 }
 
+/// Label, counters, topology, paper RSV and seed tag of one step.
+type Step = (
+    &'static str,
+    &'static [Event],
+    &'static [usize],
+    f64,
+    &'static str,
+);
+
 /// Runs the ablation.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Fig10 {
     // Scope global metrics/series to this experiment (see ISSUE 2).
     psca_obs::reset_all();
     let g = 2; // CHARSTAR granularity for the baseline steps
-    let mut steps = Vec::new();
+    let steps: [Step; 4] = [
+        // Step 1: SPEC-only training (leave-one-benchmark-out), expert
+        // counters, 1-layer topology.
+        (
+            "baseline MLP, SPEC-only training",
+            &CHARSTAR_COUNTERS,
+            &[10],
+            0.165,
+            "fig10-spec",
+        ),
+        // Step 2: + HDTR diversity.
+        (
+            "+ high-diversity training (HDTR)",
+            &CHARSTAR_COUNTERS,
+            &[10],
+            0.109,
+            "fig10-hdtr",
+        ),
+        // Step 3: + PF-selected counters.
+        (
+            "+ PF counter selection",
+            &TABLE4_COUNTERS,
+            &[10],
+            0.043,
+            "fig10-pf",
+        ),
+        // Step 4: + screened 3-layer topology.
+        (
+            "+ hyperparameter screening (3-layer)",
+            &TABLE4_COUNTERS,
+            &[8, 8, 4],
+            0.012,
+            "fig10-topo",
+        ),
+    ];
 
-    // Step 1: SPEC-only training (leave-one-benchmark-out), expert
-    // counters, 1-layer topology.
-    {
-        let mut rsv_sum = 0.0;
-        let mut ppw_sum = 0.0;
-        let mut n = 0.0;
-        let apps = spec.app_ids();
-        for &held in &apps {
-            let tune: Vec<u32> = apps.iter().copied().filter(|&a| a != held).collect();
-            let tune_corpus = spec.filter_apps(&tune);
-            let held_corpus = spec.filter_apps(&[held]);
-            let model = train_custom_mlp(
-                &tune_corpus,
-                cfg,
-                &CHARSTAR_COUNTERS,
-                &[10],
-                g,
-                cfg.sub_seed("fig10-spec") ^ held as u64,
-            );
-            let e = evaluate_model_on_corpus(&model, &held_corpus, cfg);
-            rsv_sum += e.overall.rsv;
-            ppw_sum += e.overall.ppw_gain;
-            n += 1.0;
-        }
-        steps.push(Fig10Step {
-            label: "baseline MLP, SPEC-only training".into(),
-            rsv: rsv_sum / n,
-            ppw_gain: ppw_sum / n,
-            paper_rsv: 0.165,
-        });
-    }
-
-    // Steps 2–4 average over several training seeds: a single MLP
+    // One cell per model: step 1 holds out each SPEC benchmark in turn;
+    // steps 2–4 average over several training seeds, because a single MLP
     // initialization makes blindspot magnitude noisy, and the step
     // structure — not one lucky model — is the claim under test.
-    let seeds = 3u64;
-    let averaged = |label: &str,
-                    counters: &[psca_telemetry::Event],
-                    hidden: &[usize],
-                    paper_rsv: f64,
-                    tag: &str| {
-        let mut rsv = 0.0;
-        let mut ppw = 0.0;
-        for s in 0..seeds {
-            let model = train_custom_mlp(hdtr, cfg, counters, hidden, g, cfg.sub_seed(tag) ^ s);
-            let e = evaluate_model_on_corpus(&model, spec, cfg);
-            rsv += e.overall.rsv;
-            ppw += e.overall.ppw_gain;
-        }
-        Fig10Step {
-            label: label.into(),
-            rsv: rsv / seeds as f64,
-            ppw_gain: ppw / seeds as f64,
-            paper_rsv,
-        }
-    };
+    let apps = spec.app_ids();
+    let mut cells: Vec<(usize, (Option<u32>, u64))> = apps
+        .iter()
+        .map(|&held| (0, (Some(held), held as u64)))
+        .collect();
+    for si in 1..steps.len() {
+        cells.extend((0..3u64).map(|seed| (si, (None, seed))));
+    }
+    let evals = sweep_grouped(
+        "fig10.models",
+        cfg.jobs,
+        steps.len(),
+        cells,
+        |si, &(held, salt)| {
+            let (_, counters, hidden, _, tag) = steps[si];
+            let seed = cfg.sub_seed(tag) ^ salt;
+            let e = match held {
+                Some(held) => {
+                    let tune: Vec<u32> = apps.iter().copied().filter(|&a| a != held).collect();
+                    let tune = spec.filter_apps(&tune);
+                    let model = train_custom_mlp(&tune, cfg, counters, hidden, g, seed);
+                    evaluate_model_on_corpus(&model, &spec.filter_apps(&[held]), cfg)
+                }
+                None => {
+                    let model = train_custom_mlp(hdtr, cfg, counters, hidden, g, seed);
+                    evaluate_model_on_corpus(&model, spec, cfg)
+                }
+            };
+            (e.overall.rsv, e.overall.ppw_gain)
+        },
+    );
 
-    // Step 2: + HDTR diversity.
-    steps.push(averaged(
-        "+ high-diversity training (HDTR)",
-        &CHARSTAR_COUNTERS,
-        &[10],
-        0.109,
-        "fig10-hdtr",
-    ));
-    // Step 3: + PF-selected counters.
-    steps.push(averaged(
-        "+ PF counter selection",
-        &TABLE4_COUNTERS,
-        &[10],
-        0.043,
-        "fig10-pf",
-    ));
-    // Step 4: + screened 3-layer topology.
-    steps.push(averaged(
-        "+ hyperparameter screening (3-layer)",
-        &TABLE4_COUNTERS,
-        &[8, 8, 4],
-        0.012,
-        "fig10-topo",
-    ));
-
+    let steps = steps
+        .iter()
+        .zip(&evals)
+        .map(|(&(label, _, _, paper_rsv, _), evals)| {
+            // Means summed in cell order.
+            let (mut rsv, mut ppw_gain) = (0.0, 0.0);
+            for &(r, p) in evals {
+                rsv += r;
+                ppw_gain += p;
+            }
+            Fig10Step {
+                label: label.into(),
+                rsv: rsv / evals.len() as f64,
+                ppw_gain: ppw_gain / evals.len() as f64,
+                paper_rsv,
+            }
+        })
+        .collect();
     Fig10 { steps }
 }
 

@@ -11,17 +11,18 @@
 //! evaluation. Pooling only matters for these design-time screens, where
 //! relative ordering across configurations is what is read off the plot.
 
+use super::screen::{fit_fold, sweep_grouped, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::TABLE4_COUNTERS;
 use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
-use psca_ml::crossval::{group_folds, mean_std};
-use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{Mlp, MlpConfig, Standardizer};
+use psca_ml::crossval::group_folds;
+use psca_ml::MlpConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 /// One point of the Figure 4 series.
 #[derive(Debug, Clone, Copy)]
@@ -70,58 +71,71 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig4 {
         epochs: 20,
         ..MlpConfig::default()
     };
+    // Draw every (size, fold) tuning subset serially from the one shared
+    // stream, then fit the cells in parallel.
     let mut rng = StdRng::seed_from_u64(cfg.sub_seed("fig4-subset"));
-    let total_apps = raw.distinct_groups().len();
-    let mut points = Vec::new();
-    for apps in sweep_sizes(total_apps) {
-        let mut pgos_vals = Vec::new();
-        let mut rsv_vals = Vec::new();
+    let sizes = sweep_sizes(raw.distinct_groups().len());
+    let mut cells = Vec::new();
+    for (si, &apps) in sizes.iter().enumerate() {
         for (fi, fold) in folds.iter().enumerate() {
             // Restrict the tuning side to `apps` distinct applications.
-            let tune_full = raw.subset(&fold.tune);
-            let mut tune_apps = tune_full.distinct_groups();
+            let mut tune_apps = raw.subset(&fold.tune).distinct_groups();
             tune_apps.shuffle(&mut rng);
             tune_apps.truncate(apps);
-            let keep: std::collections::HashSet<u32> = tune_apps.into_iter().collect();
-            let idx: Vec<usize> = (0..tune_full.len())
-                .filter(|&i| keep.contains(&tune_full.groups()[i]))
+            let keep: HashSet<u32> = tune_apps.into_iter().collect();
+            let idx: Vec<usize> = fold
+                .tune
+                .iter()
+                .copied()
+                .filter(|&i| keep.contains(&raw.groups()[i]))
                 .collect();
-            if idx.is_empty() {
-                continue;
+            if !idx.is_empty() {
+                cells.push((si, (fi, idx)));
             }
-            let tune_raw = tune_full.subset(&idx);
+        }
+    }
+    let scores = sweep_grouped(
+        "fig4.folds",
+        cfg.jobs,
+        sizes.len(),
+        cells,
+        |_, (fi, idx)| {
+            let fold = &folds[*fi];
+            let tune_raw = raw.subset(idx);
             if tune_raw.positive_rate() == 0.0 || tune_raw.positive_rate() == 1.0 {
                 // Degenerate single-class tuning set (possible at 1 app):
                 // the model predicts the constant class.
                 let constant = (tune_raw.positive_rate() == 1.0) as u8;
                 let val = raw.subset(&fold.validate);
                 let preds = vec![constant; val.len()];
-                let c = Confusion::from_predictions(val.labels(), &preds);
-                pgos_vals.push(c.pgos());
-                rsv_vals.push(rate_of_sla_violations(val.labels(), &preds, w));
-                continue;
+                return FoldScore::of(val.labels(), &preds, w);
             }
-            let std = Standardizer::fit(&tune_raw);
-            let tune = std.transform_dataset(&tune_raw);
-            let val = std.transform_dataset(&raw.subset(&fold.validate));
-            let mlp = Mlp::fit(&mlp_cfg, &tune, cfg.sub_seed("fig4-mlp") ^ fi as u64);
-            let preds: Vec<u8> = (0..val.len())
-                .map(|i| mlp.predict(val.sample(i).0) as u8)
-                .collect();
-            let c = Confusion::from_predictions(val.labels(), &preds);
-            pgos_vals.push(c.pgos());
-            rsv_vals.push(rate_of_sla_violations(val.labels(), &preds, w));
-        }
-        let (pm, ps) = mean_std(&pgos_vals);
-        let (rm, rs) = mean_std(&rsv_vals);
-        points.push(Fig4Point {
-            apps,
-            pgos_mean: pm,
-            pgos_std: ps,
-            rsv_mean: rm,
-            rsv_std: rs,
-        });
-    }
+            let seed = cfg.sub_seed("fig4-mlp") ^ *fi as u64;
+            fit_fold(
+                &tune_raw,
+                &raw.subset(&fold.validate),
+                &mlp_cfg,
+                seed,
+                w,
+                false,
+            )
+            .1
+        },
+    );
+    let points = sizes
+        .into_iter()
+        .zip(&scores)
+        .map(|(apps, scores)| {
+            let ((pm, ps), (rm, rs)) = FoldScore::summarize(scores);
+            Fig4Point {
+                apps,
+                pgos_mean: pm,
+                pgos_std: ps,
+                rsv_mean: rm,
+                rsv_std: rs,
+            }
+        })
+        .collect();
     Fig4 { points }
 }
 

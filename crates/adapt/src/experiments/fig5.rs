@@ -1,14 +1,14 @@
 //! Figure 5: telemetry information content — number of counters vs PGOS
 //! and RSV, and PF-selected vs expert-chosen counters (§6.2).
 
+use super::screen::{fit_fold, sweep_grouped, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::{run_counter_selection, CHARSTAR_COUNTERS};
 use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
-use psca_ml::crossval::{group_folds, mean_std};
-use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{Mlp, MlpConfig, Standardizer};
+use psca_ml::crossval::group_folds;
+use psca_ml::MlpConfig;
 use psca_telemetry::Event;
 
 /// One point of the counter-count sweep.
@@ -33,36 +33,40 @@ pub struct Fig5 {
     pub pf_order: Vec<Event>,
 }
 
-/// Cross-validated metrics of an MLP on a counter set.
-fn evaluate_counters(
+/// Cross-validated PGOS and RSV `(mean, std)` of an MLP on each
+/// `(counter set, tag)`, with one parallel cell per (set, fold).
+fn evaluate_counter_sets(
     cfg: &ExperimentConfig,
     hdtr: &CorpusTelemetry,
-    events: &[Event],
-    tag: u64,
-) -> ((f64, f64), (f64, f64)) {
-    let raw = build_dataset(hdtr, Mode::LowPower, events, 1, &cfg.sla);
+    sets: &[(&[Event], u64)],
+) -> Vec<((f64, f64), (f64, f64))> {
     let w = violation_window(cfg, 1);
-    let folds = group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig5") ^ tag);
     let mlp_cfg = MlpConfig {
         hidden: vec![32, 32, 16],
         epochs: 20,
         ..MlpConfig::default()
     };
-    let mut pgos_vals = Vec::new();
-    let mut rsv_vals = Vec::new();
-    for (fi, fold) in folds.iter().enumerate() {
-        let tune_raw = raw.subset(&fold.tune);
-        let std = Standardizer::fit(&tune_raw);
-        let tune = std.transform_dataset(&tune_raw);
-        let val = std.transform_dataset(&raw.subset(&fold.validate));
-        let mlp = Mlp::fit(&mlp_cfg, &tune, cfg.sub_seed("fig5-mlp") ^ tag ^ fi as u64);
-        let preds: Vec<u8> = (0..val.len())
-            .map(|i| mlp.predict(val.sample(i).0) as u8)
-            .collect();
-        pgos_vals.push(Confusion::from_predictions(val.labels(), &preds).pgos());
-        rsv_vals.push(rate_of_sla_violations(val.labels(), &preds, w));
-    }
-    (mean_std(&pgos_vals), mean_std(&rsv_vals))
+    let splits: Vec<_> = sets
+        .iter()
+        .map(|&(events, tag)| {
+            let raw = build_dataset(hdtr, Mode::LowPower, events, 1, &cfg.sla);
+            let folds = group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig5") ^ tag);
+            (raw, folds)
+        })
+        .collect();
+    let cells = splits
+        .iter()
+        .enumerate()
+        .flat_map(|(si, (_, folds))| (0..folds.len()).map(move |fi| (si, fi)))
+        .collect();
+    let scores = sweep_grouped("fig5.folds", cfg.jobs, sets.len(), cells, |si, &fi| {
+        let (raw, folds) = &splits[si];
+        let fold = &folds[fi];
+        let seed = cfg.sub_seed("fig5-mlp") ^ sets[si].1 ^ fi as u64;
+        let (tune_raw, val_raw) = (raw.subset(&fold.tune), raw.subset(&fold.validate));
+        fit_fold(&tune_raw, &val_raw, &mlp_cfg, seed, w, false).1
+    });
+    scores.iter().map(|s| FoldScore::summarize(s)).collect()
 }
 
 /// Runs the counter-count sweep and the PF-vs-expert comparison.
@@ -78,25 +82,30 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig5 {
             pf_order.push(*e);
         }
     }
-    let mut pf_sweep = Vec::new();
-    for &r in &[2usize, 4, 8, 12, 16, 24, 32] {
-        if r > pf_order.len() {
-            break;
-        }
-        let events = &pf_order[..r];
-        let (pgos, rsv) = evaluate_counters(cfg, hdtr, events, r as u64);
-        pf_sweep.push(Fig5Point {
-            counters: r,
-            pgos,
-            rsv,
-        });
-    }
-    let (pgos, rsv) = evaluate_counters(cfg, hdtr, &CHARSTAR_COUNTERS, 999);
+    let counts: Vec<usize> = [2usize, 4, 8, 12, 16, 24, 32]
+        .into_iter()
+        .take_while(|&r| r <= pf_order.len())
+        .collect();
+    // The PF prefixes, then the expert set last.
+    let mut sets: Vec<(&[Event], u64)> =
+        counts.iter().map(|&r| (&pf_order[..r], r as u64)).collect();
+    sets.push((&CHARSTAR_COUNTERS, 999));
+    let mut metrics = evaluate_counter_sets(cfg, hdtr, &sets);
+    let (pgos, rsv) = metrics.pop().expect("the expert set is evaluated");
     let expert = Fig5Point {
         counters: CHARSTAR_COUNTERS.len(),
         pgos,
         rsv,
     };
+    let pf_sweep = counts
+        .into_iter()
+        .zip(metrics)
+        .map(|(counters, (pgos, rsv))| Fig5Point {
+            counters,
+            pgos,
+            rsv,
+        })
+        .collect();
     Fig5 {
         pf_sweep,
         expert,

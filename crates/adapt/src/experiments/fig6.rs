@@ -6,14 +6,14 @@
 //! budget panel, restricted to nets affordable at a 50k-instruction
 //! prediction interval.
 
+use super::screen::{fit_fold, sweep_grouped, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::TABLE4_COUNTERS;
 use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
-use psca_ml::crossval::{group_folds, mean_std};
-use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{Mlp, MlpConfig, Standardizer};
+use psca_ml::crossval::group_folds;
+use psca_ml::MlpConfig;
 use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec};
 
 /// One screened network.
@@ -64,52 +64,42 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig6 {
     let w = violation_window(cfg, 1);
     let folds = group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig6"));
     let budget_50k = ops_budget(&CpuSpec::paper(), &McuSpec::paper(), 50_000).budget;
-    let mut points = Vec::new();
-    for hidden in topology_grid() {
+    let grid = topology_grid();
+    let cells = (0..grid.len())
+        .flat_map(|ti| (0..folds.len()).map(move |fi| (ti, fi)))
+        .collect();
+    let results = sweep_grouped("fig6.folds", cfg.jobs, grid.len(), cells, |ti, &fi| {
         let mlp_cfg = MlpConfig {
-            hidden: hidden.clone(),
+            hidden: grid[ti].clone(),
             epochs: 20,
             ..MlpConfig::default()
         };
-        let mut pgos_vals = Vec::new();
-        let mut rsv_vals = Vec::new();
-        let mut ops = 0;
-        for (fi, fold) in folds.iter().enumerate() {
-            let tune_raw = raw.subset(&fold.tune);
-            let std = Standardizer::fit(&tune_raw);
-            let tune = std.transform_dataset(&tune_raw);
-            let val = std.transform_dataset(&raw.subset(&fold.validate));
-            let mut mlp = Mlp::fit(&mlp_cfg, &tune, cfg.sub_seed("fig6-mlp") ^ fi as u64);
-            // Sensitivity adjustment: keep tuning-set RSV below 1% (§6.3).
-            let mut fw = FirmwareModel::Mlp(mlp.clone());
-            crate::train::tune_threshold(
-                &mut fw,
-                tune.features(),
-                tune.labels(),
-                w,
-                crate::train::THRESHOLD_TARGET_RSV,
-            );
-            if let FirmwareModel::Mlp(tuned) = &fw {
-                mlp = tuned.clone();
+        let fold = &folds[fi];
+        let seed = cfg.sub_seed("fig6-mlp") ^ fi as u64;
+        let (tune_raw, val_raw) = (raw.subset(&fold.tune), raw.subset(&fold.validate));
+        let (mlp, score) = fit_fold(&tune_raw, &val_raw, &mlp_cfg, seed, w, true);
+        (
+            score,
+            FirmwareModel::Mlp(mlp).ops_per_prediction(events.len()),
+        )
+    });
+    let points: Vec<Fig6Point> = grid
+        .into_iter()
+        .zip(results)
+        .map(|(hidden, folds)| {
+            let ops = folds.last().map_or(0, |&(_, ops)| ops);
+            let scores: Vec<FoldScore> = folds.into_iter().map(|(score, _)| score).collect();
+            let ((pm, ps), (rm, _)) = FoldScore::summarize(&scores);
+            Fig6Point {
+                hidden,
+                pgos_mean: pm,
+                pgos_std: ps,
+                rsv_mean: rm,
+                ops,
+                fits_50k_budget: ops <= budget_50k,
             }
-            ops = fw.ops_per_prediction(events.len());
-            let preds: Vec<u8> = (0..val.len())
-                .map(|i| mlp.predict(val.sample(i).0) as u8)
-                .collect();
-            pgos_vals.push(Confusion::from_predictions(val.labels(), &preds).pgos());
-            rsv_vals.push(rate_of_sla_violations(val.labels(), &preds, w));
-        }
-        let (pm, ps) = mean_std(&pgos_vals);
-        let (rm, _) = mean_std(&rsv_vals);
-        points.push(Fig6Point {
-            hidden,
-            pgos_mean: pm,
-            pgos_std: ps,
-            rsv_mean: rm,
-            ops,
-            fits_50k_budget: ops <= budget_50k,
-        });
-    }
+        })
+        .collect();
     // Selection: among in-budget nets within 95% of the best in-budget
     // mean, minimize RSV first (the deployment-critical metric), breaking
     // near-ties by PGOS std.

@@ -21,6 +21,7 @@ pub mod table5;
 pub mod table6;
 
 mod eval;
+mod screen;
 
 pub use eval::{
     evaluate_model_on_corpus, evaluate_with_guardrail, ModelEvaluation, PerAppEvaluation,

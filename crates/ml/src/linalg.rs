@@ -119,6 +119,18 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The row-major elements.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The row-major elements, mutably.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix product `self * other`.
     ///
     /// # Panics

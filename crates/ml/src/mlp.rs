@@ -58,9 +58,9 @@ struct Layer {
     /// `out × in` weights.
     w: Matrix,
     b: Vec<f64>,
-    // Adam state
-    mw: Matrix,
-    vw: Matrix,
+    // Adam state; `mw`/`vw` are row-major like `w`.
+    mw: Vec<f64>,
+    vw: Vec<f64>,
     mb: Vec<f64>,
     vb: Vec<f64>,
 }
@@ -74,13 +74,100 @@ impl Layer {
                 w.set(r, c, (rng.gen::<f64>() * 2.0 - 1.0) * scale);
             }
         }
+        Layer::with_params(w, vec![0.0; output])
+    }
+
+    /// A layer with the given parameters and zeroed Adam state.
+    fn with_params(w: Matrix, b: Vec<f64>) -> Layer {
         Layer {
-            mw: Matrix::zeros(output, input),
-            vw: Matrix::zeros(output, input),
-            mb: vec![0.0; output],
-            vb: vec![0.0; output],
-            b: vec![0.0; output],
+            mw: vec![0.0; w.rows() * w.cols()],
+            vw: vec![0.0; w.rows() * w.cols()],
+            mb: vec![0.0; b.len()],
+            vb: vec![0.0; b.len()],
+            b,
             w,
+        }
+    }
+
+    /// Output width (filter count).
+    fn width(&self) -> usize {
+        self.b.len()
+    }
+
+    /// `out[r] = dot(w.row(r), input) + b[r]`.
+    ///
+    /// Four rows run in lockstep, but each row keeps its own accumulator
+    /// that sums its products in column order from the value
+    /// `Iterator::sum` starts at, so every `out[r]` is bit-identical to
+    /// [`crate::linalg::dot`] plus the bias.
+    ///
+    /// # Panics
+    /// Panics if `input.len()` is not the layer's input width.
+    fn affine(&self, input: &[f64], out: &mut [f64]) {
+        let cols = self.w.cols();
+        assert_eq!(input.len(), cols, "dimension mismatch");
+        let w = self.w.as_slice();
+        let row = |r: usize| &w[r * cols..(r + 1) * cols];
+        let init: f64 = std::iter::empty::<f64>().sum();
+        let split = out.len() / 4 * 4;
+        let (quads, rest) = out.split_at_mut(split);
+        let quads = quads.chunks_exact_mut(4).zip(self.b.chunks_exact(4));
+        for (r, (out, b)) in (0..).step_by(4).zip(quads) {
+            let mut acc = [init; 4];
+            let rows = input
+                .iter()
+                .zip(row(r))
+                .zip(row(r + 1))
+                .zip(row(r + 2))
+                .zip(row(r + 3));
+            for ((((&x, &w0), &w1), &w2), &w3) in rows {
+                acc[0] += w0 * x;
+                acc[1] += w1 * x;
+                acc[2] += w2 * x;
+                acc[3] += w3 * x;
+            }
+            for ((o, &b), a) in out.iter_mut().zip(b).zip(acc) {
+                *o = a + b;
+            }
+        }
+        for (r, (o, &b)) in (split..).zip(rest.iter_mut().zip(&self.b[split..])) {
+            *o = crate::linalg::dot(row(r), input) + b;
+        }
+    }
+}
+
+/// Per-fit training buffers, sized once from the topology so the
+/// per-sample forward and backward passes allocate nothing.
+struct Scratch {
+    /// Pre-activations `z` of every layer.
+    zs: Vec<Vec<f64>>,
+    /// ReLU activations of every hidden layer (the head is linear).
+    acts: Vec<Vec<f64>>,
+    /// Backprop deltas of the current layer and the one below it.
+    delta: Vec<f64>,
+    next: Vec<f64>,
+    /// Minibatch gradient sums, shaped like each layer's `w` and `b`.
+    grad_w: Vec<Vec<f64>>,
+    grad_b: Vec<Vec<f64>>,
+}
+
+impl Scratch {
+    fn new(layers: &[Layer]) -> Scratch {
+        // Deltas span a layer's inputs, or the 1-wide head.
+        let delta_width = layers.iter().map(|l| l.w.cols()).fold(1, usize::max);
+        Scratch {
+            zs: layers.iter().map(|l| vec![0.0; l.width()]).collect(),
+            acts: layers[..layers.len() - 1]
+                .iter()
+                .map(|l| vec![0.0; l.width()])
+                .collect(),
+            delta: vec![0.0; delta_width],
+            next: vec![0.0; delta_width],
+            grad_w: layers
+                .iter()
+                .map(|l| vec![0.0; l.w.rows() * l.w.cols()])
+                .collect(),
+            grad_b: layers.iter().map(|l| vec![0.0; l.width()]).collect(),
         }
     }
 }
@@ -129,11 +216,12 @@ impl Mlp {
             threshold: 0.5,
             adam_t: 0,
         };
+        let mut scratch = Scratch::new(&mlp.layers);
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
-                mlp.train_batch(cfg, data, chunk);
+                mlp.train_batch(cfg, data, chunk, &mut scratch);
             }
         }
         mlp
@@ -160,14 +248,7 @@ impl Mlp {
             .into_iter()
             .map(|(w, b)| {
                 assert_eq!(w.rows(), b.len(), "bias arity mismatch");
-                Layer {
-                    mw: Matrix::zeros(w.rows(), w.cols()),
-                    vw: Matrix::zeros(w.rows(), w.cols()),
-                    mb: vec![0.0; b.len()],
-                    vb: vec![0.0; b.len()],
-                    b,
-                    w,
-                }
+                Layer::with_params(w, b)
             })
             .collect();
         Mlp {
@@ -219,8 +300,15 @@ impl Mlp {
     /// # Panics
     /// Panics if `x` has wrong dimensionality.
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        let (acts, _) = self.forward(x);
-        sigmoid(acts.last().unwrap()[0])
+        // Two ping-pong buffers, each the width of the widest layer: on
+        // the stack for the nets the paper deploys and screens.
+        const INLINE_WIDTH: usize = 32;
+        let widest = self.layers.iter().map(Layer::width).max().unwrap_or(1);
+        if widest <= INLINE_WIDTH {
+            self.proba_with(x, &mut [0.0; 2 * INLINE_WIDTH])
+        } else {
+            self.proba_with(x, &mut vec![0.0; 2 * widest])
+        }
     }
 
     /// Thresholded prediction.
@@ -228,67 +316,75 @@ impl Mlp {
         self.predict_proba(x) >= self.threshold
     }
 
-    /// Forward pass returning pre-activations (`z`) and activations.
-    fn forward(&self, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut zs = Vec::with_capacity(self.layers.len());
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(x.to_vec());
-        let mut cur = x.to_vec();
+    /// Inference through the two halves of `buf`.
+    fn proba_with(&self, x: &[f64], buf: &mut [f64]) -> f64 {
+        let (mut cur, mut out) = buf.split_at_mut(buf.len() / 2);
+        let last = self.layers.len() - 1;
+        let mut input = x;
         for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.w.matvec(&cur);
-            for (zi, bi) in z.iter_mut().zip(&layer.b) {
-                *zi += bi;
+            let z = &mut out[..layer.width()];
+            layer.affine(input, z);
+            if li < last {
+                relu(z);
             }
-            let last = li == self.layers.len() - 1;
-            let a: Vec<f64> = if last {
-                z.clone() // linear head; sigmoid applied in the loss
-            } else {
-                z.iter().map(|&v| v.max(0.0)).collect()
-            };
-            zs.push(z);
-            activations.push(a.clone());
-            cur = a;
+            std::mem::swap(&mut cur, &mut out);
+            input = &cur[..layer.width()];
         }
-        (zs, activations)
+        sigmoid(input[0])
     }
 
-    fn train_batch(&mut self, cfg: &MlpConfig, data: &Dataset, idx: &[usize]) {
+    /// Forward pass storing every layer's `z` and hidden activation.
+    fn forward(&self, x: &[f64], s: &mut Scratch) {
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let input = if li == 0 { x } else { &s.acts[li - 1] };
+            layer.affine(input, &mut s.zs[li]);
+            if li < last {
+                s.acts[li].copy_from_slice(&s.zs[li]);
+                relu(&mut s.acts[li]);
+            }
+        }
+    }
+
+    fn train_batch(&mut self, cfg: &MlpConfig, data: &Dataset, idx: &[usize], s: &mut Scratch) {
         let nl = self.layers.len();
-        let mut grads_w: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.w.rows(), l.w.cols()))
-            .collect();
-        let mut grads_b: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        for g in s.grad_w.iter_mut().chain(s.grad_b.iter_mut()) {
+            g.fill(0.0);
+        }
         for &i in idx {
             let (x, y) = data.sample(i);
-            let (zs, acts) = self.forward(x);
+            self.forward(x, s);
             // BCE with logits: dL/dz_out = sigmoid(z) - y.
-            let mut delta = vec![sigmoid(zs[nl - 1][0]) - y as f64];
+            s.delta[0] = sigmoid(s.zs[nl - 1][0]) - y as f64;
+            let mut width = 1;
             for li in (0..nl).rev() {
-                let input = &acts[li];
-                for (r, &d) in delta.iter().enumerate() {
-                    grads_b[li][r] += d;
-                    let grow = grads_w[li].row_mut(r);
-                    for (gc, &xin) in grow.iter_mut().zip(input) {
+                let input = if li == 0 { x } else { &s.acts[li - 1] };
+                let cols = input.len();
+                let delta = &s.delta[..width];
+                let grad_w = &mut s.grad_w[li];
+                for (r, (&d, gb)) in delta.iter().zip(s.grad_b[li].iter_mut()).enumerate() {
+                    *gb += d;
+                    for (gc, &xin) in grad_w[r * cols..(r + 1) * cols].iter_mut().zip(input) {
                         *gc += d * xin;
                     }
                 }
                 if li > 0 {
-                    let mut next = vec![0.0; self.layers[li].w.cols()];
+                    let next = &mut s.next[..cols];
+                    next.fill(0.0);
+                    let w = self.layers[li].w.as_slice();
                     for (r, &d) in delta.iter().enumerate() {
-                        let wrow = self.layers[li].w.row(r);
-                        for (nv, &w) in next.iter_mut().zip(wrow) {
-                            *nv += d * w;
+                        for (nv, &wv) in next.iter_mut().zip(&w[r * cols..(r + 1) * cols]) {
+                            *nv += d * wv;
                         }
                     }
                     // ReLU derivative of the previous layer.
-                    for (nv, &z) in next.iter_mut().zip(&zs[li - 1]) {
+                    for (nv, &z) in next.iter_mut().zip(&s.zs[li - 1]) {
                         if z <= 0.0 {
                             *nv = 0.0;
                         }
                     }
-                    delta = next;
+                    std::mem::swap(&mut s.delta, &mut s.next);
+                    width = cols;
                 }
             }
         }
@@ -300,24 +396,45 @@ impl Mlp {
         let bc2 = 1.0 - b2.powf(t);
         let scale = 1.0 / idx.len() as f64;
         for (li, layer) in self.layers.iter_mut().enumerate() {
-            for (r, &gb) in grads_b[li].iter().enumerate() {
-                for c in 0..layer.w.cols() {
-                    let g = grads_w[li].get(r, c) * scale + cfg.weight_decay * layer.w.get(r, c);
-                    let m = b1 * layer.mw.get(r, c) + (1.0 - b1) * g;
-                    let v = b2 * layer.vw.get(r, c) + (1.0 - b2) * g * g;
-                    layer.mw.set(r, c, m);
-                    layer.vw.set(r, c, v);
-                    let step = cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
-                    layer.w.set(r, c, layer.w.get(r, c) - step);
-                }
+            let params = layer
+                .w
+                .as_mut_slice()
+                .iter_mut()
+                .zip(&mut layer.mw)
+                .zip(&mut layer.vw)
+                .zip(&s.grad_w[li]);
+            for (((w, mw), vw), &gw) in params {
+                let g = gw * scale + cfg.weight_decay * *w;
+                let m = b1 * *mw + (1.0 - b1) * g;
+                let v = b2 * *vw + (1.0 - b2) * g * g;
+                *mw = m;
+                *vw = v;
+                let step = cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
+                *w -= step;
+            }
+            let params = layer
+                .b
+                .iter_mut()
+                .zip(&mut layer.mb)
+                .zip(&mut layer.vb)
+                .zip(&s.grad_b[li]);
+            for (((b, mb), vb), &gb) in params {
                 let g = gb * scale;
-                let m = b1 * layer.mb[r] + (1.0 - b1) * g;
-                let v = b2 * layer.vb[r] + (1.0 - b2) * g * g;
-                layer.mb[r] = m;
-                layer.vb[r] = v;
-                layer.b[r] -= cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
+                let m = b1 * *mb + (1.0 - b1) * g;
+                let v = b2 * *vb + (1.0 - b2) * g * g;
+                *mb = m;
+                *vb = v;
+                *b -= cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
             }
         }
+    }
+}
+
+/// In-place ReLU.
+#[inline]
+fn relu(z: &mut [f64]) {
+    for v in z {
+        *v = v.max(0.0);
     }
 }
 
@@ -387,6 +504,33 @@ mod tests {
         assert_eq!(mlp.num_parameters(), 24 + 72 + 36 + 5);
         assert_eq!(mlp.num_layers(), 4);
         assert_eq!(mlp.num_hidden_layers(), 3);
+    }
+
+    #[test]
+    fn inference_matches_a_reference_forward_pass() {
+        // Widths up to 32 run in stack buffers, wider nets on the heap;
+        // both must equal the plain matvec-plus-bias pass bit for bit.
+        let data = xor_dataset(120);
+        for hidden in [vec![8, 8, 4], vec![40, 33]] {
+            let cfg = MlpConfig {
+                hidden,
+                epochs: 3,
+                ..MlpConfig::default()
+            };
+            let mlp = Mlp::fit(&cfg, &data, 4);
+            for i in 0..data.len() {
+                let mut a = data.sample(i).0.to_vec();
+                for li in 0..mlp.num_layers() {
+                    let (w, b) = mlp.layer_weights(li);
+                    a = w.matvec(&a).iter().zip(b).map(|(z, b)| z + b).collect();
+                    if li + 1 < mlp.num_layers() {
+                        a.iter_mut().for_each(|v| *v = v.max(0.0));
+                    }
+                }
+                let got = mlp.predict_proba(data.sample(i).0);
+                assert_eq!(got.to_bits(), sigmoid(a[0]).to_bits());
+            }
+        }
     }
 
     #[test]

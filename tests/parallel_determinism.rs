@@ -6,7 +6,7 @@
 //! seeds, merge in cell order, and order-sensitive series are replayed in
 //! cell order, so the worker count is invisible in every output.
 
-use psca_adapt::experiments::{chaos, table3};
+use psca_adapt::experiments::{chaos, fig10, fig4, fig5, fig6, table3};
 use psca_adapt::{CorpusTelemetry, ExperimentConfig};
 use psca_faults::ChaosSpec;
 use psca_workloads::{Archetype, PhaseGenerator};
@@ -30,6 +30,97 @@ fn table3_is_bit_identical_across_job_counts() {
     let serial = table3::run(&serial_cfg, &corpus(&serial_cfg)).to_string();
     let parallel = table3::run(&parallel_cfg, &corpus(&parallel_cfg)).to_string();
     assert_eq!(serial, parallel);
+}
+
+/// A miniature corpus and fold count for the MLP screens, which fit
+/// one network per (configuration, fold) cell.
+fn screen_cfg(jobs: usize) -> ExperimentConfig {
+    let mut cfg = cfg_with_jobs(jobs);
+    cfg.hdtr_apps = 10;
+    cfg.hdtr_traces_per_app = 1;
+    cfg.hdtr_intervals_per_trace = 12;
+    cfg.folds = 3;
+    cfg
+}
+
+/// Runs `run` at jobs 1 and 4 on the same corpus; asserts the rendered
+/// figures match and returns both results for field-level checks.
+fn serial_and_parallel<R: std::fmt::Display>(
+    run: impl Fn(&ExperimentConfig, &CorpusTelemetry) -> R,
+) -> (R, R) {
+    let corpus = CorpusTelemetry::hdtr(&screen_cfg(1));
+    let serial = run(&screen_cfg(1), &corpus);
+    let parallel = run(&screen_cfg(4), &corpus);
+    assert_eq!(serial.to_string(), parallel.to_string());
+    (serial, parallel)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn fig4_is_bit_identical_across_job_counts() {
+    let (serial, parallel) = serial_and_parallel(fig4::run);
+    let fields = |f: &fig4::Fig4| -> Vec<(usize, Vec<u64>)> {
+        f.points
+            .iter()
+            .map(|p| {
+                (
+                    p.apps,
+                    bits(&[p.pgos_mean, p.pgos_std, p.rsv_mean, p.rsv_std]),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(fields(&serial), fields(&parallel));
+}
+
+#[test]
+fn fig5_is_bit_identical_across_job_counts() {
+    let (serial, parallel) = serial_and_parallel(fig5::run);
+    let fields = |f: &fig5::Fig5| -> Vec<(usize, Vec<u64>)> {
+        f.pf_sweep
+            .iter()
+            .chain([&f.expert])
+            .map(|p| (p.counters, bits(&[p.pgos.0, p.pgos.1, p.rsv.0, p.rsv.1])))
+            .collect()
+    };
+    assert_eq!(fields(&serial), fields(&parallel));
+    assert_eq!(serial.pf_order, parallel.pf_order);
+}
+
+#[test]
+fn fig6_is_bit_identical_across_job_counts() {
+    let (serial, parallel) = serial_and_parallel(fig6::run);
+    let fields = |f: &fig6::Fig6| -> Vec<(Vec<usize>, Vec<u64>, u64, bool)> {
+        f.points
+            .iter()
+            .map(|p| {
+                let metrics = bits(&[p.pgos_mean, p.pgos_std, p.rsv_mean]);
+                (p.hidden.clone(), metrics, p.ops, p.fits_50k_budget)
+            })
+            .collect()
+    };
+    assert_eq!(fields(&serial), fields(&parallel));
+    assert_eq!(serial.selected, parallel.selected);
+}
+
+#[test]
+fn fig10_is_bit_identical_across_job_counts() {
+    // Three of the HDTR applications stand in for the SPEC test set, so
+    // the leave-one-benchmark-out step has three cells.
+    let (serial, parallel) = serial_and_parallel(|cfg, hdtr| {
+        let spec = hdtr.filter_apps(&hdtr.app_ids()[..3]);
+        fig10::run(cfg, hdtr, &spec)
+    });
+    let fields = |f: &fig10::Fig10| -> Vec<(String, Vec<u64>)> {
+        f.steps
+            .iter()
+            .map(|s| (s.label.clone(), bits(&[s.rsv, s.ppw_gain, s.paper_rsv])))
+            .collect()
+    };
+    assert_eq!(fields(&serial), fields(&parallel));
 }
 
 #[test]
