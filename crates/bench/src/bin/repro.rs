@@ -15,8 +15,8 @@
 //! repro -- serve                     # adaptation-as-a-service daemon
 //! repro -- serve --addr 127.0.0.1:0 --models best-rf,charstar --seed 7
 //! repro -- serve --slo p99_us=50000,availability=0.99 --access-log access.jsonl
-//! repro -- loadgen --addr 127.0.0.1:8186 --rps 50 --duration 2 --out BENCH_serve.json
-//! repro -- slo-check --bench BENCH_serve.json --slo default   # CI gate, exit 1 on breach
+//! repro -- loadgen --addr 127.0.0.1:8186 --rps 50 --duration 2 --out target/obs/loadgen.json
+//! repro -- slo-check --bench target/obs/loadgen.json --slo default   # CI gate, exit 1 on breach
 //! repro -- closed-loop --model best-rf --archetype balanced --seed 1
 //! repro -- fleet --size 8 --seed 1                   # skewed dies + staged rollout
 //! repro -- fleet --bad-image --out fleet.json        # CI rollback gate, exit 1
@@ -322,8 +322,8 @@ fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
 }
 
 /// `repro loadgen`: seeded open-loop load against a running daemon's
-/// `/v1/predict`, summarized as the `BENCH_serve.json` schema on stdout
-/// (and to `--out` when given).
+/// `/v1/predict`, summarized as JSON on stdout (and to `--out` when
+/// given).
 fn loadgen_main(args: &[String]) -> ! {
     use psca_bench::loadgen::{self, LoadgenConfig};
     let mut cfg = LoadgenConfig::default();
@@ -388,10 +388,11 @@ fn loadgen_main(args: &[String]) -> ! {
     std::process::exit(0)
 }
 
-/// `repro slo-check`: offline SLO verdict over a `BENCH_serve.json`
-/// summary — the CI gate (`exit 1` on breach).
+/// `repro slo-check`: offline SLO verdict over a `repro loadgen` summary
+/// or a `repro closed-loop` result — the CI gate (`exit 1` on breach,
+/// `exit 2` when the document lacks a number the spec would gate).
 fn slo_check_main(args: &[String]) -> ! {
-    let mut bench = std::path::PathBuf::from("BENCH_serve.json");
+    let mut bench: Option<std::path::PathBuf> = None;
     let mut slo = "default".to_string();
     let usage = "[repro] slo-check flags: --bench PATH --slo SPEC|off";
     let mut i = 0;
@@ -405,7 +406,7 @@ fn slo_check_main(args: &[String]) -> ! {
             })
         };
         match flag {
-            "--bench" => bench = std::path::PathBuf::from(value()),
+            "--bench" => bench = Some(std::path::PathBuf::from(value())),
             "--slo" => slo = value(),
             other => {
                 eprintln!("[repro] unknown slo-check flag '{other}'\n{usage}");
@@ -414,6 +415,10 @@ fn slo_check_main(args: &[String]) -> ! {
         }
         i += 1;
     }
+    let Some(bench) = bench else {
+        eprintln!("[repro] slo-check needs --bench\n{usage}");
+        std::process::exit(2);
+    };
     let Some(spec) = spec_or_die(psca_obs::SloSpec::parse(&slo), "--slo") else {
         eprintln!("[repro] slo-check: spec is 'off', trivially passing");
         std::process::exit(0);
@@ -427,11 +432,24 @@ fn slo_check_main(args: &[String]) -> ! {
         std::process::exit(1);
     });
     let num = |key: &str| doc.get(key).and_then(psca_obs::Json::as_f64);
-    let violations = spec.check_values(
-        num("p99_us"),
-        num("availability"),
-        num("low_power_residency").or_else(|| num("rsv")),
-    );
+    let (p99, availability) = (num("p99_us"), num("availability"));
+    let rsv = num("low_power_residency").or_else(|| num("rsv"));
+    // A document this gate cannot read must not pass as a clean verdict.
+    let missing = if p99.is_none() && availability.is_none() && rsv.is_none() {
+        Some("p99_us, availability or low_power_residency")
+    } else if spec.rsv_floor.is_some() && rsv.is_none() {
+        Some("low_power_residency (needed by rsv_floor)")
+    } else {
+        None
+    };
+    if let Some(key) = missing {
+        eprintln!(
+            "[repro] slo-check: {} has no top-level {key}",
+            bench.display()
+        );
+        std::process::exit(2);
+    }
+    let violations = spec.check_values(p99, availability, rsv);
     eprintln!(
         "[repro] slo-check: {} against {} ({})",
         bench.display(),

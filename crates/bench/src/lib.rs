@@ -1,13 +1,14 @@
 //! # psca-bench
 //!
-//! The benchmark harness: Criterion micro-benchmarks (simulator
-//! throughput, firmware inference latency, training speed) and the
-//! `repro` binary that regenerates every table and figure of the paper.
+//! The benchmark harness: the `repro` binary that regenerates every
+//! table and figure of the paper, and the `repro bench` suite
+//! ([`suite`]) that records and gates the tracked `BENCH_*.json`
+//! baselines.
 //!
 //! ```text
 //! cargo run --release -p psca-bench --bin repro -- all
 //! cargo run --release -p psca-bench --bin repro -- fig8 --quick
-//! cargo bench
+//! cargo run --release -p psca-bench --bin repro -- bench --check --quick
 //! ```
 
 #![warn(missing_docs)]

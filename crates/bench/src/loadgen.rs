@@ -14,10 +14,11 @@
 //! in the summary can be joined against the daemon's access log, latency
 //! exemplar, and flight recorder by trace id.
 //!
-//! The output is a [`LoadgenSummary`]; `repro loadgen --out
-//! BENCH_serve.json` persists it and `repro slo-check` turns it into a
-//! CI exit code via [`psca_obs::SloSpec::check_values`].
+//! The output is a [`LoadgenSummary`]; `repro loadgen --out PATH`
+//! persists it and `repro slo-check --bench PATH` turns it into a CI
+//! exit code via [`psca_obs::SloSpec::check_values`].
 
+use crate::suite::num_json;
 use psca_obs::{http, Json, SloSpec, SplitMix64, TraceCtx};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -118,24 +119,31 @@ pub struct LoadgenSummary {
 }
 
 impl LoadgenSummary {
-    /// JSON rendering (the `BENCH_serve.json` schema).
+    /// The numeric summary fields, in document order: the `repro
+    /// loadgen` top-level keys and the serve bench's `metrics`.
+    pub fn metrics(&self) -> [(&'static str, f64); 11] {
+        [
+            ("requests", self.requests as f64),
+            ("ok", self.ok as f64),
+            ("errors", self.errors as f64),
+            ("availability", self.availability),
+            ("p50_us", self.p50_us as f64),
+            ("p95_us", self.p95_us as f64),
+            ("p99_us", self.p99_us as f64),
+            ("max_us", self.max_us as f64),
+            ("offered_rps", self.offered_rps as f64),
+            ("achieved_rps", self.achieved_rps),
+            ("wall_s", self.wall_s),
+        ]
+    }
+
+    /// JSON rendering: the `repro loadgen` summary document.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("bench", "serve-loadgen".into()),
-            ("requests", self.requests.into()),
-            ("ok", self.ok.into()),
-            ("errors", self.errors.into()),
-            ("availability", self.availability.into()),
-            ("p50_us", self.p50_us.into()),
-            ("p95_us", self.p95_us.into()),
-            ("p99_us", self.p99_us.into()),
-            ("max_us", self.max_us.into()),
-            ("offered_rps", self.offered_rps.into()),
-            ("achieved_rps", self.achieved_rps.into()),
-            ("wall_s", self.wall_s.into()),
-            ("seed", self.seed.into()),
-            ("slowest_trace_id", self.slowest_trace_id.as_str().into()),
-        ])
+        let mut pairs = vec![("bench", "serve-loadgen".into())];
+        pairs.extend(self.metrics().map(|(k, v)| (k, num_json(v))));
+        pairs.push(("seed", self.seed.into()));
+        pairs.push(("slowest_trace_id", self.slowest_trace_id.as_str().into()));
+        Json::obj(pairs)
     }
 
     /// Evaluates `spec` against this run (latency + availability; the

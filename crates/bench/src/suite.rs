@@ -1,16 +1,9 @@
 //! Unified benchmark suite: one entry point (`repro bench`), one result
 //! schema, one regression gate.
 //!
-//! Historically the repo's perf baselines used three ad-hoc schemas
-//! (`BENCH_sim_throughput.json`, `BENCH_sweep.json`, `BENCH_serve.json`)
-//! with no comparison tooling. This module unifies them:
-//!
 //! - every bench emits a [`BenchResult`] — `{schema, bench, unit, seed,
 //!   jobs, metrics{...}, profile_top[...]}` — with the self-profiler's
 //!   top-5 self-time stacks attached;
-//! - [`BenchResult::to_json`] additionally mirrors each bench's legacy
-//!   top-level keys so existing consumers (`repro slo-check`, the CI
-//!   sweep smoke) keep reading the files for one release (CHANGELOG);
 //! - [`check`] compares a current run against a committed baseline with
 //!   per-metric noise-aware tolerance bands: metric names carry their
 //!   direction (`*_per_sec`/`*speedup*`/`availability` are
@@ -18,10 +11,9 @@
 //!   else informational), and a violation means "regressed past the
 //!   band", not "changed at all".
 //!
-//! The four runners (`run_sim_throughput`, `run_sweep`,
-//! `run_inference`, `run_serve`) are plain functions so `repro bench`
-//! and the standalone `cargo bench` harnesses share one implementation
-//! of each measurement.
+//! The five runners (`run_sim_throughput`, `run_sweep`, `run_inference`,
+//! `run_serve`, `run_surrogate`) are the only implementation of each
+//! measurement; [`run_bench`] dispatches them by name.
 
 use psca_adapt::{CorpusTelemetry, ExperimentConfig, ModelKind};
 use psca_cpu::{ClusterSim, CpuConfig, Mode};
@@ -77,14 +69,14 @@ pub struct BenchResult {
     pub metrics: BTreeMap<String, f64>,
     /// The profiler's heaviest self-time stacks during the run.
     pub profile_top: Vec<(String, NodeStat)>,
-    /// Non-numeric extras mirrored at the top level (e.g. the serve
-    /// bench's `slowest_trace_id`).
+    /// Non-numeric extras at the top level (the serve bench's
+    /// `slowest_trace_id`).
     pub extra: Vec<(String, Json)>,
 }
 
-/// Serializes a metric value: integral values as JSON integers (the
-/// legacy schemas used integers for counts and microsecond quantiles).
-fn num_json(v: f64) -> Json {
+/// Serializes a metric value: integral values as JSON integers (counts
+/// and microsecond quantiles), everything else as a float.
+pub(crate) fn num_json(v: f64) -> Json {
     if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v < 9.0e15 {
         Json::UInt(v as u64)
     } else {
@@ -93,8 +85,7 @@ fn num_json(v: f64) -> Json {
 }
 
 impl BenchResult {
-    /// The unified document, with the bench's legacy top-level keys
-    /// mirrored for one release (see CHANGELOG).
+    /// The unified document.
     pub fn to_json(&self) -> Json {
         let metrics = Json::Obj(
             self.metrics
@@ -124,79 +115,21 @@ impl BenchResult {
             ("metrics".into(), metrics),
             ("profile_top".into(), profile),
         ];
-        pairs.extend(self.legacy_mirror());
+        pairs.extend(self.extra.iter().cloned());
         Json::Obj(pairs)
     }
 
-    /// Legacy top-level mirror keys per bench (empty for benches that
-    /// never had a legacy schema).
-    fn legacy_mirror(&self) -> Vec<(String, Json)> {
-        let m = |k: &str| self.metrics.get(k).copied();
-        let mut out: Vec<(String, Json)> = Vec::new();
-        match self.bench.as_str() {
-            "sim_throughput" => {
-                if let Some(v) = m("sim_insts_per_sec") {
-                    out.push(("sim_insts_per_sec".into(), num_json(v)));
-                }
-                let per_case: Vec<(String, Json)> = self
-                    .metrics
-                    .iter()
-                    .filter_map(|(k, v)| {
-                        k.strip_prefix("insts_per_sec.")
-                            .map(|case| (case.to_string(), num_json(*v)))
-                    })
-                    .collect();
-                if !per_case.is_empty() {
-                    out.push(("per_case_insts_per_sec".into(), Json::Obj(per_case)));
-                }
-            }
-            "sweep" => {
-                for key in [
-                    "cells",
-                    "serial_cells_per_sec",
-                    "parallel_cells_per_sec",
-                    "speedup_vs_serial",
-                    "cache_cold_s",
-                    "cache_warm_s",
-                    "cache_warm_speedup",
-                ] {
-                    if let Some(v) = m(key) {
-                        out.push((key.into(), num_json(v)));
-                    }
-                }
-            }
-            "serve" => {
-                for key in [
-                    "requests",
-                    "ok",
-                    "errors",
-                    "availability",
-                    "p50_us",
-                    "p95_us",
-                    "p99_us",
-                    "max_us",
-                    "offered_rps",
-                    "achieved_rps",
-                    "wall_s",
-                ] {
-                    if let Some(v) = m(key) {
-                        out.push((key.into(), num_json(v)));
-                    }
-                }
-            }
-            _ => {}
-        }
-        out.extend(self.extra.iter().cloned());
-        out
-    }
-
-    /// Parses a baseline document — the unified schema, or any of the
-    /// three legacy schemas (detected by the missing `metrics` member,
-    /// whose numeric top-level keys become the metric map).
+    /// Parses a `psca-bench/v1` document; `None` for anything without
+    /// the schema tag, a `bench` name, or a `metrics` object.
     pub fn from_json(doc: &Json) -> Option<BenchResult> {
-        let bench = doc.get("bench").and_then(Json::as_str)?.to_string();
-        let mut result = BenchResult {
-            bench,
+        if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+            return None;
+        }
+        let Some(Json::Obj(metrics)) = doc.get("metrics") else {
+            return None;
+        };
+        Some(BenchResult {
+            bench: doc.get("bench").and_then(Json::as_str)?.to_string(),
             unit: doc
                 .get("unit")
                 .and_then(Json::as_str)
@@ -204,39 +137,12 @@ impl BenchResult {
                 .to_string(),
             seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
             jobs: doc.get("jobs").and_then(Json::as_u64).unwrap_or(0),
+            metrics: metrics
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                .collect(),
             ..BenchResult::default()
-        };
-        match doc.get("metrics") {
-            Some(Json::Obj(pairs)) => {
-                for (k, v) in pairs {
-                    if let Some(x) = v.as_f64() {
-                        result.metrics.insert(k.clone(), x);
-                    }
-                }
-            }
-            _ => {
-                // Legacy document: every numeric top-level key except the
-                // identity fields is a metric; one nested level
-                // (`per_case_insts_per_sec`) flattens with a dot.
-                let Json::Obj(pairs) = doc else { return None };
-                for (k, v) in pairs {
-                    if k == "bench" || k == "seed" || k == "jobs" || k == "schema" {
-                        continue;
-                    }
-                    if let Some(x) = v.as_f64() {
-                        result.metrics.insert(k.clone(), x);
-                    } else if let Json::Obj(nested) = v {
-                        for (nk, nv) in nested {
-                            if let Some(x) = nv.as_f64() {
-                                result.metrics.insert(format!("{k}.{nk}"), x);
-                            }
-                        }
-                    }
-                }
-                result.jobs = doc.get("jobs").and_then(Json::as_u64).unwrap_or(0);
-            }
-        }
-        Some(result)
+        })
     }
 }
 
@@ -359,14 +265,10 @@ pub fn load_baseline(bench: &str) -> Result<BenchResult, String> {
     let doc = Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))?;
     let result = BenchResult::from_json(&doc)
         .ok_or_else(|| format!("{} is not a bench document", path.display()))?;
-    // A document that parses but carries no numeric metrics (a legacy
-    // schema this parser can't salvage, or a hand-edited stub) would gate
-    // nothing and silently pass; surface it as unusable instead.
+    // A document with an empty metric map would gate nothing and
+    // silently pass; surface it as unusable instead.
     if result.metrics.is_empty() {
-        return Err(format!(
-            "{} has no usable metrics (legacy or empty schema)",
-            path.display()
-        ));
+        return Err(format!("{} has no usable metrics", path.display()));
     }
     Ok(result)
 }
@@ -595,18 +497,9 @@ pub fn run_serve(opts: &BenchOpts) -> BenchResult {
         jobs: workers,
         ..BenchResult::default()
     };
-    let m = &mut result.metrics;
-    m.insert("requests".into(), summary.requests as f64);
-    m.insert("ok".into(), summary.ok as f64);
-    m.insert("errors".into(), summary.errors as f64);
-    m.insert("availability".into(), summary.availability);
-    m.insert("p50_us".into(), summary.p50_us as f64);
-    m.insert("p95_us".into(), summary.p95_us as f64);
-    m.insert("p99_us".into(), summary.p99_us as f64);
-    m.insert("max_us".into(), summary.max_us as f64);
-    m.insert("offered_rps".into(), summary.offered_rps as f64);
-    m.insert("achieved_rps".into(), summary.achieved_rps);
-    m.insert("wall_s".into(), summary.wall_s);
+    result
+        .metrics
+        .extend(summary.metrics().map(|(k, v)| (k.to_string(), v)));
     result.extra.push((
         "slowest_trace_id".into(),
         summary.slowest_trace_id.as_str().into(),
@@ -806,8 +699,14 @@ mod tests {
         r.extra.push(("slowest_trace_id".into(), "abcd".into()));
         let doc = r.to_json();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        // Legacy mirror keys stay readable at the top level.
-        assert_eq!(doc.get("p99_us").and_then(Json::as_u64), Some(1234));
+        // Metrics live only under `metrics`, never at the top level.
+        assert!(doc.get("p99_us").is_none());
+        assert_eq!(
+            doc.get("metrics")
+                .and_then(|m| m.get("p99_us"))
+                .and_then(Json::as_u64),
+            Some(1234)
+        );
         assert_eq!(
             doc.get("slowest_trace_id").and_then(Json::as_str),
             Some("abcd")
@@ -825,25 +724,42 @@ mod tests {
     }
 
     #[test]
-    fn legacy_documents_parse_into_the_unified_model() {
-        let legacy = Json::parse(
-            r#"{"bench":"sweep_throughput","cells":96,"jobs":4,
-                "serial_cells_per_sec":96.11,"parallel_cells_per_sec":96.29,
-                "speedup_vs_serial":1.002,"cache_cold_s":1.007,
-                "cache_warm_s":0.003,"cache_warm_speedup":389.8}"#,
-        )
-        .unwrap();
-        let r = BenchResult::from_json(&legacy).unwrap();
-        assert_eq!(r.bench, "sweep_throughput");
-        assert_eq!(r.metrics.get("cells"), Some(&96.0));
-        assert_eq!(r.metrics.get("cache_warm_speedup"), Some(&389.8));
-        // Nested legacy objects flatten with a dot.
-        let legacy_sim = Json::parse(
-            r#"{"bench":"sim_throughput","sim_insts_per_sec":100,
-                "per_case_insts_per_sec":{"a/b":50}}"#,
-        )
-        .unwrap();
-        let r = BenchResult::from_json(&legacy_sim).unwrap();
-        assert_eq!(r.metrics.get("per_case_insts_per_sec.a/b"), Some(&50.0));
+    fn documents_without_schema_or_metrics_are_rejected() {
+        let flat = r#"{"bench":"sweep","cells":96,"speedup_vs_serial":1.1}"#;
+        let untagged = r#"{"bench":"sweep","metrics":{"cells":96}}"#;
+        let no_metrics = r#"{"schema":"psca-bench/v1","bench":"sweep","cells":96}"#;
+        for text in [flat, untagged, no_metrics] {
+            assert!(BenchResult::from_json(&Json::parse(text).unwrap()).is_none());
+        }
+    }
+
+    #[test]
+    fn committed_baselines_are_canonical() {
+        const KEYS: [&str; 8] = [
+            "schema",
+            "bench",
+            "unit",
+            "seed",
+            "jobs",
+            "metrics",
+            "profile_top",
+            "slowest_trace_id",
+        ];
+        for name in BENCHES {
+            let loaded = load_baseline(name).unwrap();
+            assert_eq!(loaded.bench, name);
+            let text = std::fs::read_to_string(baseline_path(name)).unwrap();
+            let doc = Json::parse(&text).unwrap();
+            assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+            let Json::Obj(pairs) = &doc else {
+                panic!("BENCH_{name}.json is not an object")
+            };
+            for (key, _) in pairs {
+                assert!(
+                    KEYS.contains(&key.as_str()),
+                    "BENCH_{name}.json has non-canonical top-level key {key}"
+                );
+            }
+        }
     }
 }
