@@ -31,18 +31,29 @@
 //! unprofiled run; the collapsed-stack `.folded` + summary JSON land in
 //! `target/obs/`.
 //!
-//! Observability: every experiment driver scopes the global metric
-//! registry to itself (`reset_all()` at entry), so this binary snapshots
-//! and absorbs the registry around each experiment to keep the end-of-run
-//! report covering the whole invocation.
+//! Every subcommand reads its flags through the shared
+//! [`psca_bench::cli`] front end and returns its exit code; a usage error
+//! (missing value, unknown flag or experiment, unparseable number or
+//! spec) is printed once, in `main`, with that subcommand's usage line,
+//! and exits 2 before any work starts. `main` also owns the one
+//! observability lifecycle around every subcommand: the `PSCA_*`
+//! outputs (docs/OBSERVABILITY.md) start before it runs, and the
+//! Perfetto trace is written and the `PSCA_METRICS_LINGER_S` window
+//! honoured after it returns.
+//!
+//! Every experiment driver scopes the global metric registry to itself
+//! (`reset_all()` at entry), so this binary snapshots and absorbs the
+//! registry around each experiment to keep the end-of-run report
+//! covering the whole invocation.
 
 use psca_adapt::experiments::{ablations, chaos, fig10, fig4, fig5, fig6, fig7, fig8, fig9};
 use psca_adapt::experiments::{table1, table2, table3, table4, table5, table6};
-use psca_adapt::ExperimentConfig;
-use psca_bench::{Corpora, EXPERIMENTS};
+use psca_adapt::{ConfigError, ExperimentConfig, ExperimentConfigBuilder, ModelKind};
+use psca_bench::cli::{self, Args, UsageError};
+use psca_bench::{chart, Corpora, EXPERIMENTS};
 use psca_faults::ChaosSpec;
-use psca_obs::{Json, MetricsSnapshot, RunReport};
-use std::path::Path;
+use psca_obs::{Json, MetricsSnapshot, RunReport, SloSpec};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -76,205 +87,127 @@ const NEEDS_SPEC: &[&str] = &[
     "ablate-guardrail",
 ];
 
-struct Cli {
-    quick: bool,
-    dash: bool,
-    serve_metrics: bool,
-    trace_out: Option<String>,
-    chaos: Option<String>,
-    /// Worker threads for parallel sweeps; `None` keeps the config preset.
-    jobs: Option<usize>,
-    /// Disables the persistent sweep result cache.
-    no_cache: bool,
-    /// Simulation fidelity (`--backend`; `PSCA_BACKEND` as fallback).
-    backend: Option<String>,
-    wanted: Vec<String>,
+/// A subcommand: reads its flags, runs, and returns its exit code.
+type Main = fn(&[String]) -> Result<i32, UsageError>;
+
+const EXPERIMENTS_USAGE: &str = "[repro] usage: repro [EXPERIMENT...|all] --quick --dash \
+    --serve-metrics --trace-out PATH --chaos SPEC --jobs N --no-cache --backend NAME \
+    (--chaos takes 'default' or e.g. 'uc.drop=0.05,telem=0.02,seed=7'; see docs/ROBUSTNESS.md)";
+const SERVE_USAGE: &str = "[repro] serve flags: --addr HOST:PORT --workers N --queue N \
+    --max-connections N --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
+    --seed N --backend NAME --models slug[,slug...] \
+    (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
+const LOADGEN_USAGE: &str = "[repro] loadgen flags: --addr HOST:PORT --model SLUG --rps N \
+    --duration SECS --connections N --seed N --out PATH";
+const SLO_CHECK_USAGE: &str = "[repro] slo-check flags: --bench PATH --slo SPEC|off";
+const CLOSED_LOOP_USAGE: &str = "[repro] closed-loop flags: --model SLUG --archetype NAME \
+    --seed N --windows N --warm-insts N --backend NAME \
+    (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
+const FLEET_USAGE: &str = "[repro] fleet flags: --size N --seed N --windows N --skew SPEC|off \
+    --rollout SPEC|off --chaos SPEC --jobs N --backend NAME --bad-image --out PATH";
+const BENCH_USAGE: &str = "[repro] bench flags: --update --check --quick --seed N \
+    --tolerance FRAC --backend NAME --only name[,name...] \
+    (names: sim_throughput sweep inference serve surrogate)";
+const PROFILE_USAGE: &str =
+    "[repro] profile usage: repro profile <closed-loop|bench|fleet|EXPERIMENT...> [flags]";
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(cli::run("repro", || dispatch(&args)))
 }
 
-/// Resolves the simulation backend from an explicit `--backend` value,
-/// falling back to the `PSCA_BACKEND` environment variable. `None` means
-/// neither was given (keep the config default). Unknown names exit 2.
-fn resolve_backend(flag: Option<&str>) -> Option<psca_adapt::BackendChoice> {
-    let name = flag.map(str::to_string).or_else(|| {
-        std::env::var("PSCA_BACKEND")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-    })?;
-    match name.trim().parse() {
-        Ok(backend) => Some(backend),
-        Err(e) => {
-            eprintln!("[repro] {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_cli(args: &[String]) -> Cli {
-    let mut cli = Cli {
-        quick: false,
-        dash: false,
-        serve_metrics: false,
-        trace_out: None,
-        chaos: None,
-        jobs: None,
-        no_cache: false,
-        backend: None,
-        wanted: Vec::new(),
+/// Routes a full argument vector to a subcommand and tags its usage
+/// errors with that subcommand's usage line. `repro profile` re-enters
+/// it to wrap any runner.
+fn dispatch(args: &[String]) -> Result<i32, UsageError> {
+    let subcommand = args.first().map(String::as_str);
+    let (run, rest, usage): (Main, &[String], &'static str) = match subcommand {
+        Some("serve") => (serve_main, &args[1..], SERVE_USAGE),
+        Some("loadgen") => (loadgen_main, &args[1..], LOADGEN_USAGE),
+        Some("slo-check") => (slo_check_main, &args[1..], SLO_CHECK_USAGE),
+        Some("closed-loop") => (closed_loop_main, &args[1..], CLOSED_LOOP_USAGE),
+        Some("fleet") => (fleet_main, &args[1..], FLEET_USAGE),
+        Some("bench") => (bench_main, &args[1..], BENCH_USAGE),
+        Some("profile") => (profile_main, &args[1..], PROFILE_USAGE),
+        _ => (experiments_main, args, EXPERIMENTS_USAGE),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cli.quick = true,
-            "--dash" => cli.dash = true,
-            "--serve-metrics" => cli.serve_metrics = true,
-            "--trace-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => cli.trace_out = Some(path.clone()),
-                    None => {
-                        eprintln!("[repro] --trace-out requires a path argument");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--chaos" => {
-                i += 1;
-                match args.get(i) {
-                    Some(spec) => cli.chaos = Some(spec.clone()),
-                    None => {
-                        eprintln!(
-                            "[repro] --chaos requires a spec argument (try 'default' or \
-                             'uc.drop=0.05,telem=0.02,seed=7'; see docs/ROBUSTNESS.md)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) => cli.jobs = Some(n),
-                    None => {
-                        eprintln!("[repro] --jobs requires a number (0 = auto)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--no-cache" => cli.no_cache = true,
-            "--backend" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => cli.backend = Some(name.clone()),
-                    None => {
-                        eprintln!("[repro] --backend requires cycle_accurate or surrogate");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!(
-                    "[repro] unknown flag '{flag}'. Known: --quick --dash --serve-metrics --trace-out PATH --chaos SPEC --jobs N --no-cache --backend NAME"
-                );
-                std::process::exit(2);
-            }
-            id => cli.wanted.push(id.to_string()),
-        }
-        i += 1;
-    }
-    if cli.wanted.is_empty() && cli.chaos.is_some() {
-        // `repro --chaos SPEC` alone means: run just the chaos harness.
-        cli.wanted.push("chaos-sweep".to_string());
-    } else if cli.wanted.is_empty() || cli.wanted.iter().any(|w| w == "all") {
-        cli.wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    cli
+    run(rest).map_err(|e| e.or_usage(usage))
 }
 
-/// Every zoo kind, for `--models` slug resolution.
-const SERVE_KINDS: [psca_adapt::ModelKind; 5] = [
-    psca_adapt::ModelKind::BestRf,
-    psca_adapt::ModelKind::BestMlp,
-    psca_adapt::ModelKind::Charstar,
-    psca_adapt::ModelKind::SrchFine,
-    psca_adapt::ModelKind::SrchCoarse,
-];
+/// The experiment config `builder` describes, with the simulation
+/// backend from `--backend` (`flag`), else `PSCA_BACKEND`, else the
+/// builder's own. `reference_only` (the verdict-bearing `--chaos` gate
+/// and `repro bench`) rejects every fidelity but the reference one.
+fn experiment_config(
+    builder: ExperimentConfigBuilder,
+    flag: Option<&str>,
+    reference_only: bool,
+) -> Result<ExperimentConfig, UsageError> {
+    let env = std::env::var("PSCA_BACKEND").ok();
+    let name = flag.or(env.as_deref().filter(|v| !v.trim().is_empty()));
+    let builder = match name {
+        Some(name) => builder.backend_name(name.trim()),
+        None => builder,
+    };
+    let bad = |e: ConfigError| UsageError::new(format!("bad config: {e}"));
+    let cfg = builder.build().map_err(bad)?;
+    if reference_only && !cfg.backend.is_reference() {
+        return Err(bad(ConfigError::NonReferenceBackend(cfg.backend)));
+    }
+    Ok(cfg)
+}
+
+/// Resolves a `--model` / `--models` slug.
+fn model_kind(slug: &str) -> Result<ModelKind, String> {
+    psca_serve::registry::kind_from_slug(slug).ok_or_else(|| format!("unknown model slug '{slug}'"))
+}
 
 /// `repro serve`: trains a registry and runs the psca-serve daemon until
 /// a client posts `/v1/shutdown` (or the process is signalled).
-fn serve_main(args: &[String]) -> ! {
+fn serve_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_serve::{Daemon, ModelRegistry, ServeConfig};
+    // Environment seeds the slow-client deadline and the access log; the
+    // flags override both.
     let mut config = ServeConfig {
         addr: "127.0.0.1:8186".to_string(),
+        access_log: std::env::var("PSCA_ACCESS_LOG")
+            .ok()
+            .filter(|p| !p.trim().is_empty())
+            .map(PathBuf::from),
         ..ServeConfig::default()
     };
-    let mut seed = 1u64;
-    let mut kinds = vec![
-        psca_adapt::ModelKind::BestRf,
-        psca_adapt::ModelKind::BestMlp,
-    ];
-    let mut backend_flag: Option<String> = None;
-    let usage = "[repro] serve flags: --addr HOST:PORT --workers N --queue N \
-                 --max-connections N --read-timeout-ms N --chaos SPEC --slo SPEC|off \
-                 --access-log PATH --seed N --backend NAME --models slug[,slug...] \
-                 (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
-    // Environment seeds the slow-client deadline; the flag overrides it.
     if let Some(ms) = std::env::var("PSCA_READ_TIMEOUT_MS")
         .ok()
         .and_then(|v| v.trim().parse().ok())
     {
         config.read_timeout_ms = ms;
     }
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+    let (mut seed, mut backend) = (1u64, None);
+    let mut kinds = vec![ModelKind::BestRf, ModelKind::BestMlp];
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--addr" => config.addr = value(),
-            "--workers" => config.workers = parse_or_die(&value(), flag),
-            "--queue" => config.queue_capacity = parse_or_die(&value(), flag),
-            "--max-connections" => config.max_connections = parse_or_die(&value(), flag),
-            "--read-timeout-ms" => config.read_timeout_ms = parse_or_die(&value(), flag),
-            "--seed" => seed = parse_or_die(&value(), flag),
-            "--chaos" => config.chaos = Some(spec_or_die(ChaosSpec::parse(&value()), flag)),
-            "--slo" => config.slo = spec_or_die(psca_obs::SloSpec::parse(&value()), flag),
-            "--access-log" => config.access_log = Some(std::path::PathBuf::from(value())),
-            "--backend" => backend_flag = Some(value()),
+            "--addr" => config.addr = args.value()?.to_string(),
+            "--workers" => config.workers = args.parse()?,
+            "--queue" => config.queue_capacity = args.parse()?,
+            "--max-connections" => config.max_connections = args.parse()?,
+            "--read-timeout-ms" => config.read_timeout_ms = args.parse()?,
+            "--seed" => seed = args.parse()?,
+            "--chaos" => config.chaos = Some(args.spec(ChaosSpec::parse)?),
+            "--slo" => config.slo = args.spec(SloSpec::parse)?,
+            "--access-log" => config.access_log = Some(args.value()?.into()),
+            "--backend" => backend = Some(args.value()?),
             "--models" => {
-                kinds = value()
-                    .split(',')
-                    .map(|slug| {
-                        SERVE_KINDS
-                            .into_iter()
-                            .find(|&k| psca_serve::registry::kind_slug(k) == slug.trim())
-                            .unwrap_or_else(|| {
-                                eprintln!("[repro] unknown model slug '{slug}'\n{usage}");
-                                std::process::exit(2);
-                            })
-                    })
-                    .collect();
+                kinds = args.spec(|list| {
+                    list.split(',')
+                        .map(|slug| model_kind(slug.trim()))
+                        .collect::<Result<_, _>>()
+                })?
             }
-            other => {
-                eprintln!("[repro] unknown serve flag '{other}'\n{usage}");
-                std::process::exit(2);
-            }
+            _ => return Err(args.unknown()),
         }
-        i += 1;
     }
-    psca_obs::init_from_env();
-    let mut builder = ExperimentConfig::builder().seed(seed);
-    if let Some(backend) = resolve_backend(backend_flag.as_deref()) {
-        builder = builder.backend(backend);
-    }
-    let cfg = builder.build().unwrap_or_else(|e| {
-        eprintln!("[repro] bad serve config: {e}");
-        std::process::exit(2);
-    });
+    let cfg = experiment_config(ExperimentConfig::builder().seed(seed), backend, false)?;
     eprintln!(
         "[repro] training serving registry ({} models)...",
         kinds.len()
@@ -284,7 +217,7 @@ fn serve_main(args: &[String]) -> ! {
         Ok(d) => d,
         Err(e) => {
             eprintln!("[repro] bind failed: {e}");
-            std::process::exit(1);
+            return Ok(1);
         }
     };
     // The resolved address goes to stdout so scripts can capture an
@@ -296,74 +229,36 @@ fn serve_main(args: &[String]) -> ! {
     );
     daemon.wait();
     eprintln!("[repro] serve: drained and stopped");
-    if let Some(path) = psca_obs::trace::finish() {
-        eprintln!(
-            "[repro] trace: {} (load in https://ui.perfetto.dev)",
-            path.display()
-        );
-    }
-    std::process::exit(0)
-}
-
-/// Unwraps a parsed spec flag or exits with a usage error.
-fn spec_or_die<T>(parsed: Result<T, psca_obs::SpecError>, flag: &str) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("[repro] bad {flag} spec: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Parses a flag value or exits with a usage error.
-fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("[repro] {flag} got unparseable value '{value}'");
-        std::process::exit(2);
-    })
+    Ok(0)
 }
 
 /// `repro loadgen`: seeded open-loop load against a running daemon's
 /// `/v1/predict`, summarized as JSON on stdout (and to `--out` when
 /// given).
-fn loadgen_main(args: &[String]) -> ! {
+fn loadgen_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_bench::loadgen::{self, LoadgenConfig};
     let mut cfg = LoadgenConfig::default();
-    let mut model_override: Option<String> = None;
-    let mut out: Option<std::path::PathBuf> = None;
-    let usage = "[repro] loadgen flags: --addr HOST:PORT --model SLUG --rps N \
-                 --duration SECS --connections N --seed N --out PATH";
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+    let (mut model_override, mut out) = (None, None);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--addr" => cfg.addr = value(),
-            "--model" => model_override = Some(value()),
-            "--rps" => cfg.rps = parse_or_die(&value(), flag),
-            "--duration" => cfg.duration_s = parse_or_die(&value(), flag),
-            "--connections" => cfg.connections = parse_or_die(&value(), flag),
-            "--seed" => cfg.seed = parse_or_die(&value(), flag),
-            "--out" => out = Some(std::path::PathBuf::from(value())),
-            other => {
-                eprintln!("[repro] unknown loadgen flag '{other}'\n{usage}");
-                std::process::exit(2);
-            }
+            "--addr" => cfg.addr = args.value()?.to_string(),
+            "--model" => model_override = Some(args.value()?.to_string()),
+            "--rps" => cfg.rps = args.nonzero()?,
+            "--duration" => cfg.duration_s = args.nonzero()?,
+            "--connections" => cfg.connections = args.parse()?,
+            "--seed" => cfg.seed = args.parse()?,
+            "--out" => out = Some(PathBuf::from(args.value()?)),
+            _ => return Err(args.unknown()),
         }
-        i += 1;
     }
-    if cfg.rps == 0 || cfg.duration_s == 0 {
-        eprintln!("[repro] loadgen needs --rps and --duration >= 1");
-        std::process::exit(2);
-    }
-    let (slug, dim) = loadgen::discover_model(&cfg.addr).unwrap_or_else(|e| {
-        eprintln!("[repro] loadgen: {e}");
-        std::process::exit(1);
-    });
+    let (slug, dim) = match loadgen::discover_model(&cfg.addr) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("[repro] loadgen: {e}");
+            return Ok(1);
+        }
+    };
     cfg.model = model_override.unwrap_or(slug);
     cfg.input_dim = dim;
     eprintln!(
@@ -376,62 +271,48 @@ fn loadgen_main(args: &[String]) -> ! {
     if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("[repro] loadgen: cannot write {}: {e}", path.display());
-            std::process::exit(1);
+            return Ok(1);
         }
         eprintln!("[repro] loadgen: summary written to {}", path.display());
     }
     // A run where nothing succeeded is a failure regardless of any SLO.
     if summary.ok == 0 {
         eprintln!("[repro] loadgen: no request succeeded");
-        std::process::exit(1);
+        return Ok(1);
     }
-    std::process::exit(0)
+    Ok(0)
 }
 
 /// `repro slo-check`: offline SLO verdict over a `repro loadgen` summary
 /// or a `repro closed-loop` result — the CI gate (`exit 1` on breach,
 /// `exit 2` when the document lacks a number the spec would gate).
-fn slo_check_main(args: &[String]) -> ! {
-    let mut bench: Option<std::path::PathBuf> = None;
-    let mut slo = "default".to_string();
-    let usage = "[repro] slo-check flags: --bench PATH --slo SPEC|off";
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+fn slo_check_main(args: &[String]) -> Result<i32, UsageError> {
+    let (mut bench, mut slo) = (None, Some(SloSpec::default()));
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--bench" => bench = Some(std::path::PathBuf::from(value())),
-            "--slo" => slo = value(),
-            other => {
-                eprintln!("[repro] unknown slo-check flag '{other}'\n{usage}");
-                std::process::exit(2);
-            }
+            "--bench" => bench = Some(PathBuf::from(args.value()?)),
+            "--slo" => slo = args.spec(SloSpec::parse)?,
+            _ => return Err(args.unknown()),
         }
-        i += 1;
     }
-    let Some(bench) = bench else {
-        eprintln!("[repro] slo-check needs --bench\n{usage}");
-        std::process::exit(2);
-    };
-    let Some(spec) = spec_or_die(psca_obs::SloSpec::parse(&slo), "--slo") else {
+    let bench = bench.ok_or_else(|| UsageError::new("slo-check needs --bench"))?;
+    let Some(spec) = slo else {
         eprintln!("[repro] slo-check: spec is 'off', trivially passing");
-        std::process::exit(0);
+        return Ok(0);
     };
-    let text = std::fs::read_to_string(&bench).unwrap_or_else(|e| {
-        eprintln!("[repro] slo-check: cannot read {}: {e}", bench.display());
-        std::process::exit(1);
-    });
-    let doc = psca_obs::Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("[repro] slo-check: {} is not JSON: {e}", bench.display());
-        std::process::exit(1);
-    });
-    let num = |key: &str| doc.get(key).and_then(psca_obs::Json::as_f64);
+    let doc = match std::fs::read_to_string(&bench) {
+        Err(e) => Err(format!("cannot read {}: {e}", bench.display())),
+        Ok(text) => Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", bench.display())),
+    };
+    let doc = match doc {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("[repro] slo-check: {e}");
+            return Ok(1);
+        }
+    };
+    let num = |key: &str| doc.get(key).and_then(Json::as_f64);
     let (p99, availability) = (num("p99_us"), num("availability"));
     let rsv = num("low_power_residency").or_else(|| num("rsv"));
     // A document this gate cannot read must not pass as a clean verdict.
@@ -447,7 +328,7 @@ fn slo_check_main(args: &[String]) -> ! {
             "[repro] slo-check: {} has no top-level {key}",
             bench.display()
         );
-        std::process::exit(2);
+        return Ok(2);
     }
     let violations = spec.check_values(p99, availability, rsv);
     eprintln!(
@@ -463,28 +344,7 @@ fn slo_check_main(args: &[String]) -> ! {
     for v in &violations {
         eprintln!("[repro] slo-check: VIOLATION: {v}");
     }
-    std::process::exit(if violations.is_empty() { 0 } else { 1 })
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(dispatch(&args))
-}
-
-/// Routes a full argument vector to a subcommand. Factored out of
-/// `main` so `repro profile <subcommand...>` can run any inner runner
-/// and still regain control to write the profile artifacts.
-fn dispatch(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("serve") => serve_main(&args[1..]),
-        Some("loadgen") => loadgen_main(&args[1..]),
-        Some("slo-check") => slo_check_main(&args[1..]),
-        Some("closed-loop") => closed_loop_main(&args[1..]),
-        Some("fleet") => fleet_main(&args[1..]),
-        Some("bench") => bench_main(&args[1..]),
-        Some("profile") => profile_main(&args[1..]),
-        _ => experiments_main(args),
-    }
+    Ok(if violations.is_empty() { 0 } else { 1 })
 }
 
 /// `repro profile <subcommand...>`: runs any non-daemon repro invocation
@@ -494,25 +354,20 @@ fn dispatch(args: &[String]) -> i32 {
 /// table to stderr. The wrapped runner's stdout and result artifacts are
 /// byte-identical to an unprofiled run (tests/observability.rs holds the
 /// line).
-fn profile_main(args: &[String]) -> i32 {
-    let usage = "[repro] profile usage: repro profile <closed-loop|bench|EXPERIMENT...> [flags]";
-    let Some(first) = args.first() else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    if matches!(
-        first.as_str(),
-        "serve" | "loadgen" | "slo-check" | "profile"
-    ) {
-        eprintln!(
-            "[repro] profile cannot wrap '{first}'; run it with PSCA_PROF=1 instead \
-             (the daemon exposes GET /v1/profile)"
-        );
-        return 2;
+fn profile_main(args: &[String]) -> Result<i32, UsageError> {
+    match args.first().map(String::as_str) {
+        None => return Err(UsageError::new("profile needs a subcommand to wrap")),
+        Some(inner @ ("serve" | "loadgen" | "slo-check" | "profile")) => {
+            return Err(UsageError::new(format!(
+                "profile cannot wrap '{inner}'; run it with PSCA_PROF=1 instead \
+                 (the daemon exposes GET /v1/profile)"
+            )))
+        }
+        Some(_) => {}
     }
     psca_obs::prof::set_enabled(true);
     psca_obs::prof::reset();
-    let code = dispatch(args);
+    let code = dispatch(args)?;
     let profile = psca_obs::prof::drain();
     let slug: String = args
         .join("-")
@@ -529,45 +384,88 @@ fn profile_main(args: &[String]) -> i32 {
     let dir = Path::new("target/obs");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("[repro] profile: cannot create {}: {e}", dir.display());
-        return code;
+        return Ok(code);
     }
     let folded_path = dir.join(format!("profile-{slug}.folded"));
     let json_path = dir.join(format!("profile-{slug}.json"));
-    match std::fs::write(&folded_path, profile.folded()) {
-        Ok(()) => eprintln!("[repro] profile: {}", folded_path.display()),
-        Err(e) => eprintln!(
-            "[repro] profile: cannot write {}: {e}",
-            folded_path.display()
-        ),
-    }
-    match std::fs::write(&json_path, format!("{}\n", profile.to_json())) {
-        Ok(()) => eprintln!("[repro] profile: {}", json_path.display()),
-        Err(e) => eprintln!("[repro] profile: cannot write {}: {e}", json_path.display()),
+    for (path, body) in [
+        (&folded_path, profile.folded()),
+        (&json_path, format!("{}\n", profile.to_json())),
+    ] {
+        match std::fs::write(path, body) {
+            Ok(()) => eprintln!("[repro] profile: {}", path.display()),
+            Err(e) => eprintln!("[repro] profile: cannot write {}: {e}", path.display()),
+        }
     }
     if profile.is_empty() {
         eprintln!("[repro] profile: no spans recorded (inner runner opened none)");
     } else {
         eprint!("{}", profile.render_table(15));
     }
-    code
+    Ok(code)
+}
+
+/// The experiment ids and flags of the default path.
+#[derive(Default)]
+struct Cli {
+    quick: bool,
+    dash: bool,
+    serve_metrics: bool,
+    trace_out: Option<String>,
+    /// An explicit `--chaos` spec: the run becomes an SLA gate.
+    chaos: Option<ChaosSpec>,
+    /// Worker threads for parallel sweeps; `None` keeps the config preset.
+    jobs: Option<usize>,
+    /// Disables the persistent sweep result cache.
+    no_cache: bool,
+    /// Simulation fidelity (`--backend`; `PSCA_BACKEND` as fallback).
+    backend: Option<String>,
+    wanted: Vec<String>,
+}
+
+/// Reads the default path's flags and experiment ids. An unknown id is
+/// rejected here, before any corpus is simulated.
+fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
+    let mut cli = Cli::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--quick" => cli.quick = true,
+            "--dash" => cli.dash = true,
+            "--serve-metrics" => cli.serve_metrics = true,
+            "--trace-out" => cli.trace_out = Some(args.value()?.to_string()),
+            "--chaos" => cli.chaos = Some(args.spec(ChaosSpec::parse)?),
+            "--jobs" => cli.jobs = Some(args.parse()?),
+            "--no-cache" => cli.no_cache = true,
+            "--backend" => cli.backend = Some(args.value()?.to_string()),
+            id if id == "all" || EXPERIMENTS.contains(&id) => cli.wanted.push(id.to_string()),
+            id if !id.starts_with("--") => {
+                return Err(UsageError::new(format!(
+                    "unknown experiment '{id}'. Known: {EXPERIMENTS:?}"
+                )))
+            }
+            _ => return Err(args.unknown()),
+        }
+    }
+    if cli.wanted.is_empty() && cli.chaos.is_some() {
+        // `repro --chaos SPEC` alone means: run just the chaos harness.
+        cli.wanted.push("chaos-sweep".to_string());
+    } else if cli.wanted.is_empty() || cli.wanted.iter().any(|w| w == "all") {
+        cli.wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    }
+    Ok(cli)
 }
 
 /// The default path: regenerate the requested tables and figures.
-fn experiments_main(args: &[String]) -> i32 {
-    let cli = parse_cli(args);
-    // Parse the chaos spec up front so a typo fails fast, before any
-    // corpus simulation.
-    let chaos_spec = match &cli.chaos {
-        Some(s) => spec_or_die(ChaosSpec::parse(s), "--chaos"),
-        None => ChaosSpec::default_chaos(),
-    };
-    let mut cfg = if cli.quick {
+fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
+    let cli = parse_cli(args)?;
+    let mut base = if cli.quick {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::full()
     };
     if let Some(jobs) = cli.jobs {
-        cfg.jobs = jobs;
+        base.jobs = jobs;
     }
     // Cache policy: --no-cache or PSCA_SWEEP_CACHE=0/off/false disables;
     // PSCA_SWEEP_CACHE_DIR overrides the location. Environment is read
@@ -578,24 +476,20 @@ fn experiments_main(args: &[String]) -> i32 {
             Ok("0") | Ok("off") | Ok("false")
         )
     {
-        cfg.sweep_cache = None;
+        base.sweep_cache = None;
     } else if let Ok(dir) = std::env::var("PSCA_SWEEP_CACHE_DIR") {
         if !dir.is_empty() {
-            cfg.sweep_cache = Some(std::path::PathBuf::from(dir));
+            base.sweep_cache = Some(PathBuf::from(dir));
         }
-    }
-    if let Some(backend) = resolve_backend(cli.backend.as_deref()) {
-        cfg.backend = backend;
     }
     // An explicit `--chaos` run is a pass/fail SLA gate: its verdict must
     // come from the reference simulator, not an approximation of it.
-    if cli.chaos.is_some() && !cfg.backend.is_reference() {
-        eprintln!(
-            "[repro] {}",
-            psca_adapt::ConfigError::NonReferenceBackend(cfg.backend)
-        );
-        std::process::exit(2);
-    }
+    let cfg = experiment_config(
+        ExperimentConfigBuilder::from_base(base),
+        cli.backend.as_deref(),
+        cli.chaos.is_some(),
+    )?;
+    let chaos_spec = cli.chaos.clone().unwrap_or_else(ChaosSpec::default_chaos);
     eprintln!(
         "[repro] config: {} (interval {} insts, {} HDTR apps, backend {}, SLA P={:.2}, jobs {}, cache {})",
         if cli.quick { "quick" } else { "full" },
@@ -613,16 +507,7 @@ fn experiments_main(args: &[String]) -> i32 {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "off".into())
     );
-    psca_obs::init_from_env();
-    if let Some(path) = &cli.trace_out {
-        if !psca_obs::trace::enable(path) {
-            eprintln!("[repro] trace recorder already active (PSCA_TRACE?); keeping it");
-        }
-    }
-    if cli.serve_metrics {
-        let addr = std::env::var("PSCA_METRICS_ADDR").unwrap_or_else(|_| "127.0.0.1:9185".into());
-        psca_obs::exporter::serve(&addr);
-    }
+    cli::obs_flags("repro", cli.trace_out.as_deref(), cli.serve_metrics);
     let dash = cli.dash.then(Dashboard::start);
 
     let run_id = format!(
@@ -637,18 +522,23 @@ fn experiments_main(args: &[String]) -> i32 {
     let mut report = RunReport::new(&run_id);
     report.set("backend", cfg.backend.as_str());
     let mut acc = MetricsSnapshot::default();
-    let mut corpora = Corpora::new();
-    let mut chaos_failed = false;
     // Prefetch shared corpora before any experiment resets the registry,
     // so corpus-construction metrics land in the accumulated snapshot.
-    if cli.wanted.iter().any(|w| NEEDS_HDTR.contains(&w.as_str())) {
+    let mut corpora = Corpora::new();
+    let needs = |list: &[&str]| cli.wanted.iter().any(|w| list.contains(&w.as_str()));
+    if needs(NEEDS_HDTR) {
         let _span = psca_obs::SpanTimer::start("repro.corpus.hdtr");
         corpora.hdtr(&cfg);
     }
-    if cli.wanted.iter().any(|w| NEEDS_SPEC.contains(&w.as_str())) {
+    if needs(NEEDS_SPEC) {
         let _span = psca_obs::SpanTimer::start("repro.corpus.spec");
         corpora.spec(&cfg);
     }
+    let (hdtr, spec) = corpora.built();
+    let hdtr = || hdtr.expect("HDTR corpus prefetched");
+    let spec = || spec.expect("SPEC corpus prefetched");
+    let pct1 = |v: f64| format!("{:.1}%", 100.0 * v);
+    let mut chaos_failed = false;
     for id in &cli.wanted {
         // The driver's reset_all() at entry scopes the registry to the
         // experiment, so capture everything recorded since the previous
@@ -664,141 +554,65 @@ fn experiments_main(args: &[String]) -> i32 {
         match id.as_str() {
             "table1" => println!("{}", table1::run(&cfg)),
             "table2" => println!("{}", table2::run(&cfg)),
-            "table3" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                println!("{}", table3::run(&cfg, &hdtr));
-            }
-            "table4" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                println!("{}", table4::run(&cfg, &hdtr));
-            }
-            "table5" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                println!("{}", table5::run(&cfg, &hdtr, &spec));
-            }
-            "table6" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                println!("{}", table6::run(&cfg, &hdtr, &spec));
-            }
-            "fig4" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                println!("{}", fig4::run(&cfg, &hdtr));
-            }
-            "fig5" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                println!("{}", fig5::run(&cfg, &hdtr));
-            }
-            "fig6" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                println!("{}", fig6::run(&cfg, &hdtr));
-            }
+            "table3" => println!("{}", table3::run(&cfg, hdtr())),
+            "table4" => println!("{}", table4::run(&cfg, hdtr())),
+            "table5" => println!("{}", table5::run(&cfg, hdtr(), spec())),
+            "table6" => println!("{}", table6::run(&cfg, hdtr(), spec())),
+            "fig4" => println!("{}", fig4::run(&cfg, hdtr())),
+            "fig5" => println!("{}", fig5::run(&cfg, hdtr())),
+            "fig6" => println!("{}", fig6::run(&cfg, hdtr())),
             "fig7" => {
-                let spec = corpora.spec(&cfg).clone();
-                let f7 = fig7::run(&cfg, &spec);
+                let f7 = fig7::run(&cfg, spec());
                 println!("{f7}");
-                let rows: Vec<(String, f64)> = f7.per_benchmark.clone();
-                println!(
-                    "{}",
-                    psca_bench::chart::bar_chart(
-                        "ideal low-power residency",
-                        &rows,
-                        40,
-                        |v| format!("{:.1}%", 100.0 * v)
-                    )
-                );
+                let title = "ideal low-power residency";
+                println!("{}", chart::bar_chart(title, &f7.per_benchmark, 40, pct1));
             }
             "fig8" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                let f8 = fig8::run(&cfg, &hdtr, &spec);
+                let f8 = fig8::run(&cfg, hdtr(), spec());
                 println!("{f8}");
-                let ppw: Vec<(String, f64)> = f8
-                    .rows
-                    .iter()
-                    .map(|r| (r.kind.name().to_string(), r.overall.ppw_gain))
-                    .collect();
-                let rsv: Vec<(String, f64)> = f8
-                    .rows
-                    .iter()
-                    .map(|r| (r.kind.name().to_string(), r.overall.rsv))
-                    .collect();
-                println!(
-                    "{}",
-                    psca_bench::chart::bar_chart("PPW gain", &ppw, 40, |v| format!(
-                        "{:.1}%",
-                        100.0 * v
-                    ))
-                );
-                println!(
-                    "{}",
-                    psca_bench::chart::bar_chart("RSV", &rsv, 40, |v| format!("{:.2}%", 100.0 * v))
-                );
+                let rows = |f: fn(&fig8::Fig8Row) -> f64| -> Vec<(String, f64)> {
+                    f8.rows
+                        .iter()
+                        .map(|r| (r.kind.name().to_string(), f(r)))
+                        .collect()
+                };
+                let (ppw, rsv) = (rows(|r| r.overall.ppw_gain), rows(|r| r.overall.rsv));
+                let pct2 = |v: f64| format!("{:.2}%", 100.0 * v);
+                println!("{}", chart::bar_chart("PPW gain", &ppw, 40, pct1));
+                println!("{}", chart::bar_chart("RSV", &rsv, 40, pct2));
             }
             "fig9" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                let f9 = fig9::run(&cfg, &hdtr, &spec);
+                let f9 = fig9::run(&cfg, hdtr(), spec());
                 println!("{f9}");
                 let rsv: Vec<(String, f64)> = f9
                     .rows
                     .iter()
                     .map(|r| (r.name.clone(), r.charstar.rsv))
                     .collect();
-                println!(
-                    "{}",
-                    psca_bench::chart::bar_chart(
-                        "CHARSTAR per-benchmark RSV (the blindspot exhibit)",
-                        &rsv,
-                        40,
-                        |v| format!("{:.1}%", 100.0 * v)
-                    )
-                );
+                let title = "CHARSTAR per-benchmark RSV (the blindspot exhibit)";
+                println!("{}", chart::bar_chart(title, &rsv, 40, pct1));
             }
-            "fig10" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                println!("{}", fig10::run(&cfg, &hdtr, &spec));
-            }
+            "fig10" => println!("{}", fig10::run(&cfg, hdtr(), spec())),
             "ablate-steering" => println!("{}", ablations::steering(&cfg)),
             "ablate-width" => println!("{}", ablations::cluster_width(&cfg)),
-            "ablate-dvfs" => {
-                let spec = corpora.spec(&cfg).clone();
-                println!("{}", ablations::dvfs(&cfg, &spec));
-            }
-            "ablate-guardrail" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let spec = corpora.spec(&cfg).clone();
-                println!("{}", ablations::guardrail(&cfg, &hdtr, &spec));
-            }
+            "ablate-dvfs" => println!("{}", ablations::dvfs(&cfg, spec())),
+            "ablate-guardrail" => println!("{}", ablations::guardrail(&cfg, hdtr(), spec())),
             "ablate-horizon" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let points = ablations::horizon(&cfg, &hdtr);
-                println!(
-                    "{}",
-                    ablations::format_points("prediction horizon", &points)
-                );
+                let points = ablations::horizon(&cfg, hdtr());
+                let text = ablations::format_points("prediction horizon", &points);
+                println!("{text}");
             }
             "ablate-normalization" => {
-                let hdtr = corpora.hdtr(&cfg).clone();
-                let points = ablations::normalization(&cfg, &hdtr);
-                println!(
-                    "{}",
-                    ablations::format_points("counter normalization", &points)
-                );
+                let points = ablations::normalization(&cfg, hdtr());
+                let text = ablations::format_points("counter normalization", &points);
+                println!("{text}");
             }
             "chaos-sweep" => {
                 let sweep = chaos::chaos_sweep(&cfg, &chaos_spec);
                 println!("{sweep}");
-                if !sweep.pass {
-                    chaos_failed = true;
-                }
+                chaos_failed |= !sweep.pass;
             }
-            other => {
-                eprintln!("[repro] unknown experiment '{other}'. Known: {EXPERIMENTS:?}");
-                std::process::exit(2);
-            }
+            other => unreachable!("parse_cli admitted unknown experiment '{other}'"),
         }
         let wall = span.finish() as f64 / 1e9;
         report.add_phase(id, wall);
@@ -810,99 +624,48 @@ fn experiments_main(args: &[String]) -> i32 {
         dash.stop();
     }
     finalize_report(&mut report, &acc);
-    if let Some(path) = psca_obs::trace::finish() {
-        eprintln!(
-            "[repro] trace: {} (load in https://ui.perfetto.dev)",
-            path.display()
-        );
-    }
-    // Keep the metrics endpoints up briefly so scrapers (CI smoke) can
-    // observe the finished run before the process exits.
-    if let Ok(linger) = std::env::var("PSCA_METRICS_LINGER_S") {
-        if let Ok(secs) = linger.trim().parse::<u64>() {
-            if psca_obs::exporter::global_addr().is_some() && secs > 0 {
-                eprintln!("[repro] lingering {secs}s for metric scrapes");
-                std::thread::sleep(std::time::Duration::from_secs(secs));
-            }
-        }
-    }
-    psca_obs::exporter::shutdown_global();
     // An explicit `--chaos` run is a gate: SLA budget broken → exit 1.
     if chaos_failed && cli.chaos.is_some() {
         eprintln!("[repro] chaos sweep FAILED its SLA budget");
-        return 1;
+        return Ok(1);
     }
-    0
+    Ok(0)
 }
 
 /// `repro closed-loop`: one deterministic closed-loop adaptation run
 /// (train one model, record a trace, run the controller) with the
 /// summary as JSON on stdout. Stdout is a pure function of the flags —
 /// the acceptance target for `repro profile closed-loop` bit-identity.
-fn closed_loop_main(args: &[String]) -> i32 {
+fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_serve::{registry::kind_slug, ModelRegistry};
-    use psca_workloads::PhaseGenerator;
-    let mut model_slug = "best-rf".to_string();
-    let mut archetype_name = "balanced".to_string();
-    let mut seed = 1u64;
-    let mut windows = 16u64;
-    let mut warm_insts = 2_000u64;
-    let mut backend_flag: Option<String> = None;
-    let usage = "[repro] closed-loop flags: --model SLUG --archetype NAME --seed N \
-                 --windows N --warm-insts N --backend NAME \
-                 (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+    use psca_workloads::{Archetype, PhaseGenerator};
+    let (mut kind, mut archetype) = (ModelKind::BestRf, Archetype::Balanced);
+    let (mut seed, mut windows, mut warm_insts) = (1u64, 16u64, 2_000u64);
+    let mut backend = None;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--model" => model_slug = value(),
-            "--archetype" => archetype_name = value(),
-            "--seed" => seed = parse_or_die(&value(), flag),
-            "--windows" => windows = parse_or_die(&value(), flag),
-            "--warm-insts" => warm_insts = parse_or_die(&value(), flag),
-            "--backend" => backend_flag = Some(value()),
-            other => {
-                eprintln!("[repro] unknown closed-loop flag '{other}'\n{usage}");
-                return 2;
+            "--model" => kind = args.spec(model_kind)?,
+            "--archetype" => {
+                archetype = args.spec(|name| {
+                    psca_serve::api::parse_archetype(name)
+                        .ok_or_else(|| format!("unknown archetype '{name}'"))
+                })?
             }
+            "--seed" => seed = args.parse()?,
+            "--windows" => windows = args.parse()?,
+            "--warm-insts" => warm_insts = args.parse()?,
+            "--backend" => backend = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
-        i += 1;
     }
-    let Some(archetype) = psca_serve::api::parse_archetype(&archetype_name) else {
-        eprintln!("[repro] unknown archetype '{archetype_name}'");
-        return 2;
-    };
-    let Some(kind) = SERVE_KINDS
-        .into_iter()
-        .find(|&k| kind_slug(k) == model_slug)
-    else {
-        eprintln!("[repro] unknown model slug '{model_slug}'\n{usage}");
-        return 2;
-    };
-    psca_obs::init_from_env();
-    let mut builder = ExperimentConfig::builder().seed(seed);
-    if let Some(backend) = resolve_backend(backend_flag.as_deref()) {
-        builder = builder.backend(backend);
-    }
-    let cfg = match builder.build() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("[repro] bad closed-loop config: {e}");
-            return 2;
-        }
-    };
+    let cfg = experiment_config(ExperimentConfig::builder().seed(seed), backend, false)?;
+    let model_slug = kind_slug(kind);
     eprintln!("[repro] closed-loop: training {model_slug} (seed {seed})...");
     let registry = ModelRegistry::train(cfg, &[kind]);
-    let Some(model) = registry.get(&model_slug) else {
+    let Some(model) = registry.get(model_slug) else {
         eprintln!("[repro] closed-loop: training produced no '{model_slug}' model");
-        return 1;
+        return Ok(1);
     };
     let span = psca_obs::SpanTimer::start("repro.closed_loop");
     let run_cfg = registry.config();
@@ -917,7 +680,7 @@ fn closed_loop_main(args: &[String]) -> i32 {
     // The summary goes to stdout and carries no wall-clock data, so
     // profiled and unprofiled runs diff clean.
     let doc = Json::obj(vec![
-        ("model", model_slug.as_str().into()),
+        ("model", model_slug.into()),
         ("archetype", format!("{archetype:?}").into()),
         ("seed", seed.into()),
         ("backend", run_cfg.backend.as_str().into()),
@@ -930,7 +693,7 @@ fn closed_loop_main(args: &[String]) -> i32 {
     ]);
     println!("{doc}");
     eprintln!("[repro] closed-loop done in {wall:.2}s");
-    0
+    Ok(0)
 }
 
 /// `repro fleet`: N skewed dies, staged firmware rollout with canary
@@ -938,61 +701,28 @@ fn closed_loop_main(args: &[String]) -> i32 {
 /// report JSON on stdout is a pure function of the flags — byte-identical
 /// across runs and across `--jobs` settings. Exit 1 iff the rollout
 /// rolled back (the CI gate), 2 on usage errors.
-fn fleet_main(args: &[String]) -> i32 {
+fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_fleet::{run_fleet, FleetParams, RolloutSpec, SkewSpec};
     let mut params = FleetParams::default();
-    let mut jobs = 0usize;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut backend_flag: Option<String> = None;
-    let usage = "[repro] fleet flags: --size N --seed N --windows N --skew SPEC|off \
-                 --rollout SPEC|off --chaos SPEC --jobs N --backend NAME --bad-image --out PATH";
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+    let (mut jobs, mut out, mut backend) = (0usize, None, None);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--size" => params.size = parse_or_die(&value(), flag),
-            "--seed" => params.seed = parse_or_die(&value(), flag),
-            "--windows" => params.windows = parse_or_die(&value(), flag),
-            "--jobs" => jobs = parse_or_die(&value(), flag),
-            "--skew" => params.skew = spec_or_die(SkewSpec::parse(&value()), flag),
-            "--rollout" => params.rollout = spec_or_die(RolloutSpec::parse(&value()), flag),
-            "--chaos" => params.chaos = Some(spec_or_die(ChaosSpec::parse(&value()), flag)),
-            "--bad-image" => {
-                params.bad_image = true;
-                i -= 1;
-            }
-            "--backend" => backend_flag = Some(value()),
-            "--out" => out = Some(std::path::PathBuf::from(value())),
-            other => {
-                eprintln!("[repro] unknown fleet flag '{other}'\n{usage}");
-                return 2;
-            }
+            "--size" => params.size = args.nonzero()?,
+            "--seed" => params.seed = args.parse()?,
+            "--windows" => params.windows = args.parse()?,
+            "--jobs" => jobs = args.parse()?,
+            "--skew" => params.skew = args.spec(SkewSpec::parse)?,
+            "--rollout" => params.rollout = args.spec(RolloutSpec::parse)?,
+            "--chaos" => params.chaos = Some(args.spec(ChaosSpec::parse)?),
+            "--bad-image" => params.bad_image = true,
+            "--backend" => backend = Some(args.value()?),
+            "--out" => out = Some(PathBuf::from(args.value()?)),
+            _ => return Err(args.unknown()),
         }
-        i += 1;
     }
-    if params.size == 0 {
-        eprintln!("[repro] --size must be at least 1\n{usage}");
-        return 2;
-    }
-    psca_obs::init_from_env();
-    let mut builder = ExperimentConfig::builder().seed(params.seed).jobs(jobs);
-    if let Some(backend) = resolve_backend(backend_flag.as_deref()) {
-        builder = builder.backend(backend);
-    }
-    let cfg = match builder.build() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("[repro] bad fleet config: {e}");
-            return 2;
-        }
-    };
+    let builder = ExperimentConfig::builder().seed(params.seed).jobs(jobs);
+    let cfg = experiment_config(builder, backend, false)?;
     eprintln!(
         "[repro] fleet: {} dies, seed {}, backend {}, rollout {}...",
         params.size,
@@ -1013,12 +743,12 @@ fn fleet_main(args: &[String]) -> i32 {
     if let Some(path) = &out {
         if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
             eprintln!("[repro] fleet: cannot write {}: {e}", path.display());
-            return 1;
+            return Ok(1);
         }
         eprintln!("[repro] fleet report: {}", path.display());
     }
-    // Publish a run report (artifact + live /report endpoint) and honor
-    // the CI linger window, like the experiment drivers do.
+    // Publish a run report (artifact + live /report endpoint), like the
+    // experiment drivers do.
     let mut run_report = RunReport::new(&format!("fleet-{}", params.seed));
     run_report.add_phase("repro.fleet", wall);
     run_report.set("backend", report.backend.as_str());
@@ -1031,15 +761,6 @@ fn fleet_main(args: &[String]) -> i32 {
         Ok(path) => eprintln!("[repro] run report: {}", path.display()),
         Err(e) => eprintln!("[repro] failed to write run report: {e}"),
     }
-    if let Ok(linger) = std::env::var("PSCA_METRICS_LINGER_S") {
-        if let Ok(secs) = linger.trim().parse::<u64>() {
-            if psca_obs::exporter::global_addr().is_some() && secs > 0 {
-                eprintln!("[repro] lingering {secs}s for metric scrapes");
-                std::thread::sleep(std::time::Duration::from_secs(secs));
-            }
-        }
-    }
-    psca_obs::exporter::shutdown_global();
     eprintln!(
         "[repro] fleet {} in {wall:.2}s",
         if report.pass {
@@ -1048,97 +769,57 @@ fn fleet_main(args: &[String]) -> i32 {
             "FAIL (rolled back)"
         }
     );
-    if report.pass {
-        0
-    } else {
-        1
-    }
+    Ok(if report.pass { 0 } else { 1 })
 }
 
 /// `repro bench`: the unified benchmark suite (psca_bench::suite) — runs
 /// every bench (or `--only` a subset), attaches the profiler's top
 /// self-time paths, and optionally refreshes (`--update`) or gates
 /// against (`--check`) the committed `BENCH_*.json` baselines.
-fn bench_main(args: &[String]) -> i32 {
+fn bench_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_bench::suite::{self, BenchOpts};
-    let mut update = false;
-    let mut check = false;
-    let mut quick = false;
-    let mut seed = 1u64;
-    let mut tolerance: Option<f64> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut backend_flag: Option<String> = None;
-    let usage = "[repro] bench flags: --update --check --quick --seed N --tolerance FRAC \
-                 --backend NAME --only name[,name...] \
-                 (names: sim_throughput sweep inference serve surrogate)";
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = || {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("[repro] {flag} requires a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
+    let (mut update, mut check, mut quick) = (false, false, false);
+    let (mut seed, mut tolerance, mut backend) = (1u64, None, None);
+    let mut names = suite::BENCHES.to_vec();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
         match flag {
-            "--update" => {
-                update = true;
-                i -= 1;
+            "--update" => update = true,
+            "--check" => check = true,
+            "--quick" => quick = true,
+            "--seed" => seed = args.parse()?,
+            "--tolerance" => tolerance = Some(args.parse()?),
+            "--backend" => backend = Some(args.value()?),
+            "--only" => {
+                names = args.spec(|list| {
+                    list.split(',')
+                        .map(|name| {
+                            let name = name.trim();
+                            suite::BENCHES
+                                .into_iter()
+                                .find(|&b| b == name)
+                                .ok_or_else(|| format!("unknown bench '{name}'"))
+                        })
+                        .collect::<Result<_, _>>()
+                })?
             }
-            "--check" => {
-                check = true;
-                i -= 1;
-            }
-            "--quick" => {
-                quick = true;
-                i -= 1;
-            }
-            "--seed" => seed = parse_or_die(&value(), flag),
-            "--tolerance" => tolerance = Some(parse_or_die(&value(), flag)),
-            "--backend" => backend_flag = Some(value()),
-            "--only" => only = value().split(',').map(|s| s.trim().to_string()).collect(),
-            other => {
-                eprintln!("[repro] unknown bench flag '{other}'\n{usage}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-    let names: Vec<String> = if only.is_empty() {
-        suite::BENCHES.iter().map(|s| s.to_string()).collect()
-    } else {
-        only
-    };
-    for name in &names {
-        if !suite::BENCHES.contains(&name.as_str()) {
-            eprintln!("[repro] unknown bench '{name}'\n{usage}");
-            return 2;
+            _ => return Err(args.unknown()),
         }
     }
     // `repro bench` produces (--update) or gates against (--check) the
     // committed baselines: a verdict-bearing path. Its numbers are only
     // meaningful at reference fidelity, so a surrogate selection — flag
     // or PSCA_BACKEND — is a typed usage error, never silently accepted.
-    if let Some(backend) = resolve_backend(backend_flag.as_deref()) {
-        if !backend.is_reference() {
-            eprintln!(
-                "[repro] {}",
-                psca_adapt::ConfigError::NonReferenceBackend(backend)
-            );
-            return 2;
-        }
-    }
+    experiment_config(ExperimentConfig::builder(), backend, true)?;
     // Quick runs on loaded CI machines are noisy; default to a wide band
     // there and a tighter one for full local runs.
     let tolerance = tolerance.unwrap_or(if quick { 3.0 } else { 0.5 });
-    psca_obs::init_from_env();
     let opts = BenchOpts { quick, seed };
     let dir = Path::new("target/obs");
     let _ = std::fs::create_dir_all(dir);
     let mut results = Vec::new();
     let mut combined = psca_obs::Profile::default();
-    for name in &names {
+    for name in names {
         eprintln!(
             "[repro] bench {name} ({} mode, seed {seed})...",
             if quick { "quick" } else { "full" }
@@ -1212,13 +893,13 @@ fn bench_main(args: &[String]) -> i32 {
         "{}",
         Json::Arr(results.iter().map(|r| r.to_json()).collect())
     );
-    if baseline_error {
+    Ok(if baseline_error {
         2
     } else if failed {
         1
     } else {
         0
-    }
+    })
 }
 
 /// Derives the headline summary from the accumulated metrics snapshot and

@@ -13,105 +13,109 @@
 //! Observability flags (any subcommand): `--trace-out <path.json>`
 //! records a Perfetto trace of the invocation; `--serve-metrics` exposes
 //! `/metrics` + `/healthz` + `/report` (address from `PSCA_METRICS_ADDR`,
-//! default `127.0.0.1:9185`).
+//! default `127.0.0.1:9185`). The `PSCA_*` environment outputs and
+//! `PSCA_METRICS_LINGER_S` work as for `repro` (docs/OBSERVABILITY.md):
+//! both binaries share the [`psca_bench::cli`] front end, so a missing
+//! value, an unknown flag or a malformed or zero number exits 2 naming
+//! the flag.
 
+use psca_bench::cli::{self, Args, UsageError};
 use psca_cpu::{ClusterSim, CpuConfig, Mode, RunSummary};
-use psca_trace::{file, TraceSource, TraceStats};
+use psca_trace::{file, TraceStats};
 use psca_workloads::spec::spec_suite;
 use psca_workloads::{hdtr_corpus, ApplicationModel, Category};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage:");
-    eprintln!("  trace-tool record <out.pstr> [--bench NAME | --app SEED] [--input N] [--insts N]");
-    eprintln!("  trace-tool stats  <in.pstr>");
-    eprintln!("  trace-tool replay <in.pstr> [--low-power] [--interval N]");
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage:
+  trace-tool record <out.pstr> [--bench NAME | --app SEED] [--input N] [--insts N]
+  trace-tool stats  <in.pstr>
+  trace-tool replay <in.pstr> [--low-power] [--interval N]
+  (any subcommand: --trace-out PATH --serve-metrics)";
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn main() -> ExitCode {
-    psca_obs::init_from_env();
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(path) = arg_value(&args, "--trace-out") {
-        psca_obs::trace::enable(&path);
-    }
-    if args.iter().any(|a| a == "--serve-metrics") {
-        let addr = std::env::var("PSCA_METRICS_ADDR").unwrap_or_else(|_| "127.0.0.1:9185".into());
-        psca_obs::exporter::serve(&addr);
-    }
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    // Scope the top-level span so it drops (and lands in the trace)
-    // before the recorder is finalized below.
-    let code = {
-        let _span = psca_obs::SpanTimer::start(&format!("trace_tool.{cmd}"));
-        match cmd.as_str() {
-            "record" => record(&args),
-            "stats" => stats(&args),
-            "replay" => replay(&args),
-            _ => usage(),
-        }
-    };
-    if let Some(path) = psca_obs::trace::finish() {
-        eprintln!("[trace-tool] trace: {}", path.display());
-    }
-    psca_obs::exporter::shutdown_global();
-    code
+    let code = cli::run("trace-tool", || {
+        dispatch(&args).map_err(|e| e.or_usage(USAGE))
+    });
+    std::process::ExitCode::from(code as u8)
 }
 
-fn record(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        return usage();
+/// Reads the subcommand and its flags, then runs it inside a top-level
+/// span (dropped, and so recorded, before `cli::run` writes the trace).
+fn dispatch(argv: &[String]) -> Result<i32, UsageError> {
+    let cmd = match argv.first().map(String::as_str) {
+        Some(cmd @ ("record" | "stats" | "replay")) => cmd,
+        Some(other) => return Err(UsageError::new(format!("unknown subcommand '{other}'"))),
+        None => return Err(UsageError::new("missing subcommand")),
     };
-    let input: u64 = arg_value(args, "--input")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let insts: u64 = arg_value(args, "--insts")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
-    let mut source: Box<dyn TraceSource> = if let Some(bench) = arg_value(args, "--bench") {
-        let suite = spec_suite(0x5bec, 200_000);
-        let Some(app) = suite.iter().find(|a| a.bench.name == bench) else {
-            eprintln!(
-                "unknown benchmark '{bench}'; known: {:?}",
-                suite.iter().map(|a| a.bench.name).collect::<Vec<_>>()
-            );
-            return ExitCode::from(2);
-        };
-        Box::new(app.app.trace(input))
-    } else if let Some(seed) = arg_value(args, "--app") {
-        let seed: u64 = seed.parse().unwrap_or(1);
-        let app = ApplicationModel::synth(format!("app-{seed}"), Category::HpcPerf, seed, 100_000);
-        Box::new(app.trace(input))
-    } else {
-        let corpus = hdtr_corpus(1, 1, 100_000);
-        Box::new(corpus[0].app.trace(input))
-    };
+    let (record, replay) = (cmd == "record", cmd == "replay");
+    let (mut path, mut trace_out, mut serve_metrics) = (None, None, false);
+    let (mut bench, mut app_seed, mut input, mut insts) = (None, None, 1u64, 200_000u64);
+    let (mut low_power, mut interval) = (false, 10_000u64);
+    let mut args = Args::new(&argv[1..]);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--trace-out" => trace_out = Some(args.value()?),
+            "--serve-metrics" => serve_metrics = true,
+            "--bench" if record => bench = Some(args.spec(spec_app)?),
+            "--app" if record => app_seed = Some(args.parse()?),
+            "--input" if record => input = args.parse()?,
+            "--insts" if record => insts = args.nonzero()?,
+            "--low-power" if replay => low_power = true,
+            "--interval" if replay => interval = args.nonzero()?,
+            p if path.is_none() && !p.starts_with("--") => path = Some(p),
+            _ => return Err(args.unknown()),
+        }
+    }
+    let path = path.ok_or_else(|| UsageError::new(format!("{cmd} needs a trace file path")))?;
+    cli::obs_flags("trace-tool", trace_out, serve_metrics);
+    let _span = psca_obs::SpanTimer::start(&format!("trace_tool.{cmd}"));
+    Ok(match cmd {
+        "record" => {
+            // `--bench` wins over `--app`; with neither, the first HDTR app.
+            let app = bench.or_else(|| {
+                app_seed.map(|seed| {
+                    ApplicationModel::synth(format!("app-{seed}"), Category::HpcPerf, seed, 100_000)
+                })
+            });
+            let app = app.unwrap_or_else(|| hdtr_corpus(1, 1, 100_000).swap_remove(0).app);
+            record_trace(path, &app, input, insts)
+        }
+        "stats" => stats(path),
+        _ => replay_trace(path, low_power, interval),
+    })
+}
+
+/// The SPEC-like benchmark a `--bench` name selects.
+fn spec_app(name: &str) -> Result<ApplicationModel, String> {
+    let mut suite = spec_suite(0x5bec, 200_000);
+    match suite.iter().position(|a| a.bench.name == name) {
+        Some(i) => Ok(suite.swap_remove(i).app),
+        None => {
+            let known: Vec<&str> = suite.iter().map(|a| a.bench.name).collect();
+            Err(format!("unknown benchmark '{name}'; known: {known:?}"))
+        }
+    }
+}
+
+fn record_trace(path: &str, app: &ApplicationModel, input: u64, insts: u64) -> i32 {
     let out = match File::create(path) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("cannot create {path}: {e}");
-            return ExitCode::FAILURE;
+            return 1;
         }
     };
     let mut writer = BufWriter::new(out);
-    match file::write_trace(&mut source, insts, &mut writer) {
+    match file::write_trace(&mut app.trace(input), insts, &mut writer) {
         Ok(n) => {
             println!("recorded {n} instructions to {path}");
-            ExitCode::SUCCESS
+            0
         }
         Err(e) => {
             eprintln!("record failed: {e}");
-            ExitCode::FAILURE
+            1
         }
     }
 }
@@ -121,15 +125,12 @@ fn open_trace(path: &str) -> Result<file::TraceFileReader<BufReader<File>>, Stri
     file::TraceFileReader::open(BufReader::new(f)).map_err(|e| e.to_string())
 }
 
-fn stats(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        return usage();
-    };
+fn stats(path: &str) -> i32 {
     let mut reader = match open_trace(path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return 1;
         }
     };
     println!("{path}: {} instructions", reader.remaining());
@@ -140,27 +141,21 @@ fn stats(args: &[String]) -> ExitCode {
     println!("  distinct 64B data lines: {}", stats.distinct_lines);
     if let Some(e) = reader.error() {
         eprintln!("  warning: trace truncated: {e}");
-        return ExitCode::FAILURE;
+        return 1;
     }
-    ExitCode::SUCCESS
+    0
 }
 
-fn replay(args: &[String]) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        return usage();
-    };
-    let interval: u64 = arg_value(args, "--interval")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+fn replay_trace(path: &str, low_power: bool, interval: u64) -> i32 {
     let mut reader = match open_trace(path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return 1;
         }
     };
     let mut sim = ClusterSim::new(CpuConfig::skylake_scaled());
-    if args.iter().any(|a| a == "--low-power") {
+    if low_power {
         sim.set_mode(Mode::LowPower);
     }
     println!("replaying {path} in {} mode...", sim.mode());
@@ -196,5 +191,5 @@ fn replay(args: &[String]) -> ExitCode {
         Err(e) => eprintln!("[trace-tool] failed to write run report: {e}"),
     }
     psca_obs::flush();
-    ExitCode::SUCCESS
+    0
 }

@@ -1,9 +1,9 @@
 //! # psca-bench
 //!
 //! The benchmark harness: the `repro` binary that regenerates every
-//! table and figure of the paper, and the `repro bench` suite
-//! ([`suite`]) that records and gates the tracked `BENCH_*.json`
-//! baselines.
+//! table and figure of the paper, the `repro bench` suite ([`suite`])
+//! that records and gates the tracked `BENCH_*.json` baselines, and the
+//! command-line front end ([`cli`]) shared by `repro` and `trace-tool`.
 //!
 //! ```text
 //! cargo run --release -p psca-bench --bin repro -- all
@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod chart;
+pub mod cli;
 pub mod loadgen;
 pub mod suite;
 
@@ -75,5 +76,11 @@ impl Corpora {
             self.spec = Some(CorpusTelemetry::spec(cfg));
         }
         self.spec.as_ref().unwrap()
+    }
+
+    /// Both corpora, borrowed together: `(hdtr, spec)`, each `None` until
+    /// built.
+    pub fn built(&self) -> (Option<&CorpusTelemetry>, Option<&CorpusTelemetry>) {
+        (self.hdtr.as_ref(), self.spec.as_ref())
     }
 }

@@ -10,15 +10,28 @@ use psca_adapt::{collect_paired, zoo, CorpusTelemetry, ExperimentConfig, ModelKi
 use psca_obs::Json;
 use psca_workloads::{Archetype, PhaseGenerator};
 
+/// Every zoo kind with its URL-safe registry slug (`GET /v1/models`
+/// names).
+const SLUGS: [(ModelKind, &str); 5] = [
+    (ModelKind::BestRf, "best-rf"),
+    (ModelKind::BestMlp, "best-mlp"),
+    (ModelKind::Charstar, "charstar"),
+    (ModelKind::SrchFine, "srch-fine"),
+    (ModelKind::SrchCoarse, "srch-coarse"),
+];
+
 /// URL-safe registry slug for a model kind (`GET /v1/models` names).
 pub fn kind_slug(kind: ModelKind) -> &'static str {
-    match kind {
-        ModelKind::BestRf => "best-rf",
-        ModelKind::BestMlp => "best-mlp",
-        ModelKind::Charstar => "charstar",
-        ModelKind::SrchFine => "srch-fine",
-        ModelKind::SrchCoarse => "srch-coarse",
-    }
+    SLUGS
+        .iter()
+        .find(|&&(k, _)| k == kind)
+        .map(|&(_, slug)| slug)
+        .expect("SLUGS lists every ModelKind")
+}
+
+/// The model kind a registry slug names (the inverse of [`kind_slug`]).
+pub fn kind_from_slug(slug: &str) -> Option<ModelKind> {
+    SLUGS.iter().find(|&&(_, s)| s == slug).map(|&(k, _)| k)
 }
 
 /// Read-only collection of named [`TrainedAdaptModel`]s plus the config
@@ -160,6 +173,21 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slugs_round_trip_every_kind() {
+        for kind in [
+            ModelKind::BestRf,
+            ModelKind::BestMlp,
+            ModelKind::Charstar,
+            ModelKind::SrchFine,
+            ModelKind::SrchCoarse,
+        ] {
+            assert_eq!(kind_from_slug(kind_slug(kind)), Some(kind));
+        }
+        assert_eq!(kind_from_slug("best-svm"), None);
+        assert_eq!(kind_from_slug(" best-rf"), None);
+    }
 
     #[test]
     fn registry_trains_and_describes_models() {

@@ -17,9 +17,10 @@
 //! (`GET /v1/slo`), the flight recorder (`GET /v1/debug/requests`,
 //! postmortem dumps to `target/obs/` on 5xx / SLO alert / degradation
 //! escalation), the latency histogram's exemplar, and — when
-//! `PSCA_ACCESS_LOG` or [`ServeConfig::access_log`] is set — a JSONL
-//! access log. Under `PSCA_PROF=1` the hierarchical self-profiler
-//! accumulates per-stack self time, scrapeable live via
+//! [`ServeConfig::access_log`] is set — a JSONL access log. Every daemon
+//! knob is a [`ServeConfig`] field; `repro serve` maps its flags and
+//! environment onto them. Under `PSCA_PROF=1` the hierarchical
+//! self-profiler accumulates per-stack self time, scrapeable live via
 //! `GET /v1/profile` (top self-time nodes since the last scrape). None
 //! of this changes any computed result: responses are bit-identical
 //! with tracing or profiling on or off.
@@ -71,8 +72,8 @@ pub struct ServeConfig {
     /// Service-level objective evaluated per request (`GET /v1/slo`);
     /// `None` disables the engine.
     pub slo: Option<SloSpec>,
-    /// JSONL access-log path; falls back to the `PSCA_ACCESS_LOG`
-    /// environment variable when unset.
+    /// JSONL access-log path; `None` writes no access log. `repro serve`
+    /// seeds this from `--access-log` / `PSCA_ACCESS_LOG`.
     pub access_log: Option<PathBuf>,
 }
 
@@ -275,14 +276,8 @@ impl Daemon {
             .slo
             .clone()
             .map(|spec| Mutex::new(SloEngine::new(spec)));
-        let access_path = config.access_log.clone().or_else(|| {
-            std::env::var("PSCA_ACCESS_LOG")
-                .ok()
-                .filter(|p| !p.trim().is_empty())
-                .map(PathBuf::from)
-        });
-        let access = match access_path {
-            Some(path) => match JsonlSink::create(&path) {
+        let access = match &config.access_log {
+            Some(path) => match JsonlSink::create(path) {
                 Ok(sink) => Some(sink),
                 Err(e) => {
                     eprintln!("psca-serve: cannot open access log {}: {e}", path.display());
