@@ -16,7 +16,7 @@ use crate::degrade::{DegradeLevel, DegradeSummary, PredictionHealth, Watchdog};
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::sla::Sla;
 use crate::train::{TrainedAdaptModel, HORIZON};
-use psca_cpu::{BackendChoice, ClusterSim, CpuConfig, Mode, ModeSwitchFault};
+use psca_cpu::{BackendChoice, CpuConfig, Mode, ModeSwitchFault};
 use psca_faults::{ActuationFault, ChaosSpec, FaultCounts, FaultInjector, PredictionFault};
 use psca_trace::{TraceSource, VecTrace};
 use psca_uc::{image, FirmwareModel};
@@ -356,10 +356,7 @@ impl ClosedLoopResult {
     /// and reports 0.0 rather than the near-infinite ratio a division by
     /// `f64::MIN_POSITIVE` would produce.
     pub fn ppw(&self) -> f64 {
-        if !self.energy.is_finite() || self.energy <= 0.0 {
-            return 0.0;
-        }
-        self.instructions as f64 / self.energy
+        ppw(self.instructions, self.energy)
     }
 
     /// Aligned `(truth, prediction)` label vectors for windows that had a
@@ -375,6 +372,15 @@ impl ClosedLoopResult {
         }
         (t, p)
     }
+}
+
+/// Instructions per unit energy, 0.0 when no finite positive energy was
+/// recorded.
+pub(crate) fn ppw(instructions: u64, energy: f64) -> f64 {
+    if !energy.is_finite() || energy <= 0.0 {
+        return 0.0;
+    }
+    instructions as f64 / energy
 }
 
 /// Firmware inference with health classification instead of panics:
@@ -406,37 +412,6 @@ pub fn record_trace<S: TraceSource>(
     (warm, window)
 }
 
-/// Per-window IPC of a static high-performance run of `window` on `cpu`,
-/// `g` intervals of `interval_insts` per window, after warming on `warm`:
-/// the SLA reference the chaos sweep and fleet dies score gated windows
-/// against.
-pub fn reference_ipc(
-    cpu: &CpuConfig,
-    warm: &VecTrace,
-    window: &VecTrace,
-    interval_insts: u64,
-    g: usize,
-) -> Vec<f64> {
-    let mut sim = ClusterSim::new(cpu.clone());
-    let mut warm_replay = warm.clone();
-    sim.warm_up(&mut warm_replay, warm.len() as u64);
-    let mut replay = window.clone();
-    let mut out = Vec::new();
-    'outer: loop {
-        let mut cycles = 0u64;
-        let mut insts = 0u64;
-        for _ in 0..g {
-            let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
-                break 'outer;
-            };
-            cycles += r.snapshot.cycles;
-            insts += r.instructions;
-        }
-        out.push(insts as f64 / cycles.max(1) as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,21 +422,8 @@ mod tests {
     use psca_workloads::{Archetype, PhaseGenerator};
 
     fn corpus_and_model() -> (CorpusTelemetry, TrainedAdaptModel, ExperimentConfig) {
-        let mut traces = Vec::new();
-        for (i, a) in [
-            Archetype::DepChain,
-            Archetype::ScalarIlp,
-            Archetype::MemBound,
-            Archetype::Balanced,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let mut gen = PhaseGenerator::new(a.center(), i as u64 + 30);
-            traces.push(collect_paired(&mut gen, 2_000, 24, 2_000, i as u32, "t", 1));
-        }
-        let corpus = CorpusTelemetry { traces };
         let cfg = ExperimentConfig::quick();
+        let corpus = crate::robustness_corpus(&cfg);
         let model = zoo::train(ModelKind::BestRf, &corpus, &cfg);
         (corpus, model, cfg)
     }

@@ -23,6 +23,10 @@
 //!   against ground truth, protected by the graceful-degradation ladder
 //!   of [`degrade`] under injected telemetry/µC/actuation faults
 //!   (`psca-faults`);
+//! - [`Scenario`] / [`LoopScore`] — the one deployment scorer the chaos
+//!   sweep and the fleet share: a recorded workload with its static
+//!   high-performance reference, and the additive RSV/PPW accounting of
+//!   the closed loops run over it;
 //! - [`experiments`] — one driver per table and figure of the paper;
 //! - [`ExperimentConfig`] — the scaled experiment grid (quick vs. full).
 
@@ -39,14 +43,16 @@ pub mod zoo;
 mod config;
 mod controller;
 mod paired;
+mod robustness;
 mod sla;
 mod train;
 
 pub use config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
-pub use controller::{
-    record_trace, reference_ipc, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult,
-};
+pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
 pub use paired::{collect_paired, collect_paired_with, CorpusTelemetry, TraceTelemetry};
 pub use psca_cpu::{BackendChoice, SimBackend};
+pub use robustness::{
+    robustness_corpus, robustness_model, LoopScore, Scenario, ROBUSTNESS_ARCHETYPES,
+};
 pub use sla::Sla;
 pub use train::{build_dataset, tune_threshold, Featurizer, ModelKind, TrainedAdaptModel, HORIZON};

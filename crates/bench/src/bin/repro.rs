@@ -634,63 +634,60 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
 
 /// `repro closed-loop`: one deterministic closed-loop adaptation run
 /// (train one model, record a trace, run the controller) with the
-/// summary as JSON on stdout. Stdout is a pure function of the flags —
-/// the acceptance target for `repro profile closed-loop` bit-identity.
+/// summary as JSON on stdout: the document `POST /v1/closed-loop`
+/// answers for the same spec on a `repro serve --seed N` daemon, both
+/// rendered by `ClosedLoopSpec::run`. Stdout is a pure function of the
+/// flags — the acceptance target for `repro profile closed-loop`
+/// bit-identity.
 fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
-    use psca_serve::{registry::kind_slug, ModelRegistry};
-    use psca_workloads::{Archetype, PhaseGenerator};
-    let (mut kind, mut archetype) = (ModelKind::BestRf, Archetype::Balanced);
-    let (mut seed, mut windows, mut warm_insts) = (1u64, 16u64, 2_000u64);
+    use psca_serve::{registry::kind_slug, ClosedLoopSpec, ModelRegistry};
+    let mut kind = ModelKind::BestRf;
+    let mut spec = ClosedLoopSpec {
+        model: String::new(),
+        archetype: psca_workloads::Archetype::Balanced,
+        seed: 1,
+        windows: 16,
+        warm_insts: 2_000,
+        chaos: None,
+        hardened: false,
+        backend: None,
+    };
     let mut backend = None;
     let mut args = Args::new(args);
     while let Some(flag) = args.next() {
         match flag {
             "--model" => kind = args.spec(model_kind)?,
             "--archetype" => {
-                archetype = args.spec(|name| {
+                spec.archetype = args.spec(|name| {
                     psca_serve::api::parse_archetype(name)
                         .ok_or_else(|| format!("unknown archetype '{name}'"))
                 })?
             }
-            "--seed" => seed = args.parse()?,
-            "--windows" => windows = args.parse()?,
-            "--warm-insts" => warm_insts = args.parse()?,
+            "--seed" => spec.seed = args.parse()?,
+            "--windows" => spec.windows = args.parse()?,
+            "--warm-insts" => spec.warm_insts = args.parse()?,
             "--backend" => backend = Some(args.value()?),
             _ => return Err(args.unknown()),
         }
     }
-    let cfg = experiment_config(ExperimentConfig::builder().seed(seed), backend, false)?;
-    let model_slug = kind_slug(kind);
-    eprintln!("[repro] closed-loop: training {model_slug} (seed {seed})...");
+    let cfg = experiment_config(ExperimentConfig::builder().seed(spec.seed), backend, false)?;
+    spec.model = kind_slug(kind).to_string();
+    eprintln!(
+        "[repro] closed-loop: training {} (seed {})...",
+        spec.model, spec.seed
+    );
     let registry = ModelRegistry::train(cfg, &[kind]);
-    let Some(model) = registry.get(model_slug) else {
-        eprintln!("[repro] closed-loop: training produced no '{model_slug}' model");
-        return Ok(1);
-    };
     let span = psca_obs::SpanTimer::start("repro.closed_loop");
-    let run_cfg = registry.config();
-    let interval_insts = run_cfg.interval_insts;
-    let mut gen = PhaseGenerator::new(archetype.center(), seed);
-    let window_insts = windows * model.granularity_insts(interval_insts);
-    let (warm, window) = psca_adapt::record_trace(&mut gen, warm_insts, window_insts);
-    let result = psca_adapt::ClosedLoopRequest::new(model, &warm, &window, interval_insts)
-        .with_backend(run_cfg.backend)
-        .run();
+    let doc = match spec.run(&registry) {
+        Ok((doc, _)) => doc,
+        Err(e) => {
+            eprintln!("[repro] closed-loop: {}", e.message);
+            return Ok(1);
+        }
+    };
     let wall = span.finish() as f64 / 1e9;
     // The summary goes to stdout and carries no wall-clock data, so
     // profiled and unprofiled runs diff clean.
-    let doc = Json::obj(vec![
-        ("model", model_slug.into()),
-        ("archetype", format!("{archetype:?}").into()),
-        ("seed", seed.into()),
-        ("backend", run_cfg.backend.as_str().into()),
-        ("windows", (result.modes.len() as u64).into()),
-        ("instructions", result.instructions.into()),
-        ("cycles", result.cycles.into()),
-        ("energy", result.energy.into()),
-        ("ppw", result.ppw().into()),
-        ("low_power_residency", result.low_power_residency.into()),
-    ]);
     println!("{doc}");
     eprintln!("[repro] closed-loop done in {wall:.2}s");
     Ok(0)
@@ -754,8 +751,8 @@ fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
     run_report.set("backend", report.backend.as_str());
     run_report.set("fleet_size", params.size as u64);
     run_report.set("fleet_status", report.status);
-    run_report.set("fleet_rsv", report.fleet_rsv);
-    run_report.set("fleet_ppw", report.fleet_ppw);
+    run_report.set("fleet_rsv", report.total.rsv());
+    run_report.set("fleet_ppw", report.total.ppw());
     run_report.set("fleet_quarantined", report.quarantined.len() as u64);
     match run_report.write_with(Path::new("target/obs"), &psca_obs::snapshot()) {
         Ok(path) => eprintln!("[repro] run report: {}", path.display()),

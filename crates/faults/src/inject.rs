@@ -98,6 +98,23 @@ impl FaultCounts {
     }
 }
 
+/// Class-by-class sum, for aggregating several runs' tallies.
+impl std::ops::AddAssign for FaultCounts {
+    fn add_assign(&mut self, other: FaultCounts) {
+        self.telem_stuck += other.telem_stuck;
+        self.telem_saturated += other.telem_saturated;
+        self.telem_dropped += other.telem_dropped;
+        self.telem_drift += other.telem_drift;
+        self.telem_nan += other.telem_nan;
+        self.uc_dropped += other.uc_dropped;
+        self.uc_late += other.uc_late;
+        self.uc_weight_nan += other.uc_weight_nan;
+        self.uc_image_bitflip += other.uc_image_bitflip;
+        self.act_lost += other.act_lost;
+        self.act_delayed += other.act_delayed;
+    }
+}
+
 /// The seedable fault injector driving a chaos run.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -335,6 +352,22 @@ mod tests {
 
     fn rows(n: usize, dim: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![0.5 + i as f64 * 0.01; dim]).collect()
+    }
+
+    #[test]
+    fn counts_add_class_by_class() {
+        let a = FaultCounts {
+            telem_stuck: 1,
+            uc_late: 2,
+            act_delayed: 3,
+            ..FaultCounts::default()
+        };
+        let mut sum = a;
+        sum += a;
+        for ((name, n), (_, one)) in sum.by_class().iter().zip(a.by_class()) {
+            assert_eq!(*n, 2 * one, "{name}");
+        }
+        assert_eq!(sum.total(), 12);
     }
 
     #[test]

@@ -35,5 +35,5 @@ mod skew;
 pub use rollout::{
     CohortHealth, FleetImage, Rollout, RolloutSpec, RolloutStatus, StageAction, StageOutcome,
 };
-pub use runner::{run_fleet, DieRow, DieStats, FleetParams, FleetReport, FleetSetup, StageRow};
+pub use runner::{run_fleet, DieRow, FleetParams, FleetReport, FleetSetup};
 pub use skew::{DieSkew, SkewSpec};

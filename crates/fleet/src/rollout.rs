@@ -157,6 +157,17 @@ pub enum StageAction {
     RolledBack,
 }
 
+impl StageAction {
+    /// Stable lower-case label for reports and metric names.
+    pub fn name(&self) -> &'static str {
+        match self {
+            StageAction::Promoted => "promoted",
+            StageAction::Completed => "completed",
+            StageAction::RolledBack => "rolled_back",
+        }
+    }
+}
+
 /// Terminal (or in-flight) status of the whole rollout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RolloutStatus {

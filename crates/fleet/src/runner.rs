@@ -15,23 +15,14 @@ use crate::rollout::{
 };
 use crate::skew::{DieSkew, SkewSpec};
 use psca_adapt::{
-    collect_paired, record_trace, reference_ipc, zoo, ClosedLoopRequest, CorpusTelemetry,
-    ExperimentConfig, ModelKind, Sla, TrainedAdaptModel,
+    robustness_model, ExperimentConfig, LoopScore, Scenario, TrainedAdaptModel,
+    ROBUSTNESS_ARCHETYPES,
 };
-use psca_cpu::{BackendChoice, CpuConfig, Mode};
+use psca_cpu::{BackendChoice, CpuConfig};
 use psca_faults::ChaosSpec;
 use psca_obs::Json;
-use psca_trace::VecTrace;
 use psca_uc::image;
-use psca_workloads::{Archetype, PhaseGenerator};
-
-/// Workload archetypes cycled across die ids, mirroring the chaos sweep.
-const ARCHETYPES: [(Archetype, &str); 4] = [
-    (Archetype::DepChain, "dep_chain"),
-    (Archetype::ScalarIlp, "scalar_ilp"),
-    (Archetype::MemBound, "mem_bound"),
-    (Archetype::Balanced, "balanced"),
-];
+use psca_workloads::PhaseGenerator;
 
 /// Everything that specifies one fleet run beyond the experiment config.
 #[derive(Debug, Clone)]
@@ -69,61 +60,14 @@ impl Default for FleetParams {
     }
 }
 
-/// One die's fixed context: its skewed machine, workload trace, chaos
-/// spec, and static high-performance IPC reference.
+/// One die's fixed context: its skew, workload label, chaos spec, and
+/// recorded scenario on its skewed machine.
 #[derive(Debug, Clone)]
 struct DiePrep {
     skew: DieSkew,
     archetype: &'static str,
-    cpu: CpuConfig,
     chaos: ChaosSpec,
-    warm: VecTrace,
-    window: VecTrace,
-    refs: Vec<f64>,
-}
-
-/// Raw accounting of one die running one image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DieStats {
-    /// Prediction windows simulated.
-    pub windows: usize,
-    /// Windows spent in low-power mode.
-    pub low: usize,
-    /// Gated windows whose IPC fell below the SLA threshold against the
-    /// die's static high-performance reference.
-    pub violations: usize,
-    /// Total energy.
-    pub energy: f64,
-    /// Total instructions.
-    pub instructions: u64,
-    /// Degradation-ladder escalations.
-    pub escalations: u64,
-    /// Most degraded tier reached.
-    pub worst: &'static str,
-    /// Faults injected, all classes.
-    pub faults: u64,
-    /// Corrupted firmware images rejected in-loop.
-    pub images_rejected: u64,
-}
-
-impl DieStats {
-    /// SLA-violation rate over the run's windows.
-    pub fn rsv(&self) -> f64 {
-        self.violations as f64 / self.windows.max(1) as f64
-    }
-
-    /// Performance per watt (0 when no finite energy was recorded).
-    pub fn ppw(&self) -> f64 {
-        if !self.energy.is_finite() || self.energy <= 0.0 {
-            return 0.0;
-        }
-        self.instructions as f64 / self.energy
-    }
-
-    /// Fraction of windows spent in low-power mode.
-    pub fn low_residency(&self) -> f64 {
-        self.low as f64 / self.windows.max(1) as f64
-    }
+    scenario: Scenario,
 }
 
 /// A prepared fleet: trained model, baseline/candidate images, and one
@@ -132,7 +76,7 @@ impl DieStats {
 /// sweep-merged report — the "rollout disabled ≡ N independent loops"
 /// invariant.
 pub struct FleetSetup {
-    cfg: ExperimentConfig,
+    backend: BackendChoice,
     model: TrainedAdaptModel,
     baseline: FleetImage,
     candidate: FleetImage,
@@ -155,20 +99,7 @@ impl FleetSetup {
     /// wall time.
     pub fn prepare(cfg: &ExperimentConfig, params: &FleetParams) -> FleetSetup {
         let _span = psca_obs::SpanTimer::start("fleet.prepare");
-        // Small dedicated corpus + the paper's best forest, exactly as
-        // the chaos harness: the fleet measures deployment robustness,
-        // not model quality.
-        let traces = psca_exec::Sweep::new("fleet.corpus").jobs(cfg.jobs).run(
-            (0..ARCHETYPES.len()).collect(),
-            |&i| {
-                let mut gen = PhaseGenerator::new(ARCHETYPES[i].0.center(), i as u64 + 30);
-                collect_paired(&mut gen, 2_000, 24, 2_000, i as u32, "fleet", 1)
-            },
-        );
-        let corpus = CorpusTelemetry { traces };
-        let model = zoo::train(ModelKind::BestRf, &corpus, cfg);
-        let g = model.granularity;
-        let window_insts = params.windows * model.granularity_insts(cfg.interval_insts);
+        let model = robustness_model(cfg);
 
         let baseline = encode_image(&model, 1);
         let candidate = if params.bad_image {
@@ -184,34 +115,32 @@ impl FleetSetup {
         };
 
         let base_cpu = CpuConfig::skylake_scaled();
-        let skew_spec = params.skew;
-        let seed = params.seed;
-        let chaos = params.chaos.clone();
         let sub = cfg.sub_seed("fleet");
-        let interval_insts = cfg.interval_insts;
         let dies = psca_exec::Sweep::new("fleet.dies").jobs(cfg.jobs).run(
             (0..params.size as u64).collect(),
             |&die| {
-                let skew = DieSkew::derive(&skew_spec, seed, die);
+                let skew = DieSkew::derive(&params.skew, params.seed, die);
+                let (arch, archetype) =
+                    ROBUSTNESS_ARCHETYPES[die as usize % ROBUSTNESS_ARCHETYPES.len()];
+                let mut gen = PhaseGenerator::new(arch.center(), sub ^ params.seed ^ (die + 101));
                 let cpu = skew.apply(&base_cpu);
-                let (arch, name) = ARCHETYPES[die as usize % ARCHETYPES.len()];
-                let mut gen = PhaseGenerator::new(arch.center(), sub ^ seed ^ (die + 101));
-                let (warm, window) = record_trace(&mut gen, 2_000, window_insts);
-                let refs = reference_ipc(&cpu, &warm, &window, interval_insts, g);
                 DiePrep {
                     skew,
-                    archetype: name,
-                    chaos: skew.chaos(chaos.as_ref()),
-                    cpu,
-                    warm,
-                    window,
-                    refs,
+                    archetype,
+                    chaos: skew.chaos(params.chaos.as_ref()),
+                    scenario: Scenario::record(
+                        &mut gen,
+                        cpu,
+                        &model,
+                        cfg.interval_insts,
+                        params.windows,
+                    ),
                 }
             },
         );
 
         FleetSetup {
-            cfg: cfg.clone(),
+            backend: cfg.backend,
             model,
             baseline,
             candidate,
@@ -240,50 +169,17 @@ impl FleetSetup {
     ///
     /// Deployment goes through `psca_uc::image::decode`, so the same
     /// CRC/validation gate that fields real pushes also fields ours.
-    pub fn die_stats(&self, die: u64, img: &FleetImage) -> DieStats {
+    pub fn die_stats(&self, die: u64, img: &FleetImage) -> LoopScore {
         let prep = &self.dies[die as usize];
         let mut model = self.model.clone();
         model.fw_hi = image::decode(&img.hi).expect("installed image decodes");
         model.fw_lo = image::decode(&img.lo).expect("installed image decodes");
-        let res = ClosedLoopRequest::new(&model, &prep.warm, &prep.window, self.cfg.interval_insts)
-            .with_cpu(prep.cpu.clone())
-            .with_faults(prep.chaos.clone())
-            .with_backend(self.cfg.backend)
-            .run();
-        let sla = Sla::paper_default();
-        let low = res.modes.iter().filter(|m| **m == Mode::LowPower).count();
-        let mut violations = 0usize;
-        for ((mode, ipc), ref_ipc) in res.modes.iter().zip(&res.window_ipc).zip(prep.refs.iter()) {
-            if *mode == Mode::LowPower && *ipc < sla.p_sla * ref_ipc {
-                violations += 1;
-            }
-        }
+        let score = prep
+            .scenario
+            .score(&model, prep.chaos.clone(), self.backend);
         psca_obs::counter("fleet.dies_run").inc();
-        DieStats {
-            windows: res.modes.len(),
-            low,
-            violations,
-            energy: res.energy,
-            instructions: res.instructions,
-            escalations: res.degrade.escalations,
-            worst: res.degrade.worst.name(),
-            faults: res.faults.total(),
-            images_rejected: res.images_rejected,
-        }
+        score
     }
-}
-
-/// One stage's row in the fleet report.
-#[derive(Debug, Clone)]
-pub struct StageRow {
-    /// Stage index (0 = canary).
-    pub stage: usize,
-    /// Dies deployed to.
-    pub cohort: Vec<u64>,
-    /// Cohort verdict the state machine consumed.
-    pub health: CohortHealth,
-    /// What the machine did.
-    pub action: StageAction,
 }
 
 /// One die's row in the fleet report: final state after the rollout.
@@ -298,7 +194,7 @@ pub struct DieRow {
     /// The die's realized skew.
     pub skew: DieSkew,
     /// Final-state run accounting.
-    pub stats: DieStats,
+    pub stats: LoopScore,
     /// Whether the die was quarantined during the rollout.
     pub quarantined: bool,
 }
@@ -315,17 +211,16 @@ pub struct FleetReport {
     /// `(version, fingerprint, bytes)` of the candidate image.
     pub candidate: (u32, u32, usize),
     /// Staged-rollout outcomes in order (empty when rollout is off).
-    pub stages: Vec<StageRow>,
+    pub stages: Vec<StageOutcome>,
     /// Dies quarantined during the rollout, ascending.
     pub quarantined: Vec<u64>,
     /// Final per-die state, by die id.
     pub dies: Vec<DieRow>,
     /// `"disabled"`, `"completed"`, or `"rolled_back"`.
     pub status: &'static str,
-    /// Fleet-aggregate SLA-violation rate in the final state.
-    pub fleet_rsv: f64,
-    /// Fleet-aggregate PPW in the final state.
-    pub fleet_ppw: f64,
+    /// Every die's final run summed in die order: the report's
+    /// `fleet_rsv` and `fleet_ppw` are its rates.
+    pub total: LoopScore,
     /// The CI gate: false iff the rollout rolled back.
     pub pass: bool,
 }
@@ -353,17 +248,7 @@ impl FleetReport {
                     ("rsv", Json::Num(s.health.rsv)),
                     ("ppw_retained", Json::Num(s.health.ppw_retained)),
                     ("escalations", Json::UInt(s.health.escalations)),
-                    (
-                        "action",
-                        Json::Str(
-                            match s.action {
-                                StageAction::Promoted => "promoted",
-                                StageAction::Completed => "completed",
-                                StageAction::RolledBack => "rolled_back",
-                            }
-                            .to_string(),
-                        ),
-                    ),
+                    ("action", s.action.name().into()),
                 ])
             })
             .collect();
@@ -383,8 +268,8 @@ impl FleetReport {
                     ("ppw", Json::Num(d.stats.ppw())),
                     ("low_residency", Json::Num(d.stats.low_residency())),
                     ("escalations", Json::UInt(d.stats.escalations)),
-                    ("worst_tier", Json::Str(d.stats.worst.to_string())),
-                    ("faults", Json::UInt(d.stats.faults)),
+                    ("worst_tier", d.stats.worst.name().into()),
+                    ("faults", Json::UInt(d.stats.faults.total())),
                     ("images_rejected", Json::UInt(d.stats.images_rejected)),
                     ("quarantined", Json::Bool(d.quarantined)),
                 ])
@@ -427,8 +312,8 @@ impl FleetReport {
             ),
             ("dies", Json::Arr(dies)),
             ("status", Json::Str(self.status.to_string())),
-            ("fleet_rsv", Json::Num(self.fleet_rsv)),
-            ("fleet_ppw", Json::Num(self.fleet_ppw)),
+            ("fleet_rsv", Json::Num(self.total.rsv())),
+            ("fleet_ppw", Json::Num(self.total.ppw())),
             ("pass", Json::Bool(self.pass)),
         ])
     }
@@ -476,9 +361,8 @@ impl std::fmt::Display for FleetReport {
                     s.health.ppw_retained,
                     s.health.escalations,
                     match s.action {
-                        StageAction::Promoted => "promoted",
-                        StageAction::Completed => "completed",
                         StageAction::RolledBack => "ROLLED BACK",
+                        action => action.name(),
                     }
                 )?;
             }
@@ -499,7 +383,7 @@ impl std::fmt::Display for FleetReport {
                 d.stats.ppw(),
                 d.stats.low_residency(),
                 d.stats.escalations,
-                d.stats.worst,
+                d.stats.worst.name(),
                 if d.quarantined { "yes" } else { "" }
             )?;
         }
@@ -507,8 +391,8 @@ impl std::fmt::Display for FleetReport {
             f,
             "status: {} · fleet rsv {:.4} · fleet ppw {:.4} · {}",
             self.status,
-            self.fleet_rsv,
-            self.fleet_ppw,
+            self.total.rsv(),
+            self.total.ppw(),
             if self.pass { "PASS" } else { "FAIL" }
         )
     }
@@ -542,31 +426,18 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                 // Each cohort die runs both images; the pair of runs is
                 // one sweep so stage wall time scales with --jobs while
                 // the merge stays serial-identical.
-                let cells: Vec<(u64, bool)> = cohort
+                let cells: Vec<(u64, &FleetImage)> = cohort
                     .iter()
-                    .flat_map(|&d| [(d, false), (d, true)])
+                    .flat_map(|&d| [(d, &setup.baseline), (d, &setup.candidate)])
                     .collect();
-                let runs = psca_exec::Sweep::new("fleet.stage").jobs(cfg.jobs).run(
-                    cells,
-                    |&(die, cand)| {
-                        let img = if cand {
-                            setup.candidate()
-                        } else {
-                            setup.baseline()
-                        };
-                        setup.die_stats(die, img)
-                    },
-                );
+                let runs = psca_exec::Sweep::new("fleet.stage")
+                    .jobs(cfg.jobs)
+                    .run(cells, |&(die, img)| setup.die_stats(die, img));
                 // Outliers: dies unhealthy under the *baseline* strike
                 // toward quarantine and drop out of the verdict.
-                let mut viol = 0usize;
-                let mut windows = 0usize;
-                let mut esc = 0u64;
-                let mut ppw_b = (0u64, 0.0f64);
-                let mut ppw_c = (0u64, 0.0f64);
-                for (i, &die) in cohort.iter().enumerate() {
-                    let base = &runs[2 * i];
-                    let cand = &runs[2 * i + 1];
+                let (mut base_sum, mut cand_sum) = (LoopScore::default(), LoopScore::default());
+                for (&die, pair) in cohort.iter().zip(runs.chunks(2)) {
+                    let (base, cand) = (&pair[0], &pair[1]);
                     if base.rsv() > spec.rsv_floor {
                         rollout.strike(die);
                         if rollout.is_quarantined(die) {
@@ -578,23 +449,10 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                         }
                         continue;
                     }
-                    viol += cand.violations;
-                    windows += cand.windows;
-                    esc += cand.escalations;
-                    ppw_b = (ppw_b.0 + base.instructions, ppw_b.1 + base.energy);
-                    ppw_c = (ppw_c.0 + cand.instructions, ppw_c.1 + cand.energy);
+                    base_sum.merge(base);
+                    cand_sum.merge(cand);
                 }
-                let base_ppw = if ppw_b.1 > 0.0 {
-                    ppw_b.0 as f64 / ppw_b.1
-                } else {
-                    0.0
-                };
-                let cand_ppw = if ppw_c.1 > 0.0 {
-                    ppw_c.0 as f64 / ppw_c.1
-                } else {
-                    0.0
-                };
-                let health = if windows == 0 {
+                let health = if cand_sum.windows == 0 {
                     // Whole cohort quarantined: nothing to judge, advance.
                     CohortHealth {
                         rsv: 0.0,
@@ -602,25 +460,24 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                         escalations: 0,
                     }
                 } else {
+                    let base_ppw = base_sum.ppw();
                     CohortHealth {
-                        rsv: viol as f64 / windows as f64,
+                        rsv: cand_sum.rsv(),
                         ppw_retained: if base_ppw > 0.0 {
-                            cand_ppw / base_ppw
+                            cand_sum.ppw() / base_ppw
                         } else {
                             0.0
                         },
-                        escalations: esc,
+                        escalations: cand_sum.escalations,
                     }
                 };
                 let action = rollout.observe(health);
-                let (ctr, event) = match action {
-                    StageAction::Promoted => ("fleet.rollout.promoted", "fleet.rollout.promote"),
-                    StageAction::Completed => ("fleet.rollout.completed", "fleet.rollout.promote"),
-                    StageAction::RolledBack => {
-                        ("fleet.rollout.rolled_back", "fleet.rollout.rollback")
-                    }
+                psca_obs::counter(&format!("fleet.rollout.{}", action.name())).inc();
+                let event = if action == StageAction::RolledBack {
+                    "fleet.rollout.rollback"
+                } else {
+                    "fleet.rollout.promote"
                 };
-                psca_obs::counter(ctr).inc();
                 psca_obs::trace::instant(
                     event,
                     &[
@@ -642,9 +499,7 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                     ],
                 );
             }
-            for outcome in rollout.history() {
-                stages.push(stage_row(outcome));
-            }
+            stages = rollout.history().to_vec();
             quarantined = rollout.quarantined().collect();
             let installed = (0..params.size as u64)
                 .map(|d| rollout.installed(d).clone())
@@ -661,19 +516,12 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
         .run((0..params.size as u64).collect(), |&die| {
             setup.die_stats(die, &installed[die as usize])
         });
-    let mut viol = 0usize;
-    let mut windows = 0usize;
-    let mut energy = 0.0f64;
-    let mut insts = 0u64;
+    let total: LoopScore = final_runs.iter().sum();
     let dies: Vec<DieRow> = final_runs
         .into_iter()
         .enumerate()
         .map(|(i, stats)| {
             let die = i as u64;
-            viol += stats.violations;
-            windows += stats.windows;
-            energy += stats.energy;
-            insts += stats.instructions;
             DieRow {
                 die,
                 archetype: setup.dies[i].archetype,
@@ -684,45 +532,22 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
             }
         })
         .collect();
-    let fleet_rsv = viol as f64 / windows.max(1) as f64;
-    let fleet_ppw = if energy > 0.0 {
-        insts as f64 / energy
-    } else {
-        0.0
-    };
     let pass = status != RolloutStatus::RolledBack.name();
-    psca_obs::gauge("fleet.rsv").set(fleet_rsv);
-    psca_obs::gauge("fleet.ppw").set(fleet_ppw);
+    psca_obs::gauge("fleet.rsv").set(total.rsv());
+    psca_obs::gauge("fleet.ppw").set(total.ppw());
     psca_obs::counter(if pass { "fleet.pass" } else { "fleet.fail" }).inc();
 
+    let identity = |img: &FleetImage| (img.version, img.fingerprint(), img.hi.len() + img.lo.len());
     FleetReport {
         params: params.clone(),
         backend: cfg.backend,
-        baseline: (
-            setup.baseline.version,
-            setup.baseline.fingerprint(),
-            setup.baseline.hi.len() + setup.baseline.lo.len(),
-        ),
-        candidate: (
-            setup.candidate.version,
-            setup.candidate.fingerprint(),
-            setup.candidate.hi.len() + setup.candidate.lo.len(),
-        ),
+        baseline: identity(&setup.baseline),
+        candidate: identity(&setup.candidate),
         stages,
         quarantined,
         dies,
         status,
-        fleet_rsv,
-        fleet_ppw,
+        total,
         pass,
-    }
-}
-
-fn stage_row(outcome: &StageOutcome) -> StageRow {
-    StageRow {
-        stage: outcome.stage,
-        cohort: outcome.cohort.clone(),
-        health: outcome.health,
-        action: outcome.action,
     }
 }

@@ -7,6 +7,12 @@
 //! [`Json::parse`] round-trips artifacts (run reports, Chrome trace
 //! files) back into the value model for tests and tooling.
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a small hostile
+/// document (10 000 `[`, 10 KB) overflow a worker thread's stack; real
+/// documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -38,11 +44,13 @@ impl Json {
     ///
     /// # Errors
     /// Returns a [`JsonParseError`] naming the byte offset of the first
-    /// syntax error, or trailing non-whitespace after the document.
+    /// syntax error, of nesting deeper than [`MAX_DEPTH`], or of trailing
+    /// non-whitespace after the document.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -177,6 +185,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -221,8 +231,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -501,6 +522,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past any thread stack: a typed error, not an abort.
+        for doc in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! from JSON with explicit limits, and typed errors that map onto 4xx
 //! status codes instead of panics or silent truncation.
 
-use psca_adapt::TrainedAdaptModel;
+use crate::registry::ModelRegistry;
+use psca_adapt::{record_trace, ClosedLoopRequest, ClosedLoopResult, TrainedAdaptModel};
 use psca_cpu::{BackendChoice, Mode};
 use psca_faults::ChaosSpec;
 use psca_ml::Classifier;
 use psca_obs::Json;
-use psca_workloads::Archetype;
+use psca_workloads::{Archetype, PhaseGenerator};
 
 /// Hard cap on rows in one `/v1/predict` batch.
 pub const MAX_BATCH_ROWS: usize = 4_096;
@@ -367,6 +368,59 @@ impl ClosedLoopSpec {
             hardened,
             backend,
         })
+    }
+
+    /// The fidelity the run uses: the spec's override, else the
+    /// registry config's default (`repro serve --backend`).
+    pub fn backend_in(&self, registry: &ModelRegistry) -> BackendChoice {
+        self.backend.unwrap_or(registry.config().backend)
+    }
+
+    /// Records the spec's seeded trace, runs the closed loop with the
+    /// named registry model, and renders the summary document. The
+    /// document carries no wall-clock data: it is a pure function of the
+    /// spec and the registry, so `repro closed-loop` and
+    /// `POST /v1/closed-loop` print the same bytes for the same run.
+    ///
+    /// # Errors
+    /// 404 when the registry holds no model under `self.model`.
+    pub fn run(&self, registry: &ModelRegistry) -> Result<(Json, ClosedLoopResult), ApiError> {
+        let model = registry
+            .get(&self.model)
+            .ok_or_else(|| ApiError::not_found(format!("no model named \"{}\"", self.model)))?;
+        let interval_insts = registry.config().interval_insts;
+        let mut gen = PhaseGenerator::new(self.archetype.center(), self.seed);
+        let window_insts = self.windows * model.granularity_insts(interval_insts);
+        let (warm, window) = record_trace(&mut gen, self.warm_insts, window_insts);
+        let backend = self.backend_in(registry);
+        let out = ClosedLoopRequest::new(model, &warm, &window, interval_insts)
+            .with_backend(backend)
+            .with_faults(self.chaos.clone().unwrap_or_default())
+            .run();
+        let mut fields: Vec<(&str, Json)> = vec![
+            ("model", self.model.as_str().into()),
+            ("archetype", format!("{:?}", self.archetype).into()),
+            ("seed", self.seed.into()),
+            ("backend", backend.as_str().into()),
+            ("windows", (out.modes.len() as u64).into()),
+            ("instructions", out.instructions.into()),
+            ("cycles", out.cycles.into()),
+            ("energy", out.energy.into()),
+            ("ppw", out.ppw().into()),
+            ("low_power_residency", out.low_power_residency.into()),
+        ];
+        // `hardened` only selects whether the degradation block is echoed;
+        // chaos implies it.
+        if self.hardened || self.chaos.is_some() {
+            fields.extend([
+                ("degraded_fraction", out.degrade.degraded_fraction().into()),
+                ("escalations", out.degrade.escalations.into()),
+                ("recoveries", out.degrade.recoveries.into()),
+                ("faults_injected", out.faults.total().into()),
+                ("images_rejected", out.images_rejected.into()),
+            ]);
+        }
+        Ok((Json::obj(fields), out))
     }
 }
 

@@ -6,9 +6,11 @@
 //! prediction never mutates model state.
 
 use psca_adapt::TrainedAdaptModel;
-use psca_adapt::{collect_paired, zoo, CorpusTelemetry, ExperimentConfig, ModelKind};
+use psca_adapt::{
+    collect_paired, zoo, CorpusTelemetry, ExperimentConfig, ModelKind, ROBUSTNESS_ARCHETYPES,
+};
 use psca_obs::Json;
-use psca_workloads::{Archetype, PhaseGenerator};
+use psca_workloads::PhaseGenerator;
 
 /// Every zoo kind with its URL-safe registry slug (`GET /v1/models`
 /// names).
@@ -58,15 +60,7 @@ impl ModelRegistry {
     pub fn train(cfg: ExperimentConfig, kinds: &[ModelKind]) -> ModelRegistry {
         let _span = psca_obs::SpanTimer::start("serve.registry.train");
         let mut traces = Vec::new();
-        for (i, a) in [
-            Archetype::DepChain,
-            Archetype::ScalarIlp,
-            Archetype::MemBound,
-            Archetype::Balanced,
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (i, (a, _)) in ROBUSTNESS_ARCHETYPES.iter().enumerate() {
             let seed = cfg.sub_seed("serve-corpus") ^ (i as u64);
             let mut gen = PhaseGenerator::new(a.center(), seed);
             traces.push(collect_paired(

@@ -33,14 +33,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use psca_adapt::{record_trace, ClosedLoopRequest};
 use psca_faults::{ChaosSpec, FaultInjector, PredictionFault};
 use psca_obs::event::EventSink;
 use psca_obs::http::{self, FrameError, Request};
 use psca_obs::{
     EventRecord, FieldValue, Json, JsonlSink, Level, RequestRecord, SloEngine, SloSpec, TraceCtx,
 };
-use psca_workloads::PhaseGenerator;
 
 use crate::api::{self, ApiError, ClosedLoopSpec, PredictRequest};
 use crate::registry::ModelRegistry;
@@ -764,12 +762,19 @@ fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool
             require_body(req)?;
             maybe_inject_chaos(shared)?;
             let spec = ClosedLoopSpec::parse(&req.body)?;
-            let (body, escalations) = run_closed_loop_endpoint(&spec, shared)?;
+            let (doc, out) = spec.run(&shared.registry)?;
+            psca_obs::counter(if spec.backend_in(&shared.registry).is_reference() {
+                "serve.closed_loop.cycle_accurate"
+            } else {
+                "serve.closed_loop.surrogate"
+            })
+            .inc();
+            let escalations = out.degrade.escalations;
             rsp.outcome.escalations = escalations;
             if escalations > 0 {
                 rsp.outcome.note = format!("{escalations} degradation escalation(s)");
             }
-            rsp.send(200, "application/json", &body);
+            rsp.send(200, "application/json", &doc.to_string());
             Ok(false)
         }
         ("POST", "/v1/shutdown") => {
@@ -825,63 +830,4 @@ fn maybe_inject_chaos(shared: &Shared) -> Result<(), ApiError> {
             Ok(())
         }
     }
-}
-
-/// Runs a seeded closed-loop simulation for the requested workload spec
-/// and renders the result summary. Also returns the degradation-ladder
-/// escalation count so the caller can trigger postmortems.
-fn run_closed_loop_endpoint(
-    spec: &ClosedLoopSpec,
-    shared: &Shared,
-) -> Result<(String, u64), ApiError> {
-    let model = shared
-        .registry
-        .get(&spec.model)
-        .ok_or_else(|| ApiError::not_found(format!("no model named \"{}\"", spec.model)))?;
-    let cfg = shared.registry.config();
-    let mut gen = PhaseGenerator::new(spec.archetype.center(), spec.seed);
-    let window_insts = spec.windows * model.granularity_insts(cfg.interval_insts);
-    let (warm, window) = record_trace(&mut gen, spec.warm_insts, window_insts);
-    // Per-request fidelity wins; the daemon's experiment config (set by
-    // `repro serve --backend`) is the default.
-    let backend = spec.backend.unwrap_or(cfg.backend);
-    psca_obs::counter(if backend.is_reference() {
-        "serve.closed_loop.cycle_accurate"
-    } else {
-        "serve.closed_loop.surrogate"
-    })
-    .inc();
-    let mut request =
-        ClosedLoopRequest::new(model, &warm, &window, cfg.interval_insts).with_backend(backend);
-    if let Some(chaos) = &spec.chaos {
-        request = request.with_faults(chaos.clone());
-    }
-    let out = request.run();
-    let mut fields: Vec<(&str, Json)> = vec![
-        ("model", spec.model.as_str().into()),
-        ("archetype", format!("{:?}", spec.archetype).into()),
-        ("seed", spec.seed.into()),
-        ("backend", backend.as_str().into()),
-        ("windows", (out.modes.len() as u64).into()),
-        ("instructions", out.instructions.into()),
-        ("cycles", out.cycles.into()),
-        ("energy", Json::Num(out.energy)),
-        ("ppw", Json::Num(out.ppw())),
-        ("low_power_residency", Json::Num(out.low_power_residency)),
-    ];
-    // `hardened` only selects whether the degradation block is echoed;
-    // chaos implies it.
-    if spec.hardened || spec.chaos.is_some() {
-        fields.extend([
-            (
-                "degraded_fraction",
-                Json::Num(out.degrade.degraded_fraction()),
-            ),
-            ("escalations", out.degrade.escalations.into()),
-            ("recoveries", out.degrade.recoveries.into()),
-            ("faults_injected", out.faults.total().into()),
-            ("images_rejected", out.images_rejected.into()),
-        ]);
-    }
-    Ok((Json::obj(fields).to_string(), out.degrade.escalations))
 }

@@ -7,8 +7,8 @@ use std::sync::OnceLock;
 
 use psca::adapt::degrade::DegradeLevel;
 use psca::adapt::{
-    collect_paired, record_trace, zoo, ClosedLoopRequest, ClosedLoopResult, CorpusTelemetry,
-    ExperimentConfig, ModelKind, TrainedAdaptModel,
+    record_trace, robustness_model, ClosedLoopRequest, ClosedLoopResult, ExperimentConfig,
+    TrainedAdaptModel,
 };
 use psca::cpu::Mode;
 use psca::faults::ChaosSpec;
@@ -18,23 +18,8 @@ use psca::workloads::{Archetype, PhaseGenerator};
 fn model_and_cfg() -> &'static (TrainedAdaptModel, ExperimentConfig) {
     static CACHE: OnceLock<(TrainedAdaptModel, ExperimentConfig)> = OnceLock::new();
     CACHE.get_or_init(|| {
-        let mut traces = Vec::new();
-        for (i, a) in [
-            Archetype::DepChain,
-            Archetype::ScalarIlp,
-            Archetype::MemBound,
-            Archetype::Balanced,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let mut gen = PhaseGenerator::new(a.center(), i as u64 + 30);
-            traces.push(collect_paired(&mut gen, 2_000, 24, 2_000, i as u32, "t", 1));
-        }
-        let corpus = CorpusTelemetry { traces };
         let cfg = ExperimentConfig::quick();
-        let model = zoo::train(ModelKind::BestRf, &corpus, &cfg);
-        (model, cfg)
+        (robustness_model(&cfg), cfg)
     })
 }
 

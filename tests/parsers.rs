@@ -1,12 +1,13 @@
-//! Property tests for the two shared parsers in `psca-obs`: the
-//! `key=value` spec tokenizer behind the chaos, skew, rollout and SLO
-//! grammars, and the HTTP/1.1 framing used by every server and client.
+//! Property tests for the shared parsers in `psca-obs`: the `key=value`
+//! spec tokenizer behind the chaos, skew, rollout and SLO grammars, the
+//! HTTP/1.1 framing used by every server and client, and the JSON reader
+//! behind every request body.
 
 use proptest::prelude::*;
 use psca::faults::ChaosSpec;
 use psca::fleet::{RolloutSpec, SkewSpec};
 use psca::obs::http::{self, FrameError, Response};
-use psca::obs::SloSpec;
+use psca::obs::{Json, SloSpec};
 
 /// Every key of the four grammars, plus near misses.
 const KEYS: [&str; 29] = [
@@ -127,8 +128,102 @@ fn check_frame(raw: &[u8], max_body: usize) {
     }
 }
 
+/// Characters that stress the JSON string codec: quotes, escapes,
+/// control characters, multi-byte and astral scalars.
+const JSON_CHARS: [char; 10] = ['a', '"', '\\', '\n', '\u{1}', '/', 'é', '😀', '\u{7f}', ' '];
+
+/// A JSON value built from a tape of random words, in the canonical form
+/// `Json::parse` produces: `Int` only for negatives, `Num` only for
+/// finite non-integral floats (integral floats print as integers).
+fn json_from_tape(tape: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+    let Some(x) = tape.next() else {
+        return Json::Null;
+    };
+    let text = |x: u64| -> String {
+        (0..(x % 7))
+            .map(|i| JSON_CHARS[((x >> (8 * i + 3)) % 10) as usize])
+            .collect()
+    };
+    match x % if depth >= 4 { 6 } else { 8 } {
+        0 => Json::Null,
+        1 => Json::Bool(x & 8 != 0),
+        2 => Json::UInt(x >> 3),
+        3 => Json::Int(-((x >> 4) as i64) - 1),
+        4 => {
+            let f = if x & 8 == 0 {
+                f64::from_bits(x)
+            } else {
+                (x >> 12) as f64 / 4096.0 - 1e9
+            };
+            Json::Num(if f.is_finite() && f.fract() != 0.0 {
+                f
+            } else {
+                0.25
+            })
+        }
+        5 => Json::Str(text(x >> 3)),
+        6 => Json::Arr(
+            (0..(x >> 3) % 4)
+                .map(|_| json_from_tape(tape, depth + 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..(x >> 3) % 4)
+                .map(|i| (text(x >> (8 * i + 5)), json_from_tape(tape, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn json_value() -> impl Strategy<Value = Json> {
+    prop::collection::vec(any::<u64>(), 1..48)
+        .prop_map(|tape| json_from_tape(&mut tape.into_iter(), 0))
+}
+
+/// The JSON contract: a value or a typed error, never a panic; and
+/// whatever parses serializes back to a document that parses.
+fn check_json(text: &str) {
+    if let Ok(value) = Json::parse(text) {
+        assert!(Json::parse(&value.to_string()).is_ok(), "{text:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        check_json(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn json_never_panics_on_mutated_documents(
+        value in json_value(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        nest in (0usize..400, any::<bool>(), any::<usize>()),
+    ) {
+        let mut raw = value.to_string().into_bytes();
+        raw.truncate(cut % (raw.len() + 1));
+        for (at, byte) in flips {
+            if !raw.is_empty() {
+                let at = at % raw.len();
+                raw[at] = byte;
+            }
+        }
+        // Nesting runs on either side of the depth bound.
+        let open: &[u8] = if nest.1 { b"[" } else { b"{\"k\":" };
+        let at = nest.2 % (raw.len() + 1);
+        raw.splice(at..at, open.repeat(nest.0));
+        check_json(&String::from_utf8_lossy(&raw));
+    }
+
+    #[test]
+    fn json_round_trips_through_its_serializer(value in json_value()) {
+        prop_assert_eq!(Json::parse(&value.to_string()), Ok(value));
+    }
 
     #[test]
     fn spec_parsers_never_panic(s in spec_string(), t in noise_string()) {

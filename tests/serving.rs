@@ -216,6 +216,25 @@ fn malformed_content_length_is_a_400_not_a_411() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_not_an_abort() {
+    let daemon = start_daemon(rf_registry(17));
+    let addr = daemon.local_addr();
+    // 10 KB of `[`: far under the body limit, but deep enough to
+    // overflow a worker's stack in a recursive parser, which used to
+    // abort the whole daemon.
+    let body = format!(r#"{{"model":"best-rf","rows":{}}}"#, "[".repeat(10_000));
+    for path in ["/v1/predict", "/v1/closed-loop"] {
+        let r = send(addr, "POST", path, &body);
+        assert_eq!(r.status, 400, "{path}: {}", r.body);
+        let doc = Json::parse(&r.body).expect("error body is JSON");
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_json"));
+    }
+    let r = send(addr, "GET", "/healthz", "");
+    assert_eq!(r.status, 200, "{}", r.body);
+    daemon.shutdown();
+}
+
+#[test]
 fn closed_loop_endpoint_runs_seeded_sims() {
     let daemon = start_daemon(rf_registry(13));
     let addr = daemon.local_addr();

@@ -13,31 +13,15 @@
 use psca::adapt::degrade::DegradeLevel;
 use psca::adapt::experiments::table3;
 use psca::adapt::{
-    collect_paired, record_trace, ClosedLoopRequest, CorpusTelemetry, ExperimentConfig, ModelKind,
-    TrainedAdaptModel,
+    record_trace, ClosedLoopRequest, CorpusTelemetry, ExperimentConfig, TrainedAdaptModel,
 };
 use psca::cpu::{BackendChoice, CpuConfig, Mode};
 use psca::trace::{TraceSource, VecTrace};
 use psca::workloads::{Archetype, PhaseGenerator};
 
 fn corpus_and_model() -> (TrainedAdaptModel, ExperimentConfig) {
-    let mut traces = Vec::new();
-    for (i, a) in [
-        Archetype::DepChain,
-        Archetype::ScalarIlp,
-        Archetype::MemBound,
-        Archetype::Balanced,
-    ]
-    .iter()
-    .enumerate()
-    {
-        let mut gen = PhaseGenerator::new(a.center(), i as u64 + 30);
-        traces.push(collect_paired(&mut gen, 2_000, 24, 2_000, i as u32, "t", 1));
-    }
-    let corpus = CorpusTelemetry { traces };
     let cfg = ExperimentConfig::quick();
-    let model = psca::adapt::zoo::train(ModelKind::BestRf, &corpus, &cfg);
-    (model, cfg)
+    (psca::adapt::robustness_model(&cfg), cfg)
 }
 
 /// Golden values captured from the pre-refactor closed loop (commit
