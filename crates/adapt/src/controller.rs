@@ -290,17 +290,6 @@ impl<'a> ClosedLoopRequest<'a> {
                     ],
                 );
             }
-            if psca_obs::trace::enabled() {
-                psca_obs::trace::instant(
-                    "adapt.window.decision",
-                    &[
-                        ("window", widx.into()),
-                        ("mode", window_mode.to_string().into()),
-                        ("gate", gate.into()),
-                        ("level", watchdog.level().name().into()),
-                    ],
-                );
-            }
             widx += 1;
         }
         predictions.truncate(modes.len());

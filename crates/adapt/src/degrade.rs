@@ -267,12 +267,6 @@ impl Watchdog {
                 ("health", health.name().into()),
             ],
         );
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "adapt.degrade.transition",
-                &[("from", prev.name().into()), ("to", next.name().into())],
-            );
-        }
     }
 }
 

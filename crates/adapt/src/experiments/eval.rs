@@ -198,16 +198,6 @@ fn emulate_trace(
                     ("window_len", (end - i).into()),
                 ],
             );
-            if psca_obs::trace::enabled() {
-                psca_obs::trace::instant(
-                    "sla.violation",
-                    &[
-                        ("app", trace.app_name.as_str().into()),
-                        ("window_start", i.into()),
-                        ("false_gates", fp.into()),
-                    ],
-                );
-            }
         }
         acc.windows += 1;
         i = end;

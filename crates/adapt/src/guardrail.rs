@@ -199,16 +199,6 @@ impl Guardrail {
                 ("cooldown", self.cfg.cooldown.into()),
             ],
         );
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "guardrail.trip",
-                &[
-                    ("trips", self.trips.into()),
-                    ("ipc", ipc.into()),
-                    ("ref_ipc", ref_ipc.into()),
-                ],
-            );
-        }
     }
 }
 

@@ -24,7 +24,7 @@ use psca_workloads::{hdtr_corpus, spec};
 const CACHE_SCHEMA: u64 = 2;
 
 /// Paired per-interval telemetry of one trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceTelemetry {
     /// Application (group) id.
     pub app_id: u32,
@@ -421,10 +421,39 @@ impl CorpusTelemetry {
 //
 // A compact little-endian binary format for `TraceTelemetry`, used by the
 // persistent sweep cache. Decoding is defensive: any truncation, magic or
-// schema mismatch, or length inconsistency returns `None`, which the
-// sweep engine treats as a cache miss and recomputes.
+// schema mismatch, length inconsistency or trailing byte is a typed
+// `DecodeError`, which the sweep engine counts as a corrupt entry and
+// recomputes. A count is checked against the bytes left before anything
+// is read, so no decoded number sizes an allocation.
 
 const TRACE_MAGIC: u32 = 0x5053_5454; // "PSTT"
+
+/// Why a sweep-cache entry did not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The entry ends before a field (or a declared count of them).
+    Truncated,
+    /// The magic number or codec schema is not this build's.
+    BadHeader,
+    /// The per-interval columns disagree in length, a counter row is not
+    /// one value per event, or the app name is not UTF-8.
+    Inconsistent,
+    /// Bytes remain after the last field.
+    TrailingBytes,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DecodeError::Truncated => "truncated entry",
+            DecodeError::BadHeader => "bad magic or schema",
+            DecodeError::Inconsistent => "inconsistent lengths",
+            DecodeError::TrailingBytes => "trailing bytes",
+        })
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 fn push_f64s(out: &mut Vec<u8>, vals: &[f64]) {
     out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
@@ -453,38 +482,67 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
         self.pos = end;
-        Some(s)
+        Ok(s)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| DecodeError::Truncated)
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
     }
 
-    fn f64s(&mut self) -> Option<Vec<f64>> {
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads a count of items of at least `min_bytes` each, refusing one
+    /// the rest of the entry cannot hold.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(min_bytes) > left {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
+    }
+
+    fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        let n = self.count(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
 
-    fn u64s(&mut self) -> Option<Vec<u64>> {
-        let n = self.u32()? as usize;
+    fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
+        let n = self.count(8)?;
         (0..n).map(|_| self.u64()).collect()
     }
 
-    fn rows(&mut self) -> Option<Vec<Vec<f64>>> {
-        let n = self.u32()? as usize;
+    fn rows(&mut self) -> Result<Vec<Vec<f64>>, DecodeError> {
+        let n = self.count(4)?;
         (0..n).map(|_| self.f64s()).collect()
+    }
+}
+
+/// Decodes a whole entry with `read`, refusing bytes it leaves unread.
+fn decode_all<T>(
+    buf: &[u8],
+    read: impl FnOnce(&mut Cursor<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut c = Cursor { buf, pos: 0 };
+    let t = read(&mut c)?;
+    if c.pos == buf.len() {
+        Ok(t)
+    } else {
+        Err(DecodeError::TrailingBytes)
     }
 }
 
@@ -509,14 +567,15 @@ pub fn encode_trace(t: &TraceTelemetry) -> Vec<u8> {
     out
 }
 
-fn decode_trace_at(c: &mut Cursor<'_>) -> Option<TraceTelemetry> {
+fn decode_trace_at(c: &mut Cursor<'_>) -> Result<TraceTelemetry, DecodeError> {
     if c.u32()? != TRACE_MAGIC || c.u32()? != CACHE_SCHEMA as u32 {
-        return None;
+        return Err(DecodeError::BadHeader);
     }
     let app_id = c.u32()?;
     let workload = c.u64()?;
-    let name_len = c.u32()? as usize;
-    let app_name = String::from_utf8(c.take(name_len)?.to_vec()).ok()?;
+    let name_len = c.count(1)?;
+    let app_name =
+        String::from_utf8(c.take(name_len)?.to_vec()).map_err(|_| DecodeError::Inconsistent)?;
     let t = TraceTelemetry {
         app_id,
         app_name,
@@ -543,14 +602,15 @@ fn decode_trace_at(c: &mut Cursor<'_>) -> Option<TraceTelemetry> {
         && t.energy_lo.len() == n
         && t.rows_hi.iter().all(|r| r.len() == NUM_EVENTS)
         && t.rows_lo.iter().all(|r| r.len() == NUM_EVENTS);
-    consistent.then_some(t)
+    consistent.then_some(t).ok_or(DecodeError::Inconsistent)
 }
 
-/// Deserializes one trace; `None` on any corruption or schema mismatch.
-pub fn decode_trace(buf: &[u8]) -> Option<TraceTelemetry> {
-    let mut c = Cursor { buf, pos: 0 };
-    let t = decode_trace_at(&mut c)?;
-    (c.pos == buf.len()).then_some(t)
+/// Deserializes one trace.
+///
+/// # Errors
+/// A [`DecodeError`] on any corruption or schema mismatch.
+pub fn decode_trace(buf: &[u8]) -> Result<TraceTelemetry, DecodeError> {
+    decode_all(buf, decode_trace_at)
 }
 
 /// Serializes a workload's trace list (one SPEC sweep cell).
@@ -565,17 +625,20 @@ pub fn encode_traces(ts: &Vec<TraceTelemetry>) -> Vec<u8> {
     out
 }
 
-/// Deserializes a workload's trace list; `None` on any corruption.
-pub fn decode_traces(buf: &[u8]) -> Option<Vec<TraceTelemetry>> {
-    let mut c = Cursor { buf, pos: 0 };
-    let n = c.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = c.u32()? as usize;
-        let slice = c.take(len)?;
-        out.push(decode_trace(slice)?);
-    }
-    (c.pos == buf.len()).then_some(out)
+/// Deserializes a workload's trace list.
+///
+/// # Errors
+/// A [`DecodeError`] on any corruption of the list or of one trace.
+pub fn decode_traces(buf: &[u8]) -> Result<Vec<TraceTelemetry>, DecodeError> {
+    decode_all(buf, |c| {
+        let n = c.count(4)?;
+        (0..n)
+            .map(|_| {
+                let len = c.count(1)?;
+                decode_trace(c.take(len)?)
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -667,46 +730,41 @@ mod tests {
         assert_eq!(filtered.traces.len(), 2);
     }
 
-    fn traces_equal(a: &TraceTelemetry, b: &TraceTelemetry) -> bool {
-        a.app_id == b.app_id
-            && a.app_name == b.app_name
-            && a.workload == b.workload
-            && a.rows_hi == b.rows_hi
-            && a.rows_lo == b.rows_lo
-            && a.ipc_hi == b.ipc_hi
-            && a.ipc_lo == b.ipc_lo
-            && a.cycles_hi == b.cycles_hi
-            && a.cycles_lo == b.cycles_lo
-            && a.energy_hi == b.energy_hi
-            && a.energy_lo == b.energy_lo
-            && a.insts == b.insts
-    }
-
     #[test]
     fn codec_roundtrips_bit_exactly() {
         let t = quick_trace(Archetype::MemBound, 6);
-        let decoded = decode_trace(&encode_trace(&t)).expect("roundtrip");
-        assert!(traces_equal(&t, &decoded));
+        assert_eq!(decode_trace(&encode_trace(&t)), Ok(t.clone()));
 
         let list = vec![quick_trace(Archetype::Balanced, 3), t];
-        let decoded = decode_traces(&encode_traces(&list)).expect("roundtrip");
-        assert_eq!(decoded.len(), 2);
-        assert!(traces_equal(&list[0], &decoded[0]));
-        assert!(traces_equal(&list[1], &decoded[1]));
+        assert_eq!(decode_traces(&encode_traces(&list)), Ok(list));
     }
 
     #[test]
     fn codec_rejects_corruption() {
         let t = quick_trace(Archetype::Branchy, 3);
         let enc = encode_trace(&t);
-        assert!(decode_trace(&enc[..enc.len() - 3]).is_none(), "truncated");
+        let truncated = decode_trace(&enc[..enc.len() - 3]);
+        assert_eq!(truncated.unwrap_err(), DecodeError::Truncated);
         let mut bad_magic = enc.clone();
         bad_magic[0] ^= 0xff;
-        assert!(decode_trace(&bad_magic).is_none(), "bad magic");
+        assert_eq!(decode_trace(&bad_magic), Err(DecodeError::BadHeader));
         let mut trailing = enc.clone();
         trailing.push(0);
-        assert!(decode_trace(&trailing).is_none(), "trailing bytes");
-        assert!(decode_trace(&[]).is_none(), "empty");
+        assert_eq!(decode_trace(&trailing), Err(DecodeError::TrailingBytes));
+        assert_eq!(decode_trace(&[]), Err(DecodeError::Truncated));
+        // One interval short in the last column.
+        let mut short = t.clone();
+        short.insts.pop();
+        let inconsistent = decode_trace(&encode_trace(&short));
+        assert_eq!(inconsistent, Err(DecodeError::Inconsistent));
+        // A four-byte entry claiming 2^32 - 1 traces once asked the
+        // allocator for a terabyte and aborted the process.
+        assert_eq!(decode_traces(&[0xff; 4]), Err(DecodeError::Truncated));
+        let mut enc = encode_trace(&quick_trace(Archetype::Balanced, 2));
+        // The rows_hi count follows the 24-byte header and the name.
+        let at = 24 + "test".len();
+        enc[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_trace(&enc), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -721,7 +779,7 @@ mod tests {
         let parallel = CorpusTelemetry::hdtr(&cfg);
         assert_eq!(serial.traces.len(), parallel.traces.len());
         for (a, b) in serial.traces.iter().zip(&parallel.traces) {
-            assert!(traces_equal(a, b), "app {} diverged", a.app_id);
+            assert!(a == b, "app {} diverged", a.app_id);
         }
     }
 
@@ -740,11 +798,7 @@ mod tests {
         let warm = CorpusTelemetry::hdtr(&cfg);
         assert_eq!(cold.traces.len(), warm.traces.len());
         for (a, b) in cold.traces.iter().zip(&warm.traces) {
-            assert!(
-                traces_equal(a, b),
-                "cache hit diverged for app {}",
-                a.app_id
-            );
+            assert!(a == b, "cache hit diverged for app {}", a.app_id);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

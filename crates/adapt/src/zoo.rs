@@ -79,16 +79,6 @@ pub fn train(
                 ],
             );
         }
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "train.round",
-                &[
-                    ("model", kind.name().into()),
-                    ("mode", mode.to_string().into()),
-                    ("wall_ms", (wall_ns as f64 / 1e6).into()),
-                ],
-            );
-        }
         per_mode.push(round);
     }
     let (feat_lo, fw_lo) = per_mode.pop().unwrap();

@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Observability flags (any subcommand): `--trace-out <path.json>`
-//! records a Perfetto trace of the invocation; `--serve-metrics` exposes
-//! `/metrics` + `/healthz` + `/report` (address from `PSCA_METRICS_ADDR`,
-//! default `127.0.0.1:9185`). The `PSCA_*` environment outputs and
+//! records a Perfetto trace of the invocation; `--serve-metrics` starts
+//! the live-metrics side channel, a one-worker `psca-serve` daemon
+//! answering `/metrics` + `/healthz` + `/report` (address from
+//! `PSCA_METRICS_ADDR`, default `127.0.0.1:9185`). The `PSCA_*` environment outputs and
 //! `PSCA_METRICS_LINGER_S` work as for `repro` (docs/OBSERVABILITY.md):
 //! both binaries share the [`psca_bench::cli`] front end, so a missing
 //! value, an unknown flag or a malformed or zero number exits 2 naming

@@ -9,6 +9,10 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Mutex;
+
+use psca_adapt::ExperimentConfig;
+use psca_serve::{Daemon, ModelRegistry, ServeConfig};
 
 /// A command-line mistake: a missing value, an unknown flag or argument,
 /// a value that does not parse. The binary prints it under the usage
@@ -127,12 +131,17 @@ impl<'a> Iterator for Args<'a> {
 /// place a [`UsageError`] becomes `[tool] <error>`, the usage line and
 /// exit 2, and the one observability lifecycle. Before `main`: every
 /// `PSCA_*` output the environment asks for
-/// ([`psca_obs::init_from_env`]). After it: the Perfetto trace is
-/// written, a running metrics exporter is kept up for
-/// `PSCA_METRICS_LINGER_S` seconds so scrapers can read the finished run
-/// (not after a usage error), then stopped.
+/// ([`psca_obs::init_from_env`]) and the live-metrics side channel when
+/// `PSCA_METRICS_ADDR` is set. After it: the Perfetto trace is written,
+/// a running side channel is kept up for `PSCA_METRICS_LINGER_S` seconds
+/// so scrapers can read the finished run (not after a usage error), then
+/// shut down with a drain.
 pub fn run(tool: &str, main: impl FnOnce() -> Result<i32, UsageError>) -> i32 {
     psca_obs::init_from_env();
+    match std::env::var("PSCA_METRICS_ADDR") {
+        Ok(addr) if !addr.trim().is_empty() => start_side_channel(addr.trim()),
+        _ => {}
+    }
     let code = main().unwrap_or_else(|e| {
         eprintln!("[{tool}] {e}");
         if let Some(usage) = e.usage {
@@ -151,19 +160,50 @@ pub fn run(tool: &str, main: impl FnOnce() -> Result<i32, UsageError>) -> i32 {
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&secs| secs > 0);
     if let Some(secs) = linger {
-        if code != 2 && psca_obs::exporter::global_addr().is_some() {
+        if code != 2 && SIDE_CHANNEL.lock().unwrap().is_some() {
             eprintln!("[{tool}] lingering {secs}s for metric scrapes");
             std::thread::sleep(std::time::Duration::from_secs(secs));
         }
     }
-    psca_obs::exporter::shutdown_global();
+    if let Some(daemon) = SIDE_CHANNEL.lock().unwrap().take() {
+        daemon.shutdown();
+    }
     code
+}
+
+/// The live-metrics side channel: a one-worker `psca-serve` daemon with
+/// no models and no SLO, answering `/metrics`, `/healthz` and `/report`
+/// while the subcommand runs.
+static SIDE_CHANNEL: Mutex<Option<Daemon>> = Mutex::new(None);
+
+/// Starts the side channel on `addr` unless it is already running. The
+/// bound address goes to stderr; a bind failure is reported there too
+/// and the run goes on without it.
+fn start_side_channel(addr: &str) {
+    let mut slot = SIDE_CHANNEL.lock().unwrap();
+    if slot.is_some() {
+        return;
+    }
+    let config = ServeConfig {
+        addr: addr.to_string(),
+        workers: 1,
+        slo: None,
+        ..ServeConfig::default()
+    };
+    match Daemon::start(config, ModelRegistry::new(ExperimentConfig::quick())) {
+        Ok(daemon) => {
+            let bound = daemon.local_addr();
+            eprintln!("psca-obs: serving /metrics /healthz /report on http://{bound}");
+            *slot = Some(daemon);
+        }
+        Err(e) => eprintln!("psca-obs: cannot bind metrics exporter on {addr}: {e}"),
+    }
 }
 
 /// Applies the observability flags both binaries accept: `--trace-out
 /// PATH` starts the Perfetto recorder (unless `PSCA_TRACE` already did;
-/// the first destination wins) and `--serve-metrics` the live exporter
-/// on `PSCA_METRICS_ADDR` (default `127.0.0.1:9185`).
+/// the first destination wins) and `--serve-metrics` the live-metrics
+/// side channel on `PSCA_METRICS_ADDR` (default `127.0.0.1:9185`).
 pub fn obs_flags(tool: &str, trace_out: Option<&str>, serve_metrics: bool) {
     if let Some(path) = trace_out {
         if !psca_obs::trace::enable(path) {
@@ -172,7 +212,7 @@ pub fn obs_flags(tool: &str, trace_out: Option<&str>, serve_metrics: bool) {
     }
     if serve_metrics {
         let addr = std::env::var("PSCA_METRICS_ADDR").unwrap_or_else(|_| "127.0.0.1:9185".into());
-        psca_obs::exporter::serve(&addr);
+        start_side_channel(&addr);
     }
 }
 

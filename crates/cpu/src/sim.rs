@@ -360,15 +360,6 @@ impl ClusterSim {
                 ],
             );
         }
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "cpu.mode_switch",
-                &[
-                    ("from", self.mode.to_string().into()),
-                    ("to", mode.to_string().into()),
-                ],
-            );
-        }
         if mode == Mode::LowPower {
             let live_in_c2 = self
                 .reg_cluster

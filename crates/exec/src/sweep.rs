@@ -79,9 +79,10 @@ impl Sweep {
     ///
     /// `key` must digest everything that determines the cell's output
     /// (workload identity, config fields, seeds, codec schema version).
-    /// `encode`/`decode` are the on-disk codec; a `decode` returning
-    /// `None` (corrupt or stale entry) falls back to recomputing.
-    pub fn run_cached<T, R, K, E, D, F>(
+    /// `encode`/`decode` are the on-disk codec; a `decode` error (corrupt
+    /// or stale entry) counts in `exec.cache.corrupt` and falls back to
+    /// recomputing.
+    pub fn run_cached<T, R, K, E, D, X, F>(
         &self,
         cells: Vec<T>,
         key: K,
@@ -94,7 +95,7 @@ impl Sweep {
         R: Send,
         K: Fn(&T) -> u64 + Sync,
         E: Fn(&R) -> Vec<u8> + Sync,
-        D: Fn(&[u8]) -> Option<R> + Sync,
+        D: Fn(&[u8]) -> Result<R, X> + Sync,
         F: Fn(&T) -> R + Sync,
     {
         let cache = self.cache.as_ref();
@@ -103,9 +104,14 @@ impl Sweep {
                 return CellOutcome::Computed(f(cell));
             };
             let k = key(cell);
-            if let Some(hit) = cache.load(k).and_then(|bytes| decode(&bytes)) {
-                psca_obs::counter("exec.cache.hits").inc();
-                return CellOutcome::Cached(hit);
+            if let Some(bytes) = cache.load(k) {
+                match decode(&bytes) {
+                    Ok(hit) => {
+                        psca_obs::counter("exec.cache.hits").inc();
+                        return CellOutcome::Cached(hit);
+                    }
+                    Err(_) => psca_obs::counter("exec.cache.corrupt").inc(),
+                }
             }
             psca_obs::counter("exec.cache.misses").inc();
             let out = f(cell);
@@ -244,7 +250,7 @@ mod tests {
                     d.finish()
                 },
                 |r: &u64| r.to_le_bytes().to_vec(),
-                |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
+                |b: &[u8]| b.try_into().map(u64::from_le_bytes),
                 |&c| {
                     computed.fetch_add(1, Ordering::Relaxed);
                     c * c
@@ -260,6 +266,14 @@ mod tests {
             "warm run must not recompute"
         );
         assert_eq!(cold, warm);
+        // Undecodable entries are counted as corrupt and recomputed.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::write(entry.unwrap().path(), [0xff; 3]).unwrap();
+        }
+        let corrupt = psca_obs::counter("exec.cache.corrupt").get();
+        assert_eq!(run(&dir), cold);
+        assert_eq!(computed.load(Ordering::Relaxed), 20);
+        assert!(psca_obs::counter("exec.cache.corrupt").get() >= corrupt + 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -191,15 +191,6 @@ impl FaultInjector {
                 ],
             );
         }
-        if psca_obs::trace::enabled() {
-            psca_obs::trace::instant(
-                "faults.inject",
-                &[
-                    ("class", class.into()),
-                    ("window", FieldValue::from(self.window)),
-                ],
-            );
-        }
     }
 
     /// Applies telemetry counter faults to one window's rows in place and

@@ -2,8 +2,11 @@
 //!
 //! An event is a name (`"guardrail.trip"`), a [`Level`], and a small set
 //! of typed fields. Emission is near-zero-cost when nothing is listening:
-//! [`emit`] first checks one relaxed atomic (the level filter) and the
-//! sink count before building anything.
+//! [`emit`] first checks relaxed atomics (the trace recorder, the sink
+//! count and the level filter) before building anything. While
+//! `PSCA_TRACE` recording is on, every emitted event is also a Perfetto
+//! instant of the same name carrying all its fields, so call sites emit
+//! once for both consumers.
 //!
 //! The filter level comes from the `PSCA_LOG` environment variable
 //! (`trace | debug | info | warn | error | off`, default `off` so library
@@ -13,6 +16,7 @@
 //! per line to any writer.
 
 use crate::json::Json;
+use crate::trace;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
@@ -79,7 +83,7 @@ pub enum FieldValue {
 }
 
 impl FieldValue {
-    fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         match self {
             FieldValue::U64(v) => Json::UInt(*v),
             FieldValue::I64(v) => Json::Int(*v),
@@ -152,6 +156,21 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
+    /// A record of `name` with `fields`, stamped with the current time.
+    pub fn now(level: Level, name: &str, fields: &[(&str, FieldValue)]) -> EventRecord {
+        EventRecord {
+            level,
+            name: name.to_string(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+            ts_us: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64),
+        }
+    }
+
     /// The JSONL encoding of this record.
     pub fn to_jsonl(&self) -> String {
         let mut pairs: Vec<(String, Json)> = Vec::with_capacity(self.fields.len() + 3);
@@ -287,9 +306,16 @@ pub fn set_level(level: Option<Level>) {
     );
 }
 
-/// Whether events at `level` would currently be delivered.
+/// Whether an event at `level` would currently reach a consumer: a sink
+/// whose filter admits it, or the Perfetto recorder (which takes every
+/// level). Guarded call sites build their fields once for either.
 #[inline]
 pub fn enabled(level: Level) -> bool {
+    sinks_enabled(level) || trace::enabled()
+}
+
+#[inline]
+fn sinks_enabled(level: Level) -> bool {
     SINK_COUNT.load(Ordering::Relaxed) > 0 && (level as u8) >= level_filter()
 }
 
@@ -312,27 +338,23 @@ pub fn flush() {
     }
 }
 
-/// Emits one structured event to every installed sink.
+/// Emits one structured event to every installed sink whose filter
+/// admits `level` and, while tracing, records it as a Perfetto instant
+/// with the same name and fields ([`trace::instant`]).
 ///
-/// Cheap when disabled: one atomic load for the sink count and one for
-/// the level filter, no allocation.
+/// Cheap when disabled: three relaxed atomic loads, no allocation.
 pub fn emit(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
-    if !enabled(level) {
+    trace::instant(name, fields);
+    to_sinks(level, name, fields);
+}
+
+/// Delivers an event to the sinks only, for events whose Perfetto form
+/// is not an instant (span enter/exit: the span is a duration bar).
+pub(crate) fn to_sinks(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
+    if !sinks_enabled(level) {
         return;
     }
-    let ts_us = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0);
-    let record = EventRecord {
-        level,
-        name: name.to_string(),
-        fields: fields
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        ts_us,
-    };
+    let record = EventRecord::now(level, name, fields);
     for sink in sinks().read().unwrap().iter() {
         sink.write_event(&record);
     }

@@ -1,13 +1,5 @@
-//! Live metrics over HTTP: a std-only TCP server for scrapers.
-//!
-//! [`MetricsServer::start`] binds a [`std::net::TcpListener`] and serves
-//! three read-only endpoints from a background thread:
-//!
-//! | Path | Content |
-//! |---|---|
-//! | `/metrics` | the global registry in Prometheus text exposition format |
-//! | `/healthz` | `ok` (liveness probe) |
-//! | `/report`  | the most recently published [`crate::RunReport`] JSON |
+//! Prometheus text exposition and the latest-run-report slot: what the
+//! `psca-serve` daemon answers on `GET /metrics` and `GET /report`.
 //!
 //! Prometheus names map dot-separated metric names with `.` → `_`
 //! (`cpu.sim.instructions` → `cpu_sim_instructions`); counters and gauges
@@ -15,118 +7,16 @@
 //! series plus `_sum`/`_count`), and each time-series contributes its most
 //! recent value as a `<name>_last` gauge.
 //!
-//! Requests are framed by [`crate::http`]: any method but `GET` answers
-//! 405, and a malformed, oversized or stalled request answers 400, 413
-//! or 408 with the framing error as plain text.
-//!
-//! Opt-in via the `PSCA_METRICS_ADDR=<host:port>` environment variable
-//! (see [`serve_from_env`]) or a binary flag like `repro --serve-metrics`.
-//! Port `0` asks the OS for a free port; the bound address is printed to
-//! stderr and available from [`MetricsServer::local_addr`].
+//! [`crate::RunReport::write`] publishes each report it writes through
+//! [`publish_report`]; [`latest_report`] reads the most recent one back.
+//! The live side channel (`PSCA_METRICS_ADDR`, `--serve-metrics`) is a
+//! `psca-serve` daemon started by the binaries' shared front end.
 
-use crate::http;
-use crate::metrics::{self, MetricsSnapshot};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
-
-/// Background HTTP server exposing the global metric registry.
-#[derive(Debug)]
-pub struct MetricsServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9185`, port 0 for OS-assigned) and
-    /// starts serving on a background thread.
-    ///
-    /// # Errors
-    /// Propagates bind failures (port in use, bad address).
-    pub fn start(addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("psca-obs-exporter".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        handle_connection(stream);
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            local_addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops the accept loop and joins the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_and_join();
-        }
-    }
-}
+use crate::metrics::MetricsSnapshot;
+use std::sync::Mutex;
 
 /// Content type of the Prometheus text exposition, for every `/metrics`.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-const PLAIN_TEXT: &str = "text/plain; charset=utf-8";
-
-/// Largest request body the exporter reads (and ignores) before answering.
-const MAX_BODY_BYTES: usize = 8 * 1024;
-
-fn handle_connection(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let (status, content_type, body) = match http::read_request(&mut stream, MAX_BODY_BYTES) {
-        Err(e) => (e.status(), PLAIN_TEXT, format!("{e}\n")),
-        Ok(req) if req.method != "GET" => (405, PLAIN_TEXT, "method not allowed\n".to_string()),
-        Ok(req) => match req.path.as_str() {
-            "/metrics" => (
-                200,
-                METRICS_CONTENT_TYPE,
-                prometheus_text(&metrics::global().snapshot()),
-            ),
-            "/healthz" => (200, PLAIN_TEXT, "ok\n".to_string()),
-            "/report" => match latest_report().lock().unwrap().clone() {
-                Some(json) => (200, "application/json", json),
-                None => (404, PLAIN_TEXT, "no run report published yet\n".to_string()),
-            },
-            _ => (404, PLAIN_TEXT, "not found\n".to_string()),
-        },
-    };
-    let _ = http::write_response(&mut stream, status, content_type, &[], &body);
-}
 
 /// Maps a dot-separated metric name onto the Prometheus grammar:
 /// `.` becomes `_`, any other invalid character becomes `_`, and a
@@ -193,66 +83,17 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     out
 }
 
-fn latest_report() -> &'static Mutex<Option<String>> {
-    static LATEST: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    LATEST.get_or_init(|| Mutex::new(None))
-}
+static LATEST_REPORT: Mutex<Option<String>> = Mutex::new(None);
 
-/// Publishes a run-report JSON document to the `/report` endpoint
-/// (called by [`crate::RunReport::write`]).
+/// Publishes a run-report JSON document as the latest report (called by
+/// [`crate::RunReport::write`]).
 pub fn publish_report(json: &str) {
-    *latest_report().lock().unwrap() = Some(json.to_string());
+    *LATEST_REPORT.lock().unwrap() = Some(json.to_string());
 }
 
-fn global_server() -> &'static Mutex<Option<MetricsServer>> {
-    static SERVER: OnceLock<Mutex<Option<MetricsServer>>> = OnceLock::new();
-    SERVER.get_or_init(|| Mutex::new(None))
-}
-
-/// Starts the process-global exporter on `addr` unless one is already
-/// running; returns the bound address either way, or `None` on bind
-/// failure (reported to stderr).
-pub fn serve(addr: &str) -> Option<SocketAddr> {
-    let mut guard = global_server().lock().unwrap();
-    if let Some(server) = guard.as_ref() {
-        return Some(server.local_addr());
-    }
-    match MetricsServer::start(addr) {
-        Ok(server) => {
-            let bound = server.local_addr();
-            eprintln!("psca-obs: serving /metrics /healthz /report on http://{bound}");
-            *guard = Some(server);
-            Some(bound)
-        }
-        Err(e) => {
-            eprintln!("psca-obs: cannot bind metrics exporter on {addr}: {e}");
-            None
-        }
-    }
-}
-
-/// Starts the process-global exporter when `PSCA_METRICS_ADDR` is set.
-pub fn serve_from_env() -> Option<SocketAddr> {
-    match std::env::var("PSCA_METRICS_ADDR") {
-        Ok(addr) if !addr.trim().is_empty() => serve(addr.trim()),
-        _ => None,
-    }
-}
-
-/// The process-global exporter's address, if one is running.
-pub fn global_addr() -> Option<SocketAddr> {
-    global_server()
-        .lock()
-        .unwrap()
-        .as_ref()
-        .map(|s| s.local_addr())
-}
-
-/// Stops the process-global exporter, if one is running.
-pub fn shutdown_global() {
-    if let Some(server) = global_server().lock().unwrap().take() {
-        server.shutdown();
-    }
+/// The most recently published run-report JSON, if any.
+pub fn latest_report() -> Option<String> {
+    LATEST_REPORT.lock().unwrap().clone()
 }
 
 #[cfg(test)]

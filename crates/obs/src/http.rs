@@ -1,6 +1,6 @@
-//! Minimal HTTP/1.1 framing shared by the metrics exporter, the
-//! `psca-serve` daemon and the `repro loadgen` client: one request per
-//! connection, answered with `Connection: close`.
+//! Minimal HTTP/1.1 framing shared by the `psca-serve` daemon and the
+//! `repro loadgen` client: one request per connection, answered with
+//! `Connection: close`.
 //!
 //! The server side works over any [`Read`] / [`Write`]; callers set
 //! socket deadlines themselves, and tests feed byte slices.

@@ -17,9 +17,10 @@
 //! 4. **Traces** ([`trace`]) — Chrome trace-event recording, opt-in via
 //!    `PSCA_TRACE=<path.json>`, loadable in Perfetto; spans, instants, and
 //!    counter tracks.
-//! 5. **Exporter** ([`exporter`]) — a std-only HTTP server (opt-in via
-//!    `PSCA_METRICS_ADDR=<host:port>`) exposing `/metrics` (Prometheus
-//!    text format), `/healthz`, and `/report`.
+//! 5. **Exporter** ([`exporter`]) — the Prometheus text rendering of the
+//!    registry and the latest published run report, which the
+//!    `psca-serve` daemon answers on `/metrics` and `/report` (the
+//!    binaries start one as a side channel on `PSCA_METRICS_ADDR`).
 //! 6. **Reports** ([`report`]) — a [`RunReport`] aggregates per-phase
 //!    wall time, headline summary values, and a metrics snapshot into
 //!    `target/obs/<run>.json` plus a rendered table.
@@ -73,7 +74,6 @@ pub use event::{
     clear_sinks, emit, enabled, flush, install_sink, set_level, ConsoleSink, EventRecord,
     EventSink, FieldValue, JsonlSink, Level,
 };
-pub use exporter::MetricsServer;
 pub use json::Json;
 pub use metrics::{
     Counter, Exemplar, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
@@ -175,33 +175,25 @@ pub fn reset_all() {
 ///   to a JSONL file;
 /// - `PSCA_TRACE=<path.json>` starts the Chrome trace-event recorder
 ///   ([`trace`]);
-/// - `PSCA_METRICS_ADDR=<host:port>` starts the live HTTP metrics
-///   exporter ([`exporter`]);
 /// - `PSCA_PROF=1` enables the hierarchical self-profiler ([`prof`]).
 ///
-/// Returns `true` if any sink was installed.
-pub fn init_from_env() -> bool {
-    let mut installed = false;
+/// The live-metrics side channel (`PSCA_METRICS_ADDR`) is a `psca-serve`
+/// daemon, started by the binaries rather than here.
+pub fn init_from_env() {
     if std::env::var("PSCA_LOG")
         .map(|v| Level::from_env_str(&v).is_some())
         .unwrap_or(false)
     {
         install_sink(Box::new(ConsoleSink));
-        installed = true;
     }
     if let Ok(path) = std::env::var("PSCA_OBS_JSONL") {
         match JsonlSink::create(std::path::Path::new(&path)) {
-            Ok(sink) => {
-                install_sink(Box::new(sink));
-                installed = true;
-            }
+            Ok(sink) => install_sink(Box::new(sink)),
             Err(e) => eprintln!("psca-obs: cannot open PSCA_OBS_JSONL={path}: {e}"),
         }
     }
     trace::enable_from_env();
-    exporter::serve_from_env();
     prof::init_from_env();
-    installed
 }
 
 #[cfg(test)]

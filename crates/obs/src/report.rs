@@ -7,8 +7,8 @@
 //! sampler, serialized under `"timeseries"` as `[x, y]` pairs and
 //! additionally written as a `<run>.series.csv` artifact next to the
 //! JSON. [`RunReport::write`] serializes to `target/obs/<run>.json` (or
-//! any directory), publishes the JSON to the live `/report` endpoint when
-//! the exporter is running, and [`RunReport::render`] produces the
+//! any directory), publishes the JSON as the latest report (served live
+//! on a daemon's `/report` endpoint), and [`RunReport::render`] produces the
 //! human-readable table the `repro` binary prints.
 
 use crate::json::Json;
@@ -280,8 +280,7 @@ impl RunReport {
     }
 
     /// [`RunReport::write`] with an explicit metrics snapshot. Also
-    /// publishes the JSON to the `/report` endpoint of a running
-    /// [`crate::exporter`] server.
+    /// publishes the JSON as [`crate::exporter::latest_report`].
     ///
     /// # Errors
     /// Propagates filesystem errors.

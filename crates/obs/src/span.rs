@@ -5,10 +5,11 @@
 //! `span.<path>`, where `<path>` is the dot-joined stack of enclosing
 //! spans on the current thread — so nested spans produce distinct
 //! histograms (`span.repro.fig8` inside `span.repro`). Entering and
-//! leaving a span also emits `span.enter`/`span.exit` events at
-//! [`Level::Trace`], and — when `PSCA_TRACE` recording is active
-//! ([`crate::trace`]) — a Chrome trace-event *complete* record, so spans
-//! render as nested duration bars in Perfetto.
+//! leaving a span also delivers `span.enter`/`span.exit` events at
+//! [`Level::Trace`] to the event sinks, and — when `PSCA_TRACE`
+//! recording is active ([`crate::trace`]) — a Chrome trace-event
+//! *complete* record (not a pair of instants), so spans render as nested
+//! duration bars in Perfetto.
 //!
 //! When the hierarchical profiler is on ([`crate::prof`], `PSCA_PROF=1`)
 //! each span additionally maintains a profiling frame, so call counts
@@ -19,7 +20,7 @@
 //! profiler frame all report that same snapshot (callers can observe it
 //! via [`SpanTimer::finish`]).
 
-use crate::event::{emit, FieldValue, Level};
+use crate::event::{to_sinks, FieldValue, Level};
 use crate::{metrics, prof, trace};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -64,7 +65,7 @@ impl SpanTimer {
         } else {
             usize::MAX
         };
-        emit(
+        to_sinks(
             Level::Trace,
             "span.enter",
             &[("span", FieldValue::Str(path.clone()))],
@@ -117,7 +118,7 @@ impl SpanTimer {
         if self.prof_depth != usize::MAX {
             prof::frame_exit(self.prof_depth, ns);
         }
-        emit(
+        to_sinks(
             Level::Trace,
             "span.exit",
             &[

@@ -134,16 +134,7 @@ fn fields_to_args(fields: &[(&str, FieldValue)]) -> Json {
     Json::Obj(
         fields
             .iter()
-            .map(|(k, v)| {
-                let j = match v {
-                    FieldValue::U64(x) => Json::UInt(*x),
-                    FieldValue::I64(x) => Json::Int(*x),
-                    FieldValue::F64(x) => Json::Num(*x),
-                    FieldValue::Str(x) => Json::Str(x.clone()),
-                    FieldValue::Bool(x) => Json::Bool(*x),
-                };
-                (k.to_string(), j)
-            })
+            .map(|(k, v)| (k.to_string(), v.to_json()))
             .collect(),
     )
 }

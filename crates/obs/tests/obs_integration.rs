@@ -2,11 +2,9 @@
 //! kept in an integration test so they own the process-wide singletons.
 
 use psca_obs::{
-    clear_sinks, emit, install_sink, set_level, FieldValue, Histogram, JsonlSink, Level,
-    MetricsServer, TimeSeries,
+    clear_sinks, emit, install_sink, set_level, FieldValue, Histogram, JsonlSink, Level, TimeSeries,
 };
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// `Write` adapter that mirrors everything into a shared buffer so the
@@ -202,6 +200,18 @@ fn trace_file_round_trips_as_valid_trace_event_json() {
             ],
         );
         psca_obs::trace::counter_event("it.trace.ipc", 2.5);
+        // Tracing alone is a consumer: a guarded site builds its fields,
+        // and `emit` records them as an instant of the same name.
+        assert!(psca_obs::enabled(Level::Trace));
+        emit(
+            Level::Debug,
+            "it.trace.emitted",
+            &[
+                ("n", FieldValue::U64(3)),
+                ("who", FieldValue::Str("x".into())),
+                ("ok", FieldValue::Bool(true)),
+            ],
+        );
     }
     let written = psca_obs::trace::finish().expect("finish returns the path");
     assert_eq!(written, path);
@@ -230,6 +240,16 @@ fn trace_file_round_trips_as_valid_trace_event_json() {
     }
     // Spans must appear under their dot-joined paths.
     assert!(text.contains("it_trace_outer.it_trace_inner"));
+    // The emitted event is an instant carrying every one of its fields.
+    let emitted = events
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("it.trace.emitted"))
+        .expect("emit records a Perfetto instant");
+    assert_eq!(emitted.get("ph").and_then(|p| p.as_str()), Some("i"));
+    let args = emitted.get("args").expect("instant args");
+    assert_eq!(args.get("n").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(args.get("who").and_then(|v| v.as_str()), Some("x"));
+    assert_eq!(args.get("ok").and_then(|v| v.as_bool()), Some(true));
 }
 
 #[test]
@@ -255,72 +275,4 @@ fn ring_buffer_downsampling_keeps_endpoints_and_monotone_x() {
             w[1]
         );
     }
-}
-
-#[test]
-fn metrics_server_serves_healthz_and_metrics_over_a_real_socket() {
-    psca_obs::counter("it.exporter.requests").add(5);
-    let server = MetricsServer::start("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = server.local_addr();
-
-    let get = |path: &str| -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect to exporter");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        out
-    };
-
-    let health = get("/healthz");
-    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-    assert!(health.ends_with("ok\n"), "{health}");
-
-    let metrics = get("/metrics");
-    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-    assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
-    assert!(metrics.contains("it_exporter_requests"), "{metrics}");
-
-    let missing = get("/nope");
-    assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
-
-    server.shutdown();
-}
-
-#[test]
-fn metrics_server_answers_framing_errors_and_non_get_methods() {
-    let server = MetricsServer::start("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = server.local_addr();
-    let send = |raw: &[u8]| -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect to exporter");
-        stream.write_all(raw).unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        out
-    };
-
-    // A POST is read in full, then refused.
-    let post = send(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi");
-    assert!(post.starts_with("HTTP/1.1 405"), "{post}");
-
-    // A head past the 8 KiB cap is refused, not parsed from a prefix.
-    // Exactly one byte over, with no terminator, so the exporter has
-    // consumed every byte when it answers.
-    let mut head = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
-    head.resize(psca_obs::http::MAX_HEAD_BYTES + 1, b'a');
-    let oversized = send(&head);
-    assert!(oversized.starts_with("HTTP/1.1 413"), "{oversized}");
-    assert!(
-        oversized.ends_with("request head too large\n"),
-        "{oversized}"
-    );
-
-    // A garbage request line is a 400.
-    let garbage = send(b"NONSENSE\r\n\r\n");
-    assert!(garbage.starts_with("HTTP/1.1 400"), "{garbage}");
-
-    // Query strings are ignored.
-    let health = send(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n");
-    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-
-    server.shutdown();
 }

@@ -13,7 +13,10 @@
 //! - `POST /v1/closed-loop` — a seeded closed-loop simulation from a
 //!   workload spec, optionally chaos-hardened, returning a run summary.
 //! - `GET /v1/models` — registry: names, kinds, input dims, granularity.
-//! - `GET /healthz`, `GET /metrics` — liveness and Prometheus text.
+//! - `GET /healthz`, `GET /readyz`, `GET /metrics` — liveness,
+//!   readiness and Prometheus text.
+//! - `GET /report` — the latest run report the process published (what
+//!   the binaries' live-metrics side channel serves).
 //! - `POST /v1/shutdown` — graceful drain: queued requests are answered,
 //!   then every thread exits.
 //!

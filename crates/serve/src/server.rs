@@ -2,7 +2,7 @@
 //! queue, explicit backpressure, per-endpoint metrics, optional chaos on
 //! the serving path, and graceful drain-on-shutdown.
 //!
-//! Framing is `psca_obs::http`, shared with the metrics exporter; its
+//! Framing is `psca_obs::http`, shared with the loadgen client; its
 //! errors map to typed 400/408/413 [`ApiError`]s. The daemon adds a
 //! worker pool (the accept thread pushes connections into a condvar-guarded
 //! `Mutex<VecDeque>`, workers pop) and answers a full queue or connection
@@ -169,7 +169,10 @@ impl Shared {
         // Probe/scrape endpoints stay out of the SLO and never trigger
         // postmortems: a failing readiness probe is the daemon *reporting*
         // unreadiness, not failing a request.
-        let probe = matches!(outcome.endpoint, "healthz" | "readyz" | "metrics");
+        let probe = matches!(
+            outcome.endpoint,
+            "healthz" | "readyz" | "metrics" | "report"
+        );
         if let Some(slo) = self.slo.as_ref().filter(|_| !probe) {
             let mut engine = slo.lock().unwrap();
             engine.observe(now_ms, latency_us, outcome.status >= 500);
@@ -197,20 +200,19 @@ impl Shared {
         });
         if let Some(sink) = &self.access {
             let text = |s: &str| FieldValue::Str(s.to_string());
-            sink.write_event(&EventRecord {
-                level: Level::Info,
-                name: "serve.access".to_string(),
-                fields: vec![
-                    ("trace_id".to_string(), text(trace_id)),
-                    ("method".to_string(), text(&outcome.method)),
-                    ("path".to_string(), text(&outcome.path)),
-                    ("endpoint".to_string(), text(outcome.endpoint)),
-                    ("status".to_string(), FieldValue::U64(outcome.status.into())),
-                    ("latency_us".to_string(), FieldValue::U64(latency_us)),
-                    ("queue_us".to_string(), FieldValue::U64(queue_us)),
+            sink.write_event(&EventRecord::now(
+                Level::Info,
+                "serve.access",
+                &[
+                    ("trace_id", text(trace_id)),
+                    ("method", text(&outcome.method)),
+                    ("path", text(&outcome.path)),
+                    ("endpoint", text(outcome.endpoint)),
+                    ("status", FieldValue::U64(outcome.status.into())),
+                    ("latency_us", FieldValue::U64(latency_us)),
+                    ("queue_us", FieldValue::U64(queue_us)),
                 ],
-                ts_us: unix_ts_us(),
-            });
+            ));
             sink.flush();
         }
         if !probe && outcome.status >= 500 {
@@ -238,14 +240,6 @@ impl Shared {
             }
         }
     }
-}
-
-/// Microseconds since the Unix epoch (0 when the clock is unavailable).
-fn unix_ts_us() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0)
 }
 
 /// A running daemon. Dropping it shuts it down and joins every thread.
@@ -568,6 +562,7 @@ fn endpoint_key(path: &str) -> &'static str {
         "/v1/profile" => "profile",
         "/v1/debug/requests" => "debug_requests",
         "/metrics" => "metrics",
+        "/report" => "report",
         "/healthz" => "healthz",
         "/readyz" => "readyz",
         _ => "other",
@@ -682,6 +677,15 @@ fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool
         ("GET", "/metrics") => {
             let body = psca_obs::exporter::prometheus_text(&psca_obs::snapshot());
             rsp.send(200, psca_obs::exporter::METRICS_CONTENT_TYPE, &body);
+            Ok(false)
+        }
+        ("GET", "/report") => {
+            let body = psca_obs::exporter::latest_report().ok_or_else(|| ApiError {
+                status: 404,
+                code: "no_report",
+                message: "no run report published yet".to_string(),
+            })?;
+            rsp.send(200, "application/json", &body);
             Ok(false)
         }
         ("GET", "/v1/slo") => {

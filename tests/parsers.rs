@@ -1,13 +1,15 @@
 //! Property tests for the shared parsers in `psca-obs`: the `key=value`
 //! spec tokenizer behind the chaos, skew, rollout and SLO grammars, the
 //! HTTP/1.1 framing used by every server and client, and the JSON reader
-//! behind every request body.
+//! behind every request body; and for the sweep-cache trace codec.
 
 use proptest::prelude::*;
+use psca::adapt::{decode_trace, decode_traces, encode_trace, encode_traces, TraceTelemetry};
 use psca::faults::ChaosSpec;
 use psca::fleet::{RolloutSpec, SkewSpec};
 use psca::obs::http::{self, FrameError, Response};
 use psca::obs::{Json, SloSpec};
+use psca::telemetry::NUM_EVENTS;
 
 /// Every key of the four grammars, plus near misses.
 const KEYS: [&str; 29] = [
@@ -366,4 +368,84 @@ fn the_unmutated_request_frames() {
     assert_eq!(req.path, "/v1/predict");
     assert_eq!(req.body, "{\"rows\":[]}");
     assert!(req.header("TRACEPARENT").is_some());
+}
+
+/// A well-formed trace of 0..6 intervals whose every value derives
+/// from the generated words (finite, so equality is bitwise).
+fn arb_trace() -> impl Strategy<Value = TraceTelemetry> {
+    (
+        any::<u32>(),
+        any::<u64>(),
+        prop::collection::vec(any::<u64>(), 0..6),
+    )
+        .prop_map(|(app_id, workload, words)| {
+            let col = |k: u64| words.iter().map(move |&w| (w >> 12) as f64 / k as f64);
+            let rows = |salt: u64| {
+                words
+                    .iter()
+                    .map(|&w| {
+                        (0..NUM_EVENTS as u64)
+                            .map(|e| ((w ^ salt) >> e) as f64)
+                            .collect()
+                    })
+                    .collect()
+            };
+            TraceTelemetry {
+                app_id,
+                app_name: format!("app-{workload:x}"),
+                workload,
+                rows_hi: rows(0),
+                rows_lo: rows(u64::MAX),
+                ipc_hi: col(1).collect(),
+                ipc_lo: col(2).collect(),
+                cycles_hi: words.clone(),
+                cycles_lo: words.iter().map(|w| w / 3).collect(),
+                energy_hi: col(3).collect(),
+                energy_lo: col(4).collect(),
+                insts: words.iter().map(|w| w % 10_000).collect(),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn codec_roundtrips_arbitrary_traces(a in arb_trace(), b in arb_trace()) {
+        prop_assert_eq!(decode_trace(&encode_trace(&a)), Ok(a.clone()));
+        let list = vec![a, b];
+        prop_assert_eq!(decode_traces(&encode_traces(&list)), Ok(list));
+    }
+
+    #[test]
+    fn arbitrary_bytes_are_errors_not_aborts(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        prop_assert!(decode_trace(&bytes).is_err());
+        // The only list this short that decodes is the empty one.
+        prop_assert!(decode_traces(&bytes).is_err() || bytes == [0; 4]);
+    }
+
+    #[test]
+    fn mutated_encodings_are_errors_not_aborts(
+        t in arb_trace(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        for enc in [encode_trace(&t), encode_traces(&vec![t.clone()])] {
+            // Every strict prefix ends inside a declared field.
+            let cut = cut % enc.len();
+            prop_assert!(decode_trace(&enc[..cut]).is_err());
+            prop_assert!(decode_traces(&enc[..cut]).is_err());
+            // A flipped byte may land in a value and still decode;
+            // it must never panic or abort.
+            let mut raw = enc.clone();
+            for &(at, byte) in &flips {
+                let at = at % raw.len();
+                raw[at] = byte;
+            }
+            let _ = decode_trace(&raw);
+            let _ = decode_traces(&raw);
+        }
+    }
 }

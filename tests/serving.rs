@@ -1,6 +1,7 @@
 //! Integration tests for the psca-serve daemon over real sockets:
 //! protocol round-trips, bit-identical concurrent predictions,
-//! deterministic backpressure, and drain-on-shutdown.
+//! deterministic backpressure, drain-on-shutdown, and the binaries'
+//! live-metrics side channel.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -8,12 +9,13 @@ use std::time::Duration;
 
 use psca::adapt::ModelKind;
 use psca::ml::Classifier;
-use psca::obs::Json;
+use psca::obs::{Json, SloSpec};
 use psca::serve::{Daemon, ModelRegistry, ServeConfig};
 
-/// A parsed HTTP response: status code and body.
+/// A parsed HTTP response: status code, head and body.
 struct Response {
     status: u16,
+    head: String,
     body: String,
 }
 
@@ -60,8 +62,19 @@ fn read_response(stream: &mut TcpStream) -> Response {
         .expect("status code");
     Response {
         status,
+        head: head.to_string(),
         body: body.to_string(),
     }
+}
+
+/// Writes `raw` as the whole request and reads the whole response.
+fn send_raw(addr: std::net::SocketAddr, raw: &[u8]) -> Response {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(raw).unwrap();
+    read_response(&mut stream)
 }
 
 /// A one-model registry on a tiny deterministic corpus (fast to train).
@@ -443,5 +456,126 @@ fn stalled_clients_get_typed_408_not_a_pinned_worker() {
     // The workers were never pinned: a healthy request still answers.
     let r = send(addr, "GET", "/healthz", "");
     assert_eq!(r.status, 200);
+    daemon.shutdown();
+}
+
+/// A daemon built like the binaries' live-metrics side channel
+/// (`PSCA_METRICS_ADDR`, `--serve-metrics`): one worker and no models.
+/// The side channel itself runs without an SLO.
+fn side_channel(slo: Option<SloSpec>) -> Daemon {
+    let config = ServeConfig {
+        workers: 1,
+        slo,
+        ..ServeConfig::default()
+    };
+    let registry = ModelRegistry::new(psca::adapt::ExperimentConfig::quick());
+    Daemon::start(config, registry).expect("bind loopback")
+}
+
+#[test]
+fn side_channel_serves_healthz_and_metrics() {
+    psca::obs::counter("it.side_channel.requests").add(5);
+    let daemon = side_channel(None);
+    let addr = daemon.local_addr();
+
+    let health = send(addr, "GET", "/healthz", "");
+    assert_eq!(health.status, 200, "{}", health.body);
+    assert_eq!(health.body, r#"{"status":"ok","models":0}"#);
+
+    let metrics = send(addr, "GET", "/metrics", "");
+    assert_eq!(metrics.status, 200, "{}", metrics.body);
+    assert!(
+        metrics.head.contains("text/plain; version=0.0.4"),
+        "{}",
+        metrics.head
+    );
+    assert!(
+        metrics.body.contains("it_side_channel_requests 5"),
+        "{}",
+        metrics.body
+    );
+
+    let missing = send(addr, "GET", "/nope", "");
+    assert_eq!(missing.status, 404, "{}", missing.body);
+    assert!(missing.body.contains("not_found"), "{}", missing.body);
+    daemon.shutdown();
+}
+
+#[test]
+fn side_channel_answers_framing_errors_and_non_get_methods() {
+    let daemon = side_channel(None);
+    let addr = daemon.local_addr();
+
+    // A POST to a known path is read in full, then refused.
+    let post = send_raw(
+        addr,
+        b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi",
+    );
+    assert_eq!(post.status, 405, "{}", post.body);
+    assert!(post.body.contains("method_not_allowed"), "{}", post.body);
+
+    // A head past the 8 KiB cap is refused, not parsed from a prefix.
+    // Exactly one byte over, with no terminator, so the daemon has
+    // consumed every byte when it answers.
+    let mut head = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(psca::obs::http::MAX_HEAD_BYTES + 1, b'a');
+    let oversized = send_raw(addr, &head);
+    assert_eq!(oversized.status, 413, "{}", oversized.body);
+    assert!(
+        oversized.body.contains("request head too large"),
+        "{}",
+        oversized.body
+    );
+
+    // A garbage request line is a 400.
+    let garbage = send_raw(addr, b"NONSENSE\r\n\r\n");
+    assert_eq!(garbage.status, 400, "{}", garbage.body);
+
+    // Query strings are ignored.
+    let health = send_raw(addr, b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n");
+    assert_eq!(health.status, 200, "{}", health.body);
+    daemon.shutdown();
+}
+
+#[test]
+fn side_channel_report_flips_to_the_published_run() {
+    let daemon = side_channel(None);
+    let addr = daemon.local_addr();
+    // No test in this binary publishes a report before this one does.
+    let before = send(addr, "GET", "/report", "");
+    assert_eq!(before.status, 404, "{}", before.body);
+    assert!(before.body.contains("no_report"), "{}", before.body);
+
+    let dir = std::env::temp_dir().join(format!("psca-serving-report-{}", std::process::id()));
+    psca::obs::RunReport::new("side-channel-test")
+        .write(&dir)
+        .expect("write the report");
+    let after = send(addr, "GET", "/report", "");
+    assert_eq!(after.status, 200, "{}", after.body);
+    let doc = Json::parse(&after.body).unwrap();
+    assert_eq!(
+        doc.get("run_id").and_then(Json::as_str),
+        Some("side-channel-test")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    daemon.shutdown();
+}
+
+#[test]
+fn report_and_metrics_scrapes_stay_out_of_the_slo() {
+    let daemon = side_channel(Some(SloSpec::default()));
+    let addr = daemon.local_addr();
+    for path in ["/report", "/metrics", "/report", "/metrics"] {
+        send(addr, "GET", path, "");
+    }
+    let slo = send(addr, "GET", "/v1/slo", "");
+    assert_eq!(slo.status, 200, "{}", slo.body);
+    let doc = Json::parse(&slo.body).unwrap();
+    assert_eq!(
+        doc.get("window_requests").and_then(Json::as_u64),
+        Some(0),
+        "{}",
+        slo.body
+    );
     daemon.shutdown();
 }
