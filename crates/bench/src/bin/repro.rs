@@ -19,7 +19,8 @@
 //! repro -- slo-check --bench target/obs/loadgen.json --slo default   # CI gate, exit 1 on breach
 //! repro -- closed-loop --model best-rf --archetype balanced --seed 1
 //! repro -- fleet --size 8 --seed 1                   # skewed dies + staged rollout
-//! repro -- fleet --bad-image --out fleet.json        # CI rollback gate, exit 1
+//! repro -- fleet --size 6 --seed 3 --windows 8 --bad-image --out fleet.json
+//!                                    # CI rollback gate, exit 1 (seed-dependent)
 //! repro -- bench --check --quick     # unified bench suite vs BENCH_*.json baselines
 //! repro -- bench --update            # refresh the committed baselines
 //! repro -- profile closed-loop ...   # any runner + psca-prof flamegraph artifacts

@@ -68,7 +68,9 @@ pub struct RolloutSpec {
     /// the cohort.
     pub max_escalations: u64,
     /// Outlier strikes (die unhealthy under the *baseline* image) before
-    /// a die is quarantined out of later cohorts.
+    /// a die is quarantined out of later cohorts. The cohorts are
+    /// disjoint, so `run_fleet` strikes each die at most once: only 1
+    /// ever quarantines a die, and the default 2 never does.
     pub quarantine_after: u32,
 }
 

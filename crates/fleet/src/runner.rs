@@ -73,8 +73,8 @@ struct DiePrep {
 /// A prepared fleet: trained model, baseline/candidate images, and one
 /// [`DiePrep`] per die. Splitting preparation from execution lets tests
 /// score a single die serially ([`FleetSetup::die_stats`]) against the
-/// sweep-merged report — the "rollout disabled ≡ N independent loops"
-/// invariant.
+/// report, whose rows must equal that serial oracle for the image each
+/// row reports, whatever shape the rollout took.
 pub struct FleetSetup {
     backend: BackendChoice,
     model: TrainedAdaptModel,
@@ -409,6 +409,12 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
     let setup = FleetSetup::prepare(cfg, params);
     psca_obs::gauge("fleet.size").set(params.size as f64);
 
+    // Every closed loop the run executes, by die and image slot
+    // (baseline, candidate). `die_stats` is a pure function of
+    // `(die, image)`, so a score the rollout already ran is the die's
+    // final score whenever the rollout leaves that image installed.
+    let images = [&setup.baseline, &setup.candidate];
+    let mut scores: Vec<[Option<LoopScore>; 2]> = vec![[None, None]; params.size];
     let mut stages = Vec::new();
     let mut quarantined = Vec::new();
     let (status, installed): (&'static str, Vec<FleetImage>) = match params.rollout {
@@ -428,7 +434,7 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                 // the merge stays serial-identical.
                 let cells: Vec<(u64, &FleetImage)> = cohort
                     .iter()
-                    .flat_map(|&d| [(d, &setup.baseline), (d, &setup.candidate)])
+                    .flat_map(|&d| images.map(|img| (d, img)))
                     .collect();
                 let runs = psca_exec::Sweep::new("fleet.stage")
                     .jobs(cfg.jobs)
@@ -438,6 +444,7 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
                 let (mut base_sum, mut cand_sum) = (LoopScore::default(), LoopScore::default());
                 for (&die, pair) in cohort.iter().zip(runs.chunks(2)) {
                     let (base, cand) = (&pair[0], &pair[1]);
+                    scores[die as usize] = [Some(base.clone()), Some(cand.clone())];
                     if base.rsv() > spec.rsv_floor {
                         rollout.strike(die);
                         if rollout.is_quarantined(die) {
@@ -510,28 +517,37 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
     psca_obs::gauge("fleet.quarantined").set(quarantined.len() as f64);
 
     // Final fleet pass: every die on whatever image the rollout left it
-    // with. This is the state the data center actually runs.
-    let final_runs = psca_exec::Sweep::new("fleet.final")
+    // with. This is the state the data center actually runs. Only dies
+    // with no stored score for that image run again: those the rollout
+    // never reached, or every die when it is off.
+    let slot = |die: u64| usize::from(installed[die as usize] == setup.candidate);
+    let missing = (0..params.size as u64)
+        .filter(|&d| scores[d as usize][slot(d)].is_none())
+        .collect();
+    let runs = psca_exec::Sweep::new("fleet.final")
         .jobs(cfg.jobs)
-        .run((0..params.size as u64).collect(), |&die| {
-            setup.die_stats(die, &installed[die as usize])
+        .run(missing, |&die| {
+            (die, setup.die_stats(die, images[slot(die)]))
         });
-    let total: LoopScore = final_runs.iter().sum();
-    let dies: Vec<DieRow> = final_runs
+    for (die, score) in runs {
+        scores[die as usize][slot(die)] = Some(score);
+    }
+    let dies: Vec<DieRow> = scores
         .into_iter()
         .enumerate()
-        .map(|(i, stats)| {
+        .map(|(i, mut pair)| {
             let die = i as u64;
             DieRow {
                 die,
                 archetype: setup.dies[i].archetype,
                 image_version: installed[i].version,
                 skew: setup.dies[i].skew,
-                stats,
+                stats: pair[slot(die)].take().expect("every die scored"),
                 quarantined: quarantined.contains(&die),
             }
         })
         .collect();
+    let total: LoopScore = dies.iter().map(|d| &d.stats).sum();
     let pass = status != RolloutStatus::RolledBack.name();
     psca_obs::gauge("fleet.rsv").set(total.rsv());
     psca_obs::gauge("fleet.ppw").set(total.ppw());

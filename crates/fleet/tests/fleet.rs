@@ -1,7 +1,8 @@
 //! Fleet invariants: the rollout state machine driven with synthetic
 //! verdicts (proptests), the fixed-seed canary-rollback regression, the
-//! "rollout disabled ≡ N independent closed loops" identity, and
-//! `--jobs` invariance of the report.
+//! "report rows ≡ independent closed loops" identity for disabled,
+//! completed and rolled-back rollouts, and `--jobs` invariance of the
+//! report.
 
 use proptest::prelude::*;
 use psca_fleet::{
@@ -150,31 +151,60 @@ fn bad_image_rolls_back_at_canary() {
     assert_ne!(report.baseline.1, report.candidate.1, "fingerprint blind");
 }
 
-/// With the rollout disabled, the fleet report is exactly N independent
-/// closed loops: each sweep-merged row equals the serial single-die
-/// oracle, bit for bit.
+/// Whatever shape the rollout takes, every report row is the serial
+/// single-die oracle for the image the row reports, bit for bit: with
+/// the rollout disabled the report is exactly N independent closed
+/// loops, and a completed or rolled-back rollout reports each die's
+/// score on the image it ended on, not one it merely ran in a stage.
 #[test]
-fn disabled_rollout_matches_independent_loops() {
-    let cfg = psca_adapt::ExperimentConfig::builder()
-        .seed(5)
-        .build()
-        .unwrap();
-    let params = FleetParams {
+fn report_rows_match_independent_loops() {
+    let disabled = FleetParams {
         size: 3,
         windows: 6,
         seed: 5,
         rollout: None,
         ..FleetParams::default()
     };
-    let report = run_fleet(&cfg, &params);
-    assert_eq!(report.status, "disabled");
-    assert!(report.stages.is_empty());
-    let setup = FleetSetup::prepare(&cfg, &params);
+    let completed = FleetParams {
+        size: 4,
+        windows: 6,
+        seed: 9,
+        ..FleetParams::default()
+    };
+    let rolled_back = FleetParams {
+        size: 4,
+        windows: 6,
+        seed: 3,
+        bad_image: true,
+        ..FleetParams::default()
+    };
+    for (params, status) in [
+        (disabled, "disabled"),
+        (completed, "completed"),
+        (rolled_back, "rolled_back"),
+    ] {
+        rows_match_oracle(&params, status);
+    }
+}
+
+fn rows_match_oracle(params: &FleetParams, status: &str) {
+    let cfg = psca_adapt::ExperimentConfig::builder()
+        .seed(params.seed)
+        .build()
+        .unwrap();
+    let report = run_fleet(&cfg, params);
+    assert_eq!(report.status, status, "seed {}", params.seed);
+    assert_eq!(report.stages.is_empty(), params.rollout.is_none());
+    let setup = FleetSetup::prepare(&cfg, params);
     for row in &report.dies {
-        let oracle = setup.die_stats(row.die, setup.baseline());
+        let img = [setup.baseline(), setup.candidate()]
+            .into_iter()
+            .find(|img| img.version == row.image_version)
+            .expect("row reports a setup image");
         assert_eq!(
-            row.stats, oracle,
-            "die {} diverges from serial oracle",
+            row.stats,
+            setup.die_stats(row.die, img),
+            "{status}: die {} diverges from serial oracle",
             row.die
         );
     }
