@@ -10,9 +10,7 @@ use crate::train::{
     TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use psca_cpu::Mode;
-use psca_ml::{
-    Classifier, Dataset, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig,
-};
+use psca_ml::{Classifier, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig};
 use psca_telemetry::Event;
 use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec};
 
@@ -248,47 +246,6 @@ pub fn train_custom_mlp(
     let ops = fw_hi.ops_per_prediction(events.len());
     TrainedAdaptModel {
         kind: ModelKind::BestMlp,
-        feat_hi,
-        feat_lo,
-        fw_hi,
-        fw_lo,
-        granularity: g,
-        ops_per_prediction: ops,
-    }
-}
-
-/// Trains a Best-RF-style model on a pre-built dataset pair (used by the
-/// application-specific retraining of §7.3, where tuning sets are custom).
-#[allow(clippy::too_many_arguments)] // mirrors the §7.3 retraining recipe
-pub fn train_rf_from_datasets(
-    rf_cfg: &RandomForestConfig,
-    data_hi: &Dataset,
-    data_lo: &Dataset,
-    feat_hi: Featurizer,
-    feat_lo: Featurizer,
-    g: usize,
-    w: usize,
-    seed: u64,
-) -> TrainedAdaptModel {
-    let mut fw_hi = FirmwareModel::Forest(RandomForest::fit(rf_cfg, data_hi, seed ^ 0x1111));
-    tune_threshold(
-        &mut fw_hi,
-        data_hi.features(),
-        data_hi.labels(),
-        w,
-        THRESHOLD_TARGET_RSV,
-    );
-    let mut fw_lo = FirmwareModel::Forest(RandomForest::fit(rf_cfg, data_lo, seed ^ 0x2222));
-    tune_threshold(
-        &mut fw_lo,
-        data_lo.features(),
-        data_lo.labels(),
-        w,
-        THRESHOLD_TARGET_RSV,
-    );
-    let ops = fw_hi.ops_per_prediction(data_hi.dim());
-    TrainedAdaptModel {
-        kind: ModelKind::BestRf,
         feat_hi,
         feat_lo,
         fw_hi,

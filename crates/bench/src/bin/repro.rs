@@ -4,9 +4,6 @@
 //! repro -- all                       # everything, full scaled config (release!)
 //! repro -- fig8 fig9                 # specific experiments
 //! repro -- table5 --quick            # seconds-scale config for smoke testing
-//! repro -- all --trace-out t.json    # record a Perfetto trace
-//! repro -- all --serve-metrics       # live /metrics + /healthz + /report
-//! repro -- all --dash                # live TTY dashboard on stderr
 //! repro -- all --jobs 8              # worker threads (0 = auto; bit-identical)
 //! repro -- all --no-cache            # disable the persistent sweep cache
 //! repro -- all --backend surrogate   # learned fast-path fidelity (docs/SURROGATE.md)
@@ -23,14 +20,21 @@
 //!                                    # CI rollback gate, exit 1 (seed-dependent)
 //! repro -- bench --check --quick     # unified bench suite vs BENCH_*.json baselines
 //! repro -- bench --update            # refresh the committed baselines
-//! repro -- profile closed-loop ...   # any runner + psca-prof flamegraph artifacts
 //! ```
 //!
-//! `repro profile <subcommand>` (or `PSCA_PROF=1`) enables the
-//! hierarchical self-profiler (docs/PROFILING.md). The profiler is an
-//! observer: stdout and all result artifacts stay byte-identical to an
-//! unprofiled run; the collapsed-stack `.folded` + summary JSON land in
-//! `target/obs/`.
+//! Observability outputs are switched on only through the environment
+//! (docs/OBSERVABILITY.md), for every subcommand:
+//!
+//! ```text
+//! PSCA_TRACE=t.json repro -- all          # record a Perfetto trace
+//! PSCA_METRICS_ADDR=127.0.0.1:9185 repro -- all   # live /metrics + /healthz + /report
+//! PSCA_PROF=1 repro -- closed-loop ...    # psca-prof flamegraph artifacts
+//! ```
+//!
+//! `PSCA_PROF=1` enables the hierarchical self-profiler
+//! (docs/PROFILING.md). The profiler is an observer: stdout and all
+//! result artifacts stay byte-identical to an unprofiled run; the
+//! collapsed-stack `.folded` + summary JSON land in `target/obs/`.
 //!
 //! Every subcommand reads its flags through the shared
 //! [`psca_bench::cli`] front end and returns its exit code; a usage error
@@ -38,9 +42,9 @@
 //! spec) is printed once, in `main`, with that subcommand's usage line,
 //! and exits 2 before any work starts. `main` also owns the one
 //! observability lifecycle around every subcommand: the `PSCA_*`
-//! outputs (docs/OBSERVABILITY.md) start before it runs, and the
-//! Perfetto trace is written and the `PSCA_METRICS_LINGER_S` window
-//! honoured after it returns.
+//! outputs start before it runs, and the Perfetto trace and the profile
+//! are written and the `PSCA_METRICS_LINGER_S` window honoured after it
+//! returns.
 //!
 //! Every experiment driver scopes the global metric registry to itself
 //! (`reset_all()` at entry), so this binary snapshots and absorbs the
@@ -55,8 +59,6 @@ use psca_bench::{chart, Corpora, EXPERIMENTS};
 use psca_faults::ChaosSpec;
 use psca_obs::{Json, MetricsSnapshot, RunReport, SloSpec};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Experiments that replay the HDTR corpus (prefetched before the loop so
 /// corpus construction is measured once, outside any experiment scope).
@@ -91,8 +93,8 @@ const NEEDS_SPEC: &[&str] = &[
 /// A subcommand: reads its flags, runs, and returns its exit code.
 type Main = fn(&[String]) -> Result<i32, UsageError>;
 
-const EXPERIMENTS_USAGE: &str = "[repro] usage: repro [EXPERIMENT...|all] --quick --dash \
-    --serve-metrics --trace-out PATH --chaos SPEC --jobs N --no-cache --backend NAME \
+const EXPERIMENTS_USAGE: &str = "[repro] usage: repro [EXPERIMENT...|all] --quick \
+    --chaos SPEC --jobs N --no-cache --backend NAME \
     (--chaos takes 'default' or e.g. 'uc.drop=0.05,telem=0.02,seed=7'; see docs/ROBUSTNESS.md)";
 const SERVE_USAGE: &str = "[repro] serve flags: --addr HOST:PORT --workers N --queue N \
     --max-connections N --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
@@ -109,17 +111,13 @@ const FLEET_USAGE: &str = "[repro] fleet flags: --size N --seed N --windows N --
 const BENCH_USAGE: &str = "[repro] bench flags: --update --check --quick --seed N \
     --tolerance FRAC --backend NAME --only name[,name...] \
     (names: sim_throughput sweep inference serve surrogate)";
-const PROFILE_USAGE: &str =
-    "[repro] profile usage: repro profile <closed-loop|bench|fleet|EXPERIMENT...> [flags]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(cli::run("repro", || dispatch(&args)))
+    std::process::exit(cli::run("repro", dispatch))
 }
 
 /// Routes a full argument vector to a subcommand and tags its usage
-/// errors with that subcommand's usage line. `repro profile` re-enters
-/// it to wrap any runner.
+/// errors with that subcommand's usage line.
 fn dispatch(args: &[String]) -> Result<i32, UsageError> {
     let subcommand = args.first().map(String::as_str);
     let (run, rest, usage): (Main, &[String], &'static str) = match subcommand {
@@ -129,24 +127,21 @@ fn dispatch(args: &[String]) -> Result<i32, UsageError> {
         Some("closed-loop") => (closed_loop_main, &args[1..], CLOSED_LOOP_USAGE),
         Some("fleet") => (fleet_main, &args[1..], FLEET_USAGE),
         Some("bench") => (bench_main, &args[1..], BENCH_USAGE),
-        Some("profile") => (profile_main, &args[1..], PROFILE_USAGE),
         _ => (experiments_main, args, EXPERIMENTS_USAGE),
     };
     run(rest).map_err(|e| e.or_usage(usage))
 }
 
 /// The experiment config `builder` describes, with the simulation
-/// backend from `--backend` (`flag`), else `PSCA_BACKEND`, else the
-/// builder's own. `reference_only` (the verdict-bearing `--chaos` gate
-/// and `repro bench`) rejects every fidelity but the reference one.
+/// backend from `--backend` (`flag`), else the builder's own.
+/// `reference_only` (the verdict-bearing `--chaos` gate and
+/// `repro bench`) rejects every fidelity but the reference one.
 fn experiment_config(
     builder: ExperimentConfigBuilder,
     flag: Option<&str>,
     reference_only: bool,
 ) -> Result<ExperimentConfig, UsageError> {
-    let env = std::env::var("PSCA_BACKEND").ok();
-    let name = flag.or(env.as_deref().filter(|v| !v.trim().is_empty()));
-    let builder = match name {
+    let builder = match flag {
         Some(name) => builder.backend_name(name.trim()),
         None => builder,
     };
@@ -167,22 +162,10 @@ fn model_kind(slug: &str) -> Result<ModelKind, String> {
 /// a client posts `/v1/shutdown` (or the process is signalled).
 fn serve_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_serve::{Daemon, ModelRegistry, ServeConfig};
-    // Environment seeds the slow-client deadline and the access log; the
-    // flags override both.
     let mut config = ServeConfig {
         addr: "127.0.0.1:8186".to_string(),
-        access_log: std::env::var("PSCA_ACCESS_LOG")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .map(PathBuf::from),
         ..ServeConfig::default()
     };
-    if let Some(ms) = std::env::var("PSCA_READ_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-    {
-        config.read_timeout_ms = ms;
-    }
     let (mut seed, mut backend) = (1u64, None);
     let mut kinds = vec![ModelKind::BestRf, ModelKind::BestMlp];
     let mut args = Args::new(args);
@@ -348,78 +331,17 @@ fn slo_check_main(args: &[String]) -> Result<i32, UsageError> {
     Ok(if violations.is_empty() { 0 } else { 1 })
 }
 
-/// `repro profile <subcommand...>`: runs any non-daemon repro invocation
-/// with the hierarchical self-profiler enabled, then writes
-/// `target/obs/profile-<slug>.folded` (collapsed stacks, flamegraph.pl /
-/// inferno consumable) plus a JSON summary and prints the self-time
-/// table to stderr. The wrapped runner's stdout and result artifacts are
-/// byte-identical to an unprofiled run (tests/observability.rs holds the
-/// line).
-fn profile_main(args: &[String]) -> Result<i32, UsageError> {
-    match args.first().map(String::as_str) {
-        None => return Err(UsageError::new("profile needs a subcommand to wrap")),
-        Some(inner @ ("serve" | "loadgen" | "slo-check" | "profile")) => {
-            return Err(UsageError::new(format!(
-                "profile cannot wrap '{inner}'; run it with PSCA_PROF=1 instead \
-                 (the daemon exposes GET /v1/profile)"
-            )))
-        }
-        Some(_) => {}
-    }
-    psca_obs::prof::set_enabled(true);
-    psca_obs::prof::reset();
-    let code = dispatch(args)?;
-    let profile = psca_obs::prof::drain();
-    let slug: String = args
-        .join("-")
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .take(60)
-        .collect();
-    let dir = Path::new("target/obs");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("[repro] profile: cannot create {}: {e}", dir.display());
-        return Ok(code);
-    }
-    let folded_path = dir.join(format!("profile-{slug}.folded"));
-    let json_path = dir.join(format!("profile-{slug}.json"));
-    for (path, body) in [
-        (&folded_path, profile.folded()),
-        (&json_path, format!("{}\n", profile.to_json())),
-    ] {
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!("[repro] profile: {}", path.display()),
-            Err(e) => eprintln!("[repro] profile: cannot write {}: {e}", path.display()),
-        }
-    }
-    if profile.is_empty() {
-        eprintln!("[repro] profile: no spans recorded (inner runner opened none)");
-    } else {
-        eprint!("{}", profile.render_table(15));
-    }
-    Ok(code)
-}
-
 /// The experiment ids and flags of the default path.
 #[derive(Default)]
 struct Cli {
     quick: bool,
-    dash: bool,
-    serve_metrics: bool,
-    trace_out: Option<String>,
     /// An explicit `--chaos` spec: the run becomes an SLA gate.
     chaos: Option<ChaosSpec>,
     /// Worker threads for parallel sweeps; `None` keeps the config preset.
     jobs: Option<usize>,
     /// Disables the persistent sweep result cache.
     no_cache: bool,
-    /// Simulation fidelity (`--backend`; `PSCA_BACKEND` as fallback).
+    /// Simulation fidelity (`--backend`).
     backend: Option<String>,
     wanted: Vec<String>,
 }
@@ -432,9 +354,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
     while let Some(arg) = args.next() {
         match arg {
             "--quick" => cli.quick = true,
-            "--dash" => cli.dash = true,
-            "--serve-metrics" => cli.serve_metrics = true,
-            "--trace-out" => cli.trace_out = Some(args.value()?.to_string()),
             "--chaos" => cli.chaos = Some(args.spec(ChaosSpec::parse)?),
             "--jobs" => cli.jobs = Some(args.parse()?),
             "--no-cache" => cli.no_cache = true,
@@ -468,15 +387,10 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
     if let Some(jobs) = cli.jobs {
         base.jobs = jobs;
     }
-    // Cache policy: --no-cache or PSCA_SWEEP_CACHE=0/off/false disables;
-    // PSCA_SWEEP_CACHE_DIR overrides the location. Environment is read
-    // only here, in the binary — library code takes explicit config.
-    if cli.no_cache
-        || matches!(
-            std::env::var("PSCA_SWEEP_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    {
+    // Cache policy: --no-cache disables; PSCA_SWEEP_CACHE_DIR overrides
+    // the location. Environment is read only here, in the binary —
+    // library code takes explicit config.
+    if cli.no_cache {
         base.sweep_cache = None;
     } else if let Ok(dir) = std::env::var("PSCA_SWEEP_CACHE_DIR") {
         if !dir.is_empty() {
@@ -508,8 +422,6 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "off".into())
     );
-    cli::obs_flags("repro", cli.trace_out.as_deref(), cli.serve_metrics);
-    let dash = cli.dash.then(Dashboard::start);
 
     let run_id = format!(
         "repro-{}{}",
@@ -621,9 +533,6 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
     }
     // Fold in the final experiment (no reset followed it).
     acc.absorb(&psca_obs::snapshot());
-    if let Some(dash) = dash {
-        dash.stop();
-    }
     finalize_report(&mut report, &acc);
     // An explicit `--chaos` run is a gate: SLA budget broken → exit 1.
     if chaos_failed && cli.chaos.is_some() {
@@ -638,8 +547,7 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
 /// summary as JSON on stdout: the document `POST /v1/closed-loop`
 /// answers for the same spec on a `repro serve --seed N` daemon, both
 /// rendered by `ClosedLoopSpec::run`. Stdout is a pure function of the
-/// flags — the acceptance target for `repro profile closed-loop`
-/// bit-identity.
+/// flags, so it is byte-identical with `PSCA_PROF=1` on or off.
 fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_serve::{registry::kind_slug, ClosedLoopSpec, ModelRegistry};
     let mut kind = ModelKind::BestRf;
@@ -650,7 +558,6 @@ fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
         windows: 16,
         warm_insts: 2_000,
         chaos: None,
-        hardened: false,
         backend: None,
     };
     let mut backend = None;
@@ -806,8 +713,8 @@ fn bench_main(args: &[String]) -> Result<i32, UsageError> {
     }
     // `repro bench` produces (--update) or gates against (--check) the
     // committed baselines: a verdict-bearing path. Its numbers are only
-    // meaningful at reference fidelity, so a surrogate selection — flag
-    // or PSCA_BACKEND — is a typed usage error, never silently accepted.
+    // meaningful at reference fidelity, so a surrogate `--backend` is a
+    // typed usage error, never silently accepted.
     experiment_config(ExperimentConfig::builder(), backend, true)?;
     // Quick runs on loaded CI machines are noisy; default to a wide band
     // there and a tighter one for full local runs.
@@ -836,7 +743,7 @@ fn bench_main(args: &[String]) -> Result<i32, UsageError> {
         combined.merge(&profile);
         results.push(result);
     }
-    // Leave the union in the global profile so `repro profile bench`
+    // Leave the union in the global profile so `PSCA_PROF=1 repro bench`
     // still writes a meaningful .folded for the whole invocation.
     psca_obs::prof::merge_global(&combined);
     let mut failed = false;
@@ -961,83 +868,4 @@ fn finalize_report(report: &mut RunReport, snap: &MetricsSnapshot) {
     // experiment grid diff clean regardless of --jobs (CI relies on this).
     eprintln!("{}", report.render());
     psca_obs::flush();
-}
-
-/// Live TTY dashboard: repaints a small block of key metrics on stderr
-/// every ~500 ms from the global registry.
-struct Dashboard {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl Dashboard {
-    const LINES: usize = 7;
-
-    fn start() -> Dashboard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("repro-dash".into())
-            .spawn(move || {
-                let mut painted = false;
-                while !stop2.load(Ordering::Relaxed) {
-                    if painted {
-                        // Move the cursor back up over the previous frame.
-                        eprint!("\x1b[{}A", Self::LINES);
-                    }
-                    eprint!("{}", Self::frame());
-                    painted = true;
-                    std::thread::sleep(std::time::Duration::from_millis(500));
-                }
-            })
-            .expect("spawn dashboard thread");
-        Dashboard { stop, handle }
-    }
-
-    fn frame() -> String {
-        let snap = psca_obs::snapshot();
-        let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        let last = |name: &str| {
-            snap.series
-                .get(name)
-                .and_then(|pts| pts.last())
-                .map(|(_, y)| *y)
-        };
-        let mut out = String::new();
-        out.push_str("\x1b[2K── psca live ──────────────────────────\n");
-        out.push_str(&format!(
-            "\x1b[2K instructions    {:>14}\n",
-            c("cpu.sim.instructions")
-        ));
-        out.push_str(&format!(
-            "\x1b[2K intervals       {:>14}\n",
-            c("cpu.sim.intervals")
-        ));
-        out.push_str(&format!(
-            "\x1b[2K ipc (last)      {:>14}\n",
-            last("cpu.sim.ipc")
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_else(|| "-".into())
-        ));
-        out.push_str(&format!(
-            "\x1b[2K windows         {:>14}  gated {}\n",
-            c("adapt.windows"),
-            c("adapt.windows_gated_low")
-        ));
-        out.push_str(&format!(
-            "\x1b[2K guardrail trips {:>14}\n",
-            c("adapt.guardrail.trips")
-        ));
-        out.push_str(&format!(
-            "\x1b[2K sla violations  {:>14}\n",
-            c("adapt.sla.violations")
-        ));
-        out
-    }
-
-    fn stop(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.handle.join();
-        eprintln!();
-    }
 }

@@ -10,15 +10,13 @@
 //! trace-tool replay <in.pstr> [--low-power]
 //! ```
 //!
-//! Observability flags (any subcommand): `--trace-out <path.json>`
-//! records a Perfetto trace of the invocation; `--serve-metrics` starts
-//! the live-metrics side channel, a one-worker `psca-serve` daemon
-//! answering `/metrics` + `/healthz` + `/report` (address from
-//! `PSCA_METRICS_ADDR`, default `127.0.0.1:9185`). The `PSCA_*` environment outputs and
-//! `PSCA_METRICS_LINGER_S` work as for `repro` (docs/OBSERVABILITY.md):
-//! both binaries share the [`psca_bench::cli`] front end, so a missing
-//! value, an unknown flag or a malformed or zero number exits 2 naming
-//! the flag.
+//! Observability is switched on only through the environment, as for
+//! `repro` (docs/OBSERVABILITY.md): `PSCA_TRACE=<path.json>` records a
+//! Perfetto trace of the invocation, `PSCA_PROF=1` writes a profile to
+//! `target/obs/`, and `PSCA_METRICS_ADDR` starts the live-metrics side
+//! channel. Both binaries share the [`psca_bench::cli`] front end, so a
+//! missing value, an unknown flag or a malformed or zero number exits 2
+//! naming the flag.
 
 use psca_bench::cli::{self, Args, UsageError};
 use psca_cpu::{ClusterSim, CpuConfig, Mode, RunSummary};
@@ -31,19 +29,18 @@ use std::io::{BufReader, BufWriter};
 const USAGE: &str = "usage:
   trace-tool record <out.pstr> [--bench NAME | --app SEED] [--input N] [--insts N]
   trace-tool stats  <in.pstr>
-  trace-tool replay <in.pstr> [--low-power] [--interval N]
-  (any subcommand: --trace-out PATH --serve-metrics)";
+  trace-tool replay <in.pstr> [--low-power] [--interval N]";
 
 fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = cli::run("trace-tool", || {
-        dispatch(&args).map_err(|e| e.or_usage(USAGE))
+    let code = cli::run("trace-tool", |args| {
+        dispatch(args).map_err(|e| e.or_usage(USAGE))
     });
     std::process::ExitCode::from(code as u8)
 }
 
 /// Reads the subcommand and its flags, then runs it inside a top-level
-/// span (dropped, and so recorded, before `cli::run` writes the trace).
+/// span (dropped, and so recorded, before `cli::run` writes the trace
+/// and the profile).
 fn dispatch(argv: &[String]) -> Result<i32, UsageError> {
     let cmd = match argv.first().map(String::as_str) {
         Some(cmd @ ("record" | "stats" | "replay")) => cmd,
@@ -51,14 +48,12 @@ fn dispatch(argv: &[String]) -> Result<i32, UsageError> {
         None => return Err(UsageError::new("missing subcommand")),
     };
     let (record, replay) = (cmd == "record", cmd == "replay");
-    let (mut path, mut trace_out, mut serve_metrics) = (None, None, false);
+    let mut path = None;
     let (mut bench, mut app_seed, mut input, mut insts) = (None, None, 1u64, 200_000u64);
     let (mut low_power, mut interval) = (false, 10_000u64);
     let mut args = Args::new(&argv[1..]);
     while let Some(arg) = args.next() {
         match arg {
-            "--trace-out" => trace_out = Some(args.value()?),
-            "--serve-metrics" => serve_metrics = true,
             "--bench" if record => bench = Some(args.spec(spec_app)?),
             "--app" if record => app_seed = Some(args.parse()?),
             "--input" if record => input = args.parse()?,
@@ -70,7 +65,6 @@ fn dispatch(argv: &[String]) -> Result<i32, UsageError> {
         }
     }
     let path = path.ok_or_else(|| UsageError::new(format!("{cmd} needs a trace file path")))?;
-    cli::obs_flags("trace-tool", trace_out, serve_metrics);
     let _span = psca_obs::SpanTimer::start(&format!("trace_tool.{cmd}"));
     Ok(match cmd {
         "record" => {

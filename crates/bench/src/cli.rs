@@ -6,10 +6,14 @@
 //! code. Each binary's `main` hands its dispatcher to [`run`], the only
 //! place a usage error is printed (with the subcommand's usage line) and
 //! becomes exit 2, and the one observability lifecycle.
+//!
+//! One switch per setting: observability outputs are switched on only by
+//! their `PSCA_*` variable, which [`run`] reads for every subcommand;
+//! everything else a subcommand does is set only by its own flags.
 
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
-use std::sync::Mutex;
 
 use psca_adapt::ExperimentConfig;
 use psca_serve::{Daemon, ModelRegistry, ServeConfig};
@@ -32,8 +36,8 @@ impl UsageError {
         }
     }
 
-    /// Attaches `usage` unless an inner subcommand already attached its
-    /// own (so `repro profile fleet --bogus` shows the fleet usage).
+    /// Attaches `usage` unless one is already attached: the innermost
+    /// caller's usage line wins.
     pub fn or_usage(mut self, usage: &'static str) -> UsageError {
         self.usage.get_or_insert(usage);
         self
@@ -127,22 +131,31 @@ impl<'a> Iterator for Args<'a> {
     }
 }
 
-/// Runs one whole binary invocation and returns its exit code: the one
-/// place a [`UsageError`] becomes `[tool] <error>`, the usage line and
-/// exit 2, and the one observability lifecycle. Before `main`: every
-/// `PSCA_*` output the environment asks for
-/// ([`psca_obs::init_from_env`]) and the live-metrics side channel when
-/// `PSCA_METRICS_ADDR` is set. After it: the Perfetto trace is written,
-/// a running side channel is kept up for `PSCA_METRICS_LINGER_S` seconds
-/// so scrapers can read the finished run (not after a usage error), then
-/// shut down with a drain.
-pub fn run(tool: &str, main: impl FnOnce() -> Result<i32, UsageError>) -> i32 {
+/// Runs one whole binary invocation on the process arguments and returns
+/// its exit code: the one place a [`UsageError`] becomes
+/// `[tool] <error>`, the usage line and exit 2, and the one
+/// observability lifecycle. Observability outputs are switched on only
+/// by their `PSCA_*` variable, for every subcommand. Before `main`:
+/// `PSCA_LOG`, `PSCA_OBS_JSONL`, `PSCA_TRACE` and `PSCA_PROF`
+/// ([`psca_obs::init_from_env`]), and the live-metrics side channel when
+/// `PSCA_METRICS_ADDR` is set. After it: the Perfetto trace and the
+/// `PSCA_PROF` profile are written (not after a usage error), a running
+/// side channel is kept up for `PSCA_METRICS_LINGER_S` seconds so
+/// scrapers can read the finished run (not after a usage error either),
+/// then shut down with a drain.
+pub fn run(tool: &str, main: impl FnOnce(&[String]) -> Result<i32, UsageError>) -> i32 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     psca_obs::init_from_env();
-    match std::env::var("PSCA_METRICS_ADDR") {
+    // Read before `main`: `repro bench` turns the profiler on for its own
+    // per-bench stacks, and that alone writes no profile artifacts.
+    let profiling = psca_obs::prof::enabled();
+    let side_channel = match std::env::var("PSCA_METRICS_ADDR") {
         Ok(addr) if !addr.trim().is_empty() => start_side_channel(addr.trim()),
-        _ => {}
-    }
-    let code = main().unwrap_or_else(|e| {
+        _ => None,
+    };
+    let result = main(&args);
+    let usage_error = result.is_err();
+    let code = result.unwrap_or_else(|e| {
         eprintln!("[{tool}] {e}");
         if let Some(usage) = e.usage {
             eprintln!("{usage}");
@@ -155,35 +168,30 @@ pub fn run(tool: &str, main: impl FnOnce() -> Result<i32, UsageError>) -> i32 {
             path.display()
         );
     }
+    if profiling && !usage_error {
+        write_profile(tool, &args);
+    }
+    let Some(daemon) = side_channel else {
+        return code;
+    };
     let linger = std::env::var("PSCA_METRICS_LINGER_S")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&secs| secs > 0);
-    if let Some(secs) = linger {
-        if code != 2 && SIDE_CHANNEL.lock().unwrap().is_some() {
-            eprintln!("[{tool}] lingering {secs}s for metric scrapes");
-            std::thread::sleep(std::time::Duration::from_secs(secs));
-        }
+    if let Some(secs) = linger.filter(|_| !usage_error) {
+        eprintln!("[{tool}] lingering {secs}s for metric scrapes");
+        std::thread::sleep(std::time::Duration::from_secs(secs));
     }
-    if let Some(daemon) = SIDE_CHANNEL.lock().unwrap().take() {
-        daemon.shutdown();
-    }
+    daemon.shutdown();
     code
 }
 
-/// The live-metrics side channel: a one-worker `psca-serve` daemon with
-/// no models and no SLO, answering `/metrics`, `/healthz` and `/report`
-/// while the subcommand runs.
-static SIDE_CHANNEL: Mutex<Option<Daemon>> = Mutex::new(None);
-
-/// Starts the side channel on `addr` unless it is already running. The
-/// bound address goes to stderr; a bind failure is reported there too
-/// and the run goes on without it.
-fn start_side_channel(addr: &str) {
-    let mut slot = SIDE_CHANNEL.lock().unwrap();
-    if slot.is_some() {
-        return;
-    }
+/// Starts the live-metrics side channel on `addr`: a one-worker
+/// `psca-serve` daemon with no models and no SLO, answering `/metrics`,
+/// `/healthz` and `/report` while the subcommand runs. The bound address
+/// goes to stderr; a bind failure is reported there too and the run goes
+/// on without it.
+fn start_side_channel(addr: &str) -> Option<Daemon> {
     let config = ServeConfig {
         addr: addr.to_string(),
         workers: 1,
@@ -194,25 +202,57 @@ fn start_side_channel(addr: &str) {
         Ok(daemon) => {
             let bound = daemon.local_addr();
             eprintln!("psca-obs: serving /metrics /healthz /report on http://{bound}");
-            *slot = Some(daemon);
+            Some(daemon)
         }
-        Err(e) => eprintln!("psca-obs: cannot bind metrics exporter on {addr}: {e}"),
+        Err(e) => {
+            eprintln!("psca-obs: cannot bind metrics exporter on {addr}: {e}");
+            None
+        }
     }
 }
 
-/// Applies the observability flags both binaries accept: `--trace-out
-/// PATH` starts the Perfetto recorder (unless `PSCA_TRACE` already did;
-/// the first destination wins) and `--serve-metrics` the live-metrics
-/// side channel on `PSCA_METRICS_ADDR` (default `127.0.0.1:9185`).
-pub fn obs_flags(tool: &str, trace_out: Option<&str>, serve_metrics: bool) {
-    if let Some(path) = trace_out {
-        if !psca_obs::trace::enable(path) {
-            eprintln!("[{tool}] trace recorder already active (PSCA_TRACE?); keeping it");
+/// Drains the profile `PSCA_PROF` recorded and writes it as
+/// `target/obs/profile-<slug>.folded` (collapsed stacks, flamegraph.pl /
+/// inferno consumable) and `.json` (summary), then prints the self-time
+/// table to stderr. The slug is the arguments joined by `-`
+/// (`fleet --size 64` → `fleet---size-64`), or the tool name when there
+/// are none.
+fn write_profile(tool: &str, args: &[String]) {
+    let profile = psca_obs::prof::drain();
+    let slug: String = if args.is_empty() {
+        tool.to_string()
+    } else {
+        args.join("-")
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c
+                } else {
+                    '_'
+                }
+            })
+            .take(60)
+            .collect()
+    };
+    let dir = Path::new("target/obs");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("[{tool}] profile: cannot create {}: {e}", dir.display());
+        return;
+    }
+    for (ext, body) in [
+        ("folded", profile.folded()),
+        ("json", format!("{}\n", profile.to_json())),
+    ] {
+        let path = dir.join(format!("profile-{slug}.{ext}"));
+        match std::fs::write(&path, body) {
+            Ok(()) => eprintln!("[{tool}] profile: {}", path.display()),
+            Err(e) => eprintln!("[{tool}] profile: cannot write {}: {e}", path.display()),
         }
     }
-    if serve_metrics {
-        let addr = std::env::var("PSCA_METRICS_ADDR").unwrap_or_else(|_| "127.0.0.1:9185".into());
-        start_side_channel(&addr);
+    if profile.is_empty() {
+        eprintln!("[{tool}] profile: no spans recorded");
+    } else {
+        eprint!("{}", profile.render_table(15));
     }
 }
 

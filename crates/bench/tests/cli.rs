@@ -3,7 +3,8 @@
 //! `repro slo-check` exit codes (0 on a passing document, 1 on an SLO
 //! breach, 2 when the document lacks a number the spec would gate or no
 //! `--bench` is given), usage errors (exit 2, before any work, for every
-//! subcommand), and the trace every subcommand writes under `PSCA_TRACE`.
+//! subcommand), the trace every subcommand writes under `PSCA_TRACE` and
+//! the profile it writes under `PSCA_PROF`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -96,13 +97,17 @@ fn bench_flag_is_required() {
 }
 
 /// Every subcommand with a missing value, an unknown flag and an
-/// unparseable number: each exits 2 and prints nothing on stdout.
+/// unparseable number: each exits 2 and prints nothing on stdout. The
+/// observability switches are environment variables, never flags.
 #[test]
 fn usage_errors_exit_two_for_every_subcommand() {
     let cases: &[(&str, &[&str])] = &[
         (REPRO, &["table3", "--jobs"]),
         (REPRO, &["table3", "--bogus"]),
         (REPRO, &["table3", "--jobs", "x"]),
+        (REPRO, &["table1", "--quick", "--trace-out", "t.json"]),
+        (REPRO, &["table1", "--quick", "--serve-metrics"]),
+        (REPRO, &["table1", "--quick", "--dash"]),
         (REPRO, &["serve", "--seed"]),
         (REPRO, &["serve", "--bogus"]),
         (REPRO, &["serve", "--workers", "x"]),
@@ -124,13 +129,12 @@ fn usage_errors_exit_two_for_every_subcommand() {
         (REPRO, &["bench", "--seed"]),
         (REPRO, &["bench", "--bogus"]),
         (REPRO, &["bench", "--tolerance", "x"]),
-        (REPRO, &["profile", "fleet", "--seed"]),
-        (REPRO, &["profile", "fleet", "--bogus"]),
-        (REPRO, &["profile", "fleet", "--seed", "x"]),
+        (REPRO, &["profile", "fleet"]),
         (TRACE_TOOL, &["record", "x.pstr", "--insts"]),
         (TRACE_TOOL, &["record", "x.pstr", "--bogus"]),
         (TRACE_TOOL, &["record", "x.pstr", "--app", "x"]),
         (TRACE_TOOL, &["stats", "x.pstr", "--trace-out"]),
+        (TRACE_TOOL, &["stats", "x.pstr", "--serve-metrics"]),
         (TRACE_TOOL, &["stats", "x.pstr", "--bogus"]),
         (TRACE_TOOL, &["replay", "x.pstr", "--interval"]),
         (TRACE_TOOL, &["replay", "x.pstr", "--bogus"]),
@@ -193,4 +197,25 @@ fn closed_loop_writes_its_trace() {
 fn fleet_writes_its_trace() {
     let args = ["fleet", "--size", "2", "--windows", "4", "--seed", "3"];
     assert_traced("trace-fleet", &args);
+}
+
+/// `PSCA_PROF=1` makes any subcommand write its profile at exit, named
+/// after its arguments, and leaves stdout byte-identical.
+#[test]
+fn closed_loop_writes_its_profile_and_keeps_stdout() {
+    let args = ["closed-loop", "--windows", "2"];
+    let dir = scratch_dir("prof-closed-loop");
+    let (code, profiled) = run(REPRO, &args, &dir, &[("PSCA_PROF", "1")]);
+    assert_eq!(code, 0);
+    let obs = dir.join("target/obs");
+    let folded = std::fs::read_to_string(obs.join("profile-closed-loop---windows-2.folded"))
+        .expect("folded profile written");
+    let json = std::fs::read_to_string(obs.join("profile-closed-loop---windows-2.json"))
+        .expect("profile summary written");
+    let (code, plain) = run(REPRO, &args, &dir, &[]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, 0);
+    assert!(!folded.trim().is_empty(), "empty .folded");
+    assert!(psca_obs::Json::parse(&json).is_ok(), "profile JSON: {json}");
+    assert_eq!(profiled, plain);
 }

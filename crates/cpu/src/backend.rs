@@ -168,11 +168,6 @@ impl CycleAccurate {
         }
     }
 
-    /// Wraps an existing simulator (preserving its state).
-    pub fn from_sim(sim: ClusterSim) -> CycleAccurate {
-        CycleAccurate { sim }
-    }
-
     /// The wrapped simulator.
     pub fn sim(&self) -> &ClusterSim {
         &self.sim

@@ -79,11 +79,6 @@ impl Cache {
         self.sets
     }
 
-    /// Associativity.
-    pub fn num_ways(&self) -> usize {
-        self.ways
-    }
-
     /// Accesses a 64-byte line (address already shifted: `addr >> 6`).
     ///
     /// `is_write` marks the line dirty on hit or fill.

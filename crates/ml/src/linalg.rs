@@ -202,11 +202,6 @@ impl Matrix {
         }
         cov
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl fmt::Debug for Matrix {

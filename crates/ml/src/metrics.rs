@@ -67,15 +67,6 @@ impl Confusion {
         self.tp as f64 / denom as f64
     }
 
-    /// Precision of gating decisions.
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            return 0.0;
-        }
-        self.tp as f64 / denom as f64
-    }
-
     /// False-positive rate (fraction of high-performance intervals that
     /// were wrongly gated).
     pub fn false_positive_rate(&self) -> f64 {

@@ -9,8 +9,8 @@
 //!
 //! [`crate::RunReport::write`] publishes each report it writes through
 //! [`publish_report`]; [`latest_report`] reads the most recent one back.
-//! The live side channel (`PSCA_METRICS_ADDR`, `--serve-metrics`) is a
-//! `psca-serve` daemon started by the binaries' shared front end.
+//! The live side channel (`PSCA_METRICS_ADDR`) is a `psca-serve` daemon
+//! started by the binaries' shared front end.
 
 use crate::metrics::MetricsSnapshot;
 use std::sync::Mutex;

@@ -157,11 +157,6 @@ pub fn snapshot() -> MetricsSnapshot {
     metrics::global().snapshot()
 }
 
-/// Resets every global metric (per-run scoping; tests).
-pub fn reset_metrics() {
-    metrics::global().reset();
-}
-
 /// Resets every global metric *and* time-series (per-experiment scoping).
 pub fn reset_all() {
     metrics::global().reset_all();

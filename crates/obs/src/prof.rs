@@ -47,7 +47,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns profiling on or off (tests, `repro profile`).
+/// Turns profiling on or off (tests, `repro bench`).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

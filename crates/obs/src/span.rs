@@ -89,11 +89,6 @@ impl SpanTimer {
         &self.path
     }
 
-    /// Elapsed time so far, in seconds.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Ends the span and returns the recorded wall nanoseconds — the
     /// exact value the histogram, trace event, and profiler received,
     /// from a single clock read. Use this instead of timing the span

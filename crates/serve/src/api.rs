@@ -276,11 +276,10 @@ pub struct ClosedLoopSpec {
     pub windows: u64,
     /// Warm-up instructions replayed before measurement.
     pub warm_insts: u64,
-    /// Optional chaos on the simulated loop (psca-faults grammar).
+    /// Optional chaos on the simulated loop (psca-faults grammar); when
+    /// set, the summary also carries the degradation block (ladder and
+    /// fault counts).
     pub chaos: Option<ChaosSpec>,
-    /// Echo the degradation block (ladder and fault counts) even without
-    /// chaos. The loop itself is the same either way.
-    pub hardened: bool,
     /// Simulation fidelity override; `None` uses the server's configured
     /// default backend.
     pub backend: Option<BackendChoice>,
@@ -350,7 +349,6 @@ impl ClosedLoopSpec {
                     ApiError::unprocessable("bad_chaos_spec", format!("chaos: {e}"))
                 })?),
             };
-        let hardened = matches!(doc.get("hardened"), Some(Json::Bool(true)));
         let backend = match doc.get("backend").and_then(Json::as_str) {
             None => None,
             Some(name) => Some(
@@ -365,7 +363,6 @@ impl ClosedLoopSpec {
             windows,
             warm_insts,
             chaos,
-            hardened,
             backend,
         })
     }
@@ -409,9 +406,7 @@ impl ClosedLoopSpec {
             ("ppw", out.ppw().into()),
             ("low_power_residency", out.low_power_residency.into()),
         ];
-        // `hardened` only selects whether the degradation block is echoed;
-        // chaos implies it.
-        if self.hardened || self.chaos.is_some() {
+        if self.chaos.is_some() {
             fields.extend([
                 ("degraded_fraction", out.degrade.degraded_fraction().into()),
                 ("escalations", out.degrade.escalations.into()),

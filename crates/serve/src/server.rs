@@ -63,7 +63,7 @@ pub struct ServeConfig {
     /// Per-connection read deadline (milliseconds) covering both the
     /// header and body reads; a client that stalls past it gets a typed
     /// `408` instead of pinning the worker. `repro serve` seeds this
-    /// from `--read-timeout-ms` / `PSCA_READ_TIMEOUT_MS`.
+    /// from `--read-timeout-ms`.
     pub read_timeout_ms: u64,
     /// Optional chaos injected on the prediction endpoints.
     pub chaos: Option<ChaosSpec>,
@@ -71,7 +71,7 @@ pub struct ServeConfig {
     /// `None` disables the engine.
     pub slo: Option<SloSpec>,
     /// JSONL access-log path; `None` writes no access log. `repro serve`
-    /// seeds this from `--access-log` / `PSCA_ACCESS_LOG`.
+    /// seeds this from `--access-log`.
     pub access_log: Option<PathBuf>,
 }
 

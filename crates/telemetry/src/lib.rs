@@ -18,18 +18,14 @@
 //!   found improves model accuracy;
 //! - [`ExpandedTelemetry`] — the synthetic expansion of the base events
 //!   into the paper's 936-stream design-time cross-section (see `DESIGN.md`
-//!   §1 for the substitution rationale);
-//! - [`CounterMatrix`] — a matrix of snapshots used by the
-//!   counter-selection pipeline.
+//!   §1 for the substitution rationale).
 
 #![warn(missing_docs)]
 
 mod bank;
 mod event;
 mod expand;
-mod matrix;
 
 pub use bank::{CounterBank, IntervalSnapshot};
 pub use event::{Event, NUM_EVENTS};
 pub use expand::{ExpandedTelemetry, StreamSpec, NUM_EXPANDED_STREAMS};
-pub use matrix::CounterMatrix;

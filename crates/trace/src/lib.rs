@@ -49,5 +49,5 @@ pub use file::{write_trace, TraceFileError, TraceFileReader};
 pub use instruction::Instruction;
 pub use isa::{BranchInfo, MemRef, OpClass, Reg, NUM_ARCH_REGS};
 pub use simpoint::SimPointSpec;
-pub use source::{Chain, Take, TraceSource, VecTrace};
+pub use source::{Take, TraceSource, VecTrace};
 pub use stats::TraceStats;

@@ -56,18 +56,6 @@ pub trait TraceSource {
             left: n,
         }
     }
-
-    /// Chains another source after this one.
-    fn chain_trace<S: TraceSource>(self, other: S) -> Chain<Self, S>
-    where
-        Self: Sized,
-    {
-        Chain {
-            first: self,
-            second: other,
-            on_second: false,
-        }
-    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
@@ -295,38 +283,6 @@ impl<S: TraceSource> TraceSource for Take<S> {
     }
 }
 
-/// Adapter returned by [`TraceSource::chain_trace`].
-#[derive(Debug, Clone)]
-pub struct Chain<A, B> {
-    first: A,
-    second: B,
-    on_second: bool,
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for Chain<A, B> {
-    fn next_instruction(&mut self) -> Option<Instruction> {
-        if !self.on_second {
-            if let Some(i) = self.first.next_instruction() {
-                return Some(i);
-            }
-            self.on_second = true;
-        }
-        self.second.next_instruction()
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        let a = if self.on_second {
-            Some(0)
-        } else {
-            self.first.remaining_hint()
-        };
-        match (a, self.second.remaining_hint()) {
-            (Some(a), Some(b)) => Some(a + b),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,19 +325,6 @@ mod tests {
         assert!(t.next_instruction().is_some());
         assert!(t.next_instruction().is_some());
         assert!(t.next_instruction().is_none());
-    }
-
-    #[test]
-    fn chain_concatenates() {
-        let a = VecTrace::new(nops(2));
-        let b = VecTrace::new(nops(3));
-        let mut c = a.chain_trace(b);
-        assert_eq!(c.remaining_hint(), Some(5));
-        let mut n = 0;
-        while c.next_instruction().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5);
     }
 
     #[test]

@@ -73,18 +73,6 @@ pub enum FirmwareModel {
 }
 
 impl FirmwareModel {
-    /// Short model-class name as used in Table 3.
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            FirmwareModel::Mlp(_) => "Multi Layer Perceptron",
-            FirmwareModel::Forest(_) => "Random Forest",
-            FirmwareModel::Logistic(_) => "Regression",
-            FirmwareModel::SvmEnsemble(_) => "Support Vector Machine (Linear)",
-            FirmwareModel::Chi2Svm(_) => "Support Vector Machine (Chi2)",
-            FirmwareModel::Gbdt(_) => "Gradient Boosted Trees",
-        }
-    }
-
     /// The wrapped [`Classifier`], for every variant that holds a single
     /// model. SVM ensembles vote over several classifiers and keep their
     /// dedicated paths in [`predict`](FirmwareModel::predict) /

@@ -261,6 +261,11 @@ fn closed_loop_endpoint_runs_seeded_sims() {
     assert_eq!(doc.get("windows").and_then(Json::as_u64), Some(4));
     assert!(doc.get("instructions").and_then(Json::as_u64).unwrap() > 0);
     assert!(doc.get("degraded_fraction").is_none(), "plain run");
+    // Unknown keys are ignored: a retired `hardened` key changes nothing.
+    let legacy =
+        r#"{"model":"best-rf","archetype":"dep-chain","seed":5,"windows":4,"hardened":true}"#;
+    let r = send(addr, "POST", "/v1/closed-loop", legacy);
+    assert_eq!((r.status, r.body.as_str()), (200, a.body.as_str()));
 
     // A chaos-hardened run reports the robustness block.
     let hardened = r#"{"model":"best-rf","archetype":"balanced","seed":5,"windows":4,"chaos":"uc.drop=0.5,seed=3"}"#;
@@ -460,7 +465,7 @@ fn stalled_clients_get_typed_408_not_a_pinned_worker() {
 }
 
 /// A daemon built like the binaries' live-metrics side channel
-/// (`PSCA_METRICS_ADDR`, `--serve-metrics`): one worker and no models.
+/// (`PSCA_METRICS_ADDR`): one worker and no models.
 /// The side channel itself runs without an SLO.
 fn side_channel(slo: Option<SloSpec>) -> Daemon {
     let config = ServeConfig {
