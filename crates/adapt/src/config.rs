@@ -57,6 +57,11 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Training guard band: labels used for *training* are computed at
+/// `P_SLA + LABEL_GUARD_BAND` so deployed decisions carry slack against
+/// borderline intervals (evaluation always uses the contractual SLA).
+const LABEL_GUARD_BAND: f64 = 0.02;
+
 /// All scale knobs for dataset generation and evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
@@ -89,10 +94,6 @@ pub struct ExperimentConfig {
     pub srch_coarse_intervals: usize,
     /// Cross-validation folds (paper: 32).
     pub folds: usize,
-    /// Training guard band: labels used for *training* are computed at
-    /// `P_SLA + guard` so deployed decisions carry slack against
-    /// borderline intervals (evaluation always uses the contractual SLA).
-    pub label_guard_band: f64,
     /// Worker threads for parallel sweeps (`psca-exec`). `0` = auto
     /// (`PSCA_JOBS` or `available_parallelism`). Results are bit-identical
     /// regardless of the value — cells carry their own seeds and merge in
@@ -127,7 +128,6 @@ impl ExperimentConfig {
             sla: Sla::paper_default().with_t_sla_insts(640_000),
             srch_coarse_intervals: 16,
             folds: 32,
-            label_guard_band: 0.02,
             jobs: 0,
             sweep_cache: Some(psca_exec::SweepCache::default_dir()),
             backend: BackendChoice::CycleAccurate,
@@ -151,7 +151,6 @@ impl ExperimentConfig {
             sla: Sla::paper_default().with_t_sla_insts(16_000),
             srch_coarse_intervals: 8,
             folds: 8,
-            label_guard_band: 0.02,
             // Tests default to serial + uncached: bit-identity with
             // parallel runs is asserted by dedicated regression tests,
             // and unit tests must not touch a shared on-disk cache.
@@ -172,10 +171,10 @@ impl ExperimentConfig {
     }
 
     /// The SLA used to compute *training* labels: the contractual SLA
-    /// tightened by the guard band.
+    /// tightened by the training guard band (`LABEL_GUARD_BAND`).
     pub fn training_sla(&self) -> Sla {
         self.sla
-            .with_p_sla((self.sla.p_sla + self.label_guard_band).min(1.0))
+            .with_p_sla((self.sla.p_sla + LABEL_GUARD_BAND).min(1.0))
     }
 
     /// A validating builder seeded from [`ExperimentConfig::quick`].

@@ -145,7 +145,7 @@ impl<'a> ClosedLoopRequest<'a> {
         // Metric handles resolved once, not per window.
         let windows_ctr = psca_obs::counter("adapt.windows");
         let gated_ctr = psca_obs::counter("adapt.windows_gated_low");
-        let gated_series = psca_obs::series_handle("adapt.window.gated");
+        let gated_series = psca_obs::series("adapt.window.gated");
 
         let mut widx = 0usize;
         'outer: loop {

@@ -239,7 +239,7 @@ pub fn evaluate_with_guardrail(
     let accs = sweep.run(corpus.traces.iter().collect(), |trace| {
         emulate_trace(model, trace, cfg, guardrail)
     });
-    let accuracy = psca_obs::series_handle("adapt.eval.accuracy");
+    let accuracy = psca_obs::series("adapt.eval.accuracy");
     let mut per_app: Vec<(String, Accumulator)> = Vec::new();
     let mut overall = Accumulator::default();
     for (trace, acc) in corpus.traces.iter().zip(accs) {

@@ -8,11 +8,12 @@
 //! expensive simulation runs exactly once per trace.
 
 use crate::config::ExperimentConfig;
+use crate::controller::record_trace;
 use crate::sla::Sla;
 use psca_cpu::{BackendChoice, CpuConfig, Mode};
 use psca_exec::{Digest, Sweep};
 use psca_telemetry::{Event, NUM_EVENTS};
-use psca_trace::{TraceSource, VecTrace};
+use psca_trace::TraceSource;
 use psca_workloads::{hdtr_corpus, spec};
 
 /// Bump whenever the simulator, workload synthesis, or the on-disk codec
@@ -189,8 +190,7 @@ pub fn collect_paired_with<S: TraceSource>(
     workload: u64,
     backend: BackendChoice,
 ) -> TraceTelemetry {
-    let warm = VecTrace::record(source, warmup_insts);
-    let window = VecTrace::record(source, intervals as u64 * interval_insts);
+    let (warm, window) = record_trace(source, warmup_insts, intervals as u64 * interval_insts);
     let mut out = TraceTelemetry {
         app_id,
         app_name: app_name.to_string(),
@@ -392,11 +392,7 @@ impl CorpusTelemetry {
                     let mut src = app.app.trace(input);
                     // Fast-forward to the representative region.
                     let skip = p.start_interval as u64 * cfg.interval_insts;
-                    for _ in 0..skip.saturating_sub(cfg.spec_warmup_insts) {
-                        if src.next_instruction().is_none() {
-                            break;
-                        }
-                    }
+                    src.skip(skip.saturating_sub(cfg.spec_warmup_insts));
                     traces.push(collect_paired_with(
                         &mut src,
                         cfg.spec_warmup_insts,

@@ -97,7 +97,7 @@ const EXPERIMENTS_USAGE: &str = "[repro] usage: repro [EXPERIMENT...|all] --quic
     --chaos SPEC --jobs N --no-cache --backend NAME \
     (--chaos takes 'default' or e.g. 'uc.drop=0.05,telem=0.02,seed=7'; see docs/ROBUSTNESS.md)";
 const SERVE_USAGE: &str = "[repro] serve flags: --addr HOST:PORT --workers N --queue N \
-    --max-connections N --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
+    --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
     --seed N --backend NAME --models slug[,slug...] \
     (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
 const LOADGEN_USAGE: &str = "[repro] loadgen flags: --addr HOST:PORT --model SLUG --rps N \
@@ -109,7 +109,7 @@ const CLOSED_LOOP_USAGE: &str = "[repro] closed-loop flags: --model SLUG --arche
 const FLEET_USAGE: &str = "[repro] fleet flags: --size N --seed N --windows N --skew SPEC|off \
     --rollout SPEC|off --chaos SPEC --jobs N --backend NAME --bad-image --out PATH";
 const BENCH_USAGE: &str = "[repro] bench flags: --update --check --quick --seed N \
-    --tolerance FRAC --backend NAME --only name[,name...] \
+    --tolerance FRAC --only name[,name...] \
     (names: sim_throughput sweep inference serve surrogate)";
 
 fn main() {
@@ -134,8 +134,8 @@ fn dispatch(args: &[String]) -> Result<i32, UsageError> {
 
 /// The experiment config `builder` describes, with the simulation
 /// backend from `--backend` (`flag`), else the builder's own.
-/// `reference_only` (the verdict-bearing `--chaos` gate and
-/// `repro bench`) rejects every fidelity but the reference one.
+/// `reference_only` (the verdict-bearing `--chaos` gate) rejects every
+/// fidelity but the reference one.
 fn experiment_config(
     builder: ExperimentConfigBuilder,
     flag: Option<&str>,
@@ -174,7 +174,6 @@ fn serve_main(args: &[String]) -> Result<i32, UsageError> {
             "--addr" => config.addr = args.value()?.to_string(),
             "--workers" => config.workers = args.parse()?,
             "--queue" => config.queue_capacity = args.parse()?,
-            "--max-connections" => config.max_connections = args.parse()?,
             "--read-timeout-ms" => config.read_timeout_ms = args.parse()?,
             "--seed" => seed = args.parse()?,
             "--chaos" => config.chaos = Some(args.spec(ChaosSpec::parse)?),
@@ -662,7 +661,7 @@ fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
     run_report.set("fleet_rsv", report.total.rsv());
     run_report.set("fleet_ppw", report.total.ppw());
     run_report.set("fleet_quarantined", report.quarantined.len() as u64);
-    match run_report.write_with(Path::new("target/obs"), &psca_obs::snapshot()) {
+    match run_report.write(Path::new("target/obs"), &psca_obs::snapshot()) {
         Ok(path) => eprintln!("[repro] run report: {}", path.display()),
         Err(e) => eprintln!("[repro] failed to write run report: {e}"),
     }
@@ -684,7 +683,7 @@ fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
 fn bench_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_bench::suite::{self, BenchOpts};
     let (mut update, mut check, mut quick) = (false, false, false);
-    let (mut seed, mut tolerance, mut backend) = (1u64, None, None);
+    let (mut seed, mut tolerance) = (1u64, None);
     let mut names = suite::BENCHES.to_vec();
     let mut args = Args::new(args);
     while let Some(flag) = args.next() {
@@ -694,7 +693,6 @@ fn bench_main(args: &[String]) -> Result<i32, UsageError> {
             "--quick" => quick = true,
             "--seed" => seed = args.parse()?,
             "--tolerance" => tolerance = Some(args.parse()?),
-            "--backend" => backend = Some(args.value()?),
             "--only" => {
                 names = args.spec(|list| {
                     list.split(',')
@@ -711,11 +709,6 @@ fn bench_main(args: &[String]) -> Result<i32, UsageError> {
             _ => return Err(args.unknown()),
         }
     }
-    // `repro bench` produces (--update) or gates against (--check) the
-    // committed baselines: a verdict-bearing path. Its numbers are only
-    // meaningful at reference fidelity, so a surrogate `--backend` is a
-    // typed usage error, never silently accepted.
-    experiment_config(ExperimentConfig::builder(), backend, true)?;
     // Quick runs on loaded CI machines are noisy; default to a wide band
     // there and a tighter one for full local runs.
     let tolerance = tolerance.unwrap_or(if quick { 3.0 } else { 0.5 });
@@ -859,7 +852,7 @@ fn finalize_report(report: &mut RunReport, snap: &MetricsSnapshot) {
     if let Some(&rsv) = snap.gauges.get("adapt.eval.last_rsv") {
         report.set("last_rsv", rsv);
     }
-    match report.write_with(Path::new("target/obs"), snap) {
+    match report.write(Path::new("target/obs"), snap) {
         Ok(path) => eprintln!("[repro] run report: {}", path.display()),
         Err(e) => eprintln!("[repro] failed to write run report: {e}"),
     }

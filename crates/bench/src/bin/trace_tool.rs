@@ -162,13 +162,11 @@ fn replay_trace(path: &str, low_power: bool, interval: u64) -> i32 {
             .unwrap_or("trace")
     ));
     let mut summary = RunSummary::new();
-    {
-        let guard = report.phase("replay");
-        while let Some(r) = sim.run_interval(&mut reader, interval) {
-            summary.add(&r);
-        }
-        guard.finish();
+    let span = psca_obs::SpanTimer::start("replay");
+    while let Some(r) = sim.run_interval(&mut reader, interval) {
+        summary.add(&r);
     }
+    report.add_phase("replay", span.finish() as f64 / 1e9);
     print!("{summary}");
     let snap = psca_obs::snapshot();
     let insts = snap
@@ -181,7 +179,7 @@ fn replay_trace(path: &str, low_power: bool, interval: u64) -> i32 {
     if wall > 0.0 {
         report.set("sim_insts_per_sec", insts as f64 / wall);
     }
-    match report.write_default() {
+    match report.write(std::path::Path::new("target/obs"), &snap) {
         Ok(p) => eprintln!("[trace-tool] run report: {}", p.display()),
         Err(e) => eprintln!("[trace-tool] failed to write run report: {e}"),
     }

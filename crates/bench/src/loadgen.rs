@@ -19,7 +19,7 @@
 //! exit code via [`psca_obs::SloSpec::check_values`].
 
 use crate::suite::num_json;
-use psca_obs::{http, Json, SloSpec, SplitMix64, TraceCtx};
+use psca_obs::{http, Json, SplitMix64, TraceCtx};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -144,12 +144,6 @@ impl LoadgenSummary {
         pairs.push(("seed", self.seed.into()));
         pairs.push(("slowest_trace_id", self.slowest_trace_id.as_str().into()));
         Json::obj(pairs)
-    }
-
-    /// Evaluates `spec` against this run (latency + availability; the
-    /// `rsv_floor` key needs a closed-loop result and is skipped here).
-    pub fn slo_violations(&self, spec: &SloSpec) -> Vec<String> {
-        spec.check_values(Some(self.p99_us as f64), Some(self.availability), None)
     }
 }
 
@@ -347,10 +341,6 @@ mod tests {
         assert_eq!(s.achieved_rps, 50.0);
         // The slowest request's trace id is the schedule's last slot.
         assert_eq!(s.slowest_trace_id, request_ctx(cfg.seed, 99).trace_id_hex());
-        // A 3-nines spec fails on availability; a loose one passes on
-        // latency but still fails availability.
-        let strict = SloSpec::default();
-        assert!(!s.slo_violations(&strict).is_empty());
         let doc = s.to_json();
         assert_eq!(doc.get("p99_us").and_then(Json::as_u64), Some(9_900));
         assert_eq!(doc.get("requests").and_then(Json::as_u64), Some(100));

@@ -111,6 +111,16 @@ fn usage_errors_exit_two_for_every_subcommand() {
         (REPRO, &["serve", "--seed"]),
         (REPRO, &["serve", "--bogus"]),
         (REPRO, &["serve", "--workers", "x"]),
+        (
+            REPRO,
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:99999",
+                "--max-connections",
+                "4",
+            ],
+        ),
         (REPRO, &["loadgen", "--rps"]),
         (REPRO, &["loadgen", "--bogus"]),
         (REPRO, &["loadgen", "--rps", "x"]),
@@ -129,6 +139,7 @@ fn usage_errors_exit_two_for_every_subcommand() {
         (REPRO, &["bench", "--seed"]),
         (REPRO, &["bench", "--bogus"]),
         (REPRO, &["bench", "--tolerance", "x"]),
+        (REPRO, &["bench", "--backend", "surrogate"]),
         (REPRO, &["profile", "fleet"]),
         (TRACE_TOOL, &["record", "x.pstr", "--insts"]),
         (TRACE_TOOL, &["record", "x.pstr", "--bogus"]),

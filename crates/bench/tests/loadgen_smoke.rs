@@ -51,12 +51,16 @@ fn loadgen_round_trip_against_live_daemon() {
     }
 
     // A generous spec passes; an absurdly tight one flags p99.
-    let loose = SloSpec::parse("p99_us=60000000,availability=0.5")
-        .unwrap()
-        .unwrap();
-    assert!(summary.slo_violations(&loose).is_empty());
-    let tight = SloSpec::parse("p99_us=1").unwrap().unwrap();
-    assert!(!summary.slo_violations(&tight).is_empty());
+    let violations = |spec: &str| {
+        let spec = SloSpec::parse(spec).unwrap().unwrap();
+        spec.check_values(
+            Some(summary.p99_us as f64),
+            Some(summary.availability),
+            None,
+        )
+    };
+    assert!(violations("p99_us=60000000,availability=0.5").is_empty());
+    assert!(!violations("p99_us=1").is_empty());
 }
 
 #[test]

@@ -52,8 +52,8 @@ impl SimObs {
             transfer_uops: psca_obs::counter("cpu.transfer_uops"),
             switch_lost: psca_obs::counter("cpu.mode_switch.lost"),
             switch_delayed: psca_obs::counter("cpu.mode_switch.delayed"),
-            ipc: psca_obs::series_handle("cpu.sim.ipc"),
-            low_power: psca_obs::series_handle("cpu.sim.low_power"),
+            ipc: psca_obs::series("cpu.sim.ipc"),
+            low_power: psca_obs::series("cpu.sim.low_power"),
         })
     }
 }

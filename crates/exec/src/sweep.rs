@@ -65,16 +65,6 @@ impl Sweep {
         }
     }
 
-    /// Runs `f` over every cell, returning results in cell order.
-    pub fn run<T, R, F>(&self, cells: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.dispatch(cells, |cell| CellOutcome::Computed(f(cell)))
-    }
-
     /// Runs `f` over every cell with the persistent cache in front.
     ///
     /// `key` must digest everything that determines the cell's output
@@ -99,16 +89,16 @@ impl Sweep {
         F: Fn(&T) -> R + Sync,
     {
         let cache = self.cache.as_ref();
-        let results = self.dispatch(cells, |cell| {
+        let results = self.run(cells, |cell| {
             let Some(cache) = cache else {
-                return CellOutcome::Computed(f(cell));
+                return f(cell);
             };
             let k = key(cell);
             if let Some(bytes) = cache.load(k) {
                 match decode(&bytes) {
                     Ok(hit) => {
                         psca_obs::counter("exec.cache.hits").inc();
-                        return CellOutcome::Cached(hit);
+                        return hit;
                     }
                     Err(_) => psca_obs::counter("exec.cache.corrupt").inc(),
                 }
@@ -119,7 +109,7 @@ impl Sweep {
             cache.store(k, &bytes);
             psca_obs::counter("exec.cache.stores").inc();
             psca_obs::counter("exec.cache.bytes_written").add(bytes.len() as u64);
-            CellOutcome::Computed(out)
+            out
         });
         // Cumulative hit rate since the last registry reset, surfaced as
         // a gauge so `/metrics` and run reports can show cache efficacy
@@ -132,11 +122,12 @@ impl Sweep {
         results
     }
 
-    fn dispatch<T, R, G>(&self, cells: Vec<T>, g: G) -> Vec<R>
+    /// Runs `f` over every cell, returning results in cell order.
+    pub fn run<T, R, F>(&self, cells: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
-        G: Fn(&T) -> CellOutcome<R> + Sync,
+        F: Fn(&T) -> R + Sync,
     {
         let n = cells.len();
         let jobs = self.effective_jobs().min(n.max(1));
@@ -147,7 +138,7 @@ impl Sweep {
             // sharded parallel path replays below.
             pool::map_indexed(1, cells, &|_, cell: T| {
                 let t0 = Instant::now();
-                let out = g(&cell).into_inner();
+                let out = f(&cell);
                 psca_obs::histogram("exec.cell_us").record(t0.elapsed().as_micros() as u64);
                 out
             })
@@ -155,7 +146,7 @@ impl Sweep {
             let sharded = pool::map_indexed(jobs, cells, &|_, cell: T| {
                 let t0 = Instant::now();
                 shard::begin_cell();
-                let out = g(&cell);
+                let out = f(&cell);
                 let rec = shard::end_cell();
                 psca_obs::histogram("exec.cell_us").record(t0.elapsed().as_micros() as u64);
                 (out, rec)
@@ -164,7 +155,7 @@ impl Sweep {
                 .into_iter()
                 .map(|(out, rec)| {
                     shard::replay(&rec);
-                    out.into_inner()
+                    out
                 })
                 .collect()
         };
@@ -174,19 +165,6 @@ impl Sweep {
         psca_obs::gauge("exec.jobs").set(jobs as f64);
         psca_obs::gauge("exec.cells_per_sec").set(n as f64 / wall);
         results
-    }
-}
-
-enum CellOutcome<R> {
-    Computed(R),
-    Cached(R),
-}
-
-impl<R> CellOutcome<R> {
-    fn into_inner(self) -> R {
-        match self {
-            CellOutcome::Computed(r) | CellOutcome::Cached(r) => r,
-        }
     }
 }
 
@@ -210,15 +188,16 @@ mod tests {
     fn series_merge_is_deterministic_across_jobs_counts() {
         let cells: Vec<u64> = (0..16).collect();
         let record = |&c: &u64| {
-            psca_obs::series_handle("exec.test.series").push(c as f64);
+            psca_obs::series("exec.test.series").push(c as f64);
             c
         };
-        psca_obs::series("exec.test.series").reset();
+        let global = psca_obs::metrics::global().series("exec.test.series");
+        global.reset();
         let _ = Sweep::new("t").jobs(1).run(cells.clone(), record);
-        let serial = psca_obs::series("exec.test.series").snapshot();
-        psca_obs::series("exec.test.series").reset();
+        let serial = global.snapshot();
+        global.reset();
         let _ = Sweep::new("t").jobs(4).run(cells, record);
-        let parallel = psca_obs::series("exec.test.series").snapshot();
+        let parallel = global.snapshot();
         assert_eq!(
             serial.iter().map(|p| p.1).collect::<Vec<_>>(),
             parallel.iter().map(|p| p.1).collect::<Vec<_>>()

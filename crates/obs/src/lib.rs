@@ -103,11 +103,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     metrics::global().histogram(name)
 }
 
-/// The global time-series sampler named `name` (created on first use).
-pub fn series(name: &str) -> Arc<TimeSeries> {
-    metrics::global().series(name)
-}
-
 /// A pre-resolved, shard-aware handle to a named time series.
 ///
 /// Resolve once (at simulator/controller construction) and push per
@@ -144,8 +139,9 @@ impl SeriesHandle {
     }
 }
 
-/// Resolves a shard-aware [`SeriesHandle`] for the global series `name`.
-pub fn series_handle(name: &str) -> SeriesHandle {
+/// Resolves a shard-aware [`SeriesHandle`] for the global series `name`
+/// (created on first use). Read series back through [`snapshot`].
+pub fn series(name: &str) -> SeriesHandle {
     SeriesHandle {
         name: Arc::from(name),
         inner: metrics::global().series(name),

@@ -1,7 +1,7 @@
 //! End-of-run aggregation: one JSON artifact plus a rendered table.
 //!
 //! A [`RunReport`] gathers per-phase wall times (recorded with
-//! [`RunReport::phase`]), headline summary values (instructions/sec,
+//! [`RunReport::add_phase`]), headline summary values (instructions/sec,
 //! low-power residency, guardrail trips, ...), and a full snapshot of the
 //! global metric registry — including every non-empty time-series
 //! sampler, serialized under `"timeseries"` as `[x, y]` pairs and
@@ -12,8 +12,7 @@
 //! human-readable table the `repro` binary prints.
 
 use crate::json::Json;
-use crate::metrics::{self, MetricsSnapshot};
-use crate::span::SpanTimer;
+use crate::metrics::MetricsSnapshot;
 use crate::{exporter, timeseries};
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -80,38 +79,6 @@ impl From<&str> for SummaryValue {
     }
 }
 
-/// RAII phase handle returned by [`RunReport::phase`].
-///
-/// Also opens a [`SpanTimer`], so phases show up both in the report and
-/// in the `span.*` histograms. The span's single clock snapshot is the
-/// phase's wall time — the report row and the histogram record always
-/// agree exactly.
-pub struct PhaseGuard<'a> {
-    report: &'a mut RunReport,
-    name: String,
-    span: Option<SpanTimer>,
-}
-
-impl PhaseGuard<'_> {
-    /// Ends the phase, recording its wall time in the report.
-    pub fn finish(self) {
-        // Drop does the work.
-    }
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        let wall_s = self
-            .span
-            .take()
-            .map_or(0.0, |span| span.finish() as f64 / 1e9);
-        self.report.phases.push(PhaseStat {
-            name: std::mem::take(&mut self.name),
-            wall_s,
-        });
-    }
-}
-
 /// Aggregated end-of-run artifact.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -141,18 +108,9 @@ impl RunReport {
         }
     }
 
-    /// Opens a timed phase; its wall time is recorded when the returned
-    /// guard drops.
-    pub fn phase(&mut self, name: &str) -> PhaseGuard<'_> {
-        let span = SpanTimer::start(name);
-        PhaseGuard {
-            name: name.to_string(),
-            span: Some(span),
-            report: self,
-        }
-    }
-
-    /// Records a phase measured externally.
+    /// Records a phase's wall time. Time the phase with a
+    /// [`SpanTimer`](crate::SpanTimer) and pass `span.finish() as f64 / 1e9`, so the
+    /// report row and the `span.*` histogram share one clock snapshot.
     pub fn add_phase(&mut self, name: &str, wall_s: f64) {
         self.phases.push(PhaseStat {
             name: name.to_string(),
@@ -180,14 +138,8 @@ impl RunReport {
         self.created.elapsed().as_secs_f64()
     }
 
-    /// The report as JSON, embedding a fresh snapshot of the global
-    /// metric registry.
-    pub fn to_json(&self) -> Json {
-        self.to_json_with(&metrics::global().snapshot())
-    }
-
-    /// The report as JSON with an explicit metrics snapshot.
-    pub fn to_json_with(&self, snap: &MetricsSnapshot) -> Json {
+    /// The report as JSON, embedding the metrics of `snap`.
+    pub fn to_json(&self, snap: &MetricsSnapshot) -> Json {
         let phases = Json::Arr(
             self.phases
                 .iter()
@@ -270,25 +222,17 @@ impl RunReport {
     }
 
     /// Writes `<dir>/<run_id>.json` (plus `<run_id>.series.csv` when any
-    /// time-series was recorded) from a fresh global snapshot; returns the
-    /// JSON path.
+    /// time-series was recorded) with the metrics of `snap`; returns the
+    /// JSON path. Also publishes the JSON as
+    /// [`crate::exporter::latest_report`].
     ///
     /// # Errors
     /// Propagates filesystem errors (unwritable directory, ...).
-    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        self.write_with(dir, &metrics::global().snapshot())
-    }
-
-    /// [`RunReport::write`] with an explicit metrics snapshot. Also
-    /// publishes the JSON as [`crate::exporter::latest_report`].
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_with(&self, dir: &Path, snap: &MetricsSnapshot) -> std::io::Result<PathBuf> {
+    pub fn write(&self, dir: &Path, snap: &MetricsSnapshot) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let stem = sanitize(&self.run_id);
         let path = dir.join(format!("{stem}.json"));
-        let json = self.to_json_with(snap).to_string();
+        let json = self.to_json(snap).to_string();
         std::fs::write(&path, &json)?;
         exporter::publish_report(&json);
         if !snap.series.is_empty() {
@@ -296,14 +240,6 @@ impl RunReport {
             std::fs::write(&csv_path, timeseries::series_to_csv(&snap.series))?;
         }
         Ok(path)
-    }
-
-    /// Writes to the conventional artifact directory `target/obs/`.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_default(&self) -> std::io::Result<PathBuf> {
-        self.write(Path::new("target/obs"))
     }
 
     /// Renders the human-readable end-of-run table.
@@ -365,23 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_guard_records_wall_time() {
-        let mut r = RunReport::new("t");
-        {
-            let g = r.phase("warmup");
-            g.finish();
-        }
-        assert_eq!(r.phases.len(), 1);
-        assert_eq!(r.phases[0].name, "warmup");
-        assert!(r.phases[0].wall_s >= 0.0);
-    }
-
-    #[test]
     fn json_contains_headline_sections() {
         let mut r = RunReport::new("json-shape");
         r.set("sim_insts_per_sec", 1.5e6);
         r.add_phase("fig4", 0.25);
-        let s = r.to_json_with(&MetricsSnapshot::default()).to_string();
+        let s = r.to_json(&MetricsSnapshot::default()).to_string();
         assert!(s.contains(r#""run_id":"json-shape""#));
         assert!(s.contains(r#""phases":[{"name":"fig4","wall_s":0.25}]"#));
         assert!(s.contains(r#""sim_insts_per_sec":1500000"#));

@@ -1,8 +1,8 @@
 //! Per-cell series sharding for deterministic parallel merges.
 //!
-//! Counters, gauges, and histograms are commutative atomics: recording
-//! them from worker threads yields the same totals regardless of
-//! interleaving. Time series are the one order-sensitive metric — a
+//! Counters and histograms are commutative atomics: recording them from
+//! worker threads yields the same totals regardless of interleaving.
+//! (Gauges are last-writer-wins.) Time series are order-sensitive — a
 //! [`crate::TimeSeries`] decimates based on *push order*, so interleaved
 //! pushes from concurrent sweep cells would change which points survive.
 //!

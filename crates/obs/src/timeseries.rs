@@ -9,7 +9,8 @@
 //! monotone non-decreasing, so a snapshot is always plottable as-is.
 //!
 //! Samplers live in the global [`crate::Registry`] next to counters and
-//! gauges (`psca_obs::series("cpu.sim.ipc")`), are serialized into the
+//! gauges (pushed through a [`crate::SeriesHandle`] from
+//! `psca_obs::series("cpu.sim.ipc")`), are serialized into the
 //! [`crate::RunReport`] JSON under `"timeseries"`, and can be exported as
 //! a CSV artifact with [`series_to_csv`].
 

@@ -57,7 +57,7 @@ fn concurrent_registry_lookups_resolve_to_one_instance() {
 fn snapshots_while_writers_run_never_panic_and_end_exact() {
     let counter = psca_obs::counter("conc.snapshot_target");
     counter.reset();
-    let series = psca_obs::series("conc.snapshot_series");
+    let series = psca_obs::metrics::global().series("conc.snapshot_series");
     series.reset();
     let stop = AtomicBool::new(false);
 
@@ -107,7 +107,7 @@ fn sharded_series_capture_is_thread_isolated() {
             .map(|w| {
                 s.spawn(move || {
                     psca_obs::shard::begin_cell();
-                    let h = psca_obs::series_handle("conc.sharded");
+                    let h = psca_obs::series("conc.sharded");
                     for i in 0..50 {
                         h.push((w * 1000 + i) as f64);
                     }
@@ -120,15 +120,12 @@ fn sharded_series_capture_is_thread_isolated() {
     assert_eq!(recs[0].len(), 50);
     assert_eq!(recs[1].len(), 50);
 
-    psca_obs::series("conc.sharded").reset();
+    let global = psca_obs::metrics::global().series("conc.sharded");
+    global.reset();
     for rec in &recs {
         psca_obs::shard::replay(rec);
     }
-    let ys: Vec<f64> = psca_obs::series("conc.sharded")
-        .snapshot()
-        .iter()
-        .map(|p| p.1)
-        .collect();
+    let ys: Vec<f64> = global.snapshot().iter().map(|p| p.1).collect();
     // Recording 0 fully precedes recording 1 — deterministic merge order.
     let split = ys.iter().position(|&y| y >= 1000.0).unwrap();
     assert!(ys[..split].iter().all(|&y| y < 1000.0));

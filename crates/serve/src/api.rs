@@ -89,8 +89,7 @@ impl ApiError {
         )
     }
 
-    /// 503: connection limit reached or chaos injected on the serving
-    /// path.
+    /// 503: daemon not ready or chaos injected on the serving path.
     pub fn unavailable(code: &'static str, message: impl Into<String>) -> ApiError {
         ApiError::new(503, code, message)
     }

@@ -55,9 +55,9 @@ pub struct ServeConfig {
     /// Worker threads; `0` resolves via `PSCA_JOBS` / available cores.
     pub workers: usize,
     /// Bounded queue depth; connections past this are answered `429`.
+    /// The one admission limit: with the queue full, at most `workers`
+    /// more requests are in flight.
     pub queue_capacity: usize,
-    /// Ceiling on queued + in-flight connections; past it, `503`.
-    pub max_connections: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Per-connection read deadline (milliseconds) covering both the
@@ -81,7 +81,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 64,
-            max_connections: 256,
             max_body_bytes: 1 << 20,
             read_timeout_ms: 5_000,
             chaos: None,
@@ -399,19 +398,6 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         }
         let Ok(mut stream) = stream else { continue };
         let depth = shared.queue.lock().unwrap().len();
-        let open = depth + shared.inflight.load(Ordering::SeqCst);
-        if open >= shared.config.max_connections {
-            psca_obs::counter("serve.rejected.connlimit").inc();
-            let e = ApiError::unavailable(
-                "connection_limit",
-                format!(
-                    "open connection ceiling ({}) reached",
-                    shared.config.max_connections
-                ),
-            );
-            reject(&mut stream, &e);
-            continue;
-        }
         if depth >= shared.config.queue_capacity {
             psca_obs::counter("serve.rejected.backpressure").inc();
             reject(

@@ -121,7 +121,8 @@ pub fn write_trace<S: TraceSource, W: Write>(
         body.push(reg_byte(inst.dst));
         body.push(reg_byte(inst.srcs[0]));
         body.push(reg_byte(inst.srcs[1]));
-        write_varint(&mut body, zigzag(inst.pc as i64 - last_pc as i64))?;
+        // Deltas wrap modulo 2^64, so any pair of PCs round-trips.
+        write_varint(&mut body, zigzag(inst.pc.wrapping_sub(last_pc) as i64))?;
         last_pc = inst.pc;
         if let Some(m) = inst.mem {
             write_varint(&mut body, m.addr)?;
@@ -196,7 +197,7 @@ impl<R: Read> TraceFileReader<R> {
         let dst = reg(head[1])?;
         let srcs = [reg(head[2])?, reg(head[3])?];
         let delta = unzigzag(read_varint(&mut self.reader)?);
-        let pc = (self.last_pc as i64 + delta) as u64;
+        let pc = self.last_pc.wrapping_add(delta as u64);
         self.last_pc = pc;
         let mem = if op.is_mem() {
             let addr = read_varint(&mut self.reader)?;

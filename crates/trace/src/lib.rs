@@ -13,7 +13,6 @@
 //! - streaming trace abstractions ([`TraceSource`]) so that
 //!   multi-million-instruction traces never need to be materialized, and
 //!   [`VecTrace`], a packed, shared buffer for windows replayed many times;
-//! - [`SimPointSpec`] windows mirroring the paper's SimPoint methodology;
 //! - [`TraceStats`] summary statistics used by tests and the workload
 //!   synthesizer's self-checks.
 //!
@@ -41,13 +40,11 @@ pub mod file;
 
 mod instruction;
 mod isa;
-mod simpoint;
 mod source;
 mod stats;
 
 pub use file::{write_trace, TraceFileError, TraceFileReader};
 pub use instruction::Instruction;
 pub use isa::{BranchInfo, MemRef, OpClass, Reg, NUM_ARCH_REGS};
-pub use simpoint::SimPointSpec;
 pub use source::{Take, TraceSource, VecTrace};
 pub use stats::TraceStats;

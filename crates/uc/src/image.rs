@@ -11,8 +11,9 @@
 //! then a per-class payload (layer shapes + weights for MLPs, node arrays
 //! for forests, coefficients for logistic regression). Version 2 appends
 //! a little-endian CRC-32 of everything before it, so bit flips in
-//! transit are detected before the payload is even parsed; version-1
-//! images (no checksum) remain readable. Decoding also runs
+//! transit are detected before the payload is even parsed; any other
+//! version (including the checksum-less version 1) is rejected as
+//! [`ImageError::BadVersion`]. Decoding also runs
 //! [`FirmwareModel::validate`], rejecting images whose weights are NaN
 //! or infinite — the "validated firmware images" rung of the robustness
 //! story (docs/ROBUSTNESS.md).
@@ -57,10 +58,8 @@ impl fmt::Display for ImageError {
 impl std::error::Error for ImageError {}
 
 const MAGIC: &[u8; 4] = b"PSCA";
-/// Current format version: payload followed by a CRC-32 trailer.
+/// The one format version: payload followed by a CRC-32 trailer.
 const VERSION: u8 = 2;
-/// Legacy version without a checksum trailer; still decodable.
-const VERSION_NO_CRC: u8 = 1;
 
 /// Bitwise CRC-32 (IEEE 802.3 polynomial, reflected). Hand-rolled so the
 /// image format stays dependency-free.
@@ -240,22 +239,18 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
         return Err(ImageError::BadMagic);
     }
     let version = header.u8()?;
-    let body = match version {
-        VERSION_NO_CRC => bytes,
-        VERSION => {
-            // The last four bytes are a little-endian CRC-32 of the rest.
-            if bytes.len() < 9 {
-                return Err(ImageError::Corrupt("unexpected end of image"));
-            }
-            let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-            let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-            if crc32(payload) != stored {
-                return Err(ImageError::ChecksumMismatch);
-            }
-            payload
-        }
-        v => return Err(ImageError::BadVersion(v)),
-    };
+    if version != VERSION {
+        return Err(ImageError::BadVersion(version));
+    }
+    // The last four bytes are a little-endian CRC-32 of the rest.
+    if bytes.len() < 9 {
+        return Err(ImageError::Corrupt("unexpected end of image"));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    if crc32(body) != stored {
+        return Err(ImageError::ChecksumMismatch);
+    }
     let mut r = Reader { data: body, at: 5 };
     let tag = r.u8()?;
     let threshold = r.f64()?;
@@ -487,15 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_images_without_checksum_still_decode() {
+    fn v1_images_without_checksum_are_rejected() {
         let lr = LogisticRegression::from_parts(vec![1.0, -0.5], 0.25, 0.5);
-        let model = FirmwareModel::Logistic(lr);
-        let mut v1 = encode(&model).unwrap();
+        let mut v1 = encode(&FirmwareModel::Logistic(lr)).unwrap();
         v1.truncate(v1.len() - 4); // strip the CRC trailer
         v1[4] = 1; // mark as the pre-checksum format
-        let back = decode(&v1).unwrap();
-        let x = [0.3, 0.7];
-        assert_eq!(model.predict(&x).unwrap(), back.predict(&x).unwrap());
+        assert_eq!(decode(&v1).unwrap_err(), ImageError::BadVersion(1));
     }
 
     #[test]

@@ -10,6 +10,15 @@ use psca_adapt::experiments::{chaos, fig10, fig4, fig5, fig6, table3};
 use psca_adapt::{CorpusTelemetry, ExperimentConfig};
 use psca_faults::ChaosSpec;
 use psca_workloads::{Archetype, PhaseGenerator};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test here whose experiment runner resets the global
+/// metric registry on entry, so no test clears series another one is
+/// reading back.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static REGISTRY: Mutex<()> = Mutex::new(());
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn corpus(cfg: &ExperimentConfig) -> CorpusTelemetry {
     let mut c = cfg.clone();
@@ -25,6 +34,7 @@ fn cfg_with_jobs(jobs: usize) -> ExperimentConfig {
 
 #[test]
 fn table3_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
     let serial_cfg = cfg_with_jobs(1);
     let parallel_cfg = cfg_with_jobs(4);
     let serial = table3::run(&serial_cfg, &corpus(&serial_cfg)).to_string();
@@ -92,6 +102,7 @@ fn fig5_is_bit_identical_across_job_counts() {
 
 #[test]
 fn fig6_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
     let (serial, parallel) = serial_and_parallel(fig6::run);
     let fields = |f: &fig6::Fig6| -> Vec<(Vec<usize>, Vec<u64>, u64, bool)> {
         f.points
@@ -108,6 +119,7 @@ fn fig6_is_bit_identical_across_job_counts() {
 
 #[test]
 fn fig10_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
     // Three of the HDTR applications stand in for the SPEC test set, so
     // the leave-one-benchmark-out step has three cells.
     let (serial, parallel) = serial_and_parallel(|cfg, hdtr| {
@@ -125,10 +137,37 @@ fn fig10_is_bit_identical_across_job_counts() {
 
 #[test]
 fn chaos_sweep_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
     let spec = ChaosSpec::default_chaos();
     let serial = chaos::chaos_sweep(&cfg_with_jobs(1), &spec).to_string();
     let parallel = chaos::chaos_sweep(&cfg_with_jobs(4), &spec).to_string();
     assert_eq!(serial, parallel);
+}
+
+#[test]
+fn chaos_sweep_series_are_identical_across_job_counts() {
+    // Series pushed from inside sweep cells (the degradation ladder and
+    // the fault injector) must replay in cell order. Only y-values are
+    // compared: auto-x keeps counting across runs in one process, and
+    // both series stay under the sampler's capacity, so no decimation.
+    const SERIES: [&str; 2] = ["adapt.degrade.level", "faults.injected"];
+    let _registry = registry_lock();
+    let spec = ChaosSpec::default_chaos();
+    let run = |jobs: usize| -> Vec<Vec<f64>> {
+        // The sweep scopes the global registry to its own run.
+        chaos::chaos_sweep(&cfg_with_jobs(jobs), &spec);
+        let snap = psca_obs::snapshot();
+        SERIES
+            .iter()
+            .map(|name| snap.series[*name].iter().map(|p| p.1).collect())
+            .collect()
+    };
+    let serial = run(1);
+    let parallel = run(2);
+    for (name, (s, p)) in SERIES.iter().zip(serial.iter().zip(&parallel)) {
+        assert!(!s.is_empty(), "{name} recorded nothing");
+        assert_eq!(s, p, "{name} depends on jobs");
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the shared parsers in `psca-obs`: the `key=value`
 //! spec tokenizer behind the chaos, skew, rollout and SLO grammars, the
 //! HTTP/1.1 framing used by every server and client, and the JSON reader
-//! behind every request body; and for the sweep-cache trace codec.
+//! behind every request body; for the sweep-cache trace codec; and for
+//! the `.pstr` instruction-trace file reader (`trace-tool replay` input).
 
 use proptest::prelude::*;
 use psca::adapt::{decode_trace, decode_traces, encode_trace, encode_traces, TraceTelemetry};
@@ -10,6 +11,10 @@ use psca::fleet::{RolloutSpec, SkewSpec};
 use psca::obs::http::{self, FrameError, Response};
 use psca::obs::{Json, SloSpec};
 use psca::telemetry::NUM_EVENTS;
+use psca::trace::{
+    write_trace, BranchInfo, Instruction, MemRef, OpClass, Reg, TraceFileReader, TraceSource,
+    VecTrace, NUM_ARCH_REGS,
+};
 
 /// Every key of the four grammars, plus near misses.
 const KEYS: [&str; 29] = [
@@ -447,5 +452,131 @@ proptest! {
             let _ = decode_trace(&raw);
             let _ = decode_traces(&raw);
         }
+    }
+}
+
+/// A PC drawn from the whole `u64` range, weighted towards the values
+/// where a signed delta overflows.
+fn arb_pc() -> impl Strategy<Value = u64> {
+    (0u8..5, any::<u64>()).prop_map(|(pick, pc)| match pick {
+        0 => 0,
+        1 => u64::MAX,
+        2 => i64::MAX as u64,
+        3 => 1 << 63,
+        _ => pc,
+    })
+}
+
+/// A register, or none (one value past the last register index).
+fn arb_reg() -> impl Strategy<Value = Option<Reg>> {
+    (0..NUM_ARCH_REGS + 1).prop_map(|i| (i < NUM_ARCH_REGS).then(|| Reg::from_index(i)))
+}
+
+/// A well-formed instruction: a memory reference exactly for memory ops
+/// and a branch outcome exactly for branches, as the file format stores.
+fn arb_instruction() -> impl Strategy<Value = Instruction> {
+    (
+        0..OpClass::ALL.len(),
+        (arb_reg(), arb_reg(), arb_reg()),
+        arb_pc(),
+        (any::<u64>(), any::<u8>()),
+        (any::<bool>(), arb_pc()),
+    )
+        .prop_map(
+            |(op, (dst, src0, src1), pc, (addr, size), (taken, target))| {
+                let op = OpClass::ALL[op];
+                Instruction {
+                    op,
+                    dst,
+                    srcs: [src0, src1],
+                    mem: op.is_mem().then(|| MemRef::new(addr, size)),
+                    branch: op.is_branch().then(|| BranchInfo::new(taken, target)),
+                    pc,
+                }
+            },
+        )
+}
+
+fn encode_pstr(insts: &[Instruction]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let n = write_trace(&mut VecTrace::new(insts.to_vec()), u64::MAX, &mut buf).unwrap();
+    assert_eq!(n, insts.len() as u64);
+    buf
+}
+
+/// Opens and drains a trace file; a reader that stops early must say why.
+fn drain_pstr(bytes: &[u8]) {
+    let Ok(mut reader) = TraceFileReader::open(bytes) else {
+        return;
+    };
+    while reader.next_instruction().is_some() {}
+    assert!(reader.remaining() == 0 || reader.error().is_some());
+}
+
+#[test]
+fn pstr_pc_deltas_past_i64_do_not_overflow() {
+    // Two IntAlu records, each advancing the PC by +i64::MAX.
+    let mut file = b"PSTR\x01".to_vec();
+    file.extend_from_slice(&2u64.to_le_bytes());
+    for _ in 0..2 {
+        file.extend_from_slice(&[OpClass::IntAlu.index() as u8, 0xFF, 0xFF, 0xFF]);
+        // zigzag(i64::MAX) = u64::MAX - 1 as a 10-byte varint.
+        file.extend_from_slice(&[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
+    }
+    let mut reader = TraceFileReader::open(file.as_slice()).unwrap();
+    let pcs: Vec<u64> = std::iter::from_fn(|| reader.next_instruction().map(|i| i.pc)).collect();
+    assert!(reader.error().is_none());
+    assert_eq!(pcs, [i64::MAX as u64, u64::MAX - 1]);
+    // The writer produces exactly these bytes for those PCs.
+    let insts: Vec<Instruction> = pcs
+        .iter()
+        .map(|&pc| Instruction::alu(OpClass::IntAlu, None, [None, None]).at_pc(pc))
+        .collect();
+    assert_eq!(encode_pstr(&insts), file);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pstr_roundtrips_arbitrary_instruction_streams(
+        insts in prop::collection::vec(arb_instruction(), 0..64),
+    ) {
+        let bytes = encode_pstr(&insts);
+        let mut reader = TraceFileReader::open(bytes.as_slice()).unwrap();
+        let back: Vec<Instruction> =
+            std::iter::from_fn(|| reader.next_instruction()).collect();
+        prop_assert!(reader.error().is_none());
+        prop_assert_eq!(back, insts);
+    }
+
+    #[test]
+    fn pstr_reader_never_panics_on_arbitrary_bytes(
+        tail in prop::collection::vec(any::<u8>(), 0..256),
+        count in any::<u64>(),
+    ) {
+        drain_pstr(&tail);
+        // Behind a valid header the body is parsed record by record.
+        let mut file = b"PSTR\x01".to_vec();
+        file.extend_from_slice(&count.to_le_bytes());
+        file.extend_from_slice(&tail);
+        drain_pstr(&file);
+    }
+
+    #[test]
+    fn pstr_reader_never_panics_on_truncated_or_flipped_files(
+        insts in prop::collection::vec(arb_instruction(), 1..32),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let bytes = encode_pstr(&insts);
+        let cut = cut % bytes.len();
+        drain_pstr(&bytes[..cut]);
+        let mut raw = bytes.clone();
+        for &(at, byte) in &flips {
+            let at = at % raw.len();
+            raw[at] = byte;
+        }
+        drain_pstr(&raw);
     }
 }

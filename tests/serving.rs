@@ -553,7 +553,7 @@ fn side_channel_report_flips_to_the_published_run() {
 
     let dir = std::env::temp_dir().join(format!("psca-serving-report-{}", std::process::id()));
     psca::obs::RunReport::new("side-channel-test")
-        .write(&dir)
+        .write(&dir, &psca::obs::snapshot())
         .expect("write the report");
     let after = send(addr, "GET", "/report", "");
     assert_eq!(after.status, 200, "{}", after.body);
