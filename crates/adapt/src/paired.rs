@@ -190,7 +190,8 @@ pub fn collect_paired_with<S: TraceSource>(
     workload: u64,
     backend: BackendChoice,
 ) -> TraceTelemetry {
-    let (warm, window) = record_trace(source, warmup_insts, intervals as u64 * interval_insts);
+    let (mut warm, mut window) =
+        record_trace(source, warmup_insts, intervals as u64 * interval_insts);
     let mut out = TraceTelemetry {
         app_id,
         app_name: app_name.to_string(),
@@ -205,15 +206,20 @@ pub fn collect_paired_with<S: TraceSource>(
         energy_lo: Vec::with_capacity(intervals),
         insts: Vec::with_capacity(intervals),
     };
+    // The high-performance pass leaves its functional outcomes in the
+    // traces; the low-power pass replays them through the timing core.
     for mode in [Mode::HighPerf, Mode::LowPower] {
         let mut sim = backend.build(CpuConfig::skylake_scaled(), interval_insts);
         sim.set_mode(mode);
-        let mut warm_replay = warm.clone();
-        sim.warm_up(&mut warm_replay, warmup_insts);
-        let mut window_replay = window.clone();
+        if mode == Mode::HighPerf {
+            sim.record_outcomes();
+        }
+        warm.rewind();
+        window.rewind();
+        sim.warm_up(&mut warm, warmup_insts);
         let mut n = 0usize;
         while n < intervals {
-            let Some(r) = sim.run_interval(&mut window_replay, interval_insts) else {
+            let Some(r) = sim.run_interval(&mut window, interval_insts) else {
                 break;
             };
             match mode {

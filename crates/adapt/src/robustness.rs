@@ -74,7 +74,9 @@ impl Scenario {
     /// Records 2 000 warm-up instructions and `windows` of `model`'s
     /// prediction windows from `source`, then simulates them statically
     /// in high-performance mode on `cpu` at reference fidelity, one IPC
-    /// per prediction window.
+    /// per prediction window. The traces keep that run's functional
+    /// outcomes, so every [`Scenario::score`] on the reference backend
+    /// runs only the simulator's timing core.
     pub fn record<S: TraceSource>(
         source: &mut S,
         cpu: CpuConfig,
@@ -83,16 +85,19 @@ impl Scenario {
         windows: u64,
     ) -> Scenario {
         let window_insts = windows * model.granularity_insts(interval_insts);
-        let (warm, window) = record_trace(source, 2_000, window_insts);
+        let (mut warm, mut window) = record_trace(source, 2_000, window_insts);
+        // Every closed loop on this machine replays the same instructions
+        // from the same state, so this run reads the traces themselves,
+        // not clones, and leaves its functional outcomes in them.
         let mut sim = ClusterSim::new(cpu.clone());
-        sim.warm_up(&mut warm.clone(), warm.len() as u64);
-        let mut replay = window.clone();
+        sim.record_outcomes();
+        sim.warm_up(&mut warm, 2_000);
         let mut refs = Vec::new();
         'outer: loop {
             let mut cycles = 0u64;
             let mut insts = 0u64;
             for _ in 0..model.granularity {
-                let Some(r) = sim.run_interval(&mut replay, interval_insts) else {
+                let Some(r) = sim.run_interval(&mut window, interval_insts) else {
                     break 'outer;
                 };
                 cycles += r.snapshot.cycles;
@@ -100,6 +105,8 @@ impl Scenario {
             }
             refs.push(insts as f64 / cycles.max(1) as f64);
         }
+        warm.rewind();
+        window.rewind();
         Scenario {
             cpu,
             warm,
@@ -236,6 +243,63 @@ mod tests {
             energy,
             instructions,
             ..LoopScore::default()
+        }
+    }
+
+    /// `Scenario::score` replays the recording run's functional outcomes;
+    /// it must equal the same closed loop over freshly recorded plain
+    /// traces, which take the simulator's full path.
+    #[test]
+    fn scores_equal_closed_loops_on_plain_traces() {
+        let cfg = ExperimentConfig::quick();
+        let model = robustness_model(&cfg);
+        let mut cpu = CpuConfig::skylake_scaled();
+        cpu.l2_bytes /= 2;
+        for (i, (arch, _)) in ROBUSTNESS_ARCHETYPES.into_iter().enumerate() {
+            let gen = || PhaseGenerator::new(arch.center(), 50 + i as u64);
+            let s = Scenario::record(&mut gen(), cpu.clone(), &model, cfg.interval_insts, 16);
+            assert!(s
+                .window
+                .position()
+                .is_some_and(|at| at.outcome_key.is_some()));
+            let (warm, window) = record_trace(&mut gen(), 2_000, s.window.len() as u64);
+            for faults in [ChaosSpec::default(), ChaosSpec::default_chaos()] {
+                let oracle = ClosedLoopRequest::new(&model, &warm, &window, cfg.interval_insts)
+                    .with_cpu(cpu.clone())
+                    .with_faults(faults.clone())
+                    .run();
+                let score = s.score(&model, faults, BackendChoice::CycleAccurate);
+                assert_eq!(score, LoopScore::of(&oracle, &s.refs), "{arch:?}");
+            }
+        }
+    }
+
+    /// `collect_paired`'s low-power pass replays the high-performance
+    /// pass's functional outcomes; both must equal the full path over
+    /// freshly recorded plain traces.
+    #[test]
+    fn paired_runs_equal_both_modes_on_plain_traces() {
+        for (i, (arch, name)) in ROBUSTNESS_ARCHETYPES.into_iter().enumerate() {
+            let gen = || PhaseGenerator::new(arch.center(), 30 + i as u64);
+            let got = collect_paired(&mut gen(), 2_000, 6, 2_000, i as u32, name, 1);
+            let (warm, window) = record_trace(&mut gen(), 2_000, 12_000);
+            for mode in [Mode::HighPerf, Mode::LowPower] {
+                let mut sim = ClusterSim::new(CpuConfig::skylake_scaled());
+                sim.set_mode(mode);
+                sim.warm_up(&mut warm.clone(), 2_000);
+                let mut replay = window.clone();
+                let (mut rows, mut cycles, mut energy) = (Vec::new(), Vec::new(), Vec::new());
+                while let Some(r) = sim.run_interval(&mut replay, 2_000) {
+                    rows.push(r.snapshot.as_slice().to_vec());
+                    cycles.push(r.snapshot.cycles);
+                    energy.push(r.energy);
+                }
+                let want = match mode {
+                    Mode::HighPerf => (&got.rows_hi, &got.cycles_hi, &got.energy_hi),
+                    Mode::LowPower => (&got.rows_lo, &got.cycles_lo, &got.energy_lo),
+                };
+                assert_eq!((&rows, &cycles, &energy), want, "{arch:?} {mode}");
+            }
         }
     }
 

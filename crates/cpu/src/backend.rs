@@ -149,6 +149,11 @@ pub trait SimBackend {
     /// Evaluates one interval of up to `n` instructions. Returns `None`
     /// iff the source yielded nothing.
     fn run_interval(&mut self, source: &mut dyn TraceSource, n: u64) -> Option<IntervalResult>;
+
+    /// Stores functional outcomes in the recorded traces read from now on
+    /// (see [`ClusterSim::record_outcomes`]). Backends without a
+    /// functional pass ignore it.
+    fn record_outcomes(&mut self) {}
 }
 
 /// The reference backend: a thin, bit-identical wrapper over
@@ -205,6 +210,10 @@ impl SimBackend for CycleAccurate {
 
     fn run_interval(&mut self, mut source: &mut dyn TraceSource, n: u64) -> Option<IntervalResult> {
         self.sim.run_interval(&mut source, n)
+    }
+
+    fn record_outcomes(&mut self) {
+        self.sim.record_outcomes();
     }
 }
 

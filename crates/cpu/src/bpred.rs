@@ -54,12 +54,6 @@ impl GsharePredictor {
         self.history = ((self.history << 1) | outcome as u64) & mask;
         predicted == outcome
     }
-
-    /// Clears learned state.
-    pub fn reset(&mut self) {
-        self.counters.fill(1);
-        self.history = 0;
-    }
 }
 
 /// A direct-mapped branch target buffer.
@@ -93,11 +87,6 @@ impl Btb {
         let hit = self.entries[idx] == (pc, target);
         self.entries[idx] = (pc, target);
         hit
-    }
-
-    /// Clears all entries.
-    pub fn reset(&mut self) {
-        self.entries.fill((u64::MAX, 0));
     }
 }
 
@@ -153,19 +142,6 @@ mod tests {
         assert!(!btb.lookup_and_update(0x4000, 0x5000));
         assert!(btb.lookup_and_update(0x4000, 0x5000));
         assert!(!btb.lookup_and_update(0x4000, 0x6000)); // target changed
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bp = GsharePredictor::new(8);
-        for _ in 0..100 {
-            bp.predict_and_update(0x10, true);
-        }
-        bp.reset();
-        let mut btb = Btb::new(4);
-        btb.lookup_and_update(0x10, 0x20);
-        btb.reset();
-        assert!(!btb.lookup_and_update(0x10, 0x20));
     }
 
     #[test]

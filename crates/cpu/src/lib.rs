@@ -17,7 +17,10 @@
 //! - [`ClusterSim`] schedules every instruction onto a finite ROB window
 //!   with per-cluster issue width, dependence-aware steering, and an
 //!   inter-cluster forwarding penalty — so the IPC delta between modes is
-//!   an emergent property of each workload's dependence structure;
+//!   an emergent property of each workload's dependence structure. Its
+//!   caches, TLBs and predictors form a functional pass whose outcomes
+//!   can be stored with a recorded trace, so later runs of the same
+//!   machine over it execute only the timing core;
 //! - [`PowerModel`] is an event-based energy model in the spirit of the
 //!   Skylake model of Haj-Yihia et al. used by the paper;
 //! - [`Mode`] and [`ClusterSim::set_mode`] implement cluster gating with
@@ -31,6 +34,7 @@ mod bpred;
 mod cache;
 mod config;
 mod dvfs;
+mod functional;
 mod power;
 mod sim;
 mod summary;

@@ -9,15 +9,27 @@
 //! sensitivity — the property every experiment depends on — emerges from
 //! each workload's dependence structure rather than from a statistical
 //! shortcut.
+//!
+//! The timing core here schedules each instruction and turns its
+//! functional [`Outcome`] (caches, TLBs, predictors:
+//! [`crate::functional`]) into latencies and telemetry, taking each part
+//! of the outcome at the stage that needs it. In a plain run the parts
+//! come from the functional pass ([`Live`]). A simulator that reads a
+//! recorded trace carrying outcomes stored by an earlier run of the same
+//! machine from the same state takes them from the trace ([`Stored`]) and
+//! runs only the timing core.
 
-use crate::bpred::{Btb, GsharePredictor};
-use crate::cache::Cache;
 use crate::config::CpuConfig;
+use crate::functional::{
+    lower_eviction, lower_level, Functional, Lineage, Live, Outcome, OutcomeSource, Stored,
+    EVICT_SILENT, EVICT_WRITEBACK, FETCH_L1I, FETCH_UOP_CACHE, ITLB_HIT, ITLB_MISS, LOWER_L2,
+    LOWER_LLC, LOWER_MEMORY,
+};
 use crate::power::PowerModel;
-use crate::tlb::Tlb;
 use psca_telemetry::{CounterBank, Event, IntervalSnapshot};
-use psca_trace::{Instruction, OpClass, TraceSource, NUM_ARCH_REGS};
+use psca_trace::{Instruction, OpClass, TracePosition, TraceSource, NUM_ARCH_REGS};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Observability handles resolved once at simulator construction so the
 /// per-interval close never takes the registry lock (ISSUE 4: the old
@@ -34,6 +46,8 @@ struct SimObs {
     transfer_uops: Arc<psca_obs::Counter>,
     switch_lost: Arc<psca_obs::Counter>,
     switch_delayed: Arc<psca_obs::Counter>,
+    busy_us: Arc<psca_obs::Counter>,
+    replayed_instructions: Arc<psca_obs::Counter>,
     ipc: psca_obs::SeriesHandle,
     low_power: psca_obs::SeriesHandle,
 }
@@ -52,6 +66,8 @@ impl SimObs {
             transfer_uops: psca_obs::counter("cpu.transfer_uops"),
             switch_lost: psca_obs::counter("cpu.mode_switch.lost"),
             switch_delayed: psca_obs::counter("cpu.mode_switch.delayed"),
+            busy_us: psca_obs::counter("cpu.sim.busy_us"),
+            replayed_instructions: psca_obs::counter("cpu.sim.replayed_instructions"),
             ipc: psca_obs::series("cpu.sim.ipc"),
             low_power: psca_obs::series("cpu.sim.low_power"),
         })
@@ -217,16 +233,17 @@ pub struct ClusterSim {
     cfg: CpuConfig,
     power: PowerModel,
     mode: Mode,
-    // structural components
-    l1i: Cache,
-    uopc: Cache,
-    l1d: Cache,
-    l2: Cache,
-    llc: Cache,
-    itlb: Tlb,
-    dtlb: Tlb,
-    bpred: GsharePredictor,
-    btb: Btb,
+    // order-only structures (the functional pass)
+    functional: Functional,
+    // what the functional state is a function of; None once the sim has
+    // read a source that is not a recorded trace, or entered one mid-way
+    lineage: Option<Lineage>,
+    // set once the functional pass was skipped: the structures are stale
+    functional_skipped: bool,
+    // store outcome codes in the recorded traces read (`record_outcomes`)
+    recording: bool,
+    // the current interval's outcome codes, while recording
+    codes: Vec<u16>,
     // dataflow state
     reg_ready: [u64; NUM_ARCH_REGS],
     reg_cluster: [u8; NUM_ARCH_REGS],
@@ -238,9 +255,6 @@ pub struct ClusterSim {
     retire_ring: SlotRing,
     min_fetch_time: u64,
     last_retire: u64,
-    last_pc_line: u64,
-    last_pc_page: u64,
-    last_dline: u64,
     steer_cursor: usize,
     cluster_pressure: Vec<u64>,
     // store queue (in-order drain => monotone completions)
@@ -258,7 +272,6 @@ pub struct ClusterSim {
     seg_start: u64,
     active_cc: u64,
     gated_cc: u64,
-    last_schedule: [u64; 6],
     // mode-switch request delayed by an actuation fault
     delayed_mode: Option<Mode>,
     // pre-resolved observability handles (None when PSCA_OBS=0)
@@ -282,15 +295,11 @@ impl ClusterSim {
         cfg.validate();
         let issue_rings = (0..cfg.num_clusters).map(|_| SlotRing::new()).collect();
         ClusterSim {
-            l1i: Cache::new(cfg.l1i_bytes, cfg.l1i_ways),
-            uopc: Cache::new(cfg.uop_cache_bytes, cfg.uop_cache_ways),
-            l1d: Cache::new(cfg.l1d_bytes, cfg.l1d_ways),
-            l2: Cache::new(cfg.l2_bytes, cfg.l2_ways),
-            llc: Cache::new(cfg.llc_bytes, cfg.llc_ways),
-            itlb: Tlb::new(cfg.itlb_entries),
-            dtlb: Tlb::new(cfg.dtlb_entries),
-            bpred: GsharePredictor::new(cfg.gshare_bits),
-            btb: Btb::new(cfg.btb_bits),
+            functional: Functional::new(&cfg),
+            lineage: Some(Lineage::new(&cfg)),
+            functional_skipped: false,
+            recording: false,
+            codes: Vec::new(),
             reg_ready: [0; NUM_ARCH_REGS],
             reg_cluster: [0; NUM_ARCH_REGS],
             rob_retire: vec![0; cfg.rob_size],
@@ -300,9 +309,6 @@ impl ClusterSim {
             retire_ring: SlotRing::new(),
             min_fetch_time: 0,
             last_retire: 0,
-            last_pc_line: u64::MAX,
-            last_pc_page: u64::MAX,
-            last_dline: u64::MAX,
             steer_cursor: 0,
             cluster_pressure: vec![0; cfg.num_clusters as usize],
             sq_drain: vec![0; cfg.store_queue_size],
@@ -316,7 +322,6 @@ impl ClusterSim {
             seg_start: 0,
             active_cc: 0,
             gated_cc: 0,
-            last_schedule: [0; 6],
             delayed_mode: None,
             obs: SimObs::resolve(),
             mode: Mode::HighPerf,
@@ -444,48 +449,32 @@ impl ClusterSim {
         self.seg_start = now;
     }
 
-    /// Simulates the front end for one instruction; returns added bubbles.
-    fn front_end(&mut self, pc: u64) -> u64 {
-        let mut bubble = 0;
-        let line = pc >> 6;
-        if line != self.last_pc_line {
-            self.last_pc_line = line;
-            if self.uopc.access(line, false).hit {
+    /// Front-end events of one outcome; returns the added bubble cycles.
+    fn front_end(&mut self, o: Outcome) -> u64 {
+        let mut bubble = match o.fetch() {
+            0 => return 0,
+            FETCH_UOP_CACHE => {
                 self.bank.incr(Event::UopCacheHits);
-            } else {
+                0
+            }
+            FETCH_L1I => {
                 self.bank.incr(Event::UopCacheMisses);
-                if self.l1i.access(line, false).hit {
-                    self.bank.incr(Event::IcacheHits);
-                    bubble += self.cfg.decode_bubble;
-                } else {
-                    self.bank.incr(Event::IcacheMisses);
-                    let l2 = self.l2.access(line, false);
-                    if l2.hit {
-                        self.bank.incr(Event::L2Hits);
-                        bubble += self.cfg.l2_latency;
-                    } else {
-                        self.bank.incr(Event::L2Misses);
-                        self.note_l2_eviction(l2.eviction);
-                        if self.llc.access(line, false).hit {
-                            self.bank.incr(Event::LlcHits);
-                            bubble += self.cfg.llc_latency;
-                        } else {
-                            self.bank.incr(Event::LlcMisses);
-                            bubble += self.cfg.mem_latency;
-                        }
-                    }
-                }
+                self.bank.incr(Event::IcacheHits);
+                self.cfg.decode_bubble
             }
-            let page = pc >> 12;
-            if page != self.last_pc_page {
-                self.last_pc_page = page;
-                if self.itlb.access(pc) {
-                    self.bank.incr(Event::ItlbHits);
-                } else {
-                    self.bank.incr(Event::ItlbMisses);
-                    bubble += self.cfg.tlb_miss_penalty;
-                }
+            _ => {
+                self.bank.incr(Event::UopCacheMisses);
+                self.bank.incr(Event::IcacheMisses);
+                self.lower_levels(o.fetch_lower())
             }
+        };
+        match o.itlb() {
+            ITLB_HIT => self.bank.incr(Event::ItlbHits),
+            ITLB_MISS => {
+                self.bank.incr(Event::ItlbMisses);
+                bubble += self.cfg.tlb_miss_penalty;
+            }
+            _ => {}
         }
         if bubble > 0 {
             self.bank.add(Event::FrontEndBubbles, bubble);
@@ -493,60 +482,55 @@ impl ClusterSim {
         bubble
     }
 
-    fn note_l2_eviction(&mut self, eviction: Option<(u64, bool)>) {
-        match eviction {
-            Some((_, true)) => self.bank.incr(Event::L2WritebackEvictions),
-            Some((_, false)) => self.bank.incr(Event::L2SilentEvictions),
-            None => {}
+    /// L2/LLC events of a lower-level field; returns its latency.
+    fn lower_levels(&mut self, lower: u16) -> u64 {
+        let level = lower_level(lower);
+        if level == LOWER_L2 {
+            self.bank.incr(Event::L2Hits);
+            return self.cfg.l2_latency;
+        }
+        self.bank.incr(Event::L2Misses);
+        match lower_eviction(lower) {
+            EVICT_WRITEBACK => self.bank.incr(Event::L2WritebackEvictions),
+            EVICT_SILENT => self.bank.incr(Event::L2SilentEvictions),
+            _ => {}
+        }
+        if level == LOWER_LLC {
+            self.bank.incr(Event::LlcHits);
+            self.cfg.llc_latency
+        } else {
+            self.bank.incr(Event::LlcMisses);
+            self.cfg.mem_latency
         }
     }
 
-    /// Data-cache path for a load or store; returns access latency.
-    fn mem_access(&mut self, addr: u64, is_write: bool) -> u64 {
-        if self.dtlb.access(addr) {
-            self.bank.incr(Event::DtlbHits);
-        } else {
+    /// Data-path events of a load or store; returns its access latency
+    /// plus the page walk, if any.
+    fn mem_access(&mut self, o: Outcome, is_write: bool) -> u64 {
+        let walk = if o.dtlb_miss() {
             self.bank.incr(Event::DtlbMisses);
-        }
-        let line = addr >> 6;
+            self.cfg.tlb_miss_penalty
+        } else {
+            self.bank.incr(Event::DtlbHits);
+            0
+        };
         if is_write {
             self.bank.incr(Event::L1dWrites);
         } else {
             self.bank.incr(Event::L1dReads);
         }
-        if self.cfg.stream_prefetcher && line != self.last_dline {
-            // Idealized next-line stream prefetch: on the first touch of
-            // each line, install its successor silently (no events, no
-            // timing). This is what keeps sequential streams from being
-            // compulsory-miss bound, as hardware stream prefetchers do.
-            self.last_dline = line;
-            let _ = self.l1d.access(line + 1, false);
-            let _ = self.llc.access(line + 1, false);
-        }
-        if self.l1d.access(line, is_write).hit {
+        let latency = if !o.l1d_miss() {
             self.bank.incr(Event::L1dHits);
             self.cfg.l1d_latency
         } else {
             self.bank.incr(Event::L1dMisses);
-            let l2 = self.l2.access(line, is_write);
-            if l2.hit {
-                self.bank.incr(Event::L2Hits);
-                self.cfg.l2_latency
-            } else {
-                self.bank.incr(Event::L2Misses);
-                self.note_l2_eviction(l2.eviction);
-                if self.llc.access(line, is_write).hit {
-                    self.bank.incr(Event::LlcHits);
-                    self.cfg.llc_latency
-                } else {
-                    self.bank.incr(Event::LlcMisses);
-                    if !is_write {
-                        self.bank.incr(Event::LongLatencyLoads);
-                    }
-                    self.cfg.mem_latency
-                }
+            let lower = o.data_lower();
+            if !is_write && lower_level(lower) == LOWER_MEMORY {
+                self.bank.incr(Event::LongLatencyLoads);
             }
-        }
+            self.lower_levels(lower)
+        };
+        latency + walk
     }
 
     /// Chooses the cluster for an instruction in high-performance mode.
@@ -600,11 +584,13 @@ impl ClusterSim {
         chosen
     }
 
-    /// Simulates one instruction through the pipeline.
-    fn step(&mut self, inst: &Instruction) {
+    /// The timing core: schedules one instruction through the pipeline,
+    /// taking its functional outcome from `outcomes` stage by stage.
+    fn timing<O: OutcomeSource>(&mut self, inst: &Instruction, outcomes: &mut O) {
         let cfg_width = self.active_width();
         // ---- front end ----
-        let bubble = self.front_end(inst.pc);
+        let o = outcomes.front_end(&mut self.functional, inst.pc);
+        let bubble = self.front_end(o);
         let fetch = self
             .fetch_ring
             .claim(self.min_fetch_time + bubble, cfg_width);
@@ -689,19 +675,17 @@ impl ClusterSim {
         }
         if let Some(mem) = inst.mem {
             let is_write = inst.op == OpClass::Store;
-            let dtlb_hit_before = self.bank.get(Event::DtlbMisses);
-            let mem_lat = self.mem_access(mem.addr, is_write);
-            let walked = self.bank.get(Event::DtlbMisses) != dtlb_hit_before;
-            let walk = if walked { self.cfg.tlb_miss_penalty } else { 0 };
+            let o = outcomes.data(&mut self.functional, mem.addr, is_write);
+            let mem_lat = self.mem_access(o, is_write);
             match inst.op {
                 OpClass::Load => {
                     self.bank.incr(Event::LoadsRetired);
-                    latency += mem_lat + walk;
+                    latency += mem_lat;
                 }
                 OpClass::Store => {
                     self.bank.incr(Event::StoresRetired);
                     // Store data latency is 1; the drain happens post-retire.
-                    let drain = issue + 1 + mem_lat + walk;
+                    let drain = issue + 1 + mem_lat;
                     let slot = (self.sq_index % self.sq_drain.len() as u64) as usize;
                     self.last_sq_drain = self.last_sq_drain.max(drain);
                     self.sq_drain[slot] = self.last_sq_drain;
@@ -721,21 +705,15 @@ impl ClusterSim {
             if b.taken {
                 self.bank.incr(Event::BranchesTaken);
             }
+            let missed = outcomes.branch_missed(&mut self.functional, inst.op, inst.pc, b);
             let mispredicted = match inst.op {
-                OpClass::CondBranch => !self.bpred.predict_and_update(inst.pc, b.taken),
-                OpClass::IndirectBranch => {
-                    let btb_ok = self.btb.lookup_and_update(inst.pc, b.target);
-                    if !btb_ok {
+                OpClass::CondBranch => missed,
+                OpClass::IndirectBranch | OpClass::Jump => {
+                    if missed {
                         self.bank.incr(Event::BtbMisses);
                     }
-                    !btb_ok
-                }
-                OpClass::Jump => {
-                    let btb_ok = self.btb.lookup_and_update(inst.pc, b.target);
-                    if !btb_ok {
-                        self.bank.incr(Event::BtbMisses);
-                    }
-                    false // direct jumps redirect in the front end: cheap
+                    // Direct jumps redirect in the front end: cheap.
+                    missed && inst.op == OpClass::IndirectBranch
                 }
                 _ => false,
             };
@@ -780,14 +758,50 @@ impl ClusterSim {
         }
 
         self.bank.incr(Event::InstRetired);
-        self.last_schedule = [fetch, dispatch, ready, issue, complete, retire];
     }
 
-    /// Pipeline timing of the most recent instruction:
-    /// `[fetch, dispatch, ready, issue, complete, retire]` cycles.
-    /// Exposed for tests and diagnostics.
-    pub fn last_schedule(&self) -> [u64; 6] {
-        self.last_schedule
+    /// Follows the lineage onto the source about to be read and decides
+    /// whether this interval replays stored outcomes.
+    ///
+    /// # Panics
+    /// Panics if the functional pass was skipped before and `at` offers no
+    /// outcomes for this simulator: its structures are stale, so it cannot
+    /// go back to the full path.
+    fn replays(&mut self, at: Option<TracePosition<'_>>) -> bool {
+        let replay = match (&mut self.lineage, at) {
+            (Some(lineage), Some(at)) => lineage.enter(at).map(|key| at.outcome_key == Some(key)),
+            _ => None,
+        };
+        if replay.is_none() {
+            self.lineage = None;
+        }
+        let replay = replay == Some(true);
+        assert!(
+            replay || !self.functional_skipped,
+            "simulator replayed stored outcomes and cannot run the full path: \
+             this source holds no outcomes recorded from its state"
+        );
+        self.functional_skipped |= replay;
+        replay
+    }
+
+    /// From now on, stores each instruction's functional outcome in the
+    /// recorded trace it came from, keyed by the simulator's state at the
+    /// trace's first instruction. A trace read whole from its start, and
+    /// held by no clone while it is read, carries its outcomes afterwards:
+    /// a later fresh simulator of the same functional geometry that reads
+    /// the same traces in the same order replays it through the timing
+    /// core only. Traces read in part, through a clone, or after a source
+    /// that is not a recorded trace get none.
+    ///
+    /// # Panics
+    /// Panics unless the simulator is fresh.
+    pub fn record_outcomes(&mut self) {
+        assert!(
+            self.inst_index == 0 && self.lineage.is_some(),
+            "outcomes are recorded from a fresh simulator"
+        );
+        self.recording = true;
     }
 
     /// Simulates up to `n` instructions and snapshots the interval.
@@ -804,14 +818,39 @@ impl ClusterSim {
         // inherits the calling thread's request context, if any), so a
         // served closed-loop request renders down to interval granularity.
         let span_ts = psca_obs::trace::enabled().then(psca_obs::trace::now_us);
+        let busy_since = self.obs.is_some().then(Instant::now);
+        let replay = self.replays(source.position());
+        let store = self.recording && !replay && self.lineage.is_some();
+        self.codes.clear();
         let mut executed = 0u64;
         for _ in 0..n {
-            match source.next_instruction() {
-                Some(inst) => {
-                    self.step(&inst);
-                    executed += 1;
+            if replay {
+                let Some((inst, code)) = source.next_with_outcome() else {
+                    break;
+                };
+                self.timing(&inst, &mut Stored(Outcome::from_code(code)));
+            } else {
+                let Some(inst) = source.next_instruction() else {
+                    break;
+                };
+                let mut live = Live::default();
+                self.timing(&inst, &mut live);
+                if store {
+                    self.codes.push(live.code());
                 }
-                None => break,
+            }
+            executed += 1;
+        }
+        if let Some(lineage) = &mut self.lineage {
+            if store {
+                source.store_outcomes(lineage.key(), &self.codes);
+            }
+            lineage.advance(executed);
+        }
+        if let (Some(obs), Some(since)) = (&self.obs, busy_since) {
+            obs.busy_us.add(since.elapsed().as_micros() as u64);
+            if replay {
+                obs.replayed_instructions.add(executed);
             }
         }
         if executed == 0 {
@@ -870,21 +909,12 @@ impl ClusterSim {
     pub fn warm_up<S: TraceSource>(&mut self, source: &mut S, n: u64) {
         let _ = self.run_interval(source, n);
     }
-
-    /// Resets microarchitectural state (caches, predictors, dataflow and
-    /// timing) while keeping the configuration. Used between traces.
-    pub fn reset(&mut self) {
-        let cfg = self.cfg.clone();
-        let power = self.power.clone();
-        let mode = self.mode;
-        *self = ClusterSim::with_power_model(cfg, power);
-        self.mode = mode;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psca_trace::VecTrace;
     use psca_workloads::{Archetype, PhaseGenerator};
 
     fn ipc_of(archetype: Archetype, mode: Mode, n: u64) -> f64 {
@@ -1049,6 +1079,149 @@ mod tests {
             (r.snapshot.cycles, r.energy.to_bits())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Everything an interval result carries, bit for bit.
+    type Fingerprint = (Vec<u64>, u64, u64, u64, Mode);
+
+    fn fingerprint(r: &IntervalResult) -> Fingerprint {
+        let rates = r.snapshot.as_slice().iter().map(|v| v.to_bits()).collect();
+        (
+            rates,
+            r.snapshot.cycles,
+            r.instructions,
+            r.energy.to_bits(),
+            r.mode,
+        )
+    }
+
+    /// `warm` then `window` in `interval`-instruction steps, alternating
+    /// modes, on a fresh simulator of `cfg`.
+    fn run(cfg: &CpuConfig, warm: &VecTrace, window: &VecTrace) -> (ClusterSim, Vec<Fingerprint>) {
+        let mut sim = ClusterSim::new(cfg.clone());
+        sim.warm_up(&mut warm.clone(), warm.len() as u64);
+        let mut replay = window.clone();
+        let mut out = Vec::new();
+        for i in 0.. {
+            sim.set_mode(if i % 3 == 1 {
+                Mode::LowPower
+            } else {
+                Mode::HighPerf
+            });
+            match sim.run_interval(&mut replay, 1_500) {
+                Some(r) => out.push(fingerprint(&r)),
+                None => break,
+            }
+        }
+        (sim, out)
+    }
+
+    /// A fresh plain copy of `archetype`'s first `warm + window`
+    /// instructions at `seed`, as `(warm, window)`.
+    fn plain(archetype: Archetype, seed: u64, warm: u64, window: u64) -> (VecTrace, VecTrace) {
+        let mut gen = PhaseGenerator::new(archetype.center(), seed);
+        let w = VecTrace::record(&mut gen, warm);
+        (w, VecTrace::record(&mut gen, window))
+    }
+
+    /// Runs `warm` and `window` on `cfg`, recording their outcomes.
+    fn annotate(cfg: &CpuConfig, warm: &mut VecTrace, window: &mut VecTrace) {
+        let mut sim = ClusterSim::new(cfg.clone());
+        sim.record_outcomes();
+        sim.warm_up(warm, warm.len() as u64);
+        while sim.run_interval(window, 4_000).is_some() {}
+        warm.rewind();
+        window.rewind();
+        assert!(has_outcomes(warm) && has_outcomes(window));
+    }
+
+    fn has_outcomes(t: &VecTrace) -> bool {
+        t.position().is_some_and(|at| at.outcome_key.is_some())
+    }
+
+    #[test]
+    fn replay_on_the_recording_machine_is_exact() {
+        let cfg = CpuConfig::skylake_scaled();
+        let (mut warm, mut window) = plain(Archetype::Balanced, 3, 2_000, 12_000);
+        annotate(&cfg, &mut warm, &mut window);
+        assert!(has_outcomes(&warm) && has_outcomes(&window));
+        let (pw, pwin) = plain(Archetype::Balanced, 3, 2_000, 12_000);
+        let (full_sim, full) = run(&cfg, &pw, &pwin);
+        let (replay_sim, replayed) = run(&cfg, &warm, &window);
+        assert!(!full_sim.functional_skipped && replay_sim.functional_skipped);
+        assert_eq!(full, replayed);
+    }
+
+    #[test]
+    fn outcomes_of_another_geometry_are_refused() {
+        let recorded_on = CpuConfig::skylake_scaled();
+        let mut small_l1d = recorded_on.clone();
+        small_l1d.l1d_bytes /= 2;
+        let mut small_dtlb = recorded_on.clone();
+        small_dtlb.dtlb_entries /= 4;
+        let (mut warm, mut window) = plain(Archetype::MemBound, 5, 2_000, 9_000);
+        annotate(&recorded_on, &mut warm, &mut window);
+        let (pw, pwin) = plain(Archetype::MemBound, 5, 2_000, 9_000);
+        for cfg in [small_l1d, small_dtlb] {
+            let (sim, got) = run(&cfg, &warm, &window);
+            assert!(!sim.functional_skipped, "outcomes from another machine");
+            assert_eq!(got, run(&cfg, &pw, &pwin).1);
+        }
+    }
+
+    #[test]
+    fn outcomes_after_another_warm_up_are_refused() {
+        let cfg = CpuConfig::skylake_scaled();
+        let (mut warm, mut window) = plain(Archetype::Branchy, 8, 2_000, 9_000);
+        annotate(&cfg, &mut warm, &mut window);
+        // Same length, other instructions; then no warm-up at all.
+        let (other_warm, _) = plain(Archetype::Branchy, 9, 2_000, 0);
+        let (_, pwin) = plain(Archetype::Branchy, 8, 2_000, 9_000);
+        let (sim, got) = run(&cfg, &other_warm, &window);
+        assert!(!sim.functional_skipped);
+        assert_eq!(got, run(&cfg, &other_warm, &pwin).1);
+        let none = VecTrace::default();
+        let (sim, got) = run(&cfg, &none, &window);
+        assert!(!sim.functional_skipped);
+        assert_eq!(got, run(&cfg, &none, &pwin).1);
+    }
+
+    #[test]
+    fn traces_read_in_part_through_a_clone_or_after_a_plain_source_get_no_outcomes() {
+        let cfg = CpuConfig::skylake_scaled();
+        let (mut warm, mut window) = plain(Archetype::DepChain, 1, 1_000, 5_000);
+        let mut sim = ClusterSim::new(cfg.clone());
+        sim.record_outcomes();
+        sim.warm_up(&mut warm, 1_000);
+        sim.run_interval(&mut window, 2_000).unwrap();
+        assert!(has_outcomes(&warm) && !has_outcomes(&window));
+
+        let (warm, mut window) = plain(Archetype::DepChain, 1, 1_000, 5_000);
+        let mut sim = ClusterSim::new(cfg.clone());
+        sim.record_outcomes();
+        sim.warm_up(&mut warm.clone(), 1_000);
+        sim.run_interval(&mut window, 5_000).unwrap();
+        assert!(!has_outcomes(&warm) && has_outcomes(&window));
+
+        let (_, mut window) = plain(Archetype::DepChain, 1, 0, 5_000);
+        let mut sim = ClusterSim::new(cfg);
+        sim.record_outcomes();
+        let mut gen = PhaseGenerator::new(Archetype::DepChain.center(), 1);
+        sim.run_interval(&mut gen, 100).unwrap();
+        sim.run_interval(&mut window, 5_000).unwrap();
+        assert!(!has_outcomes(&window));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run the full path")]
+    fn a_replaying_sim_panics_on_a_plain_source() {
+        let cfg = CpuConfig::skylake_scaled();
+        let (mut warm, mut window) = plain(Archetype::Balanced, 2, 1_000, 4_000);
+        annotate(&cfg, &mut warm, &mut window);
+        let mut sim = ClusterSim::new(cfg);
+        sim.warm_up(&mut warm.clone(), warm.len() as u64);
+        let mut gen = PhaseGenerator::new(Archetype::Balanced.center(), 2);
+        sim.run_interval(&mut gen, 100);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! - the [`Instruction`] record that traces are made of;
 //! - streaming trace abstractions ([`TraceSource`]) so that
 //!   multi-million-instruction traces never need to be materialized, and
-//!   [`VecTrace`], a packed, shared buffer for windows replayed many times;
+//!   [`VecTrace`], a packed, shared buffer for windows replayed many times,
+//!   which can also carry a consumer's per-instruction outcome codes;
 //! - [`TraceStats`] summary statistics used by tests and the workload
 //!   synthesizer's self-checks.
 //!
@@ -46,5 +47,5 @@ mod stats;
 pub use file::{write_trace, TraceFileError, TraceFileReader};
 pub use instruction::Instruction;
 pub use isa::{BranchInfo, MemRef, OpClass, Reg, NUM_ARCH_REGS};
-pub use source::{Take, TraceSource, VecTrace};
+pub use source::{Take, TracePosition, TraceSource, VecTrace};
 pub use stats::TraceStats;

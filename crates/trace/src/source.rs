@@ -6,9 +6,17 @@
 //! ever being materialized in memory. Windows that are replayed more than
 //! once are recorded into a [`VecTrace`]: packed 24-byte records in shared
 //! storage, so each replay is an O(1) clone that owns only its cursor.
+//!
+//! A recorded trace can also carry one opaque 16-bit outcome code per
+//! instruction, stored by a consumer under a key of its choosing while it
+//! reads the trace ([`TraceSource::store_outcomes`]) and read back through
+//! [`TraceSource::position`] and [`TraceSource::next_with_outcome`]. The
+//! simulator keeps its functional cache/TLB/branch outcomes there, so later
+//! replays on the same machine run only its timing core.
 
 use crate::instruction::Instruction;
 use crate::isa::{byte_reg, reg_byte, BranchInfo, MemRef, OpClass};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A pull-based source of dynamic instructions.
@@ -46,6 +54,32 @@ pub trait TraceSource {
         skipped
     }
 
+    /// Where this source stands in a recorded trace, or `None` if it is
+    /// not a recorded trace ([`VecTrace`] is the only one).
+    fn position(&self) -> Option<TracePosition<'_>> {
+        None
+    }
+
+    /// Produces the next instruction together with the outcome code stored
+    /// for it.
+    ///
+    /// # Panics
+    /// Panics if the source stores no outcomes: call it only after
+    /// [`TraceSource::position`] reported an `outcome_key`.
+    fn next_with_outcome(&mut self) -> Option<(Instruction, u16)> {
+        panic!("this trace source stores no outcomes")
+    }
+
+    /// Stores one outcome code for each of the `codes.len()` instructions
+    /// just read, as part of a run of codes stored under `key` from the
+    /// start of the trace. When the run reaches the end of the trace, the
+    /// trace carries the codes under `key`. Returns whether the codes were
+    /// stored: only a recorded trace whose storage no clone shares can
+    /// store them, and only in one unbroken run.
+    fn store_outcomes(&mut self, _key: &[u64], _codes: &[u16]) -> bool {
+        false
+    }
+
     /// Caps this source at `n` instructions.
     fn take_insts(self, n: u64) -> Take<Self>
     where
@@ -70,6 +104,18 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn skip(&mut self, n: u64) -> u64 {
         (**self).skip(n)
     }
+
+    fn position(&self) -> Option<TracePosition<'_>> {
+        (**self).position()
+    }
+
+    fn next_with_outcome(&mut self) -> Option<(Instruction, u16)> {
+        (**self).next_with_outcome()
+    }
+
+    fn store_outcomes(&mut self, key: &[u64], codes: &[u16]) -> bool {
+        (**self).store_outcomes(key, codes)
+    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
@@ -84,6 +130,18 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     fn skip(&mut self, n: u64) -> u64 {
         (**self).skip(n)
     }
+
+    fn position(&self) -> Option<TracePosition<'_>> {
+        (**self).position()
+    }
+
+    fn next_with_outcome(&mut self) -> Option<(Instruction, u16)> {
+        (**self).next_with_outcome()
+    }
+
+    fn store_outcomes(&mut self, key: &[u64], codes: &[u16]) -> bool {
+        (**self).store_outcomes(key, codes)
+    }
 }
 
 /// An in-memory, replayable trace.
@@ -94,6 +152,11 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
 /// that needs its own replay of a recorded SimPoint window (closed-loop
 /// runs, paired-mode dataset generation, fleet dies) just clones.
 /// [`TraceSource::skip`] is an O(1) cursor bump.
+///
+/// Each recording gets an id that is unique in the process and shared by
+/// its clones ([`TracePosition::trace`]), and may carry stored outcome
+/// codes ([`TraceSource::store_outcomes`]) in the records' spare bytes.
+/// The empty `Default` trace has id 0, which no recording gets.
 #[derive(Debug, Clone, Default)]
 pub struct VecTrace {
     records: Arc<[Packed]>,
@@ -101,7 +164,30 @@ pub struct VecTrace {
     /// (ill-formed, but representable); their records index into this.
     spills: Arc<[Instruction]>,
     pos: usize,
+    id: u64,
+    /// Key the records' outcome codes were stored under, if any.
+    outcome_key: Option<Arc<[u64]>>,
+    /// A run of outcome codes being stored: its key and how many leading
+    /// records it has covered.
+    storing: Option<(Arc<[u64]>, usize)>,
 }
+
+/// A cursor into a recorded trace, as reported by
+/// [`TraceSource::position`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TracePosition<'a> {
+    /// Identity of the recorded instructions: unique per recording within
+    /// the process, shared by every clone of it.
+    pub trace: u64,
+    /// Instructions before the cursor.
+    pub pos: u64,
+    /// The key the trace's outcome codes were stored under, if it stores
+    /// any.
+    pub outcome_key: Option<&'a [u64]>,
+}
+
+/// Source of [`VecTrace`] ids. Ids are compared only within a process.
+static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// [`Packed::flags`] bits.
 const HAS_MEM: u8 = 1;
@@ -113,7 +199,12 @@ const SPILLED: u8 = 1 << 3;
 ///
 /// `payload` is the memory address for memory ops, the branch target for
 /// branches, and the index into [`VecTrace::spills`] for spilled records.
+/// `outcome` is the stored outcome code (0 until one is stored); it fills
+/// what would otherwise be padding. `repr(C)` keeps the byte fields at
+/// the offsets they had before `outcome` existed: letting the compiler
+/// move `outcome` ahead of them measured about 4 % slower simulation.
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 struct Packed {
     pc: u64,
     payload: u64,
@@ -123,6 +214,7 @@ struct Packed {
     src1: u8,
     size: u8,
     flags: u8,
+    outcome: u16,
 }
 
 impl Packed {
@@ -136,6 +228,7 @@ impl Packed {
             src1: reg_byte(inst.srcs[1]),
             size: 0,
             flags: 0,
+            outcome: 0,
         };
         match (inst.mem, inst.branch) {
             (None, None) => {}
@@ -202,6 +295,9 @@ impl VecTrace {
             records: records.into(),
             spills: spills.into(),
             pos: 0,
+            id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+            outcome_key: None,
+            storing: None,
         }
     }
 
@@ -234,6 +330,54 @@ impl TraceSource for VecTrace {
             self.pos += 1;
         }
         inst
+    }
+
+    fn position(&self) -> Option<TracePosition<'_>> {
+        Some(TracePosition {
+            trace: self.id,
+            pos: self.pos as u64,
+            outcome_key: self.outcome_key.as_deref(),
+        })
+    }
+
+    #[inline]
+    fn next_with_outcome(&mut self) -> Option<(Instruction, u16)> {
+        assert!(self.outcome_key.is_some(), "this trace stores no outcomes");
+        let p = self.records.get(self.pos)?;
+        self.pos += 1;
+        Some((p.decode(&self.spills), p.outcome))
+    }
+
+    fn store_outcomes(&mut self, key: &[u64], codes: &[u16]) -> bool {
+        let Some(start) = self.pos.checked_sub(codes.len()) else {
+            return false;
+        };
+        if start == 0 {
+            self.storing = Some((key.into(), 0));
+        }
+        let run = match &self.storing {
+            Some((k, covered)) if **k == *key && *covered == start => k.clone(),
+            _ => {
+                self.storing = None;
+                return false;
+            }
+        };
+        let Some(records) = Arc::get_mut(&mut self.records) else {
+            self.storing = None;
+            return false;
+        };
+        for (p, &code) in records[start..self.pos].iter_mut().zip(codes) {
+            p.outcome = code;
+        }
+        // The codes under the old key, if any, are being overwritten.
+        self.outcome_key = None;
+        if self.pos == records.len() {
+            self.outcome_key = Some(run);
+            self.storing = None;
+        } else {
+            self.storing = Some((run, self.pos));
+        }
+        true
     }
 
     fn remaining_hint(&self) -> Option<u64> {
@@ -470,6 +614,76 @@ mod tests {
         b.rewind();
         assert_eq!(a.remaining_hint(), Some(2));
         assert_eq!(b.remaining_hint(), Some(5));
+    }
+
+    #[test]
+    fn stored_outcomes_replay_with_their_instructions() {
+        let mut t = VecTrace::new(nops(4));
+        let at = t.position().unwrap();
+        assert_eq!((at.pos, at.outcome_key), (0, None));
+        assert_eq!(
+            t.clone().position().unwrap().trace,
+            at.trace,
+            "clones share the id"
+        );
+        assert_ne!(VecTrace::new(nops(4)).position().unwrap().trace, at.trace);
+
+        // One unbroken run from the start, in two steps, by the only holder.
+        t.skip(3);
+        assert!(t.store_outcomes(&[7, 9], &[10, 11, 12]));
+        assert_eq!(t.position().unwrap().outcome_key, None, "not yet whole");
+        t.skip(1);
+        assert!(t.store_outcomes(&[7, 9], &[13]));
+        assert_eq!(t.position().unwrap().outcome_key, Some(&[7, 9][..]));
+
+        t.rewind();
+        assert_eq!(t.next_with_outcome().map(|(i, o)| (i.pc, o)), Some((0, 10)));
+        assert_eq!(t.next_instruction().unwrap().pc, 4, "one cursor for both");
+        assert_eq!(t.next_with_outcome().map(|(i, o)| (i.pc, o)), Some((8, 12)));
+        t.skip(1);
+        assert_eq!(t.next_with_outcome(), None);
+    }
+
+    #[test]
+    fn outcomes_are_stored_only_in_one_run_by_the_only_holder() {
+        // A shared store is refused, and so is a clone's.
+        let mut t = VecTrace::new(nops(2));
+        let clone = t.clone();
+        t.skip(2);
+        assert!(!t.store_outcomes(&[1], &[5, 6]));
+        drop(clone);
+        assert!(t.store_outcomes(&[1], &[5, 6]));
+        assert_eq!(t.position().unwrap().outcome_key, Some(&[1][..]));
+
+        // A run must start at the first instruction, keep its key and
+        // leave no gap; a new run drops the old key at its first store.
+        let mut t = VecTrace::new(nops(4));
+        assert!(!t.store_outcomes(&[1], &[5]), "more codes than read");
+        t.skip(2);
+        assert!(!t.store_outcomes(&[1], &[5]), "does not start at 0");
+        t.rewind();
+        t.skip(1);
+        assert!(t.store_outcomes(&[1], &[5]));
+        t.skip(1);
+        assert!(!t.store_outcomes(&[2], &[6]), "another key");
+        t.rewind();
+        t.skip(1);
+        assert!(t.store_outcomes(&[1], &[5]));
+        t.skip(2);
+        assert!(!t.store_outcomes(&[1], &[7]), "a gap");
+        t.rewind();
+        t.skip(4);
+        assert!(t.store_outcomes(&[3], &[1, 2, 3, 4]));
+        t.rewind();
+        t.skip(1);
+        assert!(t.store_outcomes(&[4], &[9]));
+        assert_eq!(t.position().unwrap().outcome_key, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "stores no outcomes")]
+    fn plain_traces_have_no_outcomes_to_replay() {
+        let _ = VecTrace::new(nops(2)).next_with_outcome();
     }
 
     proptest! {
