@@ -84,6 +84,7 @@ impl Scenario {
         interval_insts: u64,
         windows: u64,
     ) -> Scenario {
+        let _span = psca_obs::SpanTimer::start("adapt.scenario.record");
         let window_insts = windows * model.granularity_insts(interval_insts);
         let (mut warm, mut window) = record_trace(source, 2_000, window_insts);
         // Every closed loop on this machine replays the same instructions

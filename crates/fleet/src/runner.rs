@@ -7,8 +7,13 @@
 //! [`psca_exec::Sweep`] whose merge is bit-identical to the serial
 //! order. The staged rollout itself is inherently serial — each stage's
 //! verdict decides whether the next cohort ever sees the candidate — so
-//! parallelism lives inside a stage (cohort dies × {baseline,
-//! candidate}), never across stages.
+//! parallelism lives inside a stage (one cell per cohort die), never
+//! across stages.
+//!
+//! A die's recorded trace lives only inside the sweep cell that scores
+//! it: the cell records the die's [`Scenario`], runs every closed loop
+//! it needs, and drops it. Each die is recorded once per run, and fleet
+//! memory grows with `cfg.jobs`, not with the fleet size.
 
 use crate::rollout::{
     CohortHealth, FleetImage, Rollout, RolloutSpec, RolloutStatus, StageAction, StageOutcome,
@@ -22,7 +27,7 @@ use psca_cpu::{BackendChoice, CpuConfig};
 use psca_faults::ChaosSpec;
 use psca_obs::Json;
 use psca_uc::image;
-use psca_workloads::PhaseGenerator;
+use psca_workloads::{Archetype, PhaseGenerator};
 
 /// Everything that specifies one fleet run beyond the experiment config.
 #[derive(Debug, Clone)]
@@ -60,14 +65,17 @@ impl Default for FleetParams {
     }
 }
 
-/// One die's fixed context: its skew, workload label, chaos spec, and
-/// recorded scenario on its skewed machine.
+/// One die's fixed context: its skew, workload, chaos spec, skewed
+/// machine, and the seed of its workload generator. The trace is not
+/// kept: [`FleetSetup::record`] records it from these on demand.
 #[derive(Debug, Clone)]
 struct DiePrep {
     skew: DieSkew,
+    arch: Archetype,
     archetype: &'static str,
     chaos: ChaosSpec,
-    scenario: Scenario,
+    cpu: CpuConfig,
+    gen_seed: u64,
 }
 
 /// A prepared fleet: trained model, baseline/candidate images, and one
@@ -77,6 +85,8 @@ struct DiePrep {
 /// row reports, whatever shape the rollout took.
 pub struct FleetSetup {
     backend: BackendChoice,
+    interval_insts: u64,
+    windows: u64,
     model: TrainedAdaptModel,
     baseline: FleetImage,
     candidate: FleetImage,
@@ -116,31 +126,26 @@ impl FleetSetup {
 
         let base_cpu = CpuConfig::skylake_scaled();
         let sub = cfg.sub_seed("fleet");
-        let dies = psca_exec::Sweep::new("fleet.dies").jobs(cfg.jobs).run(
-            (0..params.size as u64).collect(),
-            |&die| {
+        let dies = (0..params.size as u64)
+            .map(|die| {
                 let skew = DieSkew::derive(&params.skew, params.seed, die);
                 let (arch, archetype) =
                     ROBUSTNESS_ARCHETYPES[die as usize % ROBUSTNESS_ARCHETYPES.len()];
-                let mut gen = PhaseGenerator::new(arch.center(), sub ^ params.seed ^ (die + 101));
-                let cpu = skew.apply(&base_cpu);
                 DiePrep {
                     skew,
+                    arch,
                     archetype,
                     chaos: skew.chaos(params.chaos.as_ref()),
-                    scenario: Scenario::record(
-                        &mut gen,
-                        cpu,
-                        &model,
-                        cfg.interval_insts,
-                        params.windows,
-                    ),
+                    cpu: skew.apply(&base_cpu),
+                    gen_seed: sub ^ params.seed ^ (die + 101),
                 }
-            },
-        );
+            })
+            .collect();
 
         FleetSetup {
             backend: cfg.backend,
+            interval_insts: cfg.interval_insts,
+            windows: params.windows,
             model,
             baseline,
             candidate,
@@ -165,18 +170,36 @@ impl FleetSetup {
 
     /// Deploys `img` to die `die` and runs its closed loop serially: the
     /// oracle the fleet report's sweep-merged rows must match
-    /// bit-identically.
+    /// bit-identically. Records the die's scenario first, as the fleet's
+    /// own cells do.
+    pub fn die_stats(&self, die: u64, img: &FleetImage) -> LoopScore {
+        self.score(die, &self.record(die), img)
+    }
+
+    /// Records die `die`'s workload on its skewed machine. Deterministic
+    /// in the die, so every recording of a die is the same scenario.
+    fn record(&self, die: u64) -> Scenario {
+        let prep = &self.dies[die as usize];
+        let mut gen = PhaseGenerator::new(prep.arch.center(), prep.gen_seed);
+        Scenario::record(
+            &mut gen,
+            prep.cpu.clone(),
+            &self.model,
+            self.interval_insts,
+            self.windows,
+        )
+    }
+
+    /// Deploys `img` to die `die` and scores its closed loop over
+    /// `scenario`, the die's recording.
     ///
     /// Deployment goes through `psca_uc::image::decode`, so the same
     /// CRC/validation gate that fields real pushes also fields ours.
-    pub fn die_stats(&self, die: u64, img: &FleetImage) -> LoopScore {
-        let prep = &self.dies[die as usize];
+    fn score(&self, die: u64, scenario: &Scenario, img: &FleetImage) -> LoopScore {
         let mut model = self.model.clone();
         model.fw_hi = image::decode(&img.hi).expect("installed image decodes");
         model.fw_lo = image::decode(&img.lo).expect("installed image decodes");
-        let score = prep
-            .scenario
-            .score(&model, prep.chaos.clone(), self.backend);
+        let score = scenario.score(&model, self.dies[die as usize].chaos.clone(), self.backend);
         psca_obs::counter("fleet.dies_run").inc();
         score
     }
@@ -410,7 +433,7 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
     psca_obs::gauge("fleet.size").set(params.size as f64);
 
     // Every closed loop the run executes, by die and image slot
-    // (baseline, candidate). `die_stats` is a pure function of
+    // (baseline, candidate). A die's score is a pure function of
     // `(die, image)`, so a score the rollout already ran is the die's
     // final score whenever the rollout leaves that image installed.
     let images = [&setup.baseline, &setup.candidate];
@@ -429,21 +452,21 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
             while let Some(cohort) = rollout.current_cohort() {
                 let stage = rollout.history().len();
                 psca_obs::gauge("fleet.rollout.stage").set(stage as f64);
-                // Each cohort die runs both images; the pair of runs is
-                // one sweep so stage wall time scales with --jobs while
-                // the merge stays serial-identical.
-                let cells: Vec<(u64, &FleetImage)> = cohort
-                    .iter()
-                    .flat_map(|&d| images.map(|img| (d, img)))
-                    .collect();
-                let runs = psca_exec::Sweep::new("fleet.stage")
-                    .jobs(cfg.jobs)
-                    .run(cells, |&(die, img)| setup.die_stats(die, img));
+                // One cell per cohort die: it records the die once, runs
+                // both images on the recording and drops it, so stage
+                // wall time scales with --jobs, only `jobs` recordings
+                // are alive at once, and the merge stays serial-identical.
+                let runs = psca_exec::Sweep::new("fleet.stage").jobs(cfg.jobs).run(
+                    cohort.clone(),
+                    |&die| {
+                        let scenario = setup.record(die);
+                        images.map(|img| setup.score(die, &scenario, img))
+                    },
+                );
                 // Outliers: dies unhealthy under the *baseline* strike
                 // toward quarantine and drop out of the verdict.
                 let (mut base_sum, mut cand_sum) = (LoopScore::default(), LoopScore::default());
-                for (&die, pair) in cohort.iter().zip(runs.chunks(2)) {
-                    let (base, cand) = (&pair[0], &pair[1]);
+                for (&die, [base, cand]) in cohort.iter().zip(&runs) {
                     scores[die as usize] = [Some(base.clone()), Some(cand.clone())];
                     if base.rsv() > spec.rsv_floor {
                         rollout.strike(die);

@@ -159,7 +159,9 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
 /// The empty `Default` trace has id 0, which no recording gets.
 #[derive(Debug, Clone, Default)]
 pub struct VecTrace {
-    records: Arc<[Packed]>,
+    /// The `Vec` the recording filled, shared as is: converting it to an
+    /// `Arc<[_]>` would copy every record into a second allocation.
+    records: Arc<Vec<Packed>>,
     /// Instructions carrying both a memory reference and a branch outcome
     /// (ill-formed, but representable); their records index into this.
     spills: Arc<[Instruction]>,
@@ -292,7 +294,7 @@ impl VecTrace {
             records.push(Packed::encode(inst, &mut spills));
         }
         VecTrace {
-            records: records.into(),
+            records: Arc::new(records),
             spills: spills.into(),
             pos: 0,
             id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
