@@ -7,7 +7,6 @@
 //! category proportions). `EXPERIMENTS.md` records the scaling.
 
 use crate::sla::Sla;
-use psca_cpu::BackendChoice;
 use std::fmt;
 
 /// A validation failure from [`ExperimentConfigBuilder::build`].
@@ -21,11 +20,6 @@ pub enum ConfigError {
     /// A corpus dimension is zero, so the corpus would be empty (names
     /// the offending knob).
     EmptyCorpusDimension(&'static str),
-    /// A backend name that names no known simulation fidelity.
-    UnknownBackend(String),
-    /// A verdict-bearing path (benchmark gate, paper-table check) was
-    /// asked to run on a non-reference fidelity.
-    NonReferenceBackend(BackendChoice),
 }
 
 impl fmt::Display for ConfigError {
@@ -37,19 +31,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyCorpusDimension(what) => {
                 write!(f, "corpus dimension `{what}` must be nonzero")
-            }
-            ConfigError::UnknownBackend(name) => {
-                write!(
-                    f,
-                    "unknown backend {name:?} (expected cycle_accurate or surrogate)"
-                )
-            }
-            ConfigError::NonReferenceBackend(b) => {
-                write!(
-                    f,
-                    "backend `{b}` is not allowed here: verdict-bearing paths \
-                     require the reference cycle_accurate fidelity"
-                )
             }
         }
     }
@@ -102,11 +83,6 @@ pub struct ExperimentConfig {
     /// Persistent sweep result cache directory, `None` to disable.
     /// Repeated `repro` invocations skip already-simulated corpus cells.
     pub sweep_cache: Option<std::path::PathBuf>,
-    /// Simulation fidelity for telemetry collection and closed loops.
-    /// The default is the reference [`BackendChoice::CycleAccurate`];
-    /// sweeps and fleet harnesses opt into the surrogate explicitly, and
-    /// every artifact records which fidelity produced it.
-    pub backend: BackendChoice,
 }
 
 impl ExperimentConfig {
@@ -130,7 +106,6 @@ impl ExperimentConfig {
             folds: 32,
             jobs: 0,
             sweep_cache: Some(psca_exec::SweepCache::default_dir()),
-            backend: BackendChoice::CycleAccurate,
         }
     }
 
@@ -156,7 +131,6 @@ impl ExperimentConfig {
             // and unit tests must not touch a shared on-disk cache.
             jobs: 1,
             sweep_cache: None,
-            backend: BackendChoice::CycleAccurate,
         }
     }
 
@@ -186,7 +160,6 @@ impl ExperimentConfig {
     pub fn builder() -> ExperimentConfigBuilder {
         ExperimentConfigBuilder {
             cfg: ExperimentConfig::quick(),
-            backend_error: None,
         }
     }
 
@@ -215,18 +188,9 @@ impl Default for ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct ExperimentConfigBuilder {
     cfg: ExperimentConfig,
-    backend_error: Option<ConfigError>,
 }
 
 impl ExperimentConfigBuilder {
-    /// Starts from an arbitrary base configuration instead of `quick()`.
-    pub fn from_base(cfg: ExperimentConfig) -> ExperimentConfigBuilder {
-        ExperimentConfigBuilder {
-            cfg,
-            backend_error: None,
-        }
-    }
-
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -281,37 +245,14 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Simulation fidelity for telemetry collection and closed loops.
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Parses a backend name (`cycle_accurate` | `surrogate`); an unknown
-    /// name surfaces as [`ConfigError::UnknownBackend`] at
-    /// [`build`](ExperimentConfigBuilder::build) time rather than
-    /// panicking at the call site.
-    pub fn backend_name(mut self, name: &str) -> Self {
-        match name.parse::<BackendChoice>() {
-            Ok(b) => self.cfg.backend = b,
-            Err(e) => self.backend_error = Some(ConfigError::UnknownBackend(e.0)),
-        }
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     /// [`ConfigError::ZeroInterval`] when `interval_insts == 0`,
     /// [`ConfigError::TooFewFolds`] when `folds < 2`,
-    /// [`ConfigError::EmptyCorpusDimension`] when any corpus dimension
-    /// would produce zero telemetry, and [`ConfigError::UnknownBackend`]
-    /// when [`backend_name`](ExperimentConfigBuilder::backend_name) was
-    /// given an unparseable fidelity.
+    /// and [`ConfigError::EmptyCorpusDimension`] when any corpus dimension
+    /// would produce zero telemetry.
     pub fn build(self) -> Result<ExperimentConfig, ConfigError> {
-        if let Some(e) = self.backend_error {
-            return Err(e);
-        }
         let c = &self.cfg;
         if c.interval_insts == 0 {
             return Err(ConfigError::ZeroInterval);
@@ -405,47 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_backends_with_typed_errors() {
-        let cfg = ExperimentConfig::builder()
-            .backend(BackendChoice::Surrogate)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backend, BackendChoice::Surrogate);
-        let cfg = ExperimentConfig::builder()
-            .backend_name("cycle_accurate")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backend, BackendChoice::CycleAccurate);
-        assert_eq!(
-            ExperimentConfig::builder().backend_name("warp9").build(),
-            Err(ConfigError::UnknownBackend("warp9".to_string()))
-        );
-        let msg = ConfigError::UnknownBackend("warp9".into()).to_string();
-        assert!(msg.contains("warp9"), "{msg}");
-        let msg = ConfigError::NonReferenceBackend(BackendChoice::Surrogate).to_string();
-        assert!(msg.contains("surrogate"), "{msg}");
-        // Presets default to the reference fidelity.
-        assert_eq!(
-            ExperimentConfig::quick().backend,
-            BackendChoice::CycleAccurate
-        );
-        assert_eq!(
-            ExperimentConfig::full().backend,
-            BackendChoice::CycleAccurate
-        );
-    }
-
-    #[test]
     fn struct_literal_construction_keeps_working() {
         let cfg = ExperimentConfig {
             seed: 99,
             ..ExperimentConfig::quick()
         };
         assert_eq!(cfg.seed, 99);
-        let rebuilt = ExperimentConfigBuilder::from_base(cfg.clone())
-            .build()
-            .unwrap();
-        assert_eq!(rebuilt, cfg);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::degrade::{DegradeLevel, DegradeSummary, PredictionHealth, Watchdog};
 use crate::guardrail::{Guardrail, GuardrailConfig};
 use crate::sla::Sla;
 use crate::train::{TrainedAdaptModel, HORIZON};
-use psca_cpu::{BackendChoice, CpuConfig, Mode, ModeSwitchFault};
+use psca_cpu::{ClusterSim, CpuConfig, Mode, ModeSwitchFault};
 use psca_faults::{ActuationFault, ChaosSpec, FaultCounts, FaultInjector, PredictionFault};
 use psca_trace::{TraceSource, VecTrace};
 use psca_uc::{image, FirmwareModel};
@@ -24,7 +24,7 @@ use psca_uc::{image, FirmwareModel};
 /// Knobs modulating a closed-loop run beyond the mandatory inputs.
 ///
 /// `Default` is the healthy path: no fault injection on the paper's
-/// scaled-Skylake machine, simulated by the reference backend.
+/// scaled-Skylake machine.
 #[derive(Debug, Clone, Default)]
 pub struct ClosedLoopOptions {
     /// Chaos to inject on the loop. The all-zero default injects nothing.
@@ -33,11 +33,6 @@ pub struct ClosedLoopOptions {
     /// scaled-Skylake machine; fleet harnesses pass per-die skewed
     /// configs here so one loop models one physical die.
     pub cpu: Option<CpuConfig>,
-    /// Simulation fidelity to drive the loop on. The default reference
-    /// [`BackendChoice::CycleAccurate`] is bit-identical to the
-    /// pre-backend code path; [`BackendChoice::Surrogate`] trades bounded
-    /// IPC/energy divergence for orders-of-magnitude faster evaluation.
-    pub backend: BackendChoice,
 }
 
 /// One closed-loop simulation, fully specified. The daemon, the CLI, the
@@ -91,12 +86,6 @@ impl<'a> ClosedLoopRequest<'a> {
         self
     }
 
-    /// Drives the loop on `backend` instead of the reference simulator.
-    pub fn with_backend(mut self, backend: BackendChoice) -> ClosedLoopRequest<'a> {
-        self.options.backend = backend;
-        self
-    }
-
     /// Runs the loop.
     ///
     /// Each window the injector may perturb telemetry rows, drop/delay/
@@ -111,12 +100,11 @@ impl<'a> ClosedLoopRequest<'a> {
         let interval_insts = self.interval_insts;
         let g = model.granularity;
         let mut injector = FaultInjector::new(self.options.faults.clone());
-        let mut sim = self.options.backend.build(
+        let mut sim = ClusterSim::new(
             self.options
                 .cpu
                 .clone()
                 .unwrap_or_else(CpuConfig::skylake_scaled),
-            interval_insts,
         );
         let mut warm_replay = self.warm.clone();
         sim.warm_up(&mut warm_replay, self.warm.len() as u64);

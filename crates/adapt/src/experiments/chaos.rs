@@ -8,7 +8,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::robustness::{robustness_model, LoopScore, Scenario, ROBUSTNESS_ARCHETYPES};
-use psca_cpu::{BackendChoice, CpuConfig};
+use psca_cpu::CpuConfig;
 use psca_faults::ChaosSpec;
 use psca_workloads::PhaseGenerator;
 
@@ -88,7 +88,7 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
         .run(cells, |&(scale, i)| {
             let mut point_spec = spec.scaled(scale);
             point_spec.seed = spec.seed ^ (i as u64);
-            scenarios[i].score(&model, point_spec, BackendChoice::CycleAccurate)
+            scenarios[i].score(&model, point_spec)
         });
 
     let mut points = Vec::new();

@@ -50,10 +50,9 @@ mod train;
 pub use config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
 pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
 pub use paired::{
-    collect_paired, collect_paired_with, decode_trace, decode_traces, encode_trace, encode_traces,
-    CorpusTelemetry, DecodeError, TraceTelemetry,
+    collect_paired, decode_trace, decode_traces, encode_trace, encode_traces, CorpusTelemetry,
+    DecodeError, TraceTelemetry,
 };
-pub use psca_cpu::{BackendChoice, SimBackend};
 pub use robustness::{
     robustness_corpus, robustness_model, LoopScore, Scenario, ROBUSTNESS_ARCHETYPES,
 };

@@ -10,7 +10,7 @@
 use crate::config::ExperimentConfig;
 use crate::controller::record_trace;
 use crate::sla::Sla;
-use psca_cpu::{BackendChoice, CpuConfig, Mode};
+use psca_cpu::{ClusterSim, CpuConfig, Mode};
 use psca_exec::{Digest, Sweep};
 use psca_telemetry::{Event, NUM_EVENTS};
 use psca_trace::TraceSource;
@@ -20,9 +20,10 @@ use psca_workloads::{hdtr_corpus, spec};
 /// changes in a result-affecting way: stale `target/sweep-cache/` entries
 /// keyed under an older schema are then never read back.
 ///
-/// Schema 2: cell keys carry the simulation backend tag, so surrogate and
-/// cycle-accurate cells can never collide.
-const CACHE_SCHEMA: u64 = 2;
+/// Schema 3: cell keys no longer carry a simulation backend tag (the
+/// cycle-level simulator is the only one), so schema-2 entries, whose keys
+/// hashed that tag, are never looked up again.
+const CACHE_SCHEMA: u64 = 3;
 
 /// Paired per-interval telemetry of one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,8 +153,7 @@ impl TraceTelemetry {
     }
 }
 
-/// Simulates a recorded trace in both modes and collects telemetry on the
-/// reference cycle-accurate backend.
+/// Simulates a recorded trace in both modes and collects telemetry.
 ///
 /// `warmup_insts` are executed first with telemetry discarded (caches and
 /// predictors warm, as in §4.1).
@@ -165,30 +165,6 @@ pub fn collect_paired<S: TraceSource>(
     app_id: u32,
     app_name: &str,
     workload: u64,
-) -> TraceTelemetry {
-    collect_paired_with(
-        source,
-        warmup_insts,
-        intervals,
-        interval_insts,
-        app_id,
-        app_name,
-        workload,
-        BackendChoice::CycleAccurate,
-    )
-}
-
-/// [`collect_paired`] on a caller-chosen simulation fidelity.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_paired_with<S: TraceSource>(
-    source: &mut S,
-    warmup_insts: u64,
-    intervals: usize,
-    interval_insts: u64,
-    app_id: u32,
-    app_name: &str,
-    workload: u64,
-    backend: BackendChoice,
 ) -> TraceTelemetry {
     let (mut warm, mut window) =
         record_trace(source, warmup_insts, intervals as u64 * interval_insts);
@@ -209,7 +185,7 @@ pub fn collect_paired_with<S: TraceSource>(
     // The high-performance pass leaves its functional outcomes in the
     // traces; the low-power pass replays them through the timing core.
     for mode in [Mode::HighPerf, Mode::LowPower] {
-        let mut sim = backend.build(CpuConfig::skylake_scaled(), interval_insts);
+        let mut sim = ClusterSim::new(CpuConfig::skylake_scaled());
         sim.set_mode(mode);
         if mode == Mode::HighPerf {
             sim.record_outcomes();
@@ -305,7 +281,6 @@ impl CorpusTelemetry {
             |&(app_id, input)| {
                 let mut d = Digest::new();
                 d.write_str("hdtr-cell")
-                    .write_str(cfg.backend.as_str())
                     .write_u64(CACHE_SCHEMA)
                     .write_u64(cfg.sub_seed("hdtr"))
                     .write_u64(cfg.hdtr_apps as u64)
@@ -322,7 +297,7 @@ impl CorpusTelemetry {
             |&(app_id, input)| {
                 let entry = &corpus[app_id];
                 let mut src = entry.app.trace(input);
-                collect_paired_with(
+                collect_paired(
                     &mut src,
                     cfg.hdtr_warmup_insts,
                     cfg.hdtr_intervals_per_trace,
@@ -330,7 +305,6 @@ impl CorpusTelemetry {
                     app_id as u32,
                     entry.app.name(),
                     input,
-                    cfg.backend,
                 )
             },
         );
@@ -363,7 +337,6 @@ impl CorpusTelemetry {
             |&(bench_id, input, simpoints)| {
                 let mut d = Digest::new();
                 d.write_str("spec-cell")
-                    .write_str(cfg.backend.as_str())
                     .write_u64(CACHE_SCHEMA)
                     .write_u64(cfg.sub_seed("spec"))
                     .write_u64(cfg.sub_seed("simpoints"))
@@ -399,7 +372,7 @@ impl CorpusTelemetry {
                     // Fast-forward to the representative region.
                     let skip = p.start_interval as u64 * cfg.interval_insts;
                     src.skip(skip.saturating_sub(cfg.spec_warmup_insts));
-                    traces.push(collect_paired_with(
+                    traces.push(collect_paired(
                         &mut src,
                         cfg.spec_warmup_insts,
                         cfg.spec_intervals_per_simpoint,
@@ -407,7 +380,6 @@ impl CorpusTelemetry {
                         bench_id as u32,
                         app.bench.name,
                         input,
-                        cfg.backend,
                     ));
                 }
                 traces

@@ -8,7 +8,7 @@
 //! loop over it and returns a [`LoopScore`]. A `LoopScore` is a plain
 //! value: harnesses sum them in a fixed order to get per-scale,
 //! per-cohort, or fleet-wide rates, and a die's score for an image can be
-//! reused wherever the same (scenario, model, faults, backend) recurs.
+//! reused wherever the same (scenario, model, faults) recurs.
 
 use crate::config::ExperimentConfig;
 use crate::controller::{record_trace, ClosedLoopRequest, ClosedLoopResult};
@@ -17,7 +17,7 @@ use crate::paired::{collect_paired, CorpusTelemetry};
 use crate::sla::Sla;
 use crate::train::{ModelKind, TrainedAdaptModel};
 use crate::zoo;
-use psca_cpu::{BackendChoice, ClusterSim, CpuConfig, Mode};
+use psca_cpu::{ClusterSim, CpuConfig, Mode};
 use psca_faults::{ChaosSpec, FaultCounts};
 use psca_trace::{TraceSource, VecTrace};
 use psca_workloads::{Archetype, PhaseGenerator};
@@ -73,10 +73,9 @@ pub struct Scenario {
 impl Scenario {
     /// Records 2 000 warm-up instructions and `windows` of `model`'s
     /// prediction windows from `source`, then simulates them statically
-    /// in high-performance mode on `cpu` at reference fidelity, one IPC
-    /// per prediction window. The traces keep that run's functional
-    /// outcomes, so every [`Scenario::score`] on the reference backend
-    /// runs only the simulator's timing core.
+    /// in high-performance mode on `cpu`, one IPC per prediction window.
+    /// The traces keep that run's functional outcomes, so every
+    /// [`Scenario::score`] runs only the simulator's timing core.
     pub fn record<S: TraceSource>(
         source: &mut S,
         cpu: CpuConfig,
@@ -118,17 +117,11 @@ impl Scenario {
     }
 
     /// Deploys `model` on the scenario's machine under `faults`, runs the
-    /// closed loop on `backend`, and scores it against the reference.
-    pub fn score(
-        &self,
-        model: &TrainedAdaptModel,
-        faults: ChaosSpec,
-        backend: BackendChoice,
-    ) -> LoopScore {
+    /// closed loop, and scores it against the reference.
+    pub fn score(&self, model: &TrainedAdaptModel, faults: ChaosSpec) -> LoopScore {
         let res = ClosedLoopRequest::new(model, &self.warm, &self.window, self.interval_insts)
             .with_cpu(self.cpu.clone())
             .with_faults(faults)
-            .with_backend(backend)
             .run();
         LoopScore::of(&res, &self.refs)
     }
@@ -269,7 +262,7 @@ mod tests {
                     .with_cpu(cpu.clone())
                     .with_faults(faults.clone())
                     .run();
-                let score = s.score(&model, faults, BackendChoice::CycleAccurate);
+                let score = s.score(&model, faults);
                 assert_eq!(score, LoopScore::of(&oracle, &s.refs), "{arch:?}");
             }
         }

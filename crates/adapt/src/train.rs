@@ -289,6 +289,10 @@ impl TrainedAdaptModel {
 /// lowest threshold in a fixed grid whose tuning-set RSV stays at or
 /// below `target_rsv`, maximizing seized opportunities subject to the
 /// violation cap. Returns the chosen threshold.
+///
+/// When no grid value meets the target, the grid's top value (0.95) is
+/// chosen anyway; the miss bumps `adapt.train.threshold_target_missed`
+/// and emits a `warn` event carrying the target and the RSV reached.
 pub fn tune_threshold(
     fw: &mut FirmwareModel,
     features: &Matrix,
@@ -302,16 +306,27 @@ pub fn tune_threshold(
                 .expect("tuning features match firmware dimensionality")
         })
         .collect();
-    let mut chosen = 0.95;
+    let mut chosen = None;
+    let mut rsv = f64::NAN;
     for &t in &[
         0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95,
     ] {
         let preds: Vec<u8> = scores.iter().map(|&s| (s >= t) as u8).collect();
-        if rate_of_sla_violations(labels, &preds, window) <= target_rsv {
-            chosen = t;
+        rsv = rate_of_sla_violations(labels, &preds, window);
+        if rsv <= target_rsv {
+            chosen = Some(t);
             break;
         }
     }
+    let chosen = chosen.unwrap_or_else(|| {
+        psca_obs::counter("adapt.train.threshold_target_missed").inc();
+        psca_obs::emit(
+            psca_obs::Level::Warn,
+            "adapt.train.threshold_target_missed",
+            &[("target_rsv", target_rsv.into()), ("rsv", rsv.into())],
+        );
+        0.95
+    });
     fw.set_threshold(chosen);
     chosen
 }
@@ -449,6 +464,24 @@ mod tests {
             .collect();
         let rsv = rate_of_sla_violations(&labels, &preds, 3);
         assert!(rsv <= 0.01 || t >= 0.95, "rsv {rsv} at threshold {t}");
+    }
+
+    #[test]
+    fn missed_threshold_target_is_counted() {
+        use psca_ml::{LogisticRegression, Matrix as M};
+        let x = M::from_rows(&[&[-4.0], &[-3.0], &[3.0], &[4.0]]);
+        let train = Dataset::new(x, vec![0, 0, 1, 1], vec![0; 4]);
+        let mut fw = FirmwareModel::Logistic(LogisticRegression::fit(&train, 1e-4, 100));
+        // Every tuning sample scores near 1 but is labelled not gateable,
+        // so even the grid's top threshold violates on every window.
+        let tuning = M::from_rows(&[&[4.0][..]; 6]);
+        let missed = psca_obs::counter("adapt.train.threshold_target_missed");
+        let before = missed.get();
+        let t = tune_threshold(&mut fw, &tuning, &[0; 6], 3, 0.01);
+        assert_eq!(t, 0.95);
+        // Other tests in this binary may tune concurrently, so the delta
+        // is a lower bound.
+        assert!(missed.get() > before, "the miss was not counted");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! repro -- table5 --quick            # seconds-scale config for smoke testing
 //! repro -- all --jobs 8              # worker threads (0 = auto; bit-identical)
 //! repro -- all --no-cache            # disable the persistent sweep cache
-//! repro -- all --backend surrogate   # learned fast-path fidelity (docs/SURROGATE.md)
 //! repro -- --chaos default --quick   # chaos harness; exit 1 on SLA breach
 //! repro -- --chaos uc.drop=0.1,seed=7 chaos-sweep
 //! repro -- serve                     # adaptation-as-a-service daemon
@@ -53,7 +52,7 @@
 
 use psca_adapt::experiments::{ablations, chaos, fig10, fig4, fig5, fig6, fig7, fig8, fig9};
 use psca_adapt::experiments::{table1, table2, table3, table4, table5, table6};
-use psca_adapt::{ConfigError, ExperimentConfig, ExperimentConfigBuilder, ModelKind};
+use psca_adapt::{ExperimentConfig, ModelKind};
 use psca_bench::cli::{self, Args, UsageError};
 use psca_bench::{chart, Corpora, EXPERIMENTS};
 use psca_faults::ChaosSpec;
@@ -94,23 +93,23 @@ const NEEDS_SPEC: &[&str] = &[
 type Main = fn(&[String]) -> Result<i32, UsageError>;
 
 const EXPERIMENTS_USAGE: &str = "[repro] usage: repro [EXPERIMENT...|all] --quick \
-    --chaos SPEC --jobs N --no-cache --backend NAME \
+    --chaos SPEC --jobs N --no-cache \
     (--chaos takes 'default' or e.g. 'uc.drop=0.05,telem=0.02,seed=7'; see docs/ROBUSTNESS.md)";
 const SERVE_USAGE: &str = "[repro] serve flags: --addr HOST:PORT --workers N --queue N \
     --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
-    --seed N --backend NAME --models slug[,slug...] \
+    --seed N --models slug[,slug...] \
     (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
 const LOADGEN_USAGE: &str = "[repro] loadgen flags: --addr HOST:PORT --model SLUG --rps N \
     --duration SECS --connections N --seed N --out PATH";
 const SLO_CHECK_USAGE: &str = "[repro] slo-check flags: --bench PATH --slo SPEC|off";
 const CLOSED_LOOP_USAGE: &str = "[repro] closed-loop flags: --model SLUG --archetype NAME \
-    --seed N --windows N --warm-insts N --backend NAME \
+    --seed N --windows N --warm-insts N \
     (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
 const FLEET_USAGE: &str = "[repro] fleet flags: --size N --seed N --windows N --skew SPEC|off \
-    --rollout SPEC|off --chaos SPEC --jobs N --backend NAME --bad-image --out PATH";
+    --rollout SPEC|off --chaos SPEC --jobs N --bad-image --out PATH";
 const BENCH_USAGE: &str = "[repro] bench flags: --update --check --quick --seed N \
     --tolerance FRAC --only name[,name...] \
-    (names: sim_throughput sweep inference serve surrogate)";
+    (names: sim_throughput sweep inference serve)";
 
 fn main() {
     std::process::exit(cli::run("repro", dispatch))
@@ -132,27 +131,6 @@ fn dispatch(args: &[String]) -> Result<i32, UsageError> {
     run(rest).map_err(|e| e.or_usage(usage))
 }
 
-/// The experiment config `builder` describes, with the simulation
-/// backend from `--backend` (`flag`), else the builder's own.
-/// `reference_only` (the verdict-bearing `--chaos` gate) rejects every
-/// fidelity but the reference one.
-fn experiment_config(
-    builder: ExperimentConfigBuilder,
-    flag: Option<&str>,
-    reference_only: bool,
-) -> Result<ExperimentConfig, UsageError> {
-    let builder = match flag {
-        Some(name) => builder.backend_name(name.trim()),
-        None => builder,
-    };
-    let bad = |e: ConfigError| UsageError::new(format!("bad config: {e}"));
-    let cfg = builder.build().map_err(bad)?;
-    if reference_only && !cfg.backend.is_reference() {
-        return Err(bad(ConfigError::NonReferenceBackend(cfg.backend)));
-    }
-    Ok(cfg)
-}
-
 /// Resolves a `--model` / `--models` slug.
 fn model_kind(slug: &str) -> Result<ModelKind, String> {
     psca_serve::registry::kind_from_slug(slug).ok_or_else(|| format!("unknown model slug '{slug}'"))
@@ -166,7 +144,7 @@ fn serve_main(args: &[String]) -> Result<i32, UsageError> {
         addr: "127.0.0.1:8186".to_string(),
         ..ServeConfig::default()
     };
-    let (mut seed, mut backend) = (1u64, None);
+    let mut seed = 1u64;
     let mut kinds = vec![ModelKind::BestRf, ModelKind::BestMlp];
     let mut args = Args::new(args);
     while let Some(flag) = args.next() {
@@ -179,7 +157,6 @@ fn serve_main(args: &[String]) -> Result<i32, UsageError> {
             "--chaos" => config.chaos = Some(args.spec(ChaosSpec::parse)?),
             "--slo" => config.slo = args.spec(SloSpec::parse)?,
             "--access-log" => config.access_log = Some(args.value()?.into()),
-            "--backend" => backend = Some(args.value()?),
             "--models" => {
                 kinds = args.spec(|list| {
                     list.split(',')
@@ -190,7 +167,10 @@ fn serve_main(args: &[String]) -> Result<i32, UsageError> {
             _ => return Err(args.unknown()),
         }
     }
-    let cfg = experiment_config(ExperimentConfig::builder().seed(seed), backend, false)?;
+    let cfg = ExperimentConfig {
+        seed,
+        ..ExperimentConfig::quick()
+    };
     eprintln!(
         "[repro] training serving registry ({} models)...",
         kinds.len()
@@ -340,8 +320,6 @@ struct Cli {
     jobs: Option<usize>,
     /// Disables the persistent sweep result cache.
     no_cache: bool,
-    /// Simulation fidelity (`--backend`).
-    backend: Option<String>,
     wanted: Vec<String>,
 }
 
@@ -356,7 +334,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
             "--chaos" => cli.chaos = Some(args.spec(ChaosSpec::parse)?),
             "--jobs" => cli.jobs = Some(args.parse()?),
             "--no-cache" => cli.no_cache = true,
-            "--backend" => cli.backend = Some(args.value()?.to_string()),
             id if id == "all" || EXPERIMENTS.contains(&id) => cli.wanted.push(id.to_string()),
             id if !id.starts_with("--") => {
                 return Err(UsageError::new(format!(
@@ -378,38 +355,30 @@ fn parse_cli(args: &[String]) -> Result<Cli, UsageError> {
 /// The default path: regenerate the requested tables and figures.
 fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
     let cli = parse_cli(args)?;
-    let mut base = if cli.quick {
+    let mut cfg = if cli.quick {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::full()
     };
     if let Some(jobs) = cli.jobs {
-        base.jobs = jobs;
+        cfg.jobs = jobs;
     }
     // Cache policy: --no-cache disables; PSCA_SWEEP_CACHE_DIR overrides
     // the location. Environment is read only here, in the binary —
     // library code takes explicit config.
     if cli.no_cache {
-        base.sweep_cache = None;
+        cfg.sweep_cache = None;
     } else if let Ok(dir) = std::env::var("PSCA_SWEEP_CACHE_DIR") {
         if !dir.is_empty() {
-            base.sweep_cache = Some(PathBuf::from(dir));
+            cfg.sweep_cache = Some(PathBuf::from(dir));
         }
     }
-    // An explicit `--chaos` run is a pass/fail SLA gate: its verdict must
-    // come from the reference simulator, not an approximation of it.
-    let cfg = experiment_config(
-        ExperimentConfigBuilder::from_base(base),
-        cli.backend.as_deref(),
-        cli.chaos.is_some(),
-    )?;
     let chaos_spec = cli.chaos.clone().unwrap_or_else(ChaosSpec::default_chaos);
     eprintln!(
-        "[repro] config: {} (interval {} insts, {} HDTR apps, backend {}, SLA P={:.2}, jobs {}, cache {})",
+        "[repro] config: {} (interval {} insts, {} HDTR apps, SLA P={:.2}, jobs {}, cache {})",
         if cli.quick { "quick" } else { "full" },
         cfg.interval_insts,
         cfg.hdtr_apps,
-        cfg.backend.as_str(),
         cfg.sla.p_sla,
         if cfg.jobs == 0 {
             "auto".to_string()
@@ -432,7 +401,6 @@ fn experiments_main(args: &[String]) -> Result<i32, UsageError> {
         }
     );
     let mut report = RunReport::new(&run_id);
-    report.set("backend", cfg.backend.as_str());
     let mut acc = MetricsSnapshot::default();
     // Prefetch shared corpora before any experiment resets the registry,
     // so corpus-construction metrics land in the accumulated snapshot.
@@ -557,9 +525,7 @@ fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
         windows: 16,
         warm_insts: 2_000,
         chaos: None,
-        backend: None,
     };
-    let mut backend = None;
     let mut args = Args::new(args);
     while let Some(flag) = args.next() {
         match flag {
@@ -573,11 +539,13 @@ fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
             "--seed" => spec.seed = args.parse()?,
             "--windows" => spec.windows = args.parse()?,
             "--warm-insts" => spec.warm_insts = args.parse()?,
-            "--backend" => backend = Some(args.value()?),
             _ => return Err(args.unknown()),
         }
     }
-    let cfg = experiment_config(ExperimentConfig::builder().seed(spec.seed), backend, false)?;
+    let cfg = ExperimentConfig {
+        seed: spec.seed,
+        ..ExperimentConfig::quick()
+    };
     spec.model = kind_slug(kind).to_string();
     eprintln!(
         "[repro] closed-loop: training {} (seed {})...",
@@ -608,7 +576,7 @@ fn closed_loop_main(args: &[String]) -> Result<i32, UsageError> {
 fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
     use psca_fleet::{run_fleet, FleetParams, RolloutSpec, SkewSpec};
     let mut params = FleetParams::default();
-    let (mut jobs, mut out, mut backend) = (0usize, None, None);
+    let (mut jobs, mut out) = (0usize, None);
     let mut args = Args::new(args);
     while let Some(flag) = args.next() {
         match flag {
@@ -620,18 +588,19 @@ fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
             "--rollout" => params.rollout = args.spec(RolloutSpec::parse)?,
             "--chaos" => params.chaos = Some(args.spec(ChaosSpec::parse)?),
             "--bad-image" => params.bad_image = true,
-            "--backend" => backend = Some(args.value()?),
             "--out" => out = Some(PathBuf::from(args.value()?)),
             _ => return Err(args.unknown()),
         }
     }
-    let builder = ExperimentConfig::builder().seed(params.seed).jobs(jobs);
-    let cfg = experiment_config(builder, backend, false)?;
+    let cfg = ExperimentConfig {
+        seed: params.seed,
+        jobs,
+        ..ExperimentConfig::quick()
+    };
     eprintln!(
-        "[repro] fleet: {} dies, seed {}, backend {}, rollout {}...",
+        "[repro] fleet: {} dies, seed {}, rollout {}...",
         params.size,
         params.seed,
-        cfg.backend.as_str(),
         match params.rollout {
             Some(spec) => spec.to_string(),
             None => "off".to_string(),
@@ -655,7 +624,6 @@ fn fleet_main(args: &[String]) -> Result<i32, UsageError> {
     // experiment drivers do.
     let mut run_report = RunReport::new(&format!("fleet-{}", params.seed));
     run_report.add_phase("repro.fleet", wall);
-    run_report.set("backend", report.backend.as_str());
     run_report.set("fleet_size", params.size as u64);
     run_report.set("fleet_status", report.status);
     run_report.set("fleet_rsv", report.total.rsv());

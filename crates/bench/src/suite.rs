@@ -11,9 +11,9 @@
 //!   else informational), and a violation means "regressed past the
 //!   band", not "changed at all".
 //!
-//! The five runners (`run_sim_throughput`, `run_sweep`, `run_inference`,
-//! `run_serve`, `run_surrogate`) are the only implementation of each
-//! measurement; [`run_bench`] dispatches them by name.
+//! The four runners (`run_sim_throughput`, `run_sweep`, `run_inference`,
+//! `run_serve`) are the only implementation of each measurement;
+//! [`run_bench`] dispatches them by name.
 
 use psca_adapt::{CorpusTelemetry, ExperimentConfig, ModelKind};
 use psca_cpu::{ClusterSim, CpuConfig, Mode};
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 /// Canonical bench names, in run order. Each maps to a committed
 /// baseline file `BENCH_<name>.json` at the repo root.
-pub const BENCHES: [&str; 5] = ["sim_throughput", "sweep", "inference", "serve", "surrogate"];
+pub const BENCHES: [&str; 4] = ["sim_throughput", "sweep", "inference", "serve"];
 
 /// The `schema` tag stamped on every unified baseline document.
 pub const SCHEMA: &str = "psca-bench/v1";
@@ -507,90 +507,6 @@ pub fn run_serve(opts: &BenchOpts) -> BenchResult {
     result
 }
 
-/// Surrogate fast-path speedup: the same recorded interval stream driven
-/// through the reference [`ClusterSim`] (via its `CycleAccurate` backend)
-/// and through the learned `Surrogate` backend, per archetype. The
-/// headline is the steady-state interval-evaluation speedup; the one-time
-/// calibration cost and the per-archetype IPC divergence ride along so a
-/// fidelity regression is as visible as a throughput one.
-pub fn run_surrogate(opts: &BenchOpts) -> BenchResult {
-    use psca_cpu::BackendChoice;
-    const INTERVAL: u64 = 50_000;
-    const WARM: u64 = 20_000;
-    let intervals: u64 = if opts.quick { 8 } else { 40 };
-    let cpu = CpuConfig::skylake_scaled();
-    // Calibration is a one-time, per-config cost (cached process-wide);
-    // measured separately so it doesn't dilute the steady-state speedup.
-    let t0 = Instant::now();
-    std::hint::black_box(psca_cpu::backend::surrogate_model(&cpu, INTERVAL));
-    let calibration_s = t0.elapsed().as_secs_f64();
-    let mut result = BenchResult {
-        bench: "surrogate".into(),
-        unit: "speedup".into(),
-        seed: opts.seed,
-        jobs: 1,
-        ..BenchResult::default()
-    };
-    let mut wall = [0.0f64; 2]; // [cycle_accurate, surrogate]
-    let mut insts = 0u64;
-    for archetype in [
-        Archetype::Balanced,
-        Archetype::MemBound,
-        Archetype::ScalarIlp,
-    ] {
-        let mut gen = PhaseGenerator::new(archetype.center(), opts.seed);
-        let (warm, window) = psca_adapt::record_trace(&mut gen, WARM, intervals * INTERVAL);
-        let mut ipc = [0.0f64; 2];
-        for (bi, choice) in [BackendChoice::CycleAccurate, BackendChoice::Surrogate]
-            .into_iter()
-            .enumerate()
-        {
-            let mut backend = choice.build(cpu.clone(), INTERVAL);
-            let mut warm_src = warm.clone();
-            let mut src = window.clone();
-            backend.warm_up(&mut warm_src, WARM);
-            let span = SpanTimer::start(&format!("bench.surrogate.{}", choice.as_str()));
-            let t0 = Instant::now();
-            let mut cycles = 0u64;
-            let mut done = 0u64;
-            while let Some(r) = backend.run_interval(&mut src, INTERVAL) {
-                cycles += r.snapshot.cycles;
-                done += r.instructions;
-                std::hint::black_box(r.energy);
-            }
-            wall[bi] += t0.elapsed().as_secs_f64().max(1e-9);
-            drop(span);
-            ipc[bi] = done as f64 / cycles.max(1) as f64;
-            if bi == 0 {
-                insts += done;
-            }
-        }
-        // Informational by naming convention: fidelity is gated by
-        // tests/surrogate.rs with archetype-specific bounds, not by the
-        // perf tolerance band.
-        let slug = format!("{archetype:?}").to_lowercase();
-        result.metrics.insert(
-            format!("ipc_ratio.{slug}"),
-            ipc[1] / ipc[0].max(f64::MIN_POSITIVE),
-        );
-    }
-    let m = &mut result.metrics;
-    m.insert(
-        "insts_per_sec.cycle_accurate".into(),
-        insts as f64 / wall[0].max(f64::MIN_POSITIVE),
-    );
-    m.insert(
-        "insts_per_sec.surrogate".into(),
-        insts as f64 / wall[1].max(f64::MIN_POSITIVE),
-    );
-    m.insert(
-        "surrogate_speedup".into(),
-        wall[0] / wall[1].max(f64::MIN_POSITIVE),
-    );
-    m.insert("calibration_s".into(), calibration_s);
-    result
-}
-
 /// Dispatches a runner by canonical bench name.
 pub fn run_bench(name: &str, opts: &BenchOpts) -> Option<BenchResult> {
     match name {
@@ -598,7 +514,6 @@ pub fn run_bench(name: &str, opts: &BenchOpts) -> Option<BenchResult> {
         "sweep" => Some(run_sweep(opts)),
         "inference" => Some(run_inference(opts)),
         "serve" => Some(run_serve(opts)),
-        "surrogate" => Some(run_surrogate(opts)),
         _ => None,
     }
 }

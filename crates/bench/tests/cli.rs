@@ -81,7 +81,7 @@ fn passing_loadgen_summary_exits_zero() {
 
 #[test]
 fn closed_loop_below_the_floor_exits_one() {
-    let closed = r#"{"model":"best-rf","archetype":"Balanced","seed":1,"backend":"cycle-accurate",
+    let closed = r#"{"model":"best-rf","archetype":"Balanced","seed":1,
 "windows":8,"instructions":800000,"cycles":400000,"energy":1.5,"ppw":2.0,
 "low_power_residency":0.25}"#;
     assert_eq!(slo_check("closed-below", closed, "rsv_floor=0.9"), 1);
@@ -98,7 +98,8 @@ fn bench_flag_is_required() {
 
 /// Every subcommand with a missing value, an unknown flag and an
 /// unparseable number: each exits 2 and prints nothing on stdout. The
-/// observability switches are environment variables, never flags.
+/// observability switches are environment variables, never flags, and
+/// no subcommand takes `--backend`: there is one simulator.
 #[test]
 fn usage_errors_exit_two_for_every_subcommand() {
     let cases: &[(&str, &[&str])] = &[
@@ -140,6 +141,10 @@ fn usage_errors_exit_two_for_every_subcommand() {
         (REPRO, &["bench", "--bogus"]),
         (REPRO, &["bench", "--tolerance", "x"]),
         (REPRO, &["bench", "--backend", "surrogate"]),
+        (REPRO, &["fleet", "--backend", "x"]),
+        (REPRO, &["closed-loop", "--backend", "x"]),
+        (REPRO, &["serve", "--backend", "x"]),
+        (REPRO, &["table1", "--quick", "--backend", "x"]),
         (REPRO, &["profile", "fleet"]),
         (TRACE_TOOL, &["record", "x.pstr", "--insts"]),
         (TRACE_TOOL, &["record", "x.pstr", "--bogus"]),

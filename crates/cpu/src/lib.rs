@@ -40,7 +40,7 @@ mod sim;
 mod summary;
 mod tlb;
 
-pub use backend::{BackendChoice, CycleAccurate, SimBackend, Surrogate, UnknownBackend};
+pub use backend::{CycleAccurate, SimBackend};
 pub use bpred::{Btb, GsharePredictor};
 pub use cache::{AccessOutcome, Cache};
 pub use config::{CpuConfig, SteerPolicy};

@@ -23,7 +23,7 @@ use psca_adapt::{
     robustness_model, ExperimentConfig, LoopScore, Scenario, TrainedAdaptModel,
     ROBUSTNESS_ARCHETYPES,
 };
-use psca_cpu::{BackendChoice, CpuConfig};
+use psca_cpu::CpuConfig;
 use psca_faults::ChaosSpec;
 use psca_obs::Json;
 use psca_uc::image;
@@ -84,7 +84,6 @@ struct DiePrep {
 /// report, whose rows must equal that serial oracle for the image each
 /// row reports, whatever shape the rollout took.
 pub struct FleetSetup {
-    backend: BackendChoice,
     interval_insts: u64,
     windows: u64,
     model: TrainedAdaptModel,
@@ -143,7 +142,6 @@ impl FleetSetup {
             .collect();
 
         FleetSetup {
-            backend: cfg.backend,
             interval_insts: cfg.interval_insts,
             windows: params.windows,
             model,
@@ -199,7 +197,7 @@ impl FleetSetup {
         let mut model = self.model.clone();
         model.fw_hi = image::decode(&img.hi).expect("installed image decodes");
         model.fw_lo = image::decode(&img.lo).expect("installed image decodes");
-        let score = scenario.score(&model, self.dies[die as usize].chaos.clone(), self.backend);
+        let score = scenario.score(&model, self.dies[die as usize].chaos.clone());
         psca_obs::counter("fleet.dies_run").inc();
         score
     }
@@ -227,8 +225,6 @@ pub struct DieRow {
 pub struct FleetReport {
     /// Parameters the run was invoked with.
     pub params: FleetParams,
-    /// Simulation fidelity every die ran at.
-    pub backend: BackendChoice,
     /// `(version, fingerprint, bytes)` of the baseline image.
     pub baseline: (u32, u32, usize),
     /// `(version, fingerprint, bytes)` of the candidate image.
@@ -300,7 +296,9 @@ impl FleetReport {
             .collect();
         Json::obj(vec![
             ("schema", Json::Str("psca-fleet/v1".to_string())),
-            ("backend", Json::Str(self.backend.as_str().to_string())),
+            // The cycle-level simulator is the only one; the pair stays
+            // because committed output digests pin these bytes.
+            ("backend", Json::Str("cycle_accurate".to_string())),
             ("size", Json::UInt(self.params.size as u64)),
             ("seed", Json::UInt(self.params.seed)),
             ("windows", Json::UInt(self.params.windows)),
@@ -579,7 +577,6 @@ pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
     let identity = |img: &FleetImage| (img.version, img.fingerprint(), img.hi.len() + img.lo.len());
     FleetReport {
         params: params.clone(),
-        backend: cfg.backend,
         baseline: identity(&setup.baseline),
         candidate: identity(&setup.candidate),
         stages,

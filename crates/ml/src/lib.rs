@@ -34,7 +34,6 @@ pub mod histogram;
 pub mod kmeans;
 pub mod linalg;
 pub mod metrics;
-pub mod ridge;
 pub mod spectral;
 
 mod dataset;
@@ -50,6 +49,5 @@ pub use forest::{RandomForest, RandomForestConfig};
 pub use linalg::Matrix;
 pub use logistic::LogisticRegression;
 pub use mlp::{Mlp, MlpConfig};
-pub use ridge::Ridge;
 pub use svm::{KernelSvm, LinearSvm};
 pub use tree::{DecisionTree, Node};

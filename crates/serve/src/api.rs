@@ -4,7 +4,7 @@
 
 use crate::registry::ModelRegistry;
 use psca_adapt::{record_trace, ClosedLoopRequest, ClosedLoopResult, TrainedAdaptModel};
-use psca_cpu::{BackendChoice, Mode};
+use psca_cpu::Mode;
 use psca_faults::ChaosSpec;
 use psca_ml::Classifier;
 use psca_obs::Json;
@@ -279,9 +279,6 @@ pub struct ClosedLoopSpec {
     /// set, the summary also carries the degradation block (ladder and
     /// fault counts).
     pub chaos: Option<ChaosSpec>,
-    /// Simulation fidelity override; `None` uses the server's configured
-    /// default backend.
-    pub backend: Option<BackendChoice>,
 }
 
 /// Parses an archetype name, tolerant of case and `-`/`_` separators
@@ -303,10 +300,16 @@ impl ClosedLoopSpec {
     /// Parses and limit-validates a closed-loop body.
     ///
     /// # Errors
-    /// 400 on malformed JSON or missing members, 413 on runs over the
-    /// window/warm-up limits, 422 on unknown archetypes or chaos specs.
+    /// 400 on malformed JSON, missing members or a `backend` member (the
+    /// simulator has one fidelity), 413 on runs over the window/warm-up
+    /// limits, 422 on unknown archetypes or chaos specs.
     pub fn parse(body: &str) -> Result<ClosedLoopSpec, ApiError> {
         let doc = Json::parse(body).map_err(|e| ApiError::bad_json(e.to_string()))?;
+        if doc.get("backend").is_some() {
+            return Err(ApiError::bad_request(
+                "unsupported member `backend`: every run uses the cycle-level simulator",
+            ));
+        }
         let model = doc
             .get("model")
             .and_then(Json::as_str)
@@ -348,13 +351,6 @@ impl ClosedLoopSpec {
                     ApiError::unprocessable("bad_chaos_spec", format!("chaos: {e}"))
                 })?),
             };
-        let backend = match doc.get("backend").and_then(Json::as_str) {
-            None => None,
-            Some(name) => Some(
-                name.parse::<BackendChoice>()
-                    .map_err(|e| ApiError::unprocessable("unknown_backend", e.to_string()))?,
-            ),
-        };
         Ok(ClosedLoopSpec {
             model,
             archetype,
@@ -362,14 +358,7 @@ impl ClosedLoopSpec {
             windows,
             warm_insts,
             chaos,
-            backend,
         })
-    }
-
-    /// The fidelity the run uses: the spec's override, else the
-    /// registry config's default (`repro serve --backend`).
-    pub fn backend_in(&self, registry: &ModelRegistry) -> BackendChoice {
-        self.backend.unwrap_or(registry.config().backend)
     }
 
     /// Records the spec's seeded trace, runs the closed loop with the
@@ -388,16 +377,13 @@ impl ClosedLoopSpec {
         let mut gen = PhaseGenerator::new(self.archetype.center(), self.seed);
         let window_insts = self.windows * model.granularity_insts(interval_insts);
         let (warm, window) = record_trace(&mut gen, self.warm_insts, window_insts);
-        let backend = self.backend_in(registry);
         let out = ClosedLoopRequest::new(model, &warm, &window, interval_insts)
-            .with_backend(backend)
             .with_faults(self.chaos.clone().unwrap_or_default())
             .run();
         let mut fields: Vec<(&str, Json)> = vec![
             ("model", self.model.as_str().into()),
             ("archetype", format!("{:?}", self.archetype).into()),
             ("seed", self.seed.into()),
-            ("backend", backend.as_str().into()),
             ("windows", (out.modes.len() as u64).into()),
             ("instructions", out.instructions.into()),
             ("cycles", out.cycles.into()),
@@ -501,18 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_spec_parses_backend_fidelity() {
-        let spec =
-            ClosedLoopSpec::parse(r#"{"model":"m","archetype":"balanced","backend":"surrogate"}"#)
-                .unwrap();
-        assert_eq!(spec.backend, Some(BackendChoice::Surrogate));
-        let spec = ClosedLoopSpec::parse(r#"{"model":"m","archetype":"balanced"}"#).unwrap();
-        assert!(spec.backend.is_none());
-        let err =
-            ClosedLoopSpec::parse(r#"{"model":"m","archetype":"balanced","backend":"oracle"}"#)
-                .unwrap_err();
-        assert_eq!(err.status, 422);
-        assert_eq!(err.code, "unknown_backend");
+    fn closed_loop_spec_rejects_a_backend_member() {
+        for name in ["surrogate", "cycle_accurate"] {
+            let body = format!(r#"{{"model":"m","archetype":"balanced","backend":"{name}"}}"#);
+            let err = ClosedLoopSpec::parse(&body).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "bad_request"), "{name}");
+            assert!(err.message.contains("backend"), "{}", err.message);
+        }
+        assert!(ClosedLoopSpec::parse(r#"{"model":"m","archetype":"balanced"}"#).is_ok());
     }
 
     #[test]

@@ -753,12 +753,6 @@ fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool
             maybe_inject_chaos(shared)?;
             let spec = ClosedLoopSpec::parse(&req.body)?;
             let (doc, out) = spec.run(&shared.registry)?;
-            psca_obs::counter(if spec.backend_in(&shared.registry).is_reference() {
-                "serve.closed_loop.cycle_accurate"
-            } else {
-                "serve.closed_loop.surrogate"
-            })
-            .inc();
             let escalations = out.degrade.escalations;
             rsp.outcome.escalations = escalations;
             if escalations > 0 {

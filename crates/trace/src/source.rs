@@ -41,8 +41,9 @@ pub trait TraceSource {
     ///
     /// The default pulls and discards one instruction at a time;
     /// random-access sources ([`VecTrace`]) override it with an O(1)
-    /// cursor bump. Surrogate backends rely on this to pay only for the
-    /// instructions they sample.
+    /// cursor bump. The SPEC corpus build (`CorpusTelemetry::spec` in
+    /// `psca-adapt`) calls it to fast-forward a generated workload to
+    /// each SimPoint's warm-up.
     fn skip(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
         while skipped < n {

@@ -1,8 +1,9 @@
 //! Property tests for the shared parsers in `psca-obs`: the `key=value`
 //! spec tokenizer behind the chaos, skew, rollout and SLO grammars, the
 //! HTTP/1.1 framing used by every server and client, and the JSON reader
-//! behind every request body; for the sweep-cache trace codec; and for
-//! the `.pstr` instruction-trace file reader (`trace-tool replay` input).
+//! behind every request body; for the `/v1/closed-loop` body; for the
+//! sweep-cache trace codec; and for the `.pstr` instruction-trace file
+//! reader (`trace-tool replay` input).
 
 use proptest::prelude::*;
 use psca::adapt::{decode_trace, decode_traces, encode_trace, encode_traces, TraceTelemetry};
@@ -10,6 +11,7 @@ use psca::faults::ChaosSpec;
 use psca::fleet::{RolloutSpec, SkewSpec};
 use psca::obs::http::{self, FrameError, Response};
 use psca::obs::{Json, SloSpec};
+use psca::serve::ClosedLoopSpec;
 use psca::telemetry::NUM_EVENTS;
 use psca::trace::{
     write_trace, BranchInfo, Instruction, MemRef, OpClass, Reg, TraceFileReader, TraceSource,
@@ -364,6 +366,23 @@ proptest! {
         http::write_response(&mut raw, status, "application/json", extra, &body).unwrap();
         prop_assert_eq!(http::parse_status(&raw), Some(status));
         prop_assert_eq!(Response::parse(&raw), Some(Response { status, body }));
+    }
+}
+
+/// A `/v1/closed-loop` body naming the removed `backend` member is a
+/// typed 400 with the usual `{error, message}` document, whatever it names.
+#[test]
+fn closed_loop_bodies_naming_a_backend_are_rejected() {
+    for backend in [r#""surrogate""#, r#""cycle_accurate""#, "null", "1"] {
+        let body = format!(r#"{{"model":"best-rf","archetype":"balanced","backend":{backend}}}"#);
+        let err = ClosedLoopSpec::parse(&body).unwrap_err();
+        assert_eq!((err.status, err.code), (400, "bad_request"), "{body}");
+        let doc = Json::parse(&err.to_json()).expect("error body is JSON");
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+        assert!(doc
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("backend")));
     }
 }
 

@@ -185,6 +185,15 @@ fn protocol_round_trips_and_typed_errors() {
         422,
         "unknown_archetype",
     );
+    // The simulator has one fidelity: naming a backend is refused, not
+    // silently run on the cycle-level model.
+    expect_err(
+        "POST",
+        "/v1/closed-loop",
+        r#"{"model":"best-rf","archetype":"balanced","backend":"surrogate"}"#,
+        400,
+        "bad_request",
+    );
 
     // Oversized bodies are refused from the Content-Length alone,
     // before any body byte is read.
