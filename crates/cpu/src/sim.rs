@@ -31,11 +31,8 @@ use psca_trace::{Instruction, OpClass, TracePosition, TraceSource, NUM_ARCH_REGS
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Observability handles resolved once at simulator construction so the
-/// per-interval close never takes the registry lock (ISSUE 4: the old
-/// code re-looked-up `series("cpu.sim.ipc")` every window). When
-/// `PSCA_OBS=0`/`off` the whole struct is `None` on the simulator and
-/// every sim-level metric call collapses to a single pointer test.
+/// Observability handles resolved once at simulator construction, so the
+/// per-interval close never takes the registry lock.
 #[derive(Debug, Clone)]
 struct SimObs {
     instructions: Arc<psca_obs::Counter>,
@@ -53,11 +50,8 @@ struct SimObs {
 }
 
 impl SimObs {
-    fn resolve() -> Option<SimObs> {
-        if !sim_obs_enabled() {
-            return None;
-        }
-        Some(SimObs {
+    fn resolve() -> SimObs {
+        SimObs {
             instructions: psca_obs::counter("cpu.sim.instructions"),
             cycles: psca_obs::counter("cpu.sim.cycles"),
             intervals: psca_obs::counter("cpu.sim.intervals"),
@@ -70,21 +64,8 @@ impl SimObs {
             replayed_instructions: psca_obs::counter("cpu.sim.replayed_instructions"),
             ipc: psca_obs::series("cpu.sim.ipc"),
             low_power: psca_obs::series("cpu.sim.low_power"),
-        })
+        }
     }
-}
-
-/// Whether sim-level observability is on (default) or disabled via
-/// `PSCA_OBS=0`/`off`. Read once per process: simulators are constructed
-/// in inner experiment loops and `std::env::var` is not cheap.
-fn sim_obs_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("PSCA_OBS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
 }
 
 /// Cluster configuration of the core (§3, Figure 2).
@@ -274,8 +255,8 @@ pub struct ClusterSim {
     gated_cc: u64,
     // mode-switch request delayed by an actuation fault
     delayed_mode: Option<Mode>,
-    // pre-resolved observability handles (None when PSCA_OBS=0)
-    obs: Option<SimObs>,
+    // pre-resolved observability handles
+    obs: SimObs,
 }
 
 impl ClusterSim {
@@ -352,9 +333,7 @@ impl ClusterSim {
         }
         self.account_cluster_cycles();
         self.bank.incr(Event::ModeSwitches);
-        if let Some(obs) = &self.obs {
-            obs.mode_switches.inc();
-        }
+        self.obs.mode_switches.inc();
         if psca_obs::enabled(psca_obs::Level::Debug) {
             psca_obs::emit(
                 psca_obs::Level::Debug,
@@ -373,9 +352,7 @@ impl ClusterSim {
                 .count()
                 .min(self.cfg.transfer_uop_max as usize) as u64;
             self.bank.add(Event::TransferUops, live_in_c2);
-            if let Some(obs) = &self.obs {
-                obs.transfer_uops.add(live_in_c2);
-            }
+            self.obs.transfer_uops.add(live_in_c2);
             self.bank.add(Event::UopsIssued, live_in_c2);
             self.bank.add(Event::Cluster1UopsIssued, live_in_c2);
             self.uops_issued_in_interval += live_in_c2;
@@ -402,9 +379,7 @@ impl ClusterSim {
             }
             ModeSwitchFault::Lost => {
                 if mode != self.mode {
-                    if let Some(obs) = &self.obs {
-                        obs.switch_lost.inc();
-                    }
+                    self.obs.switch_lost.inc();
                     psca_obs::emit(
                         psca_obs::Level::Warn,
                         "cpu.mode_switch.lost",
@@ -416,9 +391,7 @@ impl ClusterSim {
             ModeSwitchFault::DelayedOneWindow => {
                 if mode != self.mode {
                     self.delayed_mode = Some(mode);
-                    if let Some(obs) = &self.obs {
-                        obs.switch_delayed.inc();
-                    }
+                    self.obs.switch_delayed.inc();
                 }
                 false
             }
@@ -818,7 +791,7 @@ impl ClusterSim {
         // inherits the calling thread's request context, if any), so a
         // served closed-loop request renders down to interval granularity.
         let span_ts = psca_obs::trace::enabled().then(psca_obs::trace::now_us);
-        let busy_since = self.obs.is_some().then(Instant::now);
+        let busy_since = Instant::now();
         let replay = self.replays(source.position());
         let store = self.recording && !replay && self.lineage.is_some();
         self.codes.clear();
@@ -847,11 +820,11 @@ impl ClusterSim {
             }
             lineage.advance(executed);
         }
-        if let (Some(obs), Some(since)) = (&self.obs, busy_since) {
-            obs.busy_us.add(since.elapsed().as_micros() as u64);
-            if replay {
-                obs.replayed_instructions.add(executed);
-            }
+        self.obs
+            .busy_us
+            .add(busy_since.elapsed().as_micros() as u64);
+        if replay {
+            self.obs.replayed_instructions.add(executed);
         }
         if executed == 0 {
             return None;
@@ -863,24 +836,23 @@ impl ClusterSim {
         // Close the interval. Observability is batched once per interval
         // (never per instruction) through handles resolved at
         // construction, so the close costs a few relaxed atomic ops and
-        // zero registry lookups — and nothing at all under PSCA_OBS=0.
+        // zero registry lookups.
         let cycles = (self.last_retire - self.interval_start).max(1);
         self.bank.add(Event::Cycles, cycles);
         let interval_ipc = executed as f64 / cycles as f64;
-        if let Some(obs) = &self.obs {
-            obs.instructions.add(executed);
-            obs.cycles.add(cycles);
-            obs.intervals.inc();
-            if self.mode == Mode::LowPower {
-                obs.cycles_low_power.add(cycles);
-            }
-            obs.ipc.push(interval_ipc);
-            obs.low_power.push(if self.mode == Mode::LowPower {
-                1.0
-            } else {
-                0.0
-            });
+        let obs = &self.obs;
+        obs.instructions.add(executed);
+        obs.cycles.add(cycles);
+        obs.intervals.inc();
+        if self.mode == Mode::LowPower {
+            obs.cycles_low_power.add(cycles);
         }
+        obs.ipc.push(interval_ipc);
+        obs.low_power.push(if self.mode == Mode::LowPower {
+            1.0
+        } else {
+            0.0
+        });
         if psca_obs::trace::enabled() {
             psca_obs::trace::counter_event("cpu.sim.ipc", interval_ipc);
         }

@@ -36,9 +36,10 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// would take, so results are identical by construction. A panic inside
 /// `f` propagates to the caller once the scope joins.
 ///
-/// The caller's request-scoped trace context (if any) is forwarded to
-/// every worker thread, so spans recorded inside `f` stay attributed to
-/// the request that fanned out — observability only, never affecting
+/// The caller's request-scoped trace context (if any) and its open spans
+/// are forwarded to every worker thread, so spans recorded inside `f`
+/// stay attributed to the request that fanned out and nest under the
+/// caller's spans at any `jobs` — observability only, never affecting
 /// results.
 pub fn map_indexed<T, R, F>(jobs: usize, items: Vec<T>, f: &F) -> Vec<R>
 where
@@ -55,6 +56,7 @@ where
             .collect();
     }
     let ctx = psca_obs::ctx::current();
+    let spans = psca_obs::span::open_spans();
     let workers = jobs.min(n);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
@@ -67,8 +69,10 @@ where
             let queues = &queues;
             let slots = &slots;
             let results = &results;
+            let spans = &spans;
             scope.spawn(move || {
                 let _ctx_guard = ctx.map(psca_obs::ctx::attach);
+                let _span_guard = psca_obs::span::inherit(spans);
                 loop {
                     // Bind the owned-queue pop before matching on it: a
                     // `match` scrutinee's temporaries (here the queue's
@@ -174,6 +178,17 @@ mod tests {
             psca_obs::ctx::current().map(|c| c.trace_id)
         });
         assert!(seen.iter().all(|t| *t == Some(ctx.trace_id)));
+    }
+
+    #[test]
+    fn workers_inherit_callers_open_spans() {
+        let _outer = psca_obs::SpanTimer::start("pool_inherit_test");
+        let seen = map_indexed(4, (0..16).collect::<Vec<u32>>(), &|_, _| {
+            psca_obs::span::current_path()
+        });
+        assert!(seen
+            .iter()
+            .all(|p| p.as_deref() == Some("pool_inherit_test")));
     }
 
     #[test]

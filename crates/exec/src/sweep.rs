@@ -10,7 +10,10 @@
 //!   captured in a per-cell shard and replayed into the global registry in
 //!   cell-index order, so the registry ends up in the same state a serial
 //!   run would produce. Counters and histograms are commutative atomics
-//!   and need no special handling.
+//!   and need no special handling,
+//! - every worker inherits the caller's open spans ([`pool::map_indexed`]),
+//!   so `span.*` histogram names and profiler stacks recorded inside a
+//!   cell are the same at any worker count.
 //!
 //! Nested sweeps (a `Sweep::run` issued from inside another sweep's cell)
 //! automatically degrade to inline serial execution: no thread

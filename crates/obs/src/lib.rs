@@ -28,10 +28,11 @@
 //! [`SpanTimer`] ([`span`]) bridges metrics, events, and traces: an RAII
 //! timer that records wall time into `span.<path>` histograms, emits
 //! trace-level enter/exit events, and (when tracing) a Perfetto duration
-//! bar. The hierarchical self-profiler ([`prof`], opt-in via
-//! `PSCA_PROF=1`) rides the same spans: per-thread call trees with call
-//! counts and self-vs-total wall time, merged across sweep workers and
-//! rendered as collapsed-stack (flamegraph) text plus a self-time table
+//! bar. Each thread keeps one span stack, which sweep workers inherit
+//! from their caller. The hierarchical self-profiler ([`prof`], opt-in
+//! via `PSCA_PROF=1`) rides the same spans: one process-wide call tree
+//! with call counts and self-vs-total wall time, rendered as
+//! collapsed-stack (flamegraph) text plus a self-time table
 //! (`docs/PROFILING.md`).
 //!
 //! On top of these sit three request-scoped facilities:

@@ -1,22 +1,22 @@
 //! `psca-prof`: a dependency-free hierarchical self-profiler.
 //!
 //! Rides the existing [`crate::SpanTimer`] machinery: when profiling is
-//! enabled (`PSCA_PROF=1` or [`set_enabled`]), every span entry pushes a
-//! frame onto a per-thread stack and every span exit folds the frame's
-//! wall time into a call-tree node keyed by the `;`-joined stack of
-//! enclosing span names — the *collapsed-stack* key flamegraph tooling
-//! consumes directly. Each node tracks call count, total wall time, and
-//! **self** time (total minus the time attributed to child frames), so a
+//! enabled (`PSCA_PROF=1` or [`set_enabled`]), every span exit folds the
+//! span's wall time into a call-tree node keyed by the `;`-joined stack
+//! of enclosing span names — the *collapsed-stack* key flamegraph
+//! tooling consumes directly. Each node tracks call count, total wall
+//! time, and **self** time (total minus the time its child spans took,
+//! both read from the span's frame on the thread's one span stack), so a
 //! sorted self-time table points at the code that actually burns cycles
 //! rather than whatever sits at the top of the call tree.
 //!
-//! Aggregation mirrors the series-shard design ([`crate::shard`]):
-//! frames finishing inside a `psca_exec` sweep cell are folded into that
-//! cell's [`Profile`] shard and merged into the process-global profile
-//! when the sweep replays its recordings; frames finishing outside a
-//! cell merge straight into the global profile. Node statistics are
-//! commutative sums, so the merge is associative — any shard grouping
-//! yields the same totals (tested in `tests/observability.rs`).
+//! Every span exit, on any thread, folds straight into the
+//! process-global profile. Node statistics are commutative sums, so the
+//! order in which sweep workers finish cannot change the totals, and a
+//! sweep cell's spans nest under the caller's spans because the workers
+//! inherit the caller's span stack ([`crate::span::inherit`]): stacks
+//! and call counts are the same at any `--jobs` (tested in
+//! `tests/observability.rs`).
 //!
 //! The profiler is an observer only: it never touches simulation state,
 //! RNG streams, or response bodies, so profiled and unprofiled runs are
@@ -29,13 +29,13 @@
 //!   line), loadable by `inferno-flamegraph` / `flamegraph.pl`;
 //! - [`Profile::self_table`] / [`Profile::render_table`] — nodes sorted
 //!   by self time;
-//! - [`Profile::to_json`] — the machine-readable summary `repro
-//!   profile` writes and `GET /v1/profile` serves.
+//! - [`Profile::to_json`] — the machine-readable summary written next
+//!   to the `.folded` file at exit (`PSCA_PROF=1 <any command>`) and
+//!   served by `GET /v1/profile`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::json::Json;
 
@@ -92,8 +92,8 @@ impl Profile {
     }
 
     /// Merges another profile into this one. Node stats are sums, so
-    /// the operation is commutative and associative: merging per-cell
-    /// shards in any grouping produces the same profile.
+    /// the operation is commutative and associative: merging profiles in
+    /// any grouping produces the same profile.
     pub fn merge(&mut self, other: &Profile) {
         for (stack, stat) in &other.nodes {
             let node = self.nodes.entry(stack.clone()).or_default();
@@ -202,95 +202,36 @@ impl Profile {
     }
 }
 
-/// One live frame on a thread's profiling stack.
-#[derive(Debug)]
-struct Frame {
-    name: String,
-    /// Wall nanoseconds already attributed to completed child frames.
-    child_ns: u64,
-}
-
-thread_local! {
-    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    /// Per-cell capture, mirroring the series shard: `Some` while the
-    /// thread executes a sweep cell.
-    static CELL: RefCell<Option<Profile>> = const { RefCell::new(None) };
-}
-
-/// Pushes a frame for a span entering on this thread; returns the frame
-/// depth the matching [`frame_exit`] must pass back. Called by
-/// [`crate::SpanTimer::start`] when profiling is enabled.
-pub(crate) fn frame_enter(name: &str) -> usize {
-    // The folded grammar reserves ';' (stack separator), ' ' (value
-    // separator), and newlines; span names never legitimately contain
-    // them, but a stray one must not corrupt the artifact.
-    let clean: String = name
-        .chars()
-        .map(|c| {
+/// The collapsed-stack key of a span: its enclosing span names,
+/// outermost first, then its own, joined by `;`.
+pub(crate) fn stack_key<'a>(names: impl IntoIterator<Item = &'a str>) -> String {
+    let mut key = String::new();
+    for name in names {
+        if !key.is_empty() {
+            key.push(';');
+        }
+        // The folded grammar reserves ';' (stack separator), ' ' (value
+        // separator), and newlines; span names never legitimately contain
+        // them, but a stray one must not corrupt the artifact.
+        key.extend(name.chars().map(|c| {
             if c == ';' || c.is_whitespace() {
                 '_'
             } else {
                 c
             }
-        })
-        .collect();
-    FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        frames.push(Frame {
-            name: clean,
-            child_ns: 0,
-        });
-        frames.len()
-    })
-}
-
-/// Pops the frame pushed at `depth` and folds its `total_ns` wall time
-/// into the active sink (cell shard if one is active, the global
-/// profile otherwise). Called by the matching span's drop.
-pub(crate) fn frame_exit(depth: usize, total_ns: u64) {
-    let folded = FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        // Escaped child spans truncate here, same as the span stack.
-        frames.truncate(depth);
-        let frame = frames.pop()?;
-        let self_ns = total_ns.saturating_sub(frame.child_ns);
-        if let Some(parent) = frames.last_mut() {
-            parent.child_ns += total_ns;
-        }
-        let mut stack = String::with_capacity(depth * 16);
-        for f in frames.iter() {
-            stack.push_str(&f.name);
-            stack.push(';');
-        }
-        stack.push_str(&frame.name);
-        Some((stack, self_ns))
-    });
-    let Some((stack, self_ns)) = folded else {
-        return;
-    };
-    let captured = CELL.with(|cell| match cell.borrow_mut().as_mut() {
-        Some(profile) => {
-            profile.record(&stack, total_ns, self_ns);
-            true
-        }
-        None => false,
-    });
-    if !captured {
-        global().lock().unwrap().record(&stack, total_ns, self_ns);
+        }));
     }
+    key
 }
 
-/// Starts capturing this thread's completed frames into a cell-local
-/// profile shard (called by [`crate::shard::begin_cell`]).
-pub(crate) fn cell_begin() {
-    CELL.with(|cell| *cell.borrow_mut() = Some(Profile::default()));
-}
-
-/// Ends the cell capture and returns its shard (empty when none was
-/// active).
-pub(crate) fn cell_take() -> Profile {
-    CELL.with(|cell| cell.borrow_mut().take())
-        .unwrap_or_default()
+/// Folds one completed span into the process-global profile. Runs in
+/// `SpanTimer`'s drop, so it must not panic: a poisoned lock still holds
+/// a valid profile (each node update is a few additions).
+pub(crate) fn record(stack: &str, total_ns: u64, self_ns: u64) {
+    global()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .record(stack, total_ns, self_ns);
 }
 
 fn global() -> &'static Mutex<Profile> {
@@ -298,13 +239,13 @@ fn global() -> &'static Mutex<Profile> {
     GLOBAL.get_or_init(|| Mutex::new(Profile::default()))
 }
 
-/// Merges a shard (e.g. a sweep cell's capture) into the process-global
-/// profile.
-pub fn merge_global(shard: &Profile) {
-    if shard.is_empty() {
+/// Merges a profile (e.g. `repro bench`'s union of its per-bench
+/// profiles) into the process-global profile.
+pub fn merge_global(profile: &Profile) {
+    if profile.is_empty() {
         return;
     }
-    global().lock().unwrap().merge(shard);
+    global().lock().unwrap().merge(profile);
 }
 
 /// A copy of the process-global profile.
@@ -386,33 +327,30 @@ mod tests {
 
     #[test]
     fn frame_attribution_computes_self_time() {
-        // parent(100us) > child(60us): parent self = 40us.
-        let d1 = frame_enter("pf_parent");
-        let d2 = frame_enter("pf_child");
-        // Route to a cell shard so this test never races the global
-        // profile with other tests.
-        cell_begin();
-        // Frames were entered before the cell began; exits record into
-        // the active cell sink regardless.
-        frame_exit(d2, 60_000);
-        frame_exit(d1, 100_000);
-        let shard = cell_take();
-        let parent = shard.node("pf_parent").unwrap();
-        assert_eq!(parent.total_ns, 100_000);
-        assert_eq!(parent.self_ns, 40_000);
-        let child = shard.node("pf_parent;pf_child").unwrap();
-        assert_eq!(child.self_ns, 60_000);
+        // Unique span names keep this test's nodes apart from any other
+        // test recording into the global profile concurrently.
+        set_enabled(true);
+        let parent = crate::SpanTimer::start("pf_parent");
+        let child = crate::SpanTimer::start("pf_child");
+        let child_ns = child.finish();
+        let parent_ns = parent.finish();
+        let profile = snapshot();
+        let parent = profile.node("pf_parent").unwrap();
+        assert_eq!(parent.calls, 1);
+        assert_eq!(parent.total_ns, parent_ns);
+        assert_eq!(parent.self_ns, parent_ns - child_ns);
+        let child = profile.node("pf_parent;pf_child").unwrap();
+        assert_eq!(child.total_ns, child_ns);
+        assert_eq!(child.self_ns, child_ns);
         assert_eq!(child.calls, 1);
     }
 
     #[test]
     fn names_are_sanitized_for_the_folded_grammar() {
-        cell_begin();
-        let d = frame_enter("weird name;with sep");
-        frame_exit(d, 1_000);
-        let shard = cell_take();
-        assert!(shard.node("weird_name_with_sep").is_some());
-        assert_eq!(shard.folded(), "weird_name_with_sep 1\n");
+        assert_eq!(
+            stack_key(["weird name", "with;sep\n"]),
+            "weird_name;with_sep_"
+        );
     }
 
     #[test]

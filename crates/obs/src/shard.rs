@@ -17,15 +17,10 @@
 //! When no cell is active (serial execution, main thread) a handle push
 //! goes straight to the registry — same order, same result.
 //!
-//! The hierarchical profiler ([`crate::prof`]) piggybacks on the same
-//! begin/end/replay protocol: spans completing inside a cell fold into
-//! the cell's [`crate::prof::Profile`] shard, and [`replay`] merges it
-//! into the process-global profile. Profile merges are commutative
-//! sums, so — unlike series — the replay order cannot change the
-//! result; routing them through the same machinery simply keeps one
-//! aggregation path for all per-cell observability.
+//! The hierarchical profiler ([`crate::prof`]) needs no shard: its nodes
+//! are commutative sums, so spans exiting inside a cell fold straight
+//! into the global profile.
 
-use crate::prof::Profile;
 use crate::timeseries::TimeSeries;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -39,12 +34,10 @@ pub enum SeriesSample {
     At(u64, f64),
 }
 
-/// Ordered series samples captured while one sweep cell executed, plus
-/// the cell's profiler shard.
+/// Ordered series samples captured while one sweep cell executed.
 #[derive(Debug, Clone, Default)]
 pub struct CellRecording {
     entries: Vec<(Arc<str>, SeriesSample)>,
-    prof: Profile,
 }
 
 impl CellRecording {
@@ -53,14 +46,9 @@ impl CellRecording {
         self.entries.len()
     }
 
-    /// True when nothing was captured (series or profile frames).
+    /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.prof.is_empty()
-    }
-
-    /// The call-tree profile captured while the cell executed.
-    pub fn profile(&self) -> &Profile {
-        &self.prof
+        self.entries.is_empty()
     }
 }
 
@@ -68,18 +56,14 @@ thread_local! {
     static ACTIVE: RefCell<Option<CellRecording>> = const { RefCell::new(None) };
 }
 
-/// Starts capturing series pushes (and profiler frames) on this thread
-/// into a fresh recording.
+/// Starts capturing series pushes on this thread into a fresh recording.
 pub fn begin_cell() {
     ACTIVE.with(|a| *a.borrow_mut() = Some(CellRecording::default()));
-    crate::prof::cell_begin();
 }
 
 /// Stops capturing and returns the recording (empty if none was active).
 pub fn end_cell() -> CellRecording {
-    let mut rec = ACTIVE.with(|a| a.borrow_mut().take()).unwrap_or_default();
-    rec.prof = crate::prof::cell_take();
-    rec
+    ACTIVE.with(|a| a.borrow_mut().take()).unwrap_or_default()
 }
 
 /// True while this thread is inside `begin_cell` .. `end_cell`.
@@ -100,7 +84,7 @@ pub(crate) fn record(name: &Arc<str>, sample: SeriesSample) -> bool {
 }
 
 /// Replays a recording into the global registry, preserving sample
-/// order, and merges the cell's profile shard into the global profile.
+/// order.
 pub fn replay(rec: &CellRecording) {
     for (name, sample) in &rec.entries {
         let series: Arc<TimeSeries> = crate::metrics::global().series(name);
@@ -109,7 +93,6 @@ pub fn replay(rec: &CellRecording) {
             SeriesSample::At(x, y) => series.push_at(x, y),
         }
     }
-    crate::prof::merge_global(&rec.prof);
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! RAII span timers.
+//! RAII span timers and the per-thread span stack.
 //!
 //! A [`SpanTimer`] measures the wall time between construction and drop
 //! and records it (in nanoseconds) into the global histogram
@@ -9,84 +9,88 @@
 //! [`Level::Trace`] to the event sinks, and — when `PSCA_TRACE`
 //! recording is active ([`crate::trace`]) — a Chrome trace-event
 //! *complete* record (not a pair of instants), so spans render as nested
-//! duration bars in Perfetto.
+//! duration bars in Perfetto. When the hierarchical profiler is on
+//! ([`crate::prof`], `PSCA_PROF=1`) the exit also folds the span into
+//! the call-tree node of its collapsed stack.
 //!
-//! When the hierarchical profiler is on ([`crate::prof`], `PSCA_PROF=1`)
-//! each span additionally maintains a profiling frame, so call counts
-//! and self-vs-total wall time accumulate per collapsed stack.
+//! Each thread keeps **one** stack of open frames. A frame holds the
+//! span's name, its dot path, its start time and the wall time its
+//! completed child spans took; the histogram, the Perfetto event and the
+//! profiler node are all read from that one frame at exit, from a single
+//! clock read (callers can observe it via [`SpanTimer::finish`]).
 //!
-//! The clock is read **once** per span exit: the histogram record, the
-//! Perfetto duration, the `span.exit` event's `wall_ns` field, and the
-//! profiler frame all report that same snapshot (callers can observe it
-//! via [`SpanTimer::finish`]).
+//! A parallel section hands its caller's open spans to its workers
+//! ([`open_spans`] on the caller, [`inherit`] in each worker), so a span
+//! opened inside a sweep cell nests under the caller's spans whichever
+//! thread runs it. Inherited frames name the context only: they are
+//! never timed or recorded on the worker.
 
 use crate::event::{to_sinks, FieldValue, Level};
 use crate::{metrics, prof, trace};
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::time::Instant;
 
+/// One open span on a thread's stack.
+#[derive(Debug, Clone)]
+struct Frame {
+    /// Dot-joined path; the span's own name is its last `name_len` bytes.
+    path: String,
+    name_len: usize,
+    /// `None` for a frame inherited from a parallel section's caller.
+    start: Option<Instant>,
+    /// Wall nanoseconds spent in completed child spans.
+    child_ns: u64,
+}
+
+impl Frame {
+    fn name(&self) -> &str {
+        &self.path[self.path.len() - self.name_len..]
+    }
+}
+
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Measures one span of work; records on drop.
+///
+/// A timer belongs to the thread that started it (it is not `Send`):
+/// its frame lives on that thread's span stack.
 #[derive(Debug)]
 pub struct SpanTimer {
-    path: String,
-    start: Instant,
-    depth_on_entry: usize,
-    /// Trace-relative start in µs; `u64::MAX` when recording was off at
-    /// span entry (avoids locking the recorder on drop).
-    trace_ts_us: u64,
-    /// Profiler frame depth; `usize::MAX` when profiling was off at
-    /// span entry (the frame stack must stay balanced even if the
-    /// profiler is toggled mid-span).
-    prof_depth: usize,
-    /// Set by [`SpanTimer::finish`] so drop does not record twice.
-    recorded: bool,
+    /// Stack length with this span's frame on top.
+    depth: usize,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl SpanTimer {
     /// Starts a span named `name`, nested under any active spans on this
     /// thread.
     pub fn start(name: &str) -> SpanTimer {
-        let (path, depth) = SPAN_STACK.with(|stack| {
+        let (path, depth) = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let path = if stack.is_empty() {
-                name.to_string()
-            } else {
-                format!("{}.{}", stack.last().unwrap(), name)
+            let path = match stack.last() {
+                Some(parent) => format!("{}.{name}", parent.path),
+                None => name.to_string(),
             };
-            stack.push(path.clone());
+            stack.push(Frame {
+                path: path.clone(),
+                name_len: name.len(),
+                start: Some(Instant::now()),
+                child_ns: 0,
+            });
             (path, stack.len())
         });
-        let prof_depth = if prof::enabled() {
-            prof::frame_enter(name)
-        } else {
-            usize::MAX
-        };
         to_sinks(
             Level::Trace,
             "span.enter",
-            &[("span", FieldValue::Str(path.clone()))],
+            &[("span", FieldValue::Str(path))],
         );
         SpanTimer {
-            path,
-            start: Instant::now(),
-            depth_on_entry: depth,
-            trace_ts_us: if trace::enabled() {
-                trace::now_us()
-            } else {
-                u64::MAX
-            },
-            prof_depth,
-            recorded: false,
+            depth,
+            _thread_bound: PhantomData,
         }
-    }
-
-    /// The full dot-joined span path (`parent.child`).
-    pub fn path(&self) -> &str {
-        &self.path
     }
 
     /// Ends the span and returns the recorded wall nanoseconds — the
@@ -94,54 +98,122 @@ impl SpanTimer {
     /// from a single clock read. Use this instead of timing the span
     /// region with a second `Instant` (which would report a slightly
     /// different duration than the span's own record).
-    pub fn finish(mut self) -> u64 {
-        self.record_exit()
-    }
-
-    /// Records the span exit exactly once; shared by `finish` and drop.
-    fn record_exit(&mut self) -> u64 {
-        // Single clock snapshot: every consumer below sees the same
-        // duration.
-        let ns = self.start.elapsed().as_nanos() as u64;
-        self.recorded = true;
-        metrics::global()
-            .histogram(&format!("span.{}", self.path))
-            .record(ns);
-        if self.trace_ts_us != u64::MAX && trace::enabled() {
-            trace::complete(&self.path, self.trace_ts_us, ns / 1_000);
-        }
-        if self.prof_depth != usize::MAX {
-            prof::frame_exit(self.prof_depth, ns);
-        }
-        to_sinks(
-            Level::Trace,
-            "span.exit",
-            &[
-                ("span", FieldValue::Str(self.path.clone())),
-                ("wall_ns", FieldValue::U64(ns)),
-            ],
-        );
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Spans normally drop in LIFO order; if a span escaped its
-            // scope, truncate back to this span's depth to stay sane.
-            stack.truncate(self.depth_on_entry.saturating_sub(1));
-        });
+    pub fn finish(self) -> u64 {
+        let ns = exit(self.depth);
+        std::mem::forget(self);
         ns
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if !self.recorded {
-            self.record_exit();
+        exit(self.depth);
+    }
+}
+
+/// Pops the frame at `depth` and records it; returns its wall
+/// nanoseconds (0 when an enclosing span already closed it).
+fn exit(depth: usize) -> u64 {
+    let popped = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        if stack.len() < depth {
+            return None;
+        }
+        // Spans normally drop in LIFO order; a child that escaped its
+        // scope is closed unrecorded with its parent.
+        stack.truncate(depth);
+        let frame = stack.pop()?;
+        // Single clock snapshot: every consumer below sees the same
+        // duration.
+        let ns = frame.start?.elapsed().as_nanos() as u64;
+        if let Some(parent) = stack.last_mut() {
+            parent.child_ns += ns;
+        }
+        let folded = prof::enabled()
+            .then(|| prof::stack_key(stack.iter().map(Frame::name).chain([frame.name()])));
+        Some((frame, ns, folded))
+    });
+    let Some((frame, ns, folded)) = popped else {
+        return 0;
+    };
+    metrics::global()
+        .histogram(&format!("span.{}", frame.path))
+        .record(ns);
+    if trace::enabled() {
+        let dur_us = ns / 1_000;
+        // A span that opened before recording started has no place on
+        // the trace's time axis.
+        if let Some(ts_us) = trace::now_us().checked_sub(dur_us) {
+            trace::complete(&frame.path, ts_us, dur_us);
         }
     }
+    if let Some(stack) = folded {
+        prof::record(&stack, ns, ns.saturating_sub(frame.child_ns));
+    }
+    to_sinks(
+        Level::Trace,
+        "span.exit",
+        &[
+            ("span", FieldValue::Str(frame.path)),
+            ("wall_ns", FieldValue::U64(ns)),
+        ],
+    );
+    ns
 }
 
 /// The current thread's active span path, if any.
 pub fn current_path() -> Option<String> {
-    SPAN_STACK.with(|stack| stack.borrow().last().cloned())
+    STACK.with(|stack| stack.borrow().last().map(|f| f.path.clone()))
+}
+
+/// A snapshot of one thread's open spans, for [`inherit`].
+#[derive(Debug)]
+pub struct OpenSpans(Vec<Frame>);
+
+/// The calling thread's open spans (outermost first).
+pub fn open_spans() -> OpenSpans {
+    STACK.with(|stack| {
+        OpenSpans(
+            stack
+                .borrow()
+                .iter()
+                .map(|f| Frame {
+                    start: None,
+                    child_ns: 0,
+                    ..f.clone()
+                })
+                .collect(),
+        )
+    })
+}
+
+/// Opens `spans` on the calling thread, above its own open spans, for
+/// the guard's lifetime. The inherited frames are never timed or
+/// recorded here; spans started under them nest under their paths.
+pub fn inherit(spans: &OpenSpans) -> InheritGuard {
+    let base = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let base = stack.len();
+        stack.extend(spans.0.iter().cloned());
+        base
+    });
+    InheritGuard {
+        base,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// RAII restorer for [`inherit`].
+#[derive(Debug)]
+pub struct InheritGuard {
+    base: usize,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for InheritGuard {
+    fn drop(&mut self) {
+        STACK.with(|stack| stack.borrow_mut().truncate(self.base));
+    }
 }
 
 #[cfg(test)]
@@ -152,10 +224,9 @@ mod tests {
     fn nesting_builds_dotted_paths() {
         assert_eq!(current_path(), None);
         let outer = SpanTimer::start("outer_span_test");
-        assert_eq!(outer.path(), "outer_span_test");
+        assert_eq!(current_path().as_deref(), Some("outer_span_test"));
         {
-            let inner = SpanTimer::start("inner");
-            assert_eq!(inner.path(), "outer_span_test.inner");
+            let _inner = SpanTimer::start("inner");
             assert_eq!(current_path().as_deref(), Some("outer_span_test.inner"));
         }
         assert_eq!(current_path().as_deref(), Some("outer_span_test"));
@@ -184,5 +255,22 @@ mod tests {
         // The histogram saw the same single snapshot finish returned.
         assert!(h.sum() >= ns);
         assert_eq!(current_path(), None);
+    }
+
+    #[test]
+    fn inherited_spans_name_the_context_but_record_nothing() {
+        let outer = SpanTimer::start("span_inherit_outer");
+        let spans = open_spans();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = inherit(&spans);
+                assert_eq!(current_path().as_deref(), Some("span_inherit_outer"));
+                let _cell = SpanTimer::start("cell");
+            });
+        });
+        drop(outer);
+        let count = |name: &str| metrics::global().histogram(name).count();
+        assert_eq!(count("span.span_inherit_outer"), 1);
+        assert_eq!(count("span.span_inherit_outer.cell"), 1);
     }
 }

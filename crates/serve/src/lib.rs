@@ -22,8 +22,8 @@
 //!
 //! Machinery (all `std`, no new dependencies):
 //!
-//! - a bounded request queue with `429` backpressure past capacity and a
-//!   `503` connection ceiling ([`server::ServeConfig`]);
+//! - a bounded request queue with `429` backpressure past capacity, its
+//!   one admission limit ([`server::ServeConfig`]);
 //! - a worker pool sized by `psca-exec`'s jobs resolution;
 //! - per-endpoint request/error counters and latency histograms plus
 //!   in-flight/queue-depth gauges via `psca-obs`;

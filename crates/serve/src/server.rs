@@ -5,8 +5,8 @@
 //! Framing is `psca_obs::http`, shared with the loadgen client; its
 //! errors map to typed 400/408/413 [`ApiError`]s. The daemon adds a
 //! worker pool (the accept thread pushes connections into a condvar-guarded
-//! `Mutex<VecDeque>`, workers pop) and answers a full queue or connection
-//! ceiling with 429/503 at accept time. All `std`, no dependencies.
+//! `Mutex<VecDeque>`, workers pop) and answers a full queue with 429 at
+//! accept time. All `std`, no dependencies.
 //!
 //! Every request is request-scoped observable: a
 //! [`psca_obs::TraceCtx`] is parsed from an inbound `traceparent` header

@@ -556,14 +556,17 @@ fn profiler_keeps_served_predictions_bit_identical_and_scrapes() {
     daemon.shutdown();
 }
 
-/// The per-cell profile shards merge commutatively, so the call tree
-/// (stacks and call counts — timings are wall clock and naturally vary)
-/// is invariant under the worker count, exactly like series shards.
+/// A sweep run inside a caller's span profiles its cells under that
+/// span at any worker count: workers inherit the caller's span stack,
+/// and profile nodes are commutative sums, so the call tree (stacks and
+/// call counts — timings are wall clock and naturally vary) is
+/// invariant under the worker count, exactly like series shards.
 #[test]
-fn profile_shard_merge_is_job_count_invariant() {
+fn sweep_profile_nests_under_the_callers_span_at_any_job_count() {
     let run = |jobs: usize| -> Vec<(String, u64)> {
         psca::obs::prof::set_enabled(true);
         let _ = psca::obs::prof::drain();
+        let caller = psca::obs::SpanTimer::start("proftest.caller");
         let cells: Vec<u64> = (0..12).collect();
         let _ = psca::exec::Sweep::new("proftest")
             .jobs(jobs)
@@ -576,6 +579,7 @@ fn profile_shard_merge_is_job_count_invariant() {
                 drop(outer);
                 c
             });
+        drop(caller);
         psca::obs::prof::drain()
             .nodes()
             .filter(|(stack, _)| stack.starts_with("proftest"))
@@ -593,8 +597,12 @@ fn profile_shard_merge_is_job_count_invariant() {
     assert_eq!(
         serial,
         vec![
-            ("proftest.outer".to_string(), 12),
-            ("proftest.outer;proftest.inner".to_string(), 12),
+            ("proftest.caller".to_string(), 1),
+            ("proftest.caller;proftest.outer".to_string(), 12),
+            (
+                "proftest.caller;proftest.outer;proftest.inner".to_string(),
+                12
+            ),
         ]
     );
 }

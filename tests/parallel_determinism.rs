@@ -171,6 +171,33 @@ fn chaos_sweep_series_are_identical_across_job_counts() {
 }
 
 #[test]
+fn chaos_sweep_span_names_are_identical_across_job_counts() {
+    // The sweep opens its cells under its own `chaos.sweep` span; the
+    // workers inherit it, so the run report's `span.*` names must not
+    // depend on jobs. Only names under that span are compared: tests that
+    // do not hold the registry lock record their own spans concurrently.
+    let _registry = registry_lock();
+    let spec = ChaosSpec::default_chaos();
+    let run = |jobs: usize| -> Vec<String> {
+        // The sweep scopes the global registry to its own run.
+        chaos::chaos_sweep(&cfg_with_jobs(jobs), &spec);
+        psca_obs::snapshot()
+            .histograms
+            .into_iter()
+            .filter(|(name, h)| name.starts_with("span.chaos.sweep") && h.count > 0)
+            .map(|(name, _)| name)
+            .collect()
+    };
+    let serial = run(1);
+    let parallel = run(2);
+    assert!(
+        serial.contains(&"span.chaos.sweep.adapt.closed_loop".to_string()),
+        "cells must nest under the sweep's span: {serial:?}"
+    );
+    assert_eq!(serial, parallel, "span names depend on jobs");
+}
+
+#[test]
 fn eval_is_bit_identical_across_job_counts() {
     let mut traces = Vec::new();
     for (i, a) in [
