@@ -828,5 +828,4 @@ fn finalize_report(report: &mut RunReport, snap: &MetricsSnapshot) {
     // stays a pure function of (config, seed) and two runs of the same
     // experiment grid diff clean regardless of --jobs (CI relies on this).
     eprintln!("{}", report.render());
-    psca_obs::flush();
 }

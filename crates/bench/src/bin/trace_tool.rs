@@ -183,6 +183,5 @@ fn replay_trace(path: &str, low_power: bool, interval: u64) -> i32 {
         Ok(p) => eprintln!("[trace-tool] run report: {}", p.display()),
         Err(e) => eprintln!("[trace-tool] failed to write run report: {e}"),
     }
-    psca_obs::flush();
     0
 }

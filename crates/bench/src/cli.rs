@@ -131,13 +131,35 @@ impl<'a> Iterator for Args<'a> {
     }
 }
 
+/// Longest argument part of a profile file name.
+const PROFILE_SLUG_MAX: usize = 60;
+
+/// The profile file-name slug: the arguments joined by `-`, made
+/// path-safe (`fleet --size 64` → `fleet---size-64`), or the tool name
+/// when there are none. A slug longer than [`PROFILE_SLUG_MAX`] is cut
+/// there and gets `-` plus the 16-hex FNV-1a digest of the full argument
+/// list (NUL-separated), so two invocations that differ only past the
+/// cut still write distinct files.
+fn profile_slug(tool: &str, args: &[String]) -> String {
+    if args.is_empty() {
+        return tool.to_string();
+    }
+    let mut slug = psca_obs::path_slug(&args.join("-"));
+    if slug.len() > PROFILE_SLUG_MAX {
+        slug.truncate(PROFILE_SLUG_MAX);
+        let digest = psca_exec::fnv1a(args.join("\0").as_bytes());
+        slug.push_str(&format!("-{digest:016x}"));
+    }
+    slug
+}
+
 /// Runs one whole binary invocation on the process arguments and returns
 /// its exit code: the one place a [`UsageError`] becomes
 /// `[tool] <error>`, the usage line and exit 2, and the one
 /// observability lifecycle. Observability outputs are switched on only
 /// by their `PSCA_*` variable, for every subcommand. Before `main`:
-/// `PSCA_LOG`, `PSCA_OBS_JSONL`, `PSCA_TRACE` and `PSCA_PROF`
-/// ([`psca_obs::init_from_env`]), and the live-metrics side channel when
+/// `PSCA_TRACE` and `PSCA_PROF` ([`psca_obs::init_from_env`]; `PSCA_LOG`
+/// is read by the first event), and the live-metrics side channel when
 /// `PSCA_METRICS_ADDR` is set. After it: the Perfetto trace and the
 /// `PSCA_PROF` profile are written (not after a usage error), a running
 /// side channel is kept up for `PSCA_METRICS_LINGER_S` seconds so
@@ -214,26 +236,10 @@ fn start_side_channel(addr: &str) -> Option<Daemon> {
 /// Drains the profile `PSCA_PROF` recorded and writes it as
 /// `target/obs/profile-<slug>.folded` (collapsed stacks, flamegraph.pl /
 /// inferno consumable) and `.json` (summary), then prints the self-time
-/// table to stderr. The slug is the arguments joined by `-`
-/// (`fleet --size 64` → `fleet---size-64`), or the tool name when there
-/// are none.
+/// table to stderr.
 fn write_profile(tool: &str, args: &[String]) {
     let profile = psca_obs::prof::drain();
-    let slug: String = if args.is_empty() {
-        tool.to_string()
-    } else {
-        args.join("-")
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .take(60)
-            .collect()
-    };
+    let slug = profile_slug(tool, args);
     let dir = Path::new("target/obs");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("[{tool}] profile: cannot create {}: {e}", dir.display());
@@ -262,6 +268,37 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn profile_slugs_stay_short_and_distinct() {
+        let short = argv(&["fleet", "--size", "2", "--windows", "4", "--seed", "3"]);
+        assert_eq!(
+            profile_slug("repro", &short),
+            "fleet---size-2---windows-4---seed-3"
+        );
+        assert_eq!(profile_slug("repro", &[]), "repro");
+        let long = |last: &str| {
+            argv(&[
+                "table3",
+                "chaos-sweep",
+                "fig4",
+                "fig5",
+                "fig6",
+                "fig10",
+                "--quick",
+                "--jobs",
+                "2",
+                last,
+            ])
+        };
+        let (a, b) = (
+            profile_slug("repro", &long("--no-cache")),
+            profile_slug("repro", &long("--no-cachf")),
+        );
+        assert_eq!(a[..PROFILE_SLUG_MAX], b[..PROFILE_SLUG_MAX]);
+        assert_ne!(a, b);
+        assert_eq!(a.len(), PROFILE_SLUG_MAX + 17);
     }
 
     #[test]

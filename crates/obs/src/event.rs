@@ -1,26 +1,21 @@
 //! Structured, level-filtered discrete events.
 //!
 //! An event is a name (`"guardrail.trip"`), a [`Level`], and a small set
-//! of typed fields. Emission is near-zero-cost when nothing is listening:
-//! [`emit`] first checks relaxed atomics (the trace recorder, the sink
-//! count and the level filter) before building anything. While
-//! `PSCA_TRACE` recording is on, every emitted event is also a Perfetto
-//! instant of the same name carrying all its fields, so call sites emit
-//! once for both consumers.
+//! of typed fields. It has one path, [`emit`], and two consumers: while
+//! `PSCA_TRACE` recording is on, every event is a Perfetto instant of
+//! the same name carrying all its fields; when the `PSCA_LOG` filter
+//! admits its level, it is also one `[level] name k=v ...` line on
+//! stderr. Emission is near-zero-cost when neither
+//! listens: [`emit`] checks two relaxed atomics before building anything.
 //!
-//! The filter level comes from the `PSCA_LOG` environment variable
-//! (`trace | debug | info | warn | error | off`, default `off` so library
-//! consumers pay nothing) and can be overridden programmatically with
-//! [`set_level`]. Sinks are installed by binaries: [`ConsoleSink`] writes
-//! a human-readable line to stderr, [`JsonlSink`] appends one JSON object
-//! per line to any writer.
+//! `PSCA_LOG` (`trace | debug | info | warn | error | off`, default
+//! `off` so library consumers pay nothing) is read here and nowhere
+//! else, on first use; [`set_level`] overrides it.
 
 use crate::json::Json;
 use crate::trace;
-use std::io::Write;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::fmt::Write;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Event severity, ordered from most to least verbose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -38,7 +33,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// Lower-case name, as used by `PSCA_LOG` and the JSONL encoding.
+    /// Lower-case name, as used by `PSCA_LOG` and the stderr line.
     pub fn name(self) -> &'static str {
         match self {
             Level::Trace => "trace",
@@ -49,12 +44,8 @@ impl Level {
         }
     }
 
-    /// Parses a `PSCA_LOG`-style level name (`trace | debug | info |
-    /// warn | error`); `off` and unknown strings yield `None`.
-    pub fn from_env_str(s: &str) -> Option<Level> {
-        Level::from_str(s)
-    }
-
+    /// Parses a `PSCA_LOG` level name; `off` and unknown names yield
+    /// `None`.
     fn from_str(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "trace" => Some(Level::Trace),
@@ -142,145 +133,14 @@ impl From<String> for FieldValue {
     }
 }
 
-/// One structured event, as delivered to sinks.
-#[derive(Debug, Clone)]
-pub struct EventRecord {
-    /// Severity.
-    pub level: Level,
-    /// Dotted event name, `subsystem.event` (see docs/OBSERVABILITY.md).
-    pub name: String,
-    /// Field key–value pairs, in emission order.
-    pub fields: Vec<(String, FieldValue)>,
-    /// Microseconds since the Unix epoch (0 when timestamps disabled).
-    pub ts_us: u64,
-}
-
-impl EventRecord {
-    /// A record of `name` with `fields`, stamped with the current time.
-    pub fn now(level: Level, name: &str, fields: &[(&str, FieldValue)]) -> EventRecord {
-        EventRecord {
-            level,
-            name: name.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            ts_us: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64),
-        }
-    }
-
-    /// The JSONL encoding of this record.
-    pub fn to_jsonl(&self) -> String {
-        let mut pairs: Vec<(String, Json)> = Vec::with_capacity(self.fields.len() + 3);
-        if self.ts_us != 0 {
-            pairs.push(("ts_us".into(), Json::UInt(self.ts_us)));
-        }
-        pairs.push(("level".into(), Json::Str(self.level.name().into())));
-        pairs.push(("event".into(), Json::Str(self.name.clone())));
-        let fields: Vec<(String, Json)> = self
-            .fields
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json()))
-            .collect();
-        pairs.push(("fields".into(), Json::Obj(fields)));
-        Json::Obj(pairs).to_string()
-    }
-}
-
-/// Receiver of emitted events.
-pub trait EventSink: Send + Sync {
-    /// Handles one event.
-    fn write_event(&self, record: &EventRecord);
-    /// Flushes buffered output (called by [`flush`]).
-    fn flush(&self) {}
-}
-
-/// Human-readable sink writing `LEVEL event k=v ...` lines to stderr.
-#[derive(Debug, Default)]
-pub struct ConsoleSink;
-
-impl EventSink for ConsoleSink {
-    fn write_event(&self, record: &EventRecord) {
-        let mut line = format!("[{:>5}] {}", record.level.name(), record.name);
-        for (k, v) in &record.fields {
-            match v {
-                FieldValue::U64(x) => line.push_str(&format!(" {k}={x}")),
-                FieldValue::I64(x) => line.push_str(&format!(" {k}={x}")),
-                FieldValue::F64(x) => line.push_str(&format!(" {k}={x:.4}")),
-                FieldValue::Str(x) => line.push_str(&format!(" {k}={x}")),
-                FieldValue::Bool(x) => line.push_str(&format!(" {k}={x}")),
-            }
-        }
-        eprintln!("{line}");
-    }
-}
-
-/// Machine-readable sink appending one JSON object per event.
-pub struct JsonlSink {
-    writer: Mutex<Box<dyn Write + Send>>,
-    timestamps: bool,
-}
-
-impl JsonlSink {
-    /// Wraps any writer (a `File`, a `Vec<u8>` buffer in tests, ...).
-    pub fn new(writer: Box<dyn Write + Send>) -> JsonlSink {
-        JsonlSink {
-            writer: Mutex::new(writer),
-            timestamps: true,
-        }
-    }
-
-    /// Opens (creates/truncates) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<JsonlSink> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        Ok(JsonlSink::new(Box::new(std::fs::File::create(path)?)))
-    }
-
-    /// Disables timestamps (stable output for golden tests).
-    pub fn without_timestamps(mut self) -> JsonlSink {
-        self.timestamps = false;
-        self
-    }
-
-    /// Whether records get a `ts_us` field.
-    pub fn timestamps(&self) -> bool {
-        self.timestamps
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn write_event(&self, record: &EventRecord) {
-        let record = if self.timestamps {
-            record.clone()
-        } else {
-            let mut r = record.clone();
-            r.ts_us = 0;
-            r
-        };
-        let mut w = self.writer.lock().unwrap();
-        let _ = writeln!(w, "{}", record.to_jsonl());
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().unwrap().flush();
-    }
-}
-
 const LEVEL_OFF: u8 = 5;
 const LEVEL_UNINIT: u8 = 255;
 
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNINIT);
-static SINK_COUNT: AtomicUsize = AtomicUsize::new(0);
 
-fn sinks() -> &'static RwLock<Vec<Box<dyn EventSink>>> {
-    static SINKS: OnceLock<RwLock<Vec<Box<dyn EventSink>>>> = OnceLock::new();
-    SINKS.get_or_init(|| RwLock::new(Vec::new()))
-}
-
+/// The `PSCA_LOG` filter: the least severe level printed to stderr, read
+/// from the environment on first use. Unset, `off` or an unknown name
+/// print nothing.
 fn level_filter() -> u8 {
     let l = LEVEL.load(Ordering::Relaxed);
     if l != LEVEL_UNINIT {
@@ -288,75 +148,62 @@ fn level_filter() -> u8 {
     }
     let parsed = std::env::var("PSCA_LOG")
         .ok()
-        .and_then(|v| {
-            Level::from_str(&v)
-                .map(|l| l as u8)
-                .or_else(|| v.trim().eq_ignore_ascii_case("off").then_some(LEVEL_OFF))
-        })
-        .unwrap_or(LEVEL_OFF);
+        .and_then(|v| Level::from_str(&v))
+        .map_or(LEVEL_OFF, |l| l as u8);
     LEVEL.store(parsed, Ordering::Relaxed);
     parsed
 }
 
-/// Overrides the `PSCA_LOG` filter; `None` silences all events.
+/// Overrides the `PSCA_LOG` filter; `None` silences the stderr lines.
 pub fn set_level(level: Option<Level>) {
-    LEVEL.store(
-        level.map(|l| l as u8).unwrap_or(LEVEL_OFF),
-        Ordering::Relaxed,
-    );
+    LEVEL.store(level.map_or(LEVEL_OFF, |l| l as u8), Ordering::Relaxed);
 }
 
-/// Whether an event at `level` would currently reach a consumer: a sink
-/// whose filter admits it, or the Perfetto recorder (which takes every
-/// level). Guarded call sites build their fields once for either.
+/// Whether an event at `level` would currently reach a consumer: the
+/// stderr log (when the `PSCA_LOG` filter admits it) or the Perfetto
+/// recorder (which takes every level). Guarded call sites build their
+/// fields once for either.
 #[inline]
 pub fn enabled(level: Level) -> bool {
-    sinks_enabled(level) || trace::enabled()
+    logged(level) || trace::enabled()
 }
 
 #[inline]
-fn sinks_enabled(level: Level) -> bool {
-    SINK_COUNT.load(Ordering::Relaxed) > 0 && (level as u8) >= level_filter()
+fn logged(level: Level) -> bool {
+    (level as u8) >= level_filter()
 }
 
-/// Installs a sink; events at or above the filter level flow to it.
-pub fn install_sink(sink: Box<dyn EventSink>) {
-    sinks().write().unwrap().push(sink);
-    SINK_COUNT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Removes all sinks (tests and run teardown).
-pub fn clear_sinks() {
-    sinks().write().unwrap().clear();
-    SINK_COUNT.store(0, Ordering::Relaxed);
-}
-
-/// Flushes every installed sink.
-pub fn flush() {
-    for sink in sinks().read().unwrap().iter() {
-        sink.flush();
+/// The stderr rendering of one event: `[level] name k=v ...`, floats to
+/// four decimals.
+fn log_line(level: Level, name: &str, fields: &[(&str, FieldValue)]) -> String {
+    let mut line = format!("[{:>5}] {name}", level.name());
+    for (k, v) in fields {
+        let _ = match v {
+            FieldValue::U64(x) => write!(line, " {k}={x}"),
+            FieldValue::I64(x) => write!(line, " {k}={x}"),
+            FieldValue::F64(x) => write!(line, " {k}={x:.4}"),
+            FieldValue::Str(x) => write!(line, " {k}={x}"),
+            FieldValue::Bool(x) => write!(line, " {k}={x}"),
+        };
     }
+    line
 }
 
-/// Emits one structured event to every installed sink whose filter
-/// admits `level` and, while tracing, records it as a Perfetto instant
-/// with the same name and fields ([`trace::instant`]).
+/// Emits one structured event: while tracing, a Perfetto instant with
+/// the same name and fields ([`trace::instant`]); when the `PSCA_LOG`
+/// filter admits `level`, its `[level] name k=v ...` line on stderr.
 ///
-/// Cheap when disabled: three relaxed atomic loads, no allocation.
+/// Cheap when disabled: two relaxed atomic loads, no allocation.
 pub fn emit(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
     trace::instant(name, fields);
-    to_sinks(level, name, fields);
+    log(level, name, fields);
 }
 
-/// Delivers an event to the sinks only, for events whose Perfetto form
-/// is not an instant (span enter/exit: the span is a duration bar).
-pub(crate) fn to_sinks(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
-    if !sinks_enabled(level) {
-        return;
-    }
-    let record = EventRecord::now(level, name, fields);
-    for sink in sinks().read().unwrap().iter() {
-        sink.write_event(&record);
+/// Prints an event's stderr line only, for events whose Perfetto form is
+/// not an instant (span enter/exit: the span is a duration bar).
+pub(crate) fn log(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
+    if logged(level) {
+        eprintln!("{}", log_line(level, name, fields));
     }
 }
 
@@ -380,19 +227,35 @@ mod tests {
     }
 
     #[test]
-    fn record_jsonl_shape_without_timestamp() {
-        let r = EventRecord {
-            level: Level::Warn,
-            name: "guardrail.trip".into(),
-            fields: vec![
-                ("trips".into(), FieldValue::U64(3)),
-                ("ipc".into(), FieldValue::F64(1.5)),
+    fn stderr_line_renders_every_field_kind() {
+        let line = log_line(
+            Level::Warn,
+            "guardrail.trip",
+            &[
+                ("trips", FieldValue::U64(3)),
+                ("delta", FieldValue::I64(-2)),
+                ("ipc", FieldValue::F64(1.5)),
+                ("app", FieldValue::Str("654.roms_s".into())),
+                ("gated", FieldValue::Bool(true)),
             ],
-            ts_us: 0,
-        };
-        assert_eq!(
-            r.to_jsonl(),
-            r#"{"level":"warn","event":"guardrail.trip","fields":{"trips":3,"ipc":1.5}}"#
         );
+        assert_eq!(
+            line,
+            "[ warn] guardrail.trip trips=3 delta=-2 ipc=1.5000 app=654.roms_s gated=true"
+        );
+        assert_eq!(
+            log_line(Level::Info, "train.round", &[]),
+            "[ info] train.round"
+        );
+    }
+
+    #[test]
+    fn level_filter_admits_its_level_and_above() {
+        set_level(Some(Level::Info));
+        assert!(!logged(Level::Debug));
+        assert!(logged(Level::Info));
+        assert!(logged(Level::Error));
+        set_level(None);
+        assert!(!logged(Level::Error));
     }
 }

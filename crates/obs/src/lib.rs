@@ -6,10 +6,10 @@
 //!    log-linear [`Histogram`]s behind a process-global [`Registry`].
 //!    Recording is wait-free; with no consumer the cost is one atomic op.
 //! 2. **Events** ([`event`]) — discrete structured events (mode switches,
-//!    guardrail trips, SLA violations, training rounds) delivered to
-//!    installed sinks, level-filtered via the `PSCA_LOG` environment
-//!    variable. With no sink installed, [`emit`] is two relaxed atomic
-//!    loads.
+//!    guardrail trips, SLA violations, training rounds): a Perfetto
+//!    instant while tracing, and a stderr line when the `PSCA_LOG` level
+//!    filter admits them. With neither on, [`emit`] is two relaxed
+//!    atomic loads.
 //! 3. **Time-series** ([`timeseries`]) — fixed-capacity, auto-downsampling
 //!    [`TimeSeries`] samplers on the registry for per-window signals (IPC,
 //!    low-power residency, predictor accuracy), surfaced in reports and
@@ -26,8 +26,8 @@
 //!    `target/obs/<run>.json` plus a rendered table.
 //!
 //! [`SpanTimer`] ([`span`]) bridges metrics, events, and traces: an RAII
-//! timer that records wall time into `span.<path>` histograms, emits
-//! trace-level enter/exit events, and (when tracing) a Perfetto duration
+//! timer that records wall time into `span.<path>` histograms, logs
+//! trace-level enter/exit lines, and (when tracing) a Perfetto duration
 //! bar. Each thread keeps one span stack, which sweep workers inherit
 //! from their caller. The hierarchical self-profiler ([`prof`], opt-in
 //! via `PSCA_PROF=1`) rides the same spans: one process-wide call tree
@@ -71,10 +71,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use ctx::{SplitMix64, TraceCtx};
-pub use event::{
-    clear_sinks, emit, enabled, flush, install_sink, set_level, ConsoleSink, EventRecord,
-    EventSink, FieldValue, JsonlSink, Level,
-};
+pub use event::{emit, enabled, set_level, FieldValue, Level};
 pub use json::Json;
 pub use metrics::{
     Counter, Exemplar, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry,
@@ -159,31 +156,31 @@ pub fn reset_all() {
     metrics::global().reset_all();
 }
 
-/// Standard sink bootstrap for binaries:
+/// The file-name-safe form of `text`: every character outside
+/// `[A-Za-z0-9_-]` becomes `_`. Postmortem and profile artifact names
+/// are built from it.
+pub fn path_slug(text: &str) -> String {
+    text.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// Observability bootstrap for binaries:
 ///
-/// - `PSCA_LOG=<level>` installs a [`ConsoleSink`] on stderr filtered at
-///   that level (no variable → no sink, near-zero cost);
-/// - `PSCA_OBS_JSONL=<path>` additionally streams every delivered event
-///   to a JSONL file;
 /// - `PSCA_TRACE=<path.json>` starts the Chrome trace-event recorder
 ///   ([`trace`]);
 /// - `PSCA_PROF=1` enables the hierarchical self-profiler ([`prof`]).
 ///
+/// `PSCA_LOG` needs no bootstrap: [`event`] reads it on the first event.
 /// The live-metrics side channel (`PSCA_METRICS_ADDR`) is a `psca-serve`
 /// daemon, started by the binaries rather than here.
 pub fn init_from_env() {
-    if std::env::var("PSCA_LOG")
-        .map(|v| Level::from_env_str(&v).is_some())
-        .unwrap_or(false)
-    {
-        install_sink(Box::new(ConsoleSink));
-    }
-    if let Ok(path) = std::env::var("PSCA_OBS_JSONL") {
-        match JsonlSink::create(std::path::Path::new(&path)) {
-            Ok(sink) => install_sink(Box::new(sink)),
-            Err(e) => eprintln!("psca-obs: cannot open PSCA_OBS_JSONL={path}: {e}"),
-        }
-    }
     trace::enable_from_env();
     prof::init_from_env();
 }
@@ -191,6 +188,12 @@ pub fn init_from_env() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn path_slug_keeps_safe_characters_only() {
+        assert_eq!(path_slug("fleet---size-2_x"), "fleet---size-2_x");
+        assert_eq!(path_slug("http 5xx/a.b"), "http_5xx_a_b");
+    }
 
     #[test]
     fn convenience_handles_hit_the_global_registry() {

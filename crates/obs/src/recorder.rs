@@ -1,11 +1,12 @@
 //! Flight recorder: a bounded ring of recent request/decision records.
 //!
-//! The serving path pushes one [`RequestRecord`] per finished request
-//! (endpoint, trace id, status, latency, queue wait, error class,
-//! degradation note). The ring is lock-free on the writer's hot path —
-//! a single `fetch_add` claims a slot, each slot has its own mutex so
-//! writers never contend unless the ring laps itself — and bounded, so
-//! a misbehaving deployment can't grow memory.
+//! The serving path pushes one [`RequestRecord`] per finished request;
+//! [`RequestRecord::to_json`] is the one shape a finished request is
+//! written in: `GET /v1/debug/requests`, the postmortem dumps and the
+//! daemon's `--access-log` lines all render it. The ring is lock-free
+//! on the writer's hot path — a single `fetch_add` claims a slot, each
+//! slot has its own mutex so writers never contend unless the ring laps
+//! itself — and bounded, so a misbehaving deployment can't grow memory.
 //!
 //! When something goes wrong (a 5xx, an SLO alert firing, a degradation
 //! tier escalation) the daemon calls [`FlightRecorder::dump`], which
@@ -28,14 +29,18 @@ const MAX_DUMPS: u64 = 64;
 const GLOBAL_CAPACITY: usize = 512;
 
 /// One request's flight-recorder entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestRecord {
     /// Monotonic sequence number (assigned by [`FlightRecorder::push`]).
     pub seq: u64,
-    /// Milliseconds since the recording process's epoch.
+    /// Unix-epoch milliseconds when the request finished.
     pub ts_ms: u64,
     /// 32-hex-digit trace id (empty when the request had no context).
     pub trace_id: String,
+    /// HTTP method (empty when the request could not be framed).
+    pub method: String,
+    /// Request path (empty when the request could not be framed).
+    pub path: String,
     /// Endpoint key (e.g. `predict`, `closed_loop`).
     pub endpoint: String,
     /// HTTP status returned.
@@ -52,12 +57,15 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// JSONL rendering (one compact object per line in dumps).
+    /// The record's JSON object (one compact line in dumps and the
+    /// access log, one array entry in `/v1/debug/requests`).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("seq", self.seq.into()),
             ("ts_ms", self.ts_ms.into()),
             ("trace_id", self.trace_id.as_str().into()),
+            ("method", self.method.as_str().into()),
+            ("path", self.path.as_str().into()),
             ("endpoint", self.endpoint.as_str().into()),
             ("status", u64::from(self.status).into()),
             ("latency_us", self.latency_us.into()),
@@ -152,16 +160,7 @@ impl FlightRecorder {
         if std::fs::create_dir_all(dir).is_err() {
             return None;
         }
-        let slug: String = reason
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
+        let slug = crate::path_slug(reason);
         let last_seq = records.last().map_or(0, |r| r.seq);
         let path = dir.join(format!("postmortem-{slug}-{last_seq}.jsonl"));
         let mut header_fields = vec![
@@ -218,6 +217,8 @@ mod tests {
             seq: 0,
             ts_ms: 1,
             trace_id: "deadbeef".into(),
+            method: "POST".into(),
+            path: format!("/v1/{endpoint}"),
             endpoint: endpoint.into(),
             status,
             latency_us: 100,
@@ -260,6 +261,7 @@ mod tests {
             header.get("postmortem").and_then(Json::as_str),
             Some("http 5xx")
         );
+        assert_eq!(lines[2], rec.snapshot()[1].to_json().to_string());
         let last = Json::parse(lines[2]).unwrap();
         assert_eq!(last.get("status").and_then(Json::as_u64), Some(503));
         assert_eq!(

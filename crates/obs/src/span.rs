@@ -5,8 +5,8 @@
 //! `span.<path>`, where `<path>` is the dot-joined stack of enclosing
 //! spans on the current thread — so nested spans produce distinct
 //! histograms (`span.repro.fig8` inside `span.repro`). Entering and
-//! leaving a span also delivers `span.enter`/`span.exit` events at
-//! [`Level::Trace`] to the event sinks, and — when `PSCA_TRACE`
+//! leaving a span also logs `span.enter`/`span.exit` lines at
+//! [`Level::Trace`] (under `PSCA_LOG=trace`), and — when `PSCA_TRACE`
 //! recording is active ([`crate::trace`]) — a Chrome trace-event
 //! *complete* record (not a pair of instants), so spans render as nested
 //! duration bars in Perfetto. When the hierarchical profiler is on
@@ -25,7 +25,7 @@
 //! thread runs it. Inherited frames name the context only: they are
 //! never timed or recorded on the worker.
 
-use crate::event::{to_sinks, FieldValue, Level};
+use crate::event::{log, FieldValue, Level};
 use crate::{metrics, prof, trace};
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -82,7 +82,7 @@ impl SpanTimer {
             });
             (path, stack.len())
         });
-        to_sinks(
+        log(
             Level::Trace,
             "span.enter",
             &[("span", FieldValue::Str(path))],
@@ -150,7 +150,7 @@ fn exit(depth: usize) -> u64 {
     if let Some(stack) = folded {
         prof::record(&stack, ns, ns.saturating_sub(frame.child_ns));
     }
-    to_sinks(
+    log(
         Level::Trace,
         "span.exit",
         &[

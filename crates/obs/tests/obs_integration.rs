@@ -1,27 +1,7 @@
-//! Cross-layer tests that exercise the global registry and sink state,
+//! Cross-layer tests that exercise the global registry and trace state,
 //! kept in an integration test so they own the process-wide singletons.
 
-use psca_obs::{
-    clear_sinks, emit, install_sink, set_level, FieldValue, Histogram, JsonlSink, Level, TimeSeries,
-};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// `Write` adapter that mirrors everything into a shared buffer so the
-/// test can read back what the sink wrote.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use psca_obs::{emit, FieldValue, Histogram, Level, TimeSeries};
 
 #[test]
 fn counter_is_atomic_under_thread_fanout() {
@@ -78,46 +58,6 @@ fn histogram_quantiles_on_point_mass() {
     assert_eq!(h.quantile(0.5), Some(7));
     assert_eq!(h.quantile(0.99), Some(7));
     assert_eq!(h.mean(), 7.0);
-}
-
-#[test]
-fn jsonl_sink_golden_file() {
-    let buf = SharedBuf::default();
-    clear_sinks();
-    set_level(Some(Level::Info));
-    install_sink(Box::new(
-        JsonlSink::new(Box::new(buf.clone())).without_timestamps(),
-    ));
-
-    emit(
-        Level::Warn,
-        "guardrail.trip",
-        &[
-            ("trips", FieldValue::U64(3)),
-            ("ipc", FieldValue::F64(1.5)),
-            ("app", FieldValue::Str("654.roms_s".into())),
-        ],
-    );
-    emit(
-        Level::Info,
-        "train.round",
-        &[
-            ("model", FieldValue::Str("best-rf".into())),
-            ("wall_ms", FieldValue::U64(12)),
-        ],
-    );
-    // Below the Info filter: must not reach the sink.
-    emit(Level::Debug, "cpu.mode_switch", &[]);
-
-    clear_sinks();
-    set_level(None);
-
-    let written = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let golden = "\
-{\"level\":\"warn\",\"event\":\"guardrail.trip\",\"fields\":{\"trips\":3,\"ipc\":1.5,\"app\":\"654.roms_s\"}}
-{\"level\":\"info\",\"event\":\"train.round\",\"fields\":{\"model\":\"best-rf\",\"wall_ms\":12}}
-";
-    assert_eq!(written, golden);
 }
 
 #[test]

@@ -211,22 +211,18 @@ pub struct Scored {
     pub gate: bool,
 }
 
-/// Scores every row through the model's [`Classifier`] surface, fanning
-/// large batches across `jobs` workers via `psca-exec` (order-preserving,
-/// so results are bit-identical to a serial pass).
-pub fn score_rows(
-    model: &TrainedAdaptModel,
-    mode: Mode,
-    rows: &[Vec<f64>],
-    jobs: usize,
-) -> Vec<Scored> {
+/// Scores every row, in order, through the model's [`Classifier`]
+/// surface on the calling thread: the daemon's worker pool is the
+/// parallelism, one connection per worker.
+pub fn score_rows(model: &TrainedAdaptModel, mode: Mode, rows: &[Vec<f64>]) -> Vec<Scored> {
     let (_, fw) = model.mode_parts(mode);
-    let clf: &(dyn Classifier + Sync) = fw;
-    let items: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-    psca_exec::map_indexed(jobs, items, &|_, row| Scored {
-        proba: clf.predict_proba(row),
-        gate: clf.predict(row),
-    })
+    let clf: &dyn Classifier = fw;
+    rows.iter()
+        .map(|row| Scored {
+            proba: clf.predict_proba(row),
+            gate: clf.predict(row),
+        })
+        .collect()
 }
 
 /// Renders scored rows as a JSON document (`Accept: application/json`).

@@ -17,28 +17,26 @@
 //! (`GET /v1/slo`), the flight recorder (`GET /v1/debug/requests`,
 //! postmortem dumps to `target/obs/` on 5xx / SLO alert / degradation
 //! escalation), the latency histogram's exemplar, and — when
-//! [`ServeConfig::access_log`] is set — a JSONL access log. Every daemon
-//! knob is a [`ServeConfig`] field; `repro serve` maps its flags and
-//! environment onto them. Under `PSCA_PROF=1` the hierarchical
-//! self-profiler accumulates per-stack self time, scrapeable live via
-//! `GET /v1/profile` (top self-time nodes since the last scrape). None
-//! of this changes any computed result: responses are bit-identical
-//! with tracing or profiling on or off.
+//! [`ServeConfig::access_log`] is set — a JSONL access log of the same
+//! [`RequestRecord`] lines. Every daemon knob is a [`ServeConfig`]
+//! field; `repro serve` maps its flags and environment onto them. Under
+//! `PSCA_PROF=1` the hierarchical self-profiler accumulates per-stack
+//! self time, scrapeable live via `GET /v1/profile` (top self-time nodes
+//! since the last scrape). None of this changes any computed result:
+//! responses are bit-identical with tracing or profiling on or off.
 
 use std::collections::VecDeque;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use psca_faults::{ChaosSpec, FaultInjector, PredictionFault};
-use psca_obs::event::EventSink;
 use psca_obs::http::{self, FrameError, Request};
-use psca_obs::{
-    EventRecord, FieldValue, Json, JsonlSink, Level, RequestRecord, SloEngine, SloSpec, TraceCtx,
-};
+use psca_obs::{Json, Level, RequestRecord, SloEngine, SloSpec, TraceCtx};
 
 use crate::api::{self, ApiError, ClosedLoopSpec, PredictRequest};
 use crate::registry::ModelRegistry;
@@ -70,8 +68,9 @@ pub struct ServeConfig {
     /// Service-level objective evaluated per request (`GET /v1/slo`);
     /// `None` disables the engine.
     pub slo: Option<SloSpec>,
-    /// JSONL access-log path; `None` writes no access log. `repro serve`
-    /// seeds this from `--access-log`.
+    /// JSONL access-log path: one [`RequestRecord`] line per finished
+    /// request; `None` writes no access log. `repro serve` seeds this
+    /// from `--access-log`.
     pub access_log: Option<PathBuf>,
 }
 
@@ -113,16 +112,14 @@ struct Shared {
     ready: AtomicBool,
     inflight: AtomicUsize,
     chaos: Option<Mutex<FaultInjector>>,
-    /// Daemon start time — the epoch for SLO windows and flight-recorder
-    /// timestamps.
+    /// Daemon start time — the monotonic epoch for SLO windows.
     epoch: Instant,
     slo: Option<Mutex<SloEngine>>,
     /// Rising-edge latch for SLO alert postmortems: dump once per alert
     /// episode, not per request while the alert stays active.
     slo_alerted: AtomicBool,
-    /// Dedicated access-log sink (not installed globally, so only access
-    /// lines land in the file).
-    access: Option<JsonlSink>,
+    /// The open access log, written one whole line at a time.
+    access: Option<Mutex<File>>,
 }
 
 impl Shared {
@@ -134,7 +131,7 @@ impl Shared {
         psca_obs::gauge("serve.inflight").set(self.inflight.load(Ordering::Relaxed) as f64);
     }
 
-    /// Milliseconds since the daemon started (SLO/recorder timebase).
+    /// Milliseconds since the daemon started (SLO timebase).
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis().min(u128::from(u64::MAX)) as u64
     }
@@ -157,24 +154,21 @@ impl Shared {
     /// engine, flight recorder (with postmortem dumps on 5xx, an SLO
     /// alert's rising edge, or a degradation escalation), and the access
     /// log. Pure observability — called after the response is written.
-    fn finish_request(
-        &self,
-        outcome: &RequestOutcome,
-        trace_id: &str,
-        latency_us: u64,
-        queue_us: u64,
-    ) {
+    /// `escalations` counts the degradation-ladder escalations a
+    /// closed-loop run reported.
+    fn finish_request(&self, mut record: RequestRecord, escalations: u64) {
         let now_ms = self.now_ms();
         // Probe/scrape endpoints stay out of the SLO and never trigger
         // postmortems: a failing readiness probe is the daemon *reporting*
         // unreadiness, not failing a request.
         let probe = matches!(
-            outcome.endpoint,
+            record.endpoint.as_str(),
             "healthz" | "readyz" | "metrics" | "report"
         );
+        let failed = !probe && record.status >= 500;
         if let Some(slo) = self.slo.as_ref().filter(|_| !probe) {
             let mut engine = slo.lock().unwrap();
-            engine.observe(now_ms, latency_us, outcome.status >= 500);
+            engine.observe(now_ms, record.latency_us, failed);
             let alerting = !engine.status(now_ms).ok();
             drop(engine);
             psca_obs::gauge("serve.slo.alerting").set(if alerting { 1.0 } else { 0.0 });
@@ -186,46 +180,30 @@ impl Shared {
                 self.slo_alerted.store(false, Ordering::SeqCst);
             }
         }
-        psca_obs::recorder::global().push(RequestRecord {
-            seq: 0,
-            ts_ms: self.now_ms(),
-            trace_id: trace_id.to_string(),
-            endpoint: outcome.endpoint.to_string(),
-            status: outcome.status,
-            latency_us,
-            queue_us,
-            error_class: outcome.error_class.clone(),
-            note: outcome.note.clone(),
-        });
-        if let Some(sink) = &self.access {
-            let text = |s: &str| FieldValue::Str(s.to_string());
-            sink.write_event(&EventRecord::now(
-                Level::Info,
-                "serve.access",
-                &[
-                    ("trace_id", text(trace_id)),
-                    ("method", text(&outcome.method)),
-                    ("path", text(&outcome.path)),
-                    ("endpoint", text(outcome.endpoint)),
-                    ("status", FieldValue::U64(outcome.status.into())),
-                    ("latency_us", FieldValue::U64(latency_us)),
-                    ("queue_us", FieldValue::U64(queue_us)),
-                ],
-            ));
-            sink.flush();
+        record.ts_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        let ring = psca_obs::recorder::global();
+        match &self.access {
+            None => {
+                ring.push(record);
+            }
+            Some(log) => {
+                record.seq = ring.push(record.clone());
+                let line = format!("{}\n", record.to_json());
+                let _ = log.lock().unwrap().write_all(line.as_bytes());
+            }
         }
-        if !probe && outcome.status >= 500 {
+        if failed {
             self.dump_postmortem("http-5xx");
         }
-        if !probe && outcome.escalations > 0 {
+        if !probe && escalations > 0 {
             self.dump_postmortem("tier-escalation");
         }
     }
 
     fn dump_postmortem(&self, reason: &str) {
-        if let Some(path) =
-            psca_obs::recorder::global().dump(std::path::Path::new(POSTMORTEM_DIR), reason)
-        {
+        if let Some(path) = psca_obs::recorder::global().dump(Path::new(POSTMORTEM_DIR), reason) {
             psca_obs::counter("serve.postmortems").inc();
             if psca_obs::enabled(Level::Warn) {
                 psca_obs::emit(
@@ -239,6 +217,15 @@ impl Shared {
             }
         }
     }
+}
+
+/// Creates (or truncates) the access log at `path`, parent directories
+/// included.
+fn open_log(path: &Path) -> io::Result<Mutex<File>> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    File::create(path).map(Mutex::new)
 }
 
 /// A running daemon. Dropping it shuts it down and joins every thread.
@@ -267,16 +254,13 @@ impl Daemon {
             .slo
             .clone()
             .map(|spec| Mutex::new(SloEngine::new(spec)));
-        let access = match &config.access_log {
-            Some(path) => match JsonlSink::create(path) {
-                Ok(sink) => Some(sink),
-                Err(e) => {
+        let access = config.access_log.as_deref().and_then(|path| {
+            open_log(path)
+                .map_err(|e| {
                     eprintln!("psca-serve: cannot open access log {}: {e}", path.display());
-                    None
-                }
-            },
-            None => None,
-        };
+                })
+                .ok()
+        });
         let shared = Arc::new(Shared {
             registry,
             config,
@@ -479,49 +463,21 @@ fn frame_error(e: &FrameError) -> ApiError {
 }
 
 /// Per-request response writer: echoes the request's `traceparent` on
-/// every response and captures the outcome (status, error class,
-/// degradation notes) for the SLO engine, flight recorder, and access
-/// log.
+/// every response and fills in the request's record (status, error
+/// class, degradation note) for the SLO engine, flight recorder, and
+/// access log.
 struct Responder<'a> {
     stream: &'a mut TcpStream,
     traceparent: String,
-    outcome: RequestOutcome,
-}
-
-/// What one request came to, as recorded after the response is written.
-#[derive(Debug, Clone)]
-struct RequestOutcome {
-    /// Metric label of the route ([`endpoint_key`]).
-    endpoint: &'static str,
-    method: String,
-    path: String,
-    status: u16,
-    error_class: String,
-    note: String,
+    record: RequestRecord,
     /// Degradation-ladder escalations reported by a closed-loop run
     /// (each one triggers a postmortem dump).
     escalations: u64,
 }
 
-impl Default for RequestOutcome {
-    fn default() -> RequestOutcome {
-        RequestOutcome {
-            endpoint: "other",
-            method: String::new(),
-            path: String::new(),
-            // A connection that dies before any response is written
-            // counts as a server-side failure.
-            status: 500,
-            error_class: String::new(),
-            note: String::new(),
-            escalations: 0,
-        }
-    }
-}
-
 impl Responder<'_> {
     fn send(&mut self, status: u16, content_type: &str, body: &str) {
-        self.outcome.status = status;
+        self.record.status = status;
         let _ = http::write_response(
             self.stream,
             status,
@@ -532,7 +488,7 @@ impl Responder<'_> {
     }
 
     fn send_error(&mut self, e: &ApiError) {
-        self.outcome.error_class = e.code.to_string();
+        self.record.error_class = e.code.to_string();
         self.send(e.status, "application/json", &e.to_json());
     }
 }
@@ -569,7 +525,7 @@ fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> b
     // Adopt the inbound trace id (fresh span for the server hop) or mint
     // a new context at ingress. Attached for the rest of the handling,
     // so every span/instant recorded below carries the request's ids —
-    // including fan-out through psca-exec and the sim.
+    // including the sim and any psca-exec fan-out.
     let ctx = match &parsed {
         // Malformed traceparent values are ignored (a fresh context is
         // minted), matching W3C trace-context error handling.
@@ -587,21 +543,29 @@ fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> b
     }
     psca_obs::histogram("serve.queue.wait_us").record(queue_us);
 
-    let (outcome, wants_shutdown) = {
+    let (mut record, escalations, wants_shutdown) = {
         let _span = psca_obs::SpanTimer::start("serve.request");
         let mut rsp = Responder {
             stream: &mut stream,
             traceparent: ctx.to_traceparent(),
-            outcome: RequestOutcome::default(),
+            record: RequestRecord {
+                endpoint: "other".to_string(),
+                // A connection that dies before any response is written
+                // counts as a server-side failure.
+                status: 500,
+                queue_us,
+                ..RequestRecord::default()
+            },
+            escalations: 0,
         };
         let wants_shutdown = match parsed {
             Ok(req) => {
                 let key = endpoint_key(&req.path);
                 psca_obs::counter(&format!("serve.{key}.requests")).inc();
                 let routed = route(&req, shared, &mut rsp);
-                rsp.outcome.endpoint = key;
-                rsp.outcome.method = req.method;
-                rsp.outcome.path = req.path;
+                rsp.record.endpoint = key.to_string();
+                rsp.record.method = req.method;
+                rsp.record.path = req.path;
                 routed.unwrap_or_else(|e| {
                     psca_obs::counter(&format!("serve.{key}.errors")).inc();
                     rsp.send_error(&e);
@@ -614,13 +578,13 @@ fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> b
                 false
             }
         };
-        (rsp.outcome, wants_shutdown)
+        (rsp.record, rsp.escalations, wants_shutdown)
     };
-    let micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let trace_id = ctx.trace_id_hex();
-    psca_obs::histogram(&format!("serve.{}.latency_us", outcome.endpoint))
-        .record_with_exemplar(micros, &trace_id);
-    shared.finish_request(&outcome, &trace_id, micros, queue_us);
+    record.latency_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    record.trace_id = ctx.trace_id_hex();
+    psca_obs::histogram(&format!("serve.{}.latency_us", record.endpoint))
+        .record_with_exemplar(record.latency_us, &record.trace_id);
+    shared.finish_request(record, escalations);
     wants_shutdown
 }
 
@@ -733,7 +697,7 @@ fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool
                 ApiError::not_found(format!("no model named \"{}\"", parsed.model))
             })?;
             parsed.check_dims(model)?;
-            let scored = api::score_rows(model, parsed.mode, &parsed.rows, shared.jobs);
+            let scored = api::score_rows(model, parsed.mode, &parsed.rows);
             let ndjson = req
                 .header("accept")
                 .is_some_and(|a| a.contains("application/x-ndjson"));
@@ -754,9 +718,9 @@ fn route(req: &Request, shared: &Shared, rsp: &mut Responder<'_>) -> Result<bool
             let spec = ClosedLoopSpec::parse(&req.body)?;
             let (doc, out) = spec.run(&shared.registry)?;
             let escalations = out.degrade.escalations;
-            rsp.outcome.escalations = escalations;
+            rsp.escalations = escalations;
             if escalations > 0 {
-                rsp.outcome.note = format!("{escalations} degradation escalation(s)");
+                rsp.record.note = format!("{escalations} degradation escalation(s)");
             }
             rsp.send(200, "application/json", &doc.to_string());
             Ok(false)

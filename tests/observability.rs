@@ -386,6 +386,50 @@ fn flight_recorder_dumps_postmortem_on_5xx() {
             && rec.get("status").and_then(Json::as_u64) == Some(503)
     }));
     daemon.shutdown();
+
+    // The postmortem's line for the failed request is the same record,
+    // in the same shape, as the debug entry with its seq.
+    let dumped = std::fs::read_dir("target/obs")
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with("postmortem-http-5xx-")
+        })
+        .filter_map(|e| std::fs::read_to_string(e.path()).ok())
+        .find_map(|text| {
+            text.lines()
+                .find(|l| l.contains(&ctx.trace_id_hex()))
+                .map(|l| Json::parse(l).expect("postmortem line is JSON"))
+        })
+        .expect("postmortem line for the failed request");
+    assert_eq!(record_keys(&dumped), RECORD_KEYS);
+    let seq = dumped.get("seq").and_then(Json::as_u64).expect("seq");
+    assert_eq!(entry_with_seq(&doc, seq), Some(&dumped));
+}
+
+/// The members of a `RequestRecord` line, in order: the one shape of
+/// access-log lines, postmortem lines and `/v1/debug/requests` entries.
+const RECORD_KEYS: [&str; 11] = [
+    "seq",
+    "ts_ms",
+    "trace_id",
+    "method",
+    "path",
+    "endpoint",
+    "status",
+    "latency_us",
+    "queue_us",
+    "error_class",
+    "note",
+];
+
+fn record_keys(record: &Json) -> Vec<&str> {
+    match record {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    }
 }
 
 #[test]
@@ -395,9 +439,12 @@ fn access_log_lines_join_on_trace_id() {
     let _ = std::fs::remove_file(&log_path);
     let registry = rf_registry(47);
     let dim = registry.get("best-rf").unwrap().fw_hi.input_dim().unwrap();
+    // One worker: it records each request before it reads the next, so
+    // the debug scrape below sees the traced request.
     let daemon = Daemon::start(
         ServeConfig {
             access_log: Some(log_path.clone()),
+            workers: 1,
             ..ServeConfig::default()
         },
         registry,
@@ -414,8 +461,11 @@ fn access_log_lines_join_on_trace_id() {
         r#"{{"model":"best-rf","rows":{}}}"#,
         rows_json(&probe_rows(dim, 1))
     );
+    // A request ahead of the traced one, so its seq is not the default 0.
+    assert_eq!(send(addr, "GET", "/healthz", "").status, 200);
     let r = send_with_headers(addr, "POST", "/v1/predict", &body, &[&tp_header]);
     assert_eq!(r.status, 200, "{}", r.body);
+    let debug = Json::parse(&send(addr, "GET", "/v1/debug/requests", "").body).unwrap();
     daemon.shutdown();
 
     let text = std::fs::read_to_string(&log_path).expect("access log written");
@@ -424,23 +474,38 @@ fn access_log_lines_join_on_trace_id() {
         .lines()
         .find(|l| l.contains(&ctx.trace_id_hex()))
         .expect("access line for the traced request");
-    let doc = Json::parse(line).expect("access line is JSON");
+    let logged = Json::parse(line).expect("access line is JSON");
     assert_eq!(
-        doc.get("event").and_then(Json::as_str),
-        Some("serve.access")
-    );
-    let fields = doc.get("fields").expect("fields object");
-    assert_eq!(
-        fields.get("trace_id").and_then(Json::as_str),
+        logged.get("trace_id").and_then(Json::as_str),
         Some(ctx.trace_id_hex().as_str())
     );
-    assert_eq!(fields.get("method").and_then(Json::as_str), Some("POST"));
+    assert_eq!(logged.get("method").and_then(Json::as_str), Some("POST"));
     assert_eq!(
-        fields.get("path").and_then(Json::as_str),
+        logged.get("path").and_then(Json::as_str),
         Some("/v1/predict")
     );
-    assert_eq!(fields.get("status").and_then(Json::as_u64), Some(200));
-    assert!(fields.get("latency_us").and_then(Json::as_u64).is_some());
+    assert_eq!(
+        logged.get("endpoint").and_then(Json::as_str),
+        Some("predict")
+    );
+    assert_eq!(logged.get("status").and_then(Json::as_u64), Some(200));
+    assert_eq!(record_keys(&logged), RECORD_KEYS);
+    // ts_ms is wall-clock (Unix-epoch) time, not time since daemon start.
+    assert!(logged.get("ts_ms").and_then(Json::as_u64) > Some(1_600_000_000_000));
+    // The access log writes the flight recorder's record: the line equals
+    // the `/v1/debug/requests` entry with the same seq.
+    let seq = logged.get("seq").and_then(Json::as_u64).expect("seq");
+    assert_eq!(entry_with_seq(&debug, seq), Some(&logged));
+}
+
+/// The entry of a `/v1/debug/requests` document with sequence number
+/// `seq`.
+fn entry_with_seq(debug: &Json, seq: u64) -> Option<&Json> {
+    debug
+        .get("requests")
+        .and_then(Json::as_arr)?
+        .iter()
+        .find(|r| r.get("seq").and_then(Json::as_u64) == Some(seq))
 }
 
 // ---------------------------------------------------------------------
