@@ -86,6 +86,7 @@ pub fn run_counter_selection(
     r: usize,
     max_traces: usize,
 ) -> CounterSelection {
+    let _span = psca_obs::SpanTimer::start("adapt.counters.select");
     let expansion = ExpandedTelemetry::new(cfg.sub_seed("expand"));
     // Expand each trace's base rows into the 936-stream cross-section.
     let mut per_trace: Vec<Matrix> = Vec::new();

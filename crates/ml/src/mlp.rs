@@ -53,6 +53,11 @@ impl Default for MlpConfig {
     }
 }
 
+/// Samples the training forward pass runs in lockstep. Not a setting: the
+/// kernel ([`Layer::affine_block`], [`quad_tile`], [`block_slices_mut`])
+/// is fixed at 4 samples × 4 rows.
+const BLOCK: usize = 4;
+
 #[derive(Debug, Clone)]
 struct Layer {
     /// `out × in` weights.
@@ -134,21 +139,123 @@ impl Layer {
             *o = crate::linalg::dot(row(r), input) + b;
         }
     }
+
+    /// Copies the weights into `panel` quad by quad (rows `4q..4q + 4`),
+    /// column by column: `panel[(q * cols + c) * 4 + j] = w[4q + j][c]`,
+    /// so [`Layer::affine_block`] reads a column's four weights
+    /// contiguously. A last, partial quad keeps the zero rows the panel was
+    /// allocated with.
+    fn pack_quads(&self, panel: &mut [f64]) {
+        let cols = self.w.cols();
+        for r in 0..self.width() {
+            let (q, j) = (r / 4, r % 4);
+            for (c, &v) in self.w.row(r).iter().enumerate() {
+                panel[(q * cols + c) * 4 + j] = v;
+            }
+        }
+    }
+
+    /// [`Layer::affine`] for [`BLOCK`] samples at once, with the weights
+    /// packed in `panel` by [`Layer::pack_quads`]; `out` holds the samples'
+    /// outputs back to back.
+    ///
+    /// Four samples × four rows run in lockstep, so each weight is loaded
+    /// once for the four samples. Every output keeps its own accumulator,
+    /// summed in column order from the value `Iterator::sum` starts at and
+    /// then biased, as [`crate::linalg::dot`] plus the bias is, so each
+    /// sample's output equals `affine` bit for bit. Leftover rows
+    /// (`width % 4`) run as a zero-padded quad whose padding is dropped.
+    ///
+    /// # Panics
+    /// Panics if an input is not the layer's input width, or `out` is not
+    /// `BLOCK` outputs wide.
+    fn affine_block(&self, panel: &[f64], xs: [&[f64]; BLOCK], out: &mut [f64]) {
+        let (cols, width) = (self.w.cols(), self.width());
+        assert!(xs.iter().all(|x| x.len() == cols), "dimension mismatch");
+        assert_eq!(out.len(), BLOCK * width, "dimension mismatch");
+        let mut outs = block_slices_mut(out);
+        let mut store = |r: usize, acc: [[f64; 4]; BLOCK], n: usize| {
+            for (out, acc) in outs.iter_mut().zip(acc) {
+                for ((o, a), &b) in out[r..r + n].iter_mut().zip(acc).zip(&self.b[r..r + n]) {
+                    *o = a + b;
+                }
+            }
+        };
+        let quad = |r: usize| quad_tile(&panel[r * cols..(r + 4) * cols], xs);
+        // Full quads apart from the partial one, so their stores keep a
+        // fixed width and the tile stays in registers.
+        let split = width / 4 * 4;
+        for r in (0..split).step_by(4) {
+            store(r, quad(r), 4);
+        }
+        if split < width {
+            store(split, quad(split), width - split);
+        }
+    }
+}
+
+/// The 4 × 4 tile of [`Layer::affine_block`]: `acc[s][j]` sums
+/// `w[r + j][c] * xs[s][c]` over the quad's packed columns in column
+/// order, from the value `Iterator::sum` starts at.
+#[inline(always)]
+fn quad_tile(quad: &[f64], xs: [&[f64]; BLOCK]) -> [[f64; 4]; BLOCK] {
+    let init: f64 = std::iter::empty::<f64>().sum();
+    let [x0, x1, x2, x3] = xs;
+    let mut acc = [[init; 4]; BLOCK];
+    let columns = x0.iter().zip(x1).zip(x2).zip(x3);
+    for (wc, (((&a, &b), &c), &d)) in quad.chunks_exact(4).zip(columns) {
+        for (acc, x) in acc.iter_mut().zip([a, b, c, d]) {
+            for (a, &w) in acc.iter_mut().zip(wc) {
+                *a += w * x;
+            }
+        }
+    }
+    acc
+}
+
+/// The `BLOCK` equal slices of a block buffer.
+fn block_slices(v: &[f64]) -> [&[f64]; BLOCK] {
+    let n = v.len() / BLOCK;
+    std::array::from_fn(|k| &v[k * n..(k + 1) * n])
+}
+
+/// The `BLOCK` equal slices of a block buffer, mutably.
+fn block_slices_mut(v: &mut [f64]) -> [&mut [f64]; BLOCK] {
+    let n = v.len() / BLOCK;
+    let (front, back) = v.split_at_mut(2 * n);
+    let (v0, v1) = front.split_at_mut(n);
+    let (v2, v3) = back.split_at_mut(n);
+    [v0, v1, v2, v3]
 }
 
 /// Per-fit training buffers, sized once from the topology so the
-/// per-sample forward and backward passes allocate nothing.
+/// blocked forward and per-sample backward passes allocate nothing.
 struct Scratch {
-    /// Pre-activations `z` of every layer.
+    /// Pre-activations `z` of every layer, the block's samples back to back.
     zs: Vec<Vec<f64>>,
-    /// ReLU activations of every hidden layer (the head is linear).
+    /// ReLU activations of every hidden layer (the head is linear), laid
+    /// out like `zs`.
     acts: Vec<Vec<f64>>,
+    /// Each layer's quads of weight rows, packed by [`Layer::pack_quads`]
+    /// as of this minibatch.
+    panels: Vec<Vec<f64>>,
     /// Backprop deltas of the current layer and the one below it.
     delta: Vec<f64>,
     next: Vec<f64>,
+    /// The current layer's live rows: those whose delta is not zero.
+    live: Vec<usize>,
+    /// Whether each layer's weights are all finite, as of this minibatch.
+    finite_w: Vec<bool>,
+    /// Whether every backprop row of each layer counts as live for the
+    /// current block: its weights or some sample's input to it hold a
+    /// non-finite value.
+    all_live: Vec<bool>,
     /// Minibatch gradient sums, shaped like each layer's `w` and `b`.
     grad_w: Vec<Vec<f64>>,
     grad_b: Vec<Vec<f64>>,
+    /// Backprop rows over the fit, and how many of them were live.
+    rows: u64,
+    rows_live: u64,
 }
 
 impl Scratch {
@@ -156,18 +263,30 @@ impl Scratch {
         // Deltas span a layer's inputs, or the 1-wide head.
         let delta_width = layers.iter().map(|l| l.w.cols()).fold(1, usize::max);
         Scratch {
-            zs: layers.iter().map(|l| vec![0.0; l.width()]).collect(),
+            zs: layers
+                .iter()
+                .map(|l| vec![0.0; BLOCK * l.width()])
+                .collect(),
             acts: layers[..layers.len() - 1]
                 .iter()
-                .map(|l| vec![0.0; l.width()])
+                .map(|l| vec![0.0; BLOCK * l.width()])
+                .collect(),
+            panels: layers
+                .iter()
+                .map(|l| vec![0.0; l.width().div_ceil(4) * 4 * l.w.cols()])
                 .collect(),
             delta: vec![0.0; delta_width],
             next: vec![0.0; delta_width],
+            live: vec![0; delta_width],
+            finite_w: vec![true; layers.len()],
+            all_live: vec![false; layers.len()],
             grad_w: layers
                 .iter()
                 .map(|l| vec![0.0; l.w.rows() * l.w.cols()])
                 .collect(),
             grad_b: layers.iter().map(|l| vec![0.0; l.width()]).collect(),
+            rows: 0,
+            rows_live: 0,
         }
     }
 }
@@ -224,6 +343,8 @@ impl Mlp {
                 mlp.train_batch(cfg, data, chunk, &mut scratch);
             }
         }
+        psca_obs::counter("ml.mlp.backprop_rows").add(scratch.rows);
+        psca_obs::counter("ml.mlp.backprop_rows_live").add(scratch.rows_live);
         mlp
     }
 
@@ -333,12 +454,18 @@ impl Mlp {
         sigmoid(input[0])
     }
 
-    /// Forward pass storing every layer's `z` and hidden activation.
-    fn forward(&self, x: &[f64], s: &mut Scratch) {
+    /// Forward pass of one block of samples, storing every layer's `z` and
+    /// hidden activation.
+    fn forward_block(&self, xs: [&[f64]; BLOCK], s: &mut Scratch) {
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
-            let input = if li == 0 { x } else { &s.acts[li - 1] };
-            layer.affine(input, &mut s.zs[li]);
+            let inputs = if li == 0 {
+                xs
+            } else {
+                block_slices(&s.acts[li - 1])
+            };
+            s.all_live[li] = !(s.finite_w[li] && inputs.iter().all(|x| all_finite(x)));
+            layer.affine_block(&s.panels[li], inputs, &mut s.zs[li]);
             if li < last {
                 s.acts[li].copy_from_slice(&s.zs[li]);
                 relu(&mut s.acts[li]);
@@ -346,46 +473,78 @@ impl Mlp {
         }
     }
 
-    fn train_batch(&mut self, cfg: &MlpConfig, data: &Dataset, idx: &[usize], s: &mut Scratch) {
+    /// Adds the gradient of sample `(x, y)`, whose forward pass sits in
+    /// block slot `k`, to the minibatch sums.
+    ///
+    /// Only live rows (nonzero delta) enter the weight-gradient and
+    /// next-delta loops. That is exact: both sums start at `+0.0`, a
+    /// round-to-nearest sum that starts at `+0.0` is never `-0.0`, and a
+    /// zero delta times a finite operand is `±0.0`, so adding it changes
+    /// nothing. `0 × inf` is NaN, though, so when a layer's weights or
+    /// some input to it in the block hold a non-finite value, every row of
+    /// it counts as live (`Scratch::all_live`).
+    fn backward(&self, x: &[f64], y: u8, k: usize, s: &mut Scratch) {
         let nl = self.layers.len();
+        // BCE with logits: dL/dz_out = sigmoid(z) - y.
+        let d = sigmoid(s.zs[nl - 1][k]) - y as f64;
+        s.delta[0] = d;
+        s.grad_b[nl - 1][0] += d;
+        s.live[0] = 0;
+        let mut n = (s.all_live[nl - 1] | (d != 0.0)) as usize;
+        let mut width = 1;
+        for li in (0..nl).rev() {
+            s.rows += width as u64;
+            s.rows_live += n as u64;
+            let cols = self.layers[li].w.cols();
+            let input = if li == 0 {
+                x
+            } else {
+                &s.acts[li - 1][k * cols..(k + 1) * cols]
+            };
+            let (delta, live) = (&s.delta[..width], &s.live[..n]);
+            let grad_w = &mut s.grad_w[li];
+            if li == 0 {
+                for &r in live {
+                    axpy(delta[r], input, &mut grad_w[r * cols..(r + 1) * cols]);
+                }
+                break;
+            }
+            // One pass per live row feeds both its weight gradient and the
+            // next delta; every element keeps its own sum order.
+            let next = &mut s.next[..cols];
+            next.fill(0.0);
+            let w = self.layers[li].w.as_slice();
+            for &r in live {
+                let row = r * cols..(r + 1) * cols;
+                axpy2(delta[r], input, &mut grad_w[row.clone()], &w[row], next);
+            }
+            let z = &s.zs[li - 1][k * cols..(k + 1) * cols];
+            let grad_b = &mut s.grad_b[li - 1];
+            n = mask_and_collect(next, z, grad_b, s.all_live[li - 1], &mut s.live);
+            std::mem::swap(&mut s.delta, &mut s.next);
+            width = cols;
+        }
+    }
+
+    fn train_batch(&mut self, cfg: &MlpConfig, data: &Dataset, idx: &[usize], s: &mut Scratch) {
         for g in s.grad_w.iter_mut().chain(s.grad_b.iter_mut()) {
             g.fill(0.0);
         }
-        for &i in idx {
-            let (x, y) = data.sample(i);
-            self.forward(x, s);
-            // BCE with logits: dL/dz_out = sigmoid(z) - y.
-            s.delta[0] = sigmoid(s.zs[nl - 1][0]) - y as f64;
-            let mut width = 1;
-            for li in (0..nl).rev() {
-                let input = if li == 0 { x } else { &s.acts[li - 1] };
-                let cols = input.len();
-                let delta = &s.delta[..width];
-                let grad_w = &mut s.grad_w[li];
-                for (r, (&d, gb)) in delta.iter().zip(s.grad_b[li].iter_mut()).enumerate() {
-                    *gb += d;
-                    for (gc, &xin) in grad_w[r * cols..(r + 1) * cols].iter_mut().zip(input) {
-                        *gc += d * xin;
-                    }
-                }
-                if li > 0 {
-                    let next = &mut s.next[..cols];
-                    next.fill(0.0);
-                    let w = self.layers[li].w.as_slice();
-                    for (r, &d) in delta.iter().enumerate() {
-                        for (nv, &wv) in next.iter_mut().zip(&w[r * cols..(r + 1) * cols]) {
-                            *nv += d * wv;
-                        }
-                    }
-                    // ReLU derivative of the previous layer.
-                    for (nv, &z) in next.iter_mut().zip(&s.zs[li - 1]) {
-                        if z <= 0.0 {
-                            *nv = 0.0;
-                        }
-                    }
-                    std::mem::swap(&mut s.delta, &mut s.next);
-                    width = cols;
-                }
+        for (li, layer) in self.layers.iter().enumerate() {
+            layer.pack_quads(&mut s.panels[li]);
+            s.finite_w[li] = all_finite(layer.w.as_slice());
+        }
+        // Forward four samples in lockstep, then backprop them in sample
+        // order so the gradient sums add in the same order as one by one.
+        // A short last block repeats its last sample: every sample has its
+        // own accumulators, so the padding changes no real sample's bits,
+        // and it is never backpropagated.
+        for block in idx.chunks(BLOCK) {
+            let pad = |k: usize| block[k.min(block.len() - 1)];
+            self.forward_block(std::array::from_fn(|k| data.sample(pad(k)).0), s);
+            for (k, &i) in block.iter().enumerate() {
+                let (x, y) = data.sample(i);
+                self.backward(x, y, k, s);
             }
         }
         // Adam update.
@@ -427,6 +586,61 @@ impl Mlp {
                 *b -= cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
             }
         }
+    }
+}
+
+/// Whether every value is finite. No early exit, so the check vectorizes.
+#[inline]
+fn all_finite(v: &[f64]) -> bool {
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
+/// Applies the ReLU derivative at `z` to `delta` (a select, not a
+/// branch), adds the result to `grad_b`, and lists the live rows (nonzero
+/// delta, or every row when `keep_all`) at the front of `live`, returning
+/// how many there are. The list is written without branching: each index
+/// is stored, and the count steps past it only if the row is live. The
+/// list gets its own loop so the mask and bias loop vectorizes.
+#[inline]
+fn mask_and_collect(
+    delta: &mut [f64],
+    z: &[f64],
+    grad_b: &mut [f64],
+    keep_all: bool,
+    live: &mut [usize],
+) -> usize {
+    for ((d, &z), gb) in delta.iter_mut().zip(z).zip(grad_b) {
+        *d = if z <= 0.0 { 0.0 } else { *d };
+        *gb += *d;
+    }
+    let mut n = 0;
+    for (r, &d) in delta.iter().enumerate() {
+        live[n] = r;
+        n += (keep_all | (d != 0.0)) as usize;
+    }
+    n
+}
+
+/// `y += d * x`, element by element. The operands are sliced to one
+/// length before the loop, so it indexes without bounds checks; that ran
+/// faster than zipped iterators.
+#[inline]
+fn axpy(d: f64, x: &[f64], y: &mut [f64]) {
+    let n = y.len();
+    let x = &x[..n];
+    for c in 0..n {
+        y[c] += d * x[c];
+    }
+}
+
+/// Two [`axpy`]s in one pass: `y += d * x` and `v += d * w`.
+#[inline]
+fn axpy2(d: f64, x: &[f64], y: &mut [f64], w: &[f64], v: &mut [f64]) {
+    let n = y.len();
+    let (x, w, v) = (&x[..n], &w[..n], &mut v[..n]);
+    for c in 0..n {
+        y[c] += d * x[c];
+        v[c] += d * w[c];
     }
 }
 
