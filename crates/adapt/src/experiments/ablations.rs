@@ -4,7 +4,7 @@
 use crate::config::ExperimentConfig;
 use crate::counters::TABLE4_COUNTERS;
 use crate::paired::CorpusTelemetry;
-use crate::train::{build_dataset_with_horizon, violation_window};
+use crate::train::{aggregate_window, build_dataset, violation_window, walk_dataset, HORIZON};
 use psca_cpu::{ClusterSim, CpuConfig, Mode, SteerPolicy};
 use psca_ml::crossval::{group_folds, mean_std};
 use psca_ml::metrics::{rate_of_sla_violations, Confusion};
@@ -120,7 +120,9 @@ pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<Prediction
     [0usize, 1, 2]
         .iter()
         .map(|&h| {
-            let data = build_dataset_with_horizon(hdtr, Mode::LowPower, &events, 1, &cfg.sla, h);
+            let data = walk_dataset(hdtr, Mode::LowPower, 1, &cfg.sla, h, |rows, cycles| {
+                aggregate_window(rows, cycles, &events)
+            });
             let (pgos, rsv, accuracy) = crossval_rf(cfg, &data, w, h as u64);
             PredictionAblation {
                 label: format!("predict t+{h}"),
@@ -139,27 +141,20 @@ pub fn normalization(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<Pred
     psca_obs::reset_all();
     let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
     let w = violation_window(cfg, 1);
-    let normalized = build_dataset_with_horizon(hdtr, Mode::LowPower, &events, 1, &cfg.sla, 2);
-    // Raw counts: multiply each feature row by the interval's cycles.
-    let mut raw_rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut groups = Vec::new();
-    for trace in &hdtr.traces {
-        let t_labels = trace.labels(&cfg.sla);
-        for t in 0..trace.len().saturating_sub(2) {
-            let cyc = trace.cycles_lo[t] as f64;
-            raw_rows.push(
-                events
-                    .iter()
-                    .map(|e| trace.rows_lo[t][e.index()] * cyc)
-                    .collect(),
-            );
-            labels.push(t_labels[t + 2]);
-            groups.push(trace.app_id);
-        }
-    }
-    let refs: Vec<&[f64]> = raw_rows.iter().map(|r| r.as_slice()).collect();
-    let raw = psca_ml::Dataset::new(psca_ml::Matrix::from_rows(&refs), labels, groups);
+    let normalized = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);
+    // Raw counts: each one-interval window's normalized row times its
+    // cycles.
+    let raw = walk_dataset(
+        hdtr,
+        Mode::LowPower,
+        1,
+        &cfg.sla,
+        HORIZON,
+        |rows, cycles| {
+            let cyc = cycles[0] as f64;
+            events.iter().map(|e| rows[0][e.index()] * cyc).collect()
+        },
+    );
     let (pn, rn, an) = crossval_rf(cfg, &normalized, w, 100);
     let (pr, rr, ar) = crossval_rf(cfg, &raw, w, 101);
     vec![

@@ -15,7 +15,7 @@ use crate::config::ExperimentConfig;
 use crate::paired::{CorpusTelemetry, TraceTelemetry};
 use crate::train::{violation_window, TrainedAdaptModel, HORIZON};
 use psca_cpu::Mode;
-use psca_ml::metrics::Confusion;
+use psca_ml::metrics::{sla_windows, Confusion};
 
 /// Aggregate post-deployment metrics of one model on one corpus slice.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -182,25 +182,21 @@ fn emulate_trace(
     let c = Confusion::from_predictions(&truth, &pred);
     acc.confusion = c;
     let w = violation_window(cfg, g);
-    let mut i = 0;
-    while i < truth.len() {
-        let end = (i + w).min(truth.len());
-        let fp = (i..end).filter(|&k| pred[k] == 1 && truth[k] == 0).count();
-        if fp as f64 / (end - i) as f64 > 0.5 {
+    for win in sla_windows(&truth, &pred, w) {
+        if win.violates() {
             acc.violations += 1;
             psca_obs::emit(
                 psca_obs::Level::Warn,
                 "sla.violation",
                 &[
                     ("app", trace.app_name.as_str().into()),
-                    ("window_start", i.into()),
-                    ("false_gates", fp.into()),
-                    ("window_len", (end - i).into()),
+                    ("window_start", win.start.into()),
+                    ("false_gates", win.false_gates.into()),
+                    ("window_len", win.len.into()),
                 ],
             );
         }
         acc.windows += 1;
-        i = end;
     }
     // Counters are commutative (relaxed atomics), so they may be bumped
     // from whichever worker thread emulates this trace. The order-sensitive

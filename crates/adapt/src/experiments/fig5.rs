@@ -8,7 +8,7 @@ use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
 use psca_ml::crossval::group_folds;
-use psca_ml::MlpConfig;
+use psca_ml::{Dataset, MlpConfig};
 use psca_telemetry::Event;
 
 /// One point of the counter-count sweep.
@@ -34,11 +34,10 @@ pub struct Fig5 {
 }
 
 /// Cross-validated PGOS and RSV `(mean, std)` of an MLP on each
-/// `(counter set, tag)`, with one parallel cell per (set, fold).
+/// `(raw dataset, tag)`, with one parallel cell per (set, fold).
 fn evaluate_counter_sets(
     cfg: &ExperimentConfig,
-    hdtr: &CorpusTelemetry,
-    sets: &[(&[Event], u64)],
+    sets: &[(Dataset, u64)],
 ) -> Vec<((f64, f64), (f64, f64))> {
     let w = violation_window(cfg, 1);
     let mlp_cfg = MlpConfig {
@@ -48,21 +47,17 @@ fn evaluate_counter_sets(
     };
     let splits: Vec<_> = sets
         .iter()
-        .map(|&(events, tag)| {
-            let raw = build_dataset(hdtr, Mode::LowPower, events, 1, &cfg.sla);
-            let folds = group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig5") ^ tag);
-            (raw, folds)
-        })
+        .map(|(raw, tag)| group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig5") ^ tag))
         .collect();
     let cells = splits
         .iter()
         .enumerate()
-        .flat_map(|(si, (_, folds))| (0..folds.len()).map(move |fi| (si, fi)))
+        .flat_map(|(si, folds)| (0..folds.len()).map(move |fi| (si, fi)))
         .collect();
     let scores = sweep_grouped("fig5.folds", cfg.jobs, sets.len(), cells, |si, &fi| {
-        let (raw, folds) = &splits[si];
-        let fold = &folds[fi];
-        let seed = cfg.sub_seed("fig5-mlp") ^ sets[si].1 ^ fi as u64;
+        let (raw, tag) = &sets[si];
+        let fold = &splits[si][fi];
+        let seed = cfg.sub_seed("fig5-mlp") ^ tag ^ fi as u64;
         let (tune_raw, val_raw) = (raw.subset(&fold.tune), raw.subset(&fold.validate));
         fit_fold(&tune_raw, &val_raw, &mlp_cfg, seed, w, false).1
     });
@@ -86,11 +81,17 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig5 {
         .into_iter()
         .take_while(|&r| r <= pf_order.len())
         .collect();
-    // The PF prefixes, then the expert set last.
-    let mut sets: Vec<(&[Event], u64)> =
-        counts.iter().map(|&r| (&pf_order[..r], r as u64)).collect();
-    sets.push((&CHARSTAR_COUNTERS, 999));
-    let mut metrics = evaluate_counter_sets(cfg, hdtr, &sets);
+    // The PF prefixes, then the expert set last. One walk serves every
+    // prefix: each aggregated column depends only on its own counter.
+    let widest = counts.last().copied().unwrap_or(0);
+    let pf = build_dataset(hdtr, Mode::LowPower, &pf_order[..widest], 1, &cfg.sla);
+    let mut sets: Vec<(Dataset, u64)> = counts
+        .iter()
+        .map(|&r| (pf.select_features(&(0..r).collect::<Vec<_>>()), r as u64))
+        .collect();
+    let expert = build_dataset(hdtr, Mode::LowPower, &CHARSTAR_COUNTERS, 1, &cfg.sla);
+    sets.push((expert, 999));
+    let mut metrics = evaluate_counter_sets(cfg, &sets);
     let (pgos, rsv) = metrics.pop().expect("the expert set is evaluated");
     let expert = Fig5Point {
         counters: CHARSTAR_COUNTERS.len(),

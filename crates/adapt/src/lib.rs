@@ -57,4 +57,7 @@ pub use robustness::{
     robustness_corpus, robustness_model, LoopScore, Scenario, ROBUSTNESS_ARCHETYPES,
 };
 pub use sla::Sla;
-pub use train::{build_dataset, tune_threshold, Featurizer, ModelKind, TrainedAdaptModel, HORIZON};
+pub use train::{
+    aggregate_window, build_dataset, tune_threshold, Featurizer, ModelKind, TrainedAdaptModel,
+    HORIZON,
+};

@@ -12,7 +12,7 @@ use crate::controller::record_trace;
 use crate::sla::Sla;
 use psca_cpu::{ClusterSim, CpuConfig, Mode};
 use psca_exec::{Digest, Sweep};
-use psca_telemetry::{Event, NUM_EVENTS};
+use psca_telemetry::NUM_EVENTS;
 use psca_trace::TraceSource;
 use psca_workloads::{hdtr_corpus, spec};
 
@@ -83,73 +83,46 @@ impl TraceTelemetry {
         labels.iter().map(|&y| y as u32).sum::<u32>() as f64 / labels.len() as f64
     }
 
-    /// Re-aggregates to a coarser granularity of `g` base intervals
-    /// ("we simply sum over successive intervals and re-normalize", §4.1).
+    /// Re-aggregates to a coarser granularity of `g` base intervals: per
+    /// window, summed instructions, cycles and energy, and IPC as summed
+    /// instructions over summed cycles (at `g = 1`, the stored IPC). The
+    /// counter rows are left empty: model inputs re-normalize them per
+    /// window through [`crate::aggregate_window`].
     ///
     /// # Panics
     /// Panics if `g == 0`.
     pub fn aggregate(&self, g: usize) -> TraceTelemetry {
         assert!(g >= 1, "granularity must be positive");
-        if g == 1 {
-            return self.clone();
+        fn sums<T: Copy + std::iter::Sum>(v: &[T], g: usize) -> Vec<T> {
+            v.chunks_exact(g).map(|w| w.iter().copied().sum()).collect()
         }
-        let mut out = TraceTelemetry {
+        let insts = sums(&self.insts, g);
+        let ipc = |stored: &[f64], cycles: &[u64]| -> Vec<f64> {
+            if g == 1 {
+                return stored.to_vec();
+            }
+            insts
+                .iter()
+                .zip(cycles)
+                .map(|(&i, &c)| i as f64 / c.max(1) as f64)
+                .collect()
+        };
+        let cycles_hi = sums(&self.cycles_hi, g);
+        let cycles_lo = sums(&self.cycles_lo, g);
+        TraceTelemetry {
             app_id: self.app_id,
             app_name: self.app_name.clone(),
             workload: self.workload,
             rows_hi: Vec::new(),
             rows_lo: Vec::new(),
-            ipc_hi: Vec::new(),
-            ipc_lo: Vec::new(),
-            cycles_hi: Vec::new(),
-            cycles_lo: Vec::new(),
-            energy_hi: Vec::new(),
-            energy_lo: Vec::new(),
-            insts: Vec::new(),
-        };
-        let mut i = 0;
-        while i + g <= self.len() {
-            let span = i..i + g;
-            let cyc_hi: u64 = self.cycles_hi[span.clone()].iter().sum();
-            let cyc_lo: u64 = self.cycles_lo[span.clone()].iter().sum();
-            let insts: u64 = self.insts[span.clone()].iter().sum();
-            let agg = |rows: &[Vec<f64>], cycles: &[u64], total: u64| -> Vec<f64> {
-                let mut acc = vec![0.0; NUM_EVENTS];
-                for (row, &c) in rows[span.clone()].iter().zip(&cycles[span.clone()]) {
-                    for (a, v) in acc.iter_mut().zip(row) {
-                        *a += v * c as f64;
-                    }
-                }
-                for a in acc.iter_mut() {
-                    *a /= total.max(1) as f64;
-                }
-                acc
-            };
-            out.rows_hi
-                .push(agg(&self.rows_hi, &self.cycles_hi, cyc_hi));
-            out.rows_lo
-                .push(agg(&self.rows_lo, &self.cycles_lo, cyc_lo));
-            out.ipc_hi.push(insts as f64 / cyc_hi.max(1) as f64);
-            out.ipc_lo.push(insts as f64 / cyc_lo.max(1) as f64);
-            out.cycles_hi.push(cyc_hi);
-            out.cycles_lo.push(cyc_lo);
-            out.energy_hi
-                .push(self.energy_hi[span.clone()].iter().sum());
-            out.energy_lo
-                .push(self.energy_lo[span.clone()].iter().sum());
-            out.insts.push(insts);
-            i += g;
+            ipc_hi: ipc(&self.ipc_hi, &cycles_hi),
+            ipc_lo: ipc(&self.ipc_lo, &cycles_lo),
+            energy_hi: sums(&self.energy_hi, g),
+            energy_lo: sums(&self.energy_lo, g),
+            cycles_hi,
+            cycles_lo,
+            insts,
         }
-        out
-    }
-
-    /// Projects one interval's row (by mode) onto a counter subset.
-    pub fn features(&self, mode: Mode, t: usize, events: &[Event]) -> Vec<f64> {
-        let row = match mode {
-            Mode::HighPerf => &self.rows_hi[t],
-            Mode::LowPower => &self.rows_lo[t],
-        };
-        events.iter().map(|e| row[e.index()]).collect()
     }
 }
 
@@ -673,21 +646,6 @@ mod tests {
         let total_i: u64 = t.insts.iter().sum();
         let total_c: u64 = t.cycles_hi.iter().sum();
         assert!((a.ipc_hi[0] - total_i as f64 / total_c as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn features_project_named_events() {
-        let t = quick_trace(Archetype::Balanced, 4);
-        let f = t.features(
-            Mode::HighPerf,
-            0,
-            &[Event::InstRetired, Event::LoadsRetired],
-        );
-        assert_eq!(f.len(), 2);
-        assert!(
-            (f[0] - t.ipc_hi[0]).abs() < 1e-9,
-            "InstRetired/cycle is IPC"
-        );
     }
 
     #[test]

@@ -89,19 +89,16 @@ impl Featurizer {
                 x
             }
             Featurizer::Histogram { events, featurizer } => {
-                let projected: Vec<Vec<f64>> = rows
-                    .iter()
-                    .map(|r| events.iter().map(|e| r[e.index()]).collect())
-                    .collect();
-                let refs: Vec<&[f64]> = projected.iter().map(|r| r.as_slice()).collect();
-                featurizer.featurize(&refs)
+                histogram_window(featurizer, &project_window(rows, events))
             }
         }
     }
 }
 
 /// Cycle-weighted aggregation of a window's normalized rows, projected
-/// onto `events`.
+/// onto `events`: the one re-normalization rule ("we simply sum over
+/// successive intervals and re-normalize", §4.1). Each output column
+/// depends only on its own event.
 pub fn aggregate_window(rows: &[Vec<f64>], cycles: &[u64], events: &[Event]) -> Vec<f64> {
     let total: u64 = cycles.iter().sum();
     let mut out = vec![0.0; events.len()];
@@ -114,6 +111,87 @@ pub fn aggregate_window(rows: &[Vec<f64>], cycles: &[u64], events: &[Event]) -> 
         *o /= total.max(1) as f64;
     }
     out
+}
+
+/// A window's per-interval rows projected onto `events` (the SRCH
+/// histogram input).
+fn project_window(rows: &[Vec<f64>], events: &[Event]) -> Vec<Vec<f64>> {
+    rows.iter()
+        .map(|r| events.iter().map(|e| r[e.index()]).collect())
+        .collect()
+}
+
+/// Histograms one projected window.
+fn histogram_window(featurizer: &HistogramFeaturizer, projected: &[Vec<f64>]) -> Vec<f64> {
+    let refs: Vec<&[f64]> = projected.iter().map(Vec::as_slice).collect();
+    featurizer.featurize(&refs)
+}
+
+/// Walks every trace's prediction windows in corpus order: window `t`
+/// covers base intervals `t*g..(t+1)*g` of `mode`, is labelled with the
+/// SLA outcome of window `t + horizon` (Figure 3), and becomes one sample
+/// through `row(rows, cycles)`. Returns `(samples, labels, groups)`.
+///
+/// Traces walk independently; concatenating per-trace outputs in corpus
+/// order reproduces the serial walk exactly. Nested inside an
+/// experiment's sweep cell this runs inline (no oversubscription).
+///
+/// # Panics
+/// Panics if `granularity == 0`.
+pub(crate) fn walk_windows<R: Send>(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    granularity: usize,
+    sla: &Sla,
+    horizon: usize,
+    row: impl Fn(&[Vec<f64>], &[u64]) -> R + Sync,
+) -> (Vec<R>, Vec<u8>, Vec<u32>) {
+    assert!(granularity >= 1, "granularity must be positive");
+    let per_trace = psca_exec::Sweep::new("train.windows").run(
+        corpus.traces.iter().collect(),
+        |trace: &&TraceTelemetry| {
+            let labels: Vec<u8> = trace.aggregate(granularity).labels(sla);
+            let (rows, cycles) = match mode {
+                Mode::HighPerf => (&trace.rows_hi, &trace.cycles_hi),
+                Mode::LowPower => (&trace.rows_lo, &trace.cycles_lo),
+            };
+            let samples: Vec<R> = (0..labels.len().saturating_sub(horizon))
+                .map(|t| {
+                    let span = t * granularity..(t + 1) * granularity;
+                    row(&rows[span.clone()], &cycles[span])
+                })
+                .collect();
+            let labels: Vec<u8> = labels.into_iter().skip(horizon).collect();
+            (samples, labels, trace.app_id)
+        },
+    );
+    let mut samples = Vec::new();
+    let mut labels = Vec::new();
+    let mut groups = Vec::new();
+    for (s, l, app_id) in per_trace {
+        groups.extend(std::iter::repeat_n(app_id, l.len()));
+        samples.extend(s);
+        labels.extend(l);
+    }
+    (samples, labels, groups)
+}
+
+/// [`walk_windows`] with a feature-vector row function, as a dataset.
+pub(crate) fn walk_dataset(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    granularity: usize,
+    sla: &Sla,
+    horizon: usize,
+    row: impl Fn(&[Vec<f64>], &[u64]) -> Vec<f64> + Sync,
+) -> Dataset {
+    let (rows, labels, groups) = walk_windows(corpus, mode, granularity, sla, horizon, row);
+    to_dataset(&rows, labels, groups)
+}
+
+fn to_dataset(rows: &[Vec<f64>], labels: Vec<u8>, groups: Vec<u32>) -> Dataset {
+    let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    Dataset::new(Matrix::from_rows(&refs), labels, groups)
 }
 
 /// Builds the `(x_t → y_{t+2})` dataset for one mode, with features as
@@ -129,100 +207,9 @@ pub fn build_dataset(
     granularity: usize,
     sla: &Sla,
 ) -> Dataset {
-    build_dataset_with_horizon(corpus, mode, events, granularity, sla, HORIZON)
-}
-
-/// [`build_dataset`] with an explicit prediction horizon — horizon 0 is a
-/// *reactive* policy (configure for the interval just observed), 1 leaves
-/// no time for inference, 2 is the paper's design point (Figure 3). Used
-/// by the horizon ablation bench.
-pub fn build_dataset_with_horizon(
-    corpus: &CorpusTelemetry,
-    mode: Mode,
-    events: &[Event],
-    granularity: usize,
-    sla: &Sla,
-    horizon: usize,
-) -> Dataset {
-    assert!(granularity >= 1, "granularity must be positive");
-    // Traces featurize independently; concatenating per-trace outputs in
-    // corpus order reproduces the serial dataset exactly. Nested inside an
-    // experiment's sweep cell this runs inline (no oversubscription).
-    let per_trace = psca_exec::Sweep::new("train.dataset").run(
-        corpus.traces.iter().collect(),
-        |trace: &&TraceTelemetry| {
-            let agg = trace.aggregate(granularity);
-            let agg_labels = agg.labels(sla);
-            let (rows, cycles) = mode_rows(trace, mode);
-            let mut feats: Vec<Vec<f64>> = Vec::new();
-            let mut labels = Vec::new();
-            for t in 0..agg.len().saturating_sub(horizon) {
-                let span = t * granularity..(t + 1) * granularity;
-                feats.push(aggregate_window(&rows[span.clone()], &cycles[span], events));
-                labels.push(agg_labels[t + horizon]);
-            }
-            (feats, labels, trace.app_id)
-        },
-    );
-    let mut feats: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut groups = Vec::new();
-    for (f, l, app_id) in per_trace {
-        groups.extend(std::iter::repeat_n(app_id, l.len()));
-        feats.extend(f);
-        labels.extend(l);
-    }
-    let refs: Vec<&[f64]> = feats.iter().map(|f| f.as_slice()).collect();
-    Dataset::new(Matrix::from_rows(&refs), labels, groups)
-}
-
-/// Per-window sample lists for histogram models: returns
-/// `(windows, labels, groups)` where each window is the projected
-/// per-interval rows.
-pub fn build_hist_windows(
-    corpus: &CorpusTelemetry,
-    mode: Mode,
-    events: &[Event],
-    granularity: usize,
-    sla: &Sla,
-) -> (Vec<Vec<Vec<f64>>>, Vec<u8>, Vec<u32>) {
-    assert!(granularity >= 1, "granularity must be positive");
-    let per_trace = psca_exec::Sweep::new("train.hist_windows").run(
-        corpus.traces.iter().collect(),
-        |trace: &&TraceTelemetry| {
-            let agg = trace.aggregate(granularity);
-            let agg_labels = agg.labels(sla);
-            let (rows, _) = mode_rows(trace, mode);
-            let mut windows = Vec::new();
-            let mut labels = Vec::new();
-            for t in 0..agg.len().saturating_sub(HORIZON) {
-                let span = t * granularity..(t + 1) * granularity;
-                let projected: Vec<Vec<f64>> = rows[span]
-                    .iter()
-                    .map(|r| events.iter().map(|e| r[e.index()]).collect())
-                    .collect();
-                windows.push(projected);
-                labels.push(agg_labels[t + HORIZON]);
-            }
-            (windows, labels, trace.app_id)
-        },
-    );
-    let mut windows = Vec::new();
-    let mut labels = Vec::new();
-    let mut groups = Vec::new();
-    for (w, l, app_id) in per_trace {
-        groups.extend(std::iter::repeat_n(app_id, l.len()));
-        windows.extend(w);
-        labels.extend(l);
-    }
-    (windows, labels, groups)
-}
-
-fn mode_rows(trace: &TraceTelemetry, mode: Mode) -> (&[Vec<f64>], &[u64]) {
-    match mode {
-        Mode::HighPerf => (&trace.rows_hi, &trace.cycles_hi),
-        Mode::LowPower => (&trace.rows_lo, &trace.cycles_lo),
-    }
+    walk_dataset(corpus, mode, granularity, sla, HORIZON, |rows, cycles| {
+        aggregate_window(rows, cycles, events)
+    })
 }
 
 /// A fully-trained adaptation model pair ready for firmware deployment:
@@ -335,28 +322,54 @@ pub fn tune_threshold(
 /// (the paper keeps tuning-set SLA violations below 1%, §6.3).
 pub const THRESHOLD_TARGET_RSV: f64 = 0.01;
 
-/// Fits a standard featurizer (standardizer) on tuning data.
-pub fn fit_standard_featurizer(events: &[Event], tuning: &Dataset) -> Featurizer {
-    Featurizer::Standard {
+/// Fits a standard featurizer (standardizer) on a corpus and returns it
+/// with the corpus in its feature space — one walk: the raw aggregated
+/// set it was fit on, standardized rather than walked again.
+pub fn fit_standard(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    events: &[Event],
+    granularity: usize,
+    sla: &Sla,
+) -> (Featurizer, Dataset) {
+    let raw = build_dataset(corpus, mode, events, granularity, sla);
+    let standardizer = Standardizer::fit(&raw);
+    let data = standardizer.transform_dataset(&raw);
+    let feat = Featurizer::Standard {
         events: events.to_vec(),
-        standardizer: Standardizer::fit(tuning),
-    }
+        standardizer,
+    };
+    (feat, data)
 }
 
-/// Fits a histogram featurizer on tuning windows (10 buckets, as Dubach
-/// et al. use).
-pub fn fit_histogram_featurizer(events: &[Event], tuning_windows: &[Vec<Vec<f64>>]) -> Featurizer {
-    let all_rows: Vec<&[f64]> = tuning_windows
+/// Fits a histogram featurizer (10 buckets, as Dubach et al. use) on a
+/// corpus's projected windows and returns it with those windows
+/// histogrammed — one walk.
+pub fn fit_histogram(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    events: &[Event],
+    granularity: usize,
+    sla: &Sla,
+) -> (Featurizer, Dataset) {
+    let (windows, labels, groups) =
+        walk_windows(corpus, mode, granularity, sla, HORIZON, |rows, _| {
+            project_window(rows, events)
+        });
+    let all_rows: Vec<&[f64]> = windows.iter().flatten().map(Vec::as_slice).collect();
+    let featurizer = HistogramFeaturizer::fit(&all_rows, 10);
+    let rows: Vec<Vec<f64>> = windows
         .iter()
-        .flat_map(|w| w.iter().map(|r| r.as_slice()))
+        .map(|w| histogram_window(&featurizer, w))
         .collect();
-    Featurizer::Histogram {
+    let feat = Featurizer::Histogram {
         events: events.to_vec(),
-        featurizer: HistogramFeaturizer::fit(&all_rows, 10),
-    }
+        featurizer,
+    };
+    (feat, to_dataset(&rows, labels, groups))
 }
 
-/// Applies a featurizer to a sample list, producing a model-ready matrix.
+/// Featurizes a corpus with a featurizer fitted elsewhere.
 pub fn featurize_windows(
     feat: &Featurizer,
     corpus: &CorpusTelemetry,
@@ -364,32 +377,9 @@ pub fn featurize_windows(
     granularity: usize,
     sla: &Sla,
 ) -> Dataset {
-    let per_trace = psca_exec::Sweep::new("train.featurize").run(
-        corpus.traces.iter().collect(),
-        |trace: &&TraceTelemetry| {
-            let agg = trace.aggregate(granularity);
-            let agg_labels = agg.labels(sla);
-            let (rows, cycles) = mode_rows(trace, mode);
-            let mut rows_out: Vec<Vec<f64>> = Vec::new();
-            let mut labels = Vec::new();
-            for t in 0..agg.len().saturating_sub(HORIZON) {
-                let span = t * granularity..(t + 1) * granularity;
-                rows_out.push(feat.featurize(&rows[span.clone()], &cycles[span]));
-                labels.push(agg_labels[t + HORIZON]);
-            }
-            (rows_out, labels, trace.app_id)
-        },
-    );
-    let mut rows_out: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut groups = Vec::new();
-    for (r, l, app_id) in per_trace {
-        groups.extend(std::iter::repeat_n(app_id, l.len()));
-        rows_out.extend(r);
-        labels.extend(l);
-    }
-    let refs: Vec<&[f64]> = rows_out.iter().map(|r| r.as_slice()).collect();
-    Dataset::new(Matrix::from_rows(&refs), labels, groups)
+    walk_dataset(corpus, mode, granularity, sla, HORIZON, |rows, cycles| {
+        feat.featurize(rows, cycles)
+    })
 }
 
 /// The per-prediction violation window for a model at a config's base
@@ -406,6 +396,10 @@ mod tests {
     use psca_workloads::{Archetype, PhaseGenerator};
 
     fn tiny_corpus() -> CorpusTelemetry {
+        corpus_of(12)
+    }
+
+    fn corpus_of(intervals: usize) -> CorpusTelemetry {
         let mut traces = Vec::new();
         for (i, a) in [Archetype::DepChain, Archetype::ScalarIlp]
             .iter()
@@ -413,7 +407,7 @@ mod tests {
         {
             let mut gen = PhaseGenerator::new(a.center(), i as u64 + 1);
             traces.push(crate::collect_paired(
-                &mut gen, 2_000, 12, 2_000, i as u32, "t", 1,
+                &mut gen, 2_000, intervals, 2_000, i as u32, "t", 1,
             ));
         }
         CorpusTelemetry { traces }
@@ -446,6 +440,74 @@ mod tests {
         let cycles = vec![100u64, 300];
         let out = aggregate_window(&rows, &cycles, &[Event::Cycles]);
         assert!((out[0] - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn aggregate_window_matches_manual_renormalization() {
+        use psca_telemetry::CounterBank;
+        let mut bank = CounterBank::new();
+        bank.add(Event::Cycles, 100);
+        bank.add(Event::InstRetired, 100);
+        bank.add(Event::L1dHits, 40);
+        let a = bank.snapshot_and_reset();
+        bank.add(Event::Cycles, 300);
+        bank.add(Event::InstRetired, 300);
+        bank.add(Event::L1dHits, 30);
+        let b = bank.snapshot_and_reset();
+        let rows = vec![a.as_slice().to_vec(), b.as_slice().to_vec()];
+        let out = aggregate_window(
+            &rows,
+            &[a.cycles, b.cycles],
+            &[Event::L1dHits, Event::InstRetired],
+        );
+        // (40 + 30) / 400 and (100 + 300) / 400.
+        assert!((out[0] - 0.175).abs() < 1e-12);
+        assert!((out[1] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn aggregate_window_of_one_interval_reads_ipc() {
+        let t = &tiny_corpus().traces[0];
+        for i in 0..t.len() {
+            let f = aggregate_window(
+                &t.rows_hi[i..=i],
+                &t.cycles_hi[i..=i],
+                &[Event::InstRetired, Event::LoadsRetired],
+            );
+            assert_eq!(f.len(), 2);
+            assert!(
+                (f[0] - t.ipc_hi[i]).abs() < 1e-9,
+                "InstRetired/cycle is IPC"
+            );
+        }
+    }
+
+    /// The set a training round fits its model on is the corpus
+    /// featurized by the round's own featurizer, bit for bit.
+    #[test]
+    fn training_sets_equal_featurize_windows() {
+        let corpus = corpus_of(20);
+        let sla = Sla::paper_default();
+        let events = [Event::StallCount, Event::InstRetired, Event::L1dMisses];
+        for g in [1, 4] {
+            for mode in [Mode::HighPerf, Mode::LowPower] {
+                let standard = fit_standard(&corpus, mode, &events, g, &sla);
+                let histogram = fit_histogram(&corpus, mode, &events, g, &sla);
+                for (feat, data) in [standard, histogram] {
+                    let walked = featurize_windows(&feat, &corpus, mode, g, &sla);
+                    assert!(!data.is_empty());
+                    assert_eq!(data.labels(), walked.labels());
+                    assert_eq!(data.groups(), walked.groups());
+                    assert_eq!(data.dim(), walked.dim());
+                    for i in 0..data.len() {
+                        let bits = |d: &Dataset| -> Vec<u64> {
+                            d.features().row(i).iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&data), bits(&walked), "g {g} {mode} row {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -494,11 +556,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_windows_have_granularity_rows() {
+    fn walked_windows_have_granularity_rows() {
         let corpus = tiny_corpus();
         let sla = Sla::paper_default();
+        let events = [Event::StallCount];
         let (windows, labels, groups) =
-            build_hist_windows(&corpus, Mode::HighPerf, &[Event::StallCount], 3, &sla);
+            walk_windows(&corpus, Mode::HighPerf, 3, &sla, HORIZON, |rows, _| {
+                project_window(rows, &events)
+            });
         assert_eq!(windows.len(), labels.len());
         assert_eq!(windows.len(), groups.len());
         assert!(windows.iter().all(|w| w.len() == 3));

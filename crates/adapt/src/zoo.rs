@@ -5,12 +5,13 @@ use crate::config::ExperimentConfig;
 use crate::counters::{CHARSTAR_COUNTERS, SRCH_COUNTERS, TABLE4_COUNTERS};
 use crate::paired::CorpusTelemetry;
 use crate::train::{
-    build_dataset, build_hist_windows, featurize_windows, fit_histogram_featurizer,
-    fit_standard_featurizer, tune_threshold, violation_window, Featurizer, ModelKind,
-    TrainedAdaptModel, THRESHOLD_TARGET_RSV,
+    featurize_windows, fit_histogram, fit_standard, tune_threshold, violation_window, Featurizer,
+    ModelKind, TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use psca_cpu::Mode;
-use psca_ml::{Classifier, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig};
+use psca_ml::{
+    Classifier, Dataset, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig,
+};
 use psca_telemetry::Event;
 use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec};
 
@@ -57,7 +58,7 @@ pub fn train(
     let mut per_mode = Vec::with_capacity(2);
     for mode in [Mode::HighPerf, Mode::LowPower] {
         let round_start = std::time::Instant::now();
-        let round = train_mode(kind, corpus, cfg, mode, &events, g, w);
+        let (feat, fw, data) = train_mode(kind, corpus, cfg, mode, &events, g, w);
         let wall_ns = round_start.elapsed().as_nanos() as u64;
         psca_obs::counter("adapt.train.rounds").inc();
         psca_obs::histogram("adapt.train.round_ns").record(wall_ns);
@@ -70,14 +71,11 @@ pub fn train(
                     ("mode", mode.to_string().into()),
                     ("wall_ms", (wall_ns as f64 / 1e6).into()),
                     ("granularity", g.into()),
-                    (
-                        "train_error",
-                        round_error(&round, corpus, cfg, mode, g).into(),
-                    ),
+                    ("train_error", round_error(&fw, &data).into()),
                 ],
             );
         }
-        per_mode.push(round);
+        per_mode.push((feat, fw));
     }
     let (feat_lo, fw_lo) = per_mode.pop().unwrap();
     let (feat_hi, fw_hi) = per_mode.pop().unwrap();
@@ -95,18 +93,10 @@ pub fn train(
     }
 }
 
-/// In-sample misclassification rate of a freshly-trained mode predictor —
-/// the "loss" reported in `train.round` events. Only computed when the
-/// event would actually be delivered.
-fn round_error(
-    round: &(Featurizer, FirmwareModel),
-    corpus: &CorpusTelemetry,
-    cfg: &ExperimentConfig,
-    mode: Mode,
-    g: usize,
-) -> f64 {
-    let (feat, fw) = round;
-    let data = featurize_windows(feat, corpus, mode, g, &cfg.training_sla());
+/// In-sample misclassification rate of a freshly-trained mode predictor
+/// on the set it was trained from — the "loss" reported in `train.round`
+/// events. Only computed when the event would actually be delivered.
+fn round_error(fw: &FirmwareModel, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -126,6 +116,8 @@ fn fw_input_dim(feat: &Featurizer) -> Option<usize> {
     }
 }
 
+/// Trains one mode's predictor; returns it with its featurizer and the
+/// featurized corpus it was fit and calibrated on.
 fn train_mode(
     kind: ModelKind,
     corpus: &CorpusTelemetry,
@@ -134,57 +126,41 @@ fn train_mode(
     events: &[Event],
     g: usize,
     w: usize,
-) -> (Featurizer, FirmwareModel) {
-    match kind {
+) -> (Featurizer, FirmwareModel, Dataset) {
+    let sla = cfg.training_sla();
+    let (feat, data) = match kind {
+        ModelKind::SrchFine | ModelKind::SrchCoarse => fit_histogram(corpus, mode, events, g, &sla),
+        _ => fit_standard(corpus, mode, events, g, &sla),
+    };
+    let (fit_set, cal_set) = calibration_split(&data, cfg);
+    let mut fw = match kind {
         ModelKind::SrchFine | ModelKind::SrchCoarse => {
-            let (windows, _, _) = build_hist_windows(corpus, mode, events, g, &cfg.training_sla());
-            let feat = fit_histogram_featurizer(events, &windows);
-            let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
-            let (fit_set, cal_set) = calibration_split(&data, cfg);
-            let lr = LogisticRegression::fit(&fit_set, 1e-4, 150);
-            let mut fw = FirmwareModel::Logistic(lr);
-            tune_threshold(
-                &mut fw,
-                cal_set.features(),
-                cal_set.labels(),
-                w,
-                THRESHOLD_TARGET_RSV,
-            );
-            (feat, fw)
+            FirmwareModel::Logistic(LogisticRegression::fit(&fit_set, 1e-4, 150))
         }
-        _ => {
-            let raw = build_dataset(corpus, mode, events, g, &cfg.training_sla());
-            let feat = fit_standard_featurizer(events, &raw);
-            let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
-            let (fit_set, cal_set) = calibration_split(&data, cfg);
-            let mut fw = match kind {
-                ModelKind::BestRf => FirmwareModel::Forest(RandomForest::fit(
-                    &RandomForestConfig::best_rf(),
-                    &fit_set,
-                    cfg.sub_seed("rf") ^ mode_tag(mode),
-                )),
-                ModelKind::BestMlp => FirmwareModel::Mlp(Mlp::fit(
-                    &MlpConfig::best_mlp(),
-                    &fit_set,
-                    cfg.sub_seed("mlp") ^ mode_tag(mode),
-                )),
-                ModelKind::Charstar => FirmwareModel::Mlp(Mlp::fit(
-                    &MlpConfig::charstar(),
-                    &fit_set,
-                    cfg.sub_seed("charstar") ^ mode_tag(mode),
-                )),
-                _ => unreachable!(),
-            };
-            tune_threshold(
-                &mut fw,
-                cal_set.features(),
-                cal_set.labels(),
-                w,
-                THRESHOLD_TARGET_RSV,
-            );
-            (feat, fw)
-        }
-    }
+        ModelKind::BestRf => FirmwareModel::Forest(RandomForest::fit(
+            &RandomForestConfig::best_rf(),
+            &fit_set,
+            cfg.sub_seed("rf") ^ mode_tag(mode),
+        )),
+        ModelKind::BestMlp => FirmwareModel::Mlp(Mlp::fit(
+            &MlpConfig::best_mlp(),
+            &fit_set,
+            cfg.sub_seed("mlp") ^ mode_tag(mode),
+        )),
+        ModelKind::Charstar => FirmwareModel::Mlp(Mlp::fit(
+            &MlpConfig::charstar(),
+            &fit_set,
+            cfg.sub_seed("charstar") ^ mode_tag(mode),
+        )),
+    };
+    tune_threshold(
+        &mut fw,
+        cal_set.features(),
+        cal_set.labels(),
+        w,
+        THRESHOLD_TARGET_RSV,
+    );
+    (feat, fw, data)
 }
 
 /// Splits tuning data by application into a fit set and a calibration set
@@ -192,10 +168,7 @@ fn train_mode(
 /// applications is essential for models that can memorize their tuning
 /// samples (forests): their in-sample RSV is always ~0, which would leave
 /// thresholds at their most aggressive setting.
-fn calibration_split(
-    data: &psca_ml::Dataset,
-    cfg: &ExperimentConfig,
-) -> (psca_ml::Dataset, psca_ml::Dataset) {
+fn calibration_split(data: &Dataset, cfg: &ExperimentConfig) -> (Dataset, Dataset) {
     if data.distinct_groups().len() < 3 {
         // Too few applications to split: calibrate in-sample.
         return (data.clone(), data.clone());
@@ -228,9 +201,7 @@ pub fn train_custom_mlp(
     };
     let mut per_mode = Vec::with_capacity(2);
     for mode in [Mode::HighPerf, Mode::LowPower] {
-        let raw = build_dataset(corpus, mode, events, g, &cfg.training_sla());
-        let feat = fit_standard_featurizer(events, &raw);
-        let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
+        let (feat, data) = fit_standard(corpus, mode, events, g, &cfg.training_sla());
         let mut fw = FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, &data, seed ^ mode_tag(mode)));
         tune_threshold(
             &mut fw,

@@ -79,7 +79,7 @@ struct DiePrep {
 }
 
 /// A prepared fleet: trained model, baseline/candidate images, and one
-/// [`DiePrep`] per die. Splitting preparation from execution lets tests
+/// die's parameters (skew, archetype, chaos, seed) per die. Splitting preparation from execution lets tests
 /// score a single die serially ([`FleetSetup::die_stats`]) against the
 /// report, whose rows must equal that serial oracle for the image each
 /// row reports, whatever shape the rollout took.

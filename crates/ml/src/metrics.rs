@@ -78,40 +78,62 @@ impl Confusion {
     }
 }
 
-/// RSV (Eqs. 2–4): splits the prediction sequence into consecutive
-/// windows of `w` predictions; a window "violates" when the mean
-/// false-positive indicator over it exceeds 0.5. Returns the fraction of
-/// violating windows.
-///
-/// Windows shorter than `w` at the end of the trace are evaluated over the
-/// samples they contain ("we compute RSV across the complete set of
+/// One RSV window of a prediction stream (Eqs. 2–4).
+#[derive(Debug, Clone, Copy)]
+pub struct SlaWindow {
+    /// Index of the window's first prediction.
+    pub start: usize,
+    /// Predictions in the window (`w`, or fewer for the last one).
+    pub len: usize,
+    /// Predictions that gated an interval that could not run gated.
+    pub false_gates: usize,
+}
+
+impl SlaWindow {
+    /// Whether the window violates the SLA: its mean false-positive
+    /// indicator exceeds 0.5.
+    pub fn violates(&self) -> bool {
+        self.false_gates as f64 / self.len as f64 > 0.5
+    }
+}
+
+/// Splits a prediction stream into consecutive windows of `w`
+/// predictions. A window shorter than `w` at the end of the trace covers
+/// the samples it contains ("we compute RSV across the complete set of
 /// samples spanning a trace", §4.2).
 ///
 /// # Panics
 /// Panics if `w == 0` or lengths differ.
-pub fn rate_of_sla_violations(truth: &[u8], pred: &[u8], w: usize) -> f64 {
+pub fn sla_windows<'a>(
+    truth: &'a [u8],
+    pred: &'a [u8],
+    w: usize,
+) -> impl Iterator<Item = SlaWindow> + 'a {
     assert!(w >= 1, "window must be positive");
     assert_eq!(truth.len(), pred.len(), "length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let mut violations = 0usize;
-    let mut windows = 0usize;
-    let mut i = 0;
-    while i < truth.len() {
-        let end = (i + w).min(truth.len());
-        let mut fp = 0usize;
-        for k in i..end {
-            if pred[k] == 1 && truth[k] == 0 {
-                fp += 1;
-            }
-        }
-        let expectation = fp as f64 / (end - i) as f64;
-        if expectation > 0.5 {
-            violations += 1;
-        }
+    truth
+        .chunks(w)
+        .zip(pred.chunks(w))
+        .enumerate()
+        .map(move |(k, (t, p))| SlaWindow {
+            start: k * w,
+            len: t.len(),
+            false_gates: t.iter().zip(p).filter(|&(&y, &q)| q == 1 && y == 0).count(),
+        })
+}
+
+/// RSV (Eqs. 2–4): the fraction of [`sla_windows`] that violate.
+///
+/// # Panics
+/// Panics if `w == 0` or lengths differ.
+pub fn rate_of_sla_violations(truth: &[u8], pred: &[u8], w: usize) -> f64 {
+    let (mut windows, mut violations) = (0usize, 0usize);
+    for win in sla_windows(truth, pred, w) {
         windows += 1;
-        i = end;
+        violations += win.violates() as usize;
+    }
+    if windows == 0 {
+        return 0.0;
     }
     violations as f64 / windows as f64
 }

@@ -12,6 +12,8 @@ use psca_workloads::{Archetype, PhaseGenerator};
 
 /// Hard cap on rows in one `/v1/predict` batch.
 pub const MAX_BATCH_ROWS: usize = 4_096;
+/// Largest accepted request body, in bytes.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// Hard cap on features per row (far above any real counter set).
 pub const MAX_ROW_DIM: usize = 1_024;
 /// Hard cap on prediction windows in one `/v1/closed-loop` run.

@@ -56,8 +56,6 @@ pub struct ServeConfig {
     /// The one admission limit: with the queue full, at most `workers`
     /// more requests are in flight.
     pub queue_capacity: usize,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
     /// Per-connection read deadline (milliseconds) covering both the
     /// header and body reads; a client that stalls past it gets a typed
     /// `408` instead of pinning the worker. `repro serve` seeds this
@@ -80,7 +78,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 64,
-            max_body_bytes: 1 << 20,
             read_timeout_ms: 5_000,
             chaos: None,
             slo: Some(SloSpec::default()),
@@ -521,7 +518,7 @@ fn handle_connection(mut stream: TcpStream, queue_us: u64, shared: &Shared) -> b
         shared.config.read_timeout_ms.max(1),
     )));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let parsed = http::read_request(&mut stream, shared.config.max_body_bytes);
+    let parsed = http::read_request(&mut stream, api::MAX_BODY_BYTES);
     // Adopt the inbound trace id (fresh span for the server hop) or mint
     // a new context at ingress. Attached for the rest of the handling,
     // so every span/instant recorded below carries the request's ids —

@@ -104,35 +104,6 @@ impl IntervalSnapshot {
     pub fn ipc(&self) -> f64 {
         self.instructions as f64 / self.cycles.max(1) as f64
     }
-
-    /// Merges consecutive snapshots into one coarser-granularity snapshot,
-    /// summing counts and re-normalizing by the combined cycle count
-    /// ("we simply sum over successive intervals and re-normalize", §4.1).
-    ///
-    /// # Panics
-    /// Panics if `snaps` is empty.
-    pub fn aggregate(snaps: &[IntervalSnapshot]) -> IntervalSnapshot {
-        assert!(!snaps.is_empty(), "cannot aggregate zero snapshots");
-        let total_cycles: u64 = snaps.iter().map(|s| s.cycles).sum();
-        let total_insts: u64 = snaps.iter().map(|s| s.instructions).sum();
-        let mut sums = [0.0f64; NUM_EVENTS];
-        for s in snaps {
-            for (i, v) in s.normalized.iter().enumerate() {
-                // de-normalize back to counts, then sum
-                sums[i] += v * s.cycles as f64;
-            }
-        }
-        let mut normalized = [0.0f64; NUM_EVENTS];
-        let denom = total_cycles.max(1) as f64;
-        for (i, s) in sums.iter().enumerate() {
-            normalized[i] = s / denom;
-        }
-        IntervalSnapshot {
-            normalized,
-            cycles: total_cycles,
-            instructions: total_insts,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,30 +132,6 @@ mod tests {
         let snap = bank.snapshot_and_reset();
         assert!(snap.ipc().is_finite());
         assert!(snap.get(Event::InstRetired).is_finite());
-    }
-
-    #[test]
-    fn aggregate_matches_manual_renormalization() {
-        let mut bank = CounterBank::new();
-        bank.add(Event::Cycles, 100);
-        bank.add(Event::InstRetired, 100);
-        bank.add(Event::L1dHits, 40);
-        let a = bank.snapshot_and_reset();
-        bank.add(Event::Cycles, 300);
-        bank.add(Event::InstRetired, 300);
-        bank.add(Event::L1dHits, 30);
-        let b = bank.snapshot_and_reset();
-        let agg = IntervalSnapshot::aggregate(&[a, b]);
-        assert_eq!(agg.cycles, 400);
-        assert_eq!(agg.instructions, 400);
-        // (40 + 30) / 400
-        assert!((agg.get(Event::L1dHits) - 0.175).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero snapshots")]
-    fn aggregate_empty_panics() {
-        let _ = IntervalSnapshot::aggregate(&[]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use psca::adapt::guardrail::{Guardrail, GuardrailConfig};
-use psca::adapt::Sla;
+use psca::adapt::{aggregate_window, Sla};
 use psca::cpu::{Cache, ClusterSim, CpuConfig, Mode, Tlb};
 use psca::ml::metrics::{rate_of_sla_violations, Confusion};
 use psca::ml::{Dataset, Matrix, RandomForest, RandomForestConfig};
@@ -72,13 +72,19 @@ proptest! {
                 bank.snapshot_and_reset()
             })
             .collect();
-        let agg = IntervalSnapshot::aggregate(&snaps);
+        let rows: Vec<Vec<f64>> = snaps.iter().map(|s| s.as_slice().to_vec()).collect();
+        let snap_cycles: Vec<u64> = snaps.iter().map(|s| s.cycles).collect();
+        let agg = aggregate_window(
+            &rows,
+            &snap_cycles,
+            &[Event::InstRetired, Event::UopsIssued, Event::Cycles],
+        );
         let insts: u64 = parts.iter().map(|p| p.0).sum();
         let cycles: u64 = parts.iter().map(|p| p.1).sum();
-        prop_assert_eq!(agg.instructions, insts);
-        prop_assert_eq!(agg.cycles, cycles);
-        let uops = agg.get(Event::UopsIssued) * agg.cycles as f64;
-        prop_assert!((uops - insts as f64).abs() < 1e-6);
+        prop_assert_eq!(snap_cycles.iter().sum::<u64>(), cycles);
+        prop_assert!((agg[0] * cycles as f64 - insts as f64).abs() < 1e-6);
+        prop_assert!((agg[1] * cycles as f64 - insts as f64).abs() < 1e-6);
+        prop_assert!((agg[2] - 1.0).abs() < 1e-12);
     }
 
     /// The telemetry expansion is deterministic and non-negative for any
