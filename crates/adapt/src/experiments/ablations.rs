@@ -1,15 +1,15 @@
 //! Ablation benches for design choices called out in `DESIGN.md`:
 //! steering policy, prediction horizon, and counter normalization.
 
+use super::screen::{crossval_sets, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::TABLE4_COUNTERS;
 use crate::paired::CorpusTelemetry;
 use crate::train::{aggregate_window, build_dataset, violation_window, walk_dataset, HORIZON};
 use psca_cpu::{ClusterSim, CpuConfig, Mode, SteerPolicy};
-use psca_ml::crossval::{group_folds, mean_std};
-use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{RandomForest, RandomForestConfig, Standardizer};
+use psca_ml::{Dataset, RandomForest, RandomForestConfig};
 use psca_telemetry::Event;
+use psca_uc::FirmwareModel;
 use psca_workloads::{Archetype, PhaseGenerator};
 
 /// Steering-policy ablation: high-performance-mode IPC per archetype.
@@ -78,54 +78,36 @@ pub struct PredictionAblation {
     pub accuracy: f64,
 }
 
-fn crossval_rf(
+/// Cross-validated Best-RF PGOS, RSV and accuracy means of each
+/// `(label, dataset, tag)` variant: folds seeded `sub_seed("abl") ^ tag`,
+/// fold `fi`'s forest seeded `tag ^ fi`.
+fn rf_variant_scores(
     cfg: &ExperimentConfig,
-    data: &psca_ml::Dataset,
-    w: usize,
-    tag: u64,
-) -> (f64, f64, f64) {
-    let folds = group_folds(
-        data.groups(),
+    variants: Vec<(String, Dataset, u64)>,
+) -> Vec<PredictionAblation> {
+    let (labels, sets): (Vec<String>, Vec<(Dataset, u64)>) = variants
+        .into_iter()
+        .map(|(label, data, tag)| (label, (data, tag)))
+        .unzip();
+    let scores = crossval_sets(
+        "ablations.folds",
+        cfg.jobs,
+        &sets,
         cfg.folds.min(8),
-        0.2,
-        cfg.sub_seed("abl") ^ tag,
+        cfg.sub_seed("abl"),
+        violation_window(cfg, 1),
+        |tune, tag, fi| {
+            let rf = RandomForest::fit(&RandomForestConfig::best_rf(), tune, tag ^ fi as u64);
+            FirmwareModel::Forest(rf)
+        },
     );
-    let mut pgos = Vec::new();
-    let mut rsv = Vec::new();
-    let mut acc = Vec::new();
-    for (fi, fold) in folds.iter().enumerate() {
-        let tune_raw = data.subset(&fold.tune);
-        let std = Standardizer::fit(&tune_raw);
-        let tune = std.transform_dataset(&tune_raw);
-        let val = std.transform_dataset(&data.subset(&fold.validate));
-        let rf = RandomForest::fit(&RandomForestConfig::best_rf(), &tune, tag ^ fi as u64);
-        let preds: Vec<u8> = (0..val.len())
-            .map(|i| rf.predict(val.sample(i).0) as u8)
-            .collect();
-        let c = Confusion::from_predictions(val.labels(), &preds);
-        pgos.push(c.pgos());
-        acc.push(c.accuracy());
-        rsv.push(rate_of_sla_violations(val.labels(), &preds, w));
-    }
-    (mean_std(&pgos).0, mean_std(&rsv).0, mean_std(&acc).0)
-}
-
-/// Horizon ablation: reactive (t), no-compute-time (t+1), and the
-/// paper's design point (t+2).
-pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<PredictionAblation> {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
-    psca_obs::reset_all();
-    let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
-    let w = violation_window(cfg, 1);
-    [0usize, 1, 2]
-        .iter()
-        .map(|&h| {
-            let data = walk_dataset(hdtr, Mode::LowPower, 1, &cfg.sla, h, |rows, cycles| {
-                aggregate_window(rows, cycles, &events)
-            });
-            let (pgos, rsv, accuracy) = crossval_rf(cfg, &data, w, h as u64);
+    labels
+        .into_iter()
+        .zip(&scores)
+        .map(|(label, scores)| {
+            let [(pgos, _), (rsv, _), (accuracy, _)] = FoldScore::summarize(scores);
             PredictionAblation {
-                label: format!("predict t+{h}"),
+                label,
                 pgos,
                 rsv,
                 accuracy,
@@ -134,13 +116,30 @@ pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<Prediction
         .collect()
 }
 
+/// Horizon ablation: reactive (t), no-compute-time (t+1), and the
+/// paper's design point (t+2).
+pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<PredictionAblation> {
+    // Scope global metrics/series to this experiment (see ISSUE 2).
+    psca_obs::reset_all();
+    let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
+    let variants = [0usize, 1, 2]
+        .into_iter()
+        .map(|h| {
+            let data = walk_dataset(hdtr, Mode::LowPower, 1, &cfg.sla, h, |rows, cycles| {
+                aggregate_window(rows, cycles, &events)
+            });
+            (format!("predict t+{h}"), data, h as u64)
+        })
+        .collect();
+    rf_variant_scores(cfg, variants)
+}
+
 /// Normalization ablation: per-cycle-normalized counters (the paper's
 /// choice, §4.1) vs raw per-interval counts.
 pub fn normalization(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<PredictionAblation> {
     // Scope global metrics/series to this experiment (see ISSUE 2).
     psca_obs::reset_all();
     let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
-    let w = violation_window(cfg, 1);
     let normalized = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);
     // Raw counts: each one-interval window's normalized row times its
     // cycles.
@@ -155,22 +154,13 @@ pub fn normalization(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<Pred
             events.iter().map(|e| rows[0][e.index()] * cyc).collect()
         },
     );
-    let (pn, rn, an) = crossval_rf(cfg, &normalized, w, 100);
-    let (pr, rr, ar) = crossval_rf(cfg, &raw, w, 101);
-    vec![
-        PredictionAblation {
-            label: "cycle-normalized counters".into(),
-            pgos: pn,
-            rsv: rn,
-            accuracy: an,
-        },
-        PredictionAblation {
-            label: "raw per-interval counts".into(),
-            pgos: pr,
-            rsv: rr,
-            accuracy: ar,
-        },
-    ]
+    rf_variant_scores(
+        cfg,
+        vec![
+            ("cycle-normalized counters".into(), normalized, 100),
+            ("raw per-interval counts".into(), raw, 101),
+        ],
+    )
 }
 
 /// Cluster-width sensitivity: IPC of both modes as the per-cluster issue

@@ -18,7 +18,8 @@ use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
 use psca_ml::crossval::group_folds;
-use psca_ml::MlpConfig;
+use psca_ml::{Mlp, MlpConfig};
+use psca_uc::FirmwareModel;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -100,25 +101,19 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig4 {
         sizes.len(),
         cells,
         |_, (fi, idx)| {
-            let fold = &folds[*fi];
-            let tune_raw = raw.subset(idx);
-            if tune_raw.positive_rate() == 0.0 || tune_raw.positive_rate() == 1.0 {
+            let tune = raw.subset(idx);
+            let val = raw.subset(&folds[*fi].validate);
+            if tune.positive_rate() == 0.0 || tune.positive_rate() == 1.0 {
                 // Degenerate single-class tuning set (possible at 1 app):
                 // the model predicts the constant class.
-                let constant = (tune_raw.positive_rate() == 1.0) as u8;
-                let val = raw.subset(&fold.validate);
+                let constant = (tune.positive_rate() == 1.0) as u8;
                 let preds = vec![constant; val.len()];
                 return FoldScore::of(val.labels(), &preds, w);
             }
             let seed = cfg.sub_seed("fig4-mlp") ^ *fi as u64;
-            fit_fold(
-                &tune_raw,
-                &raw.subset(&fold.validate),
-                &mlp_cfg,
-                seed,
-                w,
-                false,
-            )
+            fit_fold(tune, val, w, |tune| {
+                FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, tune, seed))
+            })
             .1
         },
     );
@@ -126,7 +121,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig4 {
         .into_iter()
         .zip(&scores)
         .map(|(apps, scores)| {
-            let ((pm, ps), (rm, rs)) = FoldScore::summarize(scores);
+            let [(pm, ps), (rm, rs), _] = FoldScore::summarize(scores);
             Fig4Point {
                 apps,
                 pgos_mean: pm,

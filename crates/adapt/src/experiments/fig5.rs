@@ -1,15 +1,15 @@
 //! Figure 5: telemetry information content — number of counters vs PGOS
 //! and RSV, and PF-selected vs expert-chosen counters (§6.2).
 
-use super::screen::{fit_fold, sweep_grouped, FoldScore};
+use super::screen::{crossval_sets, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::{run_counter_selection, CHARSTAR_COUNTERS};
 use crate::paired::CorpusTelemetry;
 use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
-use psca_ml::crossval::group_folds;
-use psca_ml::{Dataset, MlpConfig};
+use psca_ml::{Dataset, Mlp, MlpConfig};
 use psca_telemetry::Event;
+use psca_uc::FirmwareModel;
 
 /// One point of the counter-count sweep.
 #[derive(Debug, Clone)]
@@ -39,29 +39,30 @@ fn evaluate_counter_sets(
     cfg: &ExperimentConfig,
     sets: &[(Dataset, u64)],
 ) -> Vec<((f64, f64), (f64, f64))> {
-    let w = violation_window(cfg, 1);
     let mlp_cfg = MlpConfig {
         hidden: vec![32, 32, 16],
         epochs: 20,
         ..MlpConfig::default()
     };
-    let splits: Vec<_> = sets
+    let scores = crossval_sets(
+        "fig5.folds",
+        cfg.jobs,
+        sets,
+        cfg.folds,
+        cfg.sub_seed("fig5"),
+        violation_window(cfg, 1),
+        |tune, tag, fi| {
+            let seed = cfg.sub_seed("fig5-mlp") ^ tag ^ fi as u64;
+            FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, tune, seed))
+        },
+    );
+    scores
         .iter()
-        .map(|(raw, tag)| group_folds(raw.groups(), cfg.folds, 0.2, cfg.sub_seed("fig5") ^ tag))
-        .collect();
-    let cells = splits
-        .iter()
-        .enumerate()
-        .flat_map(|(si, folds)| (0..folds.len()).map(move |fi| (si, fi)))
-        .collect();
-    let scores = sweep_grouped("fig5.folds", cfg.jobs, sets.len(), cells, |si, &fi| {
-        let (raw, tag) = &sets[si];
-        let fold = &splits[si][fi];
-        let seed = cfg.sub_seed("fig5-mlp") ^ tag ^ fi as u64;
-        let (tune_raw, val_raw) = (raw.subset(&fold.tune), raw.subset(&fold.validate));
-        fit_fold(&tune_raw, &val_raw, &mlp_cfg, seed, w, false).1
-    });
-    scores.iter().map(|s| FoldScore::summarize(s)).collect()
+        .map(|s| {
+            let [pgos, rsv, _] = FoldScore::summarize(s);
+            (pgos, rsv)
+        })
+        .collect()
 }
 
 /// Runs the counter-count sweep and the PF-vs-expert comparison.

@@ -1,13 +1,13 @@
-//! The cross-validation machinery the design-time screens (Figures 4–6)
-//! share — one fold body: standardize on the tuning split, fit an MLP,
-//! predict the validation split, score PGOS and RSV — and the fan-out of
-//! independent (configuration, cell) fits over `psca-exec` that Figures
-//! 4, 5, 6 and 10 use.
+//! The held-out fold machinery of the design-time screens. One fold
+//! body — standardize on the tuning side, fit, predict the validation
+//! side, score PGOS, RSV and accuracy — serves Figures 4–6, Table 3 and
+//! the horizon and normalization ablations; the fan-out of independent
+//! (configuration, cell) fits over `psca-exec` serves those runners and
+//! Figure 10.
 
-use crate::train::{tune_threshold, THRESHOLD_TARGET_RSV};
-use psca_ml::crossval::mean_std;
+use psca_ml::crossval::{group_folds, mean_std};
 use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{Dataset, Mlp, MlpConfig, Standardizer};
+use psca_ml::{Classifier, Dataset, Standardizer};
 use psca_uc::FirmwareModel;
 
 /// Validation metrics of one fold.
@@ -15,59 +15,85 @@ use psca_uc::FirmwareModel;
 pub(crate) struct FoldScore {
     pub pgos: f64,
     pub rsv: f64,
+    pub accuracy: f64,
 }
 
 impl FoldScore {
     /// Scores 0/1 predictions against labels; RSV over violation window `w`.
     pub(crate) fn of(labels: &[u8], preds: &[u8], w: usize) -> FoldScore {
+        let confusion = Confusion::from_predictions(labels, preds);
         FoldScore {
-            pgos: Confusion::from_predictions(labels, preds).pgos(),
+            pgos: confusion.pgos(),
             rsv: rate_of_sla_violations(labels, preds, w),
+            accuracy: confusion.accuracy(),
         }
     }
 
-    /// `(mean, std)` of PGOS and of RSV over folds, in fold order.
-    pub(crate) fn summarize(scores: &[FoldScore]) -> ((f64, f64), (f64, f64)) {
-        let pgos: Vec<f64> = scores.iter().map(|s| s.pgos).collect();
-        let rsv: Vec<f64> = scores.iter().map(|s| s.rsv).collect();
-        (mean_std(&pgos), mean_std(&rsv))
+    /// Scores a model's decisions on `val`. Model-family agnostic by
+    /// construction: scoring sees only the `Classifier` surface.
+    pub(crate) fn of_model(fw: &FirmwareModel, val: &Dataset, w: usize) -> FoldScore {
+        let clf: &dyn Classifier = fw;
+        let preds: Vec<u8> = (0..val.len())
+            .map(|i| clf.predict(val.features().row(i)) as u8)
+            .collect();
+        FoldScore::of(val.labels(), &preds, w)
+    }
+
+    /// `(mean, std)` of PGOS, RSV and accuracy over folds, in fold order.
+    pub(crate) fn summarize(scores: &[FoldScore]) -> [(f64, f64); 3] {
+        let stat = |metric: fn(&FoldScore) -> f64| {
+            mean_std(&scores.iter().map(metric).collect::<Vec<f64>>())
+        };
+        [stat(|s| s.pgos), stat(|s| s.rsv), stat(|s| s.accuracy)]
     }
 }
 
-/// One fold: standardizes on `tune_raw`, fits an MLP, optionally adjusts
-/// its sensitivity to keep tuning-set RSV below 1% (§6.3), and scores it
-/// on `val_raw` with violation window `w`.
+/// One fold: standardizes both sides on `tune`, fits a model on the
+/// standardized tuning set with `fit`, and scores it on `val` with
+/// violation window `w`.
 pub(crate) fn fit_fold(
-    tune_raw: &Dataset,
-    val_raw: &Dataset,
-    mlp_cfg: &MlpConfig,
-    seed: u64,
+    tune: Dataset,
+    val: Dataset,
     w: usize,
-    tune_sensitivity: bool,
-) -> (Mlp, FoldScore) {
-    let std = Standardizer::fit(tune_raw);
-    let tune = std.transform_dataset(tune_raw);
-    let val = std.transform_dataset(val_raw);
-    let mut mlp = Mlp::fit(mlp_cfg, &tune, seed);
-    if tune_sensitivity {
-        let mut fw = FirmwareModel::Mlp(mlp);
-        tune_threshold(
-            &mut fw,
-            tune.features(),
-            tune.labels(),
-            w,
-            THRESHOLD_TARGET_RSV,
-        );
-        let FirmwareModel::Mlp(tuned) = fw else {
-            unreachable!("threshold tuning keeps the model variant")
-        };
-        mlp = tuned;
-    }
-    let preds: Vec<u8> = (0..val.len())
-        .map(|i| mlp.predict(val.sample(i).0) as u8)
+    fit: impl FnOnce(&Dataset) -> FirmwareModel,
+) -> (FirmwareModel, FoldScore) {
+    let std = Standardizer::fit(&tune);
+    let tune = std.transform_dataset(tune);
+    let val = std.transform_dataset(val);
+    let fw = fit(&tune);
+    let score = FoldScore::of_model(&fw, &val, w);
+    (fw, score)
+}
+
+/// Cross-validates each `(dataset, tag)` set: draws `folds`
+/// by-application folds per set (seeded `fold_seed ^ tag`), runs every
+/// (set, fold) cell through [`fit_fold`] on `jobs` workers with
+/// `fit(tuning set, tag, fold index)`, and returns each set's scores in
+/// fold order.
+pub(crate) fn crossval_sets(
+    label: &str,
+    jobs: usize,
+    sets: &[(Dataset, u64)],
+    folds: usize,
+    fold_seed: u64,
+    w: usize,
+    fit: impl Fn(&Dataset, u64, usize) -> FirmwareModel + Sync,
+) -> Vec<Vec<FoldScore>> {
+    let splits: Vec<_> = sets
+        .iter()
+        .map(|(data, tag)| group_folds(data.groups(), folds, 0.2, fold_seed ^ tag))
         .collect();
-    let score = FoldScore::of(val.labels(), &preds, w);
-    (mlp, score)
+    let cells = splits
+        .iter()
+        .enumerate()
+        .flat_map(|(si, folds)| (0..folds.len()).map(move |fi| (si, fi)))
+        .collect();
+    sweep_grouped(label, jobs, sets.len(), cells, |si, &fi| {
+        let (data, tag) = &sets[si];
+        let fold = &splits[si][fi];
+        let (tune, val) = (data.subset(&fold.tune), data.subset(&fold.validate));
+        fit_fold(tune, val, w, |tune| fit(tune, *tag, fi)).1
+    })
 }
 
 /// Runs `f(configuration, cell)` over `(configuration, cell)` pairs on

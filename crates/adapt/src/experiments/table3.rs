@@ -1,16 +1,17 @@
 //! Table 3: microcontroller budgets and per-model-class inference cost,
 //! memory footprint, and gating performance.
 
+use super::screen::{fit_fold, FoldScore};
 use crate::config::ExperimentConfig;
 use crate::counters::{CHARSTAR_COUNTERS, TABLE4_COUNTERS};
 use crate::paired::CorpusTelemetry;
-use crate::train::build_dataset;
+use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
 use psca_ml::crossval::group_folds;
-use psca_ml::metrics::Confusion;
+use psca_ml::gbdt::{Gbdt, GbdtConfig};
 use psca_ml::{
-    Classifier, KernelSvm, LinearSvm, LogisticRegression, Mlp, MlpConfig, RandomForest,
-    RandomForestConfig, Standardizer,
+    Dataset, KernelSvm, LinearSvm, LogisticRegression, Mlp, MlpConfig, RandomForest,
+    RandomForestConfig,
 };
 use psca_telemetry::Event;
 use psca_uc::{ops_budget, BudgetRow, CpuSpec, FirmwareModel, McuSpec};
@@ -55,30 +56,18 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
         .map(|&g| ops_budget(&cpu, &mcu, g))
         .collect();
 
-    // One 80/20 by-application split for the PGOS column.
+    // One 80/20 by-application split for the PGOS column; each cell
+    // standardizes its own copy of the tuning side. The CHARSTAR row uses
+    // the 8 expert counters.
     let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
     let raw = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);
-    let folds = group_folds(raw.groups(), 1, 0.2, cfg.sub_seed("table3"));
-    let tune_raw = raw.subset(&folds[0].tune);
-    let val_raw = raw.subset(&folds[0].validate);
-    let std = Standardizer::fit(&tune_raw);
-    let tune = std.transform_dataset(&tune_raw);
-    let val = std.transform_dataset(&val_raw);
-
-    // The CHARSTAR row uses 8 expert counters.
     let raw8 = build_dataset(hdtr, Mode::LowPower, &CHARSTAR_COUNTERS, 1, &cfg.sla);
-    let tune8_raw = raw8.subset(&folds[0].tune);
-    let std8 = Standardizer::fit(&tune8_raw);
-    let tune8 = std8.transform_dataset(&tune8_raw);
-    let val8 = std8.transform_dataset(&raw8.subset(&folds[0].validate));
-
-    // Model-family agnostic by construction: scoring sees only the
-    // `Classifier` surface, never the concrete firmware variant.
-    let pgos_of = |clf: &dyn Classifier, val: &psca_ml::Dataset| -> f64 {
-        let preds: Vec<u8> = (0..val.len())
-            .map(|i| clf.predict(val.sample(i).0) as u8)
-            .collect();
-        Confusion::from_predictions(val.labels(), &preds).pgos()
+    let folds = group_folds(raw.groups(), 1, 0.2, cfg.sub_seed("table3"));
+    let split = |data: &Dataset| (data.subset(&folds[0].tune), data.subset(&folds[0].validate));
+    let w = violation_window(cfg, 1);
+    let held_out = |data: &Dataset, fit: &dyn Fn(&Dataset) -> FirmwareModel| {
+        let (tune, val) = split(data);
+        fit_fold(tune, val, w, fit)
     };
     let seed = cfg.sub_seed("table3-models");
 
@@ -88,166 +77,117 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
     type ModelCell<'a> = Box<dyn Fn() -> ModelRow + Send + Sync + 'a>;
     let cells: Vec<ModelCell> = vec![
         Box::new(|| {
-            let fw = FirmwareModel::Mlp(Mlp::fit(
-                &MlpConfig {
-                    hidden: vec![32, 32, 16],
-                    ..MlpConfig::default()
-                },
-                &tune,
-                seed,
-            ));
-            row(
-                &fw,
-                "MLP 3 layers, 32/32/16 filters, ReLU",
-                12,
-                &val,
-                6_162,
-                0.8138,
-                &pgos_of,
-            )
-        }),
-        Box::new(|| {
-            let fw = FirmwareModel::Forest({
-                let mut rf = RandomForest::fit(
-                    &RandomForestConfig {
-                        num_trees: 1,
-                        max_depth: 16,
-                        min_leaf: 1,
-                    },
-                    &tune,
-                    seed ^ 1,
-                );
-                rf.set_threshold(0.5);
-                rf
+            let config = MlpConfig {
+                hidden: vec![32, 32, 16],
+                ..MlpConfig::default()
+            };
+            let fold = held_out(&raw, &|tune| {
+                FirmwareModel::Mlp(Mlp::fit(&config, tune, seed))
             });
             row(
-                &fw,
-                "Decision Tree, max depth 16",
+                fold,
+                "MLP 3 layers, 32/32/16 filters, ReLU",
                 12,
-                &val,
-                133,
-                0.7778,
-                &pgos_of,
+                6_162,
+                0.8138,
             )
         }),
-        // The χ² kernel assumes non-negative (histogram-like) inputs, so it
-        // consumes the raw per-cycle counters rather than standardized ones.
         Box::new(|| {
+            let config = RandomForestConfig {
+                num_trees: 1,
+                max_depth: 16,
+                min_leaf: 1,
+            };
+            let fold = held_out(&raw, &|tune| {
+                let mut rf = RandomForest::fit(&config, tune, seed ^ 1);
+                rf.set_threshold(0.5);
+                FirmwareModel::Forest(rf)
+            });
+            row(fold, "Decision Tree, max depth 16", 12, 133, 0.7778)
+        }),
+        // The χ² kernel assumes non-negative (histogram-like) inputs, so it
+        // fits and is scored on the raw per-cycle counters rather than
+        // standardized ones.
+        Box::new(|| {
+            let (tune, val) = split(&raw);
             let fw = FirmwareModel::Chi2Svm(KernelSvm::fit_chi2(
-                &tune_raw,
+                &tune,
                 1e-4,
-                (tune_raw.len() * 4).min(12_000),
+                (tune.len() * 4).min(12_000),
                 1_000,
                 seed ^ 2,
             ));
+            let score = FoldScore::of_model(&fw, &val, w);
             row(
-                &fw,
+                (fw, score),
                 "SVM, chi^2 kernel, <=1000 SVs",
                 12,
-                &val_raw,
                 121_000,
                 0.6754,
-                &pgos_of,
             )
         }),
         Box::new(|| {
-            let fw = FirmwareModel::Forest(RandomForest::fit(
-                &RandomForestConfig {
-                    num_trees: 16,
-                    max_depth: 8,
-                    min_leaf: 2,
-                },
-                &tune,
-                seed ^ 3,
-            ));
-            row(
-                &fw,
-                "Random Forest, 16 trees, depth 8",
-                12,
-                &val,
-                1_074,
-                0.6667,
-                &pgos_of,
-            )
+            let config = RandomForestConfig {
+                num_trees: 16,
+                max_depth: 8,
+                min_leaf: 2,
+            };
+            let fold = held_out(&raw, &|tune| {
+                FirmwareModel::Forest(RandomForest::fit(&config, tune, seed ^ 3))
+            });
+            row(fold, "Random Forest, 16 trees, depth 8", 12, 1_074, 0.6667)
         }),
         Box::new(|| {
-            let fw = FirmwareModel::Forest(RandomForest::fit(
-                &RandomForestConfig::best_rf(),
-                &tune,
-                seed ^ 4,
-            ));
-            row(
-                &fw,
-                "Random Forest, 8 trees, depth 8",
-                12,
-                &val,
-                538,
-                0.6568,
-                &pgos_of,
-            )
+            let fold = held_out(&raw, &|tune| {
+                let config = RandomForestConfig::best_rf();
+                FirmwareModel::Forest(RandomForest::fit(&config, tune, seed ^ 4))
+            });
+            row(fold, "Random Forest, 8 trees, depth 8", 12, 538, 0.6568)
         }),
         Box::new(|| {
-            let fw = FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &tune, seed ^ 5));
-            row(
-                &fw,
-                "MLP 3 layers, 8/8/4 filters, ReLU",
-                12,
-                &val,
-                678,
-                0.6099,
-                &pgos_of,
-            )
+            let fold = held_out(&raw, &|tune| {
+                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), tune, seed ^ 5))
+            });
+            row(fold, "MLP 3 layers, 8/8/4 filters, ReLU", 12, 678, 0.6099)
         }),
         Box::new(|| {
-            let fw = FirmwareModel::Mlp(Mlp::fit(&MlpConfig::charstar(), &tune8, seed ^ 6));
+            let fold = held_out(&raw8, &|tune| {
+                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::charstar(), tune, seed ^ 6))
+            });
             row(
-                &fw,
+                fold,
                 "MLP 1 layer, 10 filters (Ravi et al.)",
                 8,
-                &val8,
                 292,
                 0.5790,
-                &pgos_of,
             )
         }),
         Box::new(|| {
-            let fw = FirmwareModel::SvmEnsemble(LinearSvm::fit_ensemble(
-                &tune,
-                5,
-                1e-3,
-                (tune.len() * 8).min(20_000),
-                seed ^ 7,
-            ));
-            row(
-                &fw,
-                "SVM, linear kernel, 5-ensemble",
-                12,
-                &val,
-                412,
-                0.5450,
-                &pgos_of,
-            )
+            let fold = held_out(&raw, &|tune| {
+                let samples = (tune.len() * 8).min(20_000);
+                FirmwareModel::SvmEnsemble(LinearSvm::fit_ensemble(
+                    tune,
+                    5,
+                    1e-3,
+                    samples,
+                    seed ^ 7,
+                ))
+            });
+            row(fold, "SVM, linear kernel, 5-ensemble", 12, 412, 0.5450)
         }),
         Box::new(|| {
-            let fw = FirmwareModel::Logistic(LogisticRegression::fit(&tune, 1e-4, 150));
-            row(&fw, "Logistic Regression", 12, &val, 158, 0.3833, &pgos_of)
+            let fold = held_out(&raw, &|tune| {
+                FirmwareModel::Logistic(LogisticRegression::fit(tune, 1e-4, 150))
+            });
+            row(fold, "Logistic Regression", 12, 158, 0.3833)
         }),
         // Extension beyond the paper's zoo: gradient-boosted trees share the
         // forest's branch-free firmware kernel at lower depth.
         Box::new(|| {
-            let fw = FirmwareModel::Gbdt(psca_ml::gbdt::Gbdt::fit(
-                &psca_ml::gbdt::GbdtConfig::default(),
-                &tune,
-            ));
-            row(
-                &fw,
-                "Gradient Boosted Trees 8x4 (extension)",
-                12,
-                &val,
-                0,
-                0.0,
-                &pgos_of,
-            )
+            let fold = held_out(&raw, &|tune| {
+                FirmwareModel::Gbdt(Gbdt::fit(&GbdtConfig::default(), tune))
+            });
+            row(fold, "Gradient Boosted Trees 8x4 (extension)", 12, 0, 0.0)
         }),
     ];
     let mut models = psca_exec::Sweep::new("table3.models")
@@ -262,21 +202,21 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
     Table3 { budget, models }
 }
 
+/// A Table 3 row from a cell's held-out fit: firmware cost at `inputs`
+/// counters, footprint, and validation PGOS.
 fn row(
-    fw: &FirmwareModel,
+    (fw, score): (FirmwareModel, FoldScore),
     description: &str,
     inputs: usize,
-    val: &psca_ml::Dataset,
     paper_ops: u64,
     paper_pgos: f64,
-    pgos_of: &dyn Fn(&dyn Classifier, &psca_ml::Dataset) -> f64,
 ) -> ModelRow {
     ModelRow {
         description: description.to_string(),
         inputs,
         ops: fw.ops_per_prediction(inputs),
         memory_bytes: fw.memory_footprint_bytes(),
-        pgos: pgos_of(fw, val),
+        pgos: score.pgos,
         paper_ops,
         paper_pgos,
     }

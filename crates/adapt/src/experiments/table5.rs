@@ -2,13 +2,13 @@
 //!
 //! The same physical design ships three different power/performance
 //! characters by re-labeling the training telemetry under a more
-//! permissive SLA, retraining Best RF, and pushing the model as firmware.
+//! permissive SLA, retraining Best RF, and pushing the model as firmware
+//! ([`crate::postsilicon::retarget_sla`]).
 
 use crate::config::ExperimentConfig;
 use crate::experiments::eval::evaluate_model_on_corpus;
 use crate::paired::CorpusTelemetry;
-use crate::train::ModelKind;
-use crate::zoo;
+use crate::postsilicon::retarget_sla;
 
 /// One SLA row.
 #[derive(Debug, Clone)]
@@ -44,9 +44,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetr
     let rows = settings
         .iter()
         .map(|&(p_sla, paper)| {
-            let mut c = cfg.clone();
-            c.sla = cfg.sla.with_p_sla(p_sla);
-            let model = zoo::train(ModelKind::BestRf, hdtr, &c);
+            let (c, model) = retarget_sla(cfg, hdtr, p_sla);
             let e = evaluate_model_on_corpus(&model, spec, &c);
             Table5Row {
                 p_sla,

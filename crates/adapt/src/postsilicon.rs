@@ -66,19 +66,33 @@ pub fn half_forest_config() -> RandomForestConfig {
     }
 }
 
+impl HdtrHalves {
+    /// The featurizer, half-forest and featurized HDTR data of `mode`.
+    fn mode_parts(&self, mode: Mode) -> (&Featurizer, &RandomForest, &Dataset) {
+        match mode {
+            Mode::HighPerf => (&self.feat_hi, &self.rf_hi, &self.data_hi),
+            Mode::LowPower => (&self.feat_lo, &self.rf_lo, &self.data_lo),
+        }
+    }
+}
+
 /// Trains the shared high-diversity halves once; reuse across
 /// applications.
 pub fn train_hdtr_halves(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, g: usize) -> HdtrHalves {
     let events = TABLE4_COUNTERS.to_vec();
     let sla = cfg.training_sla();
-    let (feat_hi, data_hi) = fit_standard(hdtr, Mode::HighPerf, &events, g, &sla);
-    let (feat_lo, data_lo) = fit_standard(hdtr, Mode::LowPower, &events, g, &sla);
     let half = half_forest_config();
+    let [(feat_hi, data_hi, rf_hi), (feat_lo, data_lo, rf_lo)] =
+        [(Mode::HighPerf, "ps-hi"), (Mode::LowPower, "ps-lo")].map(|(mode, tag)| {
+            let (feat, data) = fit_standard(hdtr, mode, &events, g, &sla);
+            let rf = RandomForest::fit(&half, &data, cfg.sub_seed(tag));
+            (feat, data, rf)
+        });
     HdtrHalves {
-        rf_hi: RandomForest::fit(&half, &data_hi, cfg.sub_seed("ps-hi")),
-        rf_lo: RandomForest::fit(&half, &data_lo, cfg.sub_seed("ps-lo")),
         feat_hi,
         feat_lo,
+        rf_hi,
+        rf_lo,
         data_hi,
         data_lo,
         granularity: g,
@@ -98,67 +112,38 @@ pub fn train_app_specific(
 ) -> TrainedAdaptModel {
     let g = halves.granularity;
     let w = crate::train::violation_window(cfg, g);
+    let sla = cfg.training_sla();
     let half = half_forest_config();
-    let app_hi = featurize_windows(
-        &halves.feat_hi,
-        app_corpus,
-        Mode::HighPerf,
-        g,
-        &cfg.training_sla(),
-    );
-    let app_lo = featurize_windows(
-        &halves.feat_lo,
-        app_corpus,
-        Mode::LowPower,
-        g,
-        &cfg.training_sla(),
-    );
-    let mut fw_hi = FirmwareModel::Forest(halves.rf_hi.combine(&RandomForest::fit(
-        &half,
-        &app_hi,
-        seed ^ 0xA,
-    )));
-    let mut fw_lo = FirmwareModel::Forest(halves.rf_lo.combine(&RandomForest::fit(
-        &half,
-        &app_lo,
-        seed ^ 0xB,
-    )));
-    // Balanced calibration: the application data plus an equal-sized
-    // slice of high-diversity data — app-only calibration falls into the
-    // in-sample-RSV trap (app trees memorize their tuning samples), while
-    // HDTR-dominated calibration tunes the threshold for the wrong
-    // distribution and erases the application-specific benefit.
-    let hdtr_slice = |d: &Dataset, n: usize| -> Dataset {
-        let stride = (d.len() / n.max(1)).max(1);
-        let idx: Vec<usize> = (0..d.len()).step_by(stride).take(n).collect();
-        d.subset(&idx)
-    };
-    let cal_hi = Dataset::concat(&[&app_hi, &hdtr_slice(&halves.data_hi, app_hi.len())]);
-    let cal_lo = Dataset::concat(&[&app_lo, &hdtr_slice(&halves.data_lo, app_lo.len())]);
-    tune_threshold(
-        &mut fw_hi,
-        cal_hi.features(),
-        cal_hi.labels(),
-        w,
-        THRESHOLD_TARGET_RSV,
-    );
-    tune_threshold(
-        &mut fw_lo,
-        cal_lo.features(),
-        cal_lo.labels(),
-        w,
-        THRESHOLD_TARGET_RSV,
-    );
-    let ops = fw_hi.ops_per_prediction(TABLE4_COUNTERS.len());
-    TrainedAdaptModel {
-        kind: ModelKind::BestRf,
-        feat_hi: halves.feat_hi.clone(),
-        feat_lo: halves.feat_lo.clone(),
-        fw_hi,
-        fw_lo,
-        granularity: g,
-        ops_per_prediction: ops,
-    }
+    TrainedAdaptModel::from_modes(ModelKind::BestRf, g, |mode| {
+        let (feat, hdtr_rf, hdtr_data) = halves.mode_parts(mode);
+        let app = featurize_windows(feat, app_corpus, mode, g, &sla);
+        let tag = match mode {
+            Mode::HighPerf => 0xA,
+            Mode::LowPower => 0xB,
+        };
+        let app_rf = RandomForest::fit(&half, &app, seed ^ tag);
+        let mut fw = FirmwareModel::Forest(hdtr_rf.combine(&app_rf));
+        // Balanced calibration: the application data plus an equal-sized
+        // slice of high-diversity data — app-only calibration falls into
+        // the in-sample-RSV trap (app trees memorize their tuning
+        // samples), while HDTR-dominated calibration tunes the threshold
+        // for the wrong distribution and erases the application-specific
+        // benefit.
+        let stride = (hdtr_data.len() / app.len().max(1)).max(1);
+        let idx: Vec<usize> = (0..hdtr_data.len())
+            .step_by(stride)
+            .take(app.len())
+            .collect();
+        let cal = Dataset::concat(&[&app, &hdtr_data.subset(&idx)]);
+        tune_threshold(
+            &mut fw,
+            cal.features(),
+            cal.labels(),
+            w,
+            THRESHOLD_TARGET_RSV,
+        );
+        (feat.clone(), fw)
+    })
 }
 
 /// One round of the optimization-as-a-service loop.

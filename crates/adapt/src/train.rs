@@ -76,6 +76,14 @@ pub enum Featurizer {
 }
 
 impl Featurizer {
+    /// Length of the feature vector [`Self::featurize`] produces.
+    pub(crate) fn input_dim(&self) -> usize {
+        match self {
+            Featurizer::Standard { events, .. } => events.len(),
+            Featurizer::Histogram { featurizer, .. } => featurizer.feature_dim(),
+        }
+    }
+
     /// Featurizes one prediction window (granularity-many base intervals,
     /// with per-interval cycle weights for aggregation).
     pub fn featurize(&self, rows: &[Vec<f64>], cycles: &[u64]) -> Vec<f64> {
@@ -234,6 +242,28 @@ pub struct TrainedAdaptModel {
 }
 
 impl TrainedAdaptModel {
+    /// Assembles a model from `per_mode`'s `(featurizer, firmware)` pair
+    /// for each mode, built high-performance mode first. Operations per
+    /// prediction are the high-performance firmware's at its featurizer's
+    /// input dimension.
+    pub(crate) fn from_modes(
+        kind: ModelKind,
+        granularity: usize,
+        per_mode: impl FnMut(Mode) -> (Featurizer, FirmwareModel),
+    ) -> TrainedAdaptModel {
+        let [(feat_hi, fw_hi), (feat_lo, fw_lo)] = [Mode::HighPerf, Mode::LowPower].map(per_mode);
+        let ops_per_prediction = fw_hi.ops_per_prediction(feat_hi.input_dim());
+        TrainedAdaptModel {
+            kind,
+            feat_hi,
+            feat_lo,
+            fw_hi,
+            fw_lo,
+            granularity,
+            ops_per_prediction,
+        }
+    }
+
     /// The featurizer/firmware pair that serves telemetry observed in
     /// `mode` (the paper deploys one predictor per cluster configuration).
     pub fn mode_parts(&self, mode: Mode) -> (&Featurizer, &FirmwareModel) {
@@ -324,7 +354,7 @@ pub const THRESHOLD_TARGET_RSV: f64 = 0.01;
 
 /// Fits a standard featurizer (standardizer) on a corpus and returns it
 /// with the corpus in its feature space — one walk: the raw aggregated
-/// set it was fit on, standardized rather than walked again.
+/// set it was fit on, standardized in place rather than walked again.
 pub fn fit_standard(
     corpus: &CorpusTelemetry,
     mode: Mode,
@@ -334,7 +364,7 @@ pub fn fit_standard(
 ) -> (Featurizer, Dataset) {
     let raw = build_dataset(corpus, mode, events, granularity, sla);
     let standardizer = Standardizer::fit(&raw);
-    let data = standardizer.transform_dataset(&raw);
+    let data = standardizer.transform_dataset(raw);
     let feat = Featurizer::Standard {
         events: events.to_vec(),
         standardizer,

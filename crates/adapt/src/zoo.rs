@@ -5,8 +5,8 @@ use crate::config::ExperimentConfig;
 use crate::counters::{CHARSTAR_COUNTERS, SRCH_COUNTERS, TABLE4_COUNTERS};
 use crate::paired::CorpusTelemetry;
 use crate::train::{
-    featurize_windows, fit_histogram, fit_standard, tune_threshold, violation_window, Featurizer,
-    ModelKind, TrainedAdaptModel, THRESHOLD_TARGET_RSV,
+    fit_histogram, fit_standard, tune_threshold, violation_window, Featurizer, ModelKind,
+    TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use psca_cpu::Mode;
 use psca_ml::{
@@ -55,8 +55,7 @@ pub fn train(
     let g = granularity_intervals(kind, cfg).clamp(1, max_g.max(1));
     let w = violation_window(cfg, g);
     let _span = psca_obs::SpanTimer::start("adapt.train");
-    let mut per_mode = Vec::with_capacity(2);
-    for mode in [Mode::HighPerf, Mode::LowPower] {
+    TrainedAdaptModel::from_modes(kind, g, |mode| {
         let round_start = std::time::Instant::now();
         let (feat, fw, data) = train_mode(kind, corpus, cfg, mode, &events, g, w);
         let wall_ns = round_start.elapsed().as_nanos() as u64;
@@ -75,22 +74,8 @@ pub fn train(
                 ],
             );
         }
-        per_mode.push((feat, fw));
-    }
-    let (feat_lo, fw_lo) = per_mode.pop().unwrap();
-    let (feat_hi, fw_hi) = per_mode.pop().unwrap();
-    let ops = fw_input_dim(&feat_hi)
-        .map(|d| fw_hi.ops_per_prediction(d))
-        .unwrap_or(0);
-    TrainedAdaptModel {
-        kind,
-        feat_hi,
-        feat_lo,
-        fw_hi,
-        fw_lo,
-        granularity: g,
-        ops_per_prediction: ops,
-    }
+        (feat, fw)
+    })
 }
 
 /// In-sample misclassification rate of a freshly-trained mode predictor
@@ -107,13 +92,6 @@ fn round_error(fw: &FirmwareModel, data: &Dataset) -> f64 {
         .filter(|&i| clf.predict(data.features().row(i)) as u8 != data.labels()[i])
         .count();
     wrong as f64 / data.len() as f64
-}
-
-fn fw_input_dim(feat: &Featurizer) -> Option<usize> {
-    match feat {
-        Featurizer::Standard { events, .. } => Some(events.len()),
-        Featurizer::Histogram { featurizer, .. } => Some(featurizer.feature_dim()),
-    }
 }
 
 /// Trains one mode's predictor; returns it with its featurizer and the
@@ -184,8 +162,9 @@ fn mode_tag(mode: Mode) -> u64 {
     }
 }
 
-/// Trains a model with explicit hyperparameters and counters (used by the
-/// hyperparameter screen of Figure 6 and the ablation of Figure 10).
+/// Trains a Best-MLP-shaped model with explicit hidden layers, counters
+/// and granularity, tuning each predictor's sensitivity in-sample (used
+/// by the step-by-step blindspot mitigation of Figure 10).
 pub fn train_custom_mlp(
     corpus: &CorpusTelemetry,
     cfg: &ExperimentConfig,
@@ -199,8 +178,7 @@ pub fn train_custom_mlp(
         hidden: hidden.to_vec(),
         ..MlpConfig::default()
     };
-    let mut per_mode = Vec::with_capacity(2);
-    for mode in [Mode::HighPerf, Mode::LowPower] {
+    TrainedAdaptModel::from_modes(ModelKind::BestMlp, g, |mode| {
         let (feat, data) = fit_standard(corpus, mode, events, g, &cfg.training_sla());
         let mut fw = FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, &data, seed ^ mode_tag(mode)));
         tune_threshold(
@@ -210,35 +188,8 @@ pub fn train_custom_mlp(
             w,
             THRESHOLD_TARGET_RSV,
         );
-        per_mode.push((feat, fw));
-    }
-    let (feat_lo, fw_lo) = per_mode.pop().unwrap();
-    let (feat_hi, fw_hi) = per_mode.pop().unwrap();
-    let ops = fw_hi.ops_per_prediction(events.len());
-    TrainedAdaptModel {
-        kind: ModelKind::BestMlp,
-        feat_hi,
-        feat_lo,
-        fw_hi,
-        fw_lo,
-        granularity: g,
-        ops_per_prediction: ops,
-    }
-}
-
-/// Trains one half-forest on a corpus in an existing feature space (the
-/// building block of §7.3's application-specific combination).
-pub fn train_rf_half(
-    cfg: &ExperimentConfig,
-    corpus: &CorpusTelemetry,
-    feat: &Featurizer,
-    mode: Mode,
-    g: usize,
-    rf_cfg: &RandomForestConfig,
-    seed: u64,
-) -> RandomForest {
-    let data = featurize_windows(feat, corpus, mode, g, &cfg.training_sla());
-    RandomForest::fit(rf_cfg, &data, cfg.sub_seed("rf-half") ^ seed)
+        (feat, fw)
+    })
 }
 
 /// Checks a model against the Table 3 budget at its granularity, using

@@ -193,13 +193,12 @@ impl Standardizer {
         }
     }
 
-    /// Returns a transformed copy of a dataset.
-    pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
-        let mut m = data.features().clone();
-        for r in 0..m.rows() {
-            self.transform(m.row_mut(r));
+    /// Transforms a dataset's features in place and returns it.
+    pub fn transform_dataset(&self, mut data: Dataset) -> Dataset {
+        for r in 0..data.features.rows() {
+            self.transform(data.features.row_mut(r));
         }
-        Dataset::new(m, data.labels().to_vec(), data.groups().to_vec())
+        data
     }
 }
 
@@ -251,7 +250,7 @@ mod tests {
     fn standardizer_zero_mean_unit_std() {
         let d = toy();
         let s = Standardizer::fit(&d);
-        let t = s.transform_dataset(&d);
+        let t = s.transform_dataset(d);
         for j in 0..2 {
             let mean: f64 = (0..4).map(|i| t.features().get(i, j)).sum::<f64>() / 4.0;
             let var: f64 = (0..4).map(|i| t.features().get(i, j).powi(2)).sum::<f64>() / 4.0;
@@ -265,7 +264,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[5.0], &[5.0]]);
         let d = Dataset::new(m, vec![0, 1], vec![0, 1]);
         let s = Standardizer::fit(&d);
-        let t = s.transform_dataset(&d);
+        let t = s.transform_dataset(d);
         assert_eq!(t.features().get(0, 0), 0.0);
     }
 

@@ -240,6 +240,24 @@ mod tests {
         );
     }
 
+    /// Selection is greedy, so a shorter selection is a prefix of a
+    /// longer one on the same data: 12 counters are the first 12 of 32.
+    #[test]
+    fn pf_selection_is_prefix_stable() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut data = Matrix::zeros(300, 40);
+        for r in 0..300 {
+            let factors: Vec<f64> = (0..8).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+            for c in 0..40 {
+                let noise = (rng.gen::<f64>() - 0.5) * 0.2;
+                data.set(r, c, (1.0 + c as f64 / 10.0) * factors[c % 8] + noise);
+            }
+        }
+        let long = pf_counter_selection(&data, 32, 0.5);
+        assert_eq!(long.len(), 32);
+        assert_eq!(pf_counter_selection(&data, 12, 0.5), long[..12]);
+    }
+
     #[test]
     fn low_activity_screen_drops_mostly_zero_streams() {
         // Stream 1 is zero 50% of the time in every trace.

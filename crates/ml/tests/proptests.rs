@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn standardizer_is_affine_invertible(data in dataset_strategy()) {
         let std = Standardizer::fit(&data);
-        let t = std.transform_dataset(&data);
+        let t = std.transform_dataset(data.clone());
         // Any two samples' ordering along each dimension is preserved
         // (standardization is monotone per feature).
         for j in 0..data.dim() {

@@ -4,19 +4,18 @@
 //! The customer traces a few executions of the target application on
 //! site; those traces are replayed to produce telemetry and labels; a
 //! 4-tree application-specific forest is combined with a 4-tree
-//! high-diversity forest into the Best-RF shape and pushed back as a
-//! firmware update. Evaluation is on a *future* workload (a different
-//! input) the retrained model has never seen.
+//! high-diversity forest into the Best-RF shape, its sensitivity is
+//! calibrated on application and high-diversity data, and it is pushed
+//! back as a firmware update. Evaluation is on a *future* workload (a
+//! different input) the retrained model has never seen.
 //!
 //! ```text
 //! cargo run --release --example app_specific_retraining
 //! ```
 
 use psca::adapt::experiments::evaluate_model_on_corpus;
+use psca::adapt::postsilicon::{train_app_specific, train_hdtr_halves};
 use psca::adapt::{collect_paired, zoo, CorpusTelemetry, ExperimentConfig, ModelKind};
-use psca::cpu::Mode;
-use psca::ml::RandomForestConfig;
-use psca::uc::FirmwareModel;
 use psca::workloads::spec::spec_suite;
 
 fn main() {
@@ -24,7 +23,6 @@ fn main() {
     println!("simulating the general training corpus...");
     let hdtr = CorpusTelemetry::hdtr(&cfg);
     let general = zoo::train(ModelKind::BestRf, &hdtr, &cfg);
-    let g = general.granularity;
 
     // The customer's application: fotonik3d-like streaming FP code.
     let suite = spec_suite(cfg.sub_seed("spec"), cfg.spec_phase_len);
@@ -55,27 +53,11 @@ fn main() {
         traces: vec![trace_for(5)], // an input never used for retraining
     };
 
-    // Retrain: 4 HDTR trees + 4 application trees = the Best-RF shape.
+    // Retrain: 4 HDTR trees + 4 application trees = the Best-RF shape,
+    // with sensitivity calibrated on application and HDTR data.
     println!("retraining application-specific firmware...");
-    let half = RandomForestConfig {
-        num_trees: 4,
-        max_depth: 8,
-        min_leaf: 2,
-    };
-    let mut specific = general.clone();
-    for mode in [Mode::HighPerf, Mode::LowPower] {
-        let feat = match mode {
-            Mode::HighPerf => &general.feat_hi,
-            Mode::LowPower => &general.feat_lo,
-        };
-        let hdtr_half = psca::adapt::zoo::train_rf_half(&cfg, &hdtr, feat, mode, g, &half, 1);
-        let app_half = psca::adapt::zoo::train_rf_half(&cfg, &onsite, feat, mode, g, &half, 2);
-        let combined = FirmwareModel::Forest(hdtr_half.combine(&app_half));
-        match mode {
-            Mode::HighPerf => specific.fw_hi = combined,
-            Mode::LowPower => specific.fw_lo = combined,
-        }
-    }
+    let halves = train_hdtr_halves(&cfg, &hdtr, general.granularity);
+    let specific = train_app_specific(&cfg, &halves, &onsite, cfg.sub_seed("onsite"));
 
     let before = evaluate_model_on_corpus(&general, &future, &cfg).overall;
     let after = evaluate_model_on_corpus(&specific, &future, &cfg).overall;

@@ -12,7 +12,8 @@
 //! ```
 
 use psca::adapt::experiments::evaluate_model_on_corpus;
-use psca::adapt::{zoo, CorpusTelemetry, ExperimentConfig, ModelKind};
+use psca::adapt::postsilicon::retarget_sla;
+use psca::adapt::{CorpusTelemetry, ExperimentConfig};
 
 fn main() {
     let base = ExperimentConfig::quick();
@@ -27,9 +28,7 @@ fn main() {
     for p_sla in [0.90, 0.80, 0.70] {
         // The "firmware update": relabel telemetry under the new SLA and
         // retrain — no silicon change, no new dataset collection.
-        let mut cfg = base.clone();
-        cfg.sla = base.sla.with_p_sla(p_sla);
-        let mut firmware = zoo::train(ModelKind::BestRf, &hdtr, &cfg);
+        let (cfg, mut firmware) = retarget_sla(&base, &hdtr, p_sla);
         // Package the model exactly as it would ship to the fleet, and
         // verify the installed image is bit-identical.
         let image = psca::uc::image::encode(&firmware.fw_lo).expect("deployable model");

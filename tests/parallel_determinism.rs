@@ -6,7 +6,7 @@
 //! seeds, merge in cell order, and order-sensitive series are replayed in
 //! cell order, so the worker count is invisible in every output.
 
-use psca_adapt::experiments::{chaos, fig10, fig4, fig5, fig6, table3};
+use psca_adapt::experiments::{ablations, chaos, fig10, fig4, fig5, fig6, table3};
 use psca_adapt::{CorpusTelemetry, ExperimentConfig};
 use psca_faults::ChaosSpec;
 use psca_workloads::{Archetype, PhaseGenerator};
@@ -133,6 +133,27 @@ fn fig10_is_bit_identical_across_job_counts() {
             .collect()
     };
     assert_eq!(fields(&serial), fields(&parallel));
+}
+
+/// The rendered ablation table followed by every point's metric bits.
+fn ablation_fields(points: &[ablations::PredictionAblation]) -> String {
+    let mut out = ablations::format_points("", points);
+    for p in points {
+        out += &format!("{:?}\n", bits(&[p.pgos, p.rsv, p.accuracy]));
+    }
+    out
+}
+
+#[test]
+fn horizon_ablation_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
+    serial_and_parallel(|cfg, hdtr| ablation_fields(&ablations::horizon(cfg, hdtr)));
+}
+
+#[test]
+fn normalization_ablation_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
+    serial_and_parallel(|cfg, hdtr| ablation_fields(&ablations::normalization(cfg, hdtr)));
 }
 
 #[test]
