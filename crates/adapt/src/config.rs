@@ -7,36 +7,7 @@
 //! category proportions). `EXPERIMENTS.md` records the scaling.
 
 use crate::sla::Sla;
-use std::fmt;
-
-/// A validation failure from [`ExperimentConfigBuilder::build`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `interval_insts == 0`: the telemetry interval must make progress.
-    ZeroInterval,
-    /// `folds < 2`: cross-validation needs at least a train and a
-    /// validate side.
-    TooFewFolds(usize),
-    /// A corpus dimension is zero, so the corpus would be empty (names
-    /// the offending knob).
-    EmptyCorpusDimension(&'static str),
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroInterval => write!(f, "interval_insts must be nonzero"),
-            ConfigError::TooFewFolds(n) => {
-                write!(f, "cross-validation needs at least 2 folds, got {n}")
-            }
-            ConfigError::EmptyCorpusDimension(what) => {
-                write!(f, "corpus dimension `{what}` must be nonzero")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
+use std::convert::Infallible;
 
 /// Training guard band: labels used for *training* are computed at
 /// `P_SLA + LABEL_GUARD_BAND` so deployed decisions carry slack against
@@ -151,12 +122,12 @@ impl ExperimentConfig {
             .with_p_sla((self.sla.p_sla + LABEL_GUARD_BAND).min(1.0))
     }
 
-    /// A validating builder seeded from [`ExperimentConfig::quick`].
+    /// A builder seeded from [`ExperimentConfig::quick`].
     ///
-    /// Struct-literal construction (and `..ExperimentConfig::quick()`
-    /// update syntax) keeps working; the builder is for call sites that
-    /// take knobs from external input — CLI flags, serving requests — and
-    /// need typed [`ConfigError`]s instead of downstream panics.
+    /// Programs and tests in this workspace use struct-update syntax
+    /// (`ExperimentConfig { seed, ..ExperimentConfig::quick() }`); the
+    /// builder stays only because the `perfbench` harness configures its
+    /// workloads through it.
     pub fn builder() -> ExperimentConfigBuilder {
         ExperimentConfigBuilder {
             cfg: ExperimentConfig::quick(),
@@ -180,11 +151,8 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Builder returned by [`ExperimentConfig::builder`].
-///
-/// Starts from the [`quick`](ExperimentConfig::quick) preset; every
-/// setter overrides one knob and [`build`](ExperimentConfigBuilder::build)
-/// validates the combination.
+/// Builder returned by [`ExperimentConfig::builder`]: the
+/// [`quick`](ExperimentConfig::quick) preset with a seed and a job count.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfigBuilder {
     cfg: ExperimentConfig,
@@ -197,83 +165,15 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Telemetry interval in instructions.
-    pub fn interval_insts(mut self, n: u64) -> Self {
-        self.cfg.interval_insts = n;
-        self
-    }
-
-    /// Number of HDTR applications to synthesize.
-    pub fn hdtr_apps(mut self, n: usize) -> Self {
-        self.cfg.hdtr_apps = n;
-        self
-    }
-
-    /// Traces used per HDTR application.
-    pub fn hdtr_traces_per_app(mut self, n: usize) -> Self {
-        self.cfg.hdtr_traces_per_app = n;
-        self
-    }
-
-    /// Measured intervals per HDTR trace.
-    pub fn hdtr_intervals_per_trace(mut self, n: usize) -> Self {
-        self.cfg.hdtr_intervals_per_trace = n;
-        self
-    }
-
-    /// Measured intervals per SPEC SimPoint.
-    pub fn spec_intervals_per_simpoint(mut self, n: usize) -> Self {
-        self.cfg.spec_intervals_per_simpoint = n;
-        self
-    }
-
-    /// Cross-validation folds.
-    pub fn folds(mut self, n: usize) -> Self {
-        self.cfg.folds = n;
-        self
-    }
-
     /// Worker threads for parallel sweeps (`0` = auto).
     pub fn jobs(mut self, n: usize) -> Self {
         self.cfg.jobs = n;
         self
     }
 
-    /// The deployment SLA.
-    pub fn sla(mut self, sla: Sla) -> Self {
-        self.cfg.sla = sla;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// [`ConfigError::ZeroInterval`] when `interval_insts == 0`,
-    /// [`ConfigError::TooFewFolds`] when `folds < 2`,
-    /// and [`ConfigError::EmptyCorpusDimension`] when any corpus dimension
-    /// would produce zero telemetry.
-    pub fn build(self) -> Result<ExperimentConfig, ConfigError> {
-        let c = &self.cfg;
-        if c.interval_insts == 0 {
-            return Err(ConfigError::ZeroInterval);
-        }
-        if c.folds < 2 {
-            return Err(ConfigError::TooFewFolds(c.folds));
-        }
-        for (knob, value) in [
-            ("hdtr_apps", c.hdtr_apps),
-            ("hdtr_traces_per_app", c.hdtr_traces_per_app),
-            ("hdtr_intervals_per_trace", c.hdtr_intervals_per_trace),
-            ("spec_intervals_per_simpoint", c.spec_intervals_per_simpoint),
-            (
-                "spec_max_simpoints_per_workload",
-                c.spec_max_simpoints_per_workload,
-            ),
-        ] {
-            if value == 0 {
-                return Err(ConfigError::EmptyCorpusDimension(knob));
-            }
-        }
+    /// Returns the configuration; a preset with a seed and a job count
+    /// cannot be invalid.
+    pub fn build(self) -> Result<ExperimentConfig, Infallible> {
         Ok(self.cfg)
     }
 }
@@ -300,49 +200,6 @@ mod tests {
         assert_ne!(a.sub_seed("x"), a.sub_seed("y"));
         assert_ne!(a.sub_seed("x"), b.sub_seed("x"));
         assert_eq!(a.sub_seed("x"), a.sub_seed("x"));
-    }
-
-    #[test]
-    fn builder_accepts_valid_overrides() {
-        let cfg = ExperimentConfig::builder()
-            .seed(42)
-            .interval_insts(4_000)
-            .folds(4)
-            .jobs(2)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.interval_insts, 4_000);
-        assert_eq!(cfg.folds, 4);
-        // Untouched knobs keep the quick() base.
-        assert_eq!(cfg.hdtr_apps, ExperimentConfig::quick().hdtr_apps);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_configs() {
-        assert_eq!(
-            ExperimentConfig::builder().interval_insts(0).build(),
-            Err(ConfigError::ZeroInterval)
-        );
-        assert_eq!(
-            ExperimentConfig::builder().folds(1).build(),
-            Err(ConfigError::TooFewFolds(1))
-        );
-        assert_eq!(
-            ExperimentConfig::builder().hdtr_apps(0).build(),
-            Err(ConfigError::EmptyCorpusDimension("hdtr_apps"))
-        );
-        assert_eq!(
-            ExperimentConfig::builder()
-                .spec_intervals_per_simpoint(0)
-                .build(),
-            Err(ConfigError::EmptyCorpusDimension(
-                "spec_intervals_per_simpoint"
-            ))
-        );
-        // Errors render a human-readable message.
-        let msg = ConfigError::TooFewFolds(1).to_string();
-        assert!(msg.contains("folds"), "{msg}");
     }
 
     #[test]

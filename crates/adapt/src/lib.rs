@@ -47,7 +47,7 @@ mod robustness;
 mod sla;
 mod train;
 
-pub use config::{ConfigError, ExperimentConfig, ExperimentConfigBuilder};
+pub use config::{ExperimentConfig, ExperimentConfigBuilder};
 pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
 pub use paired::{
     collect_paired, decode_trace, decode_traces, encode_trace, encode_traces, CorpusTelemetry,

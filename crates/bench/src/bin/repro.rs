@@ -11,8 +11,6 @@
 //! repro -- serve                     # adaptation-as-a-service daemon
 //! repro -- serve --addr 127.0.0.1:0 --models best-rf,charstar --seed 7
 //! repro -- serve --slo p99_us=50000,availability=0.99 --access-log access.jsonl
-//! repro -- loadgen --addr 127.0.0.1:8186 --rps 50 --duration 2 --out target/obs/loadgen.json
-//! repro -- slo-check --bench target/obs/loadgen.json --slo default   # CI gate, exit 1 on breach
 //! repro -- closed-loop --model best-rf --archetype balanced --seed 1
 //! repro -- fleet --size 8 --seed 1                   # skewed dies + staged rollout
 //! repro -- fleet --size 6 --seed 3 --windows 8 --bad-image --out fleet.json
@@ -99,9 +97,6 @@ const SERVE_USAGE: &str = "[repro] serve flags: --addr HOST:PORT --workers N --q
     --read-timeout-ms N --chaos SPEC --slo SPEC|off --access-log PATH \
     --seed N --models slug[,slug...] \
     (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
-const LOADGEN_USAGE: &str = "[repro] loadgen flags: --addr HOST:PORT --model SLUG --rps N \
-    --duration SECS --connections N --seed N --out PATH";
-const SLO_CHECK_USAGE: &str = "[repro] slo-check flags: --bench PATH --slo SPEC|off";
 const CLOSED_LOOP_USAGE: &str = "[repro] closed-loop flags: --model SLUG --archetype NAME \
     --seed N --windows N --warm-insts N \
     (slugs: best-rf best-mlp charstar srch-fine srch-coarse)";
@@ -109,7 +104,7 @@ const FLEET_USAGE: &str = "[repro] fleet flags: --size N --seed N --windows N --
     --rollout SPEC|off --chaos SPEC --jobs N --bad-image --out PATH";
 const BENCH_USAGE: &str = "[repro] bench flags: --update --check --quick --seed N \
     --tolerance FRAC --only name[,name...] \
-    (names: sim_throughput sweep inference serve)";
+    (names: sim_throughput sweep inference)";
 
 fn main() {
     std::process::exit(cli::run("repro", dispatch))
@@ -121,8 +116,6 @@ fn dispatch(args: &[String]) -> Result<i32, UsageError> {
     let subcommand = args.first().map(String::as_str);
     let (run, rest, usage): (Main, &[String], &'static str) = match subcommand {
         Some("serve") => (serve_main, &args[1..], SERVE_USAGE),
-        Some("loadgen") => (loadgen_main, &args[1..], LOADGEN_USAGE),
-        Some("slo-check") => (slo_check_main, &args[1..], SLO_CHECK_USAGE),
         Some("closed-loop") => (closed_loop_main, &args[1..], CLOSED_LOOP_USAGE),
         Some("fleet") => (fleet_main, &args[1..], FLEET_USAGE),
         Some("bench") => (bench_main, &args[1..], BENCH_USAGE),
@@ -193,121 +186,6 @@ fn serve_main(args: &[String]) -> Result<i32, UsageError> {
     daemon.wait();
     eprintln!("[repro] serve: drained and stopped");
     Ok(0)
-}
-
-/// `repro loadgen`: seeded open-loop load against a running daemon's
-/// `/v1/predict`, summarized as JSON on stdout (and to `--out` when
-/// given).
-fn loadgen_main(args: &[String]) -> Result<i32, UsageError> {
-    use psca_bench::loadgen::{self, LoadgenConfig};
-    let mut cfg = LoadgenConfig::default();
-    let (mut model_override, mut out) = (None, None);
-    let mut args = Args::new(args);
-    while let Some(flag) = args.next() {
-        match flag {
-            "--addr" => cfg.addr = args.value()?.to_string(),
-            "--model" => model_override = Some(args.value()?.to_string()),
-            "--rps" => cfg.rps = args.nonzero()?,
-            "--duration" => cfg.duration_s = args.nonzero()?,
-            "--connections" => cfg.connections = args.parse()?,
-            "--seed" => cfg.seed = args.parse()?,
-            "--out" => out = Some(PathBuf::from(args.value()?)),
-            _ => return Err(args.unknown()),
-        }
-    }
-    let (slug, dim) = match loadgen::discover_model(&cfg.addr) {
-        Ok(found) => found,
-        Err(e) => {
-            eprintln!("[repro] loadgen: {e}");
-            return Ok(1);
-        }
-    };
-    cfg.model = model_override.unwrap_or(slug);
-    cfg.input_dim = dim;
-    eprintln!(
-        "[repro] loadgen: {} rps x {}s against http://{} (model {}, dim {}, seed {})",
-        cfg.rps, cfg.duration_s, cfg.addr, cfg.model, cfg.input_dim, cfg.seed
-    );
-    let summary = loadgen::run(&cfg);
-    let doc = summary.to_json().to_string();
-    println!("{doc}");
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("[repro] loadgen: cannot write {}: {e}", path.display());
-            return Ok(1);
-        }
-        eprintln!("[repro] loadgen: summary written to {}", path.display());
-    }
-    // A run where nothing succeeded is a failure regardless of any SLO.
-    if summary.ok == 0 {
-        eprintln!("[repro] loadgen: no request succeeded");
-        return Ok(1);
-    }
-    Ok(0)
-}
-
-/// `repro slo-check`: offline SLO verdict over a `repro loadgen` summary
-/// or a `repro closed-loop` result — the CI gate (`exit 1` on breach,
-/// `exit 2` when the document lacks a number the spec would gate).
-fn slo_check_main(args: &[String]) -> Result<i32, UsageError> {
-    let (mut bench, mut slo) = (None, Some(SloSpec::default()));
-    let mut args = Args::new(args);
-    while let Some(flag) = args.next() {
-        match flag {
-            "--bench" => bench = Some(PathBuf::from(args.value()?)),
-            "--slo" => slo = args.spec(SloSpec::parse)?,
-            _ => return Err(args.unknown()),
-        }
-    }
-    let bench = bench.ok_or_else(|| UsageError::new("slo-check needs --bench"))?;
-    let Some(spec) = slo else {
-        eprintln!("[repro] slo-check: spec is 'off', trivially passing");
-        return Ok(0);
-    };
-    let doc = match std::fs::read_to_string(&bench) {
-        Err(e) => Err(format!("cannot read {}: {e}", bench.display())),
-        Ok(text) => Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", bench.display())),
-    };
-    let doc = match doc {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("[repro] slo-check: {e}");
-            return Ok(1);
-        }
-    };
-    let num = |key: &str| doc.get(key).and_then(Json::as_f64);
-    let (p99, availability) = (num("p99_us"), num("availability"));
-    let rsv = num("low_power_residency").or_else(|| num("rsv"));
-    // A document this gate cannot read must not pass as a clean verdict.
-    let missing = if p99.is_none() && availability.is_none() && rsv.is_none() {
-        Some("p99_us, availability or low_power_residency")
-    } else if spec.rsv_floor.is_some() && rsv.is_none() {
-        Some("low_power_residency (needed by rsv_floor)")
-    } else {
-        None
-    };
-    if let Some(key) = missing {
-        eprintln!(
-            "[repro] slo-check: {} has no top-level {key}",
-            bench.display()
-        );
-        return Ok(2);
-    }
-    let violations = spec.check_values(p99, availability, rsv);
-    eprintln!(
-        "[repro] slo-check: {} against {} ({})",
-        bench.display(),
-        spec.render(),
-        if violations.is_empty() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    for v in &violations {
-        eprintln!("[repro] slo-check: VIOLATION: {v}");
-    }
-    Ok(if violations.is_empty() { 0 } else { 1 })
 }
 
 /// The experiment ids and flags of the default path.

@@ -15,7 +15,6 @@
 
 pub mod chart;
 pub mod cli;
-pub mod loadgen;
 pub mod suite;
 
 use psca_adapt::{CorpusTelemetry, ExperimentConfig};

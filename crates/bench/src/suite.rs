@@ -11,11 +11,11 @@
 //!   else informational), and a violation means "regressed past the
 //!   band", not "changed at all".
 //!
-//! The four runners (`run_sim_throughput`, `run_sweep`, `run_inference`,
-//! `run_serve`) are the only implementation of each measurement;
+//! The three runners (`run_sim_throughput`, `run_sweep`,
+//! `run_inference`) are the only implementation of each measurement;
 //! [`run_bench`] dispatches them by name.
 
-use psca_adapt::{CorpusTelemetry, ExperimentConfig, ModelKind};
+use psca_adapt::{CorpusTelemetry, ExperimentConfig};
 use psca_cpu::{ClusterSim, CpuConfig, Mode};
 use psca_ml::{
     Dataset, LogisticRegression, Matrix, Mlp, MlpConfig, RandomForest, RandomForestConfig,
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 /// Canonical bench names, in run order. Each maps to a committed
 /// baseline file `BENCH_<name>.json` at the repo root.
-pub const BENCHES: [&str; 4] = ["sim_throughput", "sweep", "inference", "serve"];
+pub const BENCHES: [&str; 3] = ["sim_throughput", "sweep", "inference"];
 
 /// The `schema` tag stamped on every unified baseline document.
 pub const SCHEMA: &str = "psca-bench/v1";
@@ -41,7 +41,7 @@ pub struct BenchOpts {
     /// canonical so rate and latency metrics remain comparable to a
     /// full-mode baseline.
     pub quick: bool,
-    /// Seed for every seeded component (corpora, loadgen traffic).
+    /// Seed for every seeded component (corpora, models, inputs).
     pub seed: u64,
 }
 
@@ -69,9 +69,6 @@ pub struct BenchResult {
     pub metrics: BTreeMap<String, f64>,
     /// The profiler's heaviest self-time stacks during the run.
     pub profile_top: Vec<(String, NodeStat)>,
-    /// Non-numeric extras at the top level (the serve bench's
-    /// `slowest_trace_id`).
-    pub extra: Vec<(String, Json)>,
 }
 
 /// Serializes a metric value: integral values as JSON integers (counts
@@ -106,17 +103,15 @@ impl BenchResult {
                 })
                 .collect(),
         );
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("schema".into(), SCHEMA.into()),
-            ("bench".into(), self.bench.as_str().into()),
-            ("unit".into(), self.unit.as_str().into()),
-            ("seed".into(), self.seed.into()),
-            ("jobs".into(), self.jobs.into()),
-            ("metrics".into(), metrics),
-            ("profile_top".into(), profile),
-        ];
-        pairs.extend(self.extra.iter().cloned());
-        Json::Obj(pairs)
+        Json::obj(vec![
+            ("schema", SCHEMA.into()),
+            ("bench", self.bench.as_str().into()),
+            ("unit", self.unit.as_str().into()),
+            ("seed", self.seed.into()),
+            ("jobs", self.jobs.into()),
+            ("metrics", metrics),
+            ("profile_top", profile),
+        ])
     }
 
     /// Parses a `psca-bench/v1` document; `None` for anything without
@@ -457,63 +452,12 @@ pub fn run_inference(opts: &BenchOpts) -> BenchResult {
     result
 }
 
-/// Serving-path latency: an in-process daemon (best-rf registry,
-/// OS-assigned port) under the seeded open-loop load generator.
-///
-/// # Panics
-/// Panics when the daemon cannot bind a loopback port or model
-/// discovery fails against the freshly started daemon.
-pub fn run_serve(opts: &BenchOpts) -> BenchResult {
-    use crate::loadgen::{self, LoadgenConfig};
-    use psca_serve::{Daemon, ModelRegistry, ServeConfig};
-    let cfg = ExperimentConfig::builder()
-        .seed(opts.seed)
-        .build()
-        .expect("serve bench config");
-    let registry = ModelRegistry::train(cfg, &[ModelKind::BestRf]);
-    let serve_cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
-    };
-    let workers = serve_cfg.workers as u64;
-    let daemon = Daemon::start(serve_cfg, registry).expect("serve bench daemon bind");
-    let addr = daemon.local_addr().to_string();
-    let (slug, dim) = loadgen::discover_model(&addr).expect("serve bench model discovery");
-    let lg = LoadgenConfig {
-        addr,
-        model: slug,
-        rps: 50,
-        duration_s: if opts.quick { 1 } else { 2 },
-        connections: 4,
-        seed: opts.seed,
-        input_dim: dim,
-    };
-    let summary = loadgen::run(&lg);
-    daemon.shutdown();
-    let mut result = BenchResult {
-        bench: "serve".into(),
-        unit: "us".into(),
-        seed: opts.seed,
-        jobs: workers,
-        ..BenchResult::default()
-    };
-    result
-        .metrics
-        .extend(summary.metrics().map(|(k, v)| (k.to_string(), v)));
-    result.extra.push((
-        "slowest_trace_id".into(),
-        summary.slowest_trace_id.as_str().into(),
-    ));
-    result
-}
-
 /// Dispatches a runner by canonical bench name.
 pub fn run_bench(name: &str, opts: &BenchOpts) -> Option<BenchResult> {
     match name {
         "sim_throughput" => Some(run_sim_throughput(opts)),
         "sweep" => Some(run_sweep(opts)),
         "inference" => Some(run_inference(opts)),
-        "serve" => Some(run_serve(opts)),
         _ => None,
     }
 }
@@ -611,7 +555,6 @@ mod tests {
                 self_ns: 4_000_000,
             },
         ));
-        r.extra.push(("slowest_trace_id".into(), "abcd".into()));
         let doc = r.to_json();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         // Metrics live only under `metrics`, never at the top level.
@@ -621,10 +564,6 @@ mod tests {
                 .and_then(|m| m.get("p99_us"))
                 .and_then(Json::as_u64),
             Some(1234)
-        );
-        assert_eq!(
-            doc.get("slowest_trace_id").and_then(Json::as_str),
-            Some("abcd")
         );
         let parsed = BenchResult::from_json(&doc).unwrap();
         assert_eq!(parsed.bench, "serve");
@@ -650,7 +589,7 @@ mod tests {
 
     #[test]
     fn committed_baselines_are_canonical() {
-        const KEYS: [&str; 8] = [
+        const KEYS: [&str; 7] = [
             "schema",
             "bench",
             "unit",
@@ -658,7 +597,6 @@ mod tests {
             "jobs",
             "metrics",
             "profile_top",
-            "slowest_trace_id",
         ];
         for name in BENCHES {
             let loaded = load_baseline(name).unwrap();

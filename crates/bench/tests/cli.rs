@@ -1,10 +1,8 @@
 //! The `repro` and `trace-tool` command lines, run as real binaries from
 //! a scratch directory so nothing in the checkout is read or written:
-//! `repro slo-check` exit codes (0 on a passing document, 1 on an SLO
-//! breach, 2 when the document lacks a number the spec would gate or no
-//! `--bench` is given), usage errors (exit 2, before any work, for every
-//! subcommand), the trace every subcommand writes under `PSCA_TRACE` and
-//! the profile it writes under `PSCA_PROF`.
+//! usage errors (exit 2, before any work, for every subcommand), the
+//! trace every subcommand writes under `PSCA_TRACE` and the profile it
+//! writes under `PSCA_PROF`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -46,60 +44,12 @@ fn run(bin: &str, args: &[&str], dir: &Path, env: &[(&str, &str)]) -> (i32, Stri
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 const TRACE_TOOL: &str = env!("CARGO_BIN_EXE_trace-tool");
 
-/// Runs `repro slo-check --bench doc.json --slo <slo>` over `doc` and
-/// returns the exit code.
-fn slo_check(test: &str, doc: &str, slo: &str) -> i32 {
-    let dir = scratch_dir(test);
-    std::fs::write(dir.join("doc.json"), doc).unwrap();
-    let args = ["slo-check", "--bench", "doc.json", "--slo", slo];
-    let (code, _) = run(REPRO, &args, &dir, &[]);
-    let _ = std::fs::remove_dir_all(&dir);
-    code
-}
-
-const LOADGEN: &str = r#"{"bench":"serve-loadgen","requests":100,"ok":100,"errors":0,
-"availability":1,"p50_us":596,"p95_us":873,"p99_us":3486,"max_us":7280,"offered_rps":50,
-"achieved_rps":50.46,"wall_s":1.98,"seed":1,"slowest_trace_id":"f63b7b9046fea981536703ac09af3436"}"#;
-
-#[test]
-fn bench_suite_document_is_not_checkable() {
-    let sweep = r#"{"schema":"psca-bench/v1","bench":"sweep","unit":"cells_per_sec","seed":1,
-"jobs":1,"metrics":{"cells":96,"speedup_vs_serial":1.13},"profile_top":[]}"#;
-    assert_eq!(slo_check("sweep-default", sweep, "default"), 2);
-    assert_eq!(slo_check("sweep-rsv", sweep, "rsv_floor=0.9"), 2);
-}
-
-#[test]
-fn rsv_floor_needs_a_residency() {
-    assert_eq!(slo_check("loadgen-rsv", LOADGEN, "rsv_floor=0.9"), 2);
-}
-
-#[test]
-fn passing_loadgen_summary_exits_zero() {
-    assert_eq!(slo_check("loadgen-pass", LOADGEN, "default"), 0);
-}
-
-#[test]
-fn closed_loop_below_the_floor_exits_one() {
-    let closed = r#"{"model":"best-rf","archetype":"Balanced","seed":1,
-"windows":8,"instructions":800000,"cycles":400000,"energy":1.5,"ppw":2.0,
-"low_power_residency":0.25}"#;
-    assert_eq!(slo_check("closed-below", closed, "rsv_floor=0.9"), 1);
-    assert_eq!(slo_check("closed-above", closed, "rsv_floor=0.1"), 0);
-}
-
-#[test]
-fn bench_flag_is_required() {
-    let dir = scratch_dir("no-bench");
-    let (code, _) = run(REPRO, &["slo-check", "--slo", "default"], &dir, &[]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(code, 2);
-}
-
 /// Every subcommand with a missing value, an unknown flag and an
 /// unparseable number: each exits 2 and prints nothing on stdout. The
 /// observability switches are environment variables, never flags, and
-/// no subcommand takes `--backend`: there is one simulator.
+/// no subcommand takes `--backend`: there is one simulator. There is no
+/// `loadgen` or `slo-check` subcommand (the daemon's `/v1/slo` is the
+/// one SLO verdict), and an SLO spec has no `rsv_floor`.
 #[test]
 fn usage_errors_exit_two_for_every_subcommand() {
     let cases: &[(&str, &[&str])] = &[
@@ -122,15 +72,9 @@ fn usage_errors_exit_two_for_every_subcommand() {
                 "4",
             ],
         ),
-        (REPRO, &["loadgen", "--rps"]),
-        (REPRO, &["loadgen", "--bogus"]),
-        (REPRO, &["loadgen", "--rps", "x"]),
-        (REPRO, &["slo-check", "--bench"]),
-        (REPRO, &["slo-check", "--bench", "doc.json", "--bogus"]),
-        (
-            REPRO,
-            &["slo-check", "--bench", "doc.json", "--slo", "p99_us=x"],
-        ),
+        (REPRO, &["serve", "--slo", "rsv_floor=0.5"]),
+        (REPRO, &["loadgen", "--rps", "5"]),
+        (REPRO, &["slo-check", "--bench", "doc.json"]),
         (REPRO, &["closed-loop", "--seed"]),
         (REPRO, &["closed-loop", "--bogus"]),
         (REPRO, &["closed-loop", "--seed", "x"]),

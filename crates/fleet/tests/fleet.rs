@@ -124,10 +124,10 @@ proptest! {
 /// it reaches any later cohort.
 #[test]
 fn bad_image_rolls_back_at_canary() {
-    let cfg = psca_adapt::ExperimentConfig::builder()
-        .seed(3)
-        .build()
-        .unwrap();
+    let cfg = psca_adapt::ExperimentConfig {
+        seed: 3,
+        ..psca_adapt::ExperimentConfig::quick()
+    };
     let params = FleetParams {
         size: 4,
         windows: 6,
@@ -188,10 +188,10 @@ fn report_rows_match_independent_loops() {
 }
 
 fn rows_match_oracle(params: &FleetParams, status: &str) {
-    let cfg = psca_adapt::ExperimentConfig::builder()
-        .seed(params.seed)
-        .build()
-        .unwrap();
+    let cfg = psca_adapt::ExperimentConfig {
+        seed: params.seed,
+        ..psca_adapt::ExperimentConfig::quick()
+    };
     let report = run_fleet(&cfg, params);
     assert_eq!(report.status, status, "seed {}", params.seed);
     assert_eq!(report.stages.is_empty(), params.rollout.is_none());
@@ -222,11 +222,11 @@ fn report_is_jobs_invariant() {
     };
     let mut docs = Vec::new();
     for jobs in [1usize, 4] {
-        let cfg = psca_adapt::ExperimentConfig::builder()
-            .seed(9)
-            .jobs(jobs)
-            .build()
-            .unwrap();
+        let cfg = psca_adapt::ExperimentConfig {
+            seed: 9,
+            jobs,
+            ..psca_adapt::ExperimentConfig::quick()
+        };
         docs.push(run_fleet(&cfg, &params).to_json().to_string());
     }
     assert_eq!(docs[0], docs[1]);

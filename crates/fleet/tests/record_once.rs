@@ -24,10 +24,10 @@ fn recorded() -> u64 {
 /// of 2 000 warm-up instructions plus `windows` prediction windows per
 /// die, on top of the training corpus. Returns the closed loops run.
 fn check_recorded_once(params: &FleetParams, status: &str) -> u64 {
-    let cfg = ExperimentConfig::builder()
-        .seed(params.seed)
-        .build()
-        .unwrap();
+    let cfg = ExperimentConfig {
+        seed: params.seed,
+        ..ExperimentConfig::quick()
+    };
     psca_obs::reset_all();
     psca_adapt::robustness_corpus(&cfg);
     let corpus = recorded();

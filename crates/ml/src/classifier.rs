@@ -16,6 +16,7 @@
 
 use crate::forest::RandomForest;
 use crate::gbdt::Gbdt;
+use crate::linalg::sigmoid;
 use crate::logistic::LogisticRegression;
 use crate::mlp::Mlp;
 use crate::svm::{KernelSvm, LinearSvm};
@@ -43,13 +44,6 @@ pub trait Classifier {
     /// (e.g. [`Gbdt`], whose trees only store split indices); callers
     /// that need strict validation must supply the dimension out of band.
     fn n_features(&self) -> Option<usize>;
-}
-
-/// Logistic sigmoid used to map unbounded SVM margins into `[0, 1]`.
-///
-/// Matches the χ²-SVM score mapping in `psca-uc` firmware bit-for-bit.
-fn sigmoid(margin: f64) -> f64 {
-    1.0 / (1.0 + (-margin).exp())
 }
 
 impl Classifier for LogisticRegression {

@@ -7,7 +7,7 @@
 //! loss instead of bagging).
 
 use crate::dataset::Dataset;
-use crate::linalg::Matrix;
+use crate::linalg::{sigmoid, Matrix};
 
 /// One node of a regression tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,10 +256,6 @@ impl Gbdt {
     pub fn trees(&self) -> &[RegressionTree] {
         &self.trees
     }
-}
-
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
 }
 
 #[cfg(test)]

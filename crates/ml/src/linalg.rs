@@ -233,6 +233,15 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
+/// The logistic sigmoid `1 / (1 + e^-z)`: the output head of the MLP,
+/// logistic regression and boosted trees, and the map from SVM margins
+/// into `[0, 1]` (bit-for-bit the χ²-SVM score mapping in `psca-uc`
+/// firmware).
+#[inline]
+pub(crate) fn sigmoid(z: f64) -> f64 {
+    1.0 / (1.0 + (-z).exp())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

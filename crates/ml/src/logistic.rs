@@ -3,6 +3,7 @@
 //! open source implementation of the L-BFGS algorithm", §7).
 
 use crate::dataset::Dataset;
+use crate::linalg::sigmoid;
 
 /// A binary logistic-regression classifier.
 ///
@@ -87,10 +88,6 @@ impl LogisticRegression {
     pub fn set_threshold(&mut self, t: f64) {
         self.threshold = t.clamp(0.0, 1.0);
     }
-}
-
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
 }
 
 /// Mean log-loss and its gradient over the dataset (bias unregularized).

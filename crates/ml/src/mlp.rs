@@ -3,7 +3,7 @@
 //! MLP adaptation models are (§5, §7).
 
 use crate::dataset::Dataset;
-use crate::linalg::Matrix;
+use crate::linalg::{sigmoid, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -650,11 +650,6 @@ fn relu(z: &mut [f64]) {
     for v in z {
         *v = v.max(0.0);
     }
-}
-
-#[inline]
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@ pub struct TraceCtx {
 
 /// SplitMix64: tiny, dependency-free, and statistically adequate for
 /// every deterministic stream in the workspace — trace ids here, fault
-/// scheduling (`psca_faults` re-exports it), per-die fleet skew, loadgen
-/// bodies, and the telemetry expansion's per-stream hashes.
+/// scheduling (`psca_faults` re-exports it), per-die fleet skew and the
+/// telemetry expansion's per-stream hashes.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 

@@ -1,6 +1,5 @@
-//! Minimal HTTP/1.1 framing shared by the `psca-serve` daemon and the
-//! `repro loadgen` client: one request per connection, answered with
-//! `Connection: close`.
+//! Minimal HTTP/1.1 framing for the `psca-serve` daemon: one request per
+//! connection, answered with `Connection: close`.
 //!
 //! The server side works over any [`Read`] / [`Write`]; callers set
 //! socket deadlines themselves, and tests feed byte slices.
@@ -18,13 +17,11 @@
 //!   malformed input are separate [`FrameError`] variants, each with a
 //!   fixed message and status.
 //!
-//! [`write_response`] sends head and body in one write; [`exchange`] is
-//! the matching client.
+//! [`write_response`] sends head and body in one write;
+//! [`Response::parse`] splits what it wrote back into status and body.
 
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -265,33 +262,6 @@ pub fn parse_status(response: &[u8]) -> Option<u16> {
     let line = response.split(|&b| b == b'\r').next()?;
     let line = std::str::from_utf8(line).ok()?;
     line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Sends one request to `addr` over a fresh connection, adding `Host`,
-/// `Content-Length`, `headers` and `Connection: close`, and reads the
-/// response to EOF. `timeout` bounds each read and write.
-///
-/// # Errors
-/// Connection or I/O failure, or an unparseable response.
-pub fn exchange(
-    addr: &str,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-    timeout: Duration,
-) -> io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    stream.write_all(finish(head, headers, body).as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    Response::parse(&raw).ok_or_else(|| io::Error::new(ErrorKind::InvalidData, "bad response"))
 }
 
 #[cfg(test)]

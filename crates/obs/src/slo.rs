@@ -2,10 +2,9 @@
 //!
 //! An [`SloSpec`] is parsed from the shared `key=value` spec grammar
 //! ([`crate::spec`]; `p99_us=250000,availability=0.999`) and names
-//! the targets a serving deployment promises: tail latency, availability,
-//! and a reservation-style floor (`rsv_floor`) on the closed loop's
-//! low-power residency. An [`SloEngine`] folds per-request observations
-//! into per-second sliding windows and evaluates the spec two ways:
+//! the targets a serving deployment promises: tail latency and
+//! availability. An [`SloEngine`] folds per-request observations into
+//! per-second sliding windows and evaluates the spec two ways:
 //!
 //! - **point-in-time** — windowed p99 and availability against target
 //!   ([`SloEngine::status`]);
@@ -45,9 +44,6 @@ pub struct SloSpec {
     pub p99_latency_us: u64,
     /// Availability target in `(0, 1)` — fraction of non-5xx responses.
     pub availability: f64,
-    /// Optional floor on closed-loop low-power residency (RSV), in
-    /// `[0, 1]`; checked offline by `repro slo-check`.
-    pub rsv_floor: Option<f64>,
     /// Short sliding window, seconds (p99 + fast burn rate).
     pub window_s: u64,
     /// Long sliding window, seconds (slow burn rate).
@@ -63,7 +59,6 @@ impl Default for SloSpec {
         SloSpec {
             p99_latency_us: DEFAULT_P99_US,
             availability: DEFAULT_AVAILABILITY,
-            rsv_floor: None,
             window_s: DEFAULT_WINDOW_S,
             long_window_s: DEFAULT_LONG_WINDOW_S,
             fast_burn: DEFAULT_FAST_BURN,
@@ -75,9 +70,9 @@ impl Default for SloSpec {
 impl SloSpec {
     /// Parses the SLO grammar ([`crate::spec`] rules): `p99_us`,
     /// `window_s`, `long_window_s` (positive integers, `long_window_s >=
-    /// window_s`), `availability` (in `(0, 1)`), `rsv_floor` (in `[0, 1]`),
-    /// `fast_burn`, `slow_burn` (positive finite numbers). The presets `""`
-    /// and `default` yield the default spec; `off` yields `None`.
+    /// window_s`), `availability` (in `(0, 1)`), `fast_burn`, `slow_burn`
+    /// (positive finite numbers). The presets `""` and `default` yield the
+    /// default spec; `off` yields `None`.
     pub fn parse(s: &str) -> Result<Option<SloSpec>, SpecError> {
         let out = match spec::preset(s) {
             Some(Preset::Off) => return Ok(None),
@@ -94,7 +89,6 @@ impl SloSpec {
                         }
                         out.availability = v;
                     }
-                    "rsv_floor" => out.rsv_floor = Some(e.unit()?),
                     "window_s" => out.window_s = e.positive_int()?,
                     "long_window_s" => out.long_window_s = e.positive_int()?,
                     "fast_burn" => out.fast_burn = e.positive_finite()?,
@@ -118,45 +112,9 @@ impl SloSpec {
         1.0 - self.availability
     }
 
-    /// Offline verdict over aggregate values (as recorded in a
-    /// `BENCH_serve.json`): returns one human-readable violation string
-    /// per broken objective, empty when the spec holds.
-    pub fn check_values(
-        &self,
-        p99_us: Option<f64>,
-        availability: Option<f64>,
-        rsv: Option<f64>,
-    ) -> Vec<String> {
-        let mut violations = Vec::new();
-        if let Some(p99) = p99_us {
-            if p99 > self.p99_latency_us as f64 {
-                violations.push(format!(
-                    "p99 latency {:.0}us exceeds target {}us",
-                    p99, self.p99_latency_us
-                ));
-            }
-        }
-        if let Some(av) = availability {
-            if av < self.availability {
-                violations.push(format!(
-                    "availability {:.6} below target {:.6}",
-                    av, self.availability
-                ));
-            }
-        }
-        if let (Some(floor), Some(rsv)) = (self.rsv_floor, rsv) {
-            if rsv < floor {
-                violations.push(format!(
-                    "low-power residency {rsv:.4} below rsv_floor {floor:.4}"
-                ));
-            }
-        }
-        violations
-    }
-
     /// Canonical `key=value` rendering (parses back to `self`).
     pub fn render(&self) -> String {
-        let mut s = format!(
+        format!(
             "p99_us={},availability={},window_s={},long_window_s={},fast_burn={},slow_burn={}",
             self.p99_latency_us,
             self.availability,
@@ -164,27 +122,19 @@ impl SloSpec {
             self.long_window_s,
             self.fast_burn,
             self.slow_burn
-        );
-        if let Some(floor) = self.rsv_floor {
-            s.push_str(&format!(",rsv_floor={floor}"));
-        }
-        s
+        )
     }
 
     /// JSON rendering of the spec itself.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("p99_us", self.p99_latency_us.into()),
             ("availability", self.availability.into()),
             ("window_s", self.window_s.into()),
             ("long_window_s", self.long_window_s.into()),
             ("fast_burn", self.fast_burn.into()),
             ("slow_burn", self.slow_burn.into()),
-        ];
-        if let Some(floor) = self.rsv_floor {
-            fields.push(("rsv_floor", floor.into()));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -409,14 +359,13 @@ mod tests {
     #[test]
     fn parse_full_grammar() {
         let spec = SloSpec::parse(
-            "p99_us=50000, availability=0.99, rsv_floor=0.5, window_s=10, \
-             long_window_s=100, fast_burn=10, slow_burn=1.5",
+            "p99_us=50000, availability=0.99, window_s=10, long_window_s=100, \
+             fast_burn=10, slow_burn=1.5",
         )
         .unwrap()
         .unwrap();
         assert_eq!(spec.p99_latency_us, 50_000);
         assert_eq!(spec.availability, 0.99);
-        assert_eq!(spec.rsv_floor, Some(0.5));
         assert_eq!(spec.window_s, 10);
         assert_eq!(spec.long_window_s, 100);
         assert_eq!(spec.fast_burn, 10.0);
@@ -433,7 +382,12 @@ mod tests {
         assert!(SloSpec::parse("p99_us=0").is_err());
         assert!(SloSpec::parse("availability=1.5").is_err());
         assert!(SloSpec::parse("availability=0").is_err());
-        assert!(SloSpec::parse("rsv_floor=2").is_err());
+        // The daemon enforces latency and availability only; a residency
+        // floor is not part of the grammar.
+        assert_eq!(
+            SloSpec::parse("rsv_floor=0.5").unwrap_err().kind,
+            SpecErrorKind::UnknownKey("rsv_floor".into())
+        );
         assert!(SloSpec::parse("unknown_key=1").is_err());
         assert!(SloSpec::parse("window_s=60,long_window_s=10").is_err());
     }
@@ -510,20 +464,6 @@ mod tests {
         // Slow samples age out of the window.
         let status = engine.status(20_000);
         assert_eq!(status.p99_us, None);
-    }
-
-    #[test]
-    fn check_values_verdicts() {
-        let spec = SloSpec::parse("p99_us=10000,availability=0.99,rsv_floor=0.5")
-            .unwrap()
-            .unwrap();
-        assert!(spec
-            .check_values(Some(5_000.0), Some(0.995), Some(0.6))
-            .is_empty());
-        let violations = spec.check_values(Some(20_000.0), Some(0.95), Some(0.1));
-        assert_eq!(violations.len(), 3);
-        // Missing values are not violations.
-        assert!(spec.check_values(None, None, None).is_empty());
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl ModelRegistry {
         reg
     }
 
-    /// The default serving registry: the paper's two deployable "best"
-    /// models, trained quickly.
-    pub fn default_quick(seed: u64) -> ModelRegistry {
-        let cfg = ExperimentConfig::builder()
-            .seed(seed)
-            .build()
-            .expect("quick preset is always valid");
-        ModelRegistry::train(cfg, &[ModelKind::BestRf, ModelKind::BestMlp])
-    }
-
     /// Registers `model` under `name` (replacing any previous holder).
     pub fn insert(&mut self, name: &str, model: TrainedAdaptModel) {
         if let Some(slot) = self.models.iter_mut().find(|(n, _)| n == name) {
@@ -183,9 +173,18 @@ mod tests {
         assert_eq!(kind_from_slug(" best-rf"), None);
     }
 
+    /// The paper's two deployable "best" models on the quick preset.
+    fn best_pair() -> ModelRegistry {
+        let cfg = ExperimentConfig {
+            seed: 7,
+            ..ExperimentConfig::quick()
+        };
+        ModelRegistry::train(cfg, &[ModelKind::BestRf, ModelKind::BestMlp])
+    }
+
     #[test]
     fn registry_trains_and_describes_models() {
-        let reg = ModelRegistry::default_quick(7);
+        let reg = best_pair();
         assert_eq!(reg.names(), vec!["best-rf", "best-mlp"]);
         assert_eq!(reg.len(), 2);
         let rf = reg.get("best-rf").unwrap();
@@ -206,7 +205,7 @@ mod tests {
 
     #[test]
     fn insert_replaces_by_name() {
-        let a = ModelRegistry::default_quick(7);
+        let a = best_pair();
         let mut b = ModelRegistry::new(a.config().clone());
         b.insert("m", a.get("best-rf").unwrap().clone());
         b.insert("m", a.get("best-mlp").unwrap().clone());

@@ -2,8 +2,8 @@
 //! queue, explicit backpressure, per-endpoint metrics, optional chaos on
 //! the serving path, and graceful drain-on-shutdown.
 //!
-//! Framing is `psca_obs::http`, shared with the loadgen client; its
-//! errors map to typed 400/408/413 [`ApiError`]s. The daemon adds a
+//! Framing is `psca_obs::http`; its errors map to typed 400/408/413
+//! [`ApiError`]s. The daemon adds a
 //! worker pool (the accept thread pushes connections into a condvar-guarded
 //! `Mutex<VecDeque>`, workers pop) and answers a full queue with 429 at
 //! accept time. All `std`, no dependencies.

@@ -75,10 +75,10 @@ fn send_with_headers(
 }
 
 fn rf_registry(seed: u64) -> ModelRegistry {
-    let cfg = psca::adapt::ExperimentConfig::builder()
-        .seed(seed)
-        .build()
-        .unwrap();
+    let cfg = psca::adapt::ExperimentConfig {
+        seed,
+        ..psca::adapt::ExperimentConfig::quick()
+    };
     ModelRegistry::train(cfg, &[ModelKind::BestRf])
 }
 
@@ -107,10 +107,10 @@ fn rows_json(rows: &[Vec<f64>]) -> String {
 fn readyz_distinguishes_readiness_from_liveness() {
     // A daemon with no models loaded is *live* (the process serves HTTP)
     // but not *ready* (it cannot answer predictions yet).
-    let cfg = psca::adapt::ExperimentConfig::builder()
-        .seed(31)
-        .build()
-        .unwrap();
+    let cfg = psca::adapt::ExperimentConfig {
+        seed: 31,
+        ..psca::adapt::ExperimentConfig::quick()
+    };
     let daemon = Daemon::start(ServeConfig::default(), ModelRegistry::new(cfg)).expect("bind");
     let addr = daemon.local_addr();
     assert_eq!(send(addr, "GET", "/healthz", "").status, 200);
@@ -139,41 +139,67 @@ fn readyz_distinguishes_readiness_from_liveness() {
     daemon.shutdown();
 }
 
+/// `GET /v1/slo` on a live daemon: the one SLO verdict. A burst of
+/// predictions holds the default spec and is counted in its window; a
+/// spec whose p99 target no request can meet raises a p99 alert; a
+/// daemon without a spec says so.
 #[test]
 fn slo_endpoint_reports_spec_and_live_status() {
-    let registry = rf_registry(37);
-    let dim = registry.get("best-rf").unwrap().fw_hi.input_dim().unwrap();
-    let daemon = Daemon::start(ServeConfig::default(), registry).expect("bind");
-    let addr = daemon.local_addr();
-    let body = format!(
-        r#"{{"model":"best-rf","rows":{}}}"#,
-        rows_json(&probe_rows(dim, 1))
-    );
-    assert_eq!(send(addr, "POST", "/v1/predict", &body).status, 200);
+    const BURST: u64 = 30;
+    let slo_doc = |addr| {
+        let r = send(addr, "GET", "/v1/slo", "");
+        assert_eq!(r.status, 200, "{}", r.body);
+        Json::parse(&r.body).unwrap()
+    };
+    let burst = |slo: Option<SloSpec>| {
+        let registry = rf_registry(37);
+        let dim = registry.get("best-rf").unwrap().fw_hi.input_dim().unwrap();
+        let config = ServeConfig {
+            slo,
+            ..ServeConfig::default()
+        };
+        let daemon = Daemon::start(config, registry).expect("bind");
+        let body = format!(
+            r#"{{"model":"best-rf","rows":{}}}"#,
+            rows_json(&probe_rows(dim, 1))
+        );
+        for _ in 0..BURST {
+            let r = send(daemon.local_addr(), "POST", "/v1/predict", &body);
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        daemon
+    };
 
-    let r = send(addr, "GET", "/v1/slo", "");
-    assert_eq!(r.status, 200, "{}", r.body);
-    let doc = Json::parse(&r.body).unwrap();
-    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
-    assert!(doc.get("window_requests").and_then(Json::as_u64).unwrap() >= 1);
+    let daemon = burst(Some(SloSpec::default()));
+    let doc = slo_doc(daemon.local_addr());
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{doc}");
+    assert!(doc.get("window_requests").and_then(Json::as_u64).unwrap() >= BURST);
     let spec = doc.get("spec").expect("spec block");
     assert_eq!(spec.get("availability").and_then(Json::as_f64), Some(0.999));
     daemon.shutdown();
 
+    // A 1 µs p99 target: every served request breaches it.
+    let tight = SloSpec {
+        p99_latency_us: 1,
+        ..SloSpec::default()
+    };
+    let daemon = burst(Some(tight));
+    let doc = slo_doc(daemon.local_addr());
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{doc}");
+    let alerts = doc.get("alerts").and_then(Json::as_arr).expect("alerts");
+    assert!(
+        alerts
+            .iter()
+            .filter_map(Json::as_str)
+            .any(|a| a.starts_with("p99 latency")),
+        "{doc}"
+    );
+    daemon.shutdown();
+
     // SLO disabled: the endpoint says so instead of 404ing.
-    let daemon = Daemon::start(
-        ServeConfig {
-            slo: None,
-            ..ServeConfig::default()
-        },
-        rf_registry(37),
-    )
-    .expect("bind");
-    let r = send(daemon.local_addr(), "GET", "/v1/slo", "");
-    assert_eq!(r.status, 200);
+    let daemon = burst(None);
     assert_eq!(
-        Json::parse(&r.body)
-            .unwrap()
+        slo_doc(daemon.local_addr())
             .get("enabled")
             .and_then(Json::as_bool),
         Some(false)

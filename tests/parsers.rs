@@ -1,6 +1,6 @@
 //! Property tests for the shared parsers in `psca-obs`: the `key=value`
 //! spec tokenizer behind the chaos, skew, rollout and SLO grammars, the
-//! HTTP/1.1 framing used by every server and client, and the JSON reader
+//! daemon's HTTP/1.1 framing, and the JSON reader
 //! behind every request body; for the `/v1/closed-loop` body; for the
 //! sweep-cache trace codec; and for the `.pstr` instruction-trace file
 //! reader (`trace-tool replay` input).
@@ -36,7 +36,7 @@ const KEYS: [&str; 29] = [
     "noise",
     "canary",
     "waves",
-    "rsv_floor",
+    "rsv_floor", // rollout only: a near miss for the SLO grammar
     "ppw_floor",
     "max_esc",
     "quarantine",
@@ -316,14 +316,12 @@ proptest! {
     fn slo_render_round_trips(
         p99 in 1u64..=u64::MAX,
         availability in 0.0f64..1.0,
-        floor in (any::<bool>(), 0.0f64..1.0),
         windows in (1u64..100_000, 0u64..100_000),
         burns in (0.001f64..1e6, 0.001f64..1e6),
     ) {
         let spec = SloSpec {
             p99_latency_us: p99,
             availability: if availability > 0.0 { availability } else { 0.5 },
-            rsv_floor: floor.0.then_some(floor.1),
             window_s: windows.0,
             long_window_s: windows.0 + windows.1,
             fast_burn: burns.0,

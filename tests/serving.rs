@@ -79,10 +79,10 @@ fn send_raw(addr: std::net::SocketAddr, raw: &[u8]) -> Response {
 
 /// A one-model registry on a tiny deterministic corpus (fast to train).
 fn rf_registry(seed: u64) -> ModelRegistry {
-    let cfg = psca::adapt::ExperimentConfig::builder()
-        .seed(seed)
-        .build()
-        .unwrap();
+    let cfg = psca::adapt::ExperimentConfig {
+        seed,
+        ..psca::adapt::ExperimentConfig::quick()
+    };
     ModelRegistry::train(cfg, &[ModelKind::BestRf])
 }
 
