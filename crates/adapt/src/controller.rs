@@ -133,7 +133,6 @@ impl<'a> ClosedLoopRequest<'a> {
         // Metric handles resolved once, not per window.
         let windows_ctr = psca_obs::counter("adapt.windows");
         let gated_ctr = psca_obs::counter("adapt.windows_gated_low");
-        let gated_series = psca_obs::series("adapt.window.gated");
 
         let mut widx = 0usize;
         'outer: loop {
@@ -212,11 +211,6 @@ impl<'a> ClosedLoopRequest<'a> {
                 low_windows += 1;
                 gated_ctr.inc();
             }
-            gated_series.push(if window_mode == Mode::LowPower {
-                1.0
-            } else {
-                0.0
-            });
             let ipc = w_insts as f64 / w_cycles.max(1) as f64;
             window_ipc.push(ipc);
             // Telemetry counter faults strike between the counters and the µC.

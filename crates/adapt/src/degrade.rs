@@ -175,25 +175,12 @@ impl DegradeSummary {
 /// Prediction-health watchdog: one [`observe`](Watchdog::observe) call
 /// per prediction window drives the degradation ladder. The default
 /// watchdog starts at [`DegradeLevel::ModelDriven`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Watchdog {
     level: DegradeLevel,
     clean_streak: usize,
     unhealthy_streak: usize,
     summary: DegradeSummary,
-    level_series: psca_obs::SeriesHandle,
-}
-
-impl Default for Watchdog {
-    fn default() -> Watchdog {
-        Watchdog {
-            level: DegradeLevel::default(),
-            clean_streak: 0,
-            unhealthy_streak: 0,
-            summary: DegradeSummary::default(),
-            level_series: psca_obs::series("adapt.degrade.level"),
-        }
-    }
 }
 
 impl Watchdog {
@@ -250,7 +237,6 @@ impl Watchdog {
         self.summary.residency[self.level.rank()] += 1;
         self.summary.worst = self.summary.worst.max(self.level);
         psca_obs::gauge("adapt.degrade.level").set(self.level.rank() as f64);
-        self.level_series.push(self.level.rank() as f64);
         self.level
     }
 

@@ -21,7 +21,7 @@ pub struct SteeringAblation {
 
 /// Compares dependence-aware steering with blind round-robin.
 pub fn steering(cfg: &ExperimentConfig) -> SteeringAblation {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let insts = 16 * cfg.interval_insts;
     let rows = [
@@ -119,7 +119,7 @@ fn rf_variant_scores(
 /// Horizon ablation: reactive (t), no-compute-time (t+1), and the
 /// paper's design point (t+2).
 pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<PredictionAblation> {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
     let variants = [0usize, 1, 2]
@@ -137,7 +137,7 @@ pub fn horizon(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<Prediction
 /// Normalization ablation: per-cycle-normalized counters (the paper's
 /// choice, §4.1) vs raw per-interval counts.
 pub fn normalization(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Vec<PredictionAblation> {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let events: Vec<Event> = TABLE4_COUNTERS.to_vec();
     let normalized = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);
@@ -174,7 +174,7 @@ pub struct WidthAblation {
 
 /// Sweeps per-cluster issue width.
 pub fn cluster_width(cfg: &ExperimentConfig) -> WidthAblation {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let insts = 16 * cfg.interval_insts;
     let mut rows = Vec::new();
@@ -234,7 +234,7 @@ pub struct DvfsAblation {
 /// Measures DVFS-only, gating-only, and combined configurations against
 /// the static high-performance baseline at the reference operating point.
 pub fn dvfs(cfg: &ExperimentConfig, corpus: &CorpusTelemetry) -> DvfsAblation {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     use psca_cpu::{DvfsGovernor, DvfsModel};
     let model = DvfsModel::skylake_scaled();
@@ -378,7 +378,7 @@ pub fn guardrail(
     hdtr: &CorpusTelemetry,
     spec: &CorpusTelemetry,
 ) -> GuardrailAblation {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     use crate::experiments::eval::evaluate_with_guardrail;
     use crate::guardrail::GuardrailConfig;

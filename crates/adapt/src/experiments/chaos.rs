@@ -59,7 +59,7 @@ const SWEEP_WINDOWS: u64 = 32;
 
 /// Runs the chaos sweep against `spec`.
 pub fn chaos_sweep(cfg: &ExperimentConfig, spec: &ChaosSpec) -> ChaosSweep {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let _span = psca_obs::SpanTimer::start("chaos.sweep");
     let model = robustness_model(cfg);

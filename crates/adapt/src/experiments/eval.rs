@@ -199,8 +199,7 @@ fn emulate_trace(
         acc.windows += 1;
     }
     // Counters are commutative (relaxed atomics), so they may be bumped
-    // from whichever worker thread emulates this trace. The order-sensitive
-    // accuracy *series* is pushed by the caller in corpus order.
+    // from whichever worker thread emulates this trace.
     psca_obs::counter("adapt.sla.violations").add(acc.violations as u64);
     psca_obs::counter("adapt.eval.windows").add(acc.windows as u64);
     psca_obs::counter("adapt.windows").add(acc.total_windows as u64);
@@ -235,15 +234,9 @@ pub fn evaluate_with_guardrail(
     let accs = sweep.run(corpus.traces.iter().collect(), |trace| {
         emulate_trace(model, trace, cfg, guardrail)
     });
-    let accuracy = psca_obs::series("adapt.eval.accuracy");
     let mut per_app: Vec<(String, Accumulator)> = Vec::new();
     let mut overall = Accumulator::default();
     for (trace, acc) in corpus.traces.iter().zip(accs) {
-        let c = &acc.confusion;
-        let preds = c.tp + c.fp + c.tn + c.fn_;
-        if preds > 0 {
-            accuracy.push((c.tp + c.tn) as f64 / preds as f64);
-        }
         overall.merge(&acc);
         match per_app.iter_mut().find(|(n, _)| *n == trace.app_name) {
             Some((_, slot)) => slot.merge(&acc),

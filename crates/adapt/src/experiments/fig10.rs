@@ -47,7 +47,7 @@ type Step = (
 
 /// Runs the ablation.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Fig10 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let g = 2; // CHARSTAR granularity for the baseline steps
     let steps: [Step; 4] = [

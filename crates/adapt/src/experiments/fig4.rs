@@ -61,7 +61,7 @@ fn sweep_sizes(total_apps: usize) -> Vec<usize> {
 
 /// Runs the diversity sweep.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig4 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let events = TABLE4_COUNTERS.to_vec();
     let raw = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);

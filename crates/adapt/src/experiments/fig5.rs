@@ -67,7 +67,7 @@ fn evaluate_counter_sets(
 
 /// Runs the counter-count sweep and the PF-vs-expert comparison.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig5 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     // PF-order the counters once (greedy order → prefixes are nested).
     let max_traces = hdtr.traces.len().min(40);

@@ -57,7 +57,7 @@ pub fn topology_grid() -> Vec<Vec<usize>> {
 
 /// Runs the screen.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig6 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let events = TABLE4_COUNTERS.to_vec();
     let raw = build_dataset(hdtr, Mode::LowPower, &events, 1, &cfg.sla);

@@ -17,7 +17,7 @@ pub struct Fig7 {
 
 /// Computes ideal residency from the paired SPEC telemetry.
 pub fn run(cfg: &ExperimentConfig, spec: &CorpusTelemetry) -> Fig7 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let mut per: Vec<(String, u64, u64)> = Vec::new(); // name, gateable, total
     for trace in &spec.traces {

@@ -49,7 +49,7 @@ fn suite_split(spec: &CorpusTelemetry) -> (CorpusTelemetry, CorpusTelemetry) {
 
 /// Trains all five models on HDTR and evaluates them on SPEC.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Fig8 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let (int_suite, fp_suite) = suite_split(spec);
     let kinds = [

@@ -32,7 +32,7 @@ pub struct Fig9 {
 
 /// Trains both models on HDTR and breaks results out per benchmark.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Fig9 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let charstar = zoo::train(ModelKind::Charstar, hdtr, cfg);
     let best_rf = zoo::train(ModelKind::BestRf, hdtr, cfg);

@@ -14,7 +14,7 @@ pub struct Table1 {
 
 /// Builds the HDTR corpus and summarizes it.
 pub fn run(cfg: &ExperimentConfig) -> Table1 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let corpus = hdtr_corpus(cfg.sub_seed("hdtr"), cfg.hdtr_apps, cfg.hdtr_phase_len);
     Table1 {

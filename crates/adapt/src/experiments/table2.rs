@@ -27,7 +27,7 @@ pub struct Table2 {
 
 /// Builds the suite and summarizes the inventory.
 pub fn run(cfg: &ExperimentConfig) -> Table2 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let suite = spec_suite(cfg.sub_seed("spec"), cfg.spec_phase_len);
     let rows: Vec<Table2Row> = suite

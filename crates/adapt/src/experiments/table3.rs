@@ -47,7 +47,7 @@ pub struct Table3 {
 /// Trains every §5 model class on low-power-mode telemetry and measures
 /// firmware cost + validation PGOS.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let cpu = CpuSpec::paper();
     let mcu = McuSpec::paper();

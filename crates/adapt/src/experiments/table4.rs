@@ -21,7 +21,7 @@ pub struct Table4 {
 /// Runs screening + PF selection over (a subset of) the HDTR corpus and
 /// compares the outcome with Table 4.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table4 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let max_traces = hdtr.traces.len().min(40);
     let selection = run_counter_selection(hdtr, cfg, Mode::LowPower, 12, max_traces);

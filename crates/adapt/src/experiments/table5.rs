@@ -34,7 +34,7 @@ pub struct Table5 {
 
 /// Retrains Best RF under each SLA and evaluates on SPEC.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Table5 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let settings = [
         (0.90, (0.003, 0.219, 0.982)),

@@ -41,7 +41,7 @@ pub const MIN_WORKLOADS: usize = 5;
 
 /// Runs the leave-one-workload-out comparison.
 pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, spec: &CorpusTelemetry) -> Table6 {
-    // Scope global metrics/series to this experiment (see ISSUE 2).
+    // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let general = zoo::train(ModelKind::BestRf, hdtr, cfg);
     let general_eval = evaluate_model_on_corpus(&general, spec, cfg);

@@ -63,7 +63,6 @@ pub struct Guardrail {
     refresh_pending: bool,
     /// Whether trips and probes reach the metric registry and event log.
     reporting: bool,
-    trips_series: psca_obs::SeriesHandle,
 }
 
 impl Guardrail {
@@ -80,7 +79,6 @@ impl Guardrail {
             probes: 0,
             refresh_pending: false,
             reporting: true,
-            trips_series: psca_obs::series("adapt.guardrail.trips"),
         }
     }
 
@@ -190,7 +188,6 @@ impl Guardrail {
             return;
         }
         psca_obs::counter("adapt.guardrail.trips").inc();
-        self.trips_series.push(self.trips as f64);
         psca_obs::emit(
             psca_obs::Level::Warn,
             "guardrail.trip",

@@ -51,39 +51,6 @@ pub fn bar_chart(
     out
 }
 
-/// Renders a numeric series as a one-line sparkline.
-///
-/// # Examples
-///
-/// ```
-/// use psca_bench::chart::sparkline;
-///
-/// let s = sparkline(&[0.0, 0.5, 1.0]);
-/// assert_eq!(s.chars().count(), 3);
-/// ```
-pub fn sparkline(values: &[f64]) -> String {
-    const LEVELS: [char; 8] = [
-        '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',
-        '\u{2588}',
-    ];
-    if values.is_empty() {
-        return String::new();
-    }
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    let span = (hi - lo).max(1e-12);
-    values
-        .iter()
-        .map(|&v| {
-            let idx = (((v - lo) / span) * (LEVELS.len() - 1) as f64).round() as usize;
-            LEVELS[idx.min(LEVELS.len() - 1)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,22 +76,5 @@ mod tests {
     fn empty_chart_is_graceful() {
         let out = bar_chart("t", &[], 10, |v| format!("{v}"));
         assert!(out.contains("no data"));
-        assert_eq!(sparkline(&[]), "");
-    }
-
-    #[test]
-    fn sparkline_monotone_series_uses_range() {
-        let s = sparkline(&[0.0, 1.0, 2.0, 3.0]);
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars.len(), 4);
-        assert!(chars[0] < chars[3]);
-    }
-
-    #[test]
-    fn sparkline_constant_series_is_flat() {
-        let s = sparkline(&[2.0, 2.0, 2.0]);
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars[0], chars[1]);
-        assert_eq!(chars[1], chars[2]);
     }
 }

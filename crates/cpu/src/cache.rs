@@ -1,4 +1,8 @@
 //! Set-associative cache model with LRU replacement and dirty tracking.
+//!
+//! A one-set cache (`Cache::new(64 * entries, entries)`) is a fully
+//! associative structure: the simulator's TLBs are one-set caches accessed
+//! with the 4-KiB page number (`vaddr >> 12`) in place of the line.
 
 /// Outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,11 +165,16 @@ mod tests {
         let mut c = Cache::new(4096, 4);
         assert!(!c.access(1, false).hit);
         assert!(c.access(1, false).hit);
+        // A one-set TLB over 4-KiB pages: two addresses in a page share it.
+        let mut tlb = Cache::new(64 * 4, 4);
+        assert!(!tlb.access(0x1000 >> 12, false).hit);
+        assert!(tlb.access(0x1fff >> 12, false).hit);
+        assert!(!tlb.access(0x2000 >> 12, false).hit);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        // Direct construction: 4 lines, 4 ways, 1 set.
+        // Direct construction: 4 lines, 4 ways, 1 set (a TLB's geometry).
         let mut c = Cache::new(256, 4);
         assert_eq!(c.num_sets(), 1);
         for line in 0..4 {
@@ -233,10 +242,13 @@ mod tests {
 
     #[test]
     fn flush_invalidates() {
-        let mut c = Cache::new(4096, 4);
-        c.access(1, false);
-        c.flush();
-        assert!(!c.access(1, false).hit);
+        // A 16-set cache and a one-set (TLB) geometry.
+        for (bytes, ways) in [(4096, 4), (64 * 4, 4)] {
+            let mut c = Cache::new(bytes, ways);
+            c.access(1, false);
+            c.flush();
+            assert!(!c.access(1, false).hit);
+        }
     }
 
     #[test]
@@ -316,8 +328,15 @@ mod tests {
 
     #[test]
     fn mru_shortcut_matches_reference_on_random_stream() {
-        let mut fast = Cache::new(4096, 4); // 64 lines, 16 sets
-        let mut reference = ReferenceCache::new(4096, 4);
+        // 64 lines in 16 sets, and one set of 8 ways (a TLB geometry).
+        for (bytes, ways) in [(4096, 4), (64 * 8, 8)] {
+            mru_shortcut_matches_reference(bytes, ways);
+        }
+    }
+
+    fn mru_shortcut_matches_reference(bytes: usize, ways: usize) {
+        let mut fast = Cache::new(bytes, ways);
+        let mut reference = ReferenceCache::new(bytes, ways);
         let mut state = 0xdead_beef_cafe_f00du64;
         let mut line = 0u64;
         for i in 0..100_000u64 {

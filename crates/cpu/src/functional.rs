@@ -20,7 +20,6 @@
 use crate::bpred::{Btb, GsharePredictor};
 use crate::cache::Cache;
 use crate::config::CpuConfig;
-use crate::tlb::Tlb;
 use psca_trace::{BranchInfo, OpClass, TracePosition};
 
 /// Front-end path of an instruction that starts a new instruction line:
@@ -142,8 +141,9 @@ pub(crate) struct Functional {
     l1d: Cache,
     l2: Cache,
     llc: Cache,
-    itlb: Tlb,
-    dtlb: Tlb,
+    /// The TLBs: fully associative, so one-set caches over 4-KiB pages.
+    itlb: Cache,
+    dtlb: Cache,
     bpred: GsharePredictor,
     btb: Btb,
     stream_prefetcher: bool,
@@ -161,8 +161,8 @@ impl Functional {
             l1d: Cache::new(cfg.l1d_bytes, cfg.l1d_ways),
             l2: Cache::new(cfg.l2_bytes, cfg.l2_ways),
             llc: Cache::new(cfg.llc_bytes, cfg.llc_ways),
-            itlb: Tlb::new(cfg.itlb_entries),
-            dtlb: Tlb::new(cfg.dtlb_entries),
+            itlb: Cache::new(64 * cfg.itlb_entries, cfg.itlb_entries),
+            dtlb: Cache::new(64 * cfg.dtlb_entries, cfg.dtlb_entries),
             bpred: GsharePredictor::new(cfg.gshare_bits),
             btb: Btb::new(cfg.btb_bits),
             stream_prefetcher: cfg.stream_prefetcher,
@@ -191,7 +191,7 @@ impl Functional {
         let page = pc >> 12;
         if page != self.last_pc_page {
             self.last_pc_page = page;
-            let itlb = if self.itlb.access(pc) {
+            let itlb = if self.itlb.access(page, false).hit {
                 ITLB_HIT
             } else {
                 ITLB_MISS
@@ -223,7 +223,11 @@ impl Functional {
     /// DTLB, stream prefetch, then L1D and below for a load or store.
     #[inline(always)]
     fn data(&mut self, addr: u64, is_write: bool) -> u16 {
-        let mut code = if self.dtlb.access(addr) { 0 } else { DTLB_MISS };
+        let mut code = if self.dtlb.access(addr >> 12, false).hit {
+            0
+        } else {
+            DTLB_MISS
+        };
         let line = addr >> 6;
         if self.stream_prefetcher && line != self.last_dline {
             // Idealized next-line stream prefetch: on the first touch of

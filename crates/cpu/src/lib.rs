@@ -12,8 +12,9 @@
 //! dataflow-limited out-of-order model (see `DESIGN.md` §1 for the
 //! substitution argument):
 //!
-//! - [`Cache`], [`Tlb`], [`GsharePredictor`], and a µop cache model the
-//!   structural components that generate telemetry events;
+//! - [`Cache`] (caches, the µop cache, and as one-set caches the TLBs)
+//!   and [`GsharePredictor`] model the structural components that
+//!   generate telemetry events;
 //! - [`ClusterSim`] schedules every instruction onto a finite ROB window
 //!   with per-cluster issue width, dependence-aware steering, and an
 //!   inter-cluster forwarding penalty — so the IPC delta between modes is
@@ -38,7 +39,6 @@ mod functional;
 mod power;
 mod sim;
 mod summary;
-mod tlb;
 
 pub use backend::{CycleAccurate, SimBackend};
 pub use bpred::{Btb, GsharePredictor};
@@ -48,4 +48,3 @@ pub use dvfs::{DvfsGovernor, DvfsModel, OperatingPoint};
 pub use power::PowerModel;
 pub use sim::{ClusterSim, IntervalResult, Mode, ModeSwitchFault};
 pub use summary::RunSummary;
-pub use tlb::Tlb;

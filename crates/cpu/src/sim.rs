@@ -45,8 +45,6 @@ struct SimObs {
     switch_delayed: Arc<psca_obs::Counter>,
     busy_us: Arc<psca_obs::Counter>,
     replayed_instructions: Arc<psca_obs::Counter>,
-    ipc: psca_obs::SeriesHandle,
-    low_power: psca_obs::SeriesHandle,
 }
 
 impl SimObs {
@@ -62,8 +60,6 @@ impl SimObs {
             switch_delayed: psca_obs::counter("cpu.mode_switch.delayed"),
             busy_us: psca_obs::counter("cpu.sim.busy_us"),
             replayed_instructions: psca_obs::counter("cpu.sim.replayed_instructions"),
-            ipc: psca_obs::series("cpu.sim.ipc"),
-            low_power: psca_obs::series("cpu.sim.low_power"),
         }
     }
 }
@@ -847,12 +843,6 @@ impl ClusterSim {
         if self.mode == Mode::LowPower {
             obs.cycles_low_power.add(cycles);
         }
-        obs.ipc.push(interval_ipc);
-        obs.low_power.push(if self.mode == Mode::LowPower {
-            1.0
-        } else {
-            0.0
-        });
         if psca_obs::trace::enabled() {
             psca_obs::trace::counter_event("cpu.sim.ipc", interval_ipc);
         }

@@ -1,7 +1,7 @@
 //! Property-based tests of simulator invariants.
 
 use proptest::prelude::*;
-use psca_cpu::{Cache, ClusterSim, CpuConfig, IntervalResult, Mode, ModeSwitchFault, Tlb};
+use psca_cpu::{Cache, ClusterSim, CpuConfig, IntervalResult, Mode, ModeSwitchFault};
 use psca_telemetry::Event;
 use psca_trace::{TraceSource, VecTrace};
 use psca_workloads::{Archetype, PhaseGenerator};
@@ -153,16 +153,6 @@ proptest! {
                 prop_assert_eq!(victim % sets, l % sets, "cross-set eviction");
             }
             inserted.insert(l);
-        }
-    }
-
-    /// TLB determinism mirrors cache determinism.
-    #[test]
-    fn tlb_is_deterministic(addrs in prop::collection::vec(0u64..1u64 << 30, 1..200)) {
-        let mut a = Tlb::new(16);
-        let mut b = Tlb::new(16);
-        for &v in &addrs {
-            prop_assert_eq!(a.access(v), b.access(v));
         }
     }
 

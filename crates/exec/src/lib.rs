@@ -13,8 +13,7 @@
 //!   content-addressed result cache under `target/sweep-cache/`.
 //!
 //! See `docs/PERFORMANCE.md` for the architecture and determinism
-//! contract, and `crates/obs/src/shard.rs` for how order-sensitive time
-//! series survive parallel execution.
+//! contract.
 
 pub mod cache;
 pub mod digest;

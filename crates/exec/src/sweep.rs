@@ -6,26 +6,29 @@
 //! - every cell derives its RNG stream from data carried *in the cell*
 //!   (the caller's responsibility — all PSCA corpora already seed this way),
 //! - results are merged back in cell-index order ([`pool::map_indexed`]),
-//! - order-sensitive observability (time series) recorded inside a cell is
-//!   captured in a per-cell shard and replayed into the global registry in
-//!   cell-index order, so the registry ends up in the same state a serial
-//!   run would produce. Counters and histograms are commutative atomics
-//!   and need no special handling,
+//! - metrics recorded inside a cell are counters and histograms, which are
+//!   commutative atomics, so the registry totals are the same at any
+//!   worker count (gauges are last-writer-wins),
 //! - every worker inherits the caller's open spans ([`pool::map_indexed`]),
 //!   so `span.*` histogram names and profiler stacks recorded inside a
 //!   cell are the same at any worker count.
 //!
-//! Nested sweeps (a `Sweep::run` issued from inside another sweep's cell)
-//! automatically degrade to inline serial execution: no thread
-//! oversubscription, and inner series recordings flow into the enclosing
-//! cell's shard in deterministic order.
+//! Nested sweeps (a `Sweep::run` issued from inside another sweep's
+//! parallel cell) automatically degrade to inline serial execution, so
+//! the pool is never oversubscribed.
 
+use std::cell::Cell;
 use std::path::Path;
 use std::time::Instant;
 
 use crate::cache::SweepCache;
 use crate::pool;
-use psca_obs::shard;
+
+thread_local! {
+    /// Set while this thread runs a cell of a parallel sweep, so a sweep
+    /// started inside that cell runs inline.
+    static IN_PARALLEL_CELL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A parallel sweep over independent cells.
 #[derive(Debug, Clone)]
@@ -61,7 +64,7 @@ impl Sweep {
     /// The worker count this sweep will actually use right now: nested
     /// sweeps always run inline to avoid oversubscribing the pool.
     pub fn effective_jobs(&self) -> usize {
-        if shard::is_active() {
+        if IN_PARALLEL_CELL.get() {
             1
         } else {
             pool::resolve_jobs(self.jobs)
@@ -136,9 +139,6 @@ impl Sweep {
         let jobs = self.effective_jobs().min(n.max(1));
         let start = Instant::now();
         let results = if jobs <= 1 {
-            // Inline path: series push straight into the registry (or the
-            // enclosing cell's shard) in cell order — exactly the order the
-            // sharded parallel path replays below.
             pool::map_indexed(1, cells, &|_, cell: T| {
                 let t0 = Instant::now();
                 let out = f(&cell);
@@ -146,21 +146,14 @@ impl Sweep {
                 out
             })
         } else {
-            let sharded = pool::map_indexed(jobs, cells, &|_, cell: T| {
+            pool::map_indexed(jobs, cells, &|_, cell: T| {
                 let t0 = Instant::now();
-                shard::begin_cell();
+                IN_PARALLEL_CELL.set(true);
                 let out = f(&cell);
-                let rec = shard::end_cell();
+                IN_PARALLEL_CELL.set(false);
                 psca_obs::histogram("exec.cell_us").record(t0.elapsed().as_micros() as u64);
-                (out, rec)
-            });
-            sharded
-                .into_iter()
-                .map(|(out, rec)| {
-                    shard::replay(&rec);
-                    out
-                })
-                .collect()
+                out
+            })
         };
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         psca_obs::counter("exec.cells").add(n as u64);
@@ -185,26 +178,6 @@ mod tests {
         let serial = Sweep::new("t").jobs(1).run(cells.clone(), f);
         let parallel = Sweep::new("t").jobs(6).run(cells, f);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn series_merge_is_deterministic_across_jobs_counts() {
-        let cells: Vec<u64> = (0..16).collect();
-        let record = |&c: &u64| {
-            psca_obs::series("exec.test.series").push(c as f64);
-            c
-        };
-        let global = psca_obs::metrics::global().series("exec.test.series");
-        global.reset();
-        let _ = Sweep::new("t").jobs(1).run(cells.clone(), record);
-        let serial = global.snapshot();
-        global.reset();
-        let _ = Sweep::new("t").jobs(4).run(cells, record);
-        let parallel = global.snapshot();
-        assert_eq!(
-            serial.iter().map(|p| p.1).collect::<Vec<_>>(),
-            parallel.iter().map(|p| p.1).collect::<Vec<_>>()
-        );
     }
 
     #[test]

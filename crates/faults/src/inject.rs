@@ -122,7 +122,6 @@ pub struct FaultInjector {
     rng: SplitMix64,
     window: u64,
     counts: FaultCounts,
-    injected_series: psca_obs::SeriesHandle,
 }
 
 impl FaultInjector {
@@ -135,7 +134,6 @@ impl FaultInjector {
             rng: SplitMix64::new(seed ^ 0x5CA1_AB1E_FA17_1337),
             window: 0,
             counts: FaultCounts::default(),
-            injected_series: psca_obs::series("faults.injected"),
         }
     }
 
@@ -182,7 +180,6 @@ impl FaultInjector {
     fn record(&mut self, class: &'static str) {
         psca_obs::counter(&format!("faults.{class}")).inc();
         psca_obs::counter("faults.injected").inc();
-        self.injected_series.push(self.counts.total() as f64 + 1.0);
         if psca_obs::enabled(psca_obs::Level::Debug) {
             psca_obs::emit(
                 psca_obs::Level::Debug,

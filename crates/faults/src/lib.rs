@@ -23,9 +23,9 @@
 //! [`FaultInjector::disabled`] injector never perturbs anything, so a
 //! closed loop without chaos never leaves model-driven gating.
 //!
-//! Every injected fault increments a `faults.*` counter, extends the
-//! `faults.injected` time series, and (when tracing is on) drops a trace
-//! instant, so chaos runs are fully observable through `psca-obs`.
+//! Every injected fault increments a `faults.*` counter and (when tracing
+//! is on) drops a `faults.inject` trace instant, so chaos runs are fully
+//! observable through `psca-obs`.
 
 #![warn(missing_docs)]
 

@@ -423,8 +423,7 @@ impl std::fmt::Display for FleetReport {
 /// → final fleet pass, with `psca-obs` gauges/counters and rollout
 /// instant-events along the way.
 pub fn run_fleet(cfg: &ExperimentConfig, params: &FleetParams) -> FleetReport {
-    // Scope global metrics/series to this run, as every experiment
-    // driver does (ISSUE 2).
+    // Scope global metrics to this run, as every experiment driver does.
     psca_obs::reset_all();
     let _span = psca_obs::SpanTimer::start("fleet.run");
     let setup = FleetSetup::prepare(cfg, params);

@@ -3,9 +3,8 @@
 //!
 //! Prometheus names map dot-separated metric names with `.` → `_`
 //! (`cpu.sim.instructions` → `cpu_sim_instructions`); counters and gauges
-//! export directly, histograms export as summaries (`{quantile="..."}`
-//! series plus `_sum`/`_count`), and each time-series contributes its most
-//! recent value as a `<name>_last` gauge.
+//! export directly, and histograms export as summaries (`{quantile="..."}`
+//! series plus `_sum`/`_count`).
 //!
 //! [`crate::RunReport::write`] publishes each report it writes through
 //! [`publish_report`]; [`latest_report`] reads the most recent one back.
@@ -74,12 +73,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             ));
         }
     }
-    for (name, pts) in &snap.series {
-        if let Some((_, y)) = pts.last() {
-            let n = prometheus_name(&format!("{name}_last"));
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", fmt_f64(*y)));
-        }
-    }
     out
 }
 
@@ -136,13 +129,11 @@ mod tests {
                 trace_id: "cafe".into(),
             },
         );
-        snap.series.insert("d.ipc".into(), vec![(0, 2.0), (1, 2.5)]);
         let text = prometheus_text(&snap);
         assert!(text.contains("# TYPE a_count counter\na_count 3\n"));
         assert!(text.contains("# TYPE b_level gauge\nb_level 1.5\n"));
         assert!(text.contains("c_lat{quantile=\"0.5\"} 10\n"));
         assert!(text.contains("c_lat_sum 30\nc_lat_count 2\n"));
         assert!(text.contains("c_lat_exemplar{trace_id=\"cafe\"} 20\n"));
-        assert!(text.contains("# TYPE d_ipc_last gauge\nd_ipc_last 2.5\n"));
     }
 }

@@ -1,6 +1,6 @@
 //! `psca-obs`: observability for the post-silicon adaptation pipeline.
 //!
-//! Six layers, all dependency-free:
+//! Five layers, all dependency-free:
 //!
 //! 1. **Metrics** ([`metrics`]) — atomic [`Counter`]s, [`Gauge`]s, and
 //!    log-linear [`Histogram`]s behind a process-global [`Registry`].
@@ -10,18 +10,16 @@
 //!    instant while tracing, and a stderr line when the `PSCA_LOG` level
 //!    filter admits them. With neither on, [`emit`] is two relaxed
 //!    atomic loads.
-//! 3. **Time-series** ([`timeseries`]) — fixed-capacity, auto-downsampling
-//!    [`TimeSeries`] samplers on the registry for per-window signals (IPC,
-//!    low-power residency, predictor accuracy), surfaced in reports and
-//!    CSV artifacts.
-//! 4. **Traces** ([`trace`]) — Chrome trace-event recording, opt-in via
+//! 3. **Traces** ([`trace`]) — Chrome trace-event recording, opt-in via
 //!    `PSCA_TRACE=<path.json>`, loadable in Perfetto; spans, instants, and
-//!    counter tracks.
-//! 5. **Exporter** ([`exporter`]) — the Prometheus text rendering of the
+//!    counter tracks. The trace is the one time axis: per-window signals
+//!    (the `cpu.sim.ipc` counter track, `adapt.window.decision` instants)
+//!    live only there, while metrics hold the totals.
+//! 4. **Exporter** ([`exporter`]) — the Prometheus text rendering of the
 //!    registry and the latest published run report, which the
 //!    `psca-serve` daemon answers on `/metrics` and `/report` (the
 //!    binaries start one as a side channel on `PSCA_METRICS_ADDR`).
-//! 6. **Reports** ([`report`]) — a [`RunReport`] aggregates per-phase
+//! 5. **Reports** ([`report`]) — a [`RunReport`] aggregates per-phase
 //!    wall time, headline summary values, and a metrics snapshot into
 //!    `target/obs/<run>.json` plus a rendered table.
 //!
@@ -63,11 +61,9 @@ pub mod metrics;
 pub mod prof;
 pub mod recorder;
 pub mod report;
-pub mod shard;
 pub mod slo;
 pub mod span;
 pub mod spec;
-pub mod timeseries;
 pub mod trace;
 
 pub use ctx::{SplitMix64, TraceCtx};
@@ -82,7 +78,6 @@ pub use report::{PhaseStat, RunReport, SummaryValue};
 pub use slo::{SloEngine, SloSpec, SloStatus};
 pub use span::SpanTimer;
 pub use spec::SpecError;
-pub use timeseries::TimeSeries;
 
 use std::sync::Arc;
 
@@ -101,64 +96,19 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     metrics::global().histogram(name)
 }
 
-/// A pre-resolved, shard-aware handle to a named time series.
-///
-/// Resolve once (at simulator/controller construction) and push per
-/// window: no registry lock on the hot path. When the calling thread is
-/// inside a sweep cell ([`shard::begin_cell`]), pushes are captured into
-/// the cell's recording for deterministic in-order replay instead of
-/// hitting the order-sensitive global series directly.
-#[derive(Debug, Clone)]
-pub struct SeriesHandle {
-    name: Arc<str>,
-    inner: Arc<TimeSeries>,
-}
-
-impl SeriesHandle {
-    /// The series name this handle resolves to.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends `y` (auto x), routing through the active cell shard if any.
-    #[inline]
-    pub fn push(&self, y: f64) {
-        if !shard::record(&self.name, shard::SeriesSample::Auto(y)) {
-            self.inner.push(y);
-        }
-    }
-
-    /// Appends `(x, y)`, routing through the active cell shard if any.
-    #[inline]
-    pub fn push_at(&self, x: u64, y: f64) {
-        if !shard::record(&self.name, shard::SeriesSample::At(x, y)) {
-            self.inner.push_at(x, y);
-        }
-    }
-}
-
-/// Resolves a shard-aware [`SeriesHandle`] for the global series `name`
-/// (created on first use). Read series back through [`snapshot`].
-pub fn series(name: &str) -> SeriesHandle {
-    SeriesHandle {
-        name: Arc::from(name),
-        inner: metrics::global().series(name),
-    }
-}
-
 /// Snapshot of every global metric.
 pub fn snapshot() -> MetricsSnapshot {
     metrics::global().snapshot()
 }
 
-/// Resets every global metric *and* time-series (per-experiment scoping).
+/// Resets every global metric (per-experiment scoping).
 pub fn reset_all() {
-    metrics::global().reset_all();
+    metrics::global().reset();
 }
 
 /// The file-name-safe form of `text`: every character outside
-/// `[A-Za-z0-9_-]` becomes `_`. Postmortem and profile artifact names
-/// are built from it.
+/// `[A-Za-z0-9_-]` becomes `_`. Run-report, postmortem and profile
+/// artifact names are built from it.
 pub fn path_slug(text: &str) -> String {
     text.chars()
         .map(|c| {

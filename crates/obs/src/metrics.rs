@@ -8,7 +8,6 @@
 //! look a handle up once (or once per interval) and then operate on the
 //! returned `Arc`.
 
-use crate::timeseries::TimeSeries;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -289,7 +288,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    series: Mutex<BTreeMap<String, Arc<TimeSeries>>>,
 }
 
 impl Registry {
@@ -314,15 +312,6 @@ impl Registry {
         let mut map = self.histograms.lock().unwrap();
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// The time-series sampler named `name`, created on first use with
-    /// the default capacity.
-    pub fn series(&self, name: &str) -> Arc<TimeSeries> {
-        let mut map = self.series.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(TimeSeries::default()))
             .clone()
     }
 
@@ -356,18 +345,12 @@ impl Registry {
                 .collect(),
             histograms,
             exemplars,
-            series: self
-                .series
-                .lock()
-                .unwrap()
-                .iter()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(k, s)| (k.clone(), s.snapshot()))
-                .collect(),
         }
     }
 
-    /// Resets every metric to its empty state (per-run scoping; tests).
+    /// Resets every metric to its empty state. Call between experiments so
+    /// one figure/table run's metrics don't bleed into the next run's
+    /// report snapshot.
     pub fn reset(&self) {
         for c in self.counters.lock().unwrap().values() {
             c.reset();
@@ -377,16 +360,6 @@ impl Registry {
         }
         for h in self.histograms.lock().unwrap().values() {
             h.reset();
-        }
-    }
-
-    /// Resets every metric *and* every time-series sampler. Call between
-    /// experiments so one figure/table run's metrics don't bleed into the
-    /// next run's report snapshot.
-    pub fn reset_all(&self) {
-        self.reset();
-        for s in self.series.lock().unwrap().values() {
-            s.reset();
         }
     }
 }
@@ -402,13 +375,11 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Histogram exemplars by name (histograms with a traced sample only).
     pub exemplars: BTreeMap<String, Exemplar>,
-    /// Time-series points by name (non-empty series only).
-    pub series: BTreeMap<String, Vec<(u64, f64)>>,
 }
 
 impl MetricsSnapshot {
     /// Folds another snapshot into this one: counters add, gauges take the
-    /// other's value, series concatenate, and histogram summaries combine
+    /// other's value, and histogram summaries combine
     /// (counts and sums add; min/max widen; quantiles take the pairwise
     /// maximum, a conservative upper bound since exact merging would need
     /// the raw buckets). Used by `repro` to keep a whole-run view while
@@ -445,12 +416,6 @@ impl MetricsSnapshot {
                     self.exemplars.insert(k.clone(), e.clone());
                 }
             }
-        }
-        for (k, pts) in &other.series {
-            self.series
-                .entry(k.clone())
-                .or_default()
-                .extend(pts.iter().copied());
         }
     }
 }
@@ -498,18 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_all_clears_metrics_and_series() {
+    fn reset_clears_every_metric() {
         let r = Registry::default();
         r.counter("c").add(5);
         r.gauge("g").set(1.5);
         r.histogram("h").record(7);
-        r.series("s").push(2.0);
-        r.reset_all();
+        r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counters["c"], 0);
         assert_eq!(snap.gauges["g"], 0.0);
         assert_eq!(snap.histograms["h"].count, 0);
-        assert!(snap.series.is_empty(), "empty series are omitted");
     }
 
     #[test]
@@ -548,18 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_counters_and_concatenates_series() {
+    fn absorb_adds_counters() {
         let r = Registry::default();
         r.counter("c").add(2);
-        r.series("s").push(1.0);
         let mut acc = r.snapshot();
-        r.reset_all();
+        r.reset();
         r.counter("c").add(3);
-        r.series("s").push(2.0);
         acc.absorb(&r.snapshot());
         assert_eq!(acc.counters["c"], 5);
-        let pts = &acc.series["s"];
-        assert_eq!(pts.iter().map(|p| p.1).collect::<Vec<_>>(), [1.0, 2.0]);
-        assert!(pts[0].0 <= pts[1].0, "concatenation stays monotone");
     }
 }

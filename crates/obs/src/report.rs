@@ -3,17 +3,15 @@
 //! A [`RunReport`] gathers per-phase wall times (recorded with
 //! [`RunReport::add_phase`]), headline summary values (instructions/sec,
 //! low-power residency, guardrail trips, ...), and a full snapshot of the
-//! global metric registry — including every non-empty time-series
-//! sampler, serialized under `"timeseries"` as `[x, y]` pairs and
-//! additionally written as a `<run>.series.csv` artifact next to the
-//! JSON. [`RunReport::write`] serializes to `target/obs/<run>.json` (or
-//! any directory), publishes the JSON as the latest report (served live
-//! on a daemon's `/report` endpoint), and [`RunReport::render`] produces the
-//! human-readable table the `repro` binary prints.
+//! global metric registry. [`RunReport::write`] serializes to
+//! `target/obs/<run>.json` (or any directory), publishes the JSON as the
+//! latest report (served live on a daemon's `/report` endpoint), and
+//! [`RunReport::render`] produces the human-readable table the `repro`
+//! binary prints.
 
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
-use crate::{exporter, timeseries};
+use crate::{exporter, path_slug};
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -188,28 +186,12 @@ impl RunReport {
                 })
                 .collect(),
         );
-        let series = Json::Obj(
-            snap.series
-                .iter()
-                .map(|(k, pts)| {
-                    (
-                        k.clone(),
-                        Json::Arr(
-                            pts.iter()
-                                .map(|(x, y)| Json::Arr(vec![Json::UInt(*x), Json::Num(*y)]))
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        );
         Json::obj(vec![
             ("run_id", Json::Str(self.run_id.clone())),
             ("started_unix", Json::UInt(self.started_unix)),
             ("total_wall_s", Json::Num(self.total_wall_s())),
             ("phases", phases),
             ("summary", summary),
-            ("timeseries", series),
             (
                 "metrics",
                 Json::obj(vec![
@@ -221,24 +203,19 @@ impl RunReport {
         ])
     }
 
-    /// Writes `<dir>/<run_id>.json` (plus `<run_id>.series.csv` when any
-    /// time-series was recorded) with the metrics of `snap`; returns the
-    /// JSON path. Also publishes the JSON as
+    /// Writes `<dir>/<slug>.json` with the metrics of `snap`, where the
+    /// slug is [`path_slug`] of the run id; returns the JSON path. Also
+    /// publishes the JSON as
     /// [`crate::exporter::latest_report`].
     ///
     /// # Errors
     /// Propagates filesystem errors (unwritable directory, ...).
     pub fn write(&self, dir: &Path, snap: &MetricsSnapshot) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let stem = sanitize(&self.run_id);
-        let path = dir.join(format!("{stem}.json"));
+        let path = dir.join(format!("{}.json", path_slug(&self.run_id)));
         let json = self.to_json(snap).to_string();
         std::fs::write(&path, &json)?;
         exporter::publish_report(&json);
-        if !snap.series.is_empty() {
-            let csv_path = dir.join(format!("{stem}.series.csv"));
-            std::fs::write(&csv_path, timeseries::series_to_csv(&snap.series))?;
-        }
         Ok(path)
     }
 
@@ -275,18 +252,6 @@ impl RunReport {
     }
 }
 
-fn sanitize(id: &str) -> String {
-    id.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,9 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn file_name_is_sanitized() {
-        assert_eq!(sanitize("a/b c"), "a_b_c");
-        assert_eq!(sanitize("fig8-quick_1.2"), "fig8-quick_1.2");
+    fn file_name_is_the_run_id_slug() {
+        let dir = std::env::temp_dir().join(format!("psca-report-test-{}", std::process::id()));
+        let path = RunReport::new("replay-a.b c")
+            .write(&dir, &MetricsSnapshot::default())
+            .unwrap();
+        assert_eq!(path, dir.join("replay-a_b_c.json"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -57,8 +57,6 @@ fn concurrent_registry_lookups_resolve_to_one_instance() {
 fn snapshots_while_writers_run_never_panic_and_end_exact() {
     let counter = psca_obs::counter("conc.snapshot_target");
     counter.reset();
-    let series = psca_obs::metrics::global().series("conc.snapshot_series");
-    series.reset();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -80,12 +78,6 @@ fn snapshots_while_writers_run_never_panic_and_end_exact() {
                 assert!(rendered.contains("conc_snapshot_target"));
             }
         });
-        // Main thread pushes the order-sensitive series serially (the
-        // sweep engine's contract: series writers are single-threaded or
-        // shard-buffered, never interleaved).
-        for i in 0..100 {
-            series.push(i as f64);
-        }
         // Signal the reader once the writers are done; the scope then
         // joins everything.
         while counter.get() < WRITERS as u64 * OPS_PER_WRITER {
@@ -95,39 +87,4 @@ fn snapshots_while_writers_run_never_panic_and_end_exact() {
     });
 
     assert_eq!(counter.get(), WRITERS as u64 * OPS_PER_WRITER);
-    assert_eq!(series.snapshot().len(), 100);
-}
-
-#[test]
-fn sharded_series_capture_is_thread_isolated() {
-    // Two worker threads each record into their own cell shard; replaying
-    // in cell order must interleave nothing.
-    let recs: Vec<psca_obs::shard::CellRecording> = std::thread::scope(|s| {
-        let joins: Vec<_> = (0..2)
-            .map(|w| {
-                s.spawn(move || {
-                    psca_obs::shard::begin_cell();
-                    let h = psca_obs::series("conc.sharded");
-                    for i in 0..50 {
-                        h.push((w * 1000 + i) as f64);
-                    }
-                    psca_obs::shard::end_cell()
-                })
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().unwrap()).collect()
-    });
-    assert_eq!(recs[0].len(), 50);
-    assert_eq!(recs[1].len(), 50);
-
-    let global = psca_obs::metrics::global().series("conc.sharded");
-    global.reset();
-    for rec in &recs {
-        psca_obs::shard::replay(rec);
-    }
-    let ys: Vec<f64> = global.snapshot().iter().map(|p| p.1).collect();
-    // Recording 0 fully precedes recording 1 — deterministic merge order.
-    let split = ys.iter().position(|&y| y >= 1000.0).unwrap();
-    assert!(ys[..split].iter().all(|&y| y < 1000.0));
-    assert!(ys[split..].iter().all(|&y| y >= 1000.0));
 }

@@ -1,7 +1,7 @@
 //! Cross-layer tests that exercise the global registry and trace state,
 //! kept in an integration test so they own the process-wide singletons.
 
-use psca_obs::{emit, FieldValue, Histogram, Level, TimeSeries};
+use psca_obs::{emit, FieldValue, Histogram, Level};
 
 #[test]
 fn counter_is_atomic_under_thread_fanout() {
@@ -78,8 +78,6 @@ fn prometheus_exposition_parses_line_by_line() {
             p99: 30,
         },
     );
-    snap.series
-        .insert("it.promparse.ipc".into(), vec![(0, 1.0), (1, 2.0)]);
     let text = psca_obs::exporter::prometheus_text(&snap);
     assert!(!text.is_empty());
     let name_ok = |n: &str| {
@@ -118,11 +116,10 @@ fn prometheus_exposition_parses_line_by_line() {
             );
         }
     }
-    // All four metric kinds must appear, with dots mapped to underscores.
+    // All three metric kinds must appear, with dots mapped to underscores.
     assert!(text.contains("it_promparse_count 42"));
     assert!(text.contains("it_promparse_level -0.25"));
     assert!(text.contains("it_promparse_lat_ns{quantile=\"0.5\"} 20"));
-    assert!(text.contains("it_promparse_ipc_last 2"));
 }
 
 #[test]
@@ -190,29 +187,4 @@ fn trace_file_round_trips_as_valid_trace_event_json() {
     assert_eq!(args.get("n").and_then(|v| v.as_u64()), Some(3));
     assert_eq!(args.get("who").and_then(|v| v.as_str()), Some("x"));
     assert_eq!(args.get("ok").and_then(|v| v.as_bool()), Some(true));
-}
-
-#[test]
-fn ring_buffer_downsampling_keeps_endpoints_and_monotone_x() {
-    let ts = TimeSeries::with_capacity(64);
-    const N: u64 = 5_000;
-    for i in 0..N {
-        ts.push(i as f64);
-    }
-    let pts = ts.snapshot();
-    assert!(pts.len() <= 65, "capacity overrun: {}", pts.len());
-    assert_eq!(pts.first().copied(), Some((0, 0.0)), "first sample dropped");
-    assert_eq!(
-        pts.last().copied(),
-        Some((N - 1, (N - 1) as f64)),
-        "live last sample missing"
-    );
-    for w in pts.windows(2) {
-        assert!(
-            w[0].0 < w[1].0,
-            "non-monotone x: {:?} then {:?}",
-            w[0],
-            w[1]
-        );
-    }
 }

@@ -651,7 +651,7 @@ fn profiler_keeps_served_predictions_bit_identical_and_scrapes() {
 /// span at any worker count: workers inherit the caller's span stack,
 /// and profile nodes are commutative sums, so the call tree (stacks and
 /// call counts — timings are wall clock and naturally vary) is
-/// invariant under the worker count, exactly like series shards.
+/// invariant under the worker count.
 #[test]
 fn sweep_profile_nests_under_the_callers_span_at_any_job_count() {
     let run = |jobs: usize| -> Vec<(String, u64)> {

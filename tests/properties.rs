@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use psca::adapt::guardrail::{Guardrail, GuardrailConfig};
 use psca::adapt::{aggregate_window, Sla};
-use psca::cpu::{Cache, ClusterSim, CpuConfig, Mode, Tlb};
+use psca::cpu::{Cache, ClusterSim, CpuConfig, Mode};
 use psca::ml::metrics::{rate_of_sla_violations, Confusion};
 use psca::ml::{Dataset, Matrix, RandomForest, RandomForestConfig};
 use psca::telemetry::{CounterBank, Event, ExpandedTelemetry, IntervalSnapshot, NUM_EVENTS};
@@ -29,15 +29,15 @@ proptest! {
         }
     }
 
-    /// A TLB never reports more hits than accesses, and page locality
-    /// guarantees hits after first touch within capacity.
+    /// A TLB (a one-set cache over 4-KiB pages) never misses a page
+    /// after first touch while the pages fit.
     #[test]
     fn tlb_capacity_invariant(pages in 1u64..60, rounds in 2usize..5) {
-        let mut tlb = Tlb::new(64);
+        let mut tlb = Cache::new(64 * 64, 64);
         let mut misses = 0u64;
         for r in 0..rounds {
             for p in 0..pages {
-                if !tlb.access(p << 12) && r > 0 {
+                if !tlb.access(p, false).hit && r > 0 {
                     misses += 1;
                 }
             }
