@@ -21,20 +21,6 @@ use psca_faults::{ActuationFault, ChaosSpec, FaultCounts, FaultInjector, Predict
 use psca_trace::{TraceSource, VecTrace};
 use psca_uc::{image, FirmwareModel};
 
-/// Knobs modulating a closed-loop run beyond the mandatory inputs.
-///
-/// `Default` is the healthy path: no fault injection on the paper's
-/// scaled-Skylake machine.
-#[derive(Debug, Clone, Default)]
-pub struct ClosedLoopOptions {
-    /// Chaos to inject on the loop. The all-zero default injects nothing.
-    pub faults: ChaosSpec,
-    /// Core parameterization to simulate. `None` runs the paper's
-    /// scaled-Skylake machine; fleet harnesses pass per-die skewed
-    /// configs here so one loop models one physical die.
-    pub cpu: Option<CpuConfig>,
-}
-
 /// One closed-loop simulation, fully specified. The daemon, the CLI, the
 /// fleet and the experiment runners all build one of these.
 ///
@@ -53,12 +39,17 @@ pub struct ClosedLoopRequest<'a> {
     pub window: &'a VecTrace,
     /// Base telemetry interval in instructions.
     pub interval_insts: u64,
-    /// Everything optional.
-    pub options: ClosedLoopOptions,
+    /// Chaos to inject on the loop. The all-zero default injects nothing.
+    pub faults: ChaosSpec,
+    /// Core parameterization to simulate. `None` runs the paper's
+    /// scaled-Skylake machine; fleet harnesses pass per-die skewed
+    /// configs here so one loop models one physical die.
+    pub cpu: Option<CpuConfig>,
 }
 
 impl<'a> ClosedLoopRequest<'a> {
-    /// A request with default [`ClosedLoopOptions`].
+    /// A request for the healthy path: no fault injection on the paper's
+    /// scaled-Skylake machine.
     pub fn new(
         model: &'a TrainedAdaptModel,
         warm: &'a VecTrace,
@@ -70,19 +61,20 @@ impl<'a> ClosedLoopRequest<'a> {
             warm,
             window,
             interval_insts,
-            options: ClosedLoopOptions::default(),
+            faults: ChaosSpec::default(),
+            cpu: None,
         }
     }
 
     /// Injects `spec` chaos on the loop.
     pub fn with_faults(mut self, spec: ChaosSpec) -> ClosedLoopRequest<'a> {
-        self.options.faults = spec;
+        self.faults = spec;
         self
     }
 
     /// Simulates `cpu` instead of the default scaled-Skylake machine.
     pub fn with_cpu(mut self, cpu: CpuConfig) -> ClosedLoopRequest<'a> {
-        self.options.cpu = Some(cpu);
+        self.cpu = Some(cpu);
         self
     }
 
@@ -99,13 +91,8 @@ impl<'a> ClosedLoopRequest<'a> {
         let model = self.model;
         let interval_insts = self.interval_insts;
         let g = model.granularity;
-        let mut injector = FaultInjector::new(self.options.faults.clone());
-        let mut sim = ClusterSim::new(
-            self.options
-                .cpu
-                .clone()
-                .unwrap_or_else(CpuConfig::skylake_scaled),
-        );
+        let mut injector = FaultInjector::new(self.faults.clone());
+        let mut sim = ClusterSim::new(self.cpu.clone().unwrap_or_else(CpuConfig::skylake_scaled));
         let mut warm_replay = self.warm.clone();
         sim.warm_up(&mut warm_replay, self.warm.len() as u64);
         let mut replay = self.window.clone();

@@ -48,7 +48,7 @@ mod sla;
 mod train;
 
 pub use config::{ExperimentConfig, ExperimentConfigBuilder};
-pub use controller::{record_trace, ClosedLoopOptions, ClosedLoopRequest, ClosedLoopResult};
+pub use controller::{record_trace, ClosedLoopRequest, ClosedLoopResult};
 pub use paired::{
     collect_paired, decode_trace, decode_traces, encode_trace, encode_traces, CorpusTelemetry,
     DecodeError, TraceTelemetry,

@@ -41,8 +41,8 @@ pub trait Classifier {
     /// Expected input dimension, when the model records one.
     ///
     /// `None` means the model cannot state its dimension statically
-    /// (e.g. [`Gbdt`], whose trees only store split indices); callers
-    /// that need strict validation must supply the dimension out of band.
+    /// (a [`KernelSvm`] that retained no support vector); callers that
+    /// need strict validation must supply the dimension out of band.
     fn n_features(&self) -> Option<usize>;
 }
 
@@ -84,7 +84,7 @@ impl Classifier for Gbdt {
     }
 
     fn n_features(&self) -> Option<usize> {
-        None
+        self.trees().first().map(|t| t.num_features())
     }
 }
 

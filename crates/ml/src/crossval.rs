@@ -58,36 +58,6 @@ pub fn group_folds(groups: &[u32], k: usize, validate_frac: f64, seed: u64) -> V
         .collect()
 }
 
-/// Leave-one-group-out folds: one fold per distinct group, with that
-/// group's samples as validation (used for SPEC-only training, §7.2
-/// footnote, and application-specific evaluation, §7.3).
-///
-/// # Panics
-/// Panics if `groups` is empty.
-pub fn leave_one_group_out(groups: &[u32]) -> Vec<Fold> {
-    assert!(!groups.is_empty(), "no samples to split");
-    let mut distinct: Vec<u32> = {
-        let mut seen = std::collections::HashSet::new();
-        groups.iter().copied().filter(|g| seen.insert(*g)).collect()
-    };
-    distinct.sort_unstable();
-    distinct
-        .iter()
-        .map(|&held| {
-            let mut tune = Vec::new();
-            let mut validate = Vec::new();
-            for (i, &g) in groups.iter().enumerate() {
-                if g == held {
-                    validate.push(i);
-                } else {
-                    tune.push(i);
-                }
-            }
-            Fold { tune, validate }
-        })
-        .collect()
-}
-
 /// Mean and population standard deviation of a metric across folds.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -143,16 +113,6 @@ mod tests {
             group_folds(&groups, 3, 0.2, 7),
             group_folds(&groups, 3, 0.2, 7)
         );
-    }
-
-    #[test]
-    fn loo_has_one_fold_per_group() {
-        let groups = [0u32, 0, 1, 1, 2];
-        let folds = leave_one_group_out(&groups);
-        assert_eq!(folds.len(), 3);
-        assert_eq!(folds[0].validate, vec![0, 1]);
-        assert_eq!(folds[2].validate, vec![4]);
-        assert_eq!(folds[1].tune, vec![0, 1, 4]);
     }
 
     #[test]

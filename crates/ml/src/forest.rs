@@ -1,4 +1,5 @@
-//! Random forests: bagged CART trees with feature subsampling.
+//! Random forests: bagged CART trees with feature subsampling, each grown
+//! by label-entropy minimization over its bootstrap rows.
 //!
 //! The paper's best adaptation model is a random forest of 8 trees with
 //! maximum depth 8 (§6.3), and its application-specific variant *combines*
@@ -6,7 +7,7 @@
 //! application (§7.3) — supported here by [`RandomForest::combine`].
 
 use crate::dataset::Dataset;
-use crate::tree::DecisionTree;
+use crate::tree::{DecisionTree, Grower};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,13 +71,13 @@ impl RandomForest {
         let _span = psca_obs::SpanTimer::start("ml.rf.fit");
         let mut rng = StdRng::seed_from_u64(seed);
         let max_features = Some(((data.dim() as f64).sqrt().ceil() as usize).max(1));
+        let grower = Grower::entropy(data, cfg.max_depth, cfg.min_leaf, max_features);
         let trees = (0..cfg.num_trees)
             .map(|_| {
                 let idx: Vec<usize> = (0..data.len())
                     .map(|_| rng.gen_range(0..data.len()))
                     .collect();
-                let boot = data.subset(&idx);
-                DecisionTree::fit(&boot, cfg.max_depth, cfg.min_leaf, max_features, rng.gen())
+                grower.grow(idx, rng.gen())
             })
             .collect();
         RandomForest {
@@ -124,34 +125,6 @@ impl RandomForest {
             trees,
             threshold: threshold.clamp(0.0, 1.0),
         }
-    }
-
-    /// Split-frequency feature importance: how often each feature is used
-    /// as a split across the ensemble, normalized to sum to 1.
-    ///
-    /// The paper leans on interpretability when arguing for its training
-    /// procedures (§1, §6); split counts show which counters a deployed
-    /// forest actually consults.
-    ///
-    /// # Panics
-    /// Panics if `num_features` is smaller than a feature index used by a
-    /// tree.
-    pub fn feature_importance(&self, num_features: usize) -> Vec<f64> {
-        let mut counts = vec![0.0f64; num_features];
-        for tree in &self.trees {
-            for node in tree.nodes() {
-                if let crate::tree::Node::Split { feature, .. } = node {
-                    counts[*feature] += 1.0;
-                }
-            }
-        }
-        let total: f64 = counts.iter().sum();
-        if total > 0.0 {
-            for c in counts.iter_mut() {
-                *c /= total;
-            }
-        }
-        counts
     }
 
     /// Merges two forests into one ensemble (the paper's
@@ -247,21 +220,6 @@ mod tests {
         let p = c.predict_proba(&[0.5, 0.5, 0.5]);
         let expect = 0.5 * (a.predict_proba(&[0.5, 0.5, 0.5]) + b.predict_proba(&[0.5, 0.5, 0.5]));
         assert!((p - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn feature_importance_finds_the_signal() {
-        // Label depends only on feature 0; noise features 1 and 2 should
-        // receive far less split mass.
-        let train = noisy_dataset(600, 9);
-        let rf = RandomForest::fit(&RandomForestConfig::best_rf(), &train, 10);
-        let imp = rf.feature_importance(3);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(
-            imp[0] > imp[2],
-            "signal feature {:?} should dominate noise",
-            imp
-        );
     }
 
     #[test]

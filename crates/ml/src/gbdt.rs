@@ -2,148 +2,16 @@
 //!
 //! The paper argues a *variety* of ML model classes fit the firmware
 //! budget; boosted depth-limited trees are the natural next candidate
-//! after random forests — same branch-free traversal kernel (Listing 2),
-//! different ensemble semantics (additive stage-wise fit of the logistic
-//! loss instead of bagging).
+//! after random forests. Each stage is the forest's own [`DecisionTree`],
+//! run by the same branch-free traversal kernel (Listing 2); only the
+//! split criterion differs: a stage minimizes squared error on the
+//! logistic loss's residuals, and its leaves hold additive logits. The
+//! ensemble semantics differ too (additive stage-wise fit instead of
+//! bagging).
 
 use crate::dataset::Dataset;
-use crate::linalg::{sigmoid, Matrix};
-
-/// One node of a regression tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegNode {
-    /// `feature < threshold` goes left.
-    Split {
-        /// Feature compared.
-        feature: usize,
-        /// Split threshold.
-        threshold: f64,
-        /// Left child index.
-        left: usize,
-        /// Right child index.
-        right: usize,
-    },
-    /// Leaf carrying an additive logit contribution.
-    Leaf {
-        /// Stage value added to the ensemble logit.
-        value: f64,
-    },
-}
-
-/// A depth-limited regression tree fit to gradient residuals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressionTree {
-    nodes: Vec<RegNode>,
-    max_depth: usize,
-}
-
-impl RegressionTree {
-    fn fit(
-        x: &Matrix,
-        targets: &[f64],
-        idx: &[usize],
-        max_depth: usize,
-        min_leaf: usize,
-    ) -> RegressionTree {
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            max_depth,
-        };
-        tree.grow(x, targets, idx.to_vec(), 0, min_leaf);
-        tree
-    }
-
-    fn grow(
-        &mut self,
-        x: &Matrix,
-        t: &[f64],
-        idx: Vec<usize>,
-        depth: usize,
-        min_leaf: usize,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| t[i]).sum::<f64>() / idx.len().max(1) as f64;
-        if depth >= self.max_depth || idx.len() < 2 * min_leaf {
-            self.nodes.push(RegNode::Leaf { value: mean });
-            return self.nodes.len() - 1;
-        }
-        let mut best: Option<(f64, usize, f64)> = None; // (sse gain, feature, threshold)
-        let parent_sse: f64 = idx.iter().map(|&i| (t[i] - mean) * (t[i] - mean)).sum();
-        let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(idx.len());
-        for f in 0..x.cols() {
-            sorted.clear();
-            sorted.extend(idx.iter().map(|&i| (x.get(i, f), t[i])));
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let total: f64 = sorted.iter().map(|(_, v)| v).sum();
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            let total_sq: f64 = sorted.iter().map(|(_, v)| v * v).sum();
-            for w in 0..sorted.len() - 1 {
-                left_sum += sorted[w].1;
-                left_sq += sorted[w].1 * sorted[w].1;
-                if sorted[w].0 == sorted[w + 1].0 {
-                    continue;
-                }
-                let nl = (w + 1) as f64;
-                let nr = (sorted.len() - w - 1) as f64;
-                if (nl as usize) < min_leaf || (nr as usize) < min_leaf {
-                    continue;
-                }
-                let right_sum = total - left_sum;
-                let right_sq = total_sq - left_sq;
-                let sse =
-                    (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
-                let gain = parent_sse - sse;
-                if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
-                    best = Some((gain, f, 0.5 * (sorted[w].0 + sorted[w + 1].0)));
-                }
-            }
-        }
-        let Some((_, feature, threshold)) = best else {
-            self.nodes.push(RegNode::Leaf { value: mean });
-            return self.nodes.len() - 1;
-        };
-        let (li, ri): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| x.get(i, feature) < threshold);
-        let at = self.nodes.len();
-        self.nodes.push(RegNode::Leaf { value: mean });
-        let left = self.grow(x, t, li, depth + 1, min_leaf);
-        let right = self.grow(x, t, ri, depth + 1, min_leaf);
-        self.nodes[at] = RegNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        at
-    }
-
-    /// Additive logit contribution for a sample.
-    pub fn value(&self, x: &[f64]) -> f64 {
-        let mut at = 0;
-        loop {
-            match self.nodes[at] {
-                RegNode::Leaf { value } => return value,
-                RegNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => at = if x[feature] < threshold { left } else { right },
-            }
-        }
-    }
-
-    /// Configured depth bound.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Node storage (for firmware footprint accounting).
-    pub fn nodes(&self) -> &[RegNode] {
-        &self.nodes
-    }
-}
+use crate::linalg::sigmoid;
+use crate::tree::{DecisionTree, Grower};
 
 /// GBDT hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,7 +53,7 @@ impl Default for GbdtConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gbdt {
-    trees: Vec<RegressionTree>,
+    trees: Vec<DecisionTree>,
     base_logit: f64,
     learning_rate: f64,
     threshold: f64,
@@ -204,21 +72,16 @@ impl Gbdt {
         let base_logit = (pos / (1.0 - pos)).ln();
         let mut logits = vec![base_logit; n];
         let mut trees = Vec::with_capacity(cfg.num_trees);
-        let idx: Vec<usize> = (0..n).collect();
         for _ in 0..cfg.num_trees {
             // Negative gradient of the logistic loss: y − σ(logit).
             let residuals: Vec<f64> = (0..n)
                 .map(|i| data.labels()[i] as f64 - sigmoid(logits[i]))
                 .collect();
-            let tree = RegressionTree::fit(
-                data.features(),
-                &residuals,
-                &idx,
-                cfg.max_depth,
-                cfg.min_leaf,
-            );
+            let tree =
+                Grower::squared_error(data.features(), residuals, cfg.max_depth, cfg.min_leaf)
+                    .grow((0..n).collect(), 0);
             for (i, logit) in logits.iter_mut().enumerate() {
-                *logit += cfg.learning_rate * tree.value(data.features().row(i));
+                *logit += cfg.learning_rate * tree.predict_proba(data.features().row(i));
             }
             trees.push(tree);
         }
@@ -233,7 +96,7 @@ impl Gbdt {
     /// P(y = 1 | x).
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
         let logit = self.base_logit
-            + self.learning_rate * self.trees.iter().map(|t| t.value(x)).sum::<f64>();
+            + self.learning_rate * self.trees.iter().map(|t| t.predict_proba(x)).sum::<f64>();
         sigmoid(logit)
     }
 
@@ -253,7 +116,7 @@ impl Gbdt {
     }
 
     /// The boosting stages.
-    pub fn trees(&self) -> &[RegressionTree] {
+    pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
 }
@@ -261,6 +124,7 @@ impl Gbdt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -337,15 +201,7 @@ mod tests {
         let data = xor_data(200, 3);
         let model = Gbdt::fit(&GbdtConfig::default(), &data);
         for t in model.trees() {
-            fn depth(nodes: &[RegNode], at: usize) -> usize {
-                match nodes[at] {
-                    RegNode::Leaf { .. } => 0,
-                    RegNode::Split { left, right, .. } => {
-                        1 + depth(nodes, left).max(depth(nodes, right))
-                    }
-                }
-            }
-            assert!(depth(t.nodes(), 0) <= t.max_depth());
+            assert!(t.depth() <= t.max_depth());
         }
     }
 

@@ -39,11 +39,6 @@ impl HistogramFeaturizer {
         HistogramFeaturizer { ranges, buckets }
     }
 
-    /// Number of counters.
-    pub fn num_counters(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Output feature dimensionality (`counters × buckets`).
     pub fn feature_dim(&self) -> usize {
         self.ranges.len() * self.buckets
@@ -123,7 +118,6 @@ mod tests {
         let rows = [vec![0.0, 10.0], vec![1.0, 20.0]];
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let h = HistogramFeaturizer::fit(&refs, 2);
-        assert_eq!(h.num_counters(), 2);
         assert_eq!(h.feature_dim(), 4);
         let f = h.featurize(&refs[..1]);
         // First counter value 0.0 → bucket 0; second counter 10.0 → bucket 0.

@@ -6,8 +6,11 @@
 //!
 //! - [`Mlp`] — multi-layer perceptrons with ReLU activations trained by
 //!   backpropagation with the Adam optimizer (§5, §6.3);
-//! - [`DecisionTree`] / [`RandomForest`] — CART trees grown by entropy
-//!   minimization, bagged into forests (§5, Best RF);
+//! - [`DecisionTree`] — the one CART tree, with one grower, one split
+//!   sweep and one traversal, and two split criteria fixed by the
+//!   learner: label entropy in the bagged [`RandomForest`] (§5, Best RF)
+//!   and squared error on logistic-loss residuals in the stages of the
+//!   gradient-boosted [`gbdt::Gbdt`] (an extension beyond the §5 zoo);
 //! - [`LogisticRegression`] — fit with L-BFGS (§7, SRCH baseline);
 //! - [`LinearSvm`] / [`KernelSvm`] — Pegasos linear SVMs and budgeted
 //!   χ²-kernel SVMs (§5, Table 3);

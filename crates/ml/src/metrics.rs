@@ -66,16 +66,6 @@ impl Confusion {
         }
         self.tp as f64 / denom as f64
     }
-
-    /// False-positive rate (fraction of high-performance intervals that
-    /// were wrongly gated).
-    pub fn false_positive_rate(&self) -> f64 {
-        let denom = self.fp + self.tn;
-        if denom == 0 {
-            return 0.0;
-        }
-        self.fp as f64 / denom as f64
-    }
 }
 
 /// One RSV window of a prediction stream (Eqs. 2–4).
@@ -231,7 +221,6 @@ mod tests {
         assert_eq!(c.tn, 2);
         assert!((c.accuracy() - 4.0 / 6.0).abs() < 1e-12);
         assert!((c.pgos() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.false_positive_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

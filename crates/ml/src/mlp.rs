@@ -379,11 +379,6 @@ impl Mlp {
         }
     }
 
-    /// Hidden+output layer count (the paper counts hidden layers).
-    pub fn num_hidden_layers(&self) -> usize {
-        self.layers.len().saturating_sub(1)
-    }
-
     /// Total trainable parameters.
     pub fn num_parameters(&self) -> usize {
         self.layers
@@ -712,7 +707,6 @@ mod tests {
         // 2->8: 24, 8->8: 72, 8->4: 36, 4->1: 5
         assert_eq!(mlp.num_parameters(), 24 + 72 + 36 + 5);
         assert_eq!(mlp.num_layers(), 4);
-        assert_eq!(mlp.num_hidden_layers(), 3);
     }
 
     #[test]

@@ -1,11 +1,20 @@
-//! CART decision trees grown by entropy minimization, as the paper's
-//! random-forest models are built ("an open source implementation of the
+//! CART decision trees: the one tree both ensembles grow.
+//!
+//! The paper's forests come from "an open source implementation of the
 //! CART algorithm that greedily grows trees by partitioning tuning samples
-//! into groups to minimize label entropy", §7).
+//! into groups to minimize label entropy" (§7); gradient boosting
+//! ([`crate::gbdt`]) grows the same tree over logistic-loss residuals.
+//! Both use one grower, one sorted split sweep and one traversal, and
+//! differ only in the split criterion, which the learner fixes: a forest
+//! tree minimizes label entropy over 0/1 labels, a boosting stage
+//! minimizes squared error. Every leaf holds the mean of its targets:
+//! P(y = 1) in a forest tree, an additive logit in a boosting stage.
 
 use crate::dataset::Dataset;
+use crate::linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// One node of a decision tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,10 +30,11 @@ pub enum Node {
         /// Right child index.
         right: usize,
     },
-    /// Leaf holding the probability of the positive class.
+    /// Leaf holding the mean target of the training samples reaching it.
     Leaf {
-        /// P(y = 1) among training samples reaching the leaf.
-        prob: f64,
+        /// P(y = 1) in a forest tree; the additive logit of a boosting
+        /// stage.
+        value: f64,
     },
 }
 
@@ -49,7 +59,7 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Grows a tree.
+    /// Grows a tree by entropy minimization, as a random forest does.
     ///
     /// `max_features`: number of candidate features per split (`None` =
     /// all; random forests pass √d). `seed` drives feature subsampling.
@@ -64,64 +74,12 @@ impl DecisionTree {
         seed: u64,
     ) -> DecisionTree {
         assert!(!data.is_empty(), "cannot grow a tree on an empty dataset");
-        assert!(max_depth >= 1, "max_depth must be at least 1");
-        let mut rng = rand::SeedableRng::seed_from_u64(seed);
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            max_depth,
-            num_features: data.dim(),
-        };
-        let idx: Vec<usize> = (0..data.len()).collect();
-        tree.grow(data, idx, 0, min_leaf.max(1), max_features, &mut rng);
-        tree
+        Grower::entropy(data, max_depth, min_leaf, max_features)
+            .grow((0..data.len()).collect(), seed)
     }
 
-    fn grow(
-        &mut self,
-        data: &Dataset,
-        idx: Vec<usize>,
-        depth: usize,
-        min_leaf: usize,
-        max_features: Option<usize>,
-        rng: &mut StdRng,
-    ) -> usize {
-        let pos = idx.iter().filter(|&&i| data.labels()[i] == 1).count();
-        let prob = pos as f64 / idx.len() as f64;
-        if depth >= self.max_depth || idx.len() < 2 * min_leaf || pos == 0 || pos == idx.len() {
-            self.nodes.push(Node::Leaf { prob });
-            return self.nodes.len() - 1;
-        }
-        let candidates: Vec<usize> = match max_features {
-            Some(k) if k < data.dim() => {
-                let mut all: Vec<usize> = (0..data.dim()).collect();
-                all.shuffle(rng);
-                all.truncate(k.max(1));
-                all
-            }
-            _ => (0..data.dim()).collect(),
-        };
-        let best = best_split(data, &idx, &candidates, min_leaf);
-        let Some((feature, threshold)) = best else {
-            self.nodes.push(Node::Leaf { prob });
-            return self.nodes.len() - 1;
-        };
-        let (li, ri): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| data.features().get(i, feature) < threshold);
-        let node_at = self.nodes.len();
-        self.nodes.push(Node::Leaf { prob }); // placeholder
-        let left = self.grow(data, li, depth + 1, min_leaf, max_features, rng);
-        let right = self.grow(data, ri, depth + 1, min_leaf, max_features, rng);
-        self.nodes[node_at] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        node_at
-    }
-
-    /// Probability of the positive class.
+    /// The value of the leaf `x` reaches: P(y = 1) for a forest tree, the
+    /// stage's additive logit for a boosting stage.
     ///
     /// # Panics
     /// Panics if `x` has wrong dimensionality.
@@ -131,7 +89,7 @@ impl DecisionTree {
         let mut hops = 0;
         loop {
             match self.nodes[at] {
-                Node::Leaf { prob } => return prob,
+                Node::Leaf { value } => return value,
                 Node::Split {
                     feature,
                     threshold,
@@ -210,49 +168,187 @@ impl DecisionTree {
     }
 }
 
-/// Finds the `(feature, threshold)` minimizing weighted label entropy, or
-/// `None` when no split improves on the parent.
-fn best_split(
-    data: &Dataset,
-    idx: &[usize],
-    candidates: &[usize],
+/// What a split minimizes. The learner fixes it through the
+/// [`Grower`] constructor it calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Criterion {
+    /// Weighted label entropy over 0/1 targets (§7); a pure node is a leaf.
+    Entropy,
+    /// Sum of squared errors of the targets around each side's mean.
+    SquaredError,
+}
+
+/// Grows [`DecisionTree`]s over the rows of one feature matrix towards one
+/// target vector.
+pub(crate) struct Grower<'a> {
+    features: &'a Matrix,
+    targets: Vec<f64>,
+    criterion: Criterion,
+    max_depth: usize,
     min_leaf: usize,
-) -> Option<(usize, f64)> {
-    let n = idx.len() as f64;
-    let total_pos = idx.iter().filter(|&&i| data.labels()[i] == 1).count() as f64;
-    let parent = entropy(total_pos / n);
-    let mut best: Option<(f64, usize, f64)> = None;
-    let mut sorted: Vec<(f64, u8)> = Vec::with_capacity(idx.len());
-    for &f in candidates {
-        sorted.clear();
-        sorted.extend(
-            idx.iter()
-                .map(|&i| (data.features().get(i, f), data.labels()[i])),
-        );
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut left_pos = 0.0;
-        let mut left_n = 0.0;
-        for w in 0..sorted.len() - 1 {
-            left_pos += sorted[w].1 as f64;
-            left_n += 1.0;
-            if sorted[w].0 == sorted[w + 1].0 {
-                continue; // cannot split between equal values
-            }
-            if (left_n as usize) < min_leaf || (idx.len() - left_n as usize) < min_leaf {
-                continue;
-            }
-            let right_n = n - left_n;
-            let right_pos = total_pos - left_pos;
-            let h = (left_n / n) * entropy(left_pos / left_n)
-                + (right_n / n) * entropy(right_pos / right_n);
-            let gain = parent - h;
-            if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
-                let threshold = 0.5 * (sorted[w].0 + sorted[w + 1].0);
-                best = Some((gain, f, threshold));
-            }
+    max_features: Option<usize>,
+}
+
+impl<'a> Grower<'a> {
+    /// The forest's grower: label entropy over the 0/1 labels of `data`,
+    /// at least one sample per leaf, `max_features` candidate features per
+    /// split.
+    ///
+    /// # Panics
+    /// Panics if `max_depth == 0`.
+    pub(crate) fn entropy(
+        data: &'a Dataset,
+        max_depth: usize,
+        min_leaf: usize,
+        max_features: Option<usize>,
+    ) -> Grower<'a> {
+        assert!(max_depth >= 1, "max_depth must be at least 1");
+        Grower {
+            features: data.features(),
+            targets: data.labels().iter().map(|&y| f64::from(y)).collect(),
+            criterion: Criterion::Entropy,
+            max_depth,
+            min_leaf: min_leaf.max(1),
+            max_features,
         }
     }
-    best.map(|(_, f, t)| (f, t))
+
+    /// A boosting stage's grower: squared error on `residuals`, every
+    /// feature a candidate at every split.
+    pub(crate) fn squared_error(
+        features: &'a Matrix,
+        residuals: Vec<f64>,
+        max_depth: usize,
+        min_leaf: usize,
+    ) -> Grower<'a> {
+        Grower {
+            features,
+            targets: residuals,
+            criterion: Criterion::SquaredError,
+            max_depth,
+            min_leaf,
+            max_features: None,
+        }
+    }
+
+    /// Grows one tree over the rows `idx` (repeats allowed, as in a
+    /// bootstrap sample). `seed` draws the candidate features of each
+    /// split; it is unused when every feature is a candidate.
+    pub(crate) fn grow(&self, idx: Vec<usize>, seed: u64) -> DecisionTree {
+        let mut tree = DecisionTree {
+            nodes: Vec::new(),
+            max_depth: self.max_depth,
+            num_features: self.features.cols(),
+        };
+        self.node(&mut tree.nodes, idx, 0, &mut StdRng::seed_from_u64(seed));
+        tree
+    }
+
+    fn node(
+        &self,
+        nodes: &mut Vec<Node>,
+        idx: Vec<usize>,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> usize {
+        let sum: f64 = idx.iter().map(|&i| self.targets[i]).sum();
+        // A node is empty when its parent's midpoint threshold rounded onto
+        // the lower of two adjacent values. Its leaf is 0/0 = NaN in a
+        // forest tree and -0.0 in a boosting stage.
+        let value = match self.criterion {
+            Criterion::Entropy => sum / idx.len() as f64,
+            Criterion::SquaredError => sum / idx.len().max(1) as f64,
+        };
+        // The pure-node stop comes before the feature draw, which consumes
+        // the RNG.
+        let pure = self.criterion == Criterion::Entropy && (sum == 0.0 || sum == idx.len() as f64);
+        if depth >= self.max_depth || idx.len() < 2 * self.min_leaf || pure {
+            nodes.push(Node::Leaf { value });
+            return nodes.len() - 1;
+        }
+        let dim = self.features.cols();
+        let candidates: Vec<usize> = match self.max_features {
+            Some(k) if k < dim => {
+                let mut all: Vec<usize> = (0..dim).collect();
+                all.shuffle(rng);
+                all.truncate(k.max(1));
+                all
+            }
+            _ => (0..dim).collect(),
+        };
+        let Some((feature, threshold)) = self.best_split(&idx, value, &candidates) else {
+            nodes.push(Node::Leaf { value });
+            return nodes.len() - 1;
+        };
+        let (li, ri): (Vec<usize>, Vec<usize>) = idx
+            .into_iter()
+            .partition(|&i| self.features.get(i, feature) < threshold);
+        let at = nodes.len();
+        nodes.push(Node::Leaf { value }); // placeholder
+        let left = self.node(nodes, li, depth + 1, rng);
+        let right = self.node(nodes, ri, depth + 1, rng);
+        nodes[at] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        at
+    }
+
+    /// Finds the `(feature, threshold)` with the largest impurity drop
+    /// below the node holding `idx` (whose mean target is `mean`), or
+    /// `None` when no split improves on it. Each candidate feature is one
+    /// stable sort of the node's samples by value and one sweep over the
+    /// boundaries between distinct values.
+    fn best_split(&self, idx: &[usize], mean: f64, candidates: &[usize]) -> Option<(usize, f64)> {
+        let t = &self.targets;
+        let n = idx.len();
+        let parent = match self.criterion {
+            Criterion::Entropy => entropy(mean),
+            Criterion::SquaredError => idx.iter().map(|&i| (t[i] - mean) * (t[i] - mean)).sum(),
+        };
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(n);
+        for &f in candidates {
+            sorted.clear();
+            sorted.extend(idx.iter().map(|&i| (self.features.get(i, f), t[i])));
+            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let total: f64 = sorted.iter().map(|(_, v)| v).sum();
+            let total_sq: f64 = sorted.iter().map(|(_, v)| v * v).sum();
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for w in 0..n - 1 {
+                left_sum += sorted[w].1;
+                left_sq += sorted[w].1 * sorted[w].1;
+                if sorted[w].0 == sorted[w + 1].0 {
+                    continue; // cannot split between equal values
+                }
+                if w + 1 < self.min_leaf || n - w - 1 < self.min_leaf {
+                    continue;
+                }
+                let nl = (w + 1) as f64;
+                let nr = (n - w - 1) as f64;
+                let right_sum = total - left_sum;
+                let children = match self.criterion {
+                    Criterion::Entropy => {
+                        let nf = n as f64;
+                        (nl / nf) * entropy(left_sum / nl) + (nr / nf) * entropy(right_sum / nr)
+                    }
+                    Criterion::SquaredError => {
+                        let right_sq = total_sq - left_sq;
+                        (left_sq - left_sum * left_sum / nl)
+                            + (right_sq - right_sum * right_sum / nr)
+                    }
+                };
+                let gain = parent - children;
+                if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
+                    best = Some((gain, f, 0.5 * (sorted[w].0 + sorted[w + 1].0)));
+                }
+            }
+        }
+        best.map(|(_, f, t)| (f, t))
+    }
 }
 
 fn entropy(p: f64) -> f64 {

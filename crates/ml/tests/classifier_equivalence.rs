@@ -92,7 +92,7 @@ fn mlp_trait_matches_direct() {
 fn gbdt_trait_matches_direct() {
     let data = toy_dataset(64, 3, 13);
     let model = Gbdt::fit(&GbdtConfig::default(), &data);
-    assert_eq!(Classifier::n_features(&model), None);
+    assert_eq!(Classifier::n_features(&model), Some(3));
     assert_bit_identical(&model, 3, Gbdt::predict_proba, Gbdt::predict);
 }
 

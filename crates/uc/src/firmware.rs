@@ -16,7 +16,9 @@
 
 use crate::opcount::OpCounter;
 use psca_ml::gbdt::Gbdt;
-use psca_ml::{Classifier, KernelSvm, LinearSvm, LogisticRegression, Mlp, Node, RandomForest};
+use psca_ml::{
+    Classifier, DecisionTree, KernelSvm, LinearSvm, LogisticRegression, Mlp, Node, RandomForest,
+};
 use std::fmt;
 
 /// Typed firmware inference/validation errors. Field-deployed firmware
@@ -89,7 +91,7 @@ impl FirmwareModel {
     }
 
     /// Input dimensionality the model was trained for, where the model
-    /// class records it (GBDT regression trees do not).
+    /// class records it.
     pub fn input_dim(&self) -> Option<usize> {
         match self {
             FirmwareModel::SvmEnsemble(ms) => ms.first().map(|s| s.weights().len()),
@@ -181,16 +183,7 @@ impl FirmwareModel {
                 finite(m.threshold().is_finite(), "MLP threshold")
             }
             FirmwareModel::Forest(m) => {
-                for tree in m.trees() {
-                    for node in tree.nodes() {
-                        match node {
-                            Node::Leaf { prob } => finite(prob.is_finite(), "forest leaf")?,
-                            Node::Split { threshold, .. } => {
-                                finite(threshold.is_finite(), "forest split")?
-                            }
-                        }
-                    }
-                }
+                validate_trees(m.trees(), "forest leaf", "forest split")?;
                 finite(m.threshold().is_finite(), "forest threshold")
             }
             FirmwareModel::Logistic(m) => {
@@ -206,18 +199,7 @@ impl FirmwareModel {
             }
             FirmwareModel::Chi2Svm(_) => Ok(()),
             FirmwareModel::Gbdt(m) => {
-                for tree in m.trees() {
-                    for node in tree.nodes() {
-                        match node {
-                            psca_ml::gbdt::RegNode::Leaf { value } => {
-                                finite(value.is_finite(), "GBDT leaf")?
-                            }
-                            psca_ml::gbdt::RegNode::Split { threshold, .. } => {
-                                finite(threshold.is_finite(), "GBDT split")?
-                            }
-                        }
-                    }
-                }
+                validate_trees(m.trees(), "GBDT leaf", "GBDT split")?;
                 finite(m.threshold().is_finite(), "GBDT threshold")
             }
         }
@@ -259,14 +241,7 @@ impl FirmwareModel {
                 ops.compares += 1; // logit vs threshold
             }
             FirmwareModel::Forest(m) => {
-                for tree in m.trees() {
-                    // Padded to the configured max depth (Listing 2).
-                    for _ in 0..tree.max_depth() {
-                        ops.tree_level();
-                    }
-                    ops.loads += 1; // leaf probability
-                    ops.adds += 1; // vote accumulation
-                }
+                count_trees(m.trees(), &mut ops);
                 ops.compares += 1; // majority threshold
             }
             FirmwareModel::Logistic(m) => {
@@ -293,13 +268,7 @@ impl FirmwareModel {
                 ops.compares += 1;
             }
             FirmwareModel::Gbdt(m) => {
-                for tree in m.trees() {
-                    for _ in 0..tree.max_depth() {
-                        ops.tree_level();
-                    }
-                    ops.loads += 1; // leaf value
-                    ops.adds += 1; // logit accumulation
-                }
+                count_trees(m.trees(), &mut ops);
                 ops.muls += 1; // shrinkage scale
                 ops.compares += 1; // logit vs threshold (no exp needed)
             }
@@ -326,11 +295,7 @@ impl FirmwareModel {
     pub fn memory_footprint_bytes(&self) -> u64 {
         match self {
             FirmwareModel::Mlp(m) => 4 * m.num_parameters() as u64,
-            FirmwareModel::Forest(m) => m
-                .trees()
-                .iter()
-                .map(|t| 10u64 * (1u64 << t.max_depth()))
-                .sum(),
+            FirmwareModel::Forest(m) => trees_footprint_bytes(m.trees()),
             FirmwareModel::Logistic(m) => 4 * (m.weights().len() as u64 + 1),
             FirmwareModel::SvmEnsemble(ms) => {
                 ms.iter().map(|s| 4 * (s.weights().len() as u64 + 1)).sum()
@@ -339,13 +304,46 @@ impl FirmwareModel {
                 let dim = m.dim().unwrap_or(0) as u64;
                 m.num_support_vectors() as u64 * (4 * dim + 4)
             }
-            FirmwareModel::Gbdt(m) => m
-                .trees()
-                .iter()
-                .map(|t| 10u64 * (1u64 << t.max_depth()))
-                .sum(),
+            FirmwareModel::Gbdt(m) => trees_footprint_bytes(m.trees()),
         }
     }
+}
+
+/// Checks that every leaf value and split threshold of `trees` is finite;
+/// `leaf` and `split` name the offending component.
+fn validate_trees(
+    trees: &[DecisionTree],
+    leaf: &'static str,
+    split: &'static str,
+) -> Result<(), FirmwareError> {
+    for node in trees.iter().flat_map(|t| t.nodes()) {
+        let (v, what) = match node {
+            Node::Leaf { value } => (value, leaf),
+            Node::Split { threshold, .. } => (threshold, split),
+        };
+        if !v.is_finite() {
+            return Err(FirmwareError::NonFiniteParameter(what));
+        }
+    }
+    Ok(())
+}
+
+/// Counts one traversal per tree, padded to the configured max depth
+/// (Listing 2), plus the leaf-value load and its accumulation into the
+/// vote or logit.
+fn count_trees(trees: &[DecisionTree], ops: &mut OpCounter) {
+    for tree in trees {
+        for _ in 0..tree.max_depth() {
+            ops.tree_level();
+        }
+        ops.loads += 1;
+        ops.adds += 1;
+    }
+}
+
+/// 10-byte nodes in the full `2^depth` array layout, per tree.
+fn trees_footprint_bytes(trees: &[DecisionTree]) -> u64 {
+    trees.iter().map(|t| 10u64 * (1u64 << t.max_depth())).sum()
 }
 
 /// A firmware image is itself a [`Classifier`], so the serving daemon and
@@ -374,6 +372,7 @@ impl Classifier for FirmwareModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psca_ml::gbdt::GbdtConfig;
     use psca_ml::{Dataset, Matrix, MlpConfig, RandomForestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -503,12 +502,55 @@ mod tests {
     #[test]
     fn depth16_tree_footprint_matches_table3() {
         let data = dataset(400, 12, 10);
-        let tree = psca_ml::DecisionTree::fit(&data, 16, 1, None, 1);
-        let forest_of_one = {
-            // Use the accounting formula directly via a single-tree forest.
-            10u64 * (1u64 << tree.max_depth())
-        };
-        assert_eq!(forest_of_one, 655_360); // 655.36 KB, as in Table 3
+        let tree = DecisionTree::fit(&data, 16, 1, None, 1);
+        let forest_of_one = FirmwareModel::Forest(RandomForest::from_trees(vec![tree], 0.5));
+        assert_eq!(forest_of_one.memory_footprint_bytes(), 655_360); // 655.36 KB, as in Table 3
+    }
+
+    #[test]
+    fn tree_ensembles_name_their_non_finite_nodes() {
+        let leaf = |value| DecisionTree::from_nodes(vec![Node::Leaf { value }], 1, 2);
+        let forest = RandomForest::from_trees(vec![leaf(0.5), leaf(f64::NAN)], 0.5);
+        assert_eq!(
+            FirmwareModel::Forest(forest).validate().unwrap_err(),
+            FirmwareError::NonFiniteParameter("forest leaf")
+        );
+        let split = DecisionTree::from_nodes(
+            vec![
+                Node::Split {
+                    feature: 0,
+                    threshold: f64::INFINITY,
+                    left: 1,
+                    right: 2,
+                },
+                Node::Leaf { value: 0.0 },
+                Node::Leaf { value: 1.0 },
+            ],
+            1,
+            2,
+        );
+        let forest = RandomForest::from_trees(vec![split], 0.5);
+        assert_eq!(
+            FirmwareModel::Forest(forest).validate().unwrap_err(),
+            FirmwareError::NonFiniteParameter("forest split")
+        );
+    }
+
+    #[test]
+    fn gbdt_stages_are_checked_like_forest_trees() {
+        let data = dataset(200, 6, 13);
+        let fw = FirmwareModel::Gbdt(Gbdt::fit(&GbdtConfig::default(), &data));
+        assert!(fw.validate().is_ok());
+        assert_eq!(fw.input_dim(), Some(6));
+        assert_eq!(
+            fw.predict(&[0.0; 5]).unwrap_err(),
+            FirmwareError::DimensionMismatch {
+                expected: 6,
+                got: 5
+            }
+        );
+        // Eight depth-4 stages in the balanced-array layout.
+        assert_eq!(fw.memory_footprint_bytes(), 8 * 10 * 16);
     }
 
     #[test]

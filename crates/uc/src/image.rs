@@ -184,9 +184,9 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
                 w.u32(tree.nodes().len() as u32);
                 for node in tree.nodes() {
                     match node {
-                        Node::Leaf { prob } => {
+                        Node::Leaf { value } => {
                             w.u8(0);
-                            w.f64(*prob);
+                            w.f64(*value);
                         }
                         Node::Split {
                             feature,
@@ -310,7 +310,7 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
                 let mut nodes = Vec::with_capacity(n_nodes);
                 for i in 0..n_nodes {
                     match r.u8()? {
-                        0 => nodes.push(Node::Leaf { prob: r.f64()? }),
+                        0 => nodes.push(Node::Leaf { value: r.f64()? }),
                         1 => {
                             let feature = r.u16()? as usize;
                             let threshold = r.f64()?;
