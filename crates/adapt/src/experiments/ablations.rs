@@ -24,29 +24,37 @@ pub fn steering(cfg: &ExperimentConfig) -> SteeringAblation {
     // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let insts = 16 * cfg.interval_insts;
-    let rows = [
+    let archetypes = [
         Archetype::ScalarIlp,
         Archetype::DepChain,
         Archetype::StreamFpWide,
         Archetype::Balanced,
-    ]
-    .iter()
-    .map(|&a| {
-        let ipc_for = |policy: SteerPolicy| {
+    ];
+    // One sweep cell per (archetype, policy) simulation.
+    let cells: Vec<(Archetype, SteerPolicy)> = archetypes
+        .iter()
+        .flat_map(|&a| {
+            [
+                (a, SteerPolicy::DependenceAware),
+                (a, SteerPolicy::RoundRobin),
+            ]
+        })
+        .collect();
+    let ipcs = psca_exec::Sweep::new("ablations.steering")
+        .jobs(cfg.jobs)
+        .run(cells, |&(a, policy)| {
             let mut cpu_cfg = CpuConfig::skylake_scaled();
             cpu_cfg.steer_policy = policy;
             let mut sim = ClusterSim::new(cpu_cfg);
             let mut gen = PhaseGenerator::new(a.center(), cfg.sub_seed("steer"));
             sim.warm_up(&mut gen, insts / 2);
             sim.run_interval(&mut gen, insts).map_or(0.0, |r| r.ipc())
-        };
-        (
-            a,
-            ipc_for(SteerPolicy::DependenceAware),
-            ipc_for(SteerPolicy::RoundRobin),
-        )
-    })
-    .collect();
+        });
+    let rows = archetypes
+        .iter()
+        .zip(ipcs.chunks(2))
+        .map(|(&a, ipc)| (a, ipc[0], ipc[1]))
+        .collect();
     SteeringAblation { rows }
 }
 
@@ -177,14 +185,25 @@ pub fn cluster_width(cfg: &ExperimentConfig) -> WidthAblation {
     // Scope global metrics to this experiment.
     psca_obs::reset_all();
     let insts = 16 * cfg.interval_insts;
-    let mut rows = Vec::new();
+    let mut points = Vec::new();
     for &width in &[2u32, 4, 6] {
         for &a in &[
             Archetype::ScalarIlp,
             Archetype::DepChain,
             Archetype::Balanced,
         ] {
-            let ipc_for = |mode: Mode| {
+            points.push((width, a));
+        }
+    }
+    // One sweep cell per (width, archetype, mode) simulation.
+    let cells: Vec<(u32, Archetype, Mode)> = points
+        .iter()
+        .flat_map(|&(w, a)| [(w, a, Mode::HighPerf), (w, a, Mode::LowPower)])
+        .collect();
+    let ipcs =
+        psca_exec::Sweep::new("ablations.width")
+            .jobs(cfg.jobs)
+            .run(cells, |&(width, a, mode)| {
                 let mut cpu_cfg = CpuConfig::skylake_scaled();
                 cpu_cfg.cluster_width = width;
                 let mut sim = ClusterSim::new(cpu_cfg);
@@ -192,10 +211,12 @@ pub fn cluster_width(cfg: &ExperimentConfig) -> WidthAblation {
                 let mut gen = PhaseGenerator::new(a.center(), cfg.sub_seed("width"));
                 sim.warm_up(&mut gen, insts / 2);
                 sim.run_interval(&mut gen, insts).map_or(0.0, |r| r.ipc())
-            };
-            rows.push((width, a, ipc_for(Mode::HighPerf), ipc_for(Mode::LowPower)));
-        }
-    }
+            });
+    let rows = points
+        .iter()
+        .zip(ipcs.chunks(2))
+        .map(|(&(w, a), ipc)| (w, a, ipc[0], ipc[1]))
+        .collect();
     WidthAblation { rows }
 }
 

@@ -290,7 +290,10 @@ impl CorpusTelemetry {
     /// SimPoints are chosen by basic-block-vector clustering over each
     /// workload (§4.1 / [`crate::simpoints`]): the workload is scanned
     /// once at instruction level, its intervals clustered by BBV, and the
-    /// representative of each cluster simulated in detail.
+    /// representative of each cluster simulated in detail. Each
+    /// representative resumes from the scan's checkpoint at the last
+    /// interval boundary before its warm-up, so no workload is generated
+    /// from its start more than once.
     pub fn spec(cfg: &ExperimentConfig) -> CorpusTelemetry {
         let suite = spec::spec_suite(cfg.sub_seed("spec"), cfg.spec_phase_len);
         // One sweep cell per (benchmark, workload): the SimPoint scan and
@@ -331,20 +334,25 @@ impl CorpusTelemetry {
                 // Scan a region several times larger than what will be
                 // simulated, then pick representatives.
                 let scan = (cfg.spec_intervals_per_simpoint * n_simpoints * 3).max(8);
-                let mut scan_src = app.app.trace(input);
-                let points = crate::simpoints::select_simpoints(
-                    &mut scan_src,
-                    cfg.interval_insts,
-                    scan,
-                    n_simpoints,
-                    cfg.sub_seed("simpoints") ^ (bench_id as u64) << 8 ^ input,
-                );
-                let mut traces = Vec::with_capacity(points.len());
-                for p in points {
-                    let mut src = app.app.trace(input);
-                    // Fast-forward to the representative region.
-                    let skip = p.start_interval as u64 * cfg.interval_insts;
-                    src.skip(skip.saturating_sub(cfg.spec_warmup_insts));
+                let selection = {
+                    let _span = psca_obs::SpanTimer::start("adapt.simpoints.scan");
+                    crate::simpoints::select_simpoints(
+                        app.app.trace(input),
+                        cfg.interval_insts,
+                        scan,
+                        n_simpoints,
+                        cfg.sub_seed("simpoints") ^ (bench_id as u64) << 8 ^ input,
+                    )
+                };
+                let mut traces = Vec::with_capacity(selection.points.len());
+                for p in &selection.points {
+                    // Resume at the representative region's warm-up.
+                    let start = p.start_interval as u64 * cfg.interval_insts;
+                    let mut src = {
+                        let _span = psca_obs::SpanTimer::start("adapt.simpoints.resume");
+                        selection.resume(start.saturating_sub(cfg.spec_warmup_insts))
+                    };
+                    let _span = psca_obs::SpanTimer::start("adapt.paired.collect");
                     traces.push(collect_paired(
                         &mut src,
                         cfg.spec_warmup_insts,
@@ -697,6 +705,67 @@ mod tests {
         let at = 24 + "test".len();
         enc[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_trace(&enc), Err(DecodeError::Truncated));
+    }
+
+    /// The SPEC corpus as it was built before SimPoints resumed from scan
+    /// checkpoints: every point regenerates its workload from instruction
+    /// 0 and skips to its warm-up.
+    fn spec_by_regeneration(cfg: &ExperimentConfig) -> Vec<TraceTelemetry> {
+        let suite = spec::spec_suite(cfg.sub_seed("spec"), cfg.spec_phase_len);
+        let mut traces = Vec::new();
+        for (bench_id, app) in suite.iter().enumerate() {
+            for wl in &app.workloads {
+                let n_simpoints = wl.simpoints.min(cfg.spec_max_simpoints_per_workload);
+                let scan = (cfg.spec_intervals_per_simpoint * n_simpoints * 3).max(8);
+                let points = crate::simpoints::select_simpoints(
+                    app.app.trace(wl.input),
+                    cfg.interval_insts,
+                    scan,
+                    n_simpoints,
+                    cfg.sub_seed("simpoints") ^ (bench_id as u64) << 8 ^ wl.input,
+                )
+                .points;
+                for p in points {
+                    let mut src = app.app.trace(wl.input);
+                    let skip = p.start_interval as u64 * cfg.interval_insts;
+                    src.skip(skip.saturating_sub(cfg.spec_warmup_insts));
+                    traces.push(collect_paired(
+                        &mut src,
+                        cfg.spec_warmup_insts,
+                        cfg.spec_intervals_per_simpoint,
+                        cfg.interval_insts,
+                        bench_id as u32,
+                        app.bench.name,
+                        wl.input,
+                    ));
+                }
+            }
+        }
+        traces
+    }
+
+    #[test]
+    fn spec_checkpoints_match_regenerate_and_skip() {
+        // Up to three points per workload, and a warm-up of two and a
+        // half intervals, so resuming skips part of an interval.
+        let cfg = ExperimentConfig {
+            interval_insts: 500,
+            spec_intervals_per_simpoint: 2,
+            spec_phase_len: 4_000,
+            spec_warmup_insts: 1_250,
+            spec_max_simpoints_per_workload: 3,
+            ..ExperimentConfig::quick()
+        };
+        let reference = spec_by_regeneration(&cfg);
+        let corpus = CorpusTelemetry::spec(&cfg);
+        let suite = spec::spec_suite(cfg.sub_seed("spec"), cfg.spec_phase_len);
+        let workloads: usize = suite.iter().map(|a| a.workloads.len()).sum();
+        assert!(
+            reference.len() >= 2 * workloads,
+            "{} points over {workloads} workloads",
+            reference.len()
+        );
+        assert_eq!(encode_traces(&corpus.traces), encode_traces(&reference));
     }
 
     #[test]

@@ -52,27 +52,66 @@ pub fn interval_bbv<S: TraceSource>(source: &mut S, interval_insts: u64) -> Opti
     Some(v)
 }
 
+/// The SimPoints of one workload scan, with the workload checkpointed at
+/// every scanned interval boundary so each point's region can be reached
+/// without regenerating the workload from its start.
+#[derive(Debug, Clone)]
+pub struct Selection<S> {
+    /// The selected points, sorted by start interval.
+    pub points: Vec<SimPoint>,
+    /// `checkpoints[i]`: the source as it stood before scanned interval
+    /// `i` (the last one is where the scan stopped).
+    checkpoints: Vec<S>,
+    interval_insts: u64,
+}
+
+impl<S: TraceSource + Clone> Selection<S> {
+    /// The workload advanced `insts` instructions past where the scan
+    /// started: a clone of the last checkpoint at or before `insts`,
+    /// advanced by the rest (less than one interval inside the scan).
+    pub fn resume(&self, insts: u64) -> S {
+        let at = (insts / self.interval_insts).min(self.checkpoints.len() as u64 - 1);
+        let mut src = self.checkpoints[at as usize].clone();
+        src.skip(insts - at * self.interval_insts);
+        src
+    }
+}
+
 /// Scans `scan_intervals` intervals of a workload, clusters their BBVs,
-/// and returns `k` SimPoints sorted by start interval.
+/// and returns `k` SimPoints sorted by start interval, with a checkpoint
+/// of `source` at every interval boundary of the scan.
 ///
 /// # Panics
 /// Panics if `k == 0` or `interval_insts == 0`.
-pub fn select_simpoints<S: TraceSource>(
-    source: &mut S,
+pub fn select_simpoints<S: TraceSource + Clone>(
+    mut source: S,
     interval_insts: u64,
     scan_intervals: usize,
     k: usize,
     seed: u64,
-) -> Vec<SimPoint> {
+) -> Selection<S> {
     assert!(k >= 1, "need at least one SimPoint");
     assert!(interval_insts >= 1, "interval must be positive");
     let mut bbvs: Vec<Vec<f64>> = Vec::with_capacity(scan_intervals);
+    let mut checkpoints = Vec::with_capacity(scan_intervals + 1);
+    checkpoints.push(source.clone());
     for _ in 0..scan_intervals {
-        match interval_bbv(source, interval_insts) {
+        match interval_bbv(&mut source, interval_insts) {
             Some(v) => bbvs.push(v.to_vec()),
             None => break,
         }
+        checkpoints.push(source.clone());
     }
+    let points = cluster_points(&bbvs, k, seed);
+    Selection {
+        points,
+        checkpoints,
+        interval_insts,
+    }
+}
+
+/// Clusters the scanned BBVs into `k` SimPoints sorted by start interval.
+fn cluster_points(bbvs: &[Vec<f64>], k: usize, seed: u64) -> Vec<SimPoint> {
     if bbvs.is_empty() {
         return Vec::new();
     }
@@ -121,8 +160,7 @@ mod tests {
         // A phase-structured application should yield SimPoints from
         // different regions, with weights summing to 1.
         let app = ApplicationModel::synth("sp", Category::HpcPerf, 5, 20_000);
-        let mut src = app.trace(1);
-        let points = select_simpoints(&mut src, 2_000, 100, 4, 9);
+        let points = select_simpoints(app.trace(1), 2_000, 100, 4, 9).points;
         assert!(!points.is_empty() && points.len() <= 4);
         let weight: f64 = points.iter().map(|p| p.weight).sum();
         assert!((weight - 1.0).abs() < 1e-9);
@@ -135,15 +173,15 @@ mod tests {
 
     #[test]
     fn exhausted_source_yields_no_points() {
-        let mut empty = psca_trace::VecTrace::default();
-        assert!(select_simpoints(&mut empty, 1_000, 10, 3, 1).is_empty());
+        let empty = psca_trace::VecTrace::default();
+        assert!(select_simpoints(empty, 1_000, 10, 3, 1).points.is_empty());
     }
 
     #[test]
     fn selection_is_deterministic() {
         let app = ApplicationModel::synth("sp", Category::Multimedia, 6, 10_000);
-        let a = select_simpoints(&mut app.trace(2), 2_000, 50, 3, 4);
-        let b = select_simpoints(&mut app.trace(2), 2_000, 50, 3, 4);
-        assert_eq!(a, b);
+        let a = select_simpoints(app.trace(2), 2_000, 50, 3, 4);
+        let b = select_simpoints(app.trace(2), 2_000, 50, 3, 4);
+        assert_eq!(a.points, b.points);
     }
 }

@@ -173,23 +173,88 @@ impl SlotRing {
     }
 }
 
-/// Counts entries of a monotone completion ring that are still pending at
-/// time `t`. The ring holds entries `k - len .. k` at `i % len`.
-fn count_pending(ring: &[u64], k: u64, t: u64) -> u64 {
-    let len = ring.len() as u64;
-    let lo = k.saturating_sub(len);
-    // Values are monotone in logical index; binary search the first
-    // logical index whose value > t.
-    let (mut a, mut b) = (lo, k);
-    while a < b {
-        let mid = (a + b) / 2;
-        if ring[(mid % len) as usize] > t {
-            b = mid;
-        } else {
-            a = mid + 1;
+/// Completion times of the last `capacity` entries of one in-order
+/// structure (reorder buffer, store queue, load queue), oldest at the
+/// write slot.
+///
+/// Pushed times never fall, so the entries still pending at a time `t`
+/// are a suffix of the ring. [`CompletionRing::pending`] finds where that
+/// suffix starts by moving a remembered cursor from its last answer: the
+/// answer is exact, and since a sample time moves little between samples
+/// the cursor moves a few slots each time.
+#[derive(Debug, Clone)]
+struct CompletionRing {
+    times: Vec<u64>,
+    // entries pushed so far: the logical index of the next push
+    pushed: u64,
+    // the slot the next push writes (`pushed % capacity`)
+    slot: usize,
+    // logical index of the first entry the last answer counted, and its slot
+    cursor: u64,
+    cursor_slot: usize,
+}
+
+impl CompletionRing {
+    fn new(capacity: usize) -> CompletionRing {
+        CompletionRing {
+            times: vec![0; capacity],
+            pushed: 0,
+            slot: 0,
+            cursor: 0,
+            cursor_slot: 0,
         }
     }
-    k - a
+
+    fn capacity(&self) -> u64 {
+        self.times.len() as u64
+    }
+
+    /// Completion time of the entry the next push evicts, once the ring is
+    /// full.
+    fn oldest(&self) -> Option<u64> {
+        (self.pushed >= self.capacity()).then(|| self.times[self.slot])
+    }
+
+    /// Appends a completion time no earlier than any held one, evicting
+    /// the oldest entry once the ring is full.
+    fn push(&mut self, time: u64) {
+        self.times[self.slot] = time;
+        self.slot += 1;
+        if self.slot == self.times.len() {
+            self.slot = 0;
+        }
+        self.pushed += 1;
+    }
+
+    /// Number of held entries whose completion time is later than `t`.
+    fn pending(&mut self, t: u64) -> u64 {
+        let len = self.times.len();
+        let oldest = self.pushed.saturating_sub(len as u64);
+        if self.cursor < oldest {
+            // The remembered entry was evicted: restart at the oldest
+            // held one, which sits at the write slot.
+            self.cursor = oldest;
+            self.cursor_slot = self.slot;
+        }
+        // Step back over entries still pending at `t`...
+        while self.cursor > oldest {
+            let prev = self.cursor_slot.checked_sub(1).unwrap_or(len - 1);
+            if self.times[prev] <= t {
+                break;
+            }
+            self.cursor -= 1;
+            self.cursor_slot = prev;
+        }
+        // ...or forward over entries complete by `t`.
+        while self.cursor < self.pushed && self.times[self.cursor_slot] <= t {
+            self.cursor += 1;
+            self.cursor_slot += 1;
+            if self.cursor_slot == len {
+                self.cursor_slot = 0;
+            }
+        }
+        self.pushed - self.cursor
+    }
 }
 
 /// The two-cluster out-of-order core.
@@ -224,8 +289,8 @@ pub struct ClusterSim {
     // dataflow state
     reg_ready: [u64; NUM_ARCH_REGS],
     reg_cluster: [u8; NUM_ARCH_REGS],
-    rob_retire: Vec<u64>,
-    inst_index: u64,
+    // retire times of the instructions in flight
+    rob: CompletionRing,
     // timing state
     fetch_ring: SlotRing,
     issue_rings: Vec<SlotRing>,
@@ -235,12 +300,10 @@ pub struct ClusterSim {
     steer_cursor: usize,
     cluster_pressure: Vec<u64>,
     // store queue (in-order drain => monotone completions)
-    sq_drain: Vec<u64>,
-    sq_index: u64,
+    sq_drain: CompletionRing,
     last_sq_drain: u64,
     // load queue (retire times of loads, monotone)
-    lq_retire: Vec<u64>,
-    lq_index: u64,
+    lq_retire: CompletionRing,
     // telemetry
     bank: CounterBank,
     interval_start: u64,
@@ -279,8 +342,7 @@ impl ClusterSim {
             codes: Vec::new(),
             reg_ready: [0; NUM_ARCH_REGS],
             reg_cluster: [0; NUM_ARCH_REGS],
-            rob_retire: vec![0; cfg.rob_size],
-            inst_index: 0,
+            rob: CompletionRing::new(cfg.rob_size),
             fetch_ring: SlotRing::new(),
             issue_rings,
             retire_ring: SlotRing::new(),
@@ -288,11 +350,9 @@ impl ClusterSim {
             last_retire: 0,
             steer_cursor: 0,
             cluster_pressure: vec![0; cfg.num_clusters as usize],
-            sq_drain: vec![0; cfg.store_queue_size],
-            sq_index: 0,
+            sq_drain: CompletionRing::new(cfg.store_queue_size),
             last_sq_drain: 0,
-            lq_retire: vec![0; 72],
-            lq_index: 0,
+            lq_retire: CompletionRing::new(72),
             bank: CounterBank::new(),
             interval_start: 0,
             uops_issued_in_interval: 0,
@@ -566,19 +626,15 @@ impl ClusterSim {
         self.min_fetch_time = fetch.max(self.min_fetch_time);
 
         // ---- dispatch: ROB + store-queue structural limits ----
-        let rob_len = self.rob_retire.len() as u64;
         let mut dispatch = fetch + 1;
-        if self.inst_index >= rob_len {
-            let rob_free = self.rob_retire[(self.inst_index % rob_len) as usize];
+        if let Some(rob_free) = self.rob.oldest() {
             if rob_free > dispatch {
                 dispatch = rob_free;
                 self.bank.incr(Event::RobFullStalls);
             }
         }
         if inst.op == OpClass::Store {
-            let sq_len = self.sq_drain.len() as u64;
-            if self.sq_index >= sq_len {
-                let sq_free = self.sq_drain[(self.sq_index % sq_len) as usize];
+            if let Some(sq_free) = self.sq_drain.oldest() {
                 if sq_free > dispatch {
                     dispatch = sq_free;
                     self.bank.incr(Event::StoreQueueFullStalls);
@@ -655,13 +711,11 @@ impl ClusterSim {
                     self.bank.incr(Event::StoresRetired);
                     // Store data latency is 1; the drain happens post-retire.
                     let drain = issue + 1 + mem_lat;
-                    let slot = (self.sq_index % self.sq_drain.len() as u64) as usize;
                     self.last_sq_drain = self.last_sq_drain.max(drain);
-                    self.sq_drain[slot] = self.last_sq_drain;
+                    self.sq_drain.push(self.last_sq_drain);
                     // Occupancy sample: pending SQ entries at dispatch.
-                    let occ = count_pending(&self.sq_drain, self.sq_index + 1, dispatch);
+                    let occ = self.sq_drain.pending(dispatch);
                     self.bank.add(Event::StoreQueueOccupancy, occ);
-                    self.sq_index += 1;
                 }
                 _ => unreachable!("mem ref on non-memory op"),
             }
@@ -690,7 +744,7 @@ impl ClusterSim {
                 self.bank.incr(Event::BranchMispredicts);
                 let flushed = (cfg_width as u64)
                     .saturating_mul(complete.saturating_sub(fetch))
-                    .min(self.rob_retire.len() as u64);
+                    .min(self.rob.capacity());
                 self.bank.add(Event::WrongPathUopsFlushed, flushed);
                 self.min_fetch_time = self
                     .min_fetch_time
@@ -710,19 +764,16 @@ impl ClusterSim {
             .retire_ring
             .claim(complete.max(self.last_retire), self.cfg.retire_width);
         self.last_retire = retire.max(self.last_retire);
-        self.rob_retire[(self.inst_index % rob_len) as usize] = retire;
+        self.rob.push(retire);
         if inst.op == OpClass::Load {
-            let slot = (self.lq_index % self.lq_retire.len() as u64) as usize;
-            self.lq_retire[slot] = retire;
-            self.lq_index += 1;
+            self.lq_retire.push(retire);
         }
-        self.inst_index += 1;
 
         // ---- occupancy sampling (every 8th instruction, weighted) ----
-        if self.inst_index.is_multiple_of(8) {
-            let rob_occ = count_pending(&self.rob_retire, self.inst_index, dispatch);
+        if self.rob.pushed.is_multiple_of(8) {
+            let rob_occ = self.rob.pending(dispatch);
             self.bank.add(Event::RobOccupancy, rob_occ * 8);
-            let lq_occ = count_pending(&self.lq_retire, self.lq_index, dispatch);
+            let lq_occ = self.lq_retire.pending(dispatch);
             self.bank.add(Event::LoadQueueOccupancy, lq_occ * 8);
         }
 
@@ -767,7 +818,7 @@ impl ClusterSim {
     /// Panics unless the simulator is fresh.
     pub fn record_outcomes(&mut self) {
         assert!(
-            self.inst_index == 0 && self.lineage.is_some(),
+            self.rob.pushed == 0 && self.lineage.is_some(),
             "outcomes are recorded from a fresh simulator"
         );
         self.recording = true;
@@ -897,12 +948,78 @@ mod tests {
         assert_eq!(ring.claim(5, 2), 5);
     }
 
+    /// The binary search `CompletionRing::pending` replaced, kept as its
+    /// reference: counts entries `k - len .. k` of a monotone ring held at
+    /// `i % len` whose value is later than `t`.
+    fn count_pending(ring: &[u64], k: u64, t: u64) -> u64 {
+        let len = ring.len() as u64;
+        let lo = k.saturating_sub(len);
+        let (mut a, mut b) = (lo, k);
+        while a < b {
+            let mid = (a + b) / 2;
+            if ring[(mid % len) as usize] > t {
+                b = mid;
+            } else {
+                a = mid + 1;
+            }
+        }
+        k - a
+    }
+
     #[test]
-    fn count_pending_counts_monotone_ring() {
-        let ring = vec![10u64, 20, 30, 40];
-        assert_eq!(count_pending(&ring, 4, 5), 4);
-        assert_eq!(count_pending(&ring, 4, 25), 2);
-        assert_eq!(count_pending(&ring, 4, 100), 0);
+    fn completion_ring_counts_pending_entries() {
+        let mut ring = CompletionRing::new(4);
+        for t in [10, 20, 30, 40] {
+            ring.push(t);
+        }
+        assert_eq!(ring.pending(5), 4);
+        assert_eq!(ring.pending(25), 2);
+        assert_eq!(ring.pending(100), 0);
+        assert_eq!(ring.pending(15), 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Pushes random non-decreasing times and, between pushes, asks
+        /// for the pending count at times below and above the latest one:
+        /// the cursor walk answers what the binary search answered, before
+        /// the ring fills and after it wraps many times.
+        #[test]
+        fn completion_ring_matches_binary_search(
+            capacity in 1usize..24,
+            steps in proptest::prop::collection::vec(
+                (0u64..4, 0usize..3, 0u64..40, 0u64..12),
+                0..300,
+            ),
+        ) {
+            let mut ring = CompletionRing::new(capacity);
+            let mut reference = vec![0u64; capacity];
+            let mut k = 0u64;
+            let mut last = 0u64;
+            for (rise, queries, back, ahead) in steps {
+                proptest::prop_assert_eq!(
+                    ring.oldest(),
+                    (k >= capacity as u64).then(|| reference[(k % capacity as u64) as usize])
+                );
+                last += rise;
+                ring.push(last);
+                reference[(k % capacity as u64) as usize] = last;
+                k += 1;
+                for q in 0..queries as u64 {
+                    // Alternate below and above the latest time.
+                    let t = if q % 2 == 0 {
+                        last.saturating_sub(back)
+                    } else {
+                        last + ahead
+                    };
+                    proptest::prop_assert_eq!(
+                        ring.pending(t),
+                        count_pending(&reference, k, t)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

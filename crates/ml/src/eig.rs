@@ -98,8 +98,11 @@ pub fn top_eigenpairs(a: &Matrix, k: usize, iters: usize) -> (Vec<f64>, Matrix) 
         orthogonalize(&mut x, &vectors, e);
         normalize(&mut x);
         let mut lambda = 0.0;
+        // `A·x` of the current iterate: the Rayleigh quotient's product
+        // is the next iteration's step, so each iteration multiplies once.
+        let mut ax = a.matvec(&x);
         for _ in 0..iters {
-            let mut y = a.matvec(&x);
+            let mut y = ax;
             orthogonalize(&mut y, &vectors, e);
             let ny = norm(&y);
             if ny < 1e-12 {
@@ -110,7 +113,8 @@ pub fn top_eigenpairs(a: &Matrix, k: usize, iters: usize) -> (Vec<f64>, Matrix) 
             for v in y.iter_mut() {
                 *v /= ny;
             }
-            lambda = dot(&y, &a.matvec(&y));
+            ax = a.matvec(&y);
+            lambda = dot(&y, &ax);
             x = y;
         }
         values.push(lambda);
@@ -199,6 +203,70 @@ mod tests {
         // Eigenvectors orthonormal.
         assert!(dot(pvec.row(0), pvec.row(1)).abs() < 1e-6);
         assert!((norm(pvec.row(0)) - 1.0).abs() < 1e-9);
+    }
+
+    /// Power iteration as it was before the Rayleigh quotient's product
+    /// was reused: it multiplies by `a` twice per iteration.
+    fn top_eigenpairs_reference(a: &Matrix, k: usize, iters: usize) -> (Vec<f64>, Matrix) {
+        let n = a.rows();
+        let mut values = Vec::with_capacity(k);
+        let mut vectors = Matrix::zeros(k, n);
+        for e in 0..k {
+            let mut x: Vec<f64> = (0..n)
+                .map(|i| 1.0 + ((i * 37 + e * 101) % 97) as f64 / 97.0)
+                .collect();
+            orthogonalize(&mut x, &vectors, e);
+            normalize(&mut x);
+            let mut lambda = 0.0;
+            for _ in 0..iters {
+                let mut y = a.matvec(&x);
+                orthogonalize(&mut y, &vectors, e);
+                let ny = norm(&y);
+                if ny < 1e-12 {
+                    lambda = 0.0;
+                    break;
+                }
+                for v in y.iter_mut() {
+                    *v /= ny;
+                }
+                lambda = dot(&y, &a.matvec(&y));
+                x = y;
+            }
+            values.push(lambda);
+            vectors.row_mut(e).copy_from_slice(&x);
+        }
+        (values, vectors)
+    }
+
+    #[test]
+    fn power_iteration_matches_the_two_product_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for (n, rank, k, iters) in [
+            (6, 6, 2, 300),
+            (20, 4, 3, 300),
+            (40, 40, 2, 50),
+            (5, 1, 3, 300),
+        ] {
+            // A seeded covariance of rank `rank`: the rank-1 case drives
+            // the later eigenpairs into the null space.
+            let mut obs = Matrix::zeros(60, n);
+            for r in 0..60 {
+                let f: Vec<f64> = (0..rank).map(|_| rng.gen::<f64>() - 0.5).collect();
+                for c in 0..n {
+                    obs.set(r, c, f[c % rank] * (1.0 + c as f64));
+                }
+            }
+            let a = obs.column_covariance();
+            let (values, vectors) = top_eigenpairs(&a, k, iters);
+            let (ref_values, ref_vectors) = top_eigenpairs_reference(&a, k, iters);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&values), bits(&ref_values), "n {n}");
+            for e in 0..k {
+                assert_eq!(bits(vectors.row(e)), bits(ref_vectors.row(e)), "n {n}");
+            }
+        }
     }
 
     #[test]

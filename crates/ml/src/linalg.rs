@@ -295,6 +295,47 @@ mod tests {
         assert!(cov.get(0, 0) > 0.0);
     }
 
+    /// Each covariance entry depends on its two columns only, so the
+    /// covariance of a column subset is the full covariance's principal
+    /// submatrix, bit for bit.
+    #[test]
+    fn covariance_of_a_column_subset_is_the_principal_submatrix() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut a = Matrix::zeros(90, 8);
+        for r in 0..90 {
+            let f = rng.gen::<f64>() - 0.5;
+            for c in 0..6 {
+                a.set(r, c, f * (c as f64 + 1.0) + rng.gen::<f64>());
+            }
+            // A constant column and a three-level one whose deviation
+            // is exactly zero on a third of the rows.
+            a.set(r, 6, 2.5);
+            a.set(r, 7, (r % 3) as f64);
+        }
+        let full = a.column_covariance();
+        for subset in [
+            vec![0, 1, 2, 3, 4, 5, 6, 7],
+            vec![1, 4, 7],
+            vec![6, 2],
+            vec![5],
+        ] {
+            let mut sub = Matrix::zeros(a.rows(), subset.len());
+            for r in 0..a.rows() {
+                for (j, &c) in subset.iter().enumerate() {
+                    sub.set(r, j, a.get(r, c));
+                }
+            }
+            let cov = sub.column_covariance();
+            for (i, &ci) in subset.iter().enumerate() {
+                for (j, &cj) in subset.iter().enumerate() {
+                    assert_eq!(cov.get(i, j).to_bits(), full.get(ci, cj).to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "inner dimension mismatch")]
     fn matmul_rejects_mismatch() {

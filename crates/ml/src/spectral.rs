@@ -95,24 +95,9 @@ pub fn paper_screens(traces: &[&Matrix], pooled: &Matrix) -> ScreenResult {
     }
 }
 
-/// PF Counter Selection (Algorithm 1): picks `r` representatives of the
-/// spectral clusters of the counter covariance.
-///
-/// `data` has rows = intervals, columns = the screened counters (the
-/// caller projects with the screen result first). `tau` is the similarity
-/// threshold on second-eigenvector coefficient ratios (the paper's `τ_s`).
-/// Returns indices *into `data`'s columns* in selection order.
-///
-/// Counters are standardized internally so selection reflects correlation
-/// structure rather than raw scale.
-///
-/// # Panics
-/// Panics if `r == 0`, `r > data.cols()`, or `tau` is not in `(0, 1]`.
-pub fn pf_counter_selection(data: &Matrix, r: usize, tau: f64) -> Vec<usize> {
-    assert!(r >= 1, "must select at least one counter");
-    assert!(r <= data.cols(), "cannot select more counters than exist");
-    assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0, 1]");
-    // Standardize columns.
+/// `data` with every column shifted to mean 0 and scaled to standard
+/// deviation 1 (population normalization; a constant column stays 0).
+fn standardized(data: &Matrix) -> Matrix {
     let n = data.rows().max(1) as f64;
     let mut std_data = data.clone();
     for c in 0..std_data.cols() {
@@ -133,6 +118,27 @@ pub fn pf_counter_selection(data: &Matrix, r: usize, tau: f64) -> Vec<usize> {
             std_data.set(row, c, v);
         }
     }
+    std_data
+}
+
+/// PF Counter Selection (Algorithm 1): picks `r` representatives of the
+/// spectral clusters of the counter covariance.
+///
+/// `data` has rows = intervals, columns = the screened counters (the
+/// caller projects with the screen result first). `tau` is the similarity
+/// threshold on second-eigenvector coefficient ratios (the paper's `τ_s`).
+/// Returns indices *into `data`'s columns* in selection order.
+///
+/// Counters are standardized internally so selection reflects correlation
+/// structure rather than raw scale.
+///
+/// # Panics
+/// Panics if `r == 0`, `r > data.cols()`, or `tau` is not in `(0, 1]`.
+pub fn pf_counter_selection(data: &Matrix, r: usize, tau: f64) -> Vec<usize> {
+    assert!(r >= 1, "must select at least one counter");
+    assert!(r <= data.cols(), "cannot select more counters than exist");
+    assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0, 1]");
+    let full_cov = standardized(data).column_covariance();
     let mut active: Vec<usize> = (0..data.cols()).collect();
     let mut selected = Vec::with_capacity(r);
     while selected.len() < r && !active.is_empty() {
@@ -140,14 +146,15 @@ pub fn pf_counter_selection(data: &Matrix, r: usize, tau: f64) -> Vec<usize> {
             selected.push(active[0]);
             break;
         }
-        // Covariance of the active columns.
-        let mut sub = Matrix::zeros(std_data.rows(), active.len());
-        for row in 0..std_data.rows() {
-            for (j, &c) in active.iter().enumerate() {
-                sub.set(row, j, std_data.get(row, c));
+        // Covariance of the active columns: each entry depends on its two
+        // columns only, so it is the active principal submatrix of the
+        // full covariance, bit for bit.
+        let mut cov = Matrix::zeros(active.len(), active.len());
+        for (i, &a) in active.iter().enumerate() {
+            for (j, &b) in active.iter().enumerate() {
+                cov.set(i, j, full_cov.get(a, b));
             }
         }
-        let cov = sub.column_covariance();
         let (_, vecs) = top_eigenpairs(&cov, 2, 300);
         let e2 = vecs.row(1);
         // Representative: the largest |coefficient| of the 2nd eigenvector.
@@ -256,6 +263,96 @@ mod tests {
         let long = pf_counter_selection(&data, 32, 0.5);
         assert_eq!(long.len(), 32);
         assert_eq!(pf_counter_selection(&data, 12, 0.5), long[..12]);
+    }
+
+    /// PF selection as it was before the covariance was computed once:
+    /// the reference [`pf_counter_selection`] must match. Each greedy
+    /// step copies the active columns and takes their covariance.
+    fn pf_reference(data: &Matrix, r: usize, tau: f64) -> Vec<usize> {
+        let std_data = standardized(data);
+        let mut active: Vec<usize> = (0..data.cols()).collect();
+        let mut selected = Vec::with_capacity(r);
+        while selected.len() < r && !active.is_empty() {
+            if active.len() == 1 {
+                selected.push(active[0]);
+                break;
+            }
+            let mut sub = Matrix::zeros(std_data.rows(), active.len());
+            for row in 0..std_data.rows() {
+                for (j, &c) in active.iter().enumerate() {
+                    sub.set(row, j, std_data.get(row, c));
+                }
+            }
+            let (_, vecs) = top_eigenpairs(&sub.column_covariance(), 2, 300);
+            let e2 = vecs.row(1);
+            let (rep_j, rep_v) = e2
+                .iter()
+                .enumerate()
+                .max_by(|a, b| {
+                    a.1.abs()
+                        .partial_cmp(&b.1.abs())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .map(|(j, v)| (j, v.abs()))
+                .unwrap();
+            selected.push(active[rep_j]);
+            let group: std::collections::HashSet<usize> = e2
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| rep_v > 0.0 && v.abs() / rep_v > tau)
+                .map(|(j, _)| j)
+                .collect();
+            active = active
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| !group.contains(j) && *j != rep_j)
+                .map(|(_, &c)| c)
+                .collect();
+        }
+        let chosen: std::collections::HashSet<usize> = selected.iter().copied().collect();
+        let mut extras = (0..data.cols()).filter(|c| !chosen.contains(c));
+        while selected.len() < r {
+            match extras.next() {
+                Some(c) => selected.push(c),
+                None => break,
+            }
+        }
+        selected
+    }
+
+    /// Seeded data with `factors` latent factors spread over `cols`
+    /// noisy columns, plus a constant column and a three-level one (whose
+    /// deviation from the mean is exactly zero on a third of the rows).
+    fn factor_data(rows: usize, cols: usize, factors: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Matrix::zeros(rows, cols + 2);
+        for r in 0..rows {
+            let f: Vec<f64> = (0..factors).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+            for c in 0..cols {
+                let noise = (rng.gen::<f64>() - 0.5) * 0.3;
+                data.set(r, c, (0.5 + c as f64 / 7.0) * f[c % factors] + noise);
+            }
+            data.set(r, cols, 3.0);
+            data.set(r, cols + 1, (r % 3) as f64);
+        }
+        data
+    }
+
+    #[test]
+    fn pf_selection_matches_the_per_step_covariance_reference() {
+        for (seed, cols, factors, r, tau) in [
+            (1, 30, 6, 12, 0.5),
+            (2, 40, 9, 32, 0.5),
+            (3, 12, 3, 8, 0.9),
+            (4, 25, 25, 20, 0.3),
+        ] {
+            let data = factor_data(240, cols, factors, seed);
+            assert_eq!(
+                pf_counter_selection(&data, r, tau),
+                pf_reference(&data, r, tau),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

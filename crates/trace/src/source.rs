@@ -42,8 +42,8 @@ pub trait TraceSource {
     /// The default pulls and discards one instruction at a time;
     /// random-access sources ([`VecTrace`]) override it with an O(1)
     /// cursor bump. The SPEC corpus build (`CorpusTelemetry::spec` in
-    /// `psca-adapt`) calls it to fast-forward a generated workload to
-    /// each SimPoint's warm-up.
+    /// `psca-adapt`) calls it to fast-forward a generated workload from a
+    /// scan checkpoint to each SimPoint's warm-up.
     fn skip(&mut self, n: u64) -> u64 {
         let mut skipped = 0;
         while skipped < n {

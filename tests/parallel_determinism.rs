@@ -6,7 +6,7 @@
 //! seeds and merge in cell order, and the metrics cells record are
 //! commutative totals, so the worker count is invisible in every output.
 
-use psca_adapt::experiments::{ablations, chaos, fig10, fig4, fig5, fig6, table3};
+use psca_adapt::experiments::{ablations, chaos, fig10, fig4, fig5, fig6, table3, table4};
 use psca_adapt::{CorpusTelemetry, ExperimentConfig};
 use psca_faults::ChaosSpec;
 use psca_workloads::{Archetype, PhaseGenerator};
@@ -154,6 +154,38 @@ fn horizon_ablation_is_bit_identical_across_job_counts() {
 fn normalization_ablation_is_bit_identical_across_job_counts() {
     let _registry = registry_lock();
     serial_and_parallel(|cfg, hdtr| ablation_fields(&ablations::normalization(cfg, hdtr)));
+}
+
+#[test]
+fn table4_is_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
+    let corpus = CorpusTelemetry::hdtr(&screen_cfg(1));
+    let serial = table4::run(&screen_cfg(1), &corpus);
+    let parallel = table4::run(&screen_cfg(2), &corpus);
+    assert_eq!(serial.to_string(), parallel.to_string());
+    assert_eq!(
+        serial.selection.selected_base_events,
+        parallel.selection.selected_base_events
+    );
+}
+
+/// The width and steering ablations run one simulation per sweep cell;
+/// their IPCs must not depend on the worker count.
+#[test]
+fn width_and_steering_ablations_are_bit_identical_across_job_counts() {
+    let _registry = registry_lock();
+    let width = |jobs| {
+        let a = ablations::cluster_width(&cfg_with_jobs(jobs));
+        let ipcs: Vec<f64> = a.rows.iter().flat_map(|r| [r.2, r.3]).collect();
+        (a.to_string(), bits(&ipcs))
+    };
+    assert_eq!(width(1), width(2));
+    let steering = |jobs| {
+        let a = ablations::steering(&cfg_with_jobs(jobs));
+        let ipcs: Vec<f64> = a.rows.iter().flat_map(|r| [r.1, r.2]).collect();
+        (a.to_string(), bits(&ipcs))
+    };
+    assert_eq!(steering(1), steering(2));
 }
 
 #[test]
