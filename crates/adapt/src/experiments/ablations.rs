@@ -294,8 +294,7 @@ pub fn dvfs(cfg: &ExperimentConfig, corpus: &CorpusTelemetry) -> DvfsAblation {
             acc[1].1 += e1;
             acc[1].2 += trace.insts[t];
             // Governor reacts to the observed interval for the next one.
-            let fake = fake_interval(cyc_hi, miss_hi, e_hi, trace.insts[t]);
-            governor_hi.step(&fake);
+            observe(&mut governor_hi, cyc_hi, miss_hi, e_hi);
             // (2) gating only @ reference.
             let (t2, e2) = model.project_raw(cyc_g, miss_g, e_g, model.reference());
             acc[2].0 += t2;
@@ -307,8 +306,7 @@ pub fn dvfs(cfg: &ExperimentConfig, corpus: &CorpusTelemetry) -> DvfsAblation {
             acc[3].0 += t3;
             acc[3].1 += e3;
             acc[3].2 += trace.insts[t];
-            let fake = fake_interval(cyc_g, miss_g, e_g, trace.insts[t]);
-            governor_both.step(&fake);
+            observe(&mut governor_both, cyc_g, miss_g, e_g);
         }
     }
     let base_ppw = acc[0].2 as f64 / acc[0].1;
@@ -333,29 +331,13 @@ pub fn dvfs(cfg: &ExperimentConfig, corpus: &CorpusTelemetry) -> DvfsAblation {
     DvfsAblation { rows }
 }
 
-/// Builds a minimal `IntervalResult` for governor feedback from raw
-/// quantities (the governor only reads cycles, LLC rate, and energy).
-fn fake_interval(
-    cycles: u64,
-    llc_per_cycle: f64,
-    energy: f64,
-    insts: u64,
-) -> psca_cpu::IntervalResult {
-    use psca_telemetry::CounterBank;
-    let mut bank = CounterBank::new();
-    bank.add(Event::Cycles, cycles);
-    bank.add(Event::InstRetired, insts);
-    bank.add(
-        Event::LlcMisses,
-        (llc_per_cycle * cycles as f64).round() as u64,
-    );
-    let snapshot = bank.snapshot_and_reset();
-    psca_cpu::IntervalResult {
-        snapshot,
-        energy,
-        mode: Mode::HighPerf,
-        instructions: insts,
-    }
+/// Steps `governor` on one interval's raw quantities, as the interval's
+/// counter snapshot would report them: at least one cycle, and the LLC
+/// miss rate of a whole miss count over those cycles.
+fn observe(governor: &mut psca_cpu::DvfsGovernor, cycles: u64, llc_per_cycle: f64, energy: f64) {
+    let misses = (llc_per_cycle * cycles as f64).round() as u64;
+    let cycles = cycles.max(1);
+    governor.step(cycles, misses as f64 / cycles as f64, energy);
 }
 
 impl std::fmt::Display for DvfsAblation {

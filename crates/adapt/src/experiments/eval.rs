@@ -243,13 +243,9 @@ pub fn evaluate_with_guardrail(
             None => per_app.push((trace.app_name.clone(), acc)),
         }
     }
-    let overall = overall.finish();
-    psca_obs::gauge("adapt.eval.last_ppw_gain").set(overall.ppw_gain);
-    psca_obs::gauge("adapt.eval.last_rsv").set(overall.rsv);
-    psca_obs::gauge("adapt.eval.last_accuracy").set(overall.accuracy);
     PerAppEvaluation {
         per_app: per_app.into_iter().map(|(n, a)| (n, a.finish())).collect(),
-        overall,
+        overall: overall.finish(),
     }
 }
 

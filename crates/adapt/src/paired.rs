@@ -11,6 +11,7 @@ use crate::config::ExperimentConfig;
 use crate::controller::record_trace;
 use crate::sla::Sla;
 use psca_cpu::{ClusterSim, CpuConfig, Mode};
+use psca_exec::codec::{Reader, Truncated, Writer};
 use psca_exec::{Digest, Sweep};
 use psca_telemetry::NUM_EVENTS;
 use psca_trace::TraceSource;
@@ -375,11 +376,12 @@ impl CorpusTelemetry {
 // --- sweep-cache codec -----------------------------------------------
 //
 // A compact little-endian binary format for `TraceTelemetry`, used by the
-// persistent sweep cache. Decoding is defensive: any truncation, magic or
-// schema mismatch, length inconsistency or trailing byte is a typed
-// `DecodeError`, which the sweep engine counts as a corrupt entry and
-// recomputes. A count is checked against the bytes left before anything
-// is read, so no decoded number sizes an allocation.
+// persistent sweep cache and written with `psca_exec::codec`. Decoding is
+// defensive: any truncation, magic or schema mismatch, length
+// inconsistency or trailing byte is a typed `DecodeError`, which the sweep
+// engine counts as a corrupt entry and recomputes. The codec's reader
+// checks each count against the bytes left before anything is read, so no
+// decoded number sizes an allocation.
 
 const TRACE_MAGIC: u32 = 0x5053_5454; // "PSTT"
 
@@ -410,140 +412,63 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn push_f64s(out: &mut Vec<u8>, vals: &[f64]) {
-    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn push_u64s(out: &mut Vec<u8>, vals: &[u64]) {
-    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn push_rows(out: &mut Vec<u8>, rows: &[Vec<f64>]) {
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        push_f64s(out, row);
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        self.take(N)?.try_into().map_err(|_| DecodeError::Truncated)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a count of items of at least `min_bytes` each, refusing one
-    /// the rest of the entry cannot hold.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        let left = self.buf.len() - self.pos;
-        if n.saturating_mul(min_bytes) > left {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn rows(&mut self) -> Result<Vec<Vec<f64>>, DecodeError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.f64s()).collect()
-    }
-}
-
-/// Decodes a whole entry with `read`, refusing bytes it leaves unread.
-fn decode_all<T>(
-    buf: &[u8],
-    read: impl FnOnce(&mut Cursor<'_>) -> Result<T, DecodeError>,
-) -> Result<T, DecodeError> {
-    let mut c = Cursor { buf, pos: 0 };
-    let t = read(&mut c)?;
-    if c.pos == buf.len() {
-        Ok(t)
-    } else {
-        Err(DecodeError::TrailingBytes)
+impl From<Truncated> for DecodeError {
+    fn from(_: Truncated) -> DecodeError {
+        DecodeError::Truncated
     }
 }
 
 /// Serializes one trace for the sweep cache.
 pub fn encode_trace(t: &TraceTelemetry) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&TRACE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(CACHE_SCHEMA as u32).to_le_bytes());
-    out.extend_from_slice(&t.app_id.to_le_bytes());
-    out.extend_from_slice(&t.workload.to_le_bytes());
-    out.extend_from_slice(&(t.app_name.len() as u32).to_le_bytes());
-    out.extend_from_slice(t.app_name.as_bytes());
-    push_rows(&mut out, &t.rows_hi);
-    push_rows(&mut out, &t.rows_lo);
-    push_f64s(&mut out, &t.ipc_hi);
-    push_f64s(&mut out, &t.ipc_lo);
-    push_u64s(&mut out, &t.cycles_hi);
-    push_u64s(&mut out, &t.cycles_lo);
-    push_f64s(&mut out, &t.energy_hi);
-    push_f64s(&mut out, &t.energy_lo);
-    push_u64s(&mut out, &t.insts);
-    out
+    let mut w = Writer::new();
+    w.u32(TRACE_MAGIC);
+    w.u32(CACHE_SCHEMA as u32);
+    w.u32(t.app_id);
+    w.u64(t.workload);
+    w.bytes(t.app_name.as_bytes());
+    for rows in [&t.rows_hi, &t.rows_lo] {
+        w.u32(rows.len() as u32);
+        rows.iter().for_each(|row| w.f64s(row));
+    }
+    w.f64s(&t.ipc_hi);
+    w.f64s(&t.ipc_lo);
+    w.u64s(&t.cycles_hi);
+    w.u64s(&t.cycles_lo);
+    w.f64s(&t.energy_hi);
+    w.f64s(&t.energy_lo);
+    w.u64s(&t.insts);
+    w.into_bytes()
 }
 
-fn decode_trace_at(c: &mut Cursor<'_>) -> Result<TraceTelemetry, DecodeError> {
-    if c.u32()? != TRACE_MAGIC || c.u32()? != CACHE_SCHEMA as u32 {
+/// Deserializes one trace.
+///
+/// # Errors
+/// A [`DecodeError`] on any corruption or schema mismatch.
+pub fn decode_trace(buf: &[u8]) -> Result<TraceTelemetry, DecodeError> {
+    let mut r = Reader::new(buf);
+    if r.u32()? != TRACE_MAGIC || r.u32()? != CACHE_SCHEMA as u32 {
         return Err(DecodeError::BadHeader);
     }
-    let app_id = c.u32()?;
-    let workload = c.u64()?;
-    let name_len = c.count(1)?;
-    let app_name =
-        String::from_utf8(c.take(name_len)?.to_vec()).map_err(|_| DecodeError::Inconsistent)?;
+    let app_id = r.u32()?;
+    let workload = r.u64()?;
+    let app_name = String::from_utf8(r.bytes()?.to_vec()).map_err(|_| DecodeError::Inconsistent)?;
+    let mut rows = || -> Result<Vec<Vec<f64>>, Truncated> {
+        let n = r.count(4)?;
+        (0..n).map(|_| r.f64s()).collect()
+    };
     let t = TraceTelemetry {
         app_id,
         app_name,
         workload,
-        rows_hi: c.rows()?,
-        rows_lo: c.rows()?,
-        ipc_hi: c.f64s()?,
-        ipc_lo: c.f64s()?,
-        cycles_hi: c.u64s()?,
-        cycles_lo: c.u64s()?,
-        energy_hi: c.f64s()?,
-        energy_lo: c.f64s()?,
-        insts: c.u64s()?,
+        rows_hi: rows()?,
+        rows_lo: rows()?,
+        ipc_hi: r.f64s()?,
+        ipc_lo: r.f64s()?,
+        cycles_hi: r.u64s()?,
+        cycles_lo: r.u64s()?,
+        energy_hi: r.f64s()?,
+        energy_lo: r.f64s()?,
+        insts: r.u64s()?,
     };
     // Structural invariants the rest of the pipeline relies on.
     let n = t.insts.len();
@@ -557,27 +482,21 @@ fn decode_trace_at(c: &mut Cursor<'_>) -> Result<TraceTelemetry, DecodeError> {
         && t.energy_lo.len() == n
         && t.rows_hi.iter().all(|r| r.len() == NUM_EVENTS)
         && t.rows_lo.iter().all(|r| r.len() == NUM_EVENTS);
-    consistent.then_some(t).ok_or(DecodeError::Inconsistent)
-}
-
-/// Deserializes one trace.
-///
-/// # Errors
-/// A [`DecodeError`] on any corruption or schema mismatch.
-pub fn decode_trace(buf: &[u8]) -> Result<TraceTelemetry, DecodeError> {
-    decode_all(buf, decode_trace_at)
+    if !consistent {
+        return Err(DecodeError::Inconsistent);
+    }
+    r.finish(DecodeError::TrailingBytes)?;
+    Ok(t)
 }
 
 /// Serializes a workload's trace list (one SPEC sweep cell).
 pub fn encode_traces(ts: &Vec<TraceTelemetry>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(ts.len() as u32).to_le_bytes());
+    let mut w = Writer::new();
+    w.u32(ts.len() as u32);
     for t in ts {
-        let enc = encode_trace(t);
-        out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-        out.extend_from_slice(&enc);
+        w.bytes(&encode_trace(t));
     }
-    out
+    w.into_bytes()
 }
 
 /// Deserializes a workload's trace list.
@@ -585,15 +504,13 @@ pub fn encode_traces(ts: &Vec<TraceTelemetry>) -> Vec<u8> {
 /// # Errors
 /// A [`DecodeError`] on any corruption of the list or of one trace.
 pub fn decode_traces(buf: &[u8]) -> Result<Vec<TraceTelemetry>, DecodeError> {
-    decode_all(buf, |c| {
-        let n = c.count(4)?;
-        (0..n)
-            .map(|_| {
-                let len = c.count(1)?;
-                decode_trace(c.take(len)?)
-            })
-            .collect()
-    })
+    let mut r = Reader::new(buf);
+    let n = r.count(4)?;
+    let ts = (0..n)
+        .map(|_| decode_trace(r.bytes()?))
+        .collect::<Result<_, _>>()?;
+    r.finish(DecodeError::TrailingBytes)?;
+    Ok(ts)
 }
 
 #[cfg(test)]

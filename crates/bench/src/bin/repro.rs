@@ -692,12 +692,6 @@ fn finalize_report(report: &mut RunReport, snap: &MetricsSnapshot) {
             1.0 - c("adapt.mispredictions") as f64 / predictions as f64,
         );
     }
-    if let Some(&ppw) = snap.gauges.get("adapt.eval.last_ppw_gain") {
-        report.set("last_ppw_gain", ppw);
-    }
-    if let Some(&rsv) = snap.gauges.get("adapt.eval.last_rsv") {
-        report.set("last_rsv", rsv);
-    }
     match report.write(Path::new("target/obs"), snap) {
         Ok(path) => eprintln!("[repro] run report: {}", path.display()),
         Err(e) => eprintln!("[repro] failed to write run report: {e}"),

@@ -14,9 +14,6 @@
 //! - an ondemand-style [`DvfsGovernor`] that picks the lowest point
 //!   meeting a utilization target.
 
-use crate::sim::IntervalResult;
-use psca_telemetry::Event;
-
 /// One voltage/frequency operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
@@ -84,38 +81,14 @@ impl DvfsModel {
         self.reference
     }
 
-    /// Estimated memory-bound share of an interval: the fraction of its
-    /// cycles attributable to LLC misses at the reference point.
-    pub fn memory_share(&self, r: &IntervalResult) -> f64 {
-        self.memory_share_raw(r.snapshot.get(Event::LlcMisses))
-    }
-
-    /// [`DvfsModel::memory_share`] from a per-cycle LLC miss rate.
-    pub fn memory_share_raw(&self, llc_misses_per_cycle: f64) -> f64 {
-        // Overlap factor: misses rarely serialize fully; charge half.
-        (0.5 * llc_misses_per_cycle * self.mem_latency_cycles).clamp(0.0, 0.95)
-    }
-
     /// Projects an interval simulated at the reference point onto another
-    /// operating point, returning `(time_ns, energy)`.
+    /// operating point, returning `(time_ns, energy)`. The interval is
+    /// given by its raw quantities: cycles, LLC miss rate per cycle, and
+    /// reference-point energy.
     ///
     /// Core time contracts with frequency; memory time is constant in
     /// wall-clock. Dynamic energy scales with V²; static energy with
     /// V × time.
-    ///
-    /// # Panics
-    /// Panics if `point` is out of range.
-    pub fn project(&self, r: &IntervalResult, point: usize) -> (f64, f64) {
-        self.project_raw(
-            r.snapshot.cycles,
-            r.snapshot.get(Event::LlcMisses),
-            r.energy,
-            point,
-        )
-    }
-
-    /// [`DvfsModel::project`] from raw interval quantities (cycles, LLC
-    /// miss rate per cycle, and reference-point energy).
     ///
     /// # Panics
     /// Panics if `point` is out of range.
@@ -130,7 +103,9 @@ impl DvfsModel {
         let p = self.points[point];
         let pref = self.points[self.reference];
         let cycles = cycles as f64;
-        let m = self.memory_share_raw(llc_misses_per_cycle);
+        // Memory-bound share: the fraction of the cycles attributable to
+        // LLC misses. Misses rarely serialize fully, so charge half.
+        let m = (0.5 * llc_misses_per_cycle * self.mem_latency_cycles).clamp(0.0, 0.95);
         let time_ref_ns = cycles / pref.freq_ghz;
         let core_ns = (1.0 - m) * time_ref_ns * (pref.freq_ghz / p.freq_ghz);
         let mem_ns = m * time_ref_ns;
@@ -178,14 +153,20 @@ impl DvfsGovernor {
         self.current
     }
 
-    /// Observes an interval and picks the next operating point: the
-    /// slowest point whose projected time stays within `1 + slack` of the
-    /// reference-point time.
-    pub fn step(&mut self, r: &IntervalResult) -> usize {
-        let (t_ref, _) = self.model.project(r, self.model.reference());
+    /// Observes an interval, given as [`DvfsModel::project_raw`] takes
+    /// it, and picks the next operating point: the slowest point whose
+    /// projected time stays within `1 + slack` of the reference-point
+    /// time.
+    pub fn step(&mut self, cycles: u64, llc_misses_per_cycle: f64, energy: f64) -> usize {
+        let project = |p| {
+            self.model
+                .project_raw(cycles, llc_misses_per_cycle, energy, p)
+                .0
+        };
+        let t_ref = project(self.model.reference());
         let mut chosen = self.model.points().len() - 1;
         for p in 0..self.model.points().len() {
-            let (t, _) = self.model.project(r, p);
+            let t = project(p);
             if t <= t_ref * (1.0 + self.slack) {
                 chosen = p;
                 break;
@@ -194,42 +175,51 @@ impl DvfsGovernor {
         self.current = chosen;
         chosen
     }
-
-    /// The model the governor drives.
-    pub fn model(&self) -> &DvfsModel {
-        &self.model
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ClusterSim, CpuConfig, Mode};
+    use psca_telemetry::Event;
     use psca_workloads::{Archetype, PhaseGenerator};
 
-    fn interval(a: Archetype, mode: Mode) -> IntervalResult {
+    /// One simulated interval's raw quantities: cycles, LLC misses per
+    /// cycle, and energy.
+    type Raw = (u64, f64, f64);
+
+    fn interval(a: Archetype, mode: Mode) -> Raw {
         let mut sim = ClusterSim::new(CpuConfig::skylake_scaled());
         sim.set_mode(mode);
         let mut gen = PhaseGenerator::new(a.center(), 11);
         sim.warm_up(&mut gen, 20_000);
-        sim.run_interval(&mut gen, 20_000).unwrap()
+        let r = sim.run_interval(&mut gen, 20_000).unwrap();
+        (
+            r.snapshot.cycles,
+            r.snapshot.get(Event::LlcMisses),
+            r.energy,
+        )
+    }
+
+    fn project(m: &DvfsModel, &(cycles, llc, energy): &Raw, point: usize) -> (f64, f64) {
+        m.project_raw(cycles, llc, energy, point)
     }
 
     #[test]
     fn reference_projection_is_identity() {
         let m = DvfsModel::skylake_scaled();
         let r = interval(Archetype::Balanced, Mode::HighPerf);
-        let (t, e) = m.project(&r, m.reference());
-        assert!((t - r.snapshot.cycles as f64 / 2.0).abs() < 1e-6);
-        assert!((e - r.energy).abs() < 1e-6 * r.energy);
+        let (t, e) = project(&m, &r, m.reference());
+        assert!((t - r.0 as f64 / 2.0).abs() < 1e-6);
+        assert!((e - r.2).abs() < 1e-6 * r.2);
     }
 
     #[test]
     fn lower_points_save_energy_and_cost_time() {
         let m = DvfsModel::skylake_scaled();
         let r = interval(Archetype::ScalarIlp, Mode::HighPerf);
-        let (t_ref, e_ref) = m.project(&r, m.reference());
-        let (t_min, e_min) = m.project(&r, m.vmin());
+        let (t_ref, e_ref) = project(&m, &r, m.reference());
+        let (t_min, e_min) = project(&m, &r, m.vmin());
         assert!(t_min > t_ref, "V_min must be slower for compute-bound code");
         assert!(e_min < e_ref, "V_min must save energy");
     }
@@ -239,9 +229,9 @@ mod tests {
         let m = DvfsModel::skylake_scaled();
         let compute = interval(Archetype::ScalarIlp, Mode::HighPerf);
         let membound = interval(Archetype::MemBound, Mode::HighPerf);
-        let slowdown = |r: &IntervalResult| {
-            let (t_ref, _) = m.project(r, m.reference());
-            let (t_min, _) = m.project(r, m.vmin());
+        let slowdown = |r: &Raw| {
+            let (t_ref, _) = project(&m, r, m.reference());
+            let (t_min, _) = project(&m, r, m.vmin());
             t_min / t_ref
         };
         assert!(
@@ -255,16 +245,16 @@ mod tests {
     #[test]
     fn governor_downclocks_memory_bound_phases() {
         let m = DvfsModel::skylake_scaled();
-        let mut gov = DvfsGovernor::new(m, 0.10);
+        let mut gov = DvfsGovernor::new(m.clone(), 0.10);
         let membound = interval(Archetype::MemBound, Mode::HighPerf);
-        let p_mem = gov.step(&membound);
+        let p_mem = gov.step(membound.0, membound.1, membound.2);
         let compute = interval(Archetype::ScalarIlp, Mode::HighPerf);
-        let p_cpu = gov.step(&compute);
+        let p_cpu = gov.step(compute.0, compute.1, compute.2);
         assert!(
             p_mem <= p_cpu,
             "governor should downclock memory-bound phases ({p_mem} vs {p_cpu})"
         );
-        assert_eq!(p_cpu, gov.model().reference(), "compute stays at reference");
+        assert_eq!(p_cpu, m.reference(), "compute stays at reference");
     }
 
     #[test]
@@ -274,8 +264,8 @@ mod tests {
         let m = DvfsModel::skylake_scaled();
         let hi = interval(Archetype::DepChain, Mode::HighPerf);
         let lo = interval(Archetype::DepChain, Mode::LowPower);
-        let (_, e_hi) = m.project(&hi, m.vmin());
-        let (_, e_lo) = m.project(&lo, m.vmin());
+        let (_, e_hi) = project(&m, &hi, m.vmin());
+        let (_, e_lo) = project(&m, &lo, m.vmin());
         // Same instruction count in both intervals.
         assert!(
             e_lo < e_hi,
@@ -288,6 +278,6 @@ mod tests {
     fn bad_point_rejected() {
         let m = DvfsModel::skylake_scaled();
         let r = interval(Archetype::Balanced, Mode::HighPerf);
-        let _ = m.project(&r, 99);
+        let _ = project(&m, &r, 99);
     }
 }

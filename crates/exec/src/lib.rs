@@ -6,7 +6,8 @@
 //!
 //! - [`pool`]: a scoped-thread work-stealing job pool with order-preserving
 //!   results ([`pool::map_indexed`]).
-//! - [`digest`]: stable FNV-1a 64 content digests for cache keys.
+//! - [`digest`]: stable FNV-1a 64 content digests for cache keys, and
+//!   [`codec`]: the bounded byte codec of the on-disk binary formats.
 //! - [`cache`] + [`sweep`]: the [`Sweep`] abstraction — fans independent
 //!   (workload, config, seed) cells across `--jobs N` workers with
 //!   bit-identical-to-serial merges, fronted by a persistent
@@ -16,6 +17,7 @@
 //! contract.
 
 pub mod cache;
+pub mod codec;
 pub mod digest;
 pub mod pool;
 pub mod sweep;

@@ -19,6 +19,7 @@
 //! story (docs/ROBUSTNESS.md).
 
 use crate::firmware::{FirmwareError, FirmwareModel};
+use psca_exec::codec::{Reader, Truncated, Writer};
 use psca_ml::{DecisionTree, LogisticRegression, Matrix, Mlp, Node, RandomForest};
 use std::fmt;
 
@@ -56,6 +57,12 @@ impl fmt::Display for ImageError {
 }
 
 impl std::error::Error for ImageError {}
+
+impl From<Truncated> for ImageError {
+    fn from(_: Truncated) -> ImageError {
+        ImageError::Corrupt("unexpected end of image")
+    }
+}
 
 const MAGIC: &[u8; 4] = b"PSCA";
 /// The one format version: payload followed by a CRC-32 trailer.
@@ -98,62 +105,14 @@ const TAG_MLP: u8 = 0;
 const TAG_FOREST: u8 = 1;
 const TAG_LOGISTIC: u8 = 2;
 
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.at + n > self.data.len() {
-            return Err(ImageError::Corrupt("unexpected end of image"));
-        }
-        let s = &self.data[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, ImageError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn done(&self) -> bool {
-        self.at == self.data.len()
-    }
-}
-
 /// Encodes a trained model as a firmware image.
 ///
 /// # Errors
 /// Returns [`ImageError::Unsupported`] for SVM variants, which the paper's
 /// budget analysis rules out for deployment.
 pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
-    let mut w = Writer(Vec::new());
-    w.0.extend_from_slice(MAGIC);
+    let mut w = Writer::new();
+    w.raw(MAGIC);
     w.u8(VERSION);
     match model {
         FirmwareModel::Mlp(m) => {
@@ -164,14 +123,10 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
                 let (weights, biases) = m.layer_weights(li);
                 w.u16(weights.rows() as u16);
                 w.u16(weights.cols() as u16);
-                for r in 0..weights.rows() {
-                    for c in 0..weights.cols() {
-                        w.f64(weights.get(r, c));
-                    }
-                }
-                for &b in biases {
-                    w.f64(b);
-                }
+                (0..weights.rows())
+                    .flat_map(|r| weights.row(r))
+                    .chain(biases)
+                    .for_each(|&v| w.f64(v));
             }
         }
         FirmwareModel::Forest(forest) => {
@@ -208,9 +163,7 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
             w.u8(TAG_LOGISTIC);
             w.f64(lr.threshold());
             w.u16(lr.weights().len() as u16);
-            for &v in lr.weights() {
-                w.f64(v);
-            }
+            lr.weights().iter().for_each(|&v| w.f64(v));
             w.f64(lr.bias());
         }
         FirmwareModel::SvmEnsemble(_) => {
@@ -223,9 +176,9 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
             return Err(ImageError::Unsupported("gradient-boosted trees"));
         }
     }
-    let crc = crc32(&w.0);
+    let crc = crc32(w.as_bytes());
     w.u32(crc);
-    Ok(w.0)
+    Ok(w.into_bytes())
 }
 
 /// Decodes a firmware image back into a runnable model.
@@ -234,7 +187,7 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
 /// Returns a descriptive [`ImageError`] for malformed inputs; decoding
 /// never panics on untrusted bytes.
 pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
-    let mut header = Reader { data: bytes, at: 0 };
+    let mut header = Reader::new(bytes);
     if header.take(4)? != MAGIC {
         return Err(ImageError::BadMagic);
     }
@@ -243,15 +196,15 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
         return Err(ImageError::BadVersion(version));
     }
     // The last four bytes are a little-endian CRC-32 of the rest.
-    if bytes.len() < 9 {
-        return Err(ImageError::Corrupt("unexpected end of image"));
-    }
+    header.fits(1, 4)?;
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
+    if crc32(body) != Reader::new(trailer).u32()? {
         return Err(ImageError::ChecksumMismatch);
     }
-    let mut r = Reader { data: body, at: 5 };
+    // Every count is checked against the bytes left before it sizes an
+    // allocation: a short image claiming millions of nodes is truncated,
+    // not a hundred-megabyte reservation.
+    let mut r = Reader::new(&body[5..]);
     let tag = r.u8()?;
     let threshold = r.f64()?;
     if !(0.0..=1.0).contains(&threshold) {
@@ -263,25 +216,20 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
             if n_layers == 0 {
                 return Err(ImageError::Corrupt("MLP with zero layers"));
             }
-            let mut layers = Vec::with_capacity(n_layers);
+            // A layer is at least a 1×1 shape, one weight and one bias.
+            let mut layers = Vec::with_capacity(r.fits(n_layers, 20)?);
             for _ in 0..n_layers {
                 let rows = r.u16()? as usize;
                 let cols = r.u16()? as usize;
                 if rows == 0 || cols == 0 || rows * cols > 1 << 20 {
                     return Err(ImageError::Corrupt("implausible layer shape"));
                 }
-                let mut m = Matrix::zeros(rows, cols);
-                for row in 0..rows {
-                    for col in 0..cols {
-                        let v = r.f64()?;
-                        m.set(row, col, v);
-                    }
-                }
-                let mut biases = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    biases.push(r.f64()?);
-                }
-                layers.push((m, biases));
+                r.fits(rows * (cols + 1), 8)?;
+                let weights = (0..rows * cols)
+                    .map(|_| r.f64())
+                    .collect::<Result<_, _>>()?;
+                let biases = (0..rows).map(|_| r.f64()).collect::<Result<_, _>>()?;
+                layers.push((Matrix::from_vec(rows, cols, weights), biases));
             }
             // Validate chaining before handing to the panicking constructor.
             for pair in layers.windows(2) {
@@ -299,15 +247,20 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
             if n_trees == 0 {
                 return Err(ImageError::Corrupt("forest with zero trees"));
             }
-            let mut trees = Vec::with_capacity(n_trees);
+            // A tree is at least its 8-byte header and one 9-byte leaf.
+            let mut trees = Vec::with_capacity(r.fits(n_trees, 17)?);
             for _ in 0..n_trees {
                 let max_depth = r.u16()? as usize;
                 let num_features = r.u16()? as usize;
-                let n_nodes = r.u32()? as usize;
+                let n_nodes = r.count(9)?;
                 if n_nodes == 0 || n_nodes > 1 << 22 {
                     return Err(ImageError::Corrupt("implausible node count"));
                 }
                 let mut nodes = Vec::with_capacity(n_nodes);
+                // Each node's deepest path from the root, final when the node
+                // is read because parents precede children. The traversal
+                // asserts it ends within the declared `max_depth`.
+                let mut depth = vec![0; n_nodes];
                 for i in 0..n_nodes {
                     match r.u8()? {
                         0 => nodes.push(Node::Leaf { value: r.f64()? }),
@@ -321,9 +274,12 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
                                 || right >= n_nodes
                                 || left <= i
                                 || right <= i
+                                || depth[i] >= max_depth
                             {
                                 return Err(ImageError::Corrupt("malformed split node"));
                             }
+                            depth[left] = depth[left].max(depth[i] + 1);
+                            depth[right] = depth[right].max(depth[i] + 1);
                             nodes.push(Node::Split {
                                 feature,
                                 threshold,
@@ -336,22 +292,24 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
                 }
                 trees.push(DecisionTree::from_nodes(nodes, max_depth, num_features));
             }
+            // Every tree reads the one input vector the forest is given.
+            let width = trees[0].num_features();
+            if trees.iter().any(|t| t.num_features() != width) {
+                return Err(ImageError::Corrupt("trees disagree on input width"));
+            }
             FirmwareModel::Forest(RandomForest::from_trees(trees, threshold))
         }
         TAG_LOGISTIC => {
             let d = r.u16()? as usize;
-            let mut weights = Vec::with_capacity(d);
-            for _ in 0..d {
-                weights.push(r.f64()?);
-            }
+            let weights = (0..r.fits(d, 8)?)
+                .map(|_| r.f64())
+                .collect::<Result<_, _>>()?;
             let bias = r.f64()?;
             FirmwareModel::Logistic(LogisticRegression::from_parts(weights, bias, threshold))
         }
         _ => return Err(ImageError::Corrupt("unknown model tag")),
     };
-    if !r.done() {
-        return Err(ImageError::Corrupt("trailing bytes"));
-    }
+    r.finish(ImageError::Corrupt("trailing bytes"))?;
     // Weight-sanity check at load: a checksum proves the bytes arrived
     // intact, not that the encoded weights were sane to begin with.
     model.validate().map_err(ImageError::InvalidModel)?;
@@ -514,6 +472,160 @@ mod tests {
             corrupted[idx] ^= 1u8 << rng.gen_range(0..8);
             let _ = decode(&corrupted); // must not panic; error or value both fine
         }
+    }
+
+    /// One trained, encoded image of each deployable class.
+    fn trained_images() -> &'static [Vec<u8>; 3] {
+        static IMAGES: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
+        IMAGES.get_or_init(|| {
+            let data = dataset(150, 6);
+            [
+                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 5)),
+                FirmwareModel::Forest(RandomForest::fit(&RandomForestConfig::best_rf(), &data, 7)),
+                FirmwareModel::Logistic(LogisticRegression::fit(&data, 1e-4, 100)),
+            ]
+            .map(|m| encode(&m).unwrap())
+        })
+    }
+
+    /// Appends a valid CRC-32 trailer to `body`, so the decoder gets past
+    /// the checksum to the payload.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Truncated and mutated payloads, re-sealed so the CRC passes,
+        /// reach the body decoder: each decodes to an error or to a valid
+        /// model that re-encodes to the same bytes, and none panics.
+        #[test]
+        fn resealed_mutations_never_panic(
+            kind in 0usize..3,
+            truncate in proptest::arbitrary::any::<bool>(),
+            keep in 0.0f64..1.0,
+            mutations in proptest::prop::collection::vec(
+                (0.0f64..1.0, proptest::arbitrary::any::<u8>(), 1usize..5),
+                0..4,
+            ),
+        ) {
+            let image = &trained_images()[kind];
+            // Magic and version stay, so every case reaches the payload.
+            let mut body = image[..image.len() - 4].to_vec();
+            if truncate {
+                body.truncate(5 + ((body.len() - 5) as f64 * keep) as usize);
+            }
+            for (at, byte, width) in mutations {
+                let payload = body.len() - 5;
+                if payload == 0 {
+                    break;
+                }
+                let i = 5 + (payload as f64 * at) as usize;
+                let end = (i + width).min(body.len());
+                body[i..end].fill(byte);
+            }
+            let sealed = reseal(body);
+            if let Ok(model) = decode(&sealed) {
+                proptest::prop_assert!(model.validate().is_ok());
+                proptest::prop_assert_eq!(encode(&model).unwrap(), sealed);
+                if let Some(d) = model.input_dim() {
+                    proptest::prop_assert!(model.score(&vec![0.5; d]).is_ok());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_the_image_cannot_hold_are_truncated() {
+        // 28 CRC-valid bytes: a forest header whose one tree claims 2^22
+        // nodes and carries none. Sizing the node vector from the claim
+        // reserved ~160 MB before the first node read failed.
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u8(VERSION);
+        w.u8(TAG_FOREST);
+        w.f64(0.5);
+        w.u16(1); // trees
+        w.u16(8); // max depth
+        w.u16(4); // features
+        w.u32(1 << 22); // nodes
+        let image = reseal(w.into_bytes());
+        assert_eq!(image.len(), 28);
+        let truncated = ImageError::Corrupt("unexpected end of image");
+        assert_eq!(decode(&image).unwrap_err(), truncated);
+        // A 1024 × 1024 MLP layer with no weights behind it.
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u8(VERSION);
+        w.u8(TAG_MLP);
+        w.f64(0.5);
+        w.u8(1);
+        w.u16(1024);
+        w.u16(1024);
+        assert_eq!(decode(&reseal(w.into_bytes())).unwrap_err(), truncated);
+    }
+
+    #[test]
+    fn forest_trees_must_agree_on_input_width() {
+        // Each tree asserts its own width at predict time, so a forest
+        // whose trees disagree would decode and then panic on first use.
+        let stump = |num_features| {
+            let nodes = vec![
+                Node::Split {
+                    feature: 0,
+                    threshold: 0.5,
+                    left: 1,
+                    right: 2,
+                },
+                Node::Leaf { value: 0.25 },
+                Node::Leaf { value: 0.75 },
+            ];
+            DecisionTree::from_nodes(nodes, 1, num_features)
+        };
+        let forest = RandomForest::from_trees(vec![stump(3), stump(5)], 0.5);
+        let image = encode(&FirmwareModel::Forest(forest)).unwrap();
+        assert_eq!(
+            decode(&image).unwrap_err(),
+            ImageError::Corrupt("trees disagree on input width")
+        );
+    }
+
+    #[test]
+    fn forest_trees_must_fit_their_declared_depth() {
+        // A depth-2 path: the traversal's depth assertion would panic on
+        // first use if the header claimed less, so a split at the declared
+        // depth is malformed.
+        let split = |left| Node::Split {
+            feature: 0,
+            threshold: 0.5,
+            left,
+            right: left + 1,
+        };
+        let nodes = vec![
+            split(1),
+            split(3),
+            Node::Leaf { value: 0.25 },
+            Node::Leaf { value: 0.5 },
+            Node::Leaf { value: 0.75 },
+        ];
+        let image = |max_depth| {
+            let tree = DecisionTree::from_nodes(nodes.clone(), max_depth, 1);
+            encode(&FirmwareModel::Forest(RandomForest::from_trees(
+                vec![tree],
+                0.5,
+            )))
+            .unwrap()
+        };
+        for max_depth in [0, 1] {
+            assert_eq!(
+                decode(&image(max_depth)).unwrap_err(),
+                ImageError::Corrupt("malformed split node")
+            );
+        }
+        assert!(decode(&image(2)).unwrap().score(&[0.1]).is_ok());
     }
 
     #[test]
