@@ -9,7 +9,7 @@ use crate::train::{aggregate_window, build_dataset, violation_window, walk_datas
 use psca_cpu::{ClusterSim, CpuConfig, Mode, SteerPolicy};
 use psca_ml::{Dataset, RandomForest, RandomForestConfig};
 use psca_telemetry::Event;
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
 use psca_workloads::{Archetype, PhaseGenerator};
 
 /// Steering-policy ablation: high-performance-mode IPC per archetype.
@@ -106,7 +106,7 @@ fn rf_variant_scores(
         violation_window(cfg, 1),
         |tune, tag, fi| {
             let rf = RandomForest::fit(&RandomForestConfig::best_rf(), tune, tag ^ fi as u64);
-            FirmwareModel::Forest(rf)
+            FirmwareModel::new(Model::Forest(rf))
         },
     );
     labels

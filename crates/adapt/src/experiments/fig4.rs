@@ -19,7 +19,7 @@ use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
 use psca_ml::crossval::group_folds;
 use psca_ml::{Mlp, MlpConfig};
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -112,7 +112,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig4 {
             }
             let seed = cfg.sub_seed("fig4-mlp") ^ *fi as u64;
             fit_fold(tune, val, w, |tune| {
-                FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, tune, seed))
+                FirmwareModel::new(Model::Mlp(Mlp::fit(&mlp_cfg, tune, seed)))
             })
             .1
         },

@@ -9,7 +9,7 @@ use crate::train::{build_dataset, violation_window};
 use psca_cpu::Mode;
 use psca_ml::{Dataset, Mlp, MlpConfig};
 use psca_telemetry::Event;
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
 
 /// One point of the counter-count sweep.
 #[derive(Debug, Clone)]
@@ -53,7 +53,7 @@ fn evaluate_counter_sets(
         violation_window(cfg, 1),
         |tune, tag, fi| {
             let seed = cfg.sub_seed("fig5-mlp") ^ tag ^ fi as u64;
-            FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, tune, seed))
+            FirmwareModel::new(Model::Mlp(Mlp::fit(&mlp_cfg, tune, seed)))
         },
     );
     scores

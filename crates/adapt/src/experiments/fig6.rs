@@ -14,7 +14,7 @@ use crate::train::{build_dataset, tune_threshold, violation_window, THRESHOLD_TA
 use psca_cpu::Mode;
 use psca_ml::crossval::group_folds;
 use psca_ml::{Mlp, MlpConfig};
-use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec};
+use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec, Model};
 
 /// One screened network.
 #[derive(Debug, Clone)]
@@ -79,7 +79,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Fig6 {
         let (tune, val) = (raw.subset(&fold.tune), raw.subset(&fold.validate));
         // Sensitivity tuning keeps tuning-set RSV below 1% (§6.3).
         let (fw, score) = fit_fold(tune, val, w, |tune| {
-            let mut fw = FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, tune, seed));
+            let mut fw = FirmwareModel::new(Model::Mlp(Mlp::fit(&mlp_cfg, tune, seed)));
             tune_threshold(
                 &mut fw,
                 tune.features(),

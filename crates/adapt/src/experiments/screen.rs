@@ -7,7 +7,7 @@
 
 use psca_ml::crossval::{group_folds, mean_std};
 use psca_ml::metrics::{rate_of_sla_violations, Confusion};
-use psca_ml::{Classifier, Dataset, Standardizer};
+use psca_ml::{Dataset, Standardizer};
 use psca_uc::FirmwareModel;
 
 /// Validation metrics of one fold.
@@ -29,12 +29,16 @@ impl FoldScore {
         }
     }
 
-    /// Scores a model's decisions on `val`. Model-family agnostic by
-    /// construction: scoring sees only the `Classifier` surface.
+    /// Scores a model's decisions on `val`, whatever its model family.
+    ///
+    /// # Panics
+    /// Panics if `val`'s dimension is not the model's.
     pub(crate) fn of_model(fw: &FirmwareModel, val: &Dataset, w: usize) -> FoldScore {
-        let clf: &dyn Classifier = fw;
         let preds: Vec<u8> = (0..val.len())
-            .map(|i| clf.predict(val.features().row(i)) as u8)
+            .map(|i| {
+                fw.predict(val.features().row(i))
+                    .expect("input dimension matches the model") as u8
+            })
             .collect();
         FoldScore::of(val.labels(), &preds, w)
     }

@@ -14,7 +14,7 @@ use psca_ml::{
     RandomForestConfig,
 };
 use psca_telemetry::Event;
-use psca_uc::{ops_budget, BudgetRow, CpuSpec, FirmwareModel, McuSpec};
+use psca_uc::{ops_budget, BudgetRow, CpuSpec, FirmwareModel, McuSpec, Model};
 
 /// One model-class row of Table 3's right panel.
 #[derive(Debug, Clone)]
@@ -82,7 +82,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
                 ..MlpConfig::default()
             };
             let fold = held_out(&raw, &|tune| {
-                FirmwareModel::Mlp(Mlp::fit(&config, tune, seed))
+                FirmwareModel::new(Model::Mlp(Mlp::fit(&config, tune, seed)))
             });
             row(
                 fold,
@@ -99,9 +99,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
                 min_leaf: 1,
             };
             let fold = held_out(&raw, &|tune| {
-                let mut rf = RandomForest::fit(&config, tune, seed ^ 1);
-                rf.set_threshold(0.5);
-                FirmwareModel::Forest(rf)
+                FirmwareModel::new(Model::Forest(RandomForest::fit(&config, tune, seed ^ 1)))
             });
             row(fold, "Decision Tree, max depth 16", 12, 133, 0.7778)
         }),
@@ -110,13 +108,13 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
         // standardized ones.
         Box::new(|| {
             let (tune, val) = split(&raw);
-            let fw = FirmwareModel::Chi2Svm(KernelSvm::fit_chi2(
+            let fw = FirmwareModel::new(Model::Chi2Svm(KernelSvm::fit_chi2(
                 &tune,
                 1e-4,
                 (tune.len() * 4).min(12_000),
                 1_000,
                 seed ^ 2,
-            ));
+            )));
             let score = FoldScore::of_model(&fw, &val, w);
             row(
                 (fw, score),
@@ -133,26 +131,26 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
                 min_leaf: 2,
             };
             let fold = held_out(&raw, &|tune| {
-                FirmwareModel::Forest(RandomForest::fit(&config, tune, seed ^ 3))
+                FirmwareModel::new(Model::Forest(RandomForest::fit(&config, tune, seed ^ 3)))
             });
             row(fold, "Random Forest, 16 trees, depth 8", 12, 1_074, 0.6667)
         }),
         Box::new(|| {
             let fold = held_out(&raw, &|tune| {
                 let config = RandomForestConfig::best_rf();
-                FirmwareModel::Forest(RandomForest::fit(&config, tune, seed ^ 4))
+                FirmwareModel::new(Model::Forest(RandomForest::fit(&config, tune, seed ^ 4)))
             });
             row(fold, "Random Forest, 8 trees, depth 8", 12, 538, 0.6568)
         }),
         Box::new(|| {
             let fold = held_out(&raw, &|tune| {
-                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), tune, seed ^ 5))
+                FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), tune, seed ^ 5)))
             });
             row(fold, "MLP 3 layers, 8/8/4 filters, ReLU", 12, 678, 0.6099)
         }),
         Box::new(|| {
             let fold = held_out(&raw8, &|tune| {
-                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::charstar(), tune, seed ^ 6))
+                FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::charstar(), tune, seed ^ 6)))
             });
             row(
                 fold,
@@ -165,19 +163,19 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
         Box::new(|| {
             let fold = held_out(&raw, &|tune| {
                 let samples = (tune.len() * 8).min(20_000);
-                FirmwareModel::SvmEnsemble(LinearSvm::fit_ensemble(
+                FirmwareModel::new(Model::SvmEnsemble(LinearSvm::fit_ensemble(
                     tune,
                     5,
                     1e-3,
                     samples,
                     seed ^ 7,
-                ))
+                )))
             });
             row(fold, "SVM, linear kernel, 5-ensemble", 12, 412, 0.5450)
         }),
         Box::new(|| {
             let fold = held_out(&raw, &|tune| {
-                FirmwareModel::Logistic(LogisticRegression::fit(tune, 1e-4, 150))
+                FirmwareModel::new(Model::Logistic(LogisticRegression::fit(tune, 1e-4, 150)))
             });
             row(fold, "Logistic Regression", 12, 158, 0.3833)
         }),
@@ -185,7 +183,7 @@ pub fn run(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry) -> Table3 {
         // forest's branch-free firmware kernel at lower depth.
         Box::new(|| {
             let fold = held_out(&raw, &|tune| {
-                FirmwareModel::Gbdt(Gbdt::fit(&GbdtConfig::default(), tune))
+                FirmwareModel::new(Model::Gbdt(Gbdt::fit(&GbdtConfig::default(), tune)))
             });
             row(fold, "Gradient Boosted Trees 8x4 (extension)", 12, 0, 0.0)
         }),

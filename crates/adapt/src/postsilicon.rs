@@ -21,7 +21,7 @@ use crate::train::{
 use crate::zoo;
 use psca_cpu::Mode;
 use psca_ml::{Dataset, RandomForest, RandomForestConfig};
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
 
 /// Retrains Best RF under a different SLA threshold — the Table 5
 /// firmware update. Labels are recomputed from the *same* telemetry; no
@@ -122,7 +122,7 @@ pub fn train_app_specific(
             Mode::LowPower => 0xB,
         };
         let app_rf = RandomForest::fit(&half, &app, seed ^ tag);
-        let mut fw = FirmwareModel::Forest(hdtr_rf.combine(&app_rf));
+        let mut fw = FirmwareModel::new(Model::Forest(hdtr_rf.combine(&app_rf)));
         // Balanced calibration: the application data plus an equal-sized
         // slice of high-diversity data — app-only calibration falls into
         // the in-sample-RSV trap (app trees memorize their tuning

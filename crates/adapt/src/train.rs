@@ -273,19 +273,9 @@ impl TrainedAdaptModel {
         }
     }
 
-    /// Gating decision from one prediction window observed in `mode`.
-    ///
-    /// # Panics
-    /// Panics if the firmware rejects its own featurizer's output — that
-    /// indicates a corrupted deployment, not a data problem. Fallible
-    /// callers use [`Self::try_predict`].
-    pub fn predict(&self, mode: Mode, rows: &[Vec<f64>], cycles: &[u64]) -> bool {
-        self.try_predict(mode, rows, cycles)
-            .expect("featurizer output matches firmware dimensionality")
-    }
-
-    /// Fallible gating decision: surfaces [`FirmwareError`] instead of
-    /// panicking, so a degraded deployment can fall back gracefully.
+    /// Gating decision from one prediction window observed in `mode`:
+    /// surfaces [`FirmwareError`] instead of panicking, so a degraded
+    /// deployment can fall back gracefully.
     pub fn try_predict(
         &self,
         mode: Mode,
@@ -423,6 +413,7 @@ pub fn violation_window(cfg: &ExperimentConfig, granularity: usize) -> usize {
 mod tests {
     use super::*;
     use crate::ExperimentConfig;
+    use psca_uc::Model;
     use psca_workloads::{Archetype, PhaseGenerator};
 
     fn tiny_corpus() -> CorpusTelemetry {
@@ -549,7 +540,7 @@ mod tests {
         let labels = vec![0u8; 6];
         let train = Dataset::new(x.clone(), vec![1, 1, 1, 0, 0, 0], vec![0; 6]);
         let lr = LogisticRegression::fit(&train, 1e-4, 50);
-        let mut fw = FirmwareModel::Logistic(lr);
+        let mut fw = FirmwareModel::new(Model::Logistic(lr));
         let t = tune_threshold(&mut fw, &x, &labels, 3, 0.01);
         let preds: Vec<u8> = (0..6)
             .map(|i| fw.predict(x.row(i)).unwrap() as u8)
@@ -563,7 +554,8 @@ mod tests {
         use psca_ml::{LogisticRegression, Matrix as M};
         let x = M::from_rows(&[&[-4.0], &[-3.0], &[3.0], &[4.0]]);
         let train = Dataset::new(x, vec![0, 0, 1, 1], vec![0; 4]);
-        let mut fw = FirmwareModel::Logistic(LogisticRegression::fit(&train, 1e-4, 100));
+        let mut fw =
+            FirmwareModel::new(Model::Logistic(LogisticRegression::fit(&train, 1e-4, 100)));
         // Every tuning sample scores near 1 but is labelled not gateable,
         // so even the grid's top threshold violates on every window.
         let tuning = M::from_rows(&[&[4.0][..]; 6]);

@@ -9,11 +9,9 @@ use crate::train::{
     TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use psca_cpu::Mode;
-use psca_ml::{
-    Classifier, Dataset, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig,
-};
+use psca_ml::{Dataset, LogisticRegression, Mlp, MlpConfig, RandomForest, RandomForestConfig};
 use psca_telemetry::Event;
-use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec};
+use psca_uc::{ops_budget, CpuSpec, FirmwareModel, McuSpec, Model};
 
 /// Prediction granularities in base (10k-equivalent) intervals, from the
 /// §7 budget analysis: CHARSTAR at 20k, SRCH and Best RF at 40k, Best MLP
@@ -85,11 +83,13 @@ fn round_error(fw: &FirmwareModel, data: &Dataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    // Dispatch through the unified trait: the loss computation never needs
-    // to know which model family the round trained.
-    let clf: &dyn Classifier = fw;
     let wrong = (0..data.len())
-        .filter(|&i| clf.predict(data.features().row(i)) as u8 != data.labels()[i])
+        .filter(|&i| {
+            let gate = fw
+                .predict(data.features().row(i))
+                .expect("the model was trained on this set");
+            gate as u8 != data.labels()[i]
+        })
         .count();
     wrong as f64 / data.len() as f64
 }
@@ -112,24 +112,24 @@ fn train_mode(
     };
     let (fit_set, cal_set) = calibration_split(&data, cfg);
     let mut fw = match kind {
-        ModelKind::SrchFine | ModelKind::SrchCoarse => {
-            FirmwareModel::Logistic(LogisticRegression::fit(&fit_set, 1e-4, 150))
-        }
-        ModelKind::BestRf => FirmwareModel::Forest(RandomForest::fit(
+        ModelKind::SrchFine | ModelKind::SrchCoarse => FirmwareModel::new(Model::Logistic(
+            LogisticRegression::fit(&fit_set, 1e-4, 150),
+        )),
+        ModelKind::BestRf => FirmwareModel::new(Model::Forest(RandomForest::fit(
             &RandomForestConfig::best_rf(),
             &fit_set,
             cfg.sub_seed("rf") ^ mode_tag(mode),
-        )),
-        ModelKind::BestMlp => FirmwareModel::Mlp(Mlp::fit(
+        ))),
+        ModelKind::BestMlp => FirmwareModel::new(Model::Mlp(Mlp::fit(
             &MlpConfig::best_mlp(),
             &fit_set,
             cfg.sub_seed("mlp") ^ mode_tag(mode),
-        )),
-        ModelKind::Charstar => FirmwareModel::Mlp(Mlp::fit(
+        ))),
+        ModelKind::Charstar => FirmwareModel::new(Model::Mlp(Mlp::fit(
             &MlpConfig::charstar(),
             &fit_set,
             cfg.sub_seed("charstar") ^ mode_tag(mode),
-        )),
+        ))),
     };
     tune_threshold(
         &mut fw,
@@ -180,7 +180,8 @@ pub fn train_custom_mlp(
     };
     TrainedAdaptModel::from_modes(ModelKind::BestMlp, g, |mode| {
         let (feat, data) = fit_standard(corpus, mode, events, g, &cfg.training_sla());
-        let mut fw = FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, &data, seed ^ mode_tag(mode)));
+        let mut fw =
+            FirmwareModel::new(Model::Mlp(Mlp::fit(&mlp_cfg, &data, seed ^ mode_tag(mode))));
         tune_threshold(
             &mut fw,
             data.features(),
@@ -250,9 +251,9 @@ mod tests {
             assert!(model.ops_per_prediction > 0);
             let trace = &corpus.traces[0];
             let g = model.granularity;
-            let decision =
-                model.predict(Mode::HighPerf, &trace.rows_hi[0..g], &trace.cycles_hi[0..g]);
-            let _ = decision;
+            model
+                .try_predict(Mode::HighPerf, &trace.rows_hi[0..g], &trace.cycles_hi[0..g])
+                .unwrap();
         }
     }
 
@@ -270,11 +271,13 @@ mod tests {
             let n = t.len() / g;
             (0..n)
                 .filter(|&k| {
-                    model.predict(
-                        Mode::LowPower,
-                        &t.rows_lo[k * g..(k + 1) * g],
-                        &t.cycles_lo[k * g..(k + 1) * g],
-                    )
+                    model
+                        .try_predict(
+                            Mode::LowPower,
+                            &t.rows_lo[k * g..(k + 1) * g],
+                            &t.cycles_lo[k * g..(k + 1) * g],
+                        )
+                        .unwrap()
                 })
                 .count() as f64
                 / n as f64

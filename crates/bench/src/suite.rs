@@ -21,7 +21,7 @@ use psca_ml::{
     Dataset, LogisticRegression, Matrix, Mlp, MlpConfig, RandomForest, RandomForestConfig,
 };
 use psca_obs::{Json, NodeStat, SpanTimer};
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
 use psca_workloads::{Archetype, PhaseGenerator};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -410,19 +410,23 @@ pub fn run_inference(opts: &BenchOpts) -> BenchResult {
     let models = [
         (
             "best_rf_8x8",
-            FirmwareModel::Forest(RandomForest::fit(&RandomForestConfig::best_rf(), &data, 2)),
+            FirmwareModel::new(Model::Forest(RandomForest::fit(
+                &RandomForestConfig::best_rf(),
+                &data,
+                2,
+            ))),
         ),
         (
             "best_mlp_8_8_4",
-            FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 3)),
+            FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 3))),
         ),
         (
             "charstar_mlp_10",
-            FirmwareModel::Mlp(Mlp::fit(&MlpConfig::charstar(), &data, 4)),
+            FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::charstar(), &data, 4))),
         ),
         (
             "logistic",
-            FirmwareModel::Logistic(LogisticRegression::fit(&data, 1e-4, 100)),
+            FirmwareModel::new(Model::Logistic(LogisticRegression::fit(&data, 1e-4, 100))),
         ),
     ];
     let mut result = BenchResult {

@@ -40,6 +40,8 @@ impl Default for RandomForestConfig {
 }
 
 /// A bagged ensemble of CART trees voting by averaged leaf probability.
+/// It only scores; the decision threshold is the firmware predictor's
+/// (`psca_uc::FirmwareModel`).
 ///
 /// # Examples
 ///
@@ -57,7 +59,6 @@ impl Default for RandomForestConfig {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
-    threshold: f64,
 }
 
 impl RandomForest {
@@ -80,10 +81,7 @@ impl RandomForest {
                 grower.grow(idx, rng.gen())
             })
             .collect();
-        RandomForest {
-            trees,
-            threshold: 0.5,
-        }
+        RandomForest { trees }
     }
 
     /// Average leaf probability across the ensemble.
@@ -94,37 +92,19 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict_proba(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Thresholded prediction.
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= self.threshold
-    }
-
-    /// The decision threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Adjusts the decision threshold (sensitivity tuning, §6.3).
-    pub fn set_threshold(&mut self, t: f64) {
-        self.threshold = t.clamp(0.0, 1.0);
-    }
-
     /// The ensemble's trees.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
 
-    /// Reconstructs a forest from trees and a threshold — the
-    /// firmware-image deserialization path.
+    /// Reconstructs a forest from its trees — the firmware-image
+    /// deserialization path.
     ///
     /// # Panics
     /// Panics if `trees` is empty.
-    pub fn from_trees(trees: Vec<DecisionTree>, threshold: f64) -> RandomForest {
+    pub fn from_trees(trees: Vec<DecisionTree>) -> RandomForest {
         assert!(!trees.is_empty(), "a forest needs at least one tree");
-        RandomForest {
-            trees,
-            threshold: threshold.clamp(0.0, 1.0),
-        }
+        RandomForest { trees }
     }
 
     /// Merges two forests into one ensemble (the paper's
@@ -133,10 +113,7 @@ impl RandomForest {
     pub fn combine(&self, other: &RandomForest) -> RandomForest {
         let mut trees = self.trees.clone();
         trees.extend(other.trees.iter().cloned());
-        RandomForest {
-            trees,
-            threshold: 0.5 * (self.threshold + other.threshold),
-        }
+        RandomForest { trees }
     }
 }
 
@@ -169,7 +146,7 @@ mod tests {
         let acc = (0..test.len())
             .filter(|&i| {
                 let (x, y) = test.sample(i);
-                rf.predict(x) == (y == 1)
+                (rf.predict_proba(x) >= 0.5) == (y == 1)
             })
             .count() as f64
             / test.len() as f64;

@@ -56,7 +56,6 @@ pub struct Gbdt {
     trees: Vec<DecisionTree>,
     base_logit: f64,
     learning_rate: f64,
-    threshold: f64,
 }
 
 impl Gbdt {
@@ -89,7 +88,6 @@ impl Gbdt {
             trees,
             base_logit,
             learning_rate: cfg.learning_rate,
-            threshold: 0.5,
         }
     }
 
@@ -98,21 +96,6 @@ impl Gbdt {
         let logit = self.base_logit
             + self.learning_rate * self.trees.iter().map(|t| t.predict_proba(x)).sum::<f64>();
         sigmoid(logit)
-    }
-
-    /// Thresholded prediction.
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= self.threshold
-    }
-
-    /// Decision threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Adjusts the decision threshold (sensitivity tuning).
-    pub fn set_threshold(&mut self, t: f64) {
-        self.threshold = t.clamp(0.0, 1.0);
     }
 
     /// The boosting stages.
@@ -155,7 +138,7 @@ mod tests {
         let acc = (0..data.len())
             .filter(|&i| {
                 let (x, y) = data.sample(i);
-                model.predict(x) == (y == 1)
+                (model.predict_proba(x) >= 0.5) == (y == 1)
             })
             .count() as f64
             / data.len() as f64;

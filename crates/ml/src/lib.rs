@@ -24,8 +24,12 @@
 //!   baseline (Dubach et al.);
 //! - [`linalg`] / [`eig`] — the dense matrix and symmetric-eigensolver
 //!   substrate everything above is built on;
-//! - [`Classifier`] — the object-safe trait unifying every model family
-//!   behind one `predict` / `predict_proba` / `n_features` surface.
+//! - [`Classifier`] — a one-method `predict_proba` trait kept only for
+//!   the repository benchmark's predictor probe.
+//!
+//! Every model here only scores: `predict_proba` is the whole inference
+//! surface. The gating threshold (the "sensitivity" the paper tunes,
+//! §6.3) and the thresholded decision belong to `psca_uc::FirmwareModel`.
 
 #![warn(missing_docs)]
 

@@ -234,11 +234,10 @@ pub fn norm(a: &[f64]) -> f64 {
 }
 
 /// The logistic sigmoid `1 / (1 + e^-z)`: the output head of the MLP,
-/// logistic regression and boosted trees, and the map from SVM margins
-/// into `[0, 1]` (bit-for-bit the χ²-SVM score mapping in `psca-uc`
-/// firmware).
+/// logistic regression and boosted trees, and the map from a χ²-SVM
+/// margin into `[0, 1]` (the score of the `psca-uc` firmware predictor).
 #[inline]
-pub(crate) fn sigmoid(z: f64) -> f64 {
+pub fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 

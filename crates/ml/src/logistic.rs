@@ -21,7 +21,6 @@ use crate::linalg::sigmoid;
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
-    threshold: f64,
 }
 
 impl LogisticRegression {
@@ -41,18 +40,13 @@ impl LogisticRegression {
         LogisticRegression {
             weights: theta[..d].to_vec(),
             bias: theta[d],
-            threshold: 0.5,
         }
     }
 
     /// Reconstructs a model from fitted parameters — the firmware-image
     /// deserialization path.
-    pub fn from_parts(weights: Vec<f64>, bias: f64, threshold: f64) -> LogisticRegression {
-        LogisticRegression {
-            weights,
-            bias,
-            threshold: threshold.clamp(0.0, 1.0),
-        }
+    pub fn from_parts(weights: Vec<f64>, bias: f64) -> LogisticRegression {
+        LogisticRegression { weights, bias }
     }
 
     /// P(y = 1 | x).
@@ -64,11 +58,6 @@ impl LogisticRegression {
         sigmoid(crate::linalg::dot(&self.weights, x) + self.bias)
     }
 
-    /// Thresholded prediction.
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= self.threshold
-    }
-
     /// Fitted weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -77,16 +66,6 @@ impl LogisticRegression {
     /// Fitted intercept.
     pub fn bias(&self) -> f64 {
         self.bias
-    }
-
-    /// The decision threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Adjusts the decision threshold.
-    pub fn set_threshold(&mut self, t: f64) {
-        self.threshold = t.clamp(0.0, 1.0);
     }
 }
 
@@ -246,7 +225,7 @@ mod tests {
         let acc = (0..data.len())
             .filter(|&i| {
                 let (x, y) = data.sample(i);
-                lr.predict(x) == (y == 1)
+                (lr.predict_proba(x) >= 0.5) == (y == 1)
             })
             .count() as f64
             / data.len() as f64;

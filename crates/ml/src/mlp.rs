@@ -291,7 +291,9 @@ impl Scratch {
     }
 }
 
-/// A binary-classification MLP (sigmoid output head).
+/// A binary-classification MLP (sigmoid output head). It only scores;
+/// the decision threshold is the firmware predictor's
+/// (`psca_uc::FirmwareModel`).
 ///
 /// # Examples
 ///
@@ -310,7 +312,6 @@ impl Scratch {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
-    threshold: f64,
     adam_t: u64,
 }
 
@@ -330,11 +331,7 @@ impl Mlp {
             .windows(2)
             .map(|w| Layer::new(w[0], w[1], &mut rng))
             .collect();
-        let mut mlp = Mlp {
-            layers,
-            threshold: 0.5,
-            adam_t: 0,
-        };
+        let mut mlp = Mlp { layers, adam_t: 0 };
         let mut scratch = Scratch::new(&mlp.layers);
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..cfg.epochs {
@@ -348,13 +345,13 @@ impl Mlp {
         mlp
     }
 
-    /// Reconstructs an MLP from layer weights (rows = filters), biases,
-    /// and a decision threshold — the firmware-image deserialization path.
+    /// Reconstructs an MLP from layer weights (rows = filters) and
+    /// biases — the firmware-image deserialization path.
     ///
     /// # Panics
     /// Panics if layer shapes do not chain (layer `i`'s filter count must
     /// equal layer `i+1`'s input width) or the output layer is not 1-wide.
-    pub fn from_layers(layers: Vec<(Matrix, Vec<f64>)>, threshold: f64) -> Mlp {
+    pub fn from_layers(layers: Vec<(Matrix, Vec<f64>)>) -> Mlp {
         assert!(!layers.is_empty(), "an MLP needs at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(
@@ -372,11 +369,7 @@ impl Mlp {
                 Layer::with_params(w, b)
             })
             .collect();
-        Mlp {
-            layers,
-            threshold: threshold.clamp(0.0, 1.0),
-            adam_t: 0,
-        }
+        Mlp { layers, adam_t: 0 }
     }
 
     /// Total trainable parameters.
@@ -400,17 +393,6 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// The decision threshold applied by [`Mlp::predict`].
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Adjusts the decision threshold (the paper tunes "sensitivity" to
-    /// keep tuning-set SLA violations below 1%, §6.3).
-    pub fn set_threshold(&mut self, t: f64) {
-        self.threshold = t.clamp(0.0, 1.0);
-    }
-
     /// Probability that the positive (gate) class is correct.
     ///
     /// # Panics
@@ -425,11 +407,6 @@ impl Mlp {
         } else {
             self.proba_with(x, &mut vec![0.0; 2 * widest])
         }
-    }
-
-    /// Thresholded prediction.
-    pub fn predict(&self, x: &[f64]) -> bool {
-        self.predict_proba(x) >= self.threshold
     }
 
     /// Inference through the two halves of `buf`.
@@ -678,7 +655,7 @@ mod tests {
         let acc = (0..data.len())
             .filter(|&i| {
                 let (x, y) = data.sample(i);
-                mlp.predict(x) == (y == 1)
+                (mlp.predict_proba(x) >= 0.5) == (y == 1)
             })
             .count() as f64
             / data.len() as f64;
@@ -734,16 +711,6 @@ mod tests {
                 assert_eq!(got.to_bits(), sigmoid(a[0]).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn threshold_moves_decision() {
-        let data = xor_dataset(200);
-        let mut mlp = Mlp::fit(&MlpConfig::default(), &data, 2);
-        mlp.set_threshold(1.0);
-        assert!(!mlp.predict(&[0.5, -0.5]));
-        mlp.set_threshold(0.0);
-        assert!(mlp.predict(&[0.5, -0.5]));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::registry::ModelRegistry;
 use psca_adapt::{record_trace, ClosedLoopRequest, ClosedLoopResult, TrainedAdaptModel};
 use psca_cpu::Mode;
 use psca_faults::ChaosSpec;
-use psca_ml::Classifier;
 use psca_obs::Json;
 use psca_workloads::{Archetype, PhaseGenerator};
 
@@ -213,16 +212,20 @@ pub struct Scored {
     pub gate: bool,
 }
 
-/// Scores every row, in order, through the model's [`Classifier`]
-/// surface on the calling thread: the daemon's worker pool is the
-/// parallelism, one connection per worker.
+/// Scores every row, in order, through the mode's firmware predictor on
+/// the calling thread: the daemon's worker pool is the parallelism, one
+/// connection per worker.
+///
+/// # Panics
+/// Panics if a row's dimension is not the predictor's; the request
+/// parser has rejected those rows already.
 pub fn score_rows(model: &TrainedAdaptModel, mode: Mode, rows: &[Vec<f64>]) -> Vec<Scored> {
     let (_, fw) = model.mode_parts(mode);
-    let clf: &dyn Classifier = fw;
+    let checked = "rows are checked against the input dimension";
     rows.iter()
         .map(|row| Scored {
-            proba: clf.predict_proba(row),
-            gate: clf.predict(row),
+            proba: fw.score(row).expect(checked),
+            gate: fw.predict(row).expect(checked),
         })
         .collect()
 }

@@ -9,7 +9,7 @@
 //! Endpoints:
 //!
 //! - `POST /v1/predict` — batch gating predictions through a model's
-//!   [`psca_ml::Classifier`] surface; JSON array or NDJSON responses.
+//!   [`psca_uc::FirmwareModel`]; JSON array or NDJSON responses.
 //! - `POST /v1/closed-loop` — a seeded closed-loop simulation from a
 //!   workload spec, optionally chaos-hardened, returning a run summary.
 //! - `GET /v1/models` — registry: names, kinds, input dims, granularity.

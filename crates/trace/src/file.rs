@@ -246,10 +246,6 @@ impl<R: Read> TraceSource for TraceFileReader<R> {
             }
         }
     }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
 }
 
 #[cfg(test)]

@@ -31,11 +31,6 @@ pub trait TraceSource {
     /// Produces the next dynamic instruction, or `None` when the trace ends.
     fn next_instruction(&mut self) -> Option<Instruction>;
 
-    /// A hint of how many instructions remain, if known.
-    fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Advances past up to `n` instructions without yielding them,
     /// returning how many were actually skipped (short at end of trace).
     ///
@@ -98,10 +93,6 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
         (**self).next_instruction()
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        (**self).remaining_hint()
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         (**self).skip(n)
     }
@@ -122,10 +113,6 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     fn next_instruction(&mut self) -> Option<Instruction> {
         (**self).next_instruction()
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        (**self).remaining_hint()
     }
 
     fn skip(&mut self, n: u64) -> u64 {
@@ -383,10 +370,6 @@ impl TraceSource for VecTrace {
         true
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.records.len() - self.pos) as u64)
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         let left = (self.records.len() - self.pos) as u64;
         let skipped = n.min(left);
@@ -416,13 +399,6 @@ impl<S: TraceSource> TraceSource for Take<S> {
         inst
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        match self.inner.remaining_hint() {
-            Some(r) => Some(r.min(self.left)),
-            None => Some(self.left),
-        }
-    }
-
     fn skip(&mut self, n: u64) -> u64 {
         let skipped = self.inner.skip(n.min(self.left));
         self.left -= skipped;
@@ -445,7 +421,6 @@ mod tests {
     #[test]
     fn vec_trace_replays_in_order_and_fuses() {
         let mut t = VecTrace::new(nops(3));
-        assert_eq!(t.remaining_hint(), Some(3));
         assert_eq!(t.next_instruction().unwrap().pc, 0);
         assert_eq!(t.next_instruction().unwrap().pc, 4);
         assert_eq!(t.next_instruction().unwrap().pc, 8);
@@ -463,7 +438,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 4);
-        assert_eq!(t.remaining_hint(), Some(0));
+        assert!(t.next_instruction().is_none());
     }
 
     #[test]
@@ -479,7 +454,7 @@ mod tests {
         let mut src = VecTrace::new(nops(10));
         let rec = VecTrace::record(&mut src, 6);
         assert_eq!(rec.len(), 6);
-        assert_eq!(src.remaining_hint(), Some(4));
+        assert_eq!(src.position().unwrap().pos, 6);
     }
 
     #[test]
@@ -499,14 +474,14 @@ mod tests {
         // The O(1) override is reachable through a trait object.
         let mut b: Box<dyn TraceSource> = Box::new(VecTrace::new(nops(5)));
         assert_eq!(b.skip(4), 4);
-        assert_eq!(b.remaining_hint(), Some(1));
+        assert_eq!(b.position().unwrap().pos, 4);
     }
 
     #[test]
     fn boxed_dyn_source_works() {
         let mut b: Box<dyn TraceSource> = Box::new(VecTrace::new(nops(2)));
         assert!(b.next_instruction().is_some());
-        assert_eq!(b.remaining_hint(), Some(1));
+        assert_eq!(b.position().unwrap().pos, 1);
     }
 
     /// Every register operand, `None` included.
@@ -615,8 +590,8 @@ mod tests {
             "original cursor unmoved"
         );
         b.rewind();
-        assert_eq!(a.remaining_hint(), Some(2));
-        assert_eq!(b.remaining_hint(), Some(5));
+        assert_eq!(a.position().unwrap().pos, 3);
+        assert_eq!(b.position().unwrap().pos, 0);
     }
 
     #[test]
@@ -724,7 +699,7 @@ mod tests {
                         pos = (pos + 1).min(insts.len());
                     }
                 }
-                prop_assert_eq!(t.remaining_hint(), Some((insts.len() - pos) as u64));
+                prop_assert_eq!(t.position().unwrap().pos, pos as u64);
             }
         }
     }

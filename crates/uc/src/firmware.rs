@@ -13,9 +13,15 @@
 //! - SVM ensembles vote over per-SVM inner products;
 //! - χ²-kernel SVMs pay a kernel evaluation per support vector, which is
 //!   why Table 3 rules them out (~121k ops).
+//!
+//! The decision threshold is the firmware's: the wrapped `psca-ml` models
+//! only score, and [`FirmwareModel`] holds the one threshold its score is
+//! compared against (Listings 1–2), the "sensitivity" the paper tunes
+//! (§6.3) and the one value a firmware image stores.
 
 use crate::opcount::OpCounter;
 use psca_ml::gbdt::Gbdt;
+use psca_ml::linalg::sigmoid;
 use psca_ml::{
     Classifier, DecisionTree, KernelSvm, LinearSvm, LogisticRegression, Mlp, Node, RandomForest,
 };
@@ -56,9 +62,9 @@ impl fmt::Display for FirmwareError {
 
 impl std::error::Error for FirmwareError {}
 
-/// A trained adaptation model compiled for the microcontroller.
+/// A trained `psca-ml` model of one of the §5 classes.
 #[derive(Debug, Clone)]
-pub enum FirmwareModel {
+pub enum Model {
     /// Multi-layer perceptron (Listing 1 style).
     Mlp(Mlp),
     /// Random forest with constant-cost padded trees (Listing 2 style).
@@ -74,28 +80,56 @@ pub enum FirmwareModel {
     Gbdt(Gbdt),
 }
 
+/// A trained adaptation model compiled for the microcontroller: the
+/// wrapped model and the decision threshold its score is compared
+/// against.
+///
+/// MLP, forest, logistic and GBDT models gate high when their
+/// [`score`](FirmwareModel::score) reaches the threshold. The SVM classes
+/// ignore it: an ensemble takes its majority vote and a χ² SVM gates on a
+/// positive margin, because `sigmoid(d) >= 0.5` and `d > 0` differ at and
+/// near `d = 0`.
+#[derive(Debug, Clone)]
+pub struct FirmwareModel {
+    model: Model,
+    threshold: f64,
+}
+
 impl FirmwareModel {
-    /// The wrapped [`Classifier`], for every variant that holds a single
-    /// model. SVM ensembles vote over several classifiers and keep their
-    /// dedicated paths in [`predict`](FirmwareModel::predict) /
-    /// [`score`](FirmwareModel::score).
-    fn inner_classifier(&self) -> Option<&dyn Classifier> {
-        match self {
-            FirmwareModel::Mlp(m) => Some(m),
-            FirmwareModel::Forest(m) => Some(m),
-            FirmwareModel::Logistic(m) => Some(m),
-            FirmwareModel::SvmEnsemble(_) => None,
-            FirmwareModel::Chi2Svm(m) => Some(m),
-            FirmwareModel::Gbdt(m) => Some(m),
+    /// Wraps a trained model with the untuned threshold 0.5.
+    pub fn new(model: Model) -> FirmwareModel {
+        FirmwareModel {
+            model,
+            threshold: 0.5,
         }
+    }
+
+    /// The wrapped model.
+    pub(crate) fn model(&self) -> &Model {
+        &self.model
+    }
+
+    /// The decision threshold.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
+    /// Sets the decision threshold (sensitivity tuning, §6.3), clamped to
+    /// `[0, 1]`. The SVM classes keep their vote or margin decision.
+    pub fn set_threshold(&mut self, t: f64) {
+        self.threshold = t.clamp(0.0, 1.0);
     }
 
     /// Input dimensionality the model was trained for, where the model
     /// class records it.
     pub fn input_dim(&self) -> Option<usize> {
-        match self {
-            FirmwareModel::SvmEnsemble(ms) => ms.first().map(|s| s.weights().len()),
-            _ => self.inner_classifier().and_then(|c| c.n_features()),
+        match &self.model {
+            Model::Mlp(m) => Some(m.layer_weights(0).0.cols()),
+            Model::Forest(m) => m.trees().first().map(|t| t.num_features()),
+            Model::Logistic(m) => Some(m.weights().len()),
+            Model::SvmEnsemble(ms) => ms.first().map(|s| s.weights().len()),
+            Model::Chi2Svm(m) => m.dim(),
+            Model::Gbdt(m) => m.trees().first().map(|t| t.num_features()),
         }
     }
 
@@ -112,43 +146,43 @@ impl FirmwareModel {
         }
     }
 
-    /// Gating decision, identical to the wrapped model's.
+    /// Gating decision: `score >= threshold`, or the SVM classes' vote or
+    /// margin rule.
     ///
     /// # Errors
     /// Returns [`FirmwareError::DimensionMismatch`] if `x` has the wrong
     /// dimensionality; never panics on malformed input.
     pub fn predict(&self, x: &[f64]) -> Result<bool, FirmwareError> {
-        self.check_dim(x)?;
-        Ok(match self {
-            FirmwareModel::SvmEnsemble(ms) => {
-                let votes = ms.iter().filter(|s| Classifier::predict(*s, x)).count();
-                2 * votes > ms.len()
+        match &self.model {
+            Model::SvmEnsemble(ms) => {
+                self.check_dim(x)?;
+                Ok(2 * votes(ms, x) > ms.len())
             }
-            _ => self
-                .inner_classifier()
-                .expect("every non-ensemble variant wraps a single classifier")
-                .predict(x),
-        })
+            Model::Chi2Svm(m) => {
+                self.check_dim(x)?;
+                Ok(m.predict(x))
+            }
+            _ => Ok(self.score(x)? >= self.threshold),
+        }
     }
 
-    /// Continuous decision score: a probability for MLP/forest/logistic
-    /// models, a vote fraction for SVM ensembles, and a margin-squashed
-    /// value for kernel SVMs. Used for threshold (sensitivity) tuning.
+    /// Continuous decision score: a probability for MLP/forest/logistic/
+    /// GBDT models, a vote fraction for SVM ensembles, and a
+    /// margin-squashed value for kernel SVMs. Used for threshold
+    /// (sensitivity) tuning.
     ///
     /// # Errors
     /// Returns [`FirmwareError::DimensionMismatch`] if `x` has the wrong
     /// dimensionality; never panics on malformed input.
     pub fn score(&self, x: &[f64]) -> Result<f64, FirmwareError> {
         self.check_dim(x)?;
-        Ok(match self {
-            FirmwareModel::SvmEnsemble(ms) => {
-                ms.iter().filter(|s| Classifier::predict(*s, x)).count() as f64
-                    / ms.len().max(1) as f64
-            }
-            _ => self
-                .inner_classifier()
-                .expect("every non-ensemble variant wraps a single classifier")
-                .predict_proba(x),
+        Ok(match &self.model {
+            Model::Mlp(m) => m.predict_proba(x),
+            Model::Forest(m) => m.predict_proba(x),
+            Model::Logistic(m) => m.predict_proba(x),
+            Model::SvmEnsemble(ms) => votes(ms, x) as f64 / ms.len().max(1) as f64,
+            Model::Chi2Svm(m) => sigmoid(m.decision(x)),
+            Model::Gbdt(m) => m.predict_proba(x),
         })
     }
 
@@ -169,8 +203,8 @@ impl FirmwareModel {
                 Err(FirmwareError::NonFiniteParameter(what))
             }
         };
-        match self {
-            FirmwareModel::Mlp(m) => {
+        let threshold = match &self.model {
+            Model::Mlp(m) => {
                 for li in 0..m.num_layers() {
                     let (w, b) = m.layer_weights(li);
                     for r in 0..w.rows() {
@@ -180,41 +214,31 @@ impl FirmwareModel {
                     }
                     finite(b.iter().all(|v| v.is_finite()), "MLP bias")?;
                 }
-                finite(m.threshold().is_finite(), "MLP threshold")
+                "MLP threshold"
             }
-            FirmwareModel::Forest(m) => {
+            Model::Forest(m) => {
                 validate_trees(m.trees(), "forest leaf", "forest split")?;
-                finite(m.threshold().is_finite(), "forest threshold")
+                "forest threshold"
             }
-            FirmwareModel::Logistic(m) => {
+            Model::Logistic(m) => {
                 finite(m.weights().iter().all(|v| v.is_finite()), "logistic weight")?;
                 finite(m.bias().is_finite(), "logistic bias")?;
-                finite(m.threshold().is_finite(), "logistic threshold")
+                "logistic threshold"
             }
-            FirmwareModel::SvmEnsemble(ms) => {
+            // The SVM classes do not read the threshold.
+            Model::SvmEnsemble(ms) => {
                 for s in ms {
                     finite(s.weights().iter().all(|v| v.is_finite()), "SVM weight")?;
                 }
-                Ok(())
+                return Ok(());
             }
-            FirmwareModel::Chi2Svm(_) => Ok(()),
-            FirmwareModel::Gbdt(m) => {
+            Model::Chi2Svm(_) => return Ok(()),
+            Model::Gbdt(m) => {
                 validate_trees(m.trees(), "GBDT leaf", "GBDT split")?;
-                finite(m.threshold().is_finite(), "GBDT threshold")
+                "GBDT threshold"
             }
-        }
-    }
-
-    /// Sets the decision threshold on the wrapped model where supported
-    /// (MLP, forest, logistic). SVM variants keep their margin decision.
-    pub fn set_threshold(&mut self, t: f64) {
-        match self {
-            FirmwareModel::Mlp(m) => m.set_threshold(t),
-            FirmwareModel::Forest(m) => m.set_threshold(t),
-            FirmwareModel::Logistic(m) => m.set_threshold(t),
-            FirmwareModel::SvmEnsemble(_) | FirmwareModel::Chi2Svm(_) => {}
-            FirmwareModel::Gbdt(m) => m.set_threshold(t),
-        }
+        };
+        finite(self.threshold.is_finite(), threshold)
     }
 
     /// Gating decision plus the exact firmware operation tally.
@@ -225,8 +249,8 @@ impl FirmwareModel {
     pub fn predict_counted(&self, x: &[f64]) -> Result<(bool, OpCounter), FirmwareError> {
         self.check_dim(x)?;
         let mut ops = OpCounter::new();
-        match self {
-            FirmwareModel::Mlp(m) => {
+        match &self.model {
+            Model::Mlp(m) => {
                 let mut width = x.len();
                 for li in 0..m.num_layers() {
                     let (w, _) = m.layer_weights(li);
@@ -240,15 +264,15 @@ impl FirmwareModel {
                 }
                 ops.compares += 1; // logit vs threshold
             }
-            FirmwareModel::Forest(m) => {
+            Model::Forest(m) => {
                 count_trees(m.trees(), &mut ops);
                 ops.compares += 1; // majority threshold
             }
-            FirmwareModel::Logistic(m) => {
+            Model::Logistic(m) => {
                 ops.inner_product(m.weights().len());
                 ops.compares += 1;
             }
-            FirmwareModel::SvmEnsemble(ms) => {
+            Model::SvmEnsemble(ms) => {
                 for s in ms {
                     ops.inner_product(s.weights().len());
                     ops.compares += 1;
@@ -256,7 +280,7 @@ impl FirmwareModel {
                 }
                 ops.compares += 1;
             }
-            FirmwareModel::Chi2Svm(m) => {
+            Model::Chi2Svm(m) => {
                 let dim = m.dim().unwrap_or(x.len());
                 for _ in 0..m.num_support_vectors() {
                     ops.chi2_kernel(dim);
@@ -267,7 +291,7 @@ impl FirmwareModel {
                 ops.divs += 1; // 1 / (lambda t) scale
                 ops.compares += 1;
             }
-            FirmwareModel::Gbdt(m) => {
+            Model::Gbdt(m) => {
                 count_trees(m.trees(), &mut ops);
                 ops.muls += 1; // shrinkage scale
                 ops.compares += 1; // logit vs threshold (no exp needed)
@@ -293,20 +317,23 @@ impl FirmwareModel {
     /// `2^depth` balanced-array layout the paper's accounting uses (e.g.
     /// a depth-16 tree = 655.36 KB, Table 3).
     pub fn memory_footprint_bytes(&self) -> u64 {
-        match self {
-            FirmwareModel::Mlp(m) => 4 * m.num_parameters() as u64,
-            FirmwareModel::Forest(m) => trees_footprint_bytes(m.trees()),
-            FirmwareModel::Logistic(m) => 4 * (m.weights().len() as u64 + 1),
-            FirmwareModel::SvmEnsemble(ms) => {
-                ms.iter().map(|s| 4 * (s.weights().len() as u64 + 1)).sum()
-            }
-            FirmwareModel::Chi2Svm(m) => {
+        match &self.model {
+            Model::Mlp(m) => 4 * m.num_parameters() as u64,
+            Model::Forest(m) => trees_footprint_bytes(m.trees()),
+            Model::Logistic(m) => 4 * (m.weights().len() as u64 + 1),
+            Model::SvmEnsemble(ms) => ms.iter().map(|s| 4 * (s.weights().len() as u64 + 1)).sum(),
+            Model::Chi2Svm(m) => {
                 let dim = m.dim().unwrap_or(0) as u64;
                 m.num_support_vectors() as u64 * (4 * dim + 4)
             }
-            FirmwareModel::Gbdt(m) => trees_footprint_bytes(m.trees()),
+            Model::Gbdt(m) => trees_footprint_bytes(m.trees()),
         }
     }
+}
+
+/// Linear SVMs of `ms` voting for the positive class on `x`.
+fn votes(ms: &[LinearSvm], x: &[f64]) -> usize {
+    ms.iter().filter(|s| s.predict(x)).count()
 }
 
 /// Checks that every leaf value and split threshold of `trees` is finite;
@@ -346,26 +373,15 @@ fn trees_footprint_bytes(trees: &[DecisionTree]) -> u64 {
     trees.iter().map(|t| 10u64 * (1u64 << t.max_depth())).sum()
 }
 
-/// A firmware image is itself a [`Classifier`], so the serving daemon and
-/// experiment runners can hold `&dyn Classifier` without caring whether a
-/// model is raw or firmware-packed.
+/// The trait's only implementation; it stays only for the repository
+/// benchmark's predictor probe (see [`psca_ml::classifier`]).
 ///
 /// # Panics
-/// The trait has the concrete models' assert-on-bad-input contract, so
-/// these methods panic on a dimension mismatch. Field code that must not
-/// panic keeps using the fallible [`predict`](FirmwareModel::predict) /
-/// [`score`](FirmwareModel::score).
+/// Panics on a dimension mismatch. Field code that must not panic uses
+/// the fallible [`score`](FirmwareModel::score).
 impl Classifier for FirmwareModel {
     fn predict_proba(&self, x: &[f64]) -> f64 {
         self.score(x).expect("input dimension matches the model")
-    }
-
-    fn predict(&self, x: &[f64]) -> bool {
-        FirmwareModel::predict(self, x).expect("input dimension matches the model")
-    }
-
-    fn n_features(&self) -> Option<usize> {
-        self.input_dim()
     }
 }
 
@@ -395,22 +411,22 @@ mod tests {
         let data = dataset(300, 12, 1);
         let mlp = Mlp::fit(&MlpConfig::best_mlp(), &data, 2);
         let rf = RandomForest::fit(&RandomForestConfig::best_rf(), &data, 3);
-        let fw_mlp = FirmwareModel::Mlp(mlp.clone());
-        let fw_rf = FirmwareModel::Forest(rf.clone());
+        let fw_mlp = FirmwareModel::new(Model::Mlp(mlp.clone()));
+        let fw_rf = FirmwareModel::new(Model::Forest(rf.clone()));
         for i in 0..data.len() {
             let x = data.sample(i).0;
-            assert_eq!(fw_mlp.predict(x).unwrap(), mlp.predict(x));
-            assert_eq!(fw_rf.predict(x).unwrap(), rf.predict(x));
+            assert_eq!(fw_mlp.predict(x).unwrap(), mlp.predict_proba(x) >= 0.5);
+            assert_eq!(fw_rf.predict(x).unwrap(), rf.predict_proba(x) >= 0.5);
             let (d, _) = fw_rf.predict_counted(x).unwrap();
-            assert_eq!(d, rf.predict(x));
+            assert_eq!(d, rf.predict_proba(x) >= 0.5);
         }
     }
 
     #[test]
     fn wrong_dimensionality_is_a_typed_error_not_a_panic() {
         let data = dataset(200, 12, 2);
-        let mlp = FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 2));
-        let lr = FirmwareModel::Logistic(LogisticRegression::fit(&data, 1e-4, 50));
+        let mlp = FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 2)));
+        let lr = FirmwareModel::new(Model::Logistic(LogisticRegression::fit(&data, 1e-4, 50)));
         for fw in [&mlp, &lr] {
             assert_eq!(fw.input_dim(), Some(12));
             for bad in [vec![0.0; 3], vec![0.0; 13], Vec::new()] {
@@ -431,26 +447,26 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_finite_weights() {
-        let good =
-            FirmwareModel::Logistic(LogisticRegression::from_parts(vec![1.0, -2.0], 0.5, 0.5));
+        let good = FirmwareModel::new(Model::Logistic(LogisticRegression::from_parts(
+            vec![1.0, -2.0],
+            0.5,
+        )));
         assert!(good.validate().is_ok());
-        let bad = FirmwareModel::Logistic(LogisticRegression::from_parts(
+        let bad = FirmwareModel::new(Model::Logistic(LogisticRegression::from_parts(
             vec![1.0, f64::NAN],
             0.5,
-            0.5,
-        ));
+        )));
         assert_eq!(
             bad.validate().unwrap_err(),
             FirmwareError::NonFiniteParameter("logistic weight")
         );
-        let bad_bias = FirmwareModel::Logistic(LogisticRegression::from_parts(
+        let bad_bias = FirmwareModel::new(Model::Logistic(LogisticRegression::from_parts(
             vec![1.0, 2.0],
             f64::INFINITY,
-            0.5,
-        ));
+        )));
         assert!(bad_bias.validate().is_err());
         let data = dataset(200, 8, 3);
-        let mlp = FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 4));
+        let mlp = FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 4)));
         assert!(mlp.validate().is_ok());
     }
 
@@ -459,7 +475,7 @@ mod tests {
         // 3 layers of 8/8/4 filters on 12 counters → paper reports 678.
         let data = dataset(100, 12, 4);
         let mlp = Mlp::fit(&MlpConfig::best_mlp(), &data, 1);
-        let ops = FirmwareModel::Mlp(mlp).ops_per_prediction(12);
+        let ops = FirmwareModel::new(Model::Mlp(mlp)).ops_per_prediction(12);
         assert!(
             (550..=800).contains(&ops),
             "Best-MLP ops {ops} out of plausible range around 678"
@@ -471,7 +487,7 @@ mod tests {
         // 8 trees, depth 8 → paper reports 538.
         let data = dataset(600, 12, 5);
         let rf = RandomForest::fit(&RandomForestConfig::best_rf(), &data, 2);
-        let ops = FirmwareModel::Forest(rf).ops_per_prediction(12);
+        let ops = FirmwareModel::new(Model::Forest(rf)).ops_per_prediction(12);
         assert!(
             (400..=700).contains(&ops),
             "Best-RF ops {ops} out of plausible range around 538"
@@ -481,7 +497,11 @@ mod tests {
     #[test]
     fn forest_cost_is_input_independent() {
         let data = dataset(300, 12, 6);
-        let rf = FirmwareModel::Forest(RandomForest::fit(&RandomForestConfig::best_rf(), &data, 2));
+        let rf = FirmwareModel::new(Model::Forest(RandomForest::fit(
+            &RandomForestConfig::best_rf(),
+            &data,
+            2,
+        )));
         let (_, a) = rf.predict_counted(&[0.0; 12]).unwrap();
         let (_, b) = rf.predict_counted(&[1.0; 12]).unwrap();
         assert_eq!(a.total(), b.total(), "padded trees must cost the same");
@@ -491,11 +511,11 @@ mod tests {
     fn chi2_svm_is_an_order_of_magnitude_costlier() {
         let data = dataset(800, 12, 7);
         let svm = psca_ml::KernelSvm::fit_chi2(&data, 1e-3, 3_000, 1000, 8);
-        let fw = FirmwareModel::Chi2Svm(svm);
+        let fw = FirmwareModel::new(Model::Chi2Svm(svm));
         let ops = fw.ops_per_prediction(12);
         let data2 = dataset(300, 12, 9);
-        let mlp_ops =
-            FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data2, 1)).ops_per_prediction(12);
+        let mlp_ops = FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data2, 1)))
+            .ops_per_prediction(12);
         assert!(ops > 10 * mlp_ops, "chi2 {ops} vs mlp {mlp_ops}");
     }
 
@@ -503,16 +523,18 @@ mod tests {
     fn depth16_tree_footprint_matches_table3() {
         let data = dataset(400, 12, 10);
         let tree = DecisionTree::fit(&data, 16, 1, None, 1);
-        let forest_of_one = FirmwareModel::Forest(RandomForest::from_trees(vec![tree], 0.5));
+        let forest_of_one = FirmwareModel::new(Model::Forest(RandomForest::from_trees(vec![tree])));
         assert_eq!(forest_of_one.memory_footprint_bytes(), 655_360); // 655.36 KB, as in Table 3
     }
 
     #[test]
     fn tree_ensembles_name_their_non_finite_nodes() {
         let leaf = |value| DecisionTree::from_nodes(vec![Node::Leaf { value }], 1, 2);
-        let forest = RandomForest::from_trees(vec![leaf(0.5), leaf(f64::NAN)], 0.5);
+        let forest = RandomForest::from_trees(vec![leaf(0.5), leaf(f64::NAN)]);
         assert_eq!(
-            FirmwareModel::Forest(forest).validate().unwrap_err(),
+            FirmwareModel::new(Model::Forest(forest))
+                .validate()
+                .unwrap_err(),
             FirmwareError::NonFiniteParameter("forest leaf")
         );
         let split = DecisionTree::from_nodes(
@@ -529,9 +551,11 @@ mod tests {
             1,
             2,
         );
-        let forest = RandomForest::from_trees(vec![split], 0.5);
+        let forest = RandomForest::from_trees(vec![split]);
         assert_eq!(
-            FirmwareModel::Forest(forest).validate().unwrap_err(),
+            FirmwareModel::new(Model::Forest(forest))
+                .validate()
+                .unwrap_err(),
             FirmwareError::NonFiniteParameter("forest split")
         );
     }
@@ -539,7 +563,7 @@ mod tests {
     #[test]
     fn gbdt_stages_are_checked_like_forest_trees() {
         let data = dataset(200, 6, 13);
-        let fw = FirmwareModel::Gbdt(Gbdt::fit(&GbdtConfig::default(), &data));
+        let fw = FirmwareModel::new(Model::Gbdt(Gbdt::fit(&GbdtConfig::default(), &data)));
         assert!(fw.validate().is_ok());
         assert_eq!(fw.input_dim(), Some(6));
         assert_eq!(
@@ -557,7 +581,7 @@ mod tests {
     fn logistic_footprint_is_tiny() {
         let data = dataset(200, 12, 11);
         let lr = LogisticRegression::fit(&data, 1e-4, 50);
-        let fw = FirmwareModel::Logistic(lr);
+        let fw = FirmwareModel::new(Model::Logistic(lr));
         assert_eq!(fw.memory_footprint_bytes(), 52);
         assert!(fw.ops_per_prediction(12) < 60);
     }
@@ -566,7 +590,7 @@ mod tests {
     fn ensemble_votes_majority() {
         let data = dataset(300, 4, 12);
         let ens = LinearSvm::fit_ensemble(&data, 5, 1e-3, 3_000, 13);
-        let fw = FirmwareModel::SvmEnsemble(ens.clone());
+        let fw = FirmwareModel::new(Model::SvmEnsemble(ens.clone()));
         let x = vec![0.9; 4];
         let votes = ens.iter().filter(|s| s.predict(&x)).count();
         assert_eq!(fw.predict(&x).unwrap(), 2 * votes > 5);

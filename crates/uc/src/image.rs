@@ -18,7 +18,7 @@
 //! or infinite — the "validated firmware images" rung of the robustness
 //! story (docs/ROBUSTNESS.md).
 
-use crate::firmware::{FirmwareError, FirmwareModel};
+use crate::firmware::{FirmwareError, FirmwareModel, Model};
 use psca_exec::codec::{Reader, Truncated, Writer};
 use psca_ml::{DecisionTree, LogisticRegression, Matrix, Mlp, Node, RandomForest};
 use std::fmt;
@@ -111,13 +111,23 @@ const TAG_LOGISTIC: u8 = 2;
 /// Returns [`ImageError::Unsupported`] for SVM variants, which the paper's
 /// budget analysis rules out for deployment.
 pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
+    let tag = match model.model() {
+        Model::Mlp(_) => TAG_MLP,
+        Model::Forest(_) => TAG_FOREST,
+        Model::Logistic(_) => TAG_LOGISTIC,
+        Model::SvmEnsemble(_) => return Err(ImageError::Unsupported("linear SVM ensemble")),
+        Model::Chi2Svm(_) => return Err(ImageError::Unsupported("chi^2 kernel SVM")),
+        // Deployable in principle, but the image format pins the §5 model
+        // classes; extend with a new tag before shipping GBDTs.
+        Model::Gbdt(_) => return Err(ImageError::Unsupported("gradient-boosted trees")),
+    };
     let mut w = Writer::new();
     w.raw(MAGIC);
     w.u8(VERSION);
-    match model {
-        FirmwareModel::Mlp(m) => {
-            w.u8(TAG_MLP);
-            w.f64(m.threshold());
+    w.u8(tag);
+    w.f64(model.threshold());
+    match model.model() {
+        Model::Mlp(m) => {
             w.u8(m.num_layers() as u8);
             for li in 0..m.num_layers() {
                 let (weights, biases) = m.layer_weights(li);
@@ -129,9 +139,7 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
                     .for_each(|&v| w.f64(v));
             }
         }
-        FirmwareModel::Forest(forest) => {
-            w.u8(TAG_FOREST);
-            w.f64(forest.threshold());
+        Model::Forest(forest) => {
             w.u16(forest.trees().len() as u16);
             for tree in forest.trees() {
                 w.u16(tree.max_depth() as u16);
@@ -159,22 +167,13 @@ pub fn encode(model: &FirmwareModel) -> Result<Vec<u8>, ImageError> {
                 }
             }
         }
-        FirmwareModel::Logistic(lr) => {
-            w.u8(TAG_LOGISTIC);
-            w.f64(lr.threshold());
+        Model::Logistic(lr) => {
             w.u16(lr.weights().len() as u16);
             lr.weights().iter().for_each(|&v| w.f64(v));
             w.f64(lr.bias());
         }
-        FirmwareModel::SvmEnsemble(_) => {
-            return Err(ImageError::Unsupported("linear SVM ensemble"))
-        }
-        FirmwareModel::Chi2Svm(_) => return Err(ImageError::Unsupported("chi^2 kernel SVM")),
-        FirmwareModel::Gbdt(_) => {
-            // Deployable in principle, but the image format pins the §5
-            // model classes; extend with a new tag before shipping GBDTs.
-            return Err(ImageError::Unsupported("gradient-boosted trees"));
-        }
+        // Rejected by the tag match above.
+        Model::SvmEnsemble(_) | Model::Chi2Svm(_) | Model::Gbdt(_) => {}
     }
     let crc = crc32(w.as_bytes());
     w.u32(crc);
@@ -240,7 +239,7 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
             if layers.last().unwrap().0.rows() != 1 {
                 return Err(ImageError::Corrupt("MLP output layer must be 1-wide"));
             }
-            FirmwareModel::Mlp(Mlp::from_layers(layers, threshold))
+            Model::Mlp(Mlp::from_layers(layers))
         }
         TAG_FOREST => {
             let n_trees = r.u16()? as usize;
@@ -297,7 +296,7 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
             if trees.iter().any(|t| t.num_features() != width) {
                 return Err(ImageError::Corrupt("trees disagree on input width"));
             }
-            FirmwareModel::Forest(RandomForest::from_trees(trees, threshold))
+            Model::Forest(RandomForest::from_trees(trees))
         }
         TAG_LOGISTIC => {
             let d = r.u16()? as usize;
@@ -305,11 +304,13 @@ pub fn decode(bytes: &[u8]) -> Result<FirmwareModel, ImageError> {
                 .map(|_| r.f64())
                 .collect::<Result<_, _>>()?;
             let bias = r.f64()?;
-            FirmwareModel::Logistic(LogisticRegression::from_parts(weights, bias, threshold))
+            Model::Logistic(LogisticRegression::from_parts(weights, bias))
         }
         _ => return Err(ImageError::Corrupt("unknown model tag")),
     };
     r.finish(ImageError::Corrupt("trailing bytes"))?;
+    let mut model = FirmwareModel::new(model);
+    model.set_threshold(threshold);
     // Weight-sanity check at load: a checksum proves the bytes arrived
     // intact, not that the encoded weights were sane to begin with.
     model.validate().map_err(ImageError::InvalidModel)?;
@@ -334,6 +335,13 @@ mod tests {
         Dataset::new(Matrix::from_rows(&refs), labels, vec![0; n])
     }
 
+    /// A logistic predictor at the untuned threshold.
+    fn logistic(weights: Vec<f64>, bias: f64) -> FirmwareModel {
+        FirmwareModel::new(Model::Logistic(LogisticRegression::from_parts(
+            weights, bias,
+        )))
+    }
+
     fn roundtrip_matches(model: &FirmwareModel, d: usize) {
         let image = encode(model).unwrap();
         let back = decode(&image).unwrap();
@@ -348,24 +356,28 @@ mod tests {
     #[test]
     fn mlp_image_roundtrips_bit_exact() {
         let data = dataset(300, 12);
-        let mut mlp = Mlp::fit(&MlpConfig::best_mlp(), &data, 5);
+        let mut mlp = FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 5)));
         mlp.set_threshold(0.7);
-        roundtrip_matches(&FirmwareModel::Mlp(mlp), 12);
+        roundtrip_matches(&mlp, 12);
     }
 
     #[test]
     fn forest_image_roundtrips_bit_exact() {
         let data = dataset(400, 12);
-        let mut rf = RandomForest::fit(&RandomForestConfig::best_rf(), &data, 6);
+        let mut rf = FirmwareModel::new(Model::Forest(RandomForest::fit(
+            &RandomForestConfig::best_rf(),
+            &data,
+            6,
+        )));
         rf.set_threshold(0.65);
-        roundtrip_matches(&FirmwareModel::Forest(rf), 12);
+        roundtrip_matches(&rf, 12);
     }
 
     #[test]
     fn logistic_image_roundtrips_bit_exact() {
         let data = dataset(200, 8);
         let lr = LogisticRegression::fit(&data, 1e-4, 100);
-        roundtrip_matches(&FirmwareModel::Logistic(lr), 8);
+        roundtrip_matches(&FirmwareModel::new(Model::Logistic(lr)), 8);
     }
 
     #[test]
@@ -373,18 +385,10 @@ mod tests {
         // The CRC residue trap: every version-2 blob ends with the CRC of
         // its payload, so CRC-32 over the whole blob is the same constant
         // for *every* image. The fingerprint must not fall into it.
-        let a = encode(&FirmwareModel::Logistic(LogisticRegression::from_parts(
-            vec![1.0, 2.0],
-            0.0,
-            0.5,
-        )))
-        .unwrap();
-        let b = encode(&FirmwareModel::Logistic(LogisticRegression::from_parts(
-            vec![1.0, 2.0],
-            0.0,
-            0.25,
-        )))
-        .unwrap();
+        let mut model = logistic(vec![1.0, 2.0], 0.0);
+        let a = encode(&model).unwrap();
+        model.set_threshold(0.25);
+        let b = encode(&model).unwrap();
         assert_ne!(a, b);
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
@@ -394,7 +398,7 @@ mod tests {
     fn svms_are_rejected() {
         let data = dataset(100, 4);
         let svm = psca_ml::LinearSvm::fit(&data, 1e-3, 500, 1);
-        let err = encode(&FirmwareModel::SvmEnsemble(vec![svm])).unwrap_err();
+        let err = encode(&FirmwareModel::new(Model::SvmEnsemble(vec![svm]))).unwrap_err();
         assert!(matches!(err, ImageError::Unsupported(_)));
     }
 
@@ -406,12 +410,7 @@ mod tests {
         );
         assert_eq!(decode(b"nope").unwrap_err(), ImageError::BadMagic);
         assert_eq!(decode(b"XXXX\x01\x00").unwrap_err(), ImageError::BadMagic);
-        let mut truncated = encode(&FirmwareModel::Logistic(LogisticRegression::from_parts(
-            vec![1.0, 2.0],
-            0.0,
-            0.5,
-        )))
-        .unwrap();
+        let mut truncated = encode(&logistic(vec![1.0, 2.0], 0.0)).unwrap();
         truncated.pop();
         // Truncation shifts the CRC trailer, so it reads as a checksum
         // failure (or as truncation if the image becomes too short).
@@ -425,7 +424,7 @@ mod tests {
     fn checksum_catches_payload_bit_flips() {
         let data = dataset(200, 8);
         let lr = LogisticRegression::fit(&data, 1e-4, 100);
-        let image = encode(&FirmwareModel::Logistic(lr)).unwrap();
+        let image = encode(&FirmwareModel::new(Model::Logistic(lr))).unwrap();
         // Flip one bit in every payload byte position past the header;
         // the CRC trailer must catch each one.
         for idx in 6..image.len() - 4 {
@@ -441,8 +440,7 @@ mod tests {
 
     #[test]
     fn v1_images_without_checksum_are_rejected() {
-        let lr = LogisticRegression::from_parts(vec![1.0, -0.5], 0.25, 0.5);
-        let mut v1 = encode(&FirmwareModel::Logistic(lr)).unwrap();
+        let mut v1 = encode(&logistic(vec![1.0, -0.5], 0.25)).unwrap();
         v1.truncate(v1.len() - 4); // strip the CRC trailer
         v1[4] = 1; // mark as the pre-checksum format
         assert_eq!(decode(&v1).unwrap_err(), ImageError::BadVersion(1));
@@ -450,8 +448,7 @@ mod tests {
 
     #[test]
     fn nan_weights_are_rejected_at_load() {
-        let lr = LogisticRegression::from_parts(vec![1.0, f64::NAN], 0.0, 0.5);
-        let image = encode(&FirmwareModel::Logistic(lr)).unwrap();
+        let image = encode(&logistic(vec![1.0, f64::NAN], 0.0)).unwrap();
         // The image is well-formed (checksum valid) but the weights are
         // garbage: load-time validation must reject it.
         assert!(matches!(
@@ -464,7 +461,7 @@ mod tests {
     fn fuzzed_mutations_never_panic() {
         let data = dataset(150, 6);
         let rf = RandomForest::fit(&RandomForestConfig::best_rf(), &data, 7);
-        let image = encode(&FirmwareModel::Forest(rf)).unwrap();
+        let image = encode(&FirmwareModel::new(Model::Forest(rf))).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..500 {
             let mut corrupted = image.clone();
@@ -480,9 +477,13 @@ mod tests {
         IMAGES.get_or_init(|| {
             let data = dataset(150, 6);
             [
-                FirmwareModel::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 5)),
-                FirmwareModel::Forest(RandomForest::fit(&RandomForestConfig::best_rf(), &data, 7)),
-                FirmwareModel::Logistic(LogisticRegression::fit(&data, 1e-4, 100)),
+                FirmwareModel::new(Model::Mlp(Mlp::fit(&MlpConfig::best_mlp(), &data, 5))),
+                FirmwareModel::new(Model::Forest(RandomForest::fit(
+                    &RandomForestConfig::best_rf(),
+                    &data,
+                    7,
+                ))),
+                FirmwareModel::new(Model::Logistic(LogisticRegression::fit(&data, 1e-4, 100))),
             ]
             .map(|m| encode(&m).unwrap())
         })
@@ -585,8 +586,8 @@ mod tests {
             ];
             DecisionTree::from_nodes(nodes, 1, num_features)
         };
-        let forest = RandomForest::from_trees(vec![stump(3), stump(5)], 0.5);
-        let image = encode(&FirmwareModel::Forest(forest)).unwrap();
+        let forest = RandomForest::from_trees(vec![stump(3), stump(5)]);
+        let image = encode(&FirmwareModel::new(Model::Forest(forest))).unwrap();
         assert_eq!(
             decode(&image).unwrap_err(),
             ImageError::Corrupt("trees disagree on input width")
@@ -613,9 +614,8 @@ mod tests {
         ];
         let image = |max_depth| {
             let tree = DecisionTree::from_nodes(nodes.clone(), max_depth, 1);
-            encode(&FirmwareModel::Forest(RandomForest::from_trees(
-                vec![tree],
-                0.5,
+            encode(&FirmwareModel::new(Model::Forest(
+                RandomForest::from_trees(vec![tree]),
             )))
             .unwrap()
         };
@@ -630,8 +630,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_detected() {
-        let lr = LogisticRegression::from_parts(vec![1.0], 0.0, 0.5);
-        let mut image = encode(&FirmwareModel::Logistic(lr)).unwrap();
+        let mut image = encode(&logistic(vec![1.0], 0.0)).unwrap();
         image[4] = 9; // bump version byte
         assert_eq!(decode(&image).unwrap_err(), ImageError::BadVersion(9));
     }

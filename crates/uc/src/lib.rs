@@ -28,5 +28,5 @@ pub mod image;
 mod opcount;
 
 pub use budget::{finest_granularity, ops_budget, BudgetRow, CpuSpec, McuSpec};
-pub use firmware::{FirmwareError, FirmwareModel};
+pub use firmware::{FirmwareError, FirmwareModel, Model};
 pub use opcount::OpCounter;

@@ -12,15 +12,20 @@ use psca_adapt::{decode_trace, decode_traces, encode_trace, encode_traces, Trace
 use psca_ml::{DecisionTree, LogisticRegression, Matrix, Mlp, Node, RandomForest};
 use psca_telemetry::NUM_EVENTS;
 use psca_uc::image::{decode, encode, fingerprint};
-use psca_uc::FirmwareModel;
+use psca_uc::{FirmwareModel, Model};
+
+/// `model` at decision threshold `threshold`.
+fn tuned(model: Model, threshold: f64) -> FirmwareModel {
+    let mut fw = FirmwareModel::new(model);
+    fw.set_threshold(threshold);
+    fw
+}
 
 fn mlp() -> FirmwareModel {
     let hidden = Matrix::from_rows(&[&[0.5, -1.25, 2.0], &[-0.75, 0.125, 1.5]]);
     let output = Matrix::from_rows(&[&[1.0, -2.5]]);
-    FirmwareModel::Mlp(Mlp::from_layers(
-        vec![(hidden, vec![0.1, -0.2]), (output, vec![0.3])],
-        0.625,
-    ))
+    let layers = vec![(hidden, vec![0.1, -0.2]), (output, vec![0.3])];
+    tuned(Model::Mlp(Mlp::from_layers(layers)), 0.625)
 }
 
 fn forest() -> FirmwareModel {
@@ -39,15 +44,15 @@ fn forest() -> FirmwareModel {
         3,
     );
     let leaf = DecisionTree::from_nodes(vec![Node::Leaf { value: 0.5 }], 0, 3);
-    FirmwareModel::Forest(RandomForest::from_trees(vec![stump, leaf], 0.4))
+    tuned(
+        Model::Forest(RandomForest::from_trees(vec![stump, leaf])),
+        0.4,
+    )
 }
 
 fn logistic() -> FirmwareModel {
-    FirmwareModel::Logistic(LogisticRegression::from_parts(
-        vec![1.5, -0.25, 0.0, 3.0],
-        -0.5,
-        0.55,
-    ))
+    let lr = LogisticRegression::from_parts(vec![1.5, -0.25, 0.0, 3.0], -0.5);
+    tuned(Model::Logistic(lr), 0.55)
 }
 
 /// Encodes `model`, checks the image decodes and re-encodes to the same

@@ -8,7 +8,6 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use psca::adapt::ModelKind;
-use psca::ml::Classifier;
 use psca::obs::{Json, SloSpec};
 use psca::serve::{Daemon, ModelRegistry, ServeConfig};
 
@@ -309,8 +308,8 @@ fn concurrent_clients_see_bit_identical_predictions() {
         .collect();
     let bodies: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
-    // Ground truth straight through the Classifier surface, no socket.
-    let clf: &dyn Classifier = &model.fw_hi;
+    // Ground truth straight from the firmware predictor, no socket.
+    let fw = &model.fw_hi;
     let rows = probe_rows(dim, ROWS);
     for body in &bodies {
         let doc = Json::parse(body).unwrap();
@@ -318,13 +317,14 @@ fn concurrent_clients_see_bit_identical_predictions() {
         assert_eq!(results.len(), ROWS);
         for (row, res) in rows.iter().zip(results) {
             let got = res.get("proba").and_then(Json::as_f64).unwrap();
-            let want = clf.predict_proba(row);
+            let want = fw.score(row).unwrap();
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
                 "served proba must be bit-identical to the direct call"
             );
-            assert_eq!(res.get("gate"), Some(&Json::Bool(clf.predict(row))));
+            let gate = fw.predict(row).unwrap();
+            assert_eq!(res.get("gate"), Some(&Json::Bool(gate)));
         }
     }
     daemon.shutdown();
